@@ -40,7 +40,7 @@ func benchFaultload(b testing.TB) (*Target, *faultload) {
 func BenchmarkInjectionPipeline(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		tgt, fl := benchFaultload(b)
-		if fl.inc == nil || fl.baseBytes == nil {
+		if fl.incInto == nil || fl.baseBytes == nil {
 			b.Fatal("fast path not enabled")
 		}
 		scr := &scratch{}

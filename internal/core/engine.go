@@ -150,19 +150,17 @@ type faultload struct {
 	sysSet  *confnode.Set
 	scens   []scenario.Scenario
 
-	// inc and baseBytes enable the incremental injection pipeline. inc is
-	// the view's incremental back-transform, nil when unsupported.
-	// baseBytes caches, once per campaign, the serialized bytes of the
-	// baseline round trip (Backward over the unmutated view): per
-	// scenario, only the files the mutation dirtied are re-serialized and
-	// every clean file reuses its cached slice. Both are nil when the
-	// baseline round trip fails, which forces the reference path.
-	inc       view.Incremental
+	// incInto and baseBytes enable the incremental injection pipeline.
+	// incInto is the view's incremental back-transform, nil when
+	// unsupported; workers thread their scratch tracked system set through
+	// it instead of allocating one per experiment. baseBytes caches, once
+	// per campaign, the serialized bytes of the baseline round trip
+	// (Backward over the unmutated view): per scenario, only the files the
+	// mutation dirtied are re-serialized and every clean file reuses its
+	// cached slice. Both are nil when the baseline round trip fails, which
+	// forces the reference path.
+	incInto   view.IncrementalInto
 	baseBytes map[string][]byte
-	// incInto, when the view supports it, is inc's wrapper-reusing form:
-	// workers thread their scratch tracked system set through it instead
-	// of allocating one per experiment.
-	incInto view.IncrementalInto
 }
 
 // generateBase parses the initial configuration, maps it into the plugin
@@ -256,12 +254,13 @@ func (c *Campaign) generateStream() (*faultload, scenario.Source, error) {
 }
 
 // prepareFastPath caches the baseline round-trip bytes when the view
-// supports incremental back-transformation. Any failure — an error from
+// supports incremental back-transformation into a reused wrapper
+// (view.IncrementalInto). Any failure — an error from
 // the unmutated Backward, a missing format, a serializer error — leaves
 // the fast path disabled rather than the campaign broken: runOne then
 // behaves exactly like the paper's full-clone engine.
 func (fl *faultload) prepareFastPath(t *Target) {
-	inc, ok := fl.view.(view.Incremental)
+	inc, ok := fl.view.(view.IncrementalInto)
 	if !ok {
 		return
 	}
@@ -297,8 +296,7 @@ func (fl *faultload) prepareFastPath(t *Target) {
 			return
 		}
 	}
-	fl.inc, fl.baseBytes = inc, baseBytes
-	fl.incInto, _ = fl.view.(view.IncrementalInto)
+	fl.incInto, fl.baseBytes = inc, baseBytes
 }
 
 // scratch is per-worker reusable state threaded through every injection a
@@ -420,20 +418,16 @@ func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profi
 	// 2. Map back to the system representation; expressiveness gaps are a
 	// first-class outcome (paper §5.4). The incremental transform folds
 	// only the dirty files and reports which system files it rewrote.
-	fast := fl.inc != nil && fl.baseBytes != nil
+	fast := fl.incInto != nil && fl.baseBytes != nil
 	var (
 		mutatedSys *confnode.Set
 		sysDirty   []string
 		err        error
 	)
 	if fast {
-		if fl.incInto != nil {
-			mutatedSys, err = fl.incInto.IncrementalBackwardInto(scr.sysTracked, viewDirty, mutated, fl.sysSet)
-			if mutatedSys != nil {
-				scr.sysTracked = mutatedSys
-			}
-		} else {
-			mutatedSys, err = fl.inc.IncrementalBackward(viewDirty, mutated, fl.sysSet)
+		mutatedSys, err = fl.incInto.IncrementalBackwardInto(scr.sysTracked, viewDirty, mutated, fl.sysSet)
+		if mutatedSys != nil {
+			scr.sysTracked = mutatedSys
 		}
 	} else {
 		// Flatten the tracked set first: Backward's historical contract

@@ -486,7 +486,7 @@ func TestFastPathEnabledForBuiltinViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fl.inc == nil || fl.baseBytes == nil {
+		if fl.incInto == nil || fl.baseBytes == nil {
 			t.Errorf("%s view: fast path not enabled", label)
 		}
 		if len(fl.baseBytes) != fl.sysSet.Len() {

@@ -328,7 +328,7 @@ func TestShardedMidStreamGenerationError(t *testing.T) {
 // regressing.
 func TestRunOneFastPathAllocs(t *testing.T) {
 	tgt, fl := benchFaultload(t)
-	if fl.inc == nil || fl.baseBytes == nil {
+	if fl.incInto == nil || fl.baseBytes == nil {
 		t.Fatal("fast path not enabled")
 	}
 	scr := getScratch()

@@ -9,6 +9,31 @@ import (
 	"conferr/internal/view"
 )
 
+// incrementalFold is one way of folding a tracked mutation back.
+type incrementalFold struct {
+	name string
+	fold func(dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error)
+}
+
+// incrementalFolds lists both ways the engine folds back: the allocating
+// IncrementalBackward, and IncrementalBackwardInto on a reused wrapper
+// that still holds the previous experiment's materialized stale file —
+// which must not leak into the next fold.
+func incrementalFolds(v view.IncrementalInto, stale string) []incrementalFold {
+	return []incrementalFold{
+		{"IncrementalBackward", v.IncrementalBackward},
+		{"IncrementalBackwardInto", func(dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error) {
+			dst := sys.Tracked()
+			dst.Get(stale)
+			out, err := v.IncrementalBackwardInto(dst, dirty, mutated, sys)
+			if err == nil && out != dst {
+				return nil, errors.New("IncrementalBackwardInto did not reuse dst")
+			}
+			return out, err
+		}},
+	}
+}
+
 // TestZoneViewIncrementalBackward mutates one zone and checks the fast
 // path against the full Backward: the touched zone folds identically, the
 // untouched zone and the pass-through named.conf keep sharing the
@@ -37,25 +62,29 @@ func TestZoneViewIncrementalBackward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tracked := fwd.Tracked()
-	mutate(tracked)
-	out, err := v.IncrementalBackward(tracked.Seal(), tracked, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := out.Seal()
-	if len(dirty) != 1 || dirty[0] != "example.zone" {
-		t.Fatalf("sys dirty = %v, want [example.zone]", dirty)
-	}
-	if !out.Get("example.zone").Equal(want.Get("example.zone")) {
-		t.Errorf("folded zone diverges from full Backward:\nfast:\n%s\nreference:\n%s",
-			out.Get("example.zone").Dump(), want.Get("example.zone").Dump())
-	}
-	if out.Get("reverse.zone") != sys.Get("reverse.zone") {
-		t.Error("untouched zone was rebuilt")
-	}
-	if out.Get("named.conf") != sys.Get("named.conf") {
-		t.Error("pass-through file was rebuilt")
+	for _, f := range incrementalFolds(v, "reverse.zone") {
+		t.Run(f.name, func(t *testing.T) {
+			tracked := fwd.Tracked()
+			mutate(tracked)
+			out, err := f.fold(tracked.Seal(), tracked, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirty := out.Seal()
+			if len(dirty) != 1 || dirty[0] != "example.zone" {
+				t.Fatalf("sys dirty = %v, want [example.zone]", dirty)
+			}
+			if !out.Get("example.zone").Equal(want.Get("example.zone")) {
+				t.Errorf("folded zone diverges from full Backward:\nfast:\n%s\nreference:\n%s",
+					out.Get("example.zone").Dump(), want.Get("example.zone").Dump())
+			}
+			if out.Get("reverse.zone") != sys.Get("reverse.zone") {
+				t.Error("untouched zone was rebuilt")
+			}
+			if out.Get("named.conf") != sys.Get("named.conf") {
+				t.Error("pass-through file was rebuilt")
+			}
+		})
 	}
 }
 
@@ -89,18 +118,22 @@ func TestTinyViewIncrementalBackward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tracked := fwd.Tracked()
-	mutate(tracked)
-	out, err := v.IncrementalBackward(tracked.Seal(), tracked, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dirty := out.Seal(); len(dirty) != 1 || dirty[0] != "data" {
-		t.Fatalf("sys dirty = %v, want [data]", dirty)
-	}
-	if !out.Get("data").Equal(want.Get("data")) {
-		t.Errorf("folded data diverges:\nfast:\n%s\nreference:\n%s",
-			out.Get("data").Dump(), want.Get("data").Dump())
+	for _, f := range incrementalFolds(v, "data") {
+		t.Run(f.name, func(t *testing.T) {
+			tracked := fwd.Tracked()
+			mutate(tracked)
+			out, err := f.fold(tracked.Seal(), tracked, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dirty := out.Seal(); len(dirty) != 1 || dirty[0] != "data" {
+				t.Fatalf("sys dirty = %v, want [data]", dirty)
+			}
+			if !out.Get("data").Equal(want.Get("data")) {
+				t.Errorf("folded data diverges:\nfast:\n%s\nreference:\n%s",
+					out.Get("data").Dump(), want.Get("data").Dump())
+			}
+		})
 	}
 }
 
@@ -132,14 +165,18 @@ func TestTinyViewIncrementalNotExpressibleParity(t *testing.T) {
 	mutate(refMutated)
 	_, refErr := v.Backward(refMutated, sys)
 
-	tracked := fwd.Tracked()
-	mutate(tracked)
-	_, fastErr := v.IncrementalBackward(tracked.Seal(), tracked, sys)
+	for _, f := range incrementalFolds(v, "data") {
+		t.Run(f.name, func(t *testing.T) {
+			tracked := fwd.Tracked()
+			mutate(tracked)
+			_, fastErr := f.fold(tracked.Seal(), tracked, sys)
 
-	if !errors.Is(refErr, view.ErrNotExpressible) || !errors.Is(fastErr, view.ErrNotExpressible) {
-		t.Fatalf("errors = %v / %v, want both ErrNotExpressible", refErr, fastErr)
-	}
-	if refErr.Error() != fastErr.Error() {
-		t.Errorf("error text diverges:\nfast: %s\nreference: %s", fastErr, refErr)
+			if !errors.Is(refErr, view.ErrNotExpressible) || !errors.Is(fastErr, view.ErrNotExpressible) {
+				t.Fatalf("errors = %v / %v, want both ErrNotExpressible", refErr, fastErr)
+			}
+			if refErr.Error() != fastErr.Error() {
+				t.Errorf("error text diverges:\nfast: %s\nreference: %s", fastErr, refErr)
+			}
+		})
 	}
 }

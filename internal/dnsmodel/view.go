@@ -60,7 +60,7 @@ type ZoneRecordView struct {
 	Origins map[string]string
 }
 
-var _ view.Incremental = ZoneRecordView{}
+var _ view.IncrementalInto = ZoneRecordView{}
 
 // Name implements view.View.
 func (ZoneRecordView) Name() string { return "zone-records" }
@@ -116,7 +116,12 @@ func (v ZoneRecordView) Backward(mutated, sys *confnode.Set) (*confnode.Set, err
 // are folded back; every other file — zone or pass-through — keeps
 // sharing the baseline system tree.
 func (v ZoneRecordView) IncrementalBackward(dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error) {
-	out := sys.TrackedWith(mutated.Arena())
+	return v.IncrementalBackwardInto(nil, dirty, mutated, sys)
+}
+
+// IncrementalBackwardInto implements view.IncrementalInto.
+func (ZoneRecordView) IncrementalBackwardInto(dst *confnode.Set, dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error) {
+	out := sys.TrackedInto(dst, mutated.Arena())
 	for _, file := range dirty {
 		viewDoc := mutated.Get(file)
 		if viewDoc == nil {
@@ -195,7 +200,7 @@ type TinyRecordView struct {
 	File string
 }
 
-var _ view.Incremental = TinyRecordView{}
+var _ view.IncrementalInto = TinyRecordView{}
 
 // Name implements view.View.
 func (TinyRecordView) Name() string { return "tinydns-records" }
@@ -239,7 +244,12 @@ func (v TinyRecordView) Backward(mutated, sys *confnode.Set) (*confnode.Set, err
 // single data file, so either that file is dirty and gets folded onto a
 // materialized clone, or nothing in the system set changed at all.
 func (v TinyRecordView) IncrementalBackward(dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error) {
-	out := sys.TrackedWith(mutated.Arena())
+	return v.IncrementalBackwardInto(nil, dirty, mutated, sys)
+}
+
+// IncrementalBackwardInto implements view.IncrementalInto.
+func (v TinyRecordView) IncrementalBackwardInto(dst *confnode.Set, dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error) {
+	out := sys.TrackedInto(dst, mutated.Arena())
 	for _, file := range dirty {
 		if file != v.File {
 			// Files a scenario added beside the data file have no tinydns
