@@ -69,43 +69,55 @@ func BenchmarkInjectionPipeline(b *testing.B) {
 }
 
 // BenchmarkStreamingDispatch measures the streaming engine end to end —
-// lazy generation, batched dispatch through the bounded queue, sequence-
-// numbered reassembly, sink flush — against the same synthetic faultload
-// the materialized campaign benchmarks run, at 1 and 8 workers. Comparing
-// experiments/s with BenchmarkInjectionPipelineCampaign quantifies the
-// dispatch machinery's overhead over slice indexing.
+// generation inside the workers, the worker loop, the sink — against the
+// same synthetic faultload the materialized campaign benchmarks run, at 1
+// and 8 workers. Comparing experiments/s with
+// BenchmarkInjectionPipelineCampaign quantifies the engine's overhead over
+// slice indexing. The pull cases hide GenerateShard, so the workers share
+// one stream and take a lock per scenario: the path of every generator
+// without shard support.
 func BenchmarkStreamingDispatch(b *testing.B) {
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			records := 0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := &Campaign{Target: benchTarget(), Generator: benchfixture.Gen{}}
-				opts := []RunOption{WithParallelism(workers)}
-				if workers > 1 {
-					opts = append(opts,
-						WithTargetFactory(func() (*Target, error) { return benchTarget(), nil }))
+	sharded := func() Generator { return benchfixture.Gen{} }
+	pull := func() Generator {
+		g := benchfixture.Gen{}
+		return streamFunc{name: g.Name(), view: g.View(), src: g.GenerateStream}
+	}
+	for _, bc := range []struct {
+		name string
+		gen  func() Generator
+	}{{"", sharded}, {"pull/", pull}} {
+		for _, workers := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%sworkers=%d", bc.name, workers), func(b *testing.B) {
+				records := 0
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c := &Campaign{Target: benchTarget(), Generator: bc.gen()}
+					opts := []RunOption{WithParallelism(workers)}
+					if workers > 1 {
+						opts = append(opts,
+							WithTargetFactory(func() (*Target, error) { return benchTarget(), nil }))
+					}
+					tally := &profile.TallySink{}
+					n, err := c.RunStream(context.Background(), tally, opts...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					records = n
 				}
-				tally := &profile.TallySink{}
-				n, err := c.RunStream(context.Background(), tally, opts...)
-				if err != nil {
-					b.Fatal(err)
+				if want := benchfixture.Files * benchfixture.DirsPerFile; records != want {
+					b.Fatalf("streamed %d records, want %d", records, want)
 				}
-				records = n
-			}
-			if want := benchfixture.Files * benchfixture.DirsPerFile; records != want {
-				b.Fatalf("streamed %d records, want %d", records, want)
-			}
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(records*b.N)/sec, "experiments/s")
-			}
-		})
+				if sec := b.Elapsed().Seconds(); sec > 0 {
+					b.ReportMetric(float64(records*b.N)/sec, "experiments/s")
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkInjectionPipelineCampaign runs whole campaigns over the
 // synthetic config at 1 and 8 workers, reporting experiments/s — the
-// end-to-end number the incremental pipeline and batched dispatch move.
+// end-to-end number the incremental pipeline and the worker loop move.
 func BenchmarkInjectionPipelineCampaign(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -58,9 +58,9 @@ type StreamingGenerator interface {
 // GenerateStream/GenerateShard calls over the same view set enumerate the
 // identical stream, with any randomness derived afresh from a fixed seed
 // per call — so the union of all n shards, interleaved by stride, equals
-// the unsharded stream for every n. The sharded campaign runner hands
-// every worker its own shard: generation fans out across the workers
-// instead of serializing behind a central dispatcher.
+// the unsharded stream for every n. The campaign engine hands every
+// worker its own shard: generation fans out across the workers instead
+// of serializing behind one shared pull.
 type ShardedGenerator interface {
 	StreamingGenerator
 	// GenerateShard returns shard k of n of the faultload.
@@ -131,11 +131,12 @@ type Campaign struct {
 	Observer func(profile.Record)
 }
 
-// Run executes the campaign sequentially: every scenario produced by the
-// generator is injected into a fresh clone of the initial configuration
-// and the outcome recorded. The returned profile is complete even when an
-// error is returned (it covers the experiments run so far). Run is
-// equivalent to RunContext(context.Background()).
+// Run executes the campaign on one worker, in scenario order: every
+// scenario produced by the generator is injected into a fresh clone of
+// the initial configuration and the outcome recorded. The returned
+// profile is complete even when an error is returned (it covers the
+// experiments run so far). Run is equivalent to
+// RunContext(context.Background()).
 func (c *Campaign) Run() (*profile.Profile, error) {
 	return c.RunContext(context.Background())
 }
@@ -307,9 +308,9 @@ func (fl *faultload) prepareFastPath(t *Target) {
 // allocates only what must outlive the call (the mutated files' bytes).
 // Workers never share a scratch.
 type scratch struct {
-	buf      bytes.Buffer
-	arena    confnode.Arena
-	tracked  *confnode.Set
+	buf     bytes.Buffer
+	arena   confnode.Arena
+	tracked *confnode.Set
 	// sysTracked is the reusable tracked wrapper of the system set the
 	// incremental back-transform rebuilds per experiment (see
 	// view.IncrementalInto); like tracked, its materialized trees live on

@@ -3,10 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
 
 	"conferr/internal/profile"
 	"conferr/internal/scenario"
@@ -38,8 +35,8 @@ type RunOption func(*runConfig)
 
 // WithParallelism sets the number of campaign workers. n <= 0 selects
 // GOMAXPROCS. Any value above 1 requires a target factory (see
-// WithTargetFactory); the default is 1, the sequential engine of the
-// paper.
+// WithTargetFactory). The default is 1: one worker injecting the
+// faultload in scenario order, as in the paper.
 func WithParallelism(n int) RunOption {
 	return func(cfg *runConfig) {
 		if n <= 0 {
@@ -75,11 +72,12 @@ func WithBaselineCheck() RunOption {
 // WithTargetFactory supplies the per-worker target constructor. The
 // factory must produce targets that inject the same faultload as the
 // campaign's primary target (same formats, equivalent functional tests).
-// When a factory is present, every worker — sequential runs included —
+// When a factory is present, every worker — a one-worker run included —
 // runs on a factory-built target; the campaign's primary target serves
 // faultload generation and the baseline check only, which is what lets a
 // Suite run several campaigns of one system family concurrently without
-// their experiments contending for the primary port.
+// their experiments contending for the primary port. Without a factory,
+// the one worker runs on the primary target.
 func WithTargetFactory(f TargetFactory) RunOption {
 	return func(cfg *runConfig) { cfg.factory = f }
 }
@@ -137,11 +135,11 @@ func managedSystem(sys suts.System) bool {
 }
 
 // RunContext executes the campaign under a context. The faultload is
-// generated exactly once — materialized and validated up front — and then
-// fed through the streaming dispatch engine over WithParallelism workers,
-// each owning its own SUT instance. Whatever the parallelism, the returned
-// profile lists records in scenario order and is deterministic for a fixed
-// faultload.
+// generated exactly once — materialized and validated up front — and
+// each of WithParallelism workers, each owning its own SUT instance,
+// walks the slice at its own stride. Whatever the parallelism, the
+// returned profile lists records in scenario order and is deterministic
+// for a fixed faultload.
 //
 // On cancellation, RunContext returns ctx.Err() together with the profile
 // of every experiment that completed and flushed in order. On an
@@ -166,26 +164,21 @@ func (c *Campaign) RunContext(ctx context.Context, opts ...RunOption) (*profile.
 			return prof, err
 		}
 	}
-	if cfg.parallelism > len(fl.scens) {
-		cfg.parallelism = len(fl.scens)
-	}
-	sink := &profile.MemorySink{Profile: prof}
-	if cfg.parallelism > 1 {
-		// Materialized faultloads shard by index: every worker walks the
-		// validated slice at its own stride, no dispatcher in between.
-		_, err = runSharded(ctx, cfg, fl, sliceFeed(fl.scens), sink)
-		return prof, err
-	}
-	_, err = c.runStream(ctx, cfg, fl, scenario.FromSlice(fl.scens), sink)
+	// No more workers than scenarios, but at least one.
+	cfg.parallelism = max(min(cfg.parallelism, len(fl.scens)), 1)
+	_, err = runSharded(ctx, cfg, c.Target, fl, sliceFeed(fl.scens), &profile.MemorySink{Profile: prof})
 	return prof, err
 }
 
 // RunStream executes the campaign's faultload as a pull stream: scenarios
-// are drawn lazily from the generator (see StreamingGenerator), dispatched
-// to the workers through a bounded queue, and every record is flushed to
-// the sink in scenario order as soon as its predecessors have completed.
-// Nothing grows with the faultload — not a scenario slice, not a profile —
-// so a campaign's size is bounded by the stream, not by memory.
+// are drawn lazily from the generator (see StreamingGenerator) by the
+// workers themselves, and every record is flushed to the sink in scenario
+// order as soon as its predecessors have completed. A pure generator
+// (ShardedGenerator) is sharded, each worker deriving its own stride of
+// the stream; any other stream is generated once and shared, each worker
+// pulling the next scenario under a lock. Nothing grows with the
+// faultload — not a scenario slice, not a profile — so a campaign's size
+// is bounded by the stream, not by memory.
 //
 // It returns the number of records flushed to the sink. The error contract
 // matches RunContext; a mid-stream generation error additionally arrives
@@ -195,32 +188,47 @@ func (c *Campaign) RunStream(ctx context.Context, sink profile.Sink, opts ...Run
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if sg, ok := c.Generator.(ShardedGenerator); ok && cfg.parallelism > 1 && CanShard(c.Generator) {
-		// Sharded generation: every worker derives its own strided
-		// sub-stream of the (pure) faultload and runs it independently —
-		// generation itself scales with the workers instead of
-		// serializing behind one dispatch goroutine.
-		fl, err := c.generateBase()
-		if err != nil {
-			return 0, err
-		}
-		if cfg.baseline {
-			if err := c.baselineOn(fl.sysSet, fl.baseBytes); err != nil {
-				return 0, err
-			}
-		}
-		return runSharded(ctx, cfg, fl, genFeed(c, fl, sg), sink)
-	}
-	fl, src, err := c.generateStream()
+	stop := func() {}
+	fl, feed, err := c.openFeed(cfg, func(src scenario.Source) shardFeed {
+		var f shardFeed
+		f, stop = pullFeed(src)
+		return f
+	})
 	if err != nil {
 		return 0, err
 	}
+	defer stop()
+	return runSharded(ctx, cfg, c.Target, fl, feed, sink)
+}
+
+// openFeed generates the faultload's base state, runs the baseline check
+// and picks the feed by generator: genFeed for a shardable generator
+// (CanShard), opaque over the validated stream for any other.
+func (c *Campaign) openFeed(cfg runConfig, opaque func(scenario.Source) shardFeed) (*faultload, shardFeed, error) {
+	sg, sharded := c.Generator.(ShardedGenerator)
+	sharded = sharded && CanShard(c.Generator)
+	var (
+		fl  *faultload
+		src scenario.Source
+		err error
+	)
+	if sharded {
+		fl, err = c.generateBase()
+	} else {
+		fl, src, err = c.generateStream()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	if cfg.baseline {
 		if err := c.baselineOn(fl.sysSet, fl.baseBytes); err != nil {
-			return 0, err
+			return nil, nil, err
 		}
 	}
-	return c.runStream(ctx, cfg, fl, src, sink)
+	if sharded {
+		return fl, genFeed(c, fl, sg), nil
+	}
+	return fl, opaque(src), nil
 }
 
 // config folds the campaign defaults and the run options.
@@ -236,301 +244,14 @@ func (c *Campaign) config(opts []RunOption) runConfig {
 	return cfg
 }
 
-// runStream is the dispatch engine shared by RunContext and RunStream:
-// sequential in-line when one worker suffices, fan-out with sequence-
-// numbered reassembly otherwise.
-// errParallelNeedsFactory is the shared complaint of every parallel path.
+// errParallelNeedsFactory is the complaint of a run asked for more than
+// one worker without a target factory.
 var errParallelNeedsFactory = errors.New("core: parallel run requires a target factory (WithTargetFactory)")
 
-func (c *Campaign) runStream(ctx context.Context, cfg runConfig, fl *faultload, src scenario.Source, sink profile.Sink) (int, error) {
-	if cfg.parallelism > 1 && cfg.factory == nil {
-		return 0, errParallelNeedsFactory
-	}
-	if cfg.parallelism <= 1 {
-		t := c.Target
-		if cfg.factory != nil {
-			// A factory-built target even for the single worker: see
-			// WithTargetFactory.
-			ft, err := cfg.factory()
-			if err != nil {
-				return 0, fmt.Errorf("core: building worker target: %w", err)
-			}
-			t = ft
-		}
-		t = wrapLifecycle(t, cfg)
-		defer releaseSystem(t.System)
-		return runStreamSequential(ctx, cfg, t, fl, src, sink)
-	}
-	return runStreamParallel(ctx, cfg, fl, src, sink)
-}
-
-// runStreamSequential pulls scenarios one at a time and runs them in
-// line — the paper's original engine, plus cancellation between
-// experiments.
-func runStreamSequential(ctx context.Context, cfg runConfig, t *Target, fl *faultload, src scenario.Source, sink profile.Sink) (int, error) {
-	scr := getScratch()
-	defer putScratch(scr)
-	n := 0
-	var firstErr error
-	src(func(sc scenario.Scenario, serr error) bool {
-		if err := ctx.Err(); err != nil {
-			firstErr = err
-			return false
-		}
-		if serr != nil {
-			firstErr = serr
-			return false
-		}
-		rec, err := runOneSafe(t, sc, fl, scr)
-		if werr := sink.Write(rec); werr != nil {
-			firstErr = werr
-			return false
-		}
-		n++
-		if cfg.observer != nil {
-			cfg.observer(rec)
-		}
-		if err != nil && !cfg.keepGoing {
-			firstErr = fmt.Errorf("core: scenario %s: %w", sc.ID, err)
-			return false
-		}
-		return true
-	})
-	if firstErr == nil {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-	}
-	return n, firstErr
-}
-
-// Dispatch tuning. Batches ramp from 1 to maxStreamBatch: small faultloads
-// spread scenario-by-scenario across the workers, while long streams
-// amortize channel synchronization over 64 scenarios per operation. The
-// window caps how many scenarios may be in flight — dispatched but not yet
-// flushed to the sink in order — which bounds the reassembly buffer and,
-// with it, the engine's memory footprint on unbounded streams.
-const maxStreamBatch = 64
-
-// streamWindow sizes the in-flight window for a worker count.
+// streamWindow sizes the reassembly ring for a worker count: it caps how
+// many scenarios may be in flight — started but not yet flushed in order
+// — which bounds the ring and, with it, the engine's memory footprint on
+// unbounded streams.
 func streamWindow(workers int) int {
-	w := workers * maxStreamBatch * 4
-	if w < 256 {
-		w = 256
-	}
-	return w
-}
-
-// runStreamParallel fans an opaque single-use stream out over a worker
-// pool — the fallback for generators without shard support (the sharded
-// engine in shard.go handles the rest). A dispatcher goroutine pulls
-// scenarios from the source, tags each with its sequence number and hands
-// the workers batches through a bounded queue; workers own private
-// targets and emit (seq, record) results; the reassembly loop flushes
-// records to the sink in exact sequence order, so the output is
-// deterministic regardless of worker scheduling.
-func runStreamParallel(ctx context.Context, cfg runConfig, fl *faultload, src scenario.Source, sink profile.Sink) (int, error) {
-	workers := cfg.parallelism
-
-	// Every worker gets its own factory-built target, built up front so a
-	// failing factory aborts before any experiment starts.
-	targets, err := buildWorkerTargets(cfg, workers)
-	if err != nil {
-		return 0, err
-	}
-	defer releaseTargets(targets)
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type job struct {
-		seq int
-		sc  scenario.Scenario
-	}
-	type result struct {
-		seq int
-		rec profile.Record
-		err error
-	}
-
-	window := streamWindow(workers)
-	jobs := make(chan []job, workers)
-	results := make(chan result, window)
-	// tokens bounds the scenarios in flight: the dispatcher acquires one
-	// per scenario, the reassembly loop releases it when the record is
-	// flushed in order. A straggling worker can therefore delay the flush
-	// front, but never let the reassembly buffer grow past the window.
-	tokens := make(chan struct{}, window)
-
-	var genErr error // written by the dispatcher, read after dispatchDone
-	dispatchDone := make(chan struct{})
-	go func() {
-		defer close(jobs)
-		defer close(dispatchDone)
-		batchSize := 1
-		batch := make([]job, 0, maxStreamBatch)
-		seq := 0
-		flush := func() bool {
-			if len(batch) == 0 {
-				return true
-			}
-			out := batch
-			batch = make([]job, 0, maxStreamBatch)
-			if batchSize < maxStreamBatch {
-				batchSize *= 2
-			}
-			select {
-			case jobs <- out:
-				return true
-			case <-runCtx.Done():
-				return false
-			}
-		}
-		src(func(sc scenario.Scenario, err error) bool {
-			if err != nil {
-				genErr = err
-				return false
-			}
-			select {
-			case tokens <- struct{}{}:
-			case <-runCtx.Done():
-				return false
-			}
-			batch = append(batch, job{seq, sc})
-			seq++
-			if len(batch) >= batchSize {
-				return flush()
-			}
-			return true
-		})
-		flush()
-	}()
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(t *Target) {
-			defer wg.Done()
-			// Worker-loop panic boundary: runOneSafe contains experiment
-			// panics, so anything reaching here is a bug in the loop
-			// itself. Convert it into an infrastructure-error result for
-			// the in-flight scenario (whose window token it holds, so the
-			// send cannot block) and abort the run instead of killing the
-			// process.
-			cur := -1
-			defer func() {
-				if v := recover(); v != nil {
-					err := fmt.Errorf("core: worker panic: %v\n%s", v, debug.Stack())
-					if cur >= 0 {
-						results <- result{cur, profile.Record{
-							Outcome: profile.InfrastructureError,
-							Detail:  err.Error(),
-						}, err}
-					}
-					cancel()
-				}
-			}()
-			scr := getScratch()
-			defer putScratch(scr)
-			for batch := range jobs {
-				for _, j := range batch {
-					if runCtx.Err() != nil {
-						return
-					}
-					cur = j.seq
-					rec, err := runOneSafe(t, j.sc, fl, scr)
-					cur = -1
-					// The send never blocks: every in-flight scenario holds
-					// a window token, so at most `window` results are ever
-					// outstanding — exactly the channel's capacity. Sending
-					// unconditionally (no Done branch) guarantees a
-					// completed experiment's record is never dropped, which
-					// the abort error below depends on.
-					results <- result{j.seq, rec, err}
-					if err != nil && !cfg.keepGoing {
-						// Abort: in-flight experiments on other workers
-						// finish, no new ones start.
-						cancel()
-						return
-					}
-				}
-			}
-		}(targets[w])
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reassembly: records are flushed to the sink in exact sequence order;
-	// anything stranded past a gap by an abort or cancellation is dropped,
-	// mirroring the sequential engine's contiguous-prefix profile.
-	pending := make(map[int]result, window)
-	next, flushed := 0, 0
-	var firstErr error
-	firstErrSeq := -1
-	noteErr := func(seq int, err error) {
-		if firstErrSeq < 0 || seq < firstErrSeq {
-			firstErrSeq, firstErr = seq, err
-		}
-	}
-	stopFlush := false
-	for r := range results {
-		// Infrastructure errors are noted at receive time, not flush time:
-		// the abort may strand the failing record behind a sequence gap
-		// (an earlier scenario cancelled before completing), and the
-		// earliest failing scenario must still win the returned error.
-		if r.err != nil && !cfg.keepGoing {
-			noteErr(r.seq, fmt.Errorf("core: scenario %s: %w", r.rec.ScenarioID, r.err))
-		}
-		pending[r.seq] = r
-		for {
-			pr, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if !stopFlush {
-				if werr := sink.Write(pr.rec); werr != nil {
-					stopFlush = true
-					noteErr(pr.seq, werr)
-					cancel()
-				} else {
-					flushed++
-					if cfg.observer != nil {
-						cfg.observer(pr.rec)
-					}
-					// A caller-side cancellation (the parent context,
-					// typically triggered from an observer) also stops the
-					// flush front, not just the dispatch: a fast faultload
-					// can be fully in flight when the cancel lands, and the
-					// contract is a profile cut short at the cancellation
-					// point, not whatever happened to finish. An internal
-					// abort (a worker's infrastructure error cancelling
-					// runCtx) deliberately does NOT stop the flush: records
-					// keep flushing to the natural sequence gap, so —
-					// as in the sequential engine — the failing scenario's
-					// own record reaches the profile. Results keep draining
-					// below so the workers and dispatcher can exit.
-					if ctx.Err() != nil {
-						stopFlush = true
-					}
-				}
-			}
-			next++
-			<-tokens
-		}
-	}
-	<-dispatchDone
-
-	if firstErr != nil {
-		return flushed, firstErr
-	}
-	if genErr != nil {
-		return flushed, genErr
-	}
-	if err := ctx.Err(); err != nil {
-		return flushed, err
-	}
-	return flushed, nil
+	return 256 * max(workers, 1)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math"
 	"runtime/debug"
 	"sync"
@@ -12,25 +13,26 @@ import (
 	"conferr/internal/scenario"
 )
 
-// This file implements the sharded campaign engine: every worker pulls its
-// own strided sub-stream of the faultload (shard k of n), injects it on
-// its private target, and emits (sequence, record) pairs. Sequence numbers
-// are implied by the stride (worker k's j-th scenario is global sequence
-// j*n+k), so the PR 4 central dispatcher — one goroutine pulling the
-// generator, batching jobs through channels and recycling window tokens —
-// disappears entirely. What remains between the workers and the sink is a
-// single fixed-size ring buffer in which records are parked until their
-// predecessors flush, drained cooperatively by whichever worker fills the
-// next gap; order-insensitive sinks (profile.ShardableSink) skip even
-// that and let each worker fold its shard's records locally.
+// This file is the campaign engine: one worker loop, runWorkers, that
+// every run goes through. Each worker pulls (sequence, scenario) pairs
+// from a feed, injects them on its private target and hands the records
+// to a stage. The feed is chosen by generator: a materialized faultload
+// walked by index (sliceFeed), a pure generator's shard derived by each
+// worker (genFeed), or one shared pull over any other generator's stream
+// (pullFeed). The stage is chosen by sink: the ordered reassembly ring,
+// in which records are parked until their predecessors flush, drained
+// cooperatively by whichever worker fills the next gap; the
+// order-insensitive bypass, in which each worker folds its records into
+// its own sub-sink (profile.ShardableSink); or RunShard's emit
+// (shardrun.go).
 
-// shardFeed drives worker k of n over its shard of the faultload: emit is
+// shardFeed drives worker k of n over its part of the faultload: emit is
 // called with each scenario and its global sequence number, in increasing
-// sequence order, until the shard ends or emit returns false. A non-nil
+// sequence order, until the part ends or emit returns false. A non-nil
 // error reports a generation (or validation) failure; stopSeq is then the
-// first sequence at or past the failure that this shard would have owned,
-// which lets the engine flush everything before the failure point and
-// agree with the sequential engine on where the stream broke.
+// first sequence at or past the failure that this worker would have
+// owned, which lets the engine flush everything before the failure point
+// and agree with a one-worker run on where the stream broke.
 type shardFeed func(k, n int, emit func(seq int, sc scenario.Scenario) bool) (stopSeq int, err error)
 
 // sliceFeed shards a materialized, pre-validated faultload by index.
@@ -60,7 +62,7 @@ func genFeed(c *Campaign, fl *faultload, sg ShardedGenerator) shardFeed {
 			}
 			// The j-th scenario of shard k sits at position j*n+k of the
 			// unsharded stream, so the index in validation errors matches
-			// the sequential engine's.
+			// a one-worker run's.
 			seq := j*n + k
 			if verr := sc.Validate(); verr != nil {
 				gerr = fmt.Errorf("core: plugin %s emitted invalid scenario #%d: %w",
@@ -74,24 +76,153 @@ func genFeed(c *Campaign, fl *faultload, sg ShardedGenerator) shardFeed {
 	}
 }
 
-// shardSlot parks one completed experiment in the reassembly ring.
-type shardSlot struct {
-	rec profile.Record
-	err error
+// pullFeed shares one opaque, single-use stream between all workers:
+// each pull holds a mutex, because a pulled iterator takes one caller at
+// a time, and numbers the scenario at pull time. The
+// stream is generated exactly once per run, which is what a generator
+// without GenerateShard needs — it may consume RNG state on every
+// GenerateStream call (see StreamingGenerator), so it cannot be derived
+// again per worker the way genFeed does. stop releases the stream; call
+// it after the workers exit.
+func pullFeed(src scenario.Source) (feed shardFeed, stop func()) {
+	next, stop := iter.Pull2(iter.Seq2[scenario.Scenario, error](src))
+	var mu sync.Mutex
+	seq := 0
+	pull := func() (int, scenario.Scenario, error, bool) {
+		mu.Lock()
+		defer mu.Unlock() // a generator panic surfaces from next
+		sc, err, ok := next()
+		seq++
+		return seq - 1, sc, err, ok
+	}
+	return func(_, _ int, emit func(int, scenario.Scenario) bool) (int, error) {
+		for {
+			s, sc, err, ok := pull()
+			if !ok {
+				return math.MaxInt, nil
+			}
+			if err != nil {
+				return s, err
+			}
+			if !emit(s, sc) {
+				return math.MaxInt, nil
+			}
+		}
+	}, stop
 }
 
-// shardRing is the ordered reassembly stage of the sharded engine: a
-// fixed window of slots indexed by sequence modulo the window size.
-// Workers acquire a slot before running a scenario (blocking while the
-// flush front is more than a window behind), deposit the record after,
-// and the depositor that fills the gap at the front drains every ready
-// slot to the sink in exact sequence order — there is no separate
+// stage is where the worker loop's records go: the ordered shardRing,
+// the order-insensitive bypass or RunShard's shardEmit. All workers call
+// its methods concurrently.
+type stage interface {
+	// admit reports whether the scenario at seq runs and, when it does
+	// not, whether the worker keeps pulling.
+	admit(seq int) (run, cont bool)
+	// deposit takes worker k's completed experiment. It reports whether
+	// the record was written (the worker counts it) and whether the
+	// worker keeps going.
+	deposit(k, seq int, rec profile.Record, err error) (wrote, cont bool)
+	// genErr records a feed's generation failure at stopSeq.
+	genErr(stopSeq int, err error)
+	// stop ends the run: no new scenario starts. A non-nil err (a
+	// worker-loop panic) becomes the run's error.
+	stop(err error)
+}
+
+// runWorkers is the engine's one worker loop: worker k of len(targets)
+// walks feed on targets[k], runs every scenario st admits and deposits
+// the record. It returns how many records st reported written.
+func runWorkers(ctx context.Context, targets []*Target, fl *faultload, feed shardFeed, st stage) int {
+	counts := make([]int, len(targets))
+	var wg sync.WaitGroup
+	wg.Add(len(targets))
+	for k, t := range targets {
+		go func() {
+			defer wg.Done()
+			n := 0
+			// Worker-loop panic boundary: runOneSafe contains experiment
+			// panics, so a panic here comes from the feed (a generator
+			// bug), the sink or the observer. The run stops, so no other
+			// worker waits on a sequence this one will never deposit.
+			defer func() {
+				if v := recover(); v != nil {
+					st.stop(fmt.Errorf("core: worker panic: %v\n%s", v, debug.Stack()))
+				}
+				counts[k] = n
+			}()
+			scr := getScratch()
+			defer putScratch(scr)
+			stopSeq, gerr := feed(k, len(targets), func(seq int, sc scenario.Scenario) bool {
+				if ctx.Err() != nil {
+					st.stop(nil)
+					return false
+				}
+				if run, cont := st.admit(seq); !run {
+					return cont
+				}
+				rec, err := runOneSafe(t, sc, fl, scr)
+				wrote, cont := st.deposit(k, seq, rec, err)
+				if wrote {
+					n++
+				}
+				return cont
+			})
+			if gerr != nil {
+				st.genErr(stopSeq, gerr)
+			}
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	return total
+}
+
+// runErrs keeps a run's failures; the stage that embeds it guards it.
+type runErrs struct {
+	firstErr, genErr       error
+	firstErrSeq, genErrSeq int
+}
+
+// noteErr records the earliest-sequence campaign error.
+func (e *runErrs) noteErr(seq int, err error) {
+	if e.firstErr == nil || seq < e.firstErrSeq {
+		e.firstErr, e.firstErrSeq = err, seq
+	}
+}
+
+// noteGenErr records the earliest generation error.
+func (e *runErrs) noteGenErr(seq int, err error) {
+	if e.genErr == nil || seq < e.genErrSeq {
+		e.genErr, e.genErrSeq = err, seq
+	}
+}
+
+// result is the run's error: a campaign error first, then a generation
+// error, then the caller's cancellation.
+func (e *runErrs) result(ctx context.Context) error {
+	if e.firstErr != nil {
+		return e.firstErr
+	}
+	if e.genErr != nil {
+		return e.genErr
+	}
+	return ctx.Err()
+}
+
+// shardRing is the ordered stage: a fixed window of slots indexed by
+// sequence modulo the window size. Workers are admitted to a sequence
+// while the flush front is within a window of it, deposit the record
+// after, and the depositor that fills the gap at the front drains every
+// ready slot to the sink in exact sequence order — there is no separate
 // reassembly goroutine to context-switch through.
 type shardRing struct {
 	mu    sync.Mutex
 	space sync.Cond
 
-	slots  []shardSlot
+	slots  []profile.Record
 	filled []bool
 	window int
 	next   int // next sequence to flush
@@ -101,21 +232,19 @@ type shardRing struct {
 	// generation error fences at the failure sequence; an infrastructure
 	// error fences just past the failing scenario (its record still
 	// reaches the profile). stopped aborts outright (sink error, caller
-	// cancellation): no new scenario starts, in-flight ones still deposit.
+	// cancellation, worker panic): no new scenario starts, in-flight ones
+	// still deposit.
 	stopSeq   int
 	stopped   bool
 	stopFlush bool
 	// flushing marks one worker as the active drainer: it writes the sink
 	// and calls the observer with the mutex RELEASED, so the other workers
-	// keep injecting while records flush. batch is its scratch.
+	// keep injecting while records flush. batch is its scratch, and only
+	// it writes flushed.
 	flushing bool
-	batch    []shardSlot
-
-	flushed     int
-	firstErr    error
-	firstErrSeq int
-	genErr      error
-	genErrSeq   int
+	batch    []profile.Record
+	flushed  int
+	runErrs
 
 	ctx       context.Context
 	sink      profile.Sink
@@ -125,50 +254,42 @@ type shardRing struct {
 
 func newShardRing(ctx context.Context, cfg runConfig, sink profile.Sink, window int) *shardRing {
 	r := &shardRing{
-		slots:       make([]shardSlot, window),
-		filled:      make([]bool, window),
-		batch:       make([]shardSlot, 0, maxFlushBatch),
-		window:      window,
-		stopSeq:     math.MaxInt,
-		firstErrSeq: -1,
-		ctx:         ctx,
-		sink:        sink,
-		observer:    cfg.observer,
-		keepGoing:   cfg.keepGoing,
+		slots:     make([]profile.Record, window),
+		filled:    make([]bool, window),
+		batch:     make([]profile.Record, 0, maxFlushBatch),
+		window:    window,
+		stopSeq:   math.MaxInt,
+		ctx:       ctx,
+		sink:      sink,
+		observer:  cfg.observer,
+		keepGoing: cfg.keepGoing,
 	}
 	r.space.L = &r.mu
 	return r
 }
 
-// acquire blocks until sequence seq may run (the flush front is within a
+// admit blocks until sequence seq may run (the flush front is within a
 // window) and reports whether it still should.
-func (r *shardRing) acquire(seq int) bool {
+func (r *shardRing) admit(seq int) (bool, bool) {
 	r.mu.Lock()
 	for !r.stopped && seq < r.stopSeq && seq >= r.next+r.window {
 		r.space.Wait()
 	}
 	ok := !r.stopped && seq < r.stopSeq
 	r.mu.Unlock()
-	return ok
-}
-
-// noteErr records the earliest-sequence campaign error (locked).
-func (r *shardRing) noteErr(seq int, err error) {
-	if r.firstErrSeq < 0 || seq < r.firstErrSeq {
-		r.firstErrSeq, r.firstErr = seq, err
-	}
+	return ok, ok
 }
 
 // deposit parks a completed experiment and, if the ring's front is ready
-// and nobody else is draining, becomes the drainer. It reports whether
-// the worker should keep going.
-func (r *shardRing) deposit(seq int, rec profile.Record, err error) bool {
+// and nobody else is draining, becomes the drainer. The ring counts its
+// own flushes, so it reports no record as written.
+func (r *shardRing) deposit(_, seq int, rec profile.Record, err error) (bool, bool) {
 	r.mu.Lock()
 	if err != nil && !r.keepGoing {
 		// Abort: fence the stream at the failing scenario — everything
 		// before it still runs and flushes, nothing after it starts — so
 		// the profile is the exact contiguous prefix through the failing
-		// scenario's own record, matching the sequential engine, and the
+		// scenario's own record, matching a one-worker run, and the
 		// earliest failing scenario wins the returned error. (A hard stop
 		// would strand lower sequences that no worker had started yet and
 		// silently drop every completed record behind the gap.)
@@ -179,16 +300,16 @@ func (r *shardRing) deposit(seq int, rec profile.Record, err error) bool {
 		r.space.Broadcast()
 	}
 	i := seq % r.window
-	r.slots[i] = shardSlot{rec: rec, err: err}
+	r.slots[i] = rec
 	r.filled[i] = true
-	if !r.flushing && r.filled[r.next%r.window] {
+	if !r.flushing {
 		r.flushing = true
 		r.drainLocked()
 		r.flushing = false
 	}
 	cont := !r.stopped
 	r.mu.Unlock()
-	return cont
+	return false, cont
 }
 
 // maxFlushBatch bounds how many records the drainer takes out of the
@@ -198,23 +319,27 @@ const maxFlushBatch = 64
 
 // drainLocked flushes ready slots to the sink in exact sequence order.
 // Called with r.mu held and r.flushing set; it RELEASES the mutex around
-// the sink writes and observer calls — the workers keep acquiring,
+// the sink writes and observer calls — the workers keep being admitted,
 // injecting and depositing while I/O runs — and reacquires it to collect
 // the next batch. Order is safe because the flushing flag admits exactly
-// one drainer at a time.
+// one drainer at a time. Nothing at or past the fence flushes: a record
+// admitted before an abort lowered the fence is dropped, so the profile
+// ends exactly at the failure. A panic in the sink or the observer leaves
+// the mutex released and flushing set; the worker loop then stops the
+// ring.
 func (r *shardRing) drainLocked() {
-	for r.filled[r.next%r.window] {
+	for r.next < r.stopSeq && r.filled[r.next%r.window] {
 		start := r.next
 		batch := r.batch[:0]
-		for r.filled[r.next%r.window] && len(batch) < maxFlushBatch {
+		for r.next < r.stopSeq && r.filled[r.next%r.window] && len(batch) < maxFlushBatch {
 			j := r.next % r.window
 			batch = append(batch, r.slots[j])
 			r.filled[j] = false
-			r.slots[j] = shardSlot{}
+			r.slots[j] = profile.Record{}
 			r.next++
 		}
 		r.batch = batch[:0]
-		// Window space opened: wake workers blocked in acquire before the
+		// Window space opened: wake workers blocked in admit before the
 		// I/O, not after.
 		r.space.Broadcast()
 		if r.stopFlush {
@@ -223,18 +348,17 @@ func (r *shardRing) drainLocked() {
 			continue
 		}
 		r.mu.Unlock()
-		flushedHere := 0
 		var werr error
 		werrSeq := -1
 		cancelled := false
-		for bi, slot := range batch {
-			if e := r.sink.Write(slot.rec); e != nil {
+		for bi, rec := range batch {
+			if e := r.sink.Write(rec); e != nil {
 				werr, werrSeq = e, start+bi
 				break
 			}
-			flushedHere++
+			r.flushed++
 			if r.observer != nil {
-				r.observer(slot.rec)
+				r.observer(rec)
 			}
 			// A caller-side cancellation stops the flush front at the
 			// cancellation point — the contract is a profile cut short
@@ -246,7 +370,6 @@ func (r *shardRing) drainLocked() {
 			}
 		}
 		r.mu.Lock()
-		r.flushed += flushedHere
 		if werr != nil {
 			r.noteErr(werrSeq, werr)
 			r.stopFlush = true
@@ -259,21 +382,22 @@ func (r *shardRing) drainLocked() {
 	}
 }
 
-// stop aborts the run (caller cancellation observed by a worker).
-func (r *shardRing) stop() {
+// stop aborts the run (caller cancellation, worker panic).
+func (r *shardRing) stop(err error) {
 	r.mu.Lock()
+	if err != nil {
+		r.noteErr(math.MaxInt, err)
+	}
 	r.stopped = true
 	r.space.Broadcast()
 	r.mu.Unlock()
 }
 
-// noteGenErr records a shard's generation failure and lowers the
-// no-start fence to the earliest failure sequence.
-func (r *shardRing) noteGenErr(seq int, err error) {
+// genErr records a feed's generation failure and lowers the no-start
+// fence to the earliest failure sequence.
+func (r *shardRing) genErr(seq int, err error) {
 	r.mu.Lock()
-	if r.genErr == nil || seq < r.genErrSeq {
-		r.genErr, r.genErrSeq = err, seq
-	}
+	r.noteGenErr(seq, err)
 	if seq < r.stopSeq {
 		r.stopSeq = seq
 	}
@@ -281,9 +405,88 @@ func (r *shardRing) noteGenErr(seq int, err error) {
 	r.mu.Unlock()
 }
 
-// buildWorkerTargets constructs one factory-built target per worker, up
-// front, so a failing factory aborts before any experiment starts.
-func buildWorkerTargets(cfg runConfig, workers int) ([]*Target, error) {
+// bypass is the order-insensitive stage: each worker writes its records
+// to its own sub-sink as they complete. Per-record work touches only
+// atomic stop checks; the mutex guards the rare error bookkeeping. The
+// record count under a mid-stream failure may include scenarios past the
+// failure point that other workers had already finished — an
+// order-insensitive sink cannot tell, and the returned error still names
+// the earliest failure.
+type bypass struct {
+	subs      []profile.Sink
+	keepGoing bool
+	stopped   atomic.Bool
+	stopSeq   atomic.Int64 // written under mu
+	mu        sync.Mutex
+	runErrs
+}
+
+func newBypass(ss profile.ShardableSink, workers int, keepGoing bool) *bypass {
+	b := &bypass{subs: make([]profile.Sink, workers), keepGoing: keepGoing}
+	for k := range b.subs {
+		b.subs[k] = ss.ShardSink(k, workers)
+	}
+	b.stopSeq.Store(math.MaxInt64)
+	return b
+}
+
+func (b *bypass) admit(seq int) (bool, bool) {
+	ok := !b.stopped.Load() && int64(seq) < b.stopSeq.Load()
+	return ok, ok
+}
+
+func (b *bypass) deposit(k, seq int, rec profile.Record, err error) (bool, bool) {
+	if werr := b.subs[k].Write(rec); werr != nil {
+		// Nothing sensible can be written anymore: abort outright.
+		b.fail(seq, werr, seq)
+		b.stopped.Store(true)
+		return false, false
+	}
+	if err != nil && !b.keepGoing {
+		// Fence just past the failure, mirroring the ordered ring:
+		// scenarios before it still run, nothing after it starts.
+		b.fail(seq, fmt.Errorf("core: scenario %s: %w", rec.ScenarioID, err), seq+1)
+		return true, false
+	}
+	return true, true
+}
+
+// fail records a campaign error at seq and lowers the fence to stopSeq.
+func (b *bypass) fail(seq int, err error, stopSeq int) {
+	b.mu.Lock()
+	b.noteErr(seq, err)
+	if int64(stopSeq) < b.stopSeq.Load() {
+		b.stopSeq.Store(int64(stopSeq))
+	}
+	b.mu.Unlock()
+}
+
+func (b *bypass) genErr(seq int, err error) {
+	b.mu.Lock()
+	b.noteGenErr(seq, err)
+	if int64(seq) < b.stopSeq.Load() {
+		b.stopSeq.Store(int64(seq))
+	}
+	b.mu.Unlock()
+}
+
+func (b *bypass) stop(err error) {
+	if err != nil {
+		b.fail(math.MaxInt, err, math.MaxInt)
+	}
+	b.stopped.Store(true)
+}
+
+// workerTargets builds one lifecycle-wrapped target per worker, up front,
+// so a failing factory aborts before any experiment starts. Without a
+// factory the one worker runs on primary (see WithTargetFactory).
+func workerTargets(cfg runConfig, primary *Target, workers int) ([]*Target, error) {
+	if cfg.factory == nil {
+		if workers > 1 {
+			return nil, errParallelNeedsFactory
+		}
+		return []*Target{wrapLifecycle(primary, cfg)}, nil
+	}
 	targets := make([]*Target, workers)
 	for w := range targets {
 		t, err := cfg.factory()
@@ -303,221 +506,24 @@ func releaseTargets(targets []*Target) {
 	}
 }
 
-// runSharded executes the faultload over cfg.parallelism workers, each
-// pulling its own shard from feed. Records reach the sink in exact
-// sequence order through the reassembly ring — unless the sink is
-// order-insensitive (profile.ShardableSink) and no observer needs ordered
-// records, in which case every worker folds straight into its own
-// sub-sink and the engine synchronizes only on errors.
-func runSharded(ctx context.Context, cfg runConfig, fl *faultload, feed shardFeed, sink profile.Sink) (int, error) {
-	if cfg.factory == nil {
-		return 0, errParallelNeedsFactory
-	}
-	workers := cfg.parallelism
-	targets, err := buildWorkerTargets(cfg, workers)
+// runSharded runs the faultload over cfg.parallelism workers, each
+// pulling from feed. Records reach the sink in exact sequence order
+// through the reassembly ring — unless the sink is order-insensitive
+// (profile.ShardableSink) and no observer needs ordered records, in which
+// case every worker folds straight into its own sub-sink and the workers
+// synchronize only on errors.
+func runSharded(ctx context.Context, cfg runConfig, primary *Target, fl *faultload, feed shardFeed, sink profile.Sink) (int, error) {
+	targets, err := workerTargets(cfg, primary, cfg.parallelism)
 	if err != nil {
 		return 0, err
 	}
 	defer releaseTargets(targets)
 	if ss, ok := sink.(profile.ShardableSink); ok && profile.CanShardSink(sink) && cfg.observer == nil {
-		return runShardedBypass(ctx, cfg, fl, feed, ss, targets)
+		b := newBypass(ss, len(targets), cfg.keepGoing)
+		n := runWorkers(ctx, targets, fl, feed, b)
+		return n, b.result(ctx)
 	}
-
-	ring := newShardRing(ctx, cfg, sink, streamWindow(workers))
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(k int, t *Target) {
-			defer wg.Done()
-			// Worker-loop panic boundary: experiment panics are contained
-			// in runOneSafe, so a panic here comes from the feed (a
-			// generator bug) or the loop itself. Depositing a synthetic
-			// infrastructure-error record for the in-flight sequence keeps
-			// the ring's gap-free flush intact; between scenarios the
-			// panic is charged as a generation error past every completed
-			// record.
-			cur := -1
-			defer func() {
-				if v := recover(); v != nil {
-					err := fmt.Errorf("core: worker panic: %v\n%s", v, debug.Stack())
-					if cur >= 0 {
-						ring.deposit(cur, profile.Record{
-							Outcome: profile.InfrastructureError,
-							Detail:  err.Error(),
-						}, err)
-					} else {
-						ring.noteGenErr(math.MaxInt, err)
-					}
-				}
-			}()
-			scr := getScratch()
-			defer putScratch(scr)
-			stopSeq, gerr := feed(k, workers, func(seq int, sc scenario.Scenario) bool {
-				if ctx.Err() != nil {
-					ring.stop()
-					return false
-				}
-				if !ring.acquire(seq) {
-					return false
-				}
-				cur = seq
-				rec, rerr := runOneSafe(t, sc, fl, scr)
-				cur = -1
-				return ring.deposit(seq, rec, rerr)
-			})
-			if gerr != nil {
-				ring.noteGenErr(stopSeq, gerr)
-			}
-		}(w, targets[w])
-	}
-	wg.Wait()
-
-	if ring.firstErr != nil {
-		return ring.flushed, ring.firstErr
-	}
-	if ring.genErr != nil {
-		return ring.flushed, ring.genErr
-	}
-	if err := ctx.Err(); err != nil {
-		return ring.flushed, err
-	}
-	return ring.flushed, nil
-}
-
-// bypassState is the minimal shared state of the order-insensitive path:
-// per-record work touches only atomic stop checks; the mutex guards the
-// rare error bookkeeping.
-type bypassState struct {
-	mu          sync.Mutex
-	stopped     atomic.Bool
-	stopSeq     atomic.Int64
-	firstErr    error
-	firstErrSeq int
-	genErr      error
-	genErrSeq   int
-}
-
-func (st *bypassState) noteErr(seq int, err error) {
-	st.mu.Lock()
-	if st.firstErrSeq < 0 || seq < st.firstErrSeq {
-		st.firstErr, st.firstErrSeq = err, seq
-	}
-	st.mu.Unlock()
-}
-
-// fail aborts outright (sink errors — nothing sensible can be written
-// anymore).
-func (st *bypassState) fail(seq int, err error) {
-	st.noteErr(seq, err)
-	st.stopped.Store(true)
-}
-
-// failFenced records an infrastructure failure and fences the stream
-// just past it, mirroring the ordered ring: scenarios before the failure
-// still run, nothing after it starts.
-func (st *bypassState) failFenced(seq int, err error) {
-	st.noteErr(seq, err)
-	st.lowerStopSeq(seq + 1)
-}
-
-func (st *bypassState) lowerStopSeq(seq int) {
-	for {
-		cur := st.stopSeq.Load()
-		if int64(seq) >= cur || st.stopSeq.CompareAndSwap(cur, int64(seq)) {
-			return
-		}
-	}
-}
-
-func (st *bypassState) noteGenErr(seq int, err error) {
-	st.mu.Lock()
-	if st.genErr == nil || seq < st.genErrSeq {
-		st.genErr, st.genErrSeq = err, seq
-	}
-	st.mu.Unlock()
-	st.lowerStopSeq(seq)
-}
-
-// runShardedBypass is runSharded without reassembly: each worker writes
-// its shard's records to its own sub-sink as they complete. The record
-// count under a mid-stream failure may include scenarios past the failure
-// point that other workers had already finished — an order-insensitive
-// sink cannot tell, and the returned error still names the earliest
-// failure.
-func runShardedBypass(ctx context.Context, cfg runConfig, fl *faultload, feed shardFeed, ss profile.ShardableSink, targets []*Target) (int, error) {
-	workers := len(targets)
-	subs := make([]profile.Sink, workers)
-	for k := range subs {
-		subs[k] = ss.ShardSink(k, workers)
-	}
-	st := &bypassState{firstErrSeq: -1, genErrSeq: -1}
-	st.stopSeq.Store(math.MaxInt64)
-
-	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(k int, t *Target, sub profile.Sink) {
-			defer wg.Done()
-			// Worker-loop panic boundary, mirroring runSharded's: a feed
-			// or loop panic becomes a fenced infrastructure error instead
-			// of process death.
-			cur := -1
-			defer func() {
-				if v := recover(); v != nil {
-					err := fmt.Errorf("core: worker panic: %v\n%s", v, debug.Stack())
-					if cur >= 0 {
-						st.failFenced(cur, err)
-					} else {
-						st.noteGenErr(math.MaxInt, err)
-					}
-				}
-			}()
-			scr := getScratch()
-			defer putScratch(scr)
-			n := 0
-			stopSeq, gerr := feed(k, workers, func(seq int, sc scenario.Scenario) bool {
-				if st.stopped.Load() || int64(seq) >= st.stopSeq.Load() {
-					return false
-				}
-				if ctx.Err() != nil {
-					st.stopped.Store(true)
-					return false
-				}
-				cur = seq
-				rec, rerr := runOneSafe(t, sc, fl, scr)
-				cur = -1
-				if werr := sub.Write(rec); werr != nil {
-					st.fail(seq, werr)
-					return false
-				}
-				n++
-				if rerr != nil && !cfg.keepGoing {
-					st.failFenced(seq, fmt.Errorf("core: scenario %s: %w", rec.ScenarioID, rerr))
-					return false
-				}
-				return true
-			})
-			counts[k] = n
-			if gerr != nil {
-				st.noteGenErr(stopSeq, gerr)
-			}
-		}(w, targets[w], subs[w])
-	}
-	wg.Wait()
-
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if st.firstErr != nil {
-		return total, st.firstErr
-	}
-	if st.genErr != nil {
-		return total, st.genErr
-	}
-	if err := ctx.Err(); err != nil {
-		return total, err
-	}
-	return total, nil
+	ring := newShardRing(ctx, cfg, sink, streamWindow(len(targets)))
+	runWorkers(ctx, targets, fl, feed, ring)
+	return ring.flushed, ring.result(ctx)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"conferr/internal/profile"
 	"conferr/internal/scenario"
@@ -25,11 +26,11 @@ import (
 type ShardEmit func(seq int, rec profile.Record) error
 
 // RunShard executes shard k of n of the campaign's faultload on one
-// target, sequentially, emitting every record tagged with its global
-// sequence number. Sequences below startSeq are skipped without running
-// the experiment — the resume path: a coordinator that already holds a
-// contiguous prefix re-requests the shard with startSeq set to its flush
-// front and the worker generates past the prefix without re-injecting it.
+// target, emitting every record tagged with its global sequence number.
+// Sequences below startSeq are skipped without running the experiment —
+// the resume path: a coordinator that already holds a contiguous prefix
+// re-requests the shard with startSeq set to its flush front and the
+// worker generates past the prefix without re-injecting it.
 //
 // It returns the shard's total scenario count — skipped and executed
 // alike, i.e. how many sequences of the unsharded stream this shard owns
@@ -46,81 +47,61 @@ func (c *Campaign) RunShard(ctx context.Context, k, n, startSeq int, emit ShardE
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	fl, feed, err := c.openFeed(cfg, strideFeed)
+	if err != nil {
+		return 0, err
+	}
+	targets, err := workerTargets(cfg, c.Target, 1)
+	if err != nil {
+		return 0, err
+	}
+	defer releaseTargets(targets)
+	st := &shardEmit{emit: emit, startSeq: startSeq, observer: cfg.observer, keepGoing: cfg.keepGoing}
+	runWorkers(ctx, targets, fl, func(_, _ int, e func(int, scenario.Scenario) bool) (int, error) {
+		return feed(k, n, e)
+	}, st)
+	return st.total, st.result(ctx)
+}
 
-	var (
-		fl   *faultload
-		feed shardFeed
-		err  error
-	)
-	if sg, ok := c.Generator.(ShardedGenerator); ok && CanShard(c.Generator) {
-		fl, err = c.generateBase()
-		if err != nil {
-			return 0, err
-		}
-		feed = genFeed(c, fl, sg)
-	} else {
-		var src scenario.Source
-		fl, src, err = c.generateStream()
-		if err != nil {
-			return 0, err
-		}
-		feed = strideFeed(src)
-	}
-	if cfg.baseline {
-		if err := c.baselineOn(fl.sysSet, fl.baseBytes); err != nil {
-			return 0, err
-		}
-	}
+// shardEmit is RunShard's stage: one worker, whose records are emitted
+// in sequence order as they complete.
+type shardEmit struct {
+	emit      ShardEmit
+	startSeq  int
+	observer  func(profile.Record)
+	keepGoing bool
+	total     int
+	runErrs
+}
 
-	t := c.Target
-	if cfg.factory != nil {
-		ft, ferr := cfg.factory()
-		if ferr != nil {
-			return 0, fmt.Errorf("core: building shard worker target: %w", ferr)
-		}
-		t = ft
-	}
-	t = wrapLifecycle(t, cfg)
-	defer releaseSystem(t.System)
+// admit counts every sequence the shard owns and runs those at or past
+// startSeq.
+func (s *shardEmit) admit(seq int) (bool, bool) {
+	s.total++
+	return seq >= s.startSeq, true
+}
 
-	scr := getScratch()
-	defer putScratch(scr)
+func (s *shardEmit) deposit(_, seq int, rec profile.Record, err error) (bool, bool) {
+	if eerr := s.emit(seq, rec); eerr != nil {
+		s.noteErr(seq, eerr)
+		return false, false
+	}
+	if s.observer != nil {
+		s.observer(rec)
+	}
+	if err != nil && !s.keepGoing {
+		s.noteErr(seq, fmt.Errorf("core: scenario %s: %w", rec.ScenarioID, err))
+		return true, false
+	}
+	return true, true
+}
 
-	total := 0
-	var firstErr error
-	_, gerr := feed(k, n, func(seq int, sc scenario.Scenario) bool {
-		if err := ctx.Err(); err != nil {
-			firstErr = err
-			return false
-		}
-		total++
-		if seq < startSeq {
-			return true
-		}
-		rec, rerr := runOneSafe(t, sc, fl, scr)
-		if eerr := emit(seq, rec); eerr != nil {
-			firstErr = eerr
-			return false
-		}
-		if cfg.observer != nil {
-			cfg.observer(rec)
-		}
-		if rerr != nil && !cfg.keepGoing {
-			firstErr = fmt.Errorf("core: scenario %s: %w", sc.ID, rerr)
-			return false
-		}
-		return true
-	})
-	if firstErr != nil {
-		return total, firstErr
+func (s *shardEmit) genErr(seq int, err error) { s.noteGenErr(seq, err) }
+
+func (s *shardEmit) stop(err error) {
+	if err != nil {
+		s.noteErr(math.MaxInt, err)
 	}
-	if gerr != nil {
-		return total, gerr
-	}
-	if err := ctx.Err(); err != nil {
-		return total, err
-	}
-	return total, nil
 }
 
 // strideFeed adapts an opaque single-use stream to the shard feed

@@ -203,7 +203,7 @@ func TestRunStreamMidStreamGenerationError(t *testing.T) {
 		view: view.StructView{},
 		src:  func(*confnode.Set) scenario.Source { return src },
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		prof := &profile.Profile{}
 		c := &Campaign{Target: target(&fakeSystem{}), Generator: gen}
 		opts := []RunOption{WithParallelism(workers)}

@@ -37,9 +37,9 @@ type SuiteCampaign struct {
 
 // Suite runs a set of campaigns — typically a target × generator matrix —
 // concurrently under one context with a shared worker budget. Every
-// campaign goes through the streaming dispatch engine, so a suite's memory
-// footprint is bounded by its in-flight windows plus whatever its sinks
-// retain, not by its faultloads.
+// campaign streams through the engine's worker loop (Campaign.RunStream),
+// so a suite's memory footprint is bounded by its reassembly windows plus
+// whatever its sinks retain, not by its faultloads.
 type Suite struct {
 	// Campaigns lists the suite cells; results come back in the same
 	// order.

@@ -15,9 +15,9 @@ type Instance struct {
 	sys  suts.System
 	mode Mode
 	c    *Counters
-	rel  suts.Reloader       // nil unless sys reloads and mode == Reload
-	drel suts.DirtyReloader  // nil unless rel also takes dirty-file sets
-	val  suts.Validator      // nil unless sys validates and mode == Validate
+	rel  suts.Reloader      // nil unless sys reloads and mode == Reload
+	drel suts.DirtyReloader // nil unless rel also takes dirty-file sets
+	val  suts.Validator     // nil unless sys validates and mode == Validate
 
 	// warm is true while sys is running and the next Start may reload
 	// instead of cold-starting. Only ever true in Reload mode with a

@@ -13,7 +13,8 @@ type RunOption = core.RunOption
 
 // WithParallelism sets the number of campaign workers; each worker owns
 // its own SUT instance built from the Runner's factory. n <= 0 selects
-// GOMAXPROCS; the default is 1, the paper's sequential engine.
+// GOMAXPROCS; the default is 1, one worker injecting the faultload in
+// scenario order as in the paper.
 func WithParallelism(n int) RunOption { return core.WithParallelism(n) }
 
 // WithObserver streams every record to fn as experiments complete. Calls
