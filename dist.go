@@ -74,9 +74,7 @@ func runDistShard(ctx context.Context, req dist.ShardRequest, emit func(seq int,
 	if err != nil {
 		return dist.ShardResult{}, err
 	}
-	if sc.Cleanup != nil {
-		defer sc.Cleanup()
-	}
+	defer sc.Cleanup()
 	opts := append([]core.RunOption(nil), sc.Options...)
 	if spec.KeepGoing {
 		opts = append(opts, core.WithKeepGoing(true))

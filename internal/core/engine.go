@@ -20,6 +20,7 @@ import (
 	"conferr/internal/formats"
 	"conferr/internal/profile"
 	"conferr/internal/scenario"
+	"conferr/internal/sutpool"
 	"conferr/internal/suts"
 	"conferr/internal/view"
 )
@@ -112,6 +113,30 @@ type Target struct {
 	Formats map[string]formats.Format
 	// Tests are the functional tests run after a successful start.
 	Tests []suts.Test
+
+	// inst is the SUT adapter every phase of an experiment goes through
+	// and wd the phase watchdog, nil unless deadlines are armed. Both are
+	// set on the engine's private per-worker copy (see workerTargets).
+	inst *sutpool.Instance
+	wd   *watchdog
+}
+
+// adapter returns the SUT adapter for sys: sys itself when it already is
+// a *sutpool.Instance, otherwise a pool-less cold Instance around it.
+func adapter(sys suts.System) *sutpool.Instance {
+	if inst, ok := sys.(*sutpool.Instance); ok {
+		return inst
+	}
+	return sutpool.NewInstance(sys, sutpool.Cold, nil)
+}
+
+// instance returns the target's SUT adapter, building it on first use
+// for a target no run prepared (runOne called directly).
+func (t *Target) instance() *sutpool.Instance {
+	if t.inst == nil {
+		t.inst = adapter(t.System)
+	}
+	return t.inst
 }
 
 // Campaign is one ConfErr run: a target plus an error generator.
@@ -625,23 +650,24 @@ func runOneReference(t *Target, sc scenario.Scenario, v view.View, viewSet, sysS
 // run the functional tests, stop — shared by the incremental and
 // reference pipelines. On the incremental path haveDirty is true and
 // dirty names the files whose bytes differ from the campaign baseline;
-// a lifecycle adapter implementing suts.DirtyStarter forwards that to a
-// warm DirtyReloader so clean files skip re-parsing. The capability is
-// strictly an optimization — outcomes are identical either way.
+// the SUT adapter forwards that to a warm DirtyReloader so clean files
+// skip re-parsing. The capability is strictly an optimization — outcomes
+// are identical either way. With deadlines armed every phase runs under
+// the target's watchdog.
 func runOnFiles(t *Target, files suts.Files, dirty []string, haveDirty bool, finish func(profile.Outcome, string) profile.Record) (profile.Record, error) {
+	inst, wd := t.instance(), t.wd
 	// 4. Start the SUT with the faulty configuration.
 	var err error
-	if haveDirty {
-		if ds, ok := t.System.(suts.DirtyStarter); ok {
-			err = ds.StartDirty(files, dirty)
-		} else {
-			err = t.System.Start(files)
-		}
-	} else {
-		err = t.System.Start(files)
+	switch {
+	case wd != nil:
+		err = wd.start(files, dirty, haveDirty)
+	case haveDirty:
+		err = inst.StartDirty(files, dirty)
+	default:
+		err = inst.Start(files)
 	}
 	if err != nil {
-		stopErr := t.System.Stop()
+		stopErr := stopPhase(inst, wd)
 		if suts.IsStartupError(err) {
 			// The experiment succeeded: the SUT detected the fault. A
 			// failed cleanup after that is worth recording but must not
@@ -672,9 +698,15 @@ func runOnFiles(t *Target, files suts.Files, dirty []string, haveDirty bool, fin
 	// 5. Run the functional tests. A validate-only lifecycle has nothing
 	// listening after a successful "start", so its probes are skipped.
 	outcome, detail := profile.Ignored, ""
-	if !skipsProbes(t.System) {
+	if !inst.SkipProbes() {
 		for _, test := range t.Tests {
-			if terr := test.Run(); terr != nil {
+			var terr error
+			if wd != nil {
+				terr = wd.run("probe:"+test.Name, test.Run)
+			} else {
+				terr = test.Run()
+			}
+			if terr != nil {
 				if isInfraPhaseErr(terr) {
 					// A wedged or panicking probe says nothing about the
 					// SUT; the watchdog has quarantined the instance.
@@ -688,7 +720,7 @@ func runOnFiles(t *Target, files suts.Files, dirty []string, haveDirty bool, fin
 			}
 		}
 	}
-	if err := t.System.Stop(); err != nil {
+	if err := stopPhase(inst, wd); err != nil {
 		if isInfraPhaseErr(err) && outcome != profile.InfrastructureError {
 			// A stop phase that wedged compromises the experiment's
 			// environment even when the probes ran clean: classify the
@@ -710,39 +742,12 @@ func runOnFiles(t *Target, files suts.Files, dirty []string, haveDirty bool, fin
 	return finish(outcome, detail), nil
 }
 
-// skipsProbes reports whether the system (or a wrapped inner system)
-// declares functional tests meaningless for its lifecycle mode — the
-// validate-only fast path.
-func skipsProbes(sys suts.System) bool {
-	for sys != nil {
-		if sp, ok := sys.(interface{ SkipProbes() bool }); ok {
-			return sp.SkipProbes()
-		}
-		u, ok := sys.(interface{ Unwrap() suts.System })
-		if !ok {
-			return false
-		}
-		sys = u.Unwrap()
+// stopPhase stops the SUT, under the watchdog when one is armed.
+func stopPhase(inst *sutpool.Instance, wd *watchdog) error {
+	if wd != nil {
+		return wd.run("stop", inst.Stop)
 	}
-	return false
-}
-
-// releaseSystem hands a worker's system back at the end of a run: a
-// pool-leased or lifecycle-wrapped system (possibly behind wrappers)
-// gets its Release hook, everything else is left alone — cold systems
-// are already stopped after every experiment.
-func releaseSystem(sys suts.System) {
-	for sys != nil {
-		if r, ok := sys.(interface{ Release() error }); ok {
-			_ = r.Release()
-			return
-		}
-		u, ok := sys.(interface{ Unwrap() suts.System })
-		if !ok {
-			return
-		}
-		sys = u.Unwrap()
-	}
+	return inst.Stop()
 }
 
 // Baseline verifies that the unmutated default configuration starts the

@@ -379,15 +379,17 @@ func TestReloadLifecycleMatchesCold(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4, 8} {
 				counters := &sutpool.Counters{}
-				c := &Campaign{Target: warmDigestTarget(), Generator: gen}
-				opts := []RunOption{
-					WithLifecycle(sutpool.Reload),
-					WithLifecycleCounters(counters),
+				reloadTarget := func() *Target {
+					t := warmDigestTarget()
+					t.System = sutpool.NewInstance(t.System, sutpool.Reload, counters)
+					return t
 				}
+				c := &Campaign{Target: reloadTarget(), Generator: gen}
+				var opts []RunOption
 				if workers > 1 {
 					opts = append(opts,
 						WithParallelism(workers),
-						WithTargetFactory(func() (*Target, error) { return warmDigestTarget(), nil }))
+						WithTargetFactory(func() (*Target, error) { return reloadTarget(), nil }))
 				}
 				got, err := c.RunContext(context.Background(), opts...)
 				if err != nil {
@@ -425,9 +427,9 @@ func TestValidateLifecycleSemantics(t *testing.T) {
 		t.Fatalf("cold reference: %v", err)
 	}
 	counters := &sutpool.Counters{}
-	got, err := (&Campaign{Target: warmDigestTarget(), Generator: gen}).
-		RunContext(context.Background(),
-			WithLifecycle(sutpool.Validate), WithLifecycleCounters(counters))
+	validate := warmDigestTarget()
+	validate.System = sutpool.NewInstance(validate.System, sutpool.Validate, counters)
+	got, err := (&Campaign{Target: validate, Generator: gen}).RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("validate run: %v", err)
 	}

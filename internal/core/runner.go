@@ -7,8 +7,6 @@ import (
 
 	"conferr/internal/profile"
 	"conferr/internal/scenario"
-	"conferr/internal/sutpool"
-	"conferr/internal/suts"
 )
 
 // TargetFactory constructs a fresh, independent Target for one campaign
@@ -25,8 +23,6 @@ type runConfig struct {
 	keepGoing   bool
 	baseline    bool
 	factory     TargetFactory
-	lifecycle   sutpool.Mode
-	counters    *sutpool.Counters
 	deadlines   Deadlines
 }
 
@@ -78,60 +74,13 @@ func WithBaselineCheck() RunOption {
 // Suite run several campaigns of one system family concurrently without
 // their experiments contending for the primary port. Without a factory,
 // the one worker runs on the primary target.
+//
+// A worker drives its SUT through a *sutpool.Instance: the target's
+// System when it already is one (a facade pool lease, carrying the
+// lifecycle mode and the port remap), otherwise a pool-less cold
+// Instance around it.
 func WithTargetFactory(f TargetFactory) RunOption {
 	return func(cfg *runConfig) { cfg.factory = f }
-}
-
-// WithLifecycle selects how worker SUTs are driven through experiments:
-// sutpool.Cold (the default start/stop-per-experiment engine),
-// sutpool.Reload (warm instances re-configured via suts.Reloader), or
-// sutpool.Validate (parse-only checks via suts.Validator, functional
-// tests skipped). Worker targets whose systems are not already
-// lifecycle-managed (for example by a facade-level sutpool.Pool) are
-// wrapped in a sutpool.Instance for the run; SUTs lacking the capability
-// fall back to cold starts.
-func WithLifecycle(mode sutpool.Mode) RunOption {
-	return func(cfg *runConfig) { cfg.lifecycle = mode }
-}
-
-// WithLifecycleCounters shares a counter set with the run's
-// lifecycle-wrapped instances, exposing cold-start/reload/validate
-// tallies to the caller.
-func WithLifecycleCounters(c *sutpool.Counters) RunOption {
-	return func(cfg *runConfig) { cfg.counters = c }
-}
-
-// wrapLifecycle adapts one worker target to the run's lifecycle mode and
-// arms the phase watchdog when deadlines are configured. Cold runs and
-// systems that are already lifecycle-managed (behind any chain of
-// Unwrap-able wrappers) skip the lifecycle wrap; without deadlines the
-// watchdog wrap is skipped entirely — zero overhead on the happy path.
-func wrapLifecycle(t *Target, cfg runConfig) *Target {
-	if cfg.lifecycle != sutpool.Cold && !managedSystem(t.System) {
-		tt := *t
-		tt.System = sutpool.NewInstance(t.System, cfg.lifecycle, cfg.counters)
-		t = &tt
-	}
-	if cfg.deadlines.Enabled() {
-		t = wrapWatchdog(t, cfg.deadlines)
-	}
-	return t
-}
-
-// managedSystem walks a wrapper chain looking for a lifecycle-managed
-// system.
-func managedSystem(sys suts.System) bool {
-	for sys != nil {
-		if _, ok := sys.(sutpool.Managed); ok {
-			return true
-		}
-		u, ok := sys.(interface{ Unwrap() suts.System })
-		if !ok {
-			return false
-		}
-		sys = u.Unwrap()
-	}
-	return false
 }
 
 // RunContext executes the campaign under a context. The faultload is

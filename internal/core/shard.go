@@ -477,32 +477,45 @@ func (b *bypass) stop(err error) {
 	b.stopped.Store(true)
 }
 
-// workerTargets builds one lifecycle-wrapped target per worker, up front,
-// so a failing factory aborts before any experiment starts. Without a
-// factory the one worker runs on primary (see WithTargetFactory).
+// workerTargets builds one target per worker, up front, so a failing
+// factory aborts before any experiment starts; the targets already built
+// are released, so a pooled lease is not lost. Without a factory the one
+// worker runs on primary (see WithTargetFactory). Each target is the
+// engine's private copy, carrying the worker's SUT adapter and, with
+// deadlines armed, its watchdog.
 func workerTargets(cfg runConfig, primary *Target, workers int) ([]*Target, error) {
-	if cfg.factory == nil {
-		if workers > 1 {
-			return nil, errParallelNeedsFactory
-		}
-		return []*Target{wrapLifecycle(primary, cfg)}, nil
+	if cfg.factory == nil && workers > 1 {
+		return nil, errParallelNeedsFactory
 	}
-	targets := make([]*Target, workers)
-	for w := range targets {
-		t, err := cfg.factory()
-		if err != nil {
-			return nil, fmt.Errorf("core: building worker %d target: %w", w, err)
+	targets := make([]*Target, 0, workers)
+	for w := range workers {
+		t := primary
+		if cfg.factory != nil {
+			var err error
+			if t, err = cfg.factory(); err != nil {
+				releaseTargets(targets)
+				return nil, fmt.Errorf("core: building worker %d target: %w", w, err)
+			}
 		}
-		targets[w] = wrapLifecycle(t, cfg)
+		tt := *t
+		tt.inst = adapter(t.System)
+		if cfg.deadlines.Enabled() {
+			tt.wd = newWatchdog(tt.inst, cfg.deadlines)
+		}
+		targets = append(targets, &tt)
 	}
 	return targets, nil
 }
 
-// releaseTargets hands every worker system back (to its pool, or to a
-// real shutdown) once a run's workers have exited.
+// releaseTargets hands every worker's instance back (to its pool, or to
+// a real shutdown when it is warm) once a run's workers have exited.
 func releaseTargets(targets []*Target) {
 	for _, t := range targets {
-		releaseSystem(t.System)
+		if t.wd != nil {
+			_ = t.wd.release()
+		} else {
+			_ = t.inst.Release()
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"conferr/internal/plugins/typo"
 	"conferr/internal/profile"
 	"conferr/internal/scenario"
+	"conferr/internal/sutpool"
 	"conferr/internal/template"
 	"conferr/internal/view"
 )
@@ -389,4 +390,40 @@ func (g sliceGen) Name() string    { return "slice" }
 func (g sliceGen) View() view.View { return view.StructView{} }
 func (g sliceGen) Generate(*confnode.Set) ([]scenario.Scenario, error) {
 	return g.scens, nil
+}
+
+// TestWorkerBuildFailureReleasesLeases: when the factory fails for one
+// worker, the leases it already handed to the others go back to their
+// pool instead of being lost to it — a pool reused across runs could
+// otherwise never return or shut those instances down.
+func TestWorkerBuildFailureReleasesLeases(t *testing.T) {
+	errBuild := errors.New("third build fails")
+	builds := 0
+	pool := sutpool.New(sutpool.Reload, nil, func(p *sutpool.Pool) (*sutpool.Instance, error) {
+		builds++
+		if builds == 3 {
+			return nil, errBuild
+		}
+		inst := p.Instance(&wedgeReloadSystem{})
+		tgt := wedgeTarget(inst, nil)
+		inst.Payload = tgt
+		return inst, nil
+	})
+	defer pool.Close()
+	c := &Campaign{Target: wedgeTarget(&wedgeSystem{}, nil), Generator: sliceGen{wedgeScens(8)}}
+	_, err := c.RunContext(context.Background(),
+		WithParallelism(4),
+		WithTargetFactory(func() (*Target, error) {
+			inst, err := pool.Lease()
+			if err != nil {
+				return nil, err
+			}
+			return inst.Payload.(*Target), nil
+		}))
+	if !errors.Is(err, errBuild) {
+		t.Fatalf("err = %v, want the build error", err)
+	}
+	if idle := pool.Idle(); idle != 2 {
+		t.Errorf("pool.Idle() = %d, want the 2 leases taken before the failure back", idle)
+	}
 }

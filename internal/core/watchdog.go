@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"conferr/internal/sutpool"
 	"conferr/internal/suts"
 )
 
@@ -25,7 +26,8 @@ import (
 // the cold-restart path revives it.
 
 // Deadlines configures the phase watchdog. The zero value disables it:
-// the engine then adds no per-experiment overhead at all.
+// no worker gets a watchdog, no phase goroutine starts, and the engine
+// calls the SUT adapter directly.
 type Deadlines struct {
 	// Experiment bounds the SUT-phase time of one whole experiment:
 	// start + probes + stop share the budget, re-armed at each Start.
@@ -38,8 +40,9 @@ type Deadlines struct {
 // Enabled reports whether any deadline is armed.
 func (d Deadlines) Enabled() bool { return d.Experiment > 0 || d.Phase > 0 }
 
-// WithDeadlines arms the phase watchdog for this run: worker systems are
-// wrapped so that every SUT phase call is bounded. See Deadlines.
+// WithDeadlines arms the phase watchdog for this run: each worker gets
+// one, and every SUT phase call of the worker's experiments runs through
+// it, bounded. See Deadlines.
 func WithDeadlines(d Deadlines) RunOption {
 	return func(cfg *runConfig) { cfg.deadlines = d }
 }
@@ -51,11 +54,13 @@ type phaseCall struct {
 	done  chan error
 }
 
-// watchdog wraps a worker's system (and, via wrapWatchdog, its tests) so
-// every phase call runs on a dedicated runner goroutine under a deadline.
-// Like the systems it wraps, a watchdog belongs to one campaign worker.
+// watchdog bounds one worker's SUT phases: the engine hands it every
+// phase call of an experiment (start, each probe, stop) and the release
+// at the end of the run, and it runs each on a dedicated runner
+// goroutine under a deadline. Like the Instance it guards, a watchdog
+// belongs to one campaign worker; workers without deadlines have none.
 type watchdog struct {
-	sys  suts.System
+	inst *sutpool.Instance
 	name string // cached: Name() must not touch a possibly-wedged system
 	d    Deadlines
 
@@ -72,92 +77,36 @@ type watchdog struct {
 
 	// files and dirty are the watchdog's private copies of the engine's
 	// per-worker scratch: an abandoned phase goroutine may still read
-	// them long after the engine has recycled its own, so the wrapper
+	// them long after the engine has recycled its own, so the watchdog
 	// owns what it hands down and forfeits it on every timeout.
 	files suts.Files
 	dirty []string
-
-	// timeouts counts phase expiries on this worker; summed by the run
-	// if anyone cares, and handy in tests.
-	timeouts int
 }
 
-func newWatchdog(sys suts.System, d Deadlines) *watchdog {
-	return &watchdog{sys: sys, name: sys.Name(), d: d}
+func newWatchdog(inst *sutpool.Instance, d Deadlines) *watchdog {
+	return &watchdog{inst: inst, name: inst.Name(), d: d}
 }
 
-// wrapWatchdog wraps one worker target: the system behind the watchdog,
-// and every functional test behind the same experiment budget.
-func wrapWatchdog(t *Target, d Deadlines) *Target {
-	w := newWatchdog(t.System, d)
-	tt := *t
-	tt.System = w
-	if len(t.Tests) > 0 {
-		tests := make([]suts.Test, len(t.Tests))
-		for i, ts := range t.Tests {
-			run, name := ts.Run, ts.Name
-			tests[i] = suts.Test{Name: name, Run: func() error {
-				return w.run("probe:"+name, run)
-			}}
-		}
-		tt.Tests = tests
-	}
-	return &tt
-}
-
-// Name implements suts.System.
-func (w *watchdog) Name() string { return w.name }
-
-// DefaultConfig implements suts.System; it is only called before the
-// campaign starts, never on a possibly-wedged worker instance.
-func (w *watchdog) DefaultConfig() suts.Files { return w.sys.DefaultConfig() }
-
-// Unwrap exposes the wrapped system to the engine's capability walks.
-func (w *watchdog) Unwrap() suts.System { return w.sys }
-
-// Addr implements suts.Addressable like sutpool.Instance does: the
-// wrapped system's address, or "".
-func (w *watchdog) Addr() string {
-	if a, ok := w.sys.(suts.Addressable); ok {
-		return a.Addr()
-	}
-	return ""
-}
-
-// Start implements suts.System: a new experiment begins, re-arming the
-// experiment budget.
-func (w *watchdog) Start(files suts.Files) error {
+// start runs an experiment's start phase — Start, or StartDirty on the
+// incremental path — re-arming the experiment budget.
+func (w *watchdog) start(files suts.Files, dirty []string, haveDirty bool) error {
 	w.expStart = time.Now()
 	f := w.copyFiles(files)
-	return w.run("start", func() error { return w.sys.Start(f) })
-}
-
-// StartDirty implements suts.DirtyStarter, degrading to Start when the
-// wrapped system lacks the capability.
-func (w *watchdog) StartDirty(files suts.Files, dirty []string) error {
-	w.expStart = time.Now()
-	f := w.copyFiles(files)
-	ds, ok := w.sys.(suts.DirtyStarter)
-	if !ok {
-		return w.run("start", func() error { return w.sys.Start(f) })
+	if !haveDirty {
+		return w.run("start", func() error { return w.inst.Start(f) })
 	}
 	w.dirty = append(w.dirty[:0], dirty...)
 	d := w.dirty
-	return w.run("start", func() error { return ds.StartDirty(f, d) })
+	return w.run("start", func() error { return w.inst.StartDirty(f, d) })
 }
 
-// Stop implements suts.System.
-func (w *watchdog) Stop() error {
-	return w.run("stop", func() error { return w.sys.Stop() })
-}
-
-// Release hands the worker's system back under a deadline, so even the
+// release hands the instance back under a deadline, so even the
 // end-of-run health gate of a wedged pooled instance cannot hang the
 // campaign teardown. It runs outside any experiment, so the experiment
 // budget is re-armed rather than inherited from the last scenario.
-func (w *watchdog) Release() error {
+func (w *watchdog) release() error {
 	w.expStart = time.Now()
-	return w.run("release", func() error { releaseSystem(w.sys); return nil })
+	return w.run("release", w.inst.Release)
 }
 
 // budget returns the deadline for the next phase: the per-phase bound
@@ -182,7 +131,6 @@ func (w *watchdog) run(phase string, fn func() error) error {
 	if budget <= 0 {
 		// The experiment budget is gone (an earlier phase consumed it,
 		// or timed out): refuse without dispatching.
-		w.timeouts++
 		return &suts.PhaseTimeoutError{System: w.name, Phase: phase, Timeout: 0}
 	}
 	if w.calls == nil {
@@ -216,37 +164,37 @@ func (w *watchdog) startRunner() {
 	w.calls = make(chan phaseCall)
 	prev, gate := w.gate, make(chan struct{})
 	w.gate = gate
-	go runPhases(w.sys, w.calls, prev, gate)
+	go runPhases(w.inst, w.name, w.calls, prev, gate)
 }
 
 // runPhases is the phase runner: it serves calls until the channel
 // closes (abandonment), then tears the — by then wedged — system down.
 // Waiting on prev first guarantees the underlying system never executes
 // two calls concurrently, however many runners have been abandoned.
-func runPhases(sys suts.System, calls chan phaseCall, prev, gate chan struct{}) {
+func runPhases(inst *sutpool.Instance, name string, calls chan phaseCall, prev, gate chan struct{}) {
 	defer close(gate)
 	if prev != nil {
 		<-prev
 	}
 	for c := range calls {
-		c.done <- safePhase(sys, c.phase, c.fn)
+		c.done <- safePhase(name, c.phase, c.fn)
 	}
 	// Abandoned: the stuck call has finally returned (or never started).
 	// Best-effort teardown so the quarantined instance cold-starts clean.
 	func() {
 		defer func() { recover() }()
-		shutdownSystem(sys)
+		_ = inst.Shutdown()
 	}()
 }
 
 // safePhase runs one phase, converting a panic into an error so a
 // panicking SUT or functional test cannot kill the runner (and with it
 // the process).
-func safePhase(sys suts.System, phase string, fn func() error) (err error) {
+func safePhase(name, phase string, fn func() error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &suts.PhasePanicError{
-				System: sys.Name(),
+				System: name,
 				Phase:  phase,
 				Value:  fmt.Sprint(v),
 				Stack:  string(debug.Stack()),
@@ -266,8 +214,7 @@ func (w *watchdog) abandon() {
 	w.calls = nil
 	w.files = nil
 	w.dirty = nil
-	w.timeouts++
-	quarantineSystem(w.sys)
+	w.inst.Quarantine()
 }
 
 // arm sets the reusable timer.
@@ -303,38 +250,4 @@ func (w *watchdog) copyFiles(files suts.Files) suts.Files {
 		w.files[name] = data
 	}
 	return w.files
-}
-
-// quarantineSystem walks the wrapper chain for a quarantine hook
-// (sutpool.Instance implements it) and invokes the first one found.
-func quarantineSystem(sys suts.System) {
-	for sys != nil {
-		if q, ok := sys.(interface{ Quarantine() }); ok {
-			q.Quarantine()
-			return
-		}
-		u, ok := sys.(interface{ Unwrap() suts.System })
-		if !ok {
-			return
-		}
-		sys = u.Unwrap()
-	}
-}
-
-// shutdownSystem stops a system for real: the first Shutdown hook on the
-// wrapper chain (a pooled instance's unconditional teardown) or, absent
-// one, a plain Stop.
-func shutdownSystem(sys suts.System) {
-	for s := sys; s != nil; {
-		if sd, ok := s.(interface{ Shutdown() error }); ok {
-			_ = sd.Shutdown()
-			return
-		}
-		u, ok := s.(interface{ Unwrap() suts.System })
-		if !ok {
-			break
-		}
-		s = u.Unwrap()
-	}
-	_ = sys.Stop()
 }

@@ -250,10 +250,8 @@ func TestWatchdogQuarantinesWedgedReload(t *testing.T) {
 		wedgeRel:    map[int]bool{4: true},
 	}
 	var ctrs sutpool.Counters
-	c := &Campaign{Target: wedgeTarget(sys, nil), Generator: sliceGen{wedgeScens(30)}}
+	c := &Campaign{Target: wedgeTarget(sutpool.NewInstance(sys, sutpool.Reload, &ctrs), nil), Generator: sliceGen{wedgeScens(30)}}
 	prof, err := c.RunContext(context.Background(),
-		WithLifecycle(sutpool.Reload),
-		WithLifecycleCounters(&ctrs),
 		WithDeadlines(Deadlines{Phase: 25 * time.Millisecond}))
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
@@ -279,6 +277,7 @@ func TestWatchdogQuarantinesWedgedReload(t *testing.T) {
 // watchdog pressure.
 func TestWatchdogSoakRace(t *testing.T) {
 	const scens = 120
+	var ctrs sutpool.Counters
 	mk := func() (*Target, error) {
 		sys := &wedgeReloadSystem{
 			wedgeSystem: wedgeSystem{wedgeDur: 8 * time.Millisecond},
@@ -295,15 +294,12 @@ func TestWatchdogSoakRace(t *testing.T) {
 				sys.relFail[i] = true
 			}
 		}
-		return wedgeTarget(sys, nil), nil
+		return wedgeTarget(sutpool.NewInstance(sys, sutpool.Reload, &ctrs), nil), nil
 	}
-	var ctrs sutpool.Counters
 	c := &Campaign{Target: wedgeTarget(&wedgeSystem{}, nil), Generator: sliceGen{wedgeScens(scens)}}
 	prof, err := c.RunContext(context.Background(),
 		WithParallelism(4),
 		WithTargetFactory(mk),
-		WithLifecycle(sutpool.Reload),
-		WithLifecycleCounters(&ctrs),
 		WithDeadlines(Deadlines{Phase: 4 * time.Millisecond, Experiment: 20 * time.Millisecond}))
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
@@ -435,17 +431,34 @@ func TestPanicContainmentInSUTStart(t *testing.T) {
 	}
 }
 
-// TestWatchdogZeroOverheadWhenDisabled: with no deadlines configured the
-// target is not wrapped at all.
+// TestWatchdogZeroOverheadWhenDisabled: with no deadlines configured no
+// worker gets a watchdog, so no phase goroutine can start; with them,
+// every worker gets one.
 func TestWatchdogZeroOverheadWhenDisabled(t *testing.T) {
 	tgt := wedgeTarget(&wedgeSystem{}, nil)
-	wrapped := wrapLifecycle(tgt, runConfig{lifecycle: sutpool.Cold})
-	if wrapped != tgt {
-		t.Error("cold run without deadlines must not wrap the target")
-	}
-	armed := wrapLifecycle(tgt, runConfig{lifecycle: sutpool.Cold,
-		deadlines: Deadlines{Phase: time.Second}})
-	if _, ok := armed.System.(*watchdog); !ok {
-		t.Error("deadlines configured but system not watchdog-wrapped")
+	factory := WithTargetFactory(func() (*Target, error) { return wedgeTarget(&wedgeSystem{}, nil), nil })
+	deadlines := WithDeadlines(Deadlines{Phase: time.Second})
+	for _, tc := range []struct {
+		name    string
+		opts    []RunOption
+		workers int
+		armed   bool
+	}{
+		{"primary", nil, 1, false},
+		{"factory", []RunOption{factory}, 2, false},
+		{"primary+deadlines", []RunOption{deadlines}, 1, true},
+		{"factory+deadlines", []RunOption{factory, deadlines}, 2, true},
+	} {
+		c := &Campaign{Target: tgt}
+		targets, err := workerTargets(c.config(tc.opts), tgt, tc.workers)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, w := range targets {
+			if got := w.wd != nil; got != tc.armed {
+				t.Errorf("%s: worker %d has watchdog = %v, want %v", tc.name, i, got, tc.armed)
+			}
+		}
+		releaseTargets(targets)
 	}
 }

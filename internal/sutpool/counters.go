@@ -10,7 +10,9 @@ import (
 // atomics; the zero value is ready to use.
 type Counters struct {
 	// ColdStarts counts full Start calls on the underlying SUT (cold
-	// mode, fallbacks, and recovery restarts alike).
+	// mode, fallbacks, and recovery restarts alike). Here and below, a
+	// retry of a start that collided with another worker's port is not
+	// counted.
 	ColdStarts atomic.Int64
 	// Reloads counts warm configuration swaps via suts.Reloader.
 	Reloads atomic.Int64

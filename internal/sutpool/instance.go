@@ -1,16 +1,21 @@
 package sutpool
 
 import (
+	"strings"
 	"sync/atomic"
+	"time"
 
 	"conferr/internal/suts"
 )
 
-// Instance adapts one suts.System to a lifecycle Mode behind the
-// unchanged System interface, so the engine's per-experiment
-// Start/Stop calls drive warm reloads or parse-only validation instead
-// of full cycles. An Instance is used by one campaign worker at a time
-// (the pool's lease discipline); it is not safe for concurrent use.
+// Instance is the one adapter between the campaign engine and a
+// worker's SUT. Start dispatches each experiment to a cold start, a warm
+// reload or a parse-only validation by Mode, remapping the primary port
+// to the worker's on the way in and back on the way out (see MapPort);
+// Stop keeps warm instances running. The engine calls it directly — the
+// System methods are for everything that only needs a suts.System. An
+// Instance is used by one campaign worker at a time (the pool's lease
+// discipline); it is not safe for concurrent use.
 type Instance struct {
 	sys  suts.System
 	mode Mode
@@ -26,6 +31,14 @@ type Instance struct {
 	// phase watchdog may Quarantine the instance from the campaign
 	// goroutine while an abandoned, still-wedged phase call holds it.
 	warm atomic.Bool
+
+	// The port remap (ports.go): from and to are the primary and worker
+	// port decimals, "" for no remap; tries bounds the start attempts
+	// against transient bind collisions (0 or 1: no retry); memo caches
+	// the rewrite of each input slice.
+	from, to string
+	tries    int
+	memo     map[remapKey][]byte
 
 	pool *Pool
 
@@ -52,32 +65,19 @@ func NewInstance(sys suts.System, mode Mode, c *Counters) *Instance {
 	return i
 }
 
-// Managed is implemented by systems already adapted to a lifecycle mode;
-// the engine's own wrapping step skips them.
+// Managed names a system adapted to a lifecycle mode. Nothing in the
+// engine checks for it, since each worker holds its Instance directly,
+// and nothing implements it. It stays declared because the benchmark's
+// capability table (bench/wrap.go) lists it.
 type Managed interface {
 	LifecycleMode() Mode
 }
-
-// LifecycleMode implements Managed.
-func (i *Instance) LifecycleMode() Mode { return i.mode }
-
-// System returns the adapted SUT.
-func (i *Instance) System() suts.System { return i.sys }
 
 // Name implements suts.System.
 func (i *Instance) Name() string { return i.sys.Name() }
 
 // DefaultConfig implements suts.System.
 func (i *Instance) DefaultConfig() suts.Files { return i.sys.DefaultConfig() }
-
-// Addr implements suts.Addressable when the adapted SUT does; it returns
-// "" otherwise.
-func (i *Instance) Addr() string {
-	if a, ok := i.sys.(suts.Addressable); ok {
-		return a.Addr()
-	}
-	return ""
-}
 
 // Start implements suts.System, dispatching on the mode. In Validate
 // mode with a validating SUT it only parses; in Reload mode with a warm
@@ -87,20 +87,51 @@ func (i *Instance) Addr() string {
 // fallbacks, the first start of a warm chain — is a plain cold start.
 func (i *Instance) Start(files suts.Files) error { return i.start(files, nil, false) }
 
-// StartDirty implements suts.DirtyStarter: Start, forwarding the
-// engine's dirty-file set to a warm DirtyReloader underneath. Every
-// other mode and capability combination degrades to exactly Start.
+// StartDirty is Start, forwarding the engine's dirty-file set to a warm
+// DirtyReloader underneath. Every other mode and capability combination
+// degrades to exactly Start.
 func (i *Instance) StartDirty(files suts.Files, dirty []string) error {
 	return i.start(files, dirty, true)
 }
 
+// start remaps the files to the worker's port, dispatches them —
+// waiting out transient bind collisions with other workers' (typo'd)
+// ports, with a Stop between attempts — and maps the worker's port back
+// to the primary's in any resulting error: startup rejections and
+// infrastructure failures alike end up in the recorded detail, which
+// must match the sequential run.
 func (i *Instance) start(files suts.Files, dirty []string, haveDirty bool) error {
+	if i.from != "" {
+		remapped := make(suts.Files, len(files))
+		for name, data := range files {
+			remapped[name] = i.remap(data)
+		}
+		files = remapped
+	}
+	err := i.dispatch(files, dirty, haveDirty, i.c)
+	for try := 1; try < i.tries && err != nil && strings.Contains(err.Error(), "address already in use"); try++ {
+		_ = i.Stop()
+		time.Sleep(bindBackoff)
+		err = i.dispatch(files, dirty, haveDirty, &retries)
+	}
+	return i.UnmapError(err)
+}
+
+// retries absorbs the counts of bind-collision retries: a retry repeats
+// the attempt it replaces, and leaving it out keeps the counters a
+// function of the faultload rather than of which worker held a port
+// when.
+var retries Counters
+
+// dispatch drives one start attempt by mode and capability, counting it
+// in c.
+func (i *Instance) dispatch(files suts.Files, dirty []string, haveDirty bool, c *Counters) error {
 	if i.mode == Validate && i.val != nil {
-		i.c.Validates.Add(1)
+		c.Validates.Add(1)
 		return i.val.Validate(files)
 	}
 	if i.warm.Load() && i.rel != nil {
-		i.c.Reloads.Add(1)
+		c.Reloads.Add(1)
 		var err error
 		if haveDirty && i.drel != nil {
 			err = i.drel.ReloadDirty(files, dirty)
@@ -117,9 +148,9 @@ func (i *Instance) start(files suts.Files, dirty []string, haveDirty bool) error
 		// files, so the experiment's outcome matches cold mode.
 		i.warm.Store(false)
 		_ = i.sys.Stop()
-		i.c.Restarts.Add(1)
+		c.Restarts.Add(1)
 	}
-	i.c.ColdStarts.Add(1)
+	c.ColdStarts.Add(1)
 	err := i.sys.Start(files)
 	i.warm.Store(err == nil && i.mode == Reload && i.rel != nil)
 	return err
@@ -176,11 +207,15 @@ func (i *Instance) Quarantine() {
 
 // Release returns the instance to its pool (health-checked; warm
 // instances stay warm for the next lease) or, for a pool-less instance,
-// shuts it down. The engine calls it on every worker system when a run
-// ends.
+// shuts it down when it is warm. A cold pool-less instance has nothing
+// running: its SUT was stopped after every experiment. The engine calls
+// it on every worker's instance when a run ends.
 func (i *Instance) Release() error {
 	if i.pool != nil {
 		return i.pool.retire(i)
+	}
+	if !i.warm.Load() {
+		return nil
 	}
 	return i.Shutdown()
 }

@@ -9,11 +9,12 @@
 // drives: Cold (the paper's start/stop-per-experiment engine), Reload
 // (warm instances re-configured via suts.Reloader, the `nginx -s reload`
 // idiom), and Validate (parse/check-only via suts.Validator, the
-// `nginx -t` idiom). Instance adapts one suts.System to the selected
-// mode behind the unchanged System interface, with cold-start fallback
-// when the capability is missing and quarantine-plus-restart when a
-// reload wedges. Pool hands leased instances to campaign workers and
-// takes them back health-checked between runs.
+// `nginx -t` idiom). Instance is the engine's one adapter to a worker's
+// SUT: it drives the selected mode, with cold-start fallback when the
+// capability is missing and quarantine-plus-restart when a reload
+// wedges, and remaps the primary port for parallel workers. Pool hands
+// leased instances to campaign workers and takes them back
+// health-checked between runs.
 package sutpool
 
 import "fmt"

@@ -41,9 +41,6 @@ func New(mode Mode, c *Counters, build BuildFunc) *Pool {
 	return &Pool{mode: mode, c: c, build: build}
 }
 
-// Mode returns the pool's lifecycle mode.
-func (p *Pool) Mode() Mode { return p.mode }
-
 // Counters returns the pool's shared counters.
 func (p *Pool) Counters() *Counters { return p.c }
 

@@ -92,12 +92,12 @@ type DirtyReloader interface {
 	ReloadDirty(files Files, dirty []string) error
 }
 
-// DirtyStarter is implemented by lifecycle adapters (internal/sutpool,
-// the runner's port-mapping wrapper) that can forward the engine's
-// dirty-file knowledge toward a DirtyReloader. The engine calls
-// StartDirty instead of Start when the capability is present anywhere
-// on the wrapper chain; implementations without a warm DirtyReloader
-// underneath must degrade to exactly Start's behaviour.
+// DirtyStarter is the shape of sutpool.Instance.StartDirty: Start plus
+// the engine's dirty-file knowledge, forwarded toward a DirtyReloader and
+// degrading to exactly Start's behaviour without one. Nothing in the
+// engine checks for it, since the engine calls the Instance directly. It
+// stays declared because the benchmark's capability table
+// (bench/wrap.go) lists it.
 type DirtyStarter interface {
 	// StartDirty is Start plus the dirty-file set, same contract as
 	// DirtyReloader.ReloadDirty for the dirty parameter.

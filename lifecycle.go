@@ -6,18 +6,19 @@ import (
 )
 
 // This file wires the pooled SUT lifecycle (internal/sutpool) into the
-// facade: campaigns can drive their worker SUTs through warm reloads or
-// parse-only validation instead of a cold start/stop cycle per
-// experiment. Each worker leases an instance from a per-campaign pool;
-// instances are health-checked between experiments, quarantined and
-// cold-restarted when a reload wedges them, and released back warm when
-// the run ends.
+// facade: every campaign leases its worker SUTs from a per-campaign pool,
+// whichever lifecycle it runs. Cold campaigns start and stop the SUT
+// around every experiment, as in the paper; reload campaigns keep
+// instances warm and health-checked between experiments, quarantined and
+// cold-restarted when a reload wedges them; validate campaigns only
+// parse-check. Released instances go back to the pool, which the run's
+// cleanup closes.
 //
-// The lifecycle adapter sits UNDER the port remap (simulator →
-// sutpool.Instance → portMappedSystem), so reload capability detection
-// sees the real SUT and every reload error still gets its worker port
-// mapped back to the primary's — profiles stay byte-identical to cold
-// runs. Systems lacking the capability fall back to cold starts.
+// The pool's sutpool.Instance is each worker's one SUT adapter: it sees
+// the real SUT, so reload capability detection works, and it owns the
+// port remap, so every reload error still gets its worker port mapped
+// back to the primary's — profiles stay byte-identical to cold runs.
+// Systems lacking the capability fall back to cold starts.
 
 // Lifecycle selects how worker SUTs are driven through experiments:
 // LifecycleCold (the paper's start/stop-per-experiment engine, the
@@ -43,44 +44,34 @@ func ParseLifecycle(s string) (Lifecycle, error) { return sutpool.ParseMode(s) }
 // and read it with Snapshot.
 type LifecycleCounters = sutpool.Counters
 
-// newLifecyclePool builds the per-campaign worker pool: every leased
-// instance is a factory-built SUT adapted to the mode and wrapped in the
-// port remap, with the finished engine target carried as the lease
-// payload.
-func newLifecyclePool(f TargetFactory, primary *SystemTarget, mode Lifecycle, c *LifecycleCounters) *sutpool.Pool {
-	from := primaryPort(primary)
-	return sutpool.New(mode, c, func(p *sutpool.Pool) (*sutpool.Instance, error) {
+// lifecycleFactory builds the run's worker pool and returns the core
+// per-worker factory leasing from it, plus the cleanup that closes the
+// pool, shutting down every idle instance. Each leased instance is a
+// factory-built SUT adapted to the mode and mapped from the primary's
+// port to its own, with the finished engine target — the instance as its
+// System — carried as the lease payload. Released instances return to
+// the pool warm, so consecutive campaigns over one pool skip even the
+// first cold start.
+func lifecycleFactory(f TargetFactory, primary *SystemTarget, mode Lifecycle, c *LifecycleCounters) (core.TargetFactory, func() error) {
+	from := portOf(primary.System)
+	pool := sutpool.New(mode, c, func(p *sutpool.Pool) (*sutpool.Instance, error) {
 		st, err := f(0)
 		if err != nil {
 			return nil, err
 		}
 		inst := p.Instance(st.Target.System)
-		inst.Payload = remapTarget(st, inst, from)
+		inst.MapPort(from, portOf(st.System))
+		t := *st.Target
+		t.System = inst
+		t.Tests = remapTests(t.Tests, inst)
+		inst.Payload = &t
 		return inst, nil
 	})
-}
-
-// poolWorkerFactory adapts pool leases to the core's per-worker target
-// factory. Released instances return to the pool warm, so consecutive
-// campaigns over one pool skip even the first cold start.
-func poolWorkerFactory(p *sutpool.Pool) core.TargetFactory {
 	return func() (*core.Target, error) {
-		inst, err := p.Lease()
+		inst, err := pool.Lease()
 		if err != nil {
 			return nil, err
 		}
 		return inst.Payload.(*core.Target), nil
-	}
-}
-
-// lifecycleFactory picks the worker-target factory for a run: the plain
-// port-remapping factory for cold runs, a pool-backed one otherwise. The
-// returned cleanup (nil for cold) closes the pool, shutting down every
-// warm instance.
-func lifecycleFactory(f TargetFactory, primary *SystemTarget, mode Lifecycle, c *LifecycleCounters) (core.TargetFactory, func() error) {
-	if mode == LifecycleCold {
-		return workerFactory(f, primary), nil
-	}
-	pool := newLifecyclePool(f, primary, mode, c)
-	return poolWorkerFactory(pool), pool.Close
+	}, pool.Close
 }

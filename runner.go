@@ -110,7 +110,7 @@ func (r *Runner) Run(ctx context.Context, opts ...RunOption) (*Profile, error) {
 		return &profile.Profile{}, err
 	}
 	prof, err := c.RunContext(ctx, coreOpts...)
-	if cerr := runCleanup(cleanup); cerr != nil && err == nil {
+	if cerr := cleanup(); cerr != nil && err == nil {
 		err = cerr
 	}
 	return prof, err
@@ -127,25 +127,17 @@ func (r *Runner) RunStream(ctx context.Context, sink Sink, opts ...RunOption) (i
 		return 0, err
 	}
 	n, err := c.RunStream(ctx, sink, coreOpts...)
-	if cerr := runCleanup(cleanup); cerr != nil && err == nil {
+	if cerr := cleanup(); cerr != nil && err == nil {
 		err = cerr
 	}
 	return n, err
 }
 
-// runCleanup invokes a possibly-nil per-run cleanup.
-func runCleanup(cleanup func() error) error {
-	if cleanup == nil {
-		return nil
-	}
-	return cleanup()
-}
-
 // campaign builds the core campaign around a fresh primary target, wiring
-// the per-worker factory — port-remapping, pool-backed when a lifecycle
-// is selected — in front of the caller's options. The returned cleanup
-// (nil for cold runs) closes the worker pool and must run after the
-// campaign.
+// the per-worker factory — leases from a worker pool in the runner's
+// lifecycle, each instance port-mapped from the primary — in front of the
+// caller's options. The returned cleanup closes the worker pool and must
+// run after the campaign.
 func (r *Runner) campaign(opts []RunOption) (*core.Campaign, []RunOption, func() error, error) {
 	primary, err := r.Factory(r.Port)
 	if err != nil {

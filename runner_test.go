@@ -239,21 +239,3 @@ func TestNewRunnerForSemanticCampaign(t *testing.T) {
 		t.Error("semantic campaign diverged across worker counts")
 	}
 }
-
-func TestReplaceNumber(t *testing.T) {
-	cases := []struct{ s, from, to, want string }{
-		{"port = 23306", "23306", "54012", "port = 54012"},
-		{"port = 2330", "23306", "54012", "port = 2330"},     // typo'd prefix
-		{"port = 233066", "23306", "54012", "port = 233066"}, // typo'd duplication
-		{"port = 123306", "23306", "54012", "port = 123306"}, // embedded
-		{"dial 127.0.0.1:23306: refused", "23306", "54012", "dial 127.0.0.1:54012: refused"},
-		{"23306 and 23306", "23306", "54012", "54012 and 54012"},
-		{"", "23306", "54012", ""},
-		{"x", "", "54012", "x"},
-	}
-	for _, tc := range cases {
-		if got := replaceNumber(tc.s, tc.from, tc.to); got != tc.want {
-			t.Errorf("replaceNumber(%q, %q, %q) = %q, want %q", tc.s, tc.from, tc.to, got, tc.want)
-		}
-	}
-}

@@ -35,10 +35,11 @@ func NewSuiteCampaign(name string, factory TargetFactory, port int, gen Generato
 }
 
 // NewSuiteCampaignLifecycle is NewSuiteCampaign with the worker SUT
-// lifecycle selected: non-cold cells lease their worker SUTs from a
-// per-cell pool (warm reloads or validate-only, falling back to cold for
-// incapable systems) that is closed when the cell finishes. A non-nil
-// counters aggregates lifecycle activity across cells.
+// lifecycle selected: the cell's workers lease their SUTs from a
+// per-cell pool in that mode (cold starts, warm reloads or validate-only,
+// falling back to cold for incapable systems) that is closed when the
+// cell finishes. A non-nil counters aggregates lifecycle activity across
+// cells.
 func NewSuiteCampaignLifecycle(name string, factory TargetFactory, port int, gen Generator, mode Lifecycle, counters *LifecycleCounters) (SuiteCampaign, error) {
 	primary, err := factory(port)
 	if err != nil {

@@ -1,250 +1,39 @@
 package conferr
 
 import (
-	"errors"
-	"strconv"
-	"strings"
-	"time"
-
-	"conferr/internal/core"
+	"conferr/internal/sutpool"
 	"conferr/internal/suts"
 )
 
-// This file adapts a facade TargetFactory into the per-worker
-// core.TargetFactory parallel campaigns need.
-//
-// The faultload of a campaign is generated once, from the primary target,
-// so every mutated configuration embeds the primary's port. If workers
-// started their SUTs on those bytes verbatim they would all contend for
-// the one port; if they ran on private ports the mutated bytes, error
-// messages and functional-test dials would differ from the sequential run
-// and the profile would no longer be deterministic. The wrapper squares
-// the circle: each worker SUT runs on its own port, the primary port is
-// rewritten to the worker's in the config bytes on the way in, and the
-// worker's port is rewritten back to the primary's in every error message
-// on the way out. Typo'd port values are left untouched in both
-// directions, so port-fault scenarios keep their exact sequential
-// behaviour.
+// This file holds the facade's half of the port remap that keeps
+// parallel campaigns deterministic. Every worker SUT runs on its own
+// port while the faultload's mutated bytes embed the primary's;
+// sutpool.Instance.MapPort rewrites the configuration bytes and the
+// start errors, and remapTests below has the Instance rewrite what the
+// worker's functional tests report, since they dial the worker's own
+// port.
 
 // defaultPorter is implemented by every built-in simulator.
 type defaultPorter interface {
 	DefaultPort() int
 }
 
-// workerFactory converts a facade factory into the core per-worker
-// factory, wiring in the port remap against the primary target.
-func workerFactory(f TargetFactory, primary *SystemTarget) core.TargetFactory {
-	from := primaryPort(primary)
-	return func() (*core.Target, error) {
-		st, err := f(0)
-		if err != nil {
-			return nil, err
-		}
-		return remapTarget(st, st.Target.System, from), nil
-	}
-}
-
-// primaryPort is the port the faultload's mutated bytes embed.
-func primaryPort(primary *SystemTarget) int {
-	if dp, ok := primary.System.(defaultPorter); ok {
+// portOf is the port a simulator listens on, 0 for a system without one.
+func portOf(sys suts.System) int {
+	if dp, ok := sys.(defaultPorter); ok {
 		return dp.DefaultPort()
 	}
 	return 0
 }
 
-// remapTarget wraps one worker's target in the port remap against the
-// primary port. sys is the system to wrap — the target's own system, or
-// a lifecycle adapter already wrapped around it.
-func remapTarget(st *SystemTarget, sys suts.System, from int) *core.Target {
-	to := 0
-	if dp, ok := st.System.(defaultPorter); ok {
-		to = dp.DefaultPort()
-	}
-	t := *st.Target
-	if from != 0 && to != 0 && from != to {
-		fromS, toS := strconv.Itoa(from), strconv.Itoa(to)
-		t.System = &portMappedSystem{System: sys, from: fromS, to: toS}
-		t.Tests = remapTests(t.Tests, toS, fromS)
-	} else {
-		// Same port space (or none): still guard against transient
-		// bind collisions with other workers' typo'd ports.
-		t.System = &portMappedSystem{System: sys}
-	}
-	return &t
-}
-
-// portMappedSystem runs a worker's SUT on its own port while presenting
-// the primary port to the rest of the engine. With from == to == "" it
-// only adds the bind-collision retry.
-type portMappedSystem struct {
-	suts.System
-	from string // primary port decimal, "" for no remap
-	to   string // this worker's port decimal
-
-	// memo caches the port rewrite per input slice. The engine's
-	// incremental pipeline hands every clean file's cached baseline bytes
-	// to Start unchanged scenario after scenario, so keying on the slice
-	// identity turns their rewrite into a lookup. Entries are never
-	// evicted: per-scenario dirty-file slices that land in the memo stay
-	// there (bounded by the cap; once it is full, further misses simply
-	// recompute), and keys hold their backing arrays alive, so an
-	// address can never be recycled for different content while its
-	// entry exists. Start is only called from this worker's goroutine,
-	// so no locking.
-	memo map[remapKey][]byte
-}
-
-// Unwrap exposes the wrapped system to the engine's capability probes —
-// lifecycle management detection, probe skipping, pool release — which
-// walk wrapper chains instead of relying on method promotion.
-func (s *portMappedSystem) Unwrap() suts.System { return s.System }
-
-// remapKey identifies an input slice by backing array and length.
-type remapKey struct {
-	p *byte
-	n int
-}
-
-// remapMemoCap bounds the memo: comfortably above any real
-// configuration's file count even after early scenarios' dirty-file
-// slices claim slots, small enough that the pinned bytes stay cheap.
-const remapMemoCap = 256
-
-// remap rewrites the primary port to the worker's in one file's bytes,
-// memoizing per input slice.
-func (s *portMappedSystem) remap(data []byte) []byte {
-	if len(data) == 0 {
-		return data
-	}
-	k := remapKey{&data[0], len(data)}
-	if out, ok := s.memo[k]; ok {
-		return out
-	}
-	out := []byte(replaceNumber(string(data), s.from, s.to))
-	if s.memo == nil {
-		s.memo = make(map[remapKey][]byte, remapMemoCap)
-	}
-	if len(s.memo) < remapMemoCap {
-		s.memo[k] = out
-	}
-	return out
-}
-
-// bindRetry bounds how long a worker waits out another worker holding a
-// (typo'd) port it needs. Experiments against the simulators complete in
-// well under a millisecond, so a few milliseconds of budget covers deep
-// pile-ups while keeping a genuinely occupied port's failure prompt.
-const (
-	bindRetries = 100
-	bindBackoff = 2 * time.Millisecond
-)
-
-// Start implements suts.System: it rewrites the primary port to the
-// worker's, starts the inner SUT (waiting out transient cross-worker bind
-// collisions), and maps the worker's port back to the primary's in any
-// resulting error — startup rejections and infrastructure failures alike
-// end up in the recorded detail, which must match the sequential run.
-func (s *portMappedSystem) Start(files suts.Files) error {
-	return s.start(files, nil, false)
-}
-
-// StartDirty implements suts.DirtyStarter, forwarding the dirty-file set
-// through the port remap so a wrapped DirtyStarter keeps its parse-once
-// fast path. Dirty names need no rewriting — they are file names, not
-// bytes — and clean files' remapped baseline bytes come out of the memo
-// identity-stable, so downstream baseline memos keep hitting.
-func (s *portMappedSystem) StartDirty(files suts.Files, dirty []string) error {
-	return s.start(files, dirty, true)
-}
-
-func (s *portMappedSystem) start(files suts.Files, dirty []string, haveDirty bool) error {
-	if s.from != "" {
-		remapped := make(suts.Files, len(files))
-		for name, data := range files {
-			remapped[name] = s.remap(data)
-		}
-		files = remapped
-	}
-	ds, _ := s.System.(suts.DirtyStarter)
-	var err error
-	for attempt := 0; attempt < bindRetries; attempt++ {
-		if haveDirty && ds != nil {
-			err = ds.StartDirty(files, dirty)
-		} else {
-			err = s.System.Start(files)
-		}
-		if err == nil || !strings.Contains(err.Error(), "address already in use") {
-			break
-		}
-		_ = s.System.Stop()
-		time.Sleep(bindBackoff)
-	}
-	if err == nil || s.from == "" {
-		return err
-	}
-	var se *suts.StartupError
-	if errors.As(err, &se) {
-		return &suts.StartupError{System: se.System, Msg: replaceNumber(se.Msg, s.to, s.from)}
-	}
-	return &remappedError{msg: replaceNumber(err.Error(), s.to, s.from), cause: err}
-}
-
 // remapTests rewrites the worker's port back to the primary's in
 // functional-test failure messages, keeping DetectedByTest details
 // byte-identical to the sequential run.
-func remapTests(tests []suts.Test, workerPort, primaryPort string) []suts.Test {
+func remapTests(tests []suts.Test, inst *sutpool.Instance) []suts.Test {
 	out := make([]suts.Test, len(tests))
 	for i, t := range tests {
 		run := t.Run
-		out[i] = suts.Test{
-			Name: t.Name,
-			Run: func() error {
-				err := run()
-				if err == nil {
-					return err
-				}
-				return &remappedError{msg: replaceNumber(err.Error(), workerPort, primaryPort), cause: err}
-			},
-		}
+		out[i] = suts.Test{Name: t.Name, Run: func() error { return inst.UnmapError(run()) }}
 	}
 	return out
-}
-
-// remappedError rewords an error while keeping the original in the chain.
-type remappedError struct {
-	msg   string
-	cause error
-}
-
-func (e *remappedError) Error() string { return e.msg }
-func (e *remappedError) Unwrap() error { return e.cause }
-
-// replaceNumber replaces standalone decimal occurrences of from with to:
-// matches are rejected when flanked by another digit, so a port embedded
-// in a larger number (for example a typo'd duplication of its digits)
-// stays untouched.
-func replaceNumber(s, from, to string) string {
-	if from == "" || from == to {
-		return s
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		j := strings.Index(s[i:], from)
-		if j < 0 {
-			b.WriteString(s[i:])
-			break
-		}
-		j += i
-		end := j + len(from)
-		digitBefore := j > 0 && s[j-1] >= '0' && s[j-1] <= '9'
-		digitAfter := end < len(s) && s[end] >= '0' && s[end] <= '9'
-		b.WriteString(s[i:j])
-		if digitBefore || digitAfter {
-			b.WriteString(from)
-		} else {
-			b.WriteString(to)
-		}
-		i = end
-	}
-	return b.String()
 }
