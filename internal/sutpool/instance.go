@@ -11,11 +11,11 @@ import (
 // Instance is the one adapter between the campaign engine and a
 // worker's SUT. Start dispatches each experiment to a cold start, a warm
 // reload or a parse-only validation by Mode, remapping the primary port
-// to the worker's on the way in and back on the way out (see MapPort);
-// Stop keeps warm instances running. The engine calls it directly — the
-// System methods are for everything that only needs a suts.System. An
-// Instance is used by one campaign worker at a time (the pool's lease
-// discipline); it is not safe for concurrent use.
+// to the worker's on the way in and back on the way out when the two
+// differ (see MapPort); Stop keeps warm instances running. The engine
+// calls it directly — the System methods are for everything that only
+// needs a suts.System. An Instance is used by one campaign worker at a
+// time (the pool's lease discipline); it is not safe for concurrent use.
 type Instance struct {
 	sys  suts.System
 	mode Mode
@@ -94,12 +94,12 @@ func (i *Instance) StartDirty(files suts.Files, dirty []string) error {
 	return i.start(files, dirty, true)
 }
 
-// start remaps the files to the worker's port, dispatches them —
-// waiting out transient bind collisions with other workers' (typo'd)
-// ports, with a Stop between attempts — and maps the worker's port back
-// to the primary's in any resulting error: startup rejections and
-// infrastructure failures alike end up in the recorded detail, which
-// must match the sequential run.
+// start remaps the files to the worker's port (when MapPort installed a
+// remap), dispatches them — waiting out transient bind collisions with
+// other workers' (typo'd) ports, with a Stop between attempts — and maps
+// the worker's port back to the primary's in any resulting error:
+// startup rejections and infrastructure failures alike end up in the
+// recorded detail, which must match the sequential run.
 func (i *Instance) start(files suts.Files, dirty []string, haveDirty bool) error {
 	if i.from != "" {
 		remapped := make(suts.Files, len(files))

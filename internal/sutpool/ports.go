@@ -9,20 +9,25 @@ import (
 	"conferr/internal/suts"
 )
 
-// This file is the port remap of parallel campaigns.
+// This file is the port remap of parallel campaigns over kernel TCP.
 //
 // The faultload of a campaign is generated once, from the primary target,
-// so every mutated configuration embeds the primary's port. If workers
-// started their SUTs on those bytes verbatim they would all contend for
-// the one port; if they ran on private ports the mutated bytes, error
-// messages and functional-test dials would differ from the sequential run
-// and the profile would no longer be deterministic. The remap squares the
-// circle: each worker SUT runs on its own port, the primary port is
-// rewritten to the worker's in the config bytes on the way in, and the
-// worker's port is rewritten back to the primary's in every error message
-// on the way out. Typo'd port values are left untouched in both
-// directions, so port-fault scenarios keep their exact sequential
-// behaviour.
+// so every mutated configuration embeds the primary's port. Workers that
+// share the kernel's port space cannot all start their SUTs on those
+// bytes verbatim — they would contend for the one port — and if they ran
+// on private ports the mutated bytes, error messages and functional-test
+// dials would differ from the sequential run and the profile would no
+// longer be deterministic. The remap squares the circle: each worker SUT
+// runs on its own port, the primary port is rewritten to the worker's in
+// the config bytes on the way in, and the worker's port is rewritten back
+// to the primary's in every error message on the way out. Typo'd port
+// values are left untouched in both directions, so port-fault scenarios
+// keep their exact sequential behaviour.
+//
+// Workers serving over an in-process memnet network have a private port
+// namespace, so the facade builds them at the primary's port and maps it
+// to itself: no rewrite is installed, and Start hands the SUT the
+// engine's bytes unchanged.
 
 // bindRetry bounds how long a worker waits out another worker holding a
 // (typo'd) port it needs. Experiments against the simulators complete in

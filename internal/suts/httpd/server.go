@@ -323,7 +323,7 @@ func (s *Server) apply(cfg parsed) error {
 		if _, held := s.bound[p]; held {
 			continue
 		}
-		ln, err := s.transport().Listen(fmt.Sprintf("127.0.0.1:%d", p))
+		ln, err := s.Transport().Listen(fmt.Sprintf("127.0.0.1:%d", p))
 		if err != nil {
 			for _, l := range created {
 				_ = l.Close()
@@ -399,8 +399,8 @@ func (s *Server) Health() error {
 // Start; it moves both the listeners and the functional tests’ dials.
 func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
 
-// transport returns the configured transport, defaulting to TCP.
-func (s *Server) transport() suts.Transport {
+// Transport returns the configured transport, defaulting to TCP.
+func (s *Server) Transport() suts.Transport {
 	if s.tr == nil {
 		return suts.TCPTransport{}
 	}
@@ -535,7 +535,7 @@ func (s *Server) httpClient() *http.Client {
 			Timeout: 5 * time.Second,
 			Transport: &http.Transport{
 				DialContext: func(ctx stdcontext.Context, network, addr string) (net.Conn, error) {
-					return s.transport().Dial(addr)
+					return s.Transport().Dial(addr)
 				},
 				MaxIdleConnsPerHost: 4,
 			},
@@ -560,7 +560,7 @@ func Tests(s *Server) []suts.Test {
 		Run: func() error {
 			once.Do(func() {
 				client = httpprobe.NewClient(func(addr string) (net.Conn, error) {
-					return s.transport().Dial(addr)
+					return s.Transport().Dial(addr)
 				}, 5*time.Second)
 				probe = httpprobe.NewProbe(fmt.Sprintf("127.0.0.1:%d", s.DefaultPort()), "/", "")
 			})

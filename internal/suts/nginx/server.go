@@ -282,7 +282,7 @@ func (s *Server) apply(servers []vserver, ports []int) error {
 		if _, held := s.bound[port]; held {
 			continue
 		}
-		ln, err := s.transport().Listen(fmt.Sprintf("127.0.0.1:%d", port))
+		ln, err := s.Transport().Listen(fmt.Sprintf("127.0.0.1:%d", port))
 		if err != nil {
 			for _, b := range created {
 				_ = b.ln.Close()
@@ -425,8 +425,8 @@ func (s *Server) Health() error {
 // Start; it moves both the listeners and the functional tests' dials.
 func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
 
-// transport returns the configured transport, defaulting to TCP.
-func (s *Server) transport() suts.Transport {
+// Transport returns the configured transport, defaulting to TCP.
+func (s *Server) Transport() suts.Transport {
 	if s.tr == nil {
 		return suts.TCPTransport{}
 	}
@@ -668,7 +668,7 @@ func (s *Server) httpClient() *http.Client {
 			Timeout: 5 * time.Second,
 			Transport: &http.Transport{
 				DialContext: func(ctx stdcontext.Context, network, addr string) (net.Conn, error) {
-					return s.transport().Dial(addr)
+					return s.Transport().Dial(addr)
 				},
 				MaxIdleConnsPerHost: 4,
 			},
@@ -695,7 +695,7 @@ func Tests(s *Server) []suts.Test {
 	)
 	setup := func() {
 		client = httpprobe.NewClient(func(addr string) (net.Conn, error) {
-			return s.transport().Dial(addr)
+			return s.Transport().Dial(addr)
 		}, 5*time.Second)
 		addr := fmt.Sprintf("127.0.0.1:%d", s.DefaultPort())
 		pDefault = httpprobe.NewProbe(addr, "/", "")

@@ -149,7 +149,7 @@ func (s *Server) Start(files suts.Files) error {
 		return err
 	}
 	s.settings = st
-	ln, err := s.transport().Listen(addr)
+	ln, err := s.Transport().Listen(addr)
 	if err != nil {
 		return &suts.StartupError{System: s.Name(),
 			Msg: fmt.Sprintf("sqlmini: listen %s: %v", addr, err)}
@@ -202,7 +202,7 @@ func (s *Server) applyReload(st settings, addr string) error {
 		s.settings = st
 		return nil
 	}
-	ln, err := s.transport().Listen(addr)
+	ln, err := s.Transport().Listen(addr)
 	if err != nil {
 		return &suts.StartupError{System: s.Name(),
 			Msg: fmt.Sprintf("sqlmini: listen %s: %v", addr, err)}
@@ -250,8 +250,8 @@ func (s *Server) Health() error {
 // Start; it moves both the listener and the functional tests' dials.
 func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
 
-// transport returns the configured transport, defaulting to TCP.
-func (s *Server) transport() suts.Transport {
+// Transport returns the configured transport, defaulting to TCP.
+func (s *Server) Transport() suts.Transport {
 	if s.tr == nil {
 		return suts.TCPTransport{}
 	}
@@ -412,7 +412,7 @@ func Tests(s *Server) []suts.Test {
 		Name: "db-roundtrip",
 		Run: func() error {
 			addr := fmt.Sprintf("127.0.0.1:%d", s.DefaultPort())
-			conn, err := s.transport().Dial(addr)
+			conn, err := s.Transport().Dial(addr)
 			if err != nil {
 				return fmt.Errorf("connect: %w", fmt.Errorf("sqlmini: dial %s: %w", addr, err))
 			}

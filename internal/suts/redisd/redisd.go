@@ -216,7 +216,7 @@ func (s *Server) Validate(files suts.Files) error {
 
 // listen binds the serving socket, wrapping failure in redis's wording.
 func (s *Server) listen(port int) (net.Listener, error) {
-	ln, err := s.transport().Listen(fmt.Sprintf("127.0.0.1:%d", port))
+	ln, err := s.Transport().Listen(fmt.Sprintf("127.0.0.1:%d", port))
 	if err != nil {
 		return nil, &suts.StartupError{System: s.Name(),
 			Msg: fmt.Sprintf("Could not create server TCP listening socket 127.0.0.1:%d: %v", port, err)}
@@ -278,8 +278,8 @@ func (s *Server) Health() error {
 // Start; it moves both the listener and the functional tests' dials.
 func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
 
-// transport returns the configured transport, defaulting to TCP.
-func (s *Server) transport() suts.Transport {
+// Transport returns the configured transport, defaulting to TCP.
+func (s *Server) Transport() suts.Transport {
 	if s.tr == nil {
 		return suts.TCPTransport{}
 	}
@@ -504,7 +504,7 @@ func validMemory(s string) bool {
 
 // dial connects to the running server through its transport.
 func (s *Server) dial() (net.Conn, error) {
-	return s.transport().Dial(fmt.Sprintf("127.0.0.1:%d", s.DefaultPort()))
+	return s.Transport().Dial(fmt.Sprintf("127.0.0.1:%d", s.DefaultPort()))
 }
 
 // roundTrip sends one inline command and reads one reply line (plus the

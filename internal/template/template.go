@@ -84,11 +84,16 @@ func (r Ref) Resolve(set *confnode.Set) (*confnode.Node, error) {
 // ParseRef. The '#' separator keeps file names containing dots
 // unambiguous.
 func (r Ref) String() string {
-	parts := make([]string, 0, len(r.Indices))
-	for _, i := range r.Indices {
-		parts = append(parts, fmt.Sprint(i))
+	b := make([]byte, 0, len(r.File)+1+3*len(r.Indices))
+	b = append(b, r.File...)
+	b = append(b, '#')
+	for k, i := range r.Indices {
+		if k > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
 	}
-	return r.File + "#" + strings.Join(parts, ".")
+	return string(b)
 }
 
 // ParseRef parses the string form produced by Ref.String.
@@ -128,6 +133,11 @@ func targets(set *confnode.Set, expr *cpath.Expr) []refNode {
 type refNode struct {
 	ref  Ref
 	node *confnode.Node
+}
+
+// scenarioID renders the "class/ref/seq" ID of a single-target scenario.
+func scenarioID(class string, ref Ref, seq int) string {
+	return class + "/" + ref.String() + "/" + strconv.Itoa(seq)
 }
 
 // describe renders a node succinctly for scenario descriptions.
@@ -179,7 +189,7 @@ func (t *DeleteTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 		for i, tn := range targets(set, t.Targets) {
 			ref := tn.ref
 			sc := scenario.Scenario{
-				ID:          fmt.Sprintf("%s/%s/%d", class, ref, i),
+				ID:          scenarioID(class, ref, i),
 				Class:       class,
 				Description: "delete " + describe(tn.node),
 				Apply: func(s *confnode.Set) error {
@@ -231,7 +241,7 @@ func (t *DuplicateTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 		for i, tn := range targets(set, t.Targets) {
 			ref := tn.ref
 			sc := scenario.Scenario{
-				ID:          fmt.Sprintf("%s/%s/%d", class, ref, i),
+				ID:          scenarioID(class, ref, i),
 				Class:       class,
 				Description: "duplicate " + describe(tn.node),
 				Apply: func(s *confnode.Set) error {
@@ -392,12 +402,16 @@ func (t *ModifyTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 		seq := 0
 		for _, tn := range targets(set, t.Targets) {
 			ref := tn.ref
+			// Everything but the sequence number and the variant is fixed
+			// per target, so it is rendered once, not per scenario.
+			idPrefix := class + "/" + ref.String() + "/"
+			on := " on " + describe(tn.node)
 			for _, v := range t.Mutator.Variants(tn.node) {
 				apply := v.Apply
 				sc := scenario.Scenario{
-					ID:          fmt.Sprintf("%s/%s/%d", class, ref, seq),
+					ID:          idPrefix + strconv.Itoa(seq),
 					Class:       class,
-					Description: fmt.Sprintf("%s on %s", v.Description, describe(tn.node)),
+					Description: v.Description + on,
 					Apply: func(s *confnode.Set) error {
 						n, err := ref.Resolve(s)
 						if err != nil {

@@ -368,3 +368,73 @@ func TestDescribeTruncatesLongValues(t *testing.T) {
 		t.Errorf("describe should truncate: %q", d)
 	}
 }
+
+// fmtRef is Ref.String's historical fmt rendering, the form every
+// published scenario ID embeds.
+func fmtRef(r Ref) string {
+	parts := make([]string, 0, len(r.Indices))
+	for _, i := range r.Indices {
+		parts = append(parts, fmt.Sprint(i))
+	}
+	return r.File + "#" + strings.Join(parts, ".")
+}
+
+// TestScenarioStringsMatchFmt pins scenario IDs, descriptions and ref
+// strings to their historical fmt forms, a root ref with no indices
+// included.
+func TestScenarioStringsMatchFmt(t *testing.T) {
+	set := initialSet()
+	for _, r := range []Ref{
+		RefOf("my.cnf", set.Get("my.cnf")),
+		{File: "a#b.conf"},
+		{File: "my.cnf", Indices: []int{0}},
+		{File: "my.cnf", Indices: []int{12, 0, 345}},
+	} {
+		if got, want := r.String(), fmtRef(r); got != want {
+			t.Errorf("Ref%v.String() = %q, want %q", r.Indices, got, want)
+		}
+	}
+	if got := (Ref{File: "my.cnf"}).String(); got != "my.cnf#" {
+		t.Errorf("root ref = %q, want %q", got, "my.cnf#")
+	}
+
+	expr := cpath.MustCompile("//*")
+	tgts := targets(set, expr)
+	check := func(name string, tpl Template, want func(seq int, tn refNode, v *Variant) (string, string)) {
+		t.Helper()
+		scens, err := tpl.Generate(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := 0
+		for _, tn := range tgts {
+			vs := []Variant{{}}
+			if m, ok := tpl.(*ModifyTemplate); ok {
+				vs = m.Mutator.Variants(tn.node)
+			}
+			for k := range vs {
+				if seq >= len(scens) {
+					t.Fatalf("%s: %d scenarios, want more", name, len(scens))
+				}
+				id, desc := want(seq, tn, &vs[k])
+				if sc := scens[seq]; sc.ID != id || sc.Description != desc {
+					t.Errorf("%s #%d = %q %q, want %q %q", name, seq, sc.ID, sc.Description, id, desc)
+				}
+				seq++
+			}
+		}
+		if seq != len(scens) || seq == 0 {
+			t.Errorf("%s: %d scenarios, want %d", name, len(scens), seq)
+		}
+	}
+	check("delete", &DeleteTemplate{Targets: expr}, func(i int, tn refNode, _ *Variant) (string, string) {
+		return fmt.Sprintf("%s/%s/%d", "delete", fmtRef(tn.ref), i), "delete " + describe(tn.node)
+	})
+	check("duplicate", &DuplicateTemplate{Targets: expr, Class: "structural/dup"}, func(i int, tn refNode, _ *Variant) (string, string) {
+		return fmt.Sprintf("%s/%s/%d", "structural/dup", fmtRef(tn.ref), i), "duplicate " + describe(tn.node)
+	})
+	check("modify", &ModifyTemplate{Targets: expr, Mutator: upperMutator{}}, func(seq int, tn refNode, v *Variant) (string, string) {
+		return fmt.Sprintf("%s/%s/%d", "modify/upper", fmtRef(tn.ref), seq),
+			fmt.Sprintf("%s on %s", v.Description, describe(tn.node))
+	})
+}

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"conferr/internal/confnode"
 	"conferr/internal/template"
@@ -248,12 +249,14 @@ var foldBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return 
 // refCache memoizes template.ParseRef by source string. Provenance
 // attributes come from the frozen baseline view, so a campaign folds the
 // same handful of ref strings millions of times; parsing each once turns
-// the per-line split/Atoi work into a map hit. Mutated provenance (a
-// plugin rewriting SrcAttr) can introduce new strings, so the cache is
-// capped — past the cap, misses simply parse without storing.
+// the per-line split/Atoi work into a map hit. It is a sync.Map because
+// every campaign worker reads it on every folded line and a sync.Map
+// Load takes no lock. Mutated provenance (a plugin rewriting SrcAttr)
+// can introduce new strings, so the cache is capped — refCacheLen counts
+// stored entries, and past the cap misses simply parse without storing.
 var (
-	refCacheMu sync.RWMutex
-	refCache   map[string]template.Ref
+	refCache    sync.Map // string → template.Ref
+	refCacheLen atomic.Int32
 )
 
 // refCacheCap bounds refCache; far above any real configuration's line
@@ -263,24 +266,21 @@ const refCacheCap = 4096
 // parseRefCached is template.ParseRef through refCache. Only successful
 // parses are cached; errors keep ParseRef's exact wording.
 func parseRefCached(s string) (template.Ref, error) {
-	refCacheMu.RLock()
-	ref, ok := refCache[s]
-	refCacheMu.RUnlock()
-	if ok {
-		return ref, nil
+	if ref, ok := refCache.Load(s); ok {
+		return ref.(template.Ref), nil
 	}
 	ref, err := template.ParseRef(s)
 	if err != nil {
 		return template.Ref{}, err
 	}
-	refCacheMu.Lock()
-	if refCache == nil {
-		refCache = make(map[string]template.Ref, 64)
+	// Reserve a slot before storing, so concurrent misses never push the
+	// cache past its cap; a slot past the cap, or lost to a racing store
+	// of the same string, is handed back.
+	if refCacheLen.Add(1) > refCacheCap {
+		refCacheLen.Add(-1)
+	} else if _, loaded := refCache.LoadOrStore(s, ref); loaded {
+		refCacheLen.Add(-1)
 	}
-	if len(refCache) < refCacheCap {
-		refCache[s] = ref
-	}
-	refCacheMu.Unlock()
 	return ref, nil
 }
 

@@ -15,10 +15,13 @@ import (
 // cleanup closes.
 //
 // The pool's sutpool.Instance is each worker's one SUT adapter: it sees
-// the real SUT, so reload capability detection works, and it owns the
-// port remap, so every reload error still gets its worker port mapped
-// back to the primary's — profiles stay byte-identical to cold runs.
-// Systems lacking the capability fall back to cold starts.
+// the real SUT, so reload capability detection works. Workers whose SUT
+// serves over memnet bind the primary's port verbatim in their private
+// namespace and run on exactly the sequential run's bytes. Kernel-TCP
+// workers share the port space, so each runs on its own port and the
+// Instance owns the remap that maps every error back to the primary's
+// port — profiles stay byte-identical to cold runs either way. Systems
+// lacking the reload capability fall back to cold starts.
 
 // Lifecycle selects how worker SUTs are driven through experiments:
 // LifecycleCold (the paper's start/stop-per-experiment engine, the
@@ -47,23 +50,31 @@ type LifecycleCounters = sutpool.Counters
 // lifecycleFactory builds the run's worker pool and returns the core
 // per-worker factory leasing from it, plus the cleanup that closes the
 // pool, shutting down every idle instance. Each leased instance is a
-// factory-built SUT adapted to the mode and mapped from the primary's
-// port to its own, with the finished engine target — the instance as its
-// System — carried as the lease payload. Released instances return to
-// the pool warm, so consecutive campaigns over one pool skip even the
-// first cold start.
+// factory-built SUT adapted to the mode, with the finished engine target
+// — the instance as its System — carried as the lease payload. When the
+// primary serves over memnet every worker is built at the primary's port
+// and nothing is remapped; otherwise workers get free ports mapped from
+// the primary's. Released instances return to the pool warm, so
+// consecutive campaigns over one pool skip even the first cold start.
 func lifecycleFactory(f TargetFactory, primary *SystemTarget, mode Lifecycle, c *LifecycleCounters) (core.TargetFactory, func() error) {
 	from := portOf(primary.System)
+	port := 0
+	if onMemnet(primary.System) {
+		port = from
+	}
 	pool := sutpool.New(mode, c, func(p *sutpool.Pool) (*sutpool.Instance, error) {
-		st, err := f(0)
+		st, err := f(port)
 		if err != nil {
 			return nil, err
 		}
 		inst := p.Instance(st.Target.System)
-		inst.MapPort(from, portOf(st.System))
+		to := portOf(st.System)
+		inst.MapPort(from, to)
 		t := *st.Target
 		t.System = inst
-		t.Tests = remapTests(t.Tests, inst)
+		if to != from {
+			t.Tests = remapTests(t.Tests, inst)
+		}
 		inst.Payload = &t
 		return inst, nil
 	})

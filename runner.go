@@ -135,9 +135,10 @@ func (r *Runner) RunStream(ctx context.Context, sink Sink, opts ...RunOption) (i
 
 // campaign builds the core campaign around a fresh primary target, wiring
 // the per-worker factory — leases from a worker pool in the runner's
-// lifecycle, each instance port-mapped from the primary — in front of the
-// caller's options. The returned cleanup closes the worker pool and must
-// run after the campaign.
+// lifecycle, each instance at the primary's port over memnet or
+// port-mapped from it over kernel TCP — in front of the caller's
+// options. The returned cleanup closes the worker pool and must run
+// after the campaign.
 func (r *Runner) campaign(opts []RunOption) (*core.Campaign, []RunOption, func() error, error) {
 	primary, err := r.Factory(r.Port)
 	if err != nil {

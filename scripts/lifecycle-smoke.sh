@@ -3,11 +3,12 @@
 #
 # Runs one bounded nginx/typo matrix cell through `conferr matrix` under
 # cold starts over kernel TCP (1 and 4 workers), cold starts over the
-# in-process memnet transport, and warm reloads over memnet (1 and 4
-# workers), and byte-compares (cmp) every -no-duration stream against
-# the cold TCP single-worker one: the lifecycle, the transport, the
-# worker count and the port remap of parallel workers must all be
-# invisible in the output. Validate-only runs report probe detections as
+# in-process memnet transport (1 and 4 workers), and warm reloads over
+# memnet (1, 4 and 8 workers), and byte-compares (cmp) every -no-duration
+# stream against the cold TCP single-worker one: the lifecycle, the
+# transport, the worker count, the port remap of parallel TCP workers and
+# the verbatim primary port of memnet workers must all be invisible in
+# the output. Validate-only runs report probe detections as
 # ignored, so they are compared with each other (1 vs 4 workers) only.
 #
 # Base port 11516 keeps every typo'd port below the kernel's ephemeral
@@ -30,9 +31,11 @@ run() {
 echo "== cold TCP reference (1 worker)"
 run cold-tcp-w1 -lifecycle cold -workers 1
 for cfg in "cold-tcp-w4 -lifecycle cold -workers 4" \
+  "cold-memnet-w1 -lifecycle cold -memnet -workers 1" \
   "cold-memnet-w4 -lifecycle cold -memnet -workers 4" \
   "reload-memnet-w1 -lifecycle reload -memnet -workers 1" \
-  "reload-memnet-w4 -lifecycle reload -memnet -workers 4"; do
+  "reload-memnet-w4 -lifecycle reload -memnet -workers 4" \
+  "reload-memnet-w8 -lifecycle reload -memnet -workers 8"; do
   set -- $cfg
   echo "== $1"
   run "$@"

@@ -9,12 +9,14 @@ import (
 // its listeners — and dials its functional-test probes — over a private
 // in-process network (internal/memnet) instead of kernel loopback TCP.
 // Each built target gets its own network namespace, so worker SUTs can
-// never collide on a port no matter how the faultload typos one; the
-// engine's bind-retry and detection logic still behave identically
-// because memnet words its errors exactly like the kernel. Systems that
-// do not implement suts.TransportSetter (the DNS targets, whose liveness
-// probes speak real UDP/TCP) pass through unchanged and keep the kernel
-// transport.
+// never collide on a port no matter how the faultload typos one: every
+// worker of a parallel campaign binds the primary's port verbatim, and
+// the port remap that kernel-TCP workers need is skipped in both
+// directions. Detection logic behaves identically because memnet words
+// its errors exactly like the kernel. Systems that do not implement
+// suts.TransportSetter (mysql, whose clients dial TCP directly, and the
+// DNS targets, whose liveness probes speak real UDP/TCP) pass through
+// unchanged and keep the kernel transport and the remap.
 //
 // Profiles are byte-identical to kernel-TCP runs; the wrapper composes
 // with every lifecycle mode, so
@@ -33,4 +35,15 @@ func InMemoryTransport(f TargetFactory) TargetFactory {
 		}
 		return st, nil
 	}
+}
+
+// onMemnet reports whether sys serves over an in-process memnet network
+// (see InMemoryTransport), where its ports are private to it.
+func onMemnet(sys suts.System) bool {
+	t, ok := sys.(interface{ Transport() suts.Transport })
+	if !ok {
+		return false
+	}
+	_, ok = t.Transport().(*memnet.Network)
+	return ok
 }

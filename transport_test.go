@@ -27,7 +27,7 @@ func TestInMemoryTransportMatchesTCP(t *testing.T) {
 		}
 		return canonicalProfile(p)
 	}()
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		r := &Runner{
 			Factory: InMemoryTransport(NginxTargetAt), Generator: gen(),
 			Port: transportTestNginxPort,

@@ -6,12 +6,14 @@ import (
 )
 
 // This file holds the facade's half of the port remap that keeps
-// parallel campaigns deterministic. Every worker SUT runs on its own
-// port while the faultload's mutated bytes embed the primary's;
+// parallel kernel-TCP campaigns deterministic. Workers sharing the
+// kernel's port space each run their SUT on its own port while the
+// faultload's mutated bytes embed the primary's;
 // sutpool.Instance.MapPort rewrites the configuration bytes and the
 // start errors, and remapTests below has the Instance rewrite what the
 // worker's functional tests report, since they dial the worker's own
-// port.
+// port. Memnet workers bind the primary's port in a private namespace
+// and need neither (see lifecycleFactory).
 
 // defaultPorter is implemented by every built-in simulator.
 type defaultPorter interface {
