@@ -516,12 +516,12 @@ func (c *Coordinator) attempt(ctx context.Context, endpoint string, st *coordSta
 	}
 
 	lr := newLineReader(conn)
+	var f Frame
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(stallTO)); err != nil {
 			return err, false
 		}
-		var f Frame
-		if err := lr.next(&f); err != nil {
+		if err := lr.nextFrame(&f); err != nil {
 			if errors.Is(err, io.EOF) {
 				return errors.New("dist: worker closed connection mid-shard"), false
 			}

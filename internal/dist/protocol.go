@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"conferr/internal/profile"
@@ -107,6 +108,14 @@ type ShardRequest struct {
 //     count (skipped-by-StartSeq included) and Summary the outcome tally
 //     of the experiments this run executed.
 //   - "error": the shard failed; Err carries the complaint.
+//
+// Every frame is the encoding/json rendering of this struct, one per
+// line. Workers write rec frames with appendRecFrame, a fixed encoder
+// that emits those same bytes without reflection, and batch them: the
+// connection is flushed at every progress heartbeat, before the done or
+// error frame, and whenever the write buffer fills. The coordinator
+// decodes rec frames of that exact shape with decodeRecFrame, which
+// accepts only what json.Unmarshal accepts and yields the same Frame.
 type Frame struct {
 	Type    string           `json:"type"`
 	Seq     int              `json:"seq,omitempty"`
@@ -130,7 +139,9 @@ const (
 // the JSONL scanner's ceiling.
 const maxLine = 16 * 1024 * 1024
 
-// lineReader decodes line-delimited JSON messages.
+// lineReader decodes line-delimited JSON messages: a worker reads its
+// request with next, a coordinator its frames with nextFrame, which takes
+// rec frames off the line without reflection.
 type lineReader struct {
 	sc *bufio.Scanner
 }
@@ -141,23 +152,144 @@ func newLineReader(r io.Reader) *lineReader {
 	return &lineReader{sc: sc}
 }
 
+// line returns the next non-empty line. It aliases the scanner's buffer
+// and is valid until the next call. io.EOF reports a cleanly exhausted
+// stream.
+func (l *lineReader) line() ([]byte, error) {
+	for l.sc.Scan() {
+		if line := l.sc.Bytes(); len(line) > 0 {
+			return line, nil
+		}
+	}
+	if err := l.sc.Err(); err != nil {
+		return nil, err
+	}
+	return nil, io.EOF
+}
+
 // next decodes the next non-empty line into v. io.EOF reports a cleanly
 // exhausted stream.
 func (l *lineReader) next(v any) error {
-	for l.sc.Scan() {
-		line := l.sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if err := json.Unmarshal(line, v); err != nil {
-			return fmt.Errorf("dist: decoding message: %w", err)
-		}
-		return nil
-	}
-	if err := l.sc.Err(); err != nil {
+	line, err := l.line()
+	if err != nil {
 		return err
 	}
-	return io.EOF
+	if err := json.Unmarshal(line, v); err != nil {
+		return fmt.Errorf("dist: decoding message: %w", err)
+	}
+	return nil
+}
+
+// nextFrame decodes the next non-empty line into f, overwriting every
+// field. Rec frames in appendRecFrame's shape take decodeRecFrame's
+// reflection-free path, and their f.Rec aliases the reader's buffer
+// until the next call; every other line goes through json.Unmarshal.
+func (l *lineReader) nextFrame(f *Frame) error {
+	line, err := l.line()
+	if err != nil {
+		return err
+	}
+	if decodeRecFrame(line, f) {
+		return nil
+	}
+	// Zero f first: json.Unmarshal merges into existing fields, and a
+	// RawMessage appends into its old backing array, which may be a
+	// previous line's buffer.
+	*f = Frame{}
+	if err := json.Unmarshal(line, f); err != nil {
+		return fmt.Errorf("dist: decoding message: %w", err)
+	}
+	return nil
+}
+
+// recFramePrefix opens every rec frame with a non-zero sequence number;
+// recFrameRec separates the sequence from the record.
+const (
+	recFramePrefix = `{"type":"rec","seq":`
+	recFrameRec    = `,"rec":`
+)
+
+// maxRecFrameOverhead bounds the bytes a rec frame adds around its
+// record line: prefix, a 20-byte int64, separator, '}' and '\n'.
+const maxRecFrameOverhead = len(recFramePrefix) + 20 + len(recFrameRec) + 2
+
+// appendRecFrame appends the rec frame for one record line, newline
+// included. The bytes equal json.Marshal(Frame{Type: TypeRec, Seq: seq,
+// Rec: line}) plus '\n' whenever line is compact, HTML-escaped JSON — as
+// every profile.AppendJSONLRecord line is — because json.Marshal copies
+// such a RawMessage verbatim. A zero seq is omitted, as omitempty does.
+func appendRecFrame(dst []byte, seq int, line []byte) []byte {
+	if seq == 0 {
+		dst = append(dst, `{"type":"rec","rec":`...)
+	} else {
+		dst = append(dst, recFramePrefix...)
+		dst = strconv.AppendInt(dst, int64(seq), 10)
+		dst = append(dst, recFrameRec...)
+	}
+	dst = append(dst, line...)
+	return append(dst, '}', '\n')
+}
+
+// writeRecFrame encodes one rec frame straight into bw's free space,
+// flushing bw first when the frame might not fit.
+func writeRecFrame(bw *bufio.Writer, seq int, line []byte) error {
+	if bw.Available() < len(line)+maxRecFrameOverhead {
+		if err := flushFrames(bw); err != nil {
+			return err
+		}
+	}
+	if _, err := bw.Write(appendRecFrame(bw.AvailableBuffer(), seq, line)); err != nil {
+		return fmt.Errorf("dist: writing message: %w", err)
+	}
+	return nil
+}
+
+// flushFrames writes bw's buffered frames to the connection.
+func flushFrames(bw *bufio.Writer) error {
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("dist: writing message: %w", err)
+	}
+	return nil
+}
+
+// decodeRecFrame decodes line into f without reflection when it is a rec
+// frame of exactly appendRecFrame's shape: the prefix, a canonical
+// positive decimal sequence of at most 18 digits (so it cannot
+// overflow), the separator, one valid JSON value without surrounding
+// whitespace, and the closing brace. Such a line is a valid JSON object
+// whose json.Unmarshal is exactly the Frame set here. Any other line —
+// seq 0, other frame types, extra keys or spacing — reports false and
+// leaves f untouched, for the caller to hand to json.Unmarshal. f.Rec
+// aliases line.
+func decodeRecFrame(line []byte, f *Frame) bool {
+	if len(line) < len(recFramePrefix) || string(line[:len(recFramePrefix)]) != recFramePrefix {
+		return false
+	}
+	rest := line[len(recFramePrefix):]
+	if len(rest) == 0 || rest[0] < '1' || rest[0] > '9' {
+		return false
+	}
+	seq, i := 0, 0
+	for ; i < len(rest) && i <= 18 && '0' <= rest[i] && rest[i] <= '9'; i++ {
+		seq = seq*10 + int(rest[i]-'0')
+	}
+	if i > 18 {
+		return false
+	}
+	rest = rest[i:]
+	if len(rest) < len(recFrameRec)+2 || string(rest[:len(recFrameRec)]) != recFrameRec || rest[len(rest)-1] != '}' {
+		return false
+	}
+	rec := rest[len(recFrameRec) : len(rest)-1]
+	if isJSONSpace(rec[0]) || isJSONSpace(rec[len(rec)-1]) || !json.Valid(rec) {
+		return false
+	}
+	*f = Frame{Type: TypeRec, Seq: seq, Rec: rec}
+	return true
+}
+
+func isJSONSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 // writeMsg encodes v as one JSON line. Callers serialize access to w.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -218,16 +219,27 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 
 	// Writes to the connection interleave two producers — the runner's
 	// record frames and the heartbeat ticker — so they serialize on wmu.
+	// Record frames collect in bw; every other frame flushes it, so the
+	// heartbeat bounds how long a record waits, exactly as it bounds the
+	// coordinator's stall detection.
 	var wmu sync.Mutex
+	bw := bufio.NewWriterSize(conn, frameBufSize)
 	send := func(f Frame) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		return writeMsg(conn, f)
+		if err := writeMsg(bw, f); err != nil {
+			return err
+		}
+		return flushFrames(bw)
+	}
+	sendRec := func(seq int, line []byte) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		return writeRecFrame(bw, seq, line)
 	}
 
-	// The shard aborts when the connection dies: emit's write error
-	// propagates out of the runner, and cancelling runCtx here covers
-	// tally mode, where nothing is written until the shard ends. Drain
+	// The shard aborts when the connection dies: a failed write or flush
+	// cancels runCtx, and so does the read-side watch below. Drain
 	// cancels it too, after its grace period.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -241,6 +253,25 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 		s.mu.Lock()
 		delete(s.cancels, conn)
 		s.mu.Unlock()
+	}()
+
+	// Record frames reach the connection only at the next flush, so a
+	// failed write can lag a dead peer by a heartbeat or more. The read
+	// side watches instead: the coordinator sends nothing after its
+	// request, so any read result — EOF, a reset, stray bytes — means
+	// nobody is left to deliver the shard to.
+	watchDone := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		var b [1]byte
+		_, _ = conn.Read(b[:])
+		cancel()
+	}()
+	defer func() {
+		// Closing ends the watch's Read; Serve closes conn after handle
+		// returns anyway.
+		_ = conn.Close()
+		<-watchDone
 	}()
 
 	var lastSeq, emitted int
@@ -289,7 +320,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 			return err
 		}
 		if !req.Campaign.TallyOnly {
-			if err := send(Frame{Type: TypeRec, Seq: seq, Rec: line}); err != nil {
+			if err := sendRec(seq, line); err != nil {
 				cancel()
 				return err
 			}
@@ -311,6 +342,11 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	sum := res.Summary
 	_ = send(Frame{Type: TypeDone, Records: res.Records, Summary: &sum})
 }
+
+// frameBufSize is the worker's write buffer: about fifty typical rec
+// frames per write. On dist-loopback, 64 KiB was no faster and delayed
+// the first record by filling longer.
+const frameBufSize = 16 * 1024
 
 // runShard invokes the runner behind a panic boundary: a panicking
 // runner (a buggy plugin surviving the engine's own containment, a bug

@@ -27,6 +27,7 @@ type SeqMerger struct {
 	pending map[int][]byte
 	dups    int
 	flushed int
+	line    []byte // scratch for writing an in-order line with its newline
 }
 
 // NewSeqMerger returns a merger flushing to w, with start the first
@@ -39,7 +40,8 @@ func NewSeqMerger(w io.Writer, start int) *SeqMerger {
 
 // Add accepts one record line for the given global sequence number,
 // parking it until its predecessors arrive and then flushing the
-// contiguous run. The line is copied; callers may reuse the slice.
+// contiguous run. The line is copied; callers may reuse the slice. A
+// line arriving in order is written straight through, never parked.
 func (m *SeqMerger) Add(seq int, line []byte) error {
 	if seq < 0 {
 		return fmt.Errorf("profile: merge: negative sequence %d", seq)
@@ -49,25 +51,33 @@ func (m *SeqMerger) Add(seq int, line []byte) error {
 		m.dups++
 		return nil
 	}
-	if prev, ok := m.pending[seq]; ok {
-		if !bytes.Equal(prev, line) {
-			return fmt.Errorf("profile: merge: sequence %d delivered twice with different content", seq)
+	if seq > m.next {
+		if prev, ok := m.pending[seq]; ok {
+			if !bytes.Equal(prev, line) {
+				return fmt.Errorf("profile: merge: sequence %d delivered twice with different content", seq)
+			}
+			m.dups++
+			return nil
 		}
-		m.dups++
+		m.pending[seq] = append([]byte(nil), line...)
 		return nil
 	}
-	m.pending[seq] = append([]byte(nil), line...)
+	// One Write per line, as line-oriented writers (cprof.LineWriter)
+	// expect; the copy into m.line keeps the caller's slice untouched.
+	m.line = append(append(m.line[:0], line...), '\n')
+	out := m.line
 	for {
+		if _, err := m.w.Write(out); err != nil {
+			return fmt.Errorf("profile: merge: writing sequence %d: %w", m.next, err)
+		}
+		m.next++
+		m.flushed++
 		l, ok := m.pending[m.next]
 		if !ok {
 			return nil
 		}
 		delete(m.pending, m.next)
-		if _, err := m.w.Write(append(l, '\n')); err != nil {
-			return fmt.Errorf("profile: merge: writing sequence %d: %w", m.next, err)
-		}
-		m.next++
-		m.flushed++
+		out = append(l, '\n')
 	}
 }
 

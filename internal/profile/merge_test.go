@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -149,5 +150,55 @@ func TestSeqMergerCopiesLines(t *testing.T) {
 	want := string(mergeLine(0)) + "\n" + string(mergeLine(1)) + "\n"
 	if out.String() != want {
 		t.Fatalf("parked line was not copied:\n%s", out.String())
+	}
+}
+
+// TestSeqMergerInOrderAddAllocs: a line arriving in order is written
+// straight through, never parked, so a warm merger allocates nothing
+// for it.
+func TestSeqMergerInOrderAddAllocs(t *testing.T) {
+	m := NewSeqMerger(io.Discard, 0)
+	line := mergeLine(123456)
+	seq := 0
+	add := func() {
+		if err := m.Add(seq, line); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+	}
+	add()
+	if allocs := testing.AllocsPerRun(1000, add); allocs != 0 {
+		t.Fatalf("in-order Add allocates %.1f times, want 0", allocs)
+	}
+	if m.PendingCount() != 0 || m.Front() != seq {
+		t.Fatalf("pending=%d front=%d, want 0 and %d", m.PendingCount(), m.Front(), seq)
+	}
+}
+
+// TestSeqMergerWriteThroughKeepsCallerSlice: the in-order write-through
+// neither writes into nor retains the caller's slice, which may alias a
+// reader's buffer that is overwritten right after Add returns.
+func TestSeqMergerWriteThroughKeepsCallerSlice(t *testing.T) {
+	var out bytes.Buffer
+	m := NewSeqMerger(&out, 0)
+	buf := make([]byte, 0, 64)
+	buf = append(buf, mergeLine(0)...)
+	spare := buf[len(buf):cap(buf)]
+	for i := range spare {
+		spare[i] = 'x'
+	}
+	if err := m.Add(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if spare[0] != 'x' {
+		t.Fatal("Add appended into the caller's slice")
+	}
+	copy(buf, []byte(`{"seq":9}`))
+	if err := m.Add(1, mergeLine(1)); err != nil {
+		t.Fatal(err)
+	}
+	want := string(mergeLine(0)) + "\n" + string(mergeLine(1)) + "\n"
+	if out.String() != want {
+		t.Fatalf("merged stream = %q, want %q", out.String(), want)
 	}
 }
