@@ -372,15 +372,6 @@ func (s slowSystem) Start(files suts.Files) error {
 	return s.System.Start(files)
 }
 
-// DefaultPort keeps the wrapped system eligible for per-worker port
-// remapping.
-func (s slowSystem) DefaultPort() int {
-	if dp, ok := s.System.(interface{ DefaultPort() int }); ok {
-		return dp.DefaultPort()
-	}
-	return 0
-}
-
 // slowFactory wraps the Postgres target with the given start latency.
 func slowFactory(delay time.Duration) TargetFactory {
 	return func(port int) (*SystemTarget, error) {
@@ -391,7 +382,7 @@ func slowFactory(delay time.Duration) TargetFactory {
 		sys := slowSystem{System: st.Target.System, delay: delay}
 		t := *st.Target
 		t.System = sys
-		return &SystemTarget{System: sys, Target: &t}, nil
+		return &SystemTarget{System: st.System, Target: &t}, nil
 	}
 }
 

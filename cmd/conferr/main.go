@@ -460,17 +460,6 @@ func cmdMatrix(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if lifecycle == conferr.LifecycleReload && !*memnet {
-		// Warm instances keep their listeners bound across experiments, so
-		// on kernel TCP a typo'd port another cell (or an unrelated
-		// process) holds can surface as a bind failure the cold lifecycle
-		// would not see, and records stop being comparable across runs.
-		// The in-process transport gives every instance a private port
-		// namespace, which is what the reload equivalence guarantees are
-		// stated against.
-		fmt.Fprintln(os.Stderr, "conferr: warning: -lifecycle=reload on kernel TCP can diverge from cold-lifecycle records when typo'd ports collide with bound listeners; use -memnet for collision-free port namespaces")
-	}
-
 	stopDiag, err := diag.start()
 	if err != nil {
 		return err

@@ -20,7 +20,8 @@ import (
 const deadlineTestPort = 23945
 
 // wedgeSUT is a reload-capable simulator whose port appears in its
-// configuration, so its campaigns run through the worker port remap. It
+// configuration; every worker serves that port on a loopback host of its
+// own, which the simulator (binding nothing) accepts and ignores. It
 // requires directive k1 at startup and its probe requires k2, naming its
 // own port in both complaints. The first reload that finds wedgeKey (if
 // any) deleted blocks until the phase watchdog has quarantined an
@@ -50,6 +51,7 @@ func (s *wedgeSUT) DefaultConfig() suts.Files {
 func (s *wedgeSUT) Start(files suts.Files) error  { return s.apply(files, false) }
 func (s *wedgeSUT) Reload(files suts.Files) error { return s.apply(files, true) }
 func (s *wedgeSUT) Health() error                 { return nil }
+func (s *wedgeSUT) SetHost(string)                {}
 
 func (s *wedgeSUT) Stop() error {
 	s.mu.Lock()
@@ -94,8 +96,8 @@ func (s *wedgeSUT) probe() error {
 	return nil
 }
 
-// wedgeFactory builds the family of wedgeSUTs: the primary at its port,
-// workers on ports of their own.
+// wedgeFactory builds the family of wedgeSUTs, all at the primary's
+// port.
 func wedgeFactory(wedgeKey string, ctrs *LifecycleCounters) TargetFactory {
 	var next atomic.Int32
 	wedged := &atomic.Bool{}
@@ -116,7 +118,8 @@ func wedgeFactory(wedgeKey string, ctrs *LifecycleCounters) TargetFactory {
 }
 
 // TestDeadlinesThroughPooledPortMappedWorkers runs the phase watchdog
-// over the facade's pooled, port-mapped workers: the wedged reload alone
+// over the facade's pooled workers, each at the primary's port on a
+// loopback host of its own: the wedged reload alone
 // becomes an InfrastructureError, its instance is quarantined, and every
 // other record — startup rejections and probe failures naming the port
 // among them — equals an unwedged run's.

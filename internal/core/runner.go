@@ -77,7 +77,7 @@ func WithBaselineCheck() RunOption {
 //
 // A worker drives its SUT through a *sutpool.Instance: the target's
 // System when it already is one (a facade pool lease, carrying the
-// lifecycle mode and the port remap), otherwise a pool-less cold
+// lifecycle mode and the worker's loopback host), otherwise a pool-less cold
 // Instance around it.
 func WithTargetFactory(f TargetFactory) RunOption {
 	return func(cfg *runConfig) { cfg.factory = f }

@@ -117,7 +117,8 @@ func realSpec(seed int64, limit, port int) dist.CampaignSpec {
 
 // TestDistByteIdentityRealCampaign: a real campaign distributed over two
 // in-process workers merges byte-identical to the single-process matrix
-// cell.
+// cell, over memnet and over kernel TCP, where every worker SUT of both
+// servers serves the primary port on a loopback host of its own.
 func TestDistByteIdentityRealCampaign(t *testing.T) {
 	const (
 		seed  = int64(7)
@@ -129,24 +130,28 @@ func TestDistByteIdentityRealCampaign(t *testing.T) {
 	_, a1 := startServer(t, runner)
 	_, a2 := startServer(t, runner)
 
-	var out bytes.Buffer
-	coord := &dist.Coordinator{
-		Workers:      []string{a1, a2},
-		Shards:       3,
-		Spec:         realSpec(seed, limit, port),
-		Out:          &out,
-		StallTimeout: 10 * time.Second,
-		Retry:        fastRetry,
-	}
-	res, err := coord.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Records != limit {
-		t.Fatalf("records = %d, want %d", res.Records, limit)
-	}
-	if !bytes.Equal(out.Bytes(), ref) {
-		t.Fatalf("distributed stream diverges from single-process reference:\n got %d bytes\nwant %d bytes", out.Len(), len(ref))
+	for _, memnet := range []bool{true, false} {
+		var out bytes.Buffer
+		spec := realSpec(seed, limit, port)
+		spec.Memnet = memnet
+		coord := &dist.Coordinator{
+			Workers:      []string{a1, a2},
+			Shards:       3,
+			Spec:         spec,
+			Out:          &out,
+			StallTimeout: 10 * time.Second,
+			Retry:        fastRetry,
+		}
+		res, err := coord.Run(context.Background())
+		if err != nil {
+			t.Fatalf("memnet=%v: %v", memnet, err)
+		}
+		if res.Records != limit {
+			t.Fatalf("memnet=%v: records = %d, want %d", memnet, res.Records, limit)
+		}
+		if !bytes.Equal(out.Bytes(), ref) {
+			t.Fatalf("memnet=%v: distributed stream diverges from single-process reference:\n got %d bytes\nwant %d bytes", memnet, out.Len(), len(ref))
+		}
 	}
 }
 

@@ -5,7 +5,12 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"conferr/internal/suts"
 )
+
+// lo is the kernel loopback transport the server tests run on.
+var lo suts.LoopbackTransport
 
 func TestTypeStrings(t *testing.T) {
 	if TypeA.String() != "A" || TypeMX.String() != "MX" || Type(999).String() != "TYPE999" {
@@ -183,7 +188,7 @@ func TestServerAndQuery(t *testing.T) {
 		}
 		return nil, nil, RCodeNXDomain
 	})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	if err := srv.Listen(lo.ListenPacket, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
@@ -191,7 +196,7 @@ func TestServerAndQuery(t *testing.T) {
 		t.Fatal("no addr")
 	}
 
-	resp, err := Query(srv.Addr(), "www.example.com", TypeA, time.Second)
+	resp, err := Query(lo.DialPacket, srv.Addr(), "www.example.com", TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +204,7 @@ func TestServerAndQuery(t *testing.T) {
 		t.Errorf("resp = %+v", resp)
 	}
 
-	resp, err = Query(srv.Addr(), "nx.example.com", TypeA, time.Second)
+	resp, err = Query(lo.DialPacket, srv.Addr(), "nx.example.com", TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +215,7 @@ func TestServerAndQuery(t *testing.T) {
 
 func TestServerCloseIdempotent(t *testing.T) {
 	srv := NewServer(func(Question) ([]RR, []RR, RCode) { return nil, nil, RCodeNoError })
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	if err := srv.Listen(lo.ListenPacket, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {

@@ -24,9 +24,10 @@ func NewServer(h Handler) *Server {
 }
 
 // Listen binds the server to a UDP address ("127.0.0.1:0" picks a free
-// port) and starts serving in the background.
-func (s *Server) Listen(addr string) error {
-	conn, err := net.ListenPacket("udp", addr)
+// port) through listen, a transport's UDP listen, and starts serving in
+// the background.
+func (s *Server) Listen(listen func(addr string) (net.PacketConn, error), addr string) error {
+	conn, err := listen(addr)
 	if err != nil {
 		return fmt.Errorf("dnswire: listen %s: %w", addr, err)
 	}
@@ -92,10 +93,10 @@ func (s *Server) serve() {
 	}
 }
 
-// Query sends a single question to a DNS server over UDP and waits for the
-// response.
-func Query(addr string, name string, t Type, timeout time.Duration) (*Message, error) {
-	conn, err := net.Dial("udp", addr)
+// Query sends a single question to a DNS server over UDP, through dial
+// (a transport's UDP dial), and waits for the response.
+func Query(dial func(addr string) (net.Conn, error), addr string, name string, t Type, timeout time.Duration) (*Message, error) {
+	conn, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("dnswire: dial %s: %w", addr, err)
 	}

@@ -11,8 +11,7 @@
 // byte for byte ("listen tcp ...: bind: address already in use",
 // "dial tcp ...: connect: connection refused") so profiles recorded over
 // the in-memory transport are identical to ones recorded over real
-// sockets — the bind-collision retry and the detail equivalence both key
-// on those strings.
+// sockets — the detail equivalence keys on those strings.
 package memnet
 
 import (

@@ -36,9 +36,10 @@ func NewServer(eng *Engine) *Server {
 }
 
 // Listen binds the server to addr ("host:port"; port 0 picks a free one)
-// and starts accepting connections in the background.
-func (s *Server) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+// through listen, a transport's TCP listen, and starts accepting
+// connections in the background.
+func (s *Server) Listen(listen func(addr string) (net.Listener, error), addr string) error {
+	ln, err := listen(addr)
 	if err != nil {
 		return fmt.Errorf("sqlmini: listen %s: %w", addr, err)
 	}
@@ -176,9 +177,10 @@ type Client struct {
 	r    *bufio.Reader
 }
 
-// Dial connects to a sqlmini server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// Dial connects to a sqlmini server through dial, a transport's TCP
+// dial.
+func Dial(dial func(addr string) (net.Conn, error), addr string) (*Client, error) {
+	conn, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("sqlmini: dial %s: %w", addr, err)
 	}

@@ -7,7 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"conferr/internal/suts"
 )
+
+// lo is the kernel loopback transport the server tests run on.
+var lo suts.LoopbackTransport
 
 func exec(t *testing.T, s *Session, stmt string) *Result {
 	t.Helper()
@@ -184,7 +189,7 @@ func TestEngineConcurrentAccess(t *testing.T) {
 func TestServerClientRoundTrip(t *testing.T) {
 	var e Engine
 	srv := NewServer(&e)
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	if err := srv.Listen(lo.Listen, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -193,7 +198,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 		}
 	}()
 
-	c, err := Dial(srv.Addr())
+	c, err := Dial(lo.Dial, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +236,12 @@ func TestServerMaxConns(t *testing.T) {
 	var e Engine
 	srv := NewServer(&e)
 	srv.MaxConns = 1
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	if err := srv.Listen(lo.Listen, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	c1, err := Dial(srv.Addr())
+	c1, err := Dial(lo.Dial, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +251,7 @@ func TestServerMaxConns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := Dial(srv.Addr())
+	c2, err := Dial(lo.Dial, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +274,7 @@ func TestServerAddrBeforeListen(t *testing.T) {
 
 func TestListenError(t *testing.T) {
 	srv := NewServer(&Engine{})
-	if err := srv.Listen("256.256.256.256:1"); err == nil {
+	if err := srv.Listen(lo.Listen, "256.256.256.256:1"); err == nil {
 		srv.Close()
 		t.Error("expected listen error")
 	}

@@ -10,9 +10,7 @@ import (
 // atomics; the zero value is ready to use.
 type Counters struct {
 	// ColdStarts counts full Start calls on the underlying SUT (cold
-	// mode, fallbacks, and recovery restarts alike). Here and below, a
-	// retry of a start that collided with another worker's port is not
-	// counted.
+	// mode, fallbacks, and recovery restarts alike).
 	ColdStarts atomic.Int64
 	// Reloads counts warm configuration swaps via suts.Reloader.
 	Reloads atomic.Int64

@@ -1,18 +1,15 @@
 package sutpool
 
 import (
-	"strings"
 	"sync/atomic"
-	"time"
 
 	"conferr/internal/suts"
 )
 
 // Instance is the one adapter between the campaign engine and a
 // worker's SUT. Start dispatches each experiment to a cold start, a warm
-// reload or a parse-only validation by Mode, remapping the primary port
-// to the worker's on the way in and back on the way out when the two
-// differ (see MapPort); Stop keeps warm instances running. The engine
+// reload or a parse-only validation by Mode, handing the SUT the
+// engine's bytes verbatim; Stop keeps warm instances running. The engine
 // calls it directly — the System methods are for everything that only
 // needs a suts.System. An Instance is used by one campaign worker at a
 // time (the pool's lease discipline); it is not safe for concurrent use.
@@ -32,13 +29,9 @@ type Instance struct {
 	// goroutine while an abandoned, still-wedged phase call holds it.
 	warm atomic.Bool
 
-	// The port remap (ports.go): from and to are the primary and worker
-	// port decimals, "" for no remap; tries bounds the start attempts
-	// against transient bind collisions (0 or 1: no retry); memo caches
-	// the rewrite of each input slice.
-	from, to string
-	tries    int
-	memo     map[remapKey][]byte
+	// unlease frees the instance's loopback host (see LeaseHost); nil
+	// without one.
+	unlease func()
 
 	pool *Pool
 
@@ -94,44 +87,15 @@ func (i *Instance) StartDirty(files suts.Files, dirty []string) error {
 	return i.start(files, dirty, true)
 }
 
-// start remaps the files to the worker's port (when MapPort installed a
-// remap), dispatches them — waiting out transient bind collisions with
-// other workers' (typo'd) ports, with a Stop between attempts — and maps
-// the worker's port back to the primary's in any resulting error:
-// startup rejections and infrastructure failures alike end up in the
-// recorded detail, which must match the sequential run.
+// start dispatches one experiment's configuration by mode and
+// capability.
 func (i *Instance) start(files suts.Files, dirty []string, haveDirty bool) error {
-	if i.from != "" {
-		remapped := make(suts.Files, len(files))
-		for name, data := range files {
-			remapped[name] = i.remap(data)
-		}
-		files = remapped
-	}
-	err := i.dispatch(files, dirty, haveDirty, i.c)
-	for try := 1; try < i.tries && err != nil && strings.Contains(err.Error(), "address already in use"); try++ {
-		_ = i.Stop()
-		time.Sleep(bindBackoff)
-		err = i.dispatch(files, dirty, haveDirty, &retries)
-	}
-	return i.UnmapError(err)
-}
-
-// retries absorbs the counts of bind-collision retries: a retry repeats
-// the attempt it replaces, and leaving it out keeps the counters a
-// function of the faultload rather than of which worker held a port
-// when.
-var retries Counters
-
-// dispatch drives one start attempt by mode and capability, counting it
-// in c.
-func (i *Instance) dispatch(files suts.Files, dirty []string, haveDirty bool, c *Counters) error {
 	if i.mode == Validate && i.val != nil {
-		c.Validates.Add(1)
+		i.c.Validates.Add(1)
 		return i.val.Validate(files)
 	}
 	if i.warm.Load() && i.rel != nil {
-		c.Reloads.Add(1)
+		i.c.Reloads.Add(1)
 		var err error
 		if haveDirty && i.drel != nil {
 			err = i.drel.ReloadDirty(files, dirty)
@@ -148,9 +112,9 @@ func (i *Instance) dispatch(files suts.Files, dirty []string, haveDirty bool, c 
 		// files, so the experiment's outcome matches cold mode.
 		i.warm.Store(false)
 		_ = i.sys.Stop()
-		c.Restarts.Add(1)
+		i.c.Restarts.Add(1)
 	}
-	c.ColdStarts.Add(1)
+	i.c.ColdStarts.Add(1)
 	err := i.sys.Start(files)
 	i.warm.Store(err == nil && i.mode == Reload && i.rel != nil)
 	return err
@@ -191,6 +155,16 @@ func (i *Instance) SkipProbes() bool {
 func (i *Instance) Shutdown() error {
 	i.warm.Store(false)
 	return i.sys.Stop()
+}
+
+// discard shuts the instance down for good and frees its loopback host.
+func (i *Instance) discard() error {
+	err := i.Shutdown()
+	if i.unlease != nil {
+		i.unlease()
+		i.unlease = nil
+	}
+	return err
 }
 
 // Quarantine marks the instance so its next Start is a cold start

@@ -12,9 +12,9 @@
 // `nginx -t` idiom). Instance is the engine's one adapter to a worker's
 // SUT: it drives the selected mode, with cold-start fallback when the
 // capability is missing and quarantine-plus-restart when a reload
-// wedges, and remaps the primary port for parallel workers on kernel
-// TCP. Pool hands leased instances to campaign workers and takes them
-// back health-checked between runs.
+// wedges, and holds the loopback host a kernel-TCP worker serves the
+// primary's port on (LeaseHost). Pool hands leased instances to campaign
+// workers and takes them back health-checked between runs.
 package sutpool
 
 import "fmt"

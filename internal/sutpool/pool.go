@@ -93,7 +93,7 @@ func (p *Pool) retire(inst *Instance) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return inst.Shutdown()
+		return inst.discard()
 	}
 	p.idle = append(p.idle, inst)
 	p.mu.Unlock()
@@ -125,7 +125,7 @@ func (p *Pool) Close() error {
 	p.mu.Unlock()
 	var first error
 	for _, inst := range idle {
-		if err := inst.Shutdown(); err != nil && first == nil {
+		if err := inst.discard(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -14,12 +14,14 @@ package bind
 
 import (
 	"fmt"
+	"net"
 	"regexp"
 	"strings"
 
 	"conferr/internal/dnsmodel"
 	"conferr/internal/dnswire"
 	"conferr/internal/suts"
+	"conferr/internal/suts/dnscheck"
 )
 
 // File names in the simulator's configuration set.
@@ -35,6 +37,7 @@ const (
 // Server is the simulated BIND name server.
 type Server struct {
 	port int
+	lo   suts.LoopbackTransport
 
 	srv   *dnswire.Server
 	zones map[string][]dnsmodel.Record
@@ -42,23 +45,19 @@ type Server struct {
 
 var _ suts.System = (*Server)(nil)
 var _ suts.Addressable = (*Server)(nil)
+var _ suts.HostSetter = (*Server)(nil)
 
 // New returns a simulator whose default configuration listens on the given
 // UDP port (0 picks a free one at construction time).
 func New(port int) (*Server, error) {
 	if port == 0 {
-		probe := dnswire.NewServer(func(dnswire.Question) ([]dnswire.RR, []dnswire.RR, dnswire.RCode) {
-			return nil, nil, dnswire.RCodeNoError
-		})
-		if err := probe.Listen("127.0.0.1:0"); err != nil {
+		probe, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
 			return nil, fmt.Errorf("bind: allocating port: %w", err)
 		}
-		addr := probe.Addr()
+		port = probe.LocalAddr().(*net.UDPAddr).Port
 		if err := probe.Close(); err != nil {
 			return nil, fmt.Errorf("bind: releasing probe: %w", err)
-		}
-		if _, err := fmt.Sscanf(addr[strings.LastIndexByte(addr, ':')+1:], "%d", &port); err != nil {
-			return nil, fmt.Errorf("bind: parsing probe addr %q: %w", addr, err)
 		}
 	}
 	return &Server{port: port}, nil
@@ -170,7 +169,7 @@ func (s *Server) Start(files suts.Files) error {
 	s.zones = zones
 
 	srv := dnswire.NewServer(s.answer)
-	if err := srv.Listen(fmt.Sprintf("127.0.0.1:%d", port)); err != nil {
+	if err := srv.Listen(s.lo.ListenPacket, fmt.Sprintf("127.0.0.1:%d", port)); err != nil {
 		return &suts.StartupError{System: s.Name(), Msg: err.Error()}
 	}
 	s.srv = srv
@@ -291,6 +290,17 @@ func (s *Server) Stop() error {
 	err := s.srv.Close()
 	s.srv = nil
 	return err
+}
+
+// SetHost implements suts.HostSetter.
+func (s *Server) SetHost(host string) { s.lo.Host = host }
+
+// Tests returns the paper's name-server diagnosis (§5.1): the forward
+// and the reverse zone answer their SOA queries on the default port,
+// asked on the server's host.
+func Tests(s *Server) []suts.Test {
+	return dnscheck.ZoneLivenessTests(&s.lo, fmt.Sprintf("127.0.0.1:%d", s.port),
+		[]string{"example.com", "2.0.192.in-addr.arpa"})
 }
 
 // Addr implements suts.Addressable.

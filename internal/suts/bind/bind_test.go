@@ -8,7 +8,6 @@ import (
 
 	"conferr/internal/dnswire"
 	"conferr/internal/suts"
-	"conferr/internal/suts/dnscheck"
 )
 
 func newServer(t *testing.T) *Server {
@@ -31,15 +30,14 @@ func TestDefaultConfigStartsAndServes(t *testing.T) {
 	}
 	defer s.Stop()
 
-	for _, test := range dnscheck.ZoneLivenessTests(defaultAddr(s),
-		[]string{"example.com", "2.0.192.in-addr.arpa"}) {
+	for _, test := range Tests(s) {
 		if err := test.Run(); err != nil {
 			t.Errorf("functional test %s: %v", test.Name, err)
 		}
 	}
 
 	// Forward A lookup.
-	resp, err := dnswire.Query(defaultAddr(s), "www.example.com", dnswire.TypeA, time.Second)
+	resp, err := dnswire.Query(s.lo.DialPacket, defaultAddr(s), "www.example.com", dnswire.TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +45,7 @@ func TestDefaultConfigStartsAndServes(t *testing.T) {
 		t.Errorf("A www = %+v", resp.Answers)
 	}
 	// Reverse PTR lookup.
-	resp, err = dnswire.Query(defaultAddr(s), "10.2.0.192.in-addr.arpa", dnswire.TypePTR, time.Second)
+	resp, err = dnswire.Query(s.lo.DialPacket, defaultAddr(s), "10.2.0.192.in-addr.arpa", dnswire.TypePTR, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +53,7 @@ func TestDefaultConfigStartsAndServes(t *testing.T) {
 		t.Errorf("PTR = %+v", resp.Answers)
 	}
 	// CNAME chased for A queries.
-	resp, err = dnswire.Query(defaultAddr(s), "ftp.example.com", dnswire.TypeA, time.Second)
+	resp, err = dnswire.Query(s.lo.DialPacket, defaultAddr(s), "ftp.example.com", dnswire.TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func TestDefaultConfigStartsAndServes(t *testing.T) {
 		t.Errorf("CNAME chase = %+v", resp.Answers)
 	}
 	// NXDomain with SOA in authority.
-	resp, err = dnswire.Query(defaultAddr(s), "nx.example.com", dnswire.TypeA, time.Second)
+	resp, err = dnswire.Query(s.lo.DialPacket, defaultAddr(s), "nx.example.com", dnswire.TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +69,7 @@ func TestDefaultConfigStartsAndServes(t *testing.T) {
 		t.Errorf("NXDomain = %+v", resp)
 	}
 	// Out-of-zone query refused.
-	resp, err = dnswire.Query(defaultAddr(s), "other.org", dnswire.TypeA, time.Second)
+	resp, err = dnswire.Query(s.lo.DialPacket, defaultAddr(s), "other.org", dnswire.TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +135,7 @@ func TestFindingMissingPTRNotDetected(t *testing.T) {
 		t.Fatalf("missing PTR detected at startup: %v", err)
 	}
 	defer s.Stop()
-	for _, test := range dnscheck.ZoneLivenessTests(defaultAddr(s),
-		[]string{"example.com", "2.0.192.in-addr.arpa"}) {
+	for _, test := range Tests(s) {
 		if err := test.Run(); err != nil {
 			t.Errorf("functional test failed (should pass): %v", err)
 		}
@@ -153,8 +150,7 @@ func TestFindingPTRToCNAMENotDetected(t *testing.T) {
 		t.Fatalf("PTR to CNAME detected at startup: %v", err)
 	}
 	defer s.Stop()
-	for _, test := range dnscheck.ZoneLivenessTests(defaultAddr(s),
-		[]string{"example.com", "2.0.192.in-addr.arpa"}) {
+	for _, test := range Tests(s) {
 		if err := test.Run(); err != nil {
 			t.Errorf("functional test failed (should pass): %v", err)
 		}

@@ -15,11 +15,12 @@ package djbdns
 
 import (
 	"fmt"
-	"strings"
+	"net"
 
 	"conferr/internal/dnsmodel"
 	"conferr/internal/dnswire"
 	"conferr/internal/suts"
+	"conferr/internal/suts/dnscheck"
 )
 
 // DataFile is the logical name of tinydns's data file.
@@ -28,6 +29,7 @@ const DataFile = "data"
 // Server is the simulated tinydns server.
 type Server struct {
 	port int
+	lo   suts.LoopbackTransport
 
 	srv     *dnswire.Server
 	records []dnsmodel.Record
@@ -35,23 +37,19 @@ type Server struct {
 
 var _ suts.System = (*Server)(nil)
 var _ suts.Addressable = (*Server)(nil)
+var _ suts.HostSetter = (*Server)(nil)
 
 // New returns a simulator whose default configuration listens on the given
 // UDP port (0 picks a free one at construction time).
 func New(port int) (*Server, error) {
 	if port == 0 {
-		probe := dnswire.NewServer(func(dnswire.Question) ([]dnswire.RR, []dnswire.RR, dnswire.RCode) {
-			return nil, nil, dnswire.RCodeNoError
-		})
-		if err := probe.Listen("127.0.0.1:0"); err != nil {
+		probe, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
 			return nil, fmt.Errorf("djbdns: allocating port: %w", err)
 		}
-		addr := probe.Addr()
+		port = probe.LocalAddr().(*net.UDPAddr).Port
 		if err := probe.Close(); err != nil {
 			return nil, fmt.Errorf("djbdns: releasing probe: %w", err)
-		}
-		if _, err := fmt.Sscanf(addr[strings.LastIndexByte(addr, ':')+1:], "%d", &port); err != nil {
-			return nil, fmt.Errorf("djbdns: parsing probe addr %q: %w", addr, err)
 		}
 	}
 	return &Server{port: port}, nil
@@ -96,7 +94,7 @@ func (s *Server) Start(files suts.Files) error {
 	s.records = recs
 
 	srv := dnswire.NewServer(s.answer)
-	if err := srv.Listen(fmt.Sprintf("127.0.0.1:%d", s.port)); err != nil {
+	if err := srv.Listen(s.lo.ListenPacket, fmt.Sprintf("127.0.0.1:%d", s.port)); err != nil {
 		return &suts.StartupError{System: s.Name(), Msg: err.Error()}
 	}
 	s.srv = srv
@@ -144,6 +142,17 @@ func (s *Server) Stop() error {
 	err := s.srv.Close()
 	s.srv = nil
 	return err
+}
+
+// SetHost implements suts.HostSetter.
+func (s *Server) SetHost(host string) { s.lo.Host = host }
+
+// Tests returns the paper's name-server diagnosis (§5.1): the forward
+// and the reverse zone answer their SOA queries on the default port,
+// asked on the server's host.
+func Tests(s *Server) []suts.Test {
+	return dnscheck.ZoneLivenessTests(&s.lo, fmt.Sprintf("127.0.0.1:%d", s.port),
+		[]string{"example.com", "2.0.192.in-addr.arpa"})
 }
 
 // Addr implements suts.Addressable.

@@ -8,7 +8,6 @@ import (
 
 	"conferr/internal/dnswire"
 	"conferr/internal/suts"
-	"conferr/internal/suts/dnscheck"
 )
 
 func newServer(t *testing.T) *Server {
@@ -31,22 +30,21 @@ func TestDefaultConfigStartsAndServes(t *testing.T) {
 	}
 	defer s.Stop()
 
-	for _, test := range dnscheck.ZoneLivenessTests(defaultAddr(s),
-		[]string{"example.com", "2.0.192.in-addr.arpa"}) {
+	for _, test := range Tests(s) {
 		if err := test.Run(); err != nil {
 			t.Errorf("functional test %s: %v", test.Name, err)
 		}
 	}
 
 	// '=' lines serve both the A and the derived PTR.
-	resp, err := dnswire.Query(defaultAddr(s), "www.example.com", dnswire.TypeA, time.Second)
+	resp, err := dnswire.Query(s.lo.DialPacket, defaultAddr(s), "www.example.com", dnswire.TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Answers) != 1 || resp.Answers[0].Data != "192.0.2.10" {
 		t.Errorf("A www = %+v", resp.Answers)
 	}
-	resp, err = dnswire.Query(defaultAddr(s), "10.2.0.192.in-addr.arpa", dnswire.TypePTR, time.Second)
+	resp, err = dnswire.Query(s.lo.DialPacket, defaultAddr(s), "10.2.0.192.in-addr.arpa", dnswire.TypePTR, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +68,7 @@ func TestFindingNoConsistencyChecks(t *testing.T) {
 		t.Fatalf("consistency fault detected at startup (tinydns has no such checks): %v", err)
 	}
 	defer s.Stop()
-	for _, test := range dnscheck.ZoneLivenessTests(defaultAddr(s),
-		[]string{"example.com", "2.0.192.in-addr.arpa"}) {
+	for _, test := range Tests(s) {
 		if err := test.Run(); err != nil {
 			t.Errorf("functional test failed (should pass): %v", err)
 		}
@@ -108,7 +105,7 @@ func TestNXDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Stop()
-	resp, err := dnswire.Query(defaultAddr(s), "nx.example.com", dnswire.TypeA, time.Second)
+	resp, err := dnswire.Query(s.lo.DialPacket, defaultAddr(s), "nx.example.com", dnswire.TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +120,7 @@ func TestCNAMEChase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Stop()
-	resp, err := dnswire.Query(defaultAddr(s), "webmail.example.com", dnswire.TypeA, time.Second)
+	resp, err := dnswire.Query(s.lo.DialPacket, defaultAddr(s), "webmail.example.com", dnswire.TypeA, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

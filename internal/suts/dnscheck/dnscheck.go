@@ -20,14 +20,15 @@ const queryTimeout = 2 * time.Second
 
 // ZoneLivenessTests returns one functional test per zone, each verifying
 // that the server at addr answers the zone's SOA query authoritatively.
-func ZoneLivenessTests(addr string, zones []string) []suts.Test {
+// The tests query through lo as it stands when they run.
+func ZoneLivenessTests(lo *suts.LoopbackTransport, addr string, zones []string) []suts.Test {
 	tests := make([]suts.Test, 0, len(zones))
 	for _, zone := range zones {
 		zone := zone
 		tests = append(tests, suts.Test{
 			Name: "zone-liveness/" + zone,
 			Run: func() error {
-				resp, err := dnswire.Query(addr, zone, dnswire.TypeSOA, queryTimeout)
+				resp, err := dnswire.Query(lo.DialPacket, addr, zone, dnswire.TypeSOA, queryTimeout)
 				if err != nil {
 					return fmt.Errorf("query SOA %s: %w", zone, err)
 				}
@@ -48,14 +49,14 @@ func ZoneLivenessTests(addr string, zones []string) []suts.Test {
 
 // RecordTests returns functional tests that check specific records — a
 // stricter diagnosis suite than the paper's, useful for custom campaigns.
-func RecordTests(addr string, expect map[string]string) []suts.Test {
+func RecordTests(lo *suts.LoopbackTransport, addr string, expect map[string]string) []suts.Test {
 	var tests []suts.Test
 	for name, ip := range expect {
 		name, ip := name, ip
 		tests = append(tests, suts.Test{
 			Name: "record/" + name,
 			Run: func() error {
-				resp, err := dnswire.Query(addr, name, dnswire.TypeA, queryTimeout)
+				resp, err := dnswire.Query(lo.DialPacket, addr, name, dnswire.TypeA, queryTimeout)
 				if err != nil {
 					return fmt.Errorf("query A %s: %w", name, err)
 				}

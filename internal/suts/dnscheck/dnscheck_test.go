@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"conferr/internal/dnswire"
+	"conferr/internal/suts"
 )
+
+// lo is the kernel loopback transport the tests run on.
+var lo suts.LoopbackTransport
 
 // fakeDNS serves a fixed record set for tests.
 func fakeDNS(t *testing.T, soaZones map[string]bool, records map[string]string) string {
@@ -24,7 +28,7 @@ func fakeDNS(t *testing.T, soaZones map[string]bool, records map[string]string) 
 		}
 		return nil, nil, dnswire.RCodeNXDomain
 	})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	if err := srv.Listen(lo.ListenPacket, "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
@@ -33,7 +37,7 @@ func fakeDNS(t *testing.T, soaZones map[string]bool, records map[string]string) 
 
 func TestZoneLivenessTests(t *testing.T) {
 	addr := fakeDNS(t, map[string]bool{"example.com": true}, nil)
-	tests := ZoneLivenessTests(addr, []string{"example.com", "missing.org"})
+	tests := ZoneLivenessTests(&lo, addr, []string{"example.com", "missing.org"})
 	if len(tests) != 2 {
 		t.Fatalf("tests = %d", len(tests))
 	}
@@ -48,7 +52,7 @@ func TestZoneLivenessTests(t *testing.T) {
 }
 
 func TestZoneLivenessUnreachableServer(t *testing.T) {
-	tests := ZoneLivenessTests("127.0.0.1:1", []string{"example.com"})
+	tests := ZoneLivenessTests(&lo, "127.0.0.1:1", []string{"example.com"})
 	if err := tests[0].Run(); err == nil {
 		t.Error("unreachable server passed")
 	}
@@ -56,7 +60,7 @@ func TestZoneLivenessUnreachableServer(t *testing.T) {
 
 func TestRecordTests(t *testing.T) {
 	addr := fakeDNS(t, nil, map[string]string{"www.example.com": "192.0.2.10"})
-	tests := RecordTests(addr, map[string]string{
+	tests := RecordTests(&lo, addr, map[string]string{
 		"www.example.com": "192.0.2.10",
 		"nx.example.com":  "192.0.2.99",
 	})

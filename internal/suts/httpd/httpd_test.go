@@ -401,3 +401,43 @@ func TestFindingServerNameOmissionInVHostTolerated(t *testing.T) {
 		t.Errorf("vhost b broken by sibling's omission: %q", body)
 	}
 }
+
+// TestReloadDroppedPortRefusesWarmProbe pins reload against cold: once a
+// reload moves Listen from P1 to P2, the probe's warm keep-alive
+// connection to P1 is gone with the port, so the probe is refused
+// exactly as it is after a cold start on P2.
+func TestReloadDroppedPortRefusesWarmProbe(t *testing.T) {
+	other := newServer(t)
+	p2 := other.DefaultPort()
+
+	warm := newServer(t)
+	if err := startWith(t, warm, minimalConf(warm.DefaultPort())); err != nil {
+		t.Fatal(err)
+	}
+	probe := Tests(warm)[0]
+	if err := probe.Run(); err != nil {
+		t.Fatalf("probe before reload: %v", err)
+	}
+	if err := warm.Reload(suts.Files{ConfigFile: []byte(minimalConf(p2))}); err != nil {
+		t.Fatal(err)
+	}
+	warmErr := probe.Run()
+	warm.Stop()
+
+	cold, err := New(warm.DefaultPort())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := startWith(t, cold, minimalConf(p2)); err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Stop()
+	coldErr := Tests(cold)[0].Run()
+
+	if warmErr == nil || coldErr == nil || warmErr.Error() != coldErr.Error() {
+		t.Errorf("probe of the dropped port after reload: %v\nafter a cold start: %v", warmErr, coldErr)
+	}
+	if coldErr != nil && !strings.Contains(coldErr.Error(), "connection refused") {
+		t.Errorf("cold probe err = %v, want connection refused", coldErr)
+	}
+}

@@ -23,12 +23,10 @@ type Server struct {
 	port int
 	tr   suts.Transport
 
-	mu         sync.Mutex
-	bound      map[int]net.Listener // live listeners by port
-	order      []int                // bound ports in configuration order
-	ps         *httpprobe.Server    // shared across ports; handler swapped on reload
-	serverName string
-	wg         sync.WaitGroup
+	mu    sync.Mutex
+	bound map[int]*binding // live listeners by port
+	order []int            // bound ports in configuration order
+	wg    sync.WaitGroup
 
 	clientOnce sync.Once
 	client     *http.Client
@@ -38,6 +36,15 @@ type Server struct {
 	baseMemo suts.ParseMemo[parsed]
 }
 
+// binding is one listening port: its listener and the serving probe
+// server, whose handler a warm reload retargets in place. Each port has
+// its own, so dropping a port closes its keep-alive connections too, as
+// a cold restart would.
+type binding struct {
+	ln net.Listener
+	ps *httpprobe.Server
+}
+
 var _ suts.System = (*Server)(nil)
 var _ suts.Addressable = (*Server)(nil)
 var _ suts.Reloader = (*Server)(nil)
@@ -45,6 +52,7 @@ var _ suts.DirtyReloader = (*Server)(nil)
 var _ suts.Validator = (*Server)(nil)
 var _ suts.HealthChecker = (*Server)(nil)
 var _ suts.TransportSetter = (*Server)(nil)
+var _ suts.HostSetter = (*Server)(nil)
 
 // New returns a simulator whose default configuration listens on the given
 // TCP port (0 picks a free one at construction time).
@@ -318,50 +326,51 @@ func (s *Server) apply(cfg parsed) error {
 
 	// Bind the ports the new configuration adds, in configuration order
 	// so a multi-failure reports the same port a cold start would.
-	created := map[int]net.Listener{}
+	created := map[int]*binding{}
 	for _, p := range cfg.ports {
 		if _, held := s.bound[p]; held {
 			continue
 		}
 		ln, err := s.Transport().Listen(fmt.Sprintf("127.0.0.1:%d", p))
 		if err != nil {
-			for _, l := range created {
-				_ = l.Close()
+			for _, b := range created {
+				_ = b.ln.Close()
+				b.ps.Close()
 			}
 			return &suts.StartupError{System: s.Name(),
 				Msg: fmt.Sprintf("could not bind to port %d: %v", p, err)}
 		}
-		created[p] = ln
-	}
-
-	// Commit: adopt the new bindings, swap the routing table, drop ports
-	// the new configuration no longer listens on.
-	s.serverName = cfg.serverName
-	if s.ps == nil {
-		s.ps = httpprobe.NewServer("Apache-sim/2.2", nil)
-	}
-	if s.bound == nil {
-		s.bound = map[int]net.Listener{}
-	}
-	for p, ln := range created {
-		s.bound[p] = ln
+		ps := httpprobe.NewServer("Apache-sim/2.2", nil)
+		created[p] = &binding{ln: ln, ps: ps}
 		s.wg.Add(1)
 		go func(ps *httpprobe.Server, l net.Listener) {
 			defer s.wg.Done()
 			ps.Serve(l)
-		}(s.ps, ln)
+		}(ps, ln)
 	}
+
+	// Commit: adopt the new bindings, swap every retained port's routing
+	// table, drop ports the new configuration no longer listens on.
 	want := map[int]bool{}
 	for _, p := range cfg.ports {
 		want[p] = true
 	}
-	for p, ln := range s.bound {
-		if !want[p] {
-			_ = ln.Close()
-			delete(s.bound, p)
-		}
+	if s.bound == nil {
+		s.bound = map[int]*binding{}
 	}
-	s.ps.SetHandler(buildHandler(cfg))
+	for p, b := range created {
+		s.bound[p] = b
+	}
+	h := buildHandler(cfg)
+	for p, b := range s.bound {
+		if !want[p] {
+			_ = b.ln.Close()
+			b.ps.Close()
+			delete(s.bound, p)
+			continue
+		}
+		b.ps.SetHandler(h)
+	}
 	s.order = cfg.ports
 	return nil
 }
@@ -370,16 +379,12 @@ func (s *Server) apply(cfg parsed) error {
 func (s *Server) Stop() error {
 	s.mu.Lock()
 	bound := s.bound
-	ps := s.ps
 	s.bound = nil
 	s.order = nil
-	s.ps = nil
 	s.mu.Unlock()
-	for _, l := range bound {
-		_ = l.Close()
-	}
-	if ps != nil {
-		ps.Close()
+	for _, b := range bound {
+		_ = b.ln.Close()
+		b.ps.Close()
 	}
 	s.wg.Wait()
 	return nil
@@ -399,10 +404,14 @@ func (s *Server) Health() error {
 // Start; it moves both the listeners and the functional tests’ dials.
 func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
 
-// Transport returns the configured transport, defaulting to TCP.
+// SetHost implements suts.HostSetter.
+func (s *Server) SetHost(host string) { s.tr = suts.LoopbackTransport{Host: host} }
+
+// Transport returns the configured transport, defaulting to kernel
+// loopback.
 func (s *Server) Transport() suts.Transport {
 	if s.tr == nil {
-		return suts.TCPTransport{}
+		return suts.LoopbackTransport{}
 	}
 	return s.tr
 }
@@ -412,8 +421,8 @@ func (s *Server) Addr() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range s.order {
-		if ln, ok := s.bound[p]; ok {
-			return ln.Addr().String()
+		if b, ok := s.bound[p]; ok {
+			return b.ln.Addr().String()
 		}
 	}
 	return ""

@@ -15,6 +15,7 @@ const ConfigFile = "my.cnf"
 // Server is the simulated MySQL server.
 type Server struct {
 	port int // default port written into DefaultConfig
+	lo   suts.LoopbackTransport
 
 	// Strict, when set before Start, turns the silent acceptances the
 	// paper flags as flaws (§5.2) into startup errors: out-of-range
@@ -47,6 +48,7 @@ type settings struct {
 
 var _ suts.System = (*Server)(nil)
 var _ suts.Addressable = (*Server)(nil)
+var _ suts.HostSetter = (*Server)(nil)
 
 // New returns a simulator whose default configuration listens on the given
 // TCP port (use a free high port; 0 is replaced by an OS-assigned one at
@@ -163,7 +165,7 @@ func (s *Server) Start(files suts.Files) error {
 	if st.port == 0 {
 		addr = "127.0.0.1:0"
 	}
-	if err := srv.Listen(addr); err != nil {
+	if err := srv.Listen(s.lo.Listen, addr); err != nil {
 		// An un-bindable port is observable at startup, exactly like a
 		// rejected configuration value.
 		return &suts.StartupError{System: s.Name(), Msg: err.Error()}
@@ -181,6 +183,9 @@ func (s *Server) Stop() error {
 	s.srv = nil
 	return err
 }
+
+// SetHost implements suts.HostSetter.
+func (s *Server) SetHost(host string) { s.lo.Host = host }
 
 // Addr implements suts.Addressable.
 func (s *Server) Addr() string {
@@ -432,7 +437,7 @@ func Tests(s *Server) []suts.Test {
 	return []suts.Test{{
 		Name: "db-roundtrip",
 		Run: func() error {
-			c, err := sqlmini.Dial(fmt.Sprintf("127.0.0.1:%d", s.DefaultPort()))
+			c, err := sqlmini.Dial(s.lo.Dial, fmt.Sprintf("127.0.0.1:%d", s.DefaultPort()))
 			if err != nil {
 				return fmt.Errorf("connect: %w", err)
 			}

@@ -53,6 +53,7 @@ var _ suts.DirtyReloader = (*Server)(nil)
 var _ suts.Validator = (*Server)(nil)
 var _ suts.HealthChecker = (*Server)(nil)
 var _ suts.TransportSetter = (*Server)(nil)
+var _ suts.HostSetter = (*Server)(nil)
 
 // New returns a simulator whose default configuration listens on the given
 // TCP port (0 picks a free one at construction time).
@@ -149,14 +150,11 @@ func (s *Server) Start(files suts.Files) error {
 		return err
 	}
 	s.settings = st
-	ln, err := s.Transport().Listen(addr)
-	if err != nil {
-		return &suts.StartupError{System: s.Name(),
-			Msg: fmt.Sprintf("sqlmini: listen %s: %v", addr, err)}
-	}
 	srv := sqlmini.NewServer(&sqlmini.Engine{})
 	srv.MaxConns = int(st.maxConn)
-	srv.Serve(ln)
+	if err := srv.Listen(s.Transport().Listen, addr); err != nil {
+		return &suts.StartupError{System: s.Name(), Msg: err.Error()}
+	}
 	s.srv = srv
 	s.curAddr = addr
 	return nil
@@ -202,15 +200,12 @@ func (s *Server) applyReload(st settings, addr string) error {
 		s.settings = st
 		return nil
 	}
-	ln, err := s.Transport().Listen(addr)
-	if err != nil {
-		return &suts.StartupError{System: s.Name(),
-			Msg: fmt.Sprintf("sqlmini: listen %s: %v", addr, err)}
-	}
-	old := s.srv
 	srv := sqlmini.NewServer(&sqlmini.Engine{})
 	srv.MaxConns = int(st.maxConn)
-	srv.Serve(ln)
+	if err := srv.Listen(s.Transport().Listen, addr); err != nil {
+		return &suts.StartupError{System: s.Name(), Msg: err.Error()}
+	}
+	old := s.srv
 	s.srv = srv
 	s.curAddr = addr
 	s.settings = st
@@ -250,10 +245,14 @@ func (s *Server) Health() error {
 // Start; it moves both the listener and the functional tests' dials.
 func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
 
-// Transport returns the configured transport, defaulting to TCP.
+// SetHost implements suts.HostSetter.
+func (s *Server) SetHost(host string) { s.tr = suts.LoopbackTransport{Host: host} }
+
+// Transport returns the configured transport, defaulting to kernel
+// loopback.
 func (s *Server) Transport() suts.Transport {
 	if s.tr == nil {
-		return suts.TCPTransport{}
+		return suts.LoopbackTransport{}
 	}
 	return s.tr
 }
@@ -412,11 +411,10 @@ func Tests(s *Server) []suts.Test {
 		Name: "db-roundtrip",
 		Run: func() error {
 			addr := fmt.Sprintf("127.0.0.1:%d", s.DefaultPort())
-			conn, err := s.Transport().Dial(addr)
+			c, err := sqlmini.Dial(s.Transport().Dial, addr)
 			if err != nil {
-				return fmt.Errorf("connect: %w", fmt.Errorf("sqlmini: dial %s: %w", addr, err))
+				return fmt.Errorf("connect: %w", err)
 			}
-			c := sqlmini.NewClient(conn)
 			defer func() { _ = c.Close() }()
 			for _, stmt := range []string{
 				"CREATE DATABASE conferr_test",

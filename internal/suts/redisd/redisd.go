@@ -49,6 +49,7 @@ var _ suts.DirtyReloader = (*Server)(nil)
 var _ suts.Validator = (*Server)(nil)
 var _ suts.HealthChecker = (*Server)(nil)
 var _ suts.TransportSetter = (*Server)(nil)
+var _ suts.HostSetter = (*Server)(nil)
 
 // New returns a simulator whose default configuration listens on the
 // given TCP port (0 picks a free one at construction time).
@@ -278,10 +279,14 @@ func (s *Server) Health() error {
 // Start; it moves both the listener and the functional tests' dials.
 func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
 
-// Transport returns the configured transport, defaulting to TCP.
+// SetHost implements suts.HostSetter.
+func (s *Server) SetHost(host string) { s.tr = suts.LoopbackTransport{Host: host} }
+
+// Transport returns the configured transport, defaulting to kernel
+// loopback.
 func (s *Server) Transport() suts.Transport {
 	if s.tr == nil {
-		return suts.TCPTransport{}
+		return suts.LoopbackTransport{}
 	}
 	return s.tr
 }

@@ -2,6 +2,7 @@ package suts
 
 import (
 	"net"
+	"strings"
 	"time"
 )
 
@@ -11,8 +12,7 @@ import (
 // in-process alternative so experiments can skip the TCP stack entirely.
 type Transport interface {
 	// Listen binds a listener on addr ("host:port"). A port conflict must
-	// yield an error whose text contains "address already in use", the
-	// wording the engine's bind-collision retry keys on.
+	// yield an error whose text contains "address already in use".
 	Listen(addr string) (net.Listener, error)
 	// Dial connects to a listener bound on addr. When nothing listens
 	// there the error text must contain "connection refused".
@@ -26,24 +26,90 @@ type TransportSetter interface {
 	SetTransport(Transport)
 }
 
-// TCPTransport is the default Transport: kernel loopback TCP. The zero
-// value is ready to use.
-type TCPTransport struct {
-	// DialTimeout bounds Dial; 0 means 5s, matching the simulators'
-	// historical functional-test timeout.
-	DialTimeout time.Duration
+// HostSetter is implemented by the network simulators: SetHost moves
+// their kernel listeners and their functional tests' dials from
+// 127.0.0.1 to another loopback host, so parallel workers each serve the
+// configured port verbatim on a host of their own. Their configuration
+// and every error they report still name 127.0.0.1 (see
+// LoopbackTransport). It must be called before Start and replaces any
+// transport set before.
+type HostSetter interface {
+	SetHost(host string)
 }
 
+// loopback is the logical host every simulator configures.
+const loopback = "127.0.0.1"
+
+// LoopbackTransport is the default Transport: kernel loopback TCP, plus
+// UDP for the DNS simulators. Addresses on the logical host 127.0.0.1
+// are served on Host instead; the zero value serves them on 127.0.0.1
+// itself. Errors name the logical address, so a bind collision or a
+// refused dial on Host reads exactly as it would on 127.0.0.1.
+type LoopbackTransport struct {
+	Host string
+}
+
+// dialTimeout bounds Dial, the simulators' historical functional-test
+// timeout.
+const dialTimeout = 5 * time.Second
+
 // Listen implements Transport.
-func (t TCPTransport) Listen(addr string) (net.Listener, error) {
-	return net.Listen("tcp", addr)
+func (t LoopbackTransport) Listen(addr string) (net.Listener, error) {
+	at, moved := t.resolve(addr)
+	ln, err := net.Listen("tcp", at)
+	return ln, logical(err, moved)
 }
 
 // Dial implements Transport.
-func (t TCPTransport) Dial(addr string) (net.Conn, error) {
-	timeout := t.DialTimeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
+func (t LoopbackTransport) Dial(addr string) (net.Conn, error) {
+	at, moved := t.resolve(addr)
+	c, err := net.DialTimeout("tcp", at, dialTimeout)
+	return c, logical(err, moved)
+}
+
+// ListenPacket binds a UDP socket on addr, like Listen.
+func (t LoopbackTransport) ListenPacket(addr string) (net.PacketConn, error) {
+	at, moved := t.resolve(addr)
+	c, err := net.ListenPacket("udp", at)
+	return c, logical(err, moved)
+}
+
+// DialPacket connects a UDP socket to addr, like Dial.
+func (t LoopbackTransport) DialPacket(addr string) (net.Conn, error) {
+	at, moved := t.resolve(addr)
+	c, err := net.Dial("udp", at)
+	return c, logical(err, moved)
+}
+
+// resolve maps a logical address to the one the kernel sees, reporting
+// whether the host moved.
+func (t LoopbackTransport) resolve(addr string) (string, bool) {
+	if t.Host == "" || t.Host == loopback {
+		return addr, false
 	}
-	return net.DialTimeout("tcp", addr, timeout)
+	port, ok := strings.CutPrefix(addr, loopback+":")
+	if !ok {
+		return addr, false
+	}
+	return t.Host + ":" + port, true
+}
+
+// loopbackIP is the logical host as an address.
+var loopbackIP = net.IPv4(127, 0, 0, 1)
+
+// logical rewrites the address of a moved socket's error back to the
+// logical host, on a copy of the error.
+func logical(err error, moved bool) error {
+	oe, ok := err.(*net.OpError)
+	if !moved || !ok {
+		return err
+	}
+	c := *oe
+	switch a := oe.Addr.(type) {
+	case *net.TCPAddr:
+		c.Addr = &net.TCPAddr{IP: loopbackIP, Port: a.Port}
+	case *net.UDPAddr:
+		c.Addr = &net.UDPAddr{IP: loopbackIP, Port: a.Port}
+	}
+	return &c
 }

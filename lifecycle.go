@@ -1,8 +1,11 @@
 package conferr
 
 import (
+	"fmt"
+
 	"conferr/internal/core"
 	"conferr/internal/sutpool"
+	"conferr/internal/suts"
 )
 
 // This file wires the pooled SUT lifecycle (internal/sutpool) into the
@@ -15,13 +18,13 @@ import (
 // cleanup closes.
 //
 // The pool's sutpool.Instance is each worker's one SUT adapter: it sees
-// the real SUT, so reload capability detection works. Workers whose SUT
-// serves over memnet bind the primary's port verbatim in their private
-// namespace and run on exactly the sequential run's bytes. Kernel-TCP
-// workers share the port space, so each runs on its own port and the
-// Instance owns the remap that maps every error back to the primary's
-// port — profiles stay byte-identical to cold runs either way. Systems
-// lacking the reload capability fall back to cold starts.
+// the real SUT, so reload capability detection works. Every worker is
+// built at the primary's port and runs on exactly the sequential run's
+// bytes: a worker whose SUT serves over memnet binds that port in its
+// private namespace, and a kernel-TCP worker binds it on a loopback host
+// of its own (suts.HostSetter), which its functional tests dial too.
+// Profiles stay byte-identical to single-worker cold runs either way.
+// Systems lacking the reload capability fall back to cold starts.
 
 // Lifecycle selects how worker SUTs are driven through experiments:
 // LifecycleCold (the paper's start/stop-per-experiment engine, the
@@ -49,32 +52,39 @@ type LifecycleCounters = sutpool.Counters
 
 // lifecycleFactory builds the run's worker pool and returns the core
 // per-worker factory leasing from it, plus the cleanup that closes the
-// pool, shutting down every idle instance. Each leased instance is a
-// factory-built SUT adapted to the mode, with the finished engine target
-// — the instance as its System — carried as the lease payload. When the
-// primary serves over memnet every worker is built at the primary's port
-// and nothing is remapped; otherwise workers get free ports mapped from
-// the primary's. Released instances return to the pool warm, so
+// pool, shutting down every idle instance and freeing its loopback host.
+// Each leased instance is a factory-built SUT adapted to the mode, with
+// the finished engine target — the instance as its System — carried as
+// the lease payload. Released instances return to the pool warm, so
 // consecutive campaigns over one pool skip even the first cold start.
+//
+// A kernel-TCP system that reports a port but cannot move to a host of
+// its own runs on 127.0.0.1 itself, so only one worker can hold it.
+// Systems without a port (external processes, internal/proc) are built
+// at port 0 and left alone.
 func lifecycleFactory(f TargetFactory, primary *SystemTarget, mode Lifecycle, c *LifecycleCounters) (core.TargetFactory, func() error) {
-	from := portOf(primary.System)
-	port := 0
-	if onMemnet(primary.System) {
-		port = from
-	}
+	port := portOf(primary.System)
 	pool := sutpool.New(mode, c, func(p *sutpool.Pool) (*sutpool.Instance, error) {
 		st, err := f(port)
 		if err != nil {
 			return nil, err
 		}
 		inst := p.Instance(st.Target.System)
-		to := portOf(st.System)
-		inst.MapPort(from, to)
+		if port != 0 && !onMemnet(st.System) {
+			hs, ok := st.System.(suts.HostSetter)
+			if !ok && p.Size() > 1 {
+				return nil, fmt.Errorf("conferr: %s serves port %d on 127.0.0.1 and cannot move to a loopback host of its own (no suts.HostSetter); run it with one worker", st.System.Name(), port)
+			}
+			if ok {
+				host, err := inst.LeaseHost()
+				if err != nil {
+					return nil, err
+				}
+				hs.SetHost(host)
+			}
+		}
 		t := *st.Target
 		t.System = inst
-		if to != from {
-			t.Tests = remapTests(t.Tests, inst)
-		}
 		inst.Payload = &t
 		return inst, nil
 	})
@@ -85,4 +95,12 @@ func lifecycleFactory(f TargetFactory, primary *SystemTarget, mode Lifecycle, c 
 		}
 		return inst.Payload.(*core.Target), nil
 	}, pool.Close
+}
+
+// portOf is the port a simulator listens on, 0 for a system without one.
+func portOf(sys suts.System) int {
+	if dp, ok := sys.(interface{ DefaultPort() int }); ok {
+		return dp.DefaultPort()
+	}
+	return 0
 }

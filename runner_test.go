@@ -35,7 +35,8 @@ func canonicalProfile(p *Profile) string {
 // — whose faultload includes typos in the port digits, the hard case for
 // per-worker SUT instances — must produce a byte-identical, scenario-
 // ordered profile to the 1-worker run. Run under -race this also proves
-// the whole facade fan-out (port remapping included) is data-race free.
+// the whole facade fan-out (worker host leases included) is data-race
+// free.
 func TestRunnerParallelDeterminism(t *testing.T) {
 	// Generators hold internal RNG state consumed during generation, so
 	// each run gets a fresh instance; the seed makes them identical.

@@ -1,18 +1,25 @@
 #!/usr/bin/env bash
-# Same-bytes smoke across SUT lifecycles and transports.
+# Same-bytes smoke across SUT lifecycles, transports and worker counts.
 #
 # Runs one bounded nginx/typo matrix cell through `conferr matrix` under
-# cold starts over kernel TCP (1 and 4 workers), cold starts over the
-# in-process memnet transport (1 and 4 workers), and warm reloads over
-# memnet (1, 4 and 8 workers), and byte-compares (cmp) every -no-duration
-# stream against the cold TCP single-worker one: the lifecycle, the
-# transport, the worker count, the port remap of parallel TCP workers and
-# the verbatim primary port of memnet workers must all be invisible in
-# the output. Validate-only runs report probe detections as
-# ignored, so they are compared with each other (1 vs 4 workers) only.
+# cold starts over kernel TCP (1, 4 and 8 workers), warm reloads over
+# kernel TCP (1 and 4 workers), cold starts over the in-process memnet
+# transport (1 and 4 workers), and warm reloads over memnet (1, 4 and 8
+# workers), and byte-compares (cmp) every -no-duration stream against
+# the cold TCP single-worker one: the lifecycle, the transport and the
+# worker count must all be invisible in the output. Every worker binds
+# the primary's port verbatim, in a private memnet namespace or on a
+# loopback host of its own. Validate-only runs report probe detections
+# as ignored, so they are compared with each other (1 vs 4 workers) only.
 #
-# Base port 11516 keeps every typo'd port below the kernel's ephemeral
-# range, where a TIME_WAIT collision could change an outcome.
+# Then two more cells: apache/typo, whose reload must drop a moved
+# Listen port's keep-alive connections as a cold restart does (cold TCP
+# 1 worker vs reload TCP and reload memnet at 4 workers), and mysql/typo
+# over kernel TCP, whose faultload typos the port digits (1 vs 8
+# workers).
+#
+# Base ports 11516 and 11700 keep every typo'd port below the kernel's
+# ephemeral range, where a TIME_WAIT collision could change an outcome.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +38,9 @@ run() {
 echo "== cold TCP reference (1 worker)"
 run cold-tcp-w1 -lifecycle cold -workers 1
 for cfg in "cold-tcp-w4 -lifecycle cold -workers 4" \
+  "cold-tcp-w8 -lifecycle cold -workers 8" \
+  "reload-tcp-w1 -lifecycle reload -workers 1" \
+  "reload-tcp-w4 -lifecycle reload -workers 4" \
   "cold-memnet-w1 -lifecycle cold -memnet -workers 1" \
   "cold-memnet-w4 -lifecycle cold -memnet -workers 4" \
   "reload-memnet-w1 -lifecycle reload -memnet -workers 1" \
@@ -47,4 +57,24 @@ run validate-memnet-w1 -lifecycle validate -memnet -workers 1
 run validate-memnet-w4 -lifecycle validate -memnet -workers 4
 cmp "$tmp/validate-memnet-w1.jsonl" "$tmp/validate-memnet-w4.jsonl"
 
-echo "lifecycle-smoke OK: $(wc -l <"$tmp/cold-tcp-w1.jsonl") records, md5 $(md5sum <"$tmp/cold-tcp-w1.jsonl" | cut -d' ' -f1)"
+cell() {
+  local name=$1
+  shift
+  "$tmp/conferr" matrix -plugins typo -no-duration -stream-out "$tmp/$name.jsonl" "$@" >/dev/null
+}
+
+echo "== apache: cold TCP (1 worker) vs reload TCP and reload memnet (4 workers)"
+cell apache-cold-tcp-w1 -systems apache -base-port 11516 -lifecycle cold -workers 1
+cell apache-reload-tcp-w4 -systems apache -base-port 11516 -lifecycle reload -workers 4
+cell apache-reload-memnet-w4 -systems apache -base-port 11516 -lifecycle reload -memnet -workers 4
+cmp "$tmp/apache-cold-tcp-w1.jsonl" "$tmp/apache-reload-tcp-w4.jsonl"
+cmp "$tmp/apache-cold-tcp-w1.jsonl" "$tmp/apache-reload-memnet-w4.jsonl"
+
+echo "== mysql: kernel TCP (1 vs 8 workers)"
+cell mysql-w1 -systems mysql -base-port 11700 -workers 1
+cell mysql-w8 -systems mysql -base-port 11700 -workers 8
+cmp "$tmp/mysql-w1.jsonl" "$tmp/mysql-w8.jsonl"
+
+md5() { md5sum <"$1" | cut -d' ' -f1; }
+echo "lifecycle-smoke OK: nginx $(wc -l <"$tmp/cold-tcp-w1.jsonl") records, md5 $(md5 "$tmp/cold-tcp-w1.jsonl");" \
+  "apache md5 $(md5 "$tmp/apache-cold-tcp-w1.jsonl"); mysql md5 $(md5 "$tmp/mysql-w1.jsonl")"

@@ -28,9 +28,9 @@ type (
 // NewSuiteCampaign builds one suite cell from a target family and a
 // generator: the primary target (built at port; 0 allocates) serves
 // faultload generation, and every worker runs its own factory-built SUT
-// instance, in a private memnet namespace or on a remapped kernel port —
-// which is what lets several campaigns of one system family run
-// concurrently in a suite without colliding.
+// instance at the primary's port, in a private memnet namespace or on a
+// kernel loopback host of its own — which is what lets several campaigns
+// of one system family run concurrently in a suite without colliding.
 func NewSuiteCampaign(name string, factory TargetFactory, port int, gen Generator) (SuiteCampaign, error) {
 	return NewSuiteCampaignLifecycle(name, factory, port, gen, LifecycleCold, nil)
 }

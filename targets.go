@@ -15,7 +15,6 @@ import (
 	"conferr/internal/suts"
 	"conferr/internal/suts/bind"
 	"conferr/internal/suts/djbdns"
-	"conferr/internal/suts/dnscheck"
 	"conferr/internal/suts/httpd"
 	"conferr/internal/suts/mysqld"
 	"conferr/internal/suts/nginx"
@@ -258,7 +257,6 @@ func BINDTargetAt(port int) (*SystemTarget, error) {
 	if err != nil {
 		return nil, fmt.Errorf("conferr: bind target: %w", err)
 	}
-	addr := fmt.Sprintf("127.0.0.1:%d", s.DefaultPort())
 	return &SystemTarget{
 		System: s,
 		Target: &core.Target{
@@ -268,7 +266,7 @@ func BINDTargetAt(port int) (*SystemTarget, error) {
 				bind.ForwardZoneFile: zonefile.Format{},
 				bind.ReverseZoneFile: zonefile.Format{},
 			},
-			Tests: dnscheck.ZoneLivenessTests(addr, []string{"example.com", "2.0.192.in-addr.arpa"}),
+			Tests: bind.Tests(s),
 		},
 	}, nil
 }
@@ -286,13 +284,12 @@ func DjbdnsTargetAt(port int) (*SystemTarget, error) {
 	if err != nil {
 		return nil, fmt.Errorf("conferr: djbdns target: %w", err)
 	}
-	addr := fmt.Sprintf("127.0.0.1:%d", s.DefaultPort())
 	return &SystemTarget{
 		System: s,
 		Target: &core.Target{
 			System:  s,
 			Formats: map[string]formats.Format{djbdns.DataFile: tinydns.Format{}},
-			Tests:   dnscheck.ZoneLivenessTests(addr, []string{"example.com", "2.0.192.in-addr.arpa"}),
+			Tests:   djbdns.Tests(s),
 		},
 	}, nil
 }

@@ -10,13 +10,12 @@ import (
 // in-process network (internal/memnet) instead of kernel loopback TCP.
 // Each built target gets its own network namespace, so worker SUTs can
 // never collide on a port no matter how the faultload typos one: every
-// worker of a parallel campaign binds the primary's port verbatim, and
-// the port remap that kernel-TCP workers need is skipped in both
-// directions. Detection logic behaves identically because memnet words
-// its errors exactly like the kernel. Systems that do not implement
-// suts.TransportSetter (mysql, whose clients dial TCP directly, and the
-// DNS targets, whose liveness probes speak real UDP/TCP) pass through
-// unchanged and keep the kernel transport and the remap.
+// worker of a parallel campaign binds the primary's port verbatim.
+// Detection logic behaves identically because memnet words its errors
+// exactly like the kernel. Systems that do not implement
+// suts.TransportSetter (mysql and the DNS targets) pass through
+// unchanged and keep kernel loopback, where each worker serves the
+// primary's port on a loopback host of its own.
 //
 // Profiles are byte-identical to kernel-TCP runs; the wrapper composes
 // with every lifecycle mode, so
