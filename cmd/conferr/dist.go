@@ -41,7 +41,7 @@ func cmdDist(ctx context.Context, args []string) error {
 	port := fs.Int("port", 24100, "primary target port the faultload embeds; the default matches matrix cell 0 (-base-port)")
 	lifecycleS := fs.String("lifecycle", "cold", "worker SUT lifecycle: cold, reload or validate")
 	memnet := fs.Bool("memnet", false, "workers serve SUTs over the in-process transport")
-	keepGoing := fs.Bool("keep-going", false, "record infrastructure errors instead of failing the shard")
+	keepGoing := fs.Bool("keep-going", false, "per experiment: record infrastructure errors and contained panics instead of failing the shard")
 	noDuration := fs.Bool("no-duration", false, "zero duration_ns in merged records, making equivalent runs byte-comparable")
 	tally := fs.Bool("tally", false, "summary-only mode: workers send one tally each, no record stream")
 	out := fs.String("out", "", "merged profile path (.cprof = compact binary frames, else JSONL)")

@@ -447,7 +447,7 @@ func cmdMatrix(ctx context.Context, args []string) error {
 	streamOut := fs.String("stream-out", "", "stream records of all cells to this file instead of keeping profiles in memory (.cprof = compact binary frames, - = JSONL on stdout, else JSONL)")
 	noDuration := fs.Bool("no-duration", false, "zero the duration_ns field in streamed records, making equivalent runs byte-comparable")
 	basePort := fs.Int("base-port", 24100, "primary port of cell i is base-port+i, keeping faultloads reproducible (0 = allocate)")
-	keepGoing := fs.Bool("keep-going", false, "keep running remaining cells when one fails")
+	keepGoing := fs.Bool("keep-going", false, "suite level: keep running the other cells when one cell fails")
 	lifecycleS := fs.String("lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm pooled instances) or validate (parse-only)")
 	memnet := fs.Bool("memnet", false, "serve SUTs over the in-process transport instead of kernel loopback TCP")
 	expTO := fs.Duration("experiment-timeout", 0, "watchdog deadline per experiment; expiry records an infrastructure error and the campaign continues (0 = off)")

@@ -9,16 +9,14 @@ import (
 )
 
 // Checkpoint is the tiny resume state of a distributed campaign: the
-// campaign's identity (so a resume never splices two different runs
-// together) and the merge's flush front. Everything else is re-derivable
-// — a resumed coordinator re-requests every shard from Front and workers
-// regenerate without re-injecting the prefix.
+// campaign's whole spec and shard count (so a resume never splices two
+// different runs together) and the merge's flush front. Everything else
+// is re-derivable — a resumed coordinator re-requests every shard from
+// Front and workers regenerate without re-injecting the prefix.
 type Checkpoint struct {
-	System string `json:"system"`
-	Plugin string `json:"plugin"`
-	Seed   int64  `json:"seed"`
-	Shards int    `json:"shards"`
-	Front  int    `json:"front"`
+	Spec   CampaignSpec `json:"campaign"`
+	Shards int          `json:"shards"`
+	Front  int          `json:"front"`
 }
 
 // writeCheckpoint persists cp crash-safely: the bytes are fsynced to a
@@ -78,22 +76,24 @@ func loadCheckpoint(path string) (Checkpoint, error) {
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return Checkpoint{}, fmt.Errorf("dist: decoding checkpoint %s: %w", filepath.Base(path), err)
 	}
-	if cp.Front < 0 || cp.Shards <= 0 {
+	if cp.Front < 0 || cp.Shards <= 0 || cp.Spec.System == "" {
+		// An empty spec is also what a checkpoint written before the
+		// spec was stored decodes to: refuse it rather than guess.
 		return Checkpoint{}, fmt.Errorf("dist: checkpoint %s is malformed", filepath.Base(path))
 	}
 	return cp, nil
 }
 
 // matches rejects resuming one campaign's checkpoint into a different
-// campaign — a different seed, target, plugin, or shard layout would
+// campaign: a spec differing in anything but Lifecycle and Memnet, which
+// are byte-invisible by contract, or a different shard layout would
 // splice two unrelated streams.
 func (cp Checkpoint) matches(spec CampaignSpec, shards int) error {
-	if cp.System != spec.System || cp.Plugin != spec.Plugin {
-		return fmt.Errorf("dist: checkpoint is for campaign %s/%s, not %s/%s",
-			cp.System, cp.Plugin, spec.System, spec.Plugin)
-	}
-	if cp.Seed != spec.Seed {
-		return fmt.Errorf("dist: checkpoint seed %d does not match campaign seed %d", cp.Seed, spec.Seed)
+	was, now := cp.Spec, spec
+	was.Lifecycle, was.Memnet = "", false
+	now.Lifecycle, now.Memnet = "", false
+	if was != now {
+		return fmt.Errorf("dist: checkpoint is for campaign %+v, not %+v", cp.Spec, spec)
 	}
 	if cp.Shards != shards {
 		return fmt.Errorf("dist: checkpoint has %d shards, campaign has %d", cp.Shards, shards)

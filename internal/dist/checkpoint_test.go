@@ -14,7 +14,7 @@ import (
 func TestWriteCheckpointAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	good := Checkpoint{System: "nginx", Plugin: "typo", Seed: 7, Shards: 3, Front: 41}
+	good := Checkpoint{Spec: CampaignSpec{System: "nginx", Plugin: "typo", Seed: 7}, Shards: 3, Front: 41}
 	if err := writeCheckpoint(path, good); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestWriteCheckpointAtomic(t *testing.T) {
 
 	// A torn file — the crash window writeCheckpoint's fsync+rename is
 	// built to close — must be rejected, not half-parsed.
-	if err := os.WriteFile(path, []byte(`{"system":"nginx","plugin":"typo","se`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"campaign":{"system":"nginx","plugin":"typo","se`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := loadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "decoding checkpoint") {

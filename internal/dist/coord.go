@@ -311,21 +311,16 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	st := &coordState{
-		flush:     flush,
-		shardDone: make(map[int]bool, shards),
-		live:      len(c.Workers),
-		doneCh:    make(chan struct{}),
-		cancel:    cancel,
-		cpPath:    cpPath,
-		cpEvery:   cpEvery,
-		cpTemplate: Checkpoint{
-			System: c.Spec.System,
-			Plugin: c.Spec.Plugin,
-			Seed:   c.Spec.Seed,
-			Shards: shards,
-		},
-		cpLast: startSeq,
-		logf:   c.logf,
+		flush:      flush,
+		shardDone:  make(map[int]bool, shards),
+		live:       len(c.Workers),
+		doneCh:     make(chan struct{}),
+		cancel:     cancel,
+		cpPath:     cpPath,
+		cpEvery:    cpEvery,
+		cpTemplate: Checkpoint{Spec: c.Spec, Shards: shards},
+		cpLast:     startSeq,
+		logf:       c.logf,
 	}
 	if !tally {
 		st.merger = profile.NewSeqMerger(w, startSeq)

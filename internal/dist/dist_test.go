@@ -416,6 +416,86 @@ func TestDistResumeFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestDistResumeRefusesDifferentSpec: a checkpoint resumes only the
+// campaign that wrote it. A different Port is refused with both specs in
+// the error, and so is a checkpoint that predates stored specs; neither
+// refusal touches the output. A different Lifecycle and Memnet, which
+// are byte-invisible, resume to the same bytes.
+func TestDistResumeRefusesDifferentSpec(t *testing.T) {
+	const total = 20
+	dir := t.TempDir()
+	outPath := filepath.Join(dir, "merged.jsonl")
+	cpPath := outPath + ".ckpt"
+	spec := dist.CampaignSpec{System: "stub", Plugin: "stub", Seed: 3, Limit: total, Port: 1000}
+	run := func(addr string, spec dist.CampaignSpec, resume bool) (dist.Result, error) {
+		c := &dist.Coordinator{
+			Workers: []string{addr}, Shards: 2, Spec: spec,
+			OutPath: outPath, CheckpointPath: cpPath, Resume: resume,
+			StallTimeout: 5 * time.Second, Retry: fastRetry, CheckpointEvery: 1,
+		}
+		return c.Run(context.Background())
+	}
+	_, cursed := startServer(t, dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
+		if req.Shard == 1 {
+			return dist.ShardResult{}, errors.New("shard 1 is cursed")
+		}
+		return stubShard(req, emit)
+	}))
+	if _, err := run(cursed, spec, false); err == nil {
+		t.Fatal("run with a cursed shard succeeded")
+	}
+	out, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, healthy := startServer(t, dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
+		return stubShard(req, emit)
+	}))
+	untouched := func(what string) {
+		t.Helper()
+		if got, _ := os.ReadFile(outPath); !bytes.Equal(got, out) {
+			t.Fatalf("%s changed the output: %q", what, got)
+		}
+	}
+
+	moved := spec
+	moved.Port = 2000
+	_, err = run(healthy, moved, true)
+	if err == nil || !strings.Contains(err.Error(), "Port:1000") || !strings.Contains(err.Error(), "Port:2000") {
+		t.Fatalf("resume under a different Port: err = %v, want a refusal naming both specs", err)
+	}
+	untouched("refused resume under a different Port")
+
+	old := `{"system":"stub","plugin":"stub","seed":3,"shards":2,"front":1}` + "\n"
+	if err := os.WriteFile(cpPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(healthy, spec, true); err == nil || !strings.Contains(err.Error(), "malformed") {
+		t.Fatalf("resume from a checkpoint without a spec: err = %v, want a refusal", err)
+	}
+	untouched("refused resume from a checkpoint without a spec")
+
+	if err := os.WriteFile(cpPath, cp, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	relived := spec
+	relived.Lifecycle, relived.Memnet = "reload", true
+	res, err := run(healthy, relived, true)
+	if err != nil {
+		t.Fatalf("resume under a different Lifecycle: %v", err)
+	}
+	if res.StartSeq != 1 {
+		t.Fatalf("resume started from %d, want 1", res.StartSeq)
+	}
+	if got, _ := os.ReadFile(outPath); !bytes.Equal(got, wantStream(total)) {
+		t.Fatalf("resumed output diverges:\n%s", got)
+	}
+}
+
 // TestDistTallyMode: tally-only campaigns move no record frames, only
 // per-shard summaries.
 func TestDistTallyMode(t *testing.T) {

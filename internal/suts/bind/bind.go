@@ -14,7 +14,6 @@ package bind
 
 import (
 	"fmt"
-	"net"
 	"regexp"
 	"strings"
 
@@ -50,14 +49,10 @@ var _ suts.HostSetter = (*Server)(nil)
 // New returns a simulator whose default configuration listens on the given
 // UDP port (0 picks a free one at construction time).
 func New(port int) (*Server, error) {
+	var err error
 	if port == 0 {
-		probe, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("bind: allocating port: %w", err)
-		}
-		port = probe.LocalAddr().(*net.UDPAddr).Port
-		if err := probe.Close(); err != nil {
-			return nil, fmt.Errorf("bind: releasing probe: %w", err)
+		if port, err = suts.FreePort("udp"); err != nil {
+			return nil, fmt.Errorf("bind: %w", err)
 		}
 	}
 	return &Server{port: port}, nil

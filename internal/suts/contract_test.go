@@ -18,19 +18,27 @@ import (
 //   - double Stop
 //   - a full restart (Start/Stop/Start/Stop)
 //
-// and, where the optional capabilities are implemented, Reload and
-// Validate must report startup rejections byte-identically to Start.
+// and, where the optional capabilities are implemented, Reload,
+// ReloadDirty and Validate must report startup rejections
+// byte-identically to Start, and a stopped system must have no address
+// and fail its health check.
+
+// fileNames returns the names of files, sorted.
+func fileNames(files suts.Files) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // garbageConfig corrupts the first (sorted) default file so that any
 // real parser rejects it; systems that happen to tolerate it just skip
 // the rejection-specific assertions.
 func garbageConfig(sys suts.System) suts.Files {
 	def := sys.DefaultConfig()
-	names := make([]string, 0, len(def))
-	for name := range def {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := fileNames(def)
 	files := make(suts.Files, len(def))
 	for name, data := range def {
 		files[name] = data
@@ -95,6 +103,16 @@ func TestRegisteredSystemsHonorContract(t *testing.T) {
 			if err := sys.Stop(); err != nil {
 				t.Errorf("double Stop: %v", err)
 			}
+			stopped := func(when string) {
+				t.Helper()
+				if a, ok := sys.(suts.Addressable); ok && a.Addr() != "" {
+					t.Errorf("Addr %s = %q, want empty", when, a.Addr())
+				}
+				if hc, ok := sys.(suts.HealthChecker); ok && hc.Health() == nil {
+					t.Errorf("Health %s = nil, want an error", when)
+				}
+			}
+			stopped("after Stop")
 
 			// Optional capabilities: rejections must be byte-identical
 			// to Start's for the same files.
@@ -130,9 +148,26 @@ func TestRegisteredSystemsHonorContract(t *testing.T) {
 							t.Errorf("Reload(default) after rejection: %v", err)
 						}
 					}
+					if dr, ok := sys.(suts.DirtyReloader); ok {
+						// Clean or dirty, the garbage is rejected in
+						// Start's words, and never memoized.
+						for _, dirty := range [][]string{nil, fileNames(def)} {
+							derr := dr.ReloadDirty(bad, dirty)
+							if derr == nil || derr.Error() != startErr.Error() {
+								t.Errorf("ReloadDirty(garbage, %q) = %v, want Start's %v", dirty, derr, startErr)
+							}
+						}
+						// A memo miss, then a memo hit.
+						for i := 1; i <= 2; i++ {
+							if err := dr.ReloadDirty(def, nil); err != nil {
+								t.Errorf("ReloadDirty(default, nil) #%d: %v", i, err)
+							}
+						}
+					}
 					if err := sys.Stop(); err != nil {
 						t.Errorf("Stop after Reload round: %v", err)
 					}
+					stopped("after the Reload round")
 				}
 			}
 		})

@@ -15,7 +15,6 @@ package djbdns
 
 import (
 	"fmt"
-	"net"
 
 	"conferr/internal/dnsmodel"
 	"conferr/internal/dnswire"
@@ -42,14 +41,10 @@ var _ suts.HostSetter = (*Server)(nil)
 // New returns a simulator whose default configuration listens on the given
 // UDP port (0 picks a free one at construction time).
 func New(port int) (*Server, error) {
+	var err error
 	if port == 0 {
-		probe, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("djbdns: allocating port: %w", err)
-		}
-		port = probe.LocalAddr().(*net.UDPAddr).Port
-		if err := probe.Close(); err != nil {
-			return nil, fmt.Errorf("djbdns: releasing probe: %w", err)
+		if port, err = suts.FreePort("udp"); err != nil {
+			return nil, fmt.Errorf("djbdns: %w", err)
 		}
 	}
 	return &Server{port: port}, nil

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,15 +17,12 @@ import (
 // ConfigFile is the logical name of the simulator's configuration file.
 const ConfigFile = "httpd.conf"
 
-// Server is the simulated Apache httpd.
+// Server is the simulated Apache httpd. The embedded suts.Net carries
+// its transport; its ports live in an httpprobe.Listeners.
 type Server struct {
+	suts.Net
 	port int
-	tr   suts.Transport
-
-	mu    sync.Mutex
-	bound map[int]*binding // live listeners by port
-	order []int            // bound ports in configuration order
-	wg    sync.WaitGroup
+	ls   httpprobe.Listeners
 
 	clientOnce sync.Once
 	client     *http.Client
@@ -34,15 +30,6 @@ type Server struct {
 	// baseMemo caches the checked parse of the campaign-baseline
 	// httpd.conf across warm reloads (see suts.ParseMemo).
 	baseMemo suts.ParseMemo[parsed]
-}
-
-// binding is one listening port: its listener and the serving probe
-// server, whose handler a warm reload retargets in place. Each port has
-// its own, so dropping a port closes its keep-alive connections too, as
-// a cold restart would.
-type binding struct {
-	ln net.Listener
-	ps *httpprobe.Server
 }
 
 var _ suts.System = (*Server)(nil)
@@ -57,14 +44,10 @@ var _ suts.HostSetter = (*Server)(nil)
 // New returns a simulator whose default configuration listens on the given
 // TCP port (0 picks a free one at construction time).
 func New(port int) (*Server, error) {
+	var err error
 	if port == 0 {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("httpd: allocating port: %w", err)
-		}
-		port = ln.Addr().(*net.TCPAddr).Port
-		if err := ln.Close(); err != nil {
-			return nil, fmt.Errorf("httpd: releasing probe listener: %w", err)
+		if port, err = suts.FreePort("tcp"); err != nil {
+			return nil, fmt.Errorf("httpd: %w", err)
 		}
 	}
 	return &Server{port: port}, nil
@@ -284,19 +267,11 @@ func (s *Server) Reload(files suts.Files) error { return s.configure(files) }
 // the campaign baseline's bytes, so the memoized baseline parse is
 // applied without re-parsing. Observationally identical to Reload.
 func (s *Server) ReloadDirty(files suts.Files, dirty []string) error {
-	data, ok := files[ConfigFile]
-	if ok && !slices.Contains(dirty, ConfigFile) {
-		if cfg, hit := s.baseMemo.Get(data); hit {
-			return s.apply(cfg)
-		}
-		cfg, err := s.check(files)
-		if err != nil {
-			return err
-		}
-		s.baseMemo.Put(data, cfg)
-		return s.apply(cfg)
+	cfg, err := s.baseMemo.Check(files, dirty, ConfigFile, s.check)
+	if err != nil {
+		return err
 	}
-	return s.configure(files)
+	return s.apply(cfg)
 }
 
 // Validate implements suts.Validator: the `apachectl configtest` parse
@@ -319,114 +294,33 @@ func (s *Server) configure(files suts.Files) error {
 }
 
 // apply drives the listener and routing state to a checked
-// configuration.
+// configuration; every port serves the one routing table.
 func (s *Server) apply(cfg parsed) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	// Bind the ports the new configuration adds, in configuration order
-	// so a multi-failure reports the same port a cold start would.
-	created := map[int]*binding{}
-	for _, p := range cfg.ports {
-		if _, held := s.bound[p]; held {
-			continue
-		}
-		ln, err := s.Transport().Listen(fmt.Sprintf("127.0.0.1:%d", p))
-		if err != nil {
-			for _, b := range created {
-				_ = b.ln.Close()
-				b.ps.Close()
-			}
+	h := buildHandler(cfg)
+	return s.ls.Apply(s.Transport().Listen, "Apache-sim/2.2", cfg.ports,
+		func(int) httpprobe.Handler { return h },
+		func(p int, err error) error {
 			return &suts.StartupError{System: s.Name(),
 				Msg: fmt.Sprintf("could not bind to port %d: %v", p, err)}
-		}
-		ps := httpprobe.NewServer("Apache-sim/2.2", nil)
-		created[p] = &binding{ln: ln, ps: ps}
-		s.wg.Add(1)
-		go func(ps *httpprobe.Server, l net.Listener) {
-			defer s.wg.Done()
-			ps.Serve(l)
-		}(ps, ln)
-	}
-
-	// Commit: adopt the new bindings, swap every retained port's routing
-	// table, drop ports the new configuration no longer listens on.
-	want := map[int]bool{}
-	for _, p := range cfg.ports {
-		want[p] = true
-	}
-	if s.bound == nil {
-		s.bound = map[int]*binding{}
-	}
-	for p, b := range created {
-		s.bound[p] = b
-	}
-	h := buildHandler(cfg)
-	for p, b := range s.bound {
-		if !want[p] {
-			_ = b.ln.Close()
-			b.ps.Close()
-			delete(s.bound, p)
-			continue
-		}
-		b.ps.SetHandler(h)
-	}
-	s.order = cfg.ports
-	return nil
+		})
 }
 
 // Stop implements suts.System.
 func (s *Server) Stop() error {
-	s.mu.Lock()
-	bound := s.bound
-	s.bound = nil
-	s.order = nil
-	s.mu.Unlock()
-	for _, b := range bound {
-		_ = b.ln.Close()
-		b.ps.Close()
-	}
-	s.wg.Wait()
+	s.ls.Close()
 	return nil
 }
 
 // Health implements suts.HealthChecker.
 func (s *Server) Health() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.bound) == 0 {
+	if s.ls.Len() == 0 {
 		return fmt.Errorf("apache-sim: no listeners bound")
 	}
 	return nil
 }
 
-// SetTransport implements suts.TransportSetter. Must be called before
-// Start; it moves both the listeners and the functional tests’ dials.
-func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
-
-// SetHost implements suts.HostSetter.
-func (s *Server) SetHost(host string) { s.tr = suts.LoopbackTransport{Host: host} }
-
-// Transport returns the configured transport, defaulting to kernel
-// loopback.
-func (s *Server) Transport() suts.Transport {
-	if s.tr == nil {
-		return suts.LoopbackTransport{}
-	}
-	return s.tr
-}
-
 // Addr implements suts.Addressable (first configured port’s listener).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range s.order {
-		if b, ok := s.bound[p]; ok {
-			return b.ln.Addr().String()
-		}
-	}
-	return ""
-}
+func (s *Server) Addr() string { return s.ls.Addr() }
 
 // nameMatchesBytes compares a ServerName (which may carry a ":port"
 // suffix) against a request host, case-insensitively and without

@@ -2,7 +2,6 @@ package mysqld
 
 import (
 	"fmt"
-	"net"
 	"strings"
 
 	"conferr/internal/sqlmini"
@@ -54,24 +53,13 @@ var _ suts.HostSetter = (*Server)(nil)
 // TCP port (use a free high port; 0 is replaced by an OS-assigned one at
 // construction time so the default config is always concrete).
 func New(port int) (*Server, error) {
+	var err error
 	if port == 0 {
-		p, err := freePort()
-		if err != nil {
-			return nil, err
+		if port, err = suts.FreePort("tcp"); err != nil {
+			return nil, fmt.Errorf("mysqld: %w", err)
 		}
-		port = p
 	}
 	return &Server{port: port}, nil
-}
-
-// freePort asks the kernel for an unused TCP port.
-func freePort() (int, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, fmt.Errorf("mysqld: allocating port: %w", err)
-	}
-	defer func() { _ = ln.Close() }()
-	return ln.Addr().(*net.TCPAddr).Port, nil
 }
 
 // Name implements suts.System.
@@ -161,11 +149,7 @@ func (s *Server) Start(files suts.Files) error {
 	eng := &sqlmini.Engine{}
 	srv := sqlmini.NewServer(eng)
 	srv.MaxConns = int(st.maxConn)
-	addr := fmt.Sprintf("127.0.0.1:%d", st.port)
-	if st.port == 0 {
-		addr = "127.0.0.1:0"
-	}
-	if err := srv.Listen(s.lo.Listen, addr); err != nil {
+	if err := srv.Listen(s.lo.Listen, fmt.Sprintf("127.0.0.1:%d", st.port)); err != nil {
 		// An un-bindable port is observable at startup, exactly like a
 		// rejected configuration value.
 		return &suts.StartupError{System: s.Name(), Msg: err.Error()}

@@ -25,15 +25,12 @@ import (
 // ConfigFile is the logical name of the simulator's configuration file.
 const ConfigFile = "nginx.conf"
 
-// Server is the simulated nginx daemon.
+// Server is the simulated nginx daemon. The embedded suts.Net carries
+// its transport; its ports live in an httpprobe.Listeners.
 type Server struct {
+	suts.Net
 	port int
-	tr   suts.Transport
-
-	mu    sync.Mutex
-	bound map[int]*binding // live listeners by port
-	order []int            // bound ports in configuration order
-	wg    sync.WaitGroup
+	ls   httpprobe.Listeners
 
 	clientOnce sync.Once
 	client     *http.Client
@@ -44,19 +41,12 @@ type Server struct {
 	baseMemo suts.ParseMemo[checkedConfig]
 }
 
-// checkedConfig is a parsed-and-checked configuration, the unit the
-// baseline memo caches and apply consumes.
+// checkedConfig is a parsed-and-checked configuration: the effective
+// server blocks and the unique ports to bind in configuration order. It
+// is the unit the baseline memo caches and apply consumes.
 type checkedConfig struct {
 	servers []vserver
 	ports   []int
-}
-
-// binding is one listening port: its listener and the serving probe
-// server, whose handler a warm reload retargets in place without
-// rebinding the listener or dropping keep-alive connections.
-type binding struct {
-	ln net.Listener
-	ps *httpprobe.Server
 }
 
 var _ suts.System = (*Server)(nil)
@@ -71,14 +61,10 @@ var _ suts.HostSetter = (*Server)(nil)
 // New returns a simulator whose default configuration listens on the
 // given TCP port (0 picks a free one at construction time).
 func New(port int) (*Server, error) {
+	var err error
 	if port == 0 {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("nginx: allocating port: %w", err)
-		}
-		port = ln.Addr().(*net.TCPAddr).Port
-		if err := ln.Close(); err != nil {
-			return nil, fmt.Errorf("nginx: releasing probe listener: %w", err)
+		if port, err = suts.FreePort("tcp"); err != nil {
+			return nil, fmt.Errorf("nginx: %w", err)
 		}
 	}
 	return &Server{port: port}, nil
@@ -176,19 +162,18 @@ type parsed struct {
 }
 
 // check parses and validates a configuration without touching listener
-// state, returning the effective server blocks and the unique ports to
-// bind in configuration order. Errors carry nginx's startup wording.
-func (s *Server) check(files suts.Files) ([]vserver, []int, error) {
+// state. Errors carry nginx's startup wording.
+func (s *Server) check(files suts.Files) (checkedConfig, error) {
 	data, ok := files[ConfigFile]
 	if !ok {
-		return nil, nil, &suts.StartupError{System: s.Name(), Msg: "missing " + ConfigFile}
+		return checkedConfig{}, &suts.StartupError{System: s.Name(), Msg: "missing " + ConfigFile}
 	}
 	cfg, err := parseConfig(string(data))
 	if err != nil {
-		return nil, nil, &suts.StartupError{System: s.Name(), Msg: err.Error()}
+		return checkedConfig{}, &suts.StartupError{System: s.Name(), Msg: err.Error()}
 	}
 	if !cfg.sawEvents {
-		return nil, nil, &suts.StartupError{System: s.Name(), Msg: `no "events" section in configuration`}
+		return checkedConfig{}, &suts.StartupError{System: s.Name(), Msg: `no "events" section in configuration`}
 	}
 
 	// One listener per unique port; the first server block naming a port
@@ -215,7 +200,7 @@ func (s *Server) check(files suts.Files) ([]vserver, []int, error) {
 			}
 		}
 	}
-	return cfg.servers, ports, nil
+	return checkedConfig{servers: cfg.servers, ports: ports}, nil
 }
 
 // Start implements suts.System.
@@ -235,26 +220,18 @@ func (s *Server) Reload(files suts.Files) error { return s.configure(files) }
 // identical to Reload — apply still runs in full, because the running
 // configuration may be the previous experiment's mutation.
 func (s *Server) ReloadDirty(files suts.Files, dirty []string) error {
-	data, ok := files[ConfigFile]
-	if ok && !slices.Contains(dirty, ConfigFile) {
-		if cc, hit := s.baseMemo.Get(data); hit {
-			return s.apply(cc.servers, cc.ports)
-		}
-		servers, ports, err := s.check(files)
-		if err != nil {
-			return err
-		}
-		s.baseMemo.Put(data, checkedConfig{servers: servers, ports: ports})
-		return s.apply(servers, ports)
+	cc, err := s.baseMemo.Check(files, dirty, ConfigFile, s.check)
+	if err != nil {
+		return err
 	}
-	return s.configure(files)
+	return s.apply(cc)
 }
 
 // Validate implements suts.Validator: the `nginx -t` parse-and-check
 // path. It detects exactly Start's configuration rejections; bind-time
 // failures are invisible to it.
 func (s *Server) Validate(files suts.Files) error {
-	_, _, err := s.check(files)
+	_, err := s.check(files)
 	return err
 }
 
@@ -263,67 +240,22 @@ func (s *Server) Validate(files suts.Files) error {
 // reload. On error the previous state is untouched (empty for a cold
 // start), so a rejected reload keeps serving the old configuration.
 func (s *Server) configure(files suts.Files) error {
-	servers, ports, err := s.check(files)
+	cc, err := s.check(files)
 	if err != nil {
 		return err
 	}
-	return s.apply(servers, ports)
+	return s.apply(cc)
 }
 
 // apply drives the listener and routing state to a checked
-// configuration.
-func (s *Server) apply(servers []vserver, ports []int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	// Bind the ports the new configuration adds, in configuration order
-	// so a multi-failure reports the same port a cold start would.
-	created := map[int]*binding{}
-	for _, port := range ports {
-		if _, held := s.bound[port]; held {
-			continue
-		}
-		ln, err := s.Transport().Listen(fmt.Sprintf("127.0.0.1:%d", port))
-		if err != nil {
-			for _, b := range created {
-				_ = b.ln.Close()
-				b.ps.Close()
-			}
+// configuration; each port routes among the server blocks on it.
+func (s *Server) apply(cc checkedConfig) error {
+	return s.ls.Apply(s.Transport().Listen, "nginx-sim/1.0", cc.ports,
+		func(p int) httpprobe.Handler { return handlerFor(cc.servers, p) },
+		func(p int, err error) error {
 			return &suts.StartupError{System: s.Name(),
-				Msg: fmt.Sprintf("bind() to 127.0.0.1:%d failed: %v", port, err)}
-		}
-		ps := httpprobe.NewServer("nginx-sim/1.0", nil)
-		created[port] = &binding{ln: ln, ps: ps}
-		s.wg.Add(1)
-		go func(ps *httpprobe.Server, l net.Listener) {
-			defer s.wg.Done()
-			ps.Serve(l)
-		}(ps, ln)
-	}
-
-	// Commit: adopt the new bindings, retarget every retained port's
-	// handler, drop ports the new configuration no longer listens on.
-	want := map[int]bool{}
-	for _, p := range ports {
-		want[p] = true
-	}
-	if s.bound == nil {
-		s.bound = map[int]*binding{}
-	}
-	for p, b := range created {
-		s.bound[p] = b
-	}
-	for p, b := range s.bound {
-		if !want[p] {
-			_ = b.ln.Close()
-			b.ps.Close()
-			delete(s.bound, p)
-			continue
-		}
-		b.ps.SetHandler(handlerFor(servers, p))
-	}
-	s.order = ports
-	return nil
+				Msg: fmt.Sprintf("bind() to 127.0.0.1:%d failed: %v", p, err)}
+		})
 }
 
 // handlerFor builds the request handler of one listening port: match the
@@ -398,57 +330,21 @@ func matchesName(names []string, host []byte) bool {
 
 // Stop implements suts.System.
 func (s *Server) Stop() error {
-	s.mu.Lock()
-	bound := s.bound
-	s.bound = nil
-	s.order = nil
-	s.mu.Unlock()
-	for _, b := range bound {
-		_ = b.ln.Close()
-		b.ps.Close()
-	}
-	s.wg.Wait()
+	s.ls.Close()
 	return nil
 }
 
 // Health implements suts.HealthChecker: a running server has at least
 // one bound listener.
 func (s *Server) Health() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.bound) == 0 {
+	if s.ls.Len() == 0 {
 		return fmt.Errorf("nginx-sim: no listeners bound")
 	}
 	return nil
 }
 
-// SetTransport implements suts.TransportSetter. Must be called before
-// Start; it moves both the listeners and the functional tests' dials.
-func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
-
-// SetHost implements suts.HostSetter.
-func (s *Server) SetHost(host string) { s.tr = suts.LoopbackTransport{Host: host} }
-
-// Transport returns the configured transport, defaulting to kernel
-// loopback.
-func (s *Server) Transport() suts.Transport {
-	if s.tr == nil {
-		return suts.LoopbackTransport{}
-	}
-	return s.tr
-}
-
 // Addr implements suts.Addressable (first configured port's listener).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range s.order {
-		if b, ok := s.bound[p]; ok {
-			return b.ln.Addr().String()
-		}
-	}
-	return ""
-}
+func (s *Server) Addr() string { return s.ls.Addr() }
 
 // parseConfig applies nginx's startup semantics to the configuration
 // text: brace-block syntax, directive lookup, context checking and

@@ -1,6 +1,9 @@
 package suts
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // ParseMemo memoizes the parsed form of one configuration file across
 // warm reloads, keyed by the identity — pointer and length — of the raw
@@ -15,8 +18,8 @@ import "sync"
 // memo therefore retains a reference to the keyed slice itself: while
 // the entry lives, the allocator cannot recycle its address, so a
 // matching (pointer, length) pair is necessarily the same slice with
-// the same content. Callers must only Put slices they received as
-// clean/baseline content (see DirtyReloader).
+// the same content. Check only stores slices the engine marked clean
+// (see DirtyReloader).
 //
 // One entry suffices — a SUT instance serves one campaign at a time,
 // and a campaign has one baseline per file — and keeps the memo from
@@ -28,20 +31,27 @@ type ParseMemo[T any] struct {
 	ok   bool
 }
 
-// Get returns the memoized parse when data is the exact slice last Put.
-func (m *ParseMemo[T]) Get(data []byte) (T, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ok && len(data) == len(m.data) && (len(data) == 0 || &data[0] == &m.data[0]) {
-		return m.val, true
+// Check is the ReloadDirty rule: when files[name] is present and not
+// named in dirty, its bytes are the campaign baseline, so the memoized
+// parse is reused, and a successful check of it is memoized. Otherwise
+// check runs on files unmemoized, exactly as Reload would.
+func (m *ParseMemo[T]) Check(files Files, dirty []string, name string, check func(Files) (T, error)) (T, error) {
+	data, ok := files[name]
+	if !ok || slices.Contains(dirty, name) {
+		return check(files)
 	}
-	var zero T
-	return zero, false
-}
-
-// Put stores the parse of data, replacing any previous entry.
-func (m *ParseMemo[T]) Put(data []byte, val T) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.data, m.val, m.ok = data, val, true
+	hit := m.ok && len(data) == len(m.data) && (len(data) == 0 || &data[0] == &m.data[0])
+	val := m.val
+	m.mu.Unlock()
+	if hit {
+		return val, nil
+	}
+	val, err := check(files)
+	if err == nil {
+		m.mu.Lock()
+		m.data, m.val, m.ok = data, val, true
+		m.mu.Unlock()
+	}
+	return val, err
 }

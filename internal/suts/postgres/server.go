@@ -2,8 +2,6 @@ package postgres
 
 import (
 	"fmt"
-	"net"
-	"slices"
 	"strings"
 
 	"conferr/internal/sqlmini"
@@ -13,10 +11,11 @@ import (
 // ConfigFile is the logical name of the simulator's configuration file.
 const ConfigFile = "postgresql.conf"
 
-// Server is the simulated PostgreSQL server.
+// Server is the simulated PostgreSQL server. The embedded suts.Net
+// carries its transport.
 type Server struct {
+	suts.Net
 	port int
-	tr   suts.Transport
 
 	srv      *sqlmini.Server
 	curAddr  string
@@ -27,8 +26,8 @@ type Server struct {
 	baseMemo suts.ParseMemo[checkedConfig]
 }
 
-// checkedConfig is a parsed-and-checked configuration, the unit the
-// baseline memo caches.
+// checkedConfig is a parsed-and-checked configuration and its resolved
+// listen address, the unit the baseline memo caches.
 type checkedConfig struct {
 	st   settings
 	addr string
@@ -58,14 +57,10 @@ var _ suts.HostSetter = (*Server)(nil)
 // New returns a simulator whose default configuration listens on the given
 // TCP port (0 picks a free one at construction time).
 func New(port int) (*Server, error) {
+	var err error
 	if port == 0 {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("postgres: allocating port: %w", err)
-		}
-		port = ln.Addr().(*net.TCPAddr).Port
-		if err := ln.Close(); err != nil {
-			return nil, fmt.Errorf("postgres: releasing probe listener: %w", err)
+		if port, err = suts.FreePort("tcp"); err != nil {
+			return nil, fmt.Errorf("postgres: %w", err)
 		}
 	}
 	return &Server{port: port}, nil
@@ -120,14 +115,14 @@ func (s *Server) FullConfig() suts.Files {
 
 // check parses a configuration and resolves its listen address without
 // touching server state. Errors carry postgres's FATAL startup wording.
-func (s *Server) check(files suts.Files) (settings, string, error) {
+func (s *Server) check(files suts.Files) (checkedConfig, error) {
 	data, ok := files[ConfigFile]
 	if !ok {
-		return settings{}, "", &suts.StartupError{System: s.Name(), Msg: "missing " + ConfigFile}
+		return checkedConfig{}, &suts.StartupError{System: s.Name(), Msg: "missing " + ConfigFile}
 	}
 	st, err := parseConfig(string(data))
 	if err != nil {
-		return settings{}, "", &suts.StartupError{System: s.Name(), Msg: "FATAL: " + err.Error()}
+		return checkedConfig{}, &suts.StartupError{System: s.Name(), Msg: "FATAL: " + err.Error()}
 	}
 
 	// listen_addresses is a plain string parameter, but a host that does
@@ -137,26 +132,26 @@ func (s *Server) check(files suts.Files) (settings, string, error) {
 	case "localhost", "127.0.0.1", "*", "0.0.0.0", "":
 		host = "127.0.0.1"
 	default:
-		return settings{}, "", &suts.StartupError{System: s.Name(),
+		return checkedConfig{}, &suts.StartupError{System: s.Name(),
 			Msg: fmt.Sprintf("FATAL: could not translate host name \"%s\" to address", st.listen)}
 	}
-	return st, fmt.Sprintf("%s:%d", host, st.port), nil
+	return checkedConfig{st: st, addr: fmt.Sprintf("%s:%d", host, st.port)}, nil
 }
 
 // Start implements suts.System.
 func (s *Server) Start(files suts.Files) error {
-	st, addr, err := s.check(files)
+	cc, err := s.check(files)
 	if err != nil {
 		return err
 	}
-	s.settings = st
+	s.settings = cc.st
 	srv := sqlmini.NewServer(&sqlmini.Engine{})
-	srv.MaxConns = int(st.maxConn)
-	if err := srv.Listen(s.Transport().Listen, addr); err != nil {
+	srv.MaxConns = int(cc.st.maxConn)
+	if err := srv.Listen(s.Transport().Listen, cc.addr); err != nil {
 		return &suts.StartupError{System: s.Name(), Msg: err.Error()}
 	}
 	s.srv = srv
-	s.curAddr = addr
+	s.curAddr = cc.addr
 	return nil
 }
 
@@ -166,34 +161,27 @@ func (s *Server) Start(files suts.Files) error {
 // Start's exact wording and the previous configuration keeps serving; an
 // address change binds the new socket before releasing the old one.
 func (s *Server) Reload(files suts.Files) error {
-	st, addr, err := s.check(files)
+	cc, err := s.check(files)
 	if err != nil {
 		return err
 	}
-	return s.applyReload(st, addr)
+	return s.applyReload(cc)
 }
 
 // ReloadDirty implements suts.DirtyReloader: a clean postgresql.conf
 // carries the campaign baseline's bytes, so the memoized baseline parse
 // is applied without re-parsing. Observationally identical to Reload.
 func (s *Server) ReloadDirty(files suts.Files, dirty []string) error {
-	data, ok := files[ConfigFile]
-	if ok && !slices.Contains(dirty, ConfigFile) {
-		if cc, hit := s.baseMemo.Get(data); hit {
-			return s.applyReload(cc.st, cc.addr)
-		}
-		st, addr, err := s.check(files)
-		if err != nil {
-			return err
-		}
-		s.baseMemo.Put(data, checkedConfig{st: st, addr: addr})
-		return s.applyReload(st, addr)
+	cc, err := s.baseMemo.Check(files, dirty, ConfigFile, s.check)
+	if err != nil {
+		return err
 	}
-	return s.Reload(files)
+	return s.applyReload(cc)
 }
 
 // applyReload drives the running server to a checked configuration.
-func (s *Server) applyReload(st settings, addr string) error {
+func (s *Server) applyReload(cc checkedConfig) error {
+	st, addr := cc.st, cc.addr
 	if s.srv != nil && addr == s.curAddr {
 		s.srv.SetEngine(&sqlmini.Engine{})
 		s.srv.SetMaxConns(int(st.maxConn))
@@ -218,7 +206,7 @@ func (s *Server) applyReload(st settings, addr string) error {
 // Validate implements suts.Validator: the `postgres -C` / config-check
 // idiom — parse and address resolution only, nothing bound.
 func (s *Server) Validate(files suts.Files) error {
-	_, _, err := s.check(files)
+	_, err := s.check(files)
 	return err
 }
 
@@ -239,22 +227,6 @@ func (s *Server) Health() error {
 		return fmt.Errorf("postgres-sim: not listening")
 	}
 	return nil
-}
-
-// SetTransport implements suts.TransportSetter. Must be called before
-// Start; it moves both the listener and the functional tests' dials.
-func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
-
-// SetHost implements suts.HostSetter.
-func (s *Server) SetHost(host string) { s.tr = suts.LoopbackTransport{Host: host} }
-
-// Transport returns the configured transport, defaulting to kernel
-// loopback.
-func (s *Server) Transport() suts.Transport {
-	if s.tr == nil {
-		return suts.LoopbackTransport{}
-	}
-	return s.tr
 }
 
 // Addr implements suts.Addressable.

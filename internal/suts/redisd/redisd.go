@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,10 +22,11 @@ import (
 // ConfigFile is the logical name of the simulator's configuration file.
 const ConfigFile = "redis.conf"
 
-// Server is the simulated Redis daemon.
+// Server is the simulated Redis daemon. The embedded suts.Net carries
+// its transport.
 type Server struct {
+	suts.Net
 	port int
-	tr   suts.Transport
 
 	mu        sync.Mutex
 	ln        net.Listener
@@ -54,14 +54,10 @@ var _ suts.HostSetter = (*Server)(nil)
 // New returns a simulator whose default configuration listens on the
 // given TCP port (0 picks a free one at construction time).
 func New(port int) (*Server, error) {
+	var err error
 	if port == 0 {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("redisd: allocating port: %w", err)
-		}
-		port = ln.Addr().(*net.TCPAddr).Port
-		if err := ln.Close(); err != nil {
-			return nil, fmt.Errorf("redisd: releasing probe listener: %w", err)
+		if port, err = suts.FreePort("tcp"); err != nil {
+			return nil, fmt.Errorf("redisd: %w", err)
 		}
 	}
 	return &Server{port: port}, nil
@@ -165,19 +161,11 @@ func (s *Server) Reload(files suts.Files) error {
 // the campaign baseline's bytes, so the memoized baseline parse is
 // applied without re-parsing. Observationally identical to Reload.
 func (s *Server) ReloadDirty(files suts.Files, dirty []string) error {
-	data, ok := files[ConfigFile]
-	if ok && !slices.Contains(dirty, ConfigFile) {
-		if cfg, hit := s.baseMemo.Get(data); hit {
-			return s.applyReload(cfg)
-		}
-		cfg, err := s.check(files)
-		if err != nil {
-			return err
-		}
-		s.baseMemo.Put(data, cfg)
-		return s.applyReload(cfg)
+	cfg, err := s.baseMemo.Check(files, dirty, ConfigFile, s.check)
+	if err != nil {
+		return err
 	}
-	return s.Reload(files)
+	return s.applyReload(cfg)
 }
 
 // applyReload drives the running server to a checked configuration.
@@ -273,22 +261,6 @@ func (s *Server) Health() error {
 		return fmt.Errorf("redis-sim: not listening")
 	}
 	return nil
-}
-
-// SetTransport implements suts.TransportSetter. Must be called before
-// Start; it moves both the listener and the functional tests' dials.
-func (s *Server) SetTransport(t suts.Transport) { s.tr = t }
-
-// SetHost implements suts.HostSetter.
-func (s *Server) SetHost(host string) { s.tr = suts.LoopbackTransport{Host: host} }
-
-// Transport returns the configured transport, defaulting to kernel
-// loopback.
-func (s *Server) Transport() suts.Transport {
-	if s.tr == nil {
-		return suts.LoopbackTransport{}
-	}
-	return s.tr
 }
 
 // Addr implements suts.Addressable.

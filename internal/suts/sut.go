@@ -7,6 +7,11 @@
 // SUTs — real network servers whose configuration parsers faithfully model
 // the documented behaviours of the originals (see DESIGN.md §2) — plus an
 // external-process path via internal/proc and cmd/sutd.
+//
+// The simulators share one chassis: FreePort picks the default port of
+// New(0); Net holds the transport of the ones that accept SetTransport
+// (nginx, httpd, postgres, redisd); ParseMemo.Check is their ReloadDirty
+// rule; and httpprobe.Listeners is the web servers' set of ports.
 package suts
 
 import (

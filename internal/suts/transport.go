@@ -1,6 +1,7 @@
 package suts
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"time"
@@ -35,6 +36,49 @@ type TransportSetter interface {
 // transport set before.
 type HostSetter interface {
 	SetHost(host string)
+}
+
+// Net holds a network simulator's transport. Embedded in a simulator,
+// it supplies SetTransport (TransportSetter), SetHost (HostSetter) and
+// Transport, which defaults to kernel loopback.
+type Net struct {
+	tr Transport
+}
+
+// SetTransport implements TransportSetter. Must be called before
+// Start; it moves both the listeners and the functional tests' dials.
+func (n *Net) SetTransport(t Transport) { n.tr = t }
+
+// SetHost implements HostSetter.
+func (n *Net) SetHost(host string) { n.tr = LoopbackTransport{Host: host} }
+
+// Transport returns the configured transport, defaulting to kernel
+// loopback.
+func (n *Net) Transport() Transport {
+	if n.tr == nil {
+		return LoopbackTransport{}
+	}
+	return n.tr
+}
+
+// FreePort asks the kernel for a port that is free on 127.0.0.1 for
+// network ("tcp" or "udp"), the default port of a simulator built with
+// New(0).
+func FreePort(network string) (int, error) {
+	if network == "udp" {
+		c, err := net.ListenPacket(network, "127.0.0.1:0")
+		if err != nil {
+			return 0, fmt.Errorf("allocating port: %w", err)
+		}
+		defer c.Close()
+		return c.LocalAddr().(*net.UDPAddr).Port, nil
+	}
+	ln, err := net.Listen(network, "127.0.0.1:0")
+	if err != nil {
+		return 0, fmt.Errorf("allocating port: %w", err)
+	}
+	defer ln.Close()
+	return ln.Addr().(*net.TCPAddr).Port, nil
 }
 
 // loopback is the logical host every simulator configures.

@@ -12,13 +12,17 @@
 # loopback host of its own. Validate-only runs report probe detections
 # as ignored, so they are compared with each other (1 vs 4 workers) only.
 #
-# Then two more cells: apache/typo, whose reload must drop a moved
-# Listen port's keep-alive connections as a cold restart does (cold TCP
-# 1 worker vs reload TCP and reload memnet at 4 workers), and mysql/typo
-# over kernel TCP, whose faultload typos the port digits (1 vs 8
-# workers).
+# Then one cell per other network simulator, each cmp'd against its own
+# cold TCP single-worker stream:
+#   - apache, postgres, redisd and bind (typo): reload TCP and reload
+#     memnet at 4 workers. apache's reload must drop a moved Listen
+#     port's keep-alive connections as a cold restart does. bind has no
+#     reload or memnet, so its cells run cold on kernel UDP.
+#   - mysql (typo) over kernel TCP, whose faultload typos the port
+#     digits: 8 workers.
+#   - djbdns (semantic; typo yields no scenarios for it): 4 workers.
 #
-# Base ports 11516 and 11700 keep every typo'd port below the kernel's
+# Base ports 11516-11800 keep every typo'd port below the kernel's
 # ephemeral range, where a TIME_WAIT collision could change an outcome.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,21 +64,32 @@ cmp "$tmp/validate-memnet-w1.jsonl" "$tmp/validate-memnet-w4.jsonl"
 cell() {
   local name=$1
   shift
-  "$tmp/conferr" matrix -plugins typo -no-duration -stream-out "$tmp/$name.jsonl" "$@" >/dev/null
+  "$tmp/conferr" matrix -no-duration -stream-out "$tmp/$name.jsonl" "$@" >/dev/null
 }
 
-echo "== apache: cold TCP (1 worker) vs reload TCP and reload memnet (4 workers)"
-cell apache-cold-tcp-w1 -systems apache -base-port 11516 -lifecycle cold -workers 1
-cell apache-reload-tcp-w4 -systems apache -base-port 11516 -lifecycle reload -workers 4
-cell apache-reload-memnet-w4 -systems apache -base-port 11516 -lifecycle reload -memnet -workers 4
-cmp "$tmp/apache-cold-tcp-w1.jsonl" "$tmp/apache-reload-tcp-w4.jsonl"
-cmp "$tmp/apache-cold-tcp-w1.jsonl" "$tmp/apache-reload-memnet-w4.jsonl"
+for sp in apache:11516 postgres:11750 redisd:11800 bind:11600; do
+  sys=${sp%:*} port=${sp#*:}
+  echo "== $sys: cold TCP (1 worker) vs reload TCP and reload memnet (4 workers)"
+  cell $sys-w1 -systems $sys -plugins typo -base-port $port -lifecycle cold -workers 1
+  cell $sys-reload-tcp-w4 -systems $sys -plugins typo -base-port $port -lifecycle reload -workers 4
+  cell $sys-reload-memnet-w4 -systems $sys -plugins typo -base-port $port -lifecycle reload -memnet -workers 4
+  cmp "$tmp/$sys-w1.jsonl" "$tmp/$sys-reload-tcp-w4.jsonl"
+  cmp "$tmp/$sys-w1.jsonl" "$tmp/$sys-reload-memnet-w4.jsonl"
+done
 
 echo "== mysql: kernel TCP (1 vs 8 workers)"
-cell mysql-w1 -systems mysql -base-port 11700 -workers 1
-cell mysql-w8 -systems mysql -base-port 11700 -workers 8
+cell mysql-w1 -systems mysql -plugins typo -base-port 11700 -workers 1
+cell mysql-w8 -systems mysql -plugins typo -base-port 11700 -workers 8
 cmp "$tmp/mysql-w1.jsonl" "$tmp/mysql-w8.jsonl"
 
+echo "== djbdns: semantic (1 vs 4 workers)"
+cell djbdns-w1 -systems djbdns -plugins semantic -base-port 11650 -workers 1
+cell djbdns-w4 -systems djbdns -plugins semantic -base-port 11650 -workers 4
+cmp "$tmp/djbdns-w1.jsonl" "$tmp/djbdns-w4.jsonl"
+
 md5() { md5sum <"$1" | cut -d' ' -f1; }
-echo "lifecycle-smoke OK: nginx $(wc -l <"$tmp/cold-tcp-w1.jsonl") records, md5 $(md5 "$tmp/cold-tcp-w1.jsonl");" \
-  "apache md5 $(md5 "$tmp/apache-cold-tcp-w1.jsonl"); mysql md5 $(md5 "$tmp/mysql-w1.jsonl")"
+summary="nginx $(wc -l <"$tmp/cold-tcp-w1.jsonl") records, md5 $(md5 "$tmp/cold-tcp-w1.jsonl")"
+for sys in apache postgres redisd bind mysql djbdns; do
+  summary+="; $sys $(wc -l <"$tmp/$sys-w1.jsonl") records, md5 $(md5 "$tmp/$sys-w1.jsonl")"
+done
+echo "lifecycle-smoke OK: $summary"
