@@ -27,31 +27,21 @@ func cmdDist(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("dist", flag.ExitOnError)
 	workersCSV := fs.String("workers", "", "comma-separated worker endpoints (host:port,... — start each with `sutd -serve host:port`)")
 	shards := fs.Int("shards", 0, "shard count (0 = one per worker); shards are the unit of retry and rebalancing")
-	var system string
-	fs.StringVar(&system, "system", "", "target system (see: conferr list)")
-	fs.StringVar(&system, "target", "", "alias for -system")
-	plugin := fs.String("plugin", "typo", "error generator plugin (see: conferr list)")
-	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
-	perModel := fs.Int("per-model", 0, "typo scenarios per submodel (0 = all)")
-	perDirective := fs.Int("per-directive", 0, "typo scenarios per directive (0 = off)")
-	perClass := fs.Int("per-class", 0, "structural/variation scenarios per class (0 = all)")
-	rounds := fs.Int("rounds", 0, "replay the faultload N times with round-prefixed IDs (scale harness)")
-	sample := fs.Int("sample", 0, "reservoir-sample N scenarios (0 = off)")
-	limit := fs.Int("limit", 0, "cap the faultload, lazily (0 = off)")
-	port := fs.Int("port", 24100, "primary target port the faultload embeds; the default matches matrix cell 0 (-base-port)")
-	lifecycleS := fs.String("lifecycle", "cold", "worker SUT lifecycle: cold, reload or validate")
-	memnet := fs.Bool("memnet", false, "workers serve SUTs over the in-process transport")
-	keepGoing := fs.Bool("keep-going", false, "per experiment: record infrastructure errors and contained panics instead of failing the shard")
-	noDuration := fs.Bool("no-duration", false, "zero duration_ns in merged records, making equivalent runs byte-comparable")
-	tally := fs.Bool("tally", false, "summary-only mode: workers send one tally each, no record stream")
+	var spec dist.CampaignSpec
+	cellFlags(fs, &spec)
+	fs.StringVar(&spec.System, "system", "", "target system (see: conferr list)")
+	fs.StringVar(&spec.System, "target", "", "alias for -system")
+	fs.StringVar(&spec.Plugin, "plugin", "typo", "error generator plugin (see: conferr list)")
+	fs.IntVar(&spec.PerDirective, "per-directive", 0, "typo scenarios per directive (0 = off)")
+	fs.IntVar(&spec.Port, "port", 24100, "primary target port the faultload embeds; the default matches matrix cell 0 (-base-port)")
+	fs.BoolVar(&spec.KeepGoing, "keep-going", false, "per experiment: record infrastructure errors and contained panics instead of failing the shard")
+	fs.BoolVar(&spec.TallyOnly, "tally", false, "summary-only mode: workers send one tally each, no record stream")
 	out := fs.String("out", "", "merged profile path (.cprof = compact binary frames, else JSONL)")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file enabling resume (default <out>.ckpt when -out is set)")
 	resume := fs.Bool("resume", false, "resume from the checkpoint, completing only the missing sequence range")
 	stall := fs.Duration("stall-timeout", 15*time.Second, "reassign a shard when its worker sends no frame for this long")
 	dialTO := fs.Duration("dial-timeout", 5*time.Second, "worker connection timeout")
 	retries := fs.Int("retries", 5, "per-shard attempt cap (dial failures retire the endpoint instead)")
-	expTO := fs.Duration("experiment-timeout", 0, "per-experiment watchdog deadline workers inherit; expiry records an infrastructure error (0 = off)")
-	phaseTO := fs.Duration("phase-timeout", 0, "per-SUT-phase watchdog deadline workers inherit (start, reload, probe, stop; 0 = off)")
 	fsync := fs.Bool("fsync", false, "fsync the merged output at every checkpoint flush so -resume survives host crashes, not just process kills")
 	quiet := fs.Bool("quiet", false, "suppress scheduling diagnostics")
 	_ = fs.Parse(args)
@@ -60,47 +50,41 @@ func cmdDist(ctx context.Context, args []string) error {
 	if len(endpoints) == 0 {
 		return errors.New("dist: -workers host:port,... is required")
 	}
-	// Fail bad names here, not as N identical worker errors later.
-	if _, err := conferr.LookupTarget(system); err != nil {
-		return err
-	}
-	if _, err := conferr.LookupGenerator(*plugin); err != nil {
-		return err
-	}
-	if _, err := conferr.ParseLifecycle(*lifecycleS); err != nil {
-		return err
-	}
-	if *tally && *out != "" {
+	if spec.TallyOnly && *out != "" {
 		return errors.New("dist: -tally sends no records; drop -out or -tally")
 	}
-
 	cp := *checkpoint
 	if cp == "" && *out != "" {
 		cp = *out + ".ckpt"
 	}
+	if *resume && (cp == "" || spec.TallyOnly) {
+		return errors.New("dist: -resume needs a checkpoint: pass -out or -checkpoint, and drop -tally (a tally run keeps none)")
+	}
+	// Build the cell every worker will build: a bad name or setting fails
+	// here, not as N identical worker errors later.
+	sc, err := conferr.DistCampaign(spec)
+	if err != nil {
+		return err
+	}
+	if err := sc.Cleanup(); err != nil {
+		return err
+	}
+
 	nshards := *shards
 	if nshards <= 0 {
 		nshards = len(endpoints)
 	}
 	coord := &dist.Coordinator{
-		Workers: endpoints,
-		Shards:  nshards,
-		Spec: dist.CampaignSpec{
-			System: system, Plugin: *plugin, Seed: *seed,
-			PerModel: *perModel, PerDirective: *perDirective, PerClass: *perClass,
-			Rounds: *rounds, Sample: *sample, Limit: *limit,
-			Port: *port, Lifecycle: *lifecycleS, Memnet: *memnet,
-			KeepGoing: *keepGoing, NoDuration: *noDuration, TallyOnly: *tally,
-		},
-		OutPath:           *out,
-		CheckpointPath:    cp,
-		Resume:            *resume,
-		DialTimeout:       *dialTO,
-		StallTimeout:      *stall,
-		Retry:             dist.RetryPolicy{MaxAttempts: *retries},
-		ExperimentTimeout: *expTO,
-		PhaseTimeout:      *phaseTO,
-		SyncOutput:        *fsync,
+		Workers:        endpoints,
+		Shards:         nshards,
+		Spec:           spec,
+		OutPath:        *out,
+		CheckpointPath: cp,
+		Resume:         *resume,
+		DialTimeout:    *dialTO,
+		StallTimeout:   *stall,
+		Retry:          dist.RetryPolicy{MaxAttempts: *retries},
+		SyncOutput:     *fsync,
 	}
 	if strings.HasSuffix(*out, ".cprof") {
 		// Compact output: the merger's rendered JSONL lines are re-parsed
@@ -137,12 +121,12 @@ func cmdDist(ctx context.Context, args []string) error {
 		return err
 	}
 	fmt.Printf("system=%s generator=%s workers=%d shards=%d records=%d retries=%d duplicates=%d\n",
-		system, *plugin, len(endpoints), coord.Shards, res.Records, res.Retries, res.Duplicates)
+		spec.System, spec.Plugin, len(endpoints), coord.Shards, res.Records, res.Retries, res.Duplicates)
 	if res.StartSeq > 0 {
 		fmt.Printf("resumed from sequence %d (completed %d missing records)\n", res.StartSeq, res.Records-res.StartSeq)
 	}
 	sum := res.Summary
-	sum.System = system + "/" + *plugin
+	sum.System = spec.System + "/" + spec.Plugin
 	fmt.Print(profile.FormatTable1(sum))
 	if *out != "" {
 		fmt.Println("merged profile written to", *out)

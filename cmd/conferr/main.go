@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"conferr"
+	"conferr/internal/dist"
 	"conferr/internal/profile"
 )
 
@@ -154,6 +155,22 @@ const recordRetentionWarn = 100_000
 // workersFlag adds the shared -workers flag to a flag set.
 func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 1, "parallel campaign workers (0 = GOMAXPROCS)")
+}
+
+// cellFlags registers on fs the campaign-cell flags matrix and dist
+// share, each writing into spec.
+func cellFlags(fs *flag.FlagSet, spec *dist.CampaignSpec) {
+	fs.Int64Var(&spec.Seed, "seed", conferr.DefaultSeed, "faultload seed")
+	fs.IntVar(&spec.PerModel, "per-model", 0, "typo scenarios per submodel (0 = all)")
+	fs.IntVar(&spec.PerClass, "per-class", 0, "structural/variation scenarios per class (0 = all)")
+	fs.IntVar(&spec.Rounds, "rounds", 0, "replay the faultload N times with round-prefixed IDs (scale harness)")
+	fs.IntVar(&spec.Sample, "sample", 0, "reservoir-sample N scenarios (0 = off)")
+	fs.IntVar(&spec.Limit, "limit", 0, "cap the faultload, lazily (0 = off)")
+	fs.StringVar(&spec.Lifecycle, "lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm pooled instances) or validate (parse-only)")
+	fs.BoolVar(&spec.Memnet, "memnet", false, "serve SUTs over the in-process transport instead of kernel loopback TCP")
+	fs.BoolVar(&spec.NoDuration, "no-duration", false, "zero duration_ns in records, making equivalent runs byte-comparable")
+	fs.DurationVar(&spec.ExperimentTimeout, "experiment-timeout", 0, "watchdog deadline per experiment; expiry records an infrastructure error and the campaign continues (0 = off)")
+	fs.DurationVar(&spec.PhaseTimeout, "phase-timeout", 0, "watchdog deadline per SUT phase (start, reload, probe, stop); expiry quarantines the instance and records an infrastructure error (0 = off)")
 }
 
 // diagFlags holds the shared profiling/tracing flags of the campaign and
@@ -438,25 +455,16 @@ func cmdMatrix(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("matrix", flag.ExitOnError)
 	systems := fs.String("systems", "", "comma-separated registered systems (empty or \"all\" = every system)")
 	plugins := fs.String("plugins", "typo", "comma-separated registered plugins (\"all\" = every plugin)")
-	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
-	perModel := fs.Int("per-model", 0, "typo scenarios per submodel (0 = all)")
-	perClass := fs.Int("per-class", 0, "structural/variation scenarios per class (0 = all)")
-	limit := fs.Int("limit", 0, "cap each cell's faultload, lazily (0 = off)")
-	rounds := fs.Int("rounds", 0, "replay each cell's faultload N times with round-prefixed IDs (scale harness)")
-	sample := fs.Int("sample", 0, "reservoir-sample N scenarios per cell (0 = off)")
+	var spec dist.CampaignSpec
+	cellFlags(fs, &spec)
 	streamOut := fs.String("stream-out", "", "stream records of all cells to this file instead of keeping profiles in memory (.cprof = compact binary frames, - = JSONL on stdout, else JSONL)")
-	noDuration := fs.Bool("no-duration", false, "zero the duration_ns field in streamed records, making equivalent runs byte-comparable")
 	basePort := fs.Int("base-port", 24100, "primary port of cell i is base-port+i, keeping faultloads reproducible (0 = allocate)")
 	keepGoing := fs.Bool("keep-going", false, "suite level: keep running the other cells when one cell fails")
-	lifecycleS := fs.String("lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm pooled instances) or validate (parse-only)")
-	memnet := fs.Bool("memnet", false, "serve SUTs over the in-process transport instead of kernel loopback TCP")
-	expTO := fs.Duration("experiment-timeout", 0, "watchdog deadline per experiment; expiry records an infrastructure error and the campaign continues (0 = off)")
-	phaseTO := fs.Duration("phase-timeout", 0, "watchdog deadline per SUT phase (start, reload, probe, stop); expiry quarantines the instance and records an infrastructure error (0 = off)")
 	workers := workersFlag(fs)
 	diag := addDiagFlags(fs)
 	_ = fs.Parse(args)
 
-	lifecycle, err := conferr.ParseLifecycle(*lifecycleS)
+	lifecycle, err := conferr.ParseLifecycle(spec.Lifecycle)
 	if err != nil {
 		return err
 	}
@@ -475,7 +483,7 @@ func cmdMatrix(ctx context.Context, args []string) error {
 		plugNames = conferr.RegisteredGenerators()
 	}
 	entries, skipped, err := conferr.MatrixEntries(sysNames, plugNames, conferr.GeneratorOptions{
-		Seed: *seed, PerModel: *perModel, PerClass: *perClass,
+		Seed: spec.Seed, PerModel: spec.PerModel, PerClass: spec.PerClass,
 	})
 	if err != nil {
 		return err
@@ -490,14 +498,14 @@ func cmdMatrix(ctx context.Context, args []string) error {
 	mo := conferr.MatrixOptions{
 		Workers:           *workers,
 		BasePort:          *basePort,
-		Limit:             *limit,
-		Rounds:            *rounds,
-		Sample:            *sample,
+		Limit:             spec.Limit,
+		Rounds:            spec.Rounds,
+		Sample:            spec.Sample,
 		KeepGoing:         *keepGoing,
 		Lifecycle:         lifecycle,
-		InMemory:          *memnet,
-		ExperimentTimeout: *expTO,
-		PhaseTimeout:      *phaseTO,
+		InMemory:          spec.Memnet,
+		ExperimentTimeout: spec.ExperimentTimeout,
+		PhaseTimeout:      spec.PhaseTimeout,
 	}
 	var counters *conferr.LifecycleCounters
 	if lifecycle != conferr.LifecycleCold {
@@ -513,7 +521,7 @@ func cmdMatrix(ctx context.Context, args []string) error {
 		info = os.Stderr
 		bw := bufio.NewWriterSize(os.Stdout, 1<<20)
 		lw := conferr.NewLockedWriter(bw)
-		mo.SinkFor = jsonlSinkFor(lw, *noDuration)
+		mo.SinkFor = jsonlSinkFor(lw, spec.NoDuration)
 		finishOut = func() error {
 			if err := bw.Flush(); err != nil {
 				return fmt.Errorf("flushing stdout: %w", err)
@@ -530,7 +538,7 @@ func cmdMatrix(ctx context.Context, args []string) error {
 		}
 		mo.SinkFor = func(e conferr.MatrixEntry) conferr.Sink {
 			sink := conferr.Sink(cf.W.Sink(e.System, e.Plugin))
-			if *noDuration {
+			if spec.NoDuration {
 				sink = conferr.StripDurations(sink)
 			}
 			return sink
@@ -551,7 +559,7 @@ func cmdMatrix(ctx context.Context, args []string) error {
 		}
 		bw := bufio.NewWriterSize(f, 1<<20)
 		lw := conferr.NewLockedWriter(bw)
-		mo.SinkFor = jsonlSinkFor(lw, *noDuration)
+		mo.SinkFor = jsonlSinkFor(lw, spec.NoDuration)
 		finishOut = func() error {
 			// A failed flush must fail the command: up to the buffer size
 			// of records exists nowhere but here.

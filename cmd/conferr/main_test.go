@@ -3,8 +3,11 @@ package main
 import (
 	"context"
 	"io"
+	"net"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"conferr"
@@ -330,5 +333,41 @@ func TestRunMatrixCprofConvertReport(t *testing.T) {
 	// passes.
 	if got := runT("report", "-diff", "-fail-regress", "0.1", cprofOut, jsonlOut); got != 0 {
 		t.Errorf("self-diff tripped the regression gate: exit = %d", got)
+	}
+}
+
+// TestDistResumeNeedsCheckpoint: `dist -resume` with nothing to resume
+// from — no checkpoint path, or a tally run, which keeps no checkpoint —
+// is refused before any worker is dialed, instead of silently running
+// the whole campaign fresh.
+func TestDistResumeNeedsCheckpoint(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			conn.Close()
+		}
+	}()
+	base := []string{"-workers", ln.Addr().String(), "-system", "nginx", "-limit", "5", "-retries", "1", "-quiet", "-resume"}
+	for _, extra := range [][]string{
+		nil,
+		{"-tally", "-checkpoint", filepath.Join(t.TempDir(), "run.ckpt")},
+	} {
+		err := cmdDist(context.Background(), append(base, extra...))
+		if err == nil || !strings.Contains(err.Error(), "-resume needs a checkpoint") {
+			t.Errorf("dist %v: err = %v, want a -resume refusal", extra, err)
+		}
+	}
+	if n := accepted.Load(); n != 0 {
+		t.Fatalf("refused runs opened %d worker connections", n)
 	}
 }

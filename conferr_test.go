@@ -1,6 +1,7 @@
 package conferr
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -305,9 +306,8 @@ func TestCampaignObserverIntegration(t *testing.T) {
 	c := &core.Campaign{
 		Target:    tgt.Target,
 		Generator: SemanticDNSGenerator(DjbdnsRecordView(), []string{semantic.ClassMXToCNAME}),
-		Observer:  func(Record) { n++ },
 	}
-	p, err := c.Run()
+	p, err := c.RunContext(context.Background(), WithObserver(func(Record) { n++ }))
 	if err != nil {
 		t.Fatal(err)
 	}

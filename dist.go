@@ -2,7 +2,6 @@ package conferr
 
 import (
 	"context"
-	"fmt"
 
 	"conferr/internal/core"
 	"conferr/internal/dist"
@@ -23,45 +22,23 @@ func NewDistRunner() dist.ShardRunner {
 	return dist.ShardRunnerFunc(runDistShard)
 }
 
-// DistCampaign materializes a wire spec into a runnable suite cell,
-// mirroring RunMatrix's construction exactly — same generator wrapper
-// order (rounds, then sample, then limit), same lifecycle wiring, same
-// port handling — because byte-identity with a single-process matrix
-// cell is the whole point.
+// DistCampaign builds the suite cell a wire spec describes with the
+// builder RunMatrix uses for each of its cells, so a shard runs exactly
+// the cell `conferr matrix` would at the spec's port — the whole point of
+// byte-identity with a single-process run. The spec's watchdog deadlines
+// are among the cell's Options; its KeepGoing, NoDuration and TallyOnly
+// shape the shard run, not the cell.
 func DistCampaign(spec dist.CampaignSpec) (SuiteCampaign, error) {
-	tf, err := LookupTarget(spec.System)
-	if err != nil {
-		return SuiteCampaign{}, err
-	}
-	if spec.Memnet {
-		tf = InMemoryTransport(tf)
-	}
-	gf, err := LookupGenerator(spec.Plugin)
-	if err != nil {
-		return SuiteCampaign{}, err
-	}
-	o := GeneratorOptions{
-		System: spec.System, Seed: spec.Seed,
-		PerModel: spec.PerModel, PerDirective: spec.PerDirective, PerClass: spec.PerClass,
-	}
-	gen, err := gf(o)
-	if err != nil {
-		return SuiteCampaign{}, fmt.Errorf("conferr: dist %s/%s: %w", spec.System, spec.Plugin, err)
-	}
-	if spec.Rounds > 1 {
-		gen = core.RepeatGenerator(gen, spec.Rounds)
-	}
-	if spec.Sample > 0 {
-		gen = core.SampleGenerator(gen, spec.Seed, spec.Sample)
-	}
-	if spec.Limit > 0 {
-		gen = core.LimitGenerator(gen, spec.Limit)
-	}
 	mode, err := ParseLifecycle(spec.Lifecycle)
 	if err != nil {
 		return SuiteCampaign{}, err
 	}
-	return NewSuiteCampaignLifecycle(spec.System+"/"+spec.Plugin, tf, spec.Port, gen, mode, nil)
+	return matrixCell(MatrixEntry{System: spec.System, Plugin: spec.Plugin, Options: GeneratorOptions{
+		Seed: spec.Seed, PerModel: spec.PerModel, PerDirective: spec.PerDirective, PerClass: spec.PerClass,
+	}}, spec.Port, MatrixOptions{
+		Rounds: spec.Rounds, Sample: spec.Sample, Limit: spec.Limit, Lifecycle: mode, InMemory: spec.Memnet,
+		ExperimentTimeout: spec.ExperimentTimeout, PhaseTimeout: spec.PhaseTimeout,
+	})
 }
 
 // runDistShard executes one shard: build the campaign from the spec, run
@@ -75,16 +52,6 @@ func runDistShard(ctx context.Context, req dist.ShardRequest, emit func(seq int,
 		return dist.ShardResult{}, err
 	}
 	defer sc.Cleanup()
-	opts := append([]core.RunOption(nil), sc.Options...)
-	if spec.KeepGoing {
-		opts = append(opts, core.WithKeepGoing(true))
-	}
-	if req.ExperimentTimeout > 0 || req.PhaseTimeout > 0 {
-		opts = append(opts, core.WithDeadlines(core.Deadlines{
-			Experiment: req.ExperimentTimeout,
-			Phase:      req.PhaseTimeout,
-		}))
-	}
 
 	var (
 		sum profile.Summary
@@ -97,6 +64,6 @@ func runDistShard(ctx context.Context, req dist.ShardRequest, emit func(seq int,
 		}
 		buf = profile.AppendJSONLRecord(buf[:0], spec.System, spec.Plugin, seq, rec)
 		return emit(seq, buf[:len(buf)-1])
-	}, opts...)
+	}, append(sc.Options, core.WithKeepGoing(spec.KeepGoing))...)
 	return dist.ShardResult{Records: total, Summary: sum}, err
 }

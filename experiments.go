@@ -468,21 +468,9 @@ func RunTable3Ctx(ctx context.Context, extended bool, workers int) (*Table3Resul
 	systems := map[string]string{"BIND": "bind", "djbdns": "djbdns"}
 	var campaigns []SuiteCampaign
 	for _, label := range res.Order {
-		tf, err := LookupTarget(systems[label])
+		sc, err := matrixCell(MatrixEntry{System: systems[label], Plugin: "semantic", Options: GeneratorOptions{Classes: classes}}, 0, MatrixOptions{})
 		if err != nil {
-			return nil, err
-		}
-		gf, err := LookupGenerator("semantic")
-		if err != nil {
-			return nil, err
-		}
-		gen, err := gf(GeneratorOptions{System: systems[label], Classes: classes})
-		if err != nil {
-			return nil, err
-		}
-		sc, err := NewSuiteCampaign(label+"/semantic", tf, 0, gen)
-		if err != nil {
-			return nil, fmt.Errorf("conferr: table3 %s: %w", label, err)
+			return nil, fmt.Errorf("conferr: table3: %w", err)
 		}
 		campaigns = append(campaigns, sc)
 	}

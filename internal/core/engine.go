@@ -145,15 +145,6 @@ type Campaign struct {
 	Target *Target
 	// Generator is the error-generator plugin.
 	Generator Generator
-	// KeepGoing controls behaviour on infrastructure errors (not SUT
-	// detections): when false (default) the campaign aborts; when true the
-	// scenario is recorded as not-applicable and the campaign continues.
-	// RunContext's WithKeepGoing overrides it per run.
-	KeepGoing bool
-	// Observer, when non-nil, is called after every experiment with the
-	// record just added; used for progress reporting. RunContext's
-	// WithObserver overrides it per run.
-	Observer func(profile.Record)
 }
 
 // Run executes the campaign on one worker, in scenario order: every
@@ -681,7 +672,7 @@ func runOnFiles(t *Target, files suts.Files, dirty []string, haveDirty bool, fin
 		if isInfraPhaseErr(err) {
 			// A watchdog expiry or contained panic in the start phase: the
 			// harness failed the experiment, not the SUT. Record it and
-			// keep the campaign going regardless of KeepGoing — the
+			// keep the campaign going whatever the keep-going option — the
 			// instance is already quarantined and the next scenario gets a
 			// fresh (cold) start.
 			detail := err.Error()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -140,9 +141,8 @@ func TestRunObserver(t *testing.T) {
 	c := &Campaign{
 		Target:    target(sys),
 		Generator: &typo.Plugin{Models: []template.Mutator{typo.Omission{}}},
-		Observer:  func(profile.Record) { seen++ },
 	}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background(), WithObserver(func(profile.Record) { seen++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +236,8 @@ func TestRunKeepGoing(t *testing.T) {
 		{ID: "boom", Class: "c", Apply: func(*confnode.Set) error { return errors.New("boom") }},
 		{ID: "after", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}}
-	c := &Campaign{Target: target(sys), Generator: g, KeepGoing: true}
-	prof, err := c.Run()
+	c := &Campaign{Target: target(sys), Generator: g}
+	prof, err := c.RunContext(context.Background(), WithKeepGoing(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestRunStopFailureAfterDetectionIsDetail(t *testing.T) {
 		{ID: "s1", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 		{ID: "s2", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}}
-	c := &Campaign{Target: tgt, Generator: g} // KeepGoing defaults to false
+	c := &Campaign{Target: tgt, Generator: g} // WithKeepGoing defaults to false
 	prof, err := c.Run()
 	if err != nil {
 		t.Fatalf("campaign aborted on post-detection stop failure: %v", err)
@@ -398,7 +398,7 @@ func TestRunStopFailureIsDetail(t *testing.T) {
 		{ID: "s1", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 		{ID: "s2", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}}
-	c := &Campaign{Target: tgt, Generator: g} // KeepGoing defaults to false
+	c := &Campaign{Target: tgt, Generator: g} // WithKeepGoing defaults to false
 	prof, err := c.Run()
 	if err != nil {
 		t.Fatalf("campaign aborted on post-run stop failure: %v", err)

@@ -93,7 +93,8 @@ func digestTarget() *Target {
 }
 
 // refProfile runs the campaign through the reference pipeline: full view
-// clone, full Backward, full re-serialization, sequentially.
+// clone, full Backward, full re-serialization, sequentially. Any
+// infrastructure error fails the test.
 func refProfile(t *testing.T, c *Campaign) *profile.Profile {
 	t.Helper()
 	fl, err := c.generate()
@@ -104,7 +105,7 @@ func refProfile(t *testing.T, c *Campaign) *profile.Profile {
 	for _, sc := range fl.scens {
 		rec, err := runOneReference(c.Target, sc, fl.view, fl.viewSet, fl.sysSet)
 		prof.Add(rec)
-		if err != nil && !c.KeepGoing {
+		if err != nil {
 			t.Fatalf("reference scenario %s: %v", sc.ID, err)
 		}
 	}

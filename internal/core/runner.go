@@ -42,8 +42,8 @@ func WithParallelism(n int) RunOption {
 	}
 }
 
-// WithObserver streams every record to fn as experiments complete,
-// overriding Campaign.Observer for this run. Calls are serialized (fn
+// WithObserver streams every record to fn as experiments complete.
+// Calls are serialized (fn
 // needs no locking) and arrive in scenario order: under parallelism the
 // reassembly stage invokes fn as each record is flushed to its slot in the
 // deterministic, generator-ordered profile.
@@ -51,9 +51,9 @@ func WithObserver(fn func(profile.Record)) RunOption {
 	return func(cfg *runConfig) { cfg.observer = fn }
 }
 
-// WithKeepGoing overrides Campaign.KeepGoing for this run: when true,
-// infrastructure errors are recorded as not-applicable and the campaign
-// continues instead of aborting.
+// WithKeepGoing controls behaviour on infrastructure errors (not SUT
+// detections): when false (the default) the campaign aborts; when true
+// the scenario is recorded as not-applicable and the campaign continues.
 func WithKeepGoing(keep bool) RunOption {
 	return func(cfg *runConfig) { cfg.keepGoing = keep }
 }
@@ -180,13 +180,9 @@ func (c *Campaign) openFeed(cfg runConfig, opaque func(scenario.Source) shardFee
 	return fl, opaque(src), nil
 }
 
-// config folds the campaign defaults and the run options.
+// config folds the run options over the defaults.
 func (c *Campaign) config(opts []RunOption) runConfig {
-	cfg := runConfig{
-		parallelism: 1,
-		observer:    c.Observer,
-		keepGoing:   c.KeepGoing,
-	}
+	cfg := runConfig{parallelism: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -85,20 +85,25 @@ func loadCheckpoint(path string) (Checkpoint, error) {
 }
 
 // matches rejects resuming one campaign's checkpoint into a different
-// campaign: a spec differing in anything but Lifecycle and Memnet, which
-// are byte-invisible by contract, or a different shard layout would
-// splice two unrelated streams.
+// campaign — a spec differing in more than resumeKey drops, or a
+// different shard layout — which would splice two unrelated streams.
 func (cp Checkpoint) matches(spec CampaignSpec, shards int) error {
-	was, now := cp.Spec, spec
-	was.Lifecycle, was.Memnet = "", false
-	now.Lifecycle, now.Memnet = "", false
-	if was != now {
+	if cp.Spec.resumeKey() != spec.resumeKey() {
 		return fmt.Errorf("dist: checkpoint is for campaign %+v, not %+v", cp.Spec, spec)
 	}
 	if cp.Shards != shards {
 		return fmt.Errorf("dist: checkpoint has %d shards, campaign has %d", cp.Shards, shards)
 	}
 	return nil
+}
+
+// resumeKey is s without the settings a resume may change: Lifecycle and
+// Memnet, byte-invisible by contract, and the watchdog deadlines, which
+// change no byte until they fire (a campaign that failed on a phase
+// timeout resumes with a longer one).
+func (s CampaignSpec) resumeKey() CampaignSpec {
+	s.Lifecycle, s.Memnet, s.ExperimentTimeout, s.PhaseTimeout = "", false, 0, 0
+	return s
 }
 
 // reconcileOutput trims the output file to exactly front lines. A

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,20 +62,22 @@ func TestShardRequestProtocolValidation(t *testing.T) {
 	if err := req.Validate(); err != nil {
 		t.Fatalf("current-version request rejected: %v", err)
 	}
-	req.Proto = ProtocolVersion + 1
-	err := req.Validate()
-	if err == nil || !strings.Contains(err.Error(), "mismatch") {
-		t.Fatalf("future-version request accepted: %v", err)
-	}
-	if !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "v1") {
-		t.Fatalf("mismatch error does not name both versions: %v", err)
+	for _, proto := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
+		req.Proto = proto
+		err := req.Validate()
+		if err == nil || !strings.Contains(err.Error(), "mismatch") {
+			t.Fatalf("v%d request accepted: %v", proto, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("v%d", proto)) || !strings.Contains(err.Error(), fmt.Sprintf("v%d", ProtocolVersion)) {
+			t.Fatalf("mismatch error does not name both versions: %v", err)
+		}
 	}
 	req.Proto = 0
 	if err := req.Validate(); err == nil || !strings.Contains(err.Error(), "no protocol version") {
 		t.Fatalf("versionless request accepted: %v", err)
 	}
 	req.Proto = ProtocolVersion
-	req.PhaseTimeout = -1
+	req.Campaign.PhaseTimeout = -1
 	if err := req.Validate(); err == nil {
 		t.Fatal("negative watchdog timeout accepted")
 	}

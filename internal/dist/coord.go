@@ -28,7 +28,8 @@ type Coordinator struct {
 	// Shards is the shard count (0 selects one per worker). More shards
 	// than workers is normal — it is the unit of retry and rebalancing.
 	Shards int
-	// Spec describes the campaign every worker re-derives its slice of.
+	// Spec describes the campaign every worker re-derives its slice of,
+	// watchdog deadlines included; every shard request carries it as is.
 	Spec CampaignSpec
 	// Out, when non-nil, receives the merged record stream. Otherwise
 	// OutPath is created (or, on resume, reconciled and appended to).
@@ -66,11 +67,6 @@ type Coordinator struct {
 	// claiming lines the output lost. OutFactory-built outputs own their
 	// durability (cmd/conferr wires cprof's Sync for -fsync).
 	SyncOutput bool
-	// ExperimentTimeout and PhaseTimeout arm the workers' phase watchdog:
-	// every shard request carries them, so remote experiments run under
-	// the same deadlines as the single-process run they reproduce.
-	ExperimentTimeout time.Duration
-	PhaseTimeout      time.Duration
 	// Logf, when non-nil, receives scheduling diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -221,6 +217,12 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	if shards <= 0 {
 		shards = len(c.Workers)
 	}
+	// Shard requests differ from this one only in Shard and StartSeq: one
+	// that every worker would reject fails here, before any dial.
+	req := ShardRequest{Type: TypeRun, Proto: ProtocolVersion, Campaign: c.Spec, Shards: shards}
+	if err := req.Validate(); err != nil {
+		return Result{}, err
+	}
 	retry := c.Retry.withDefaults()
 	dialTO := c.DialTimeout
 	if dialTO <= 0 {
@@ -336,6 +338,11 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 		}
 	}
 
+	// Retries restart from the same resume front as the original attempt,
+	// never the live merge front: the done-frame Summary must tally every
+	// shard-owned sequence past startSeq exactly once, and the merger
+	// dedups whatever the retry re-delivers.
+	req.StartSeq = startSeq
 	tasks := make(chan *shardTask, shards)
 	for i := 0; i < shards; i++ {
 		tasks <- &shardTask{shard: i}
@@ -346,7 +353,7 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 		wg.Add(1)
 		go func(endpoint string) {
 			defer wg.Done()
-			c.serveEndpoint(runCtx, endpoint, st, tasks, shards, startSeq, retry, dialTO, stallTO)
+			c.serveEndpoint(runCtx, endpoint, st, tasks, req, retry, dialTO, stallTO)
 		}(ep)
 	}
 
@@ -403,7 +410,7 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 // after a streak, established-connection failures charge the shard's
 // attempt budget and requeue it after backoff for any endpoint to pick
 // up.
-func (c *Coordinator) serveEndpoint(ctx context.Context, endpoint string, st *coordState, tasks chan *shardTask, shards, startSeq int, retry RetryPolicy, dialTO, stallTO time.Duration) {
+func (c *Coordinator) serveEndpoint(ctx context.Context, endpoint string, st *coordState, tasks chan *shardTask, req ShardRequest, retry RetryPolicy, dialTO, stallTO time.Duration) {
 	dialFails := 0
 	requeue := func(task *shardTask, after time.Duration) {
 		if after <= 0 {
@@ -433,7 +440,7 @@ func (c *Coordinator) serveEndpoint(ctx context.Context, endpoint string, st *co
 			return
 		case task = <-tasks:
 		}
-		err, dialErr := c.attempt(ctx, endpoint, st, task, shards, startSeq, stallTO, dialTO)
+		err, dialErr := c.attempt(ctx, endpoint, st, task, req, stallTO, dialTO)
 		if err == nil {
 			dialFails = 0
 			continue
@@ -450,7 +457,7 @@ func (c *Coordinator) serveEndpoint(ctx context.Context, endpoint string, st *co
 			dialFails++
 			c.logf("dist: %s: dial failed (%d consecutive): %v", endpoint, dialFails, err)
 			if dialFails >= retry.MaxAttempts {
-				st.retire(endpoint, shards)
+				st.retire(endpoint, req.Shards)
 				return
 			}
 			t := time.NewTimer(retry.Backoff(dialFails))
@@ -478,11 +485,11 @@ func (c *Coordinator) serveEndpoint(ctx context.Context, endpoint string, st *co
 	}
 }
 
-// attempt runs one shard on one endpoint: dial, send the request, and
-// consume frames until done or failure. The second return reports a dial
-// failure (endpoint's fault) as opposed to an established-connection one
-// (charged to the shard's attempt budget).
-func (c *Coordinator) attempt(ctx context.Context, endpoint string, st *coordState, task *shardTask, shards, startSeq int, stallTO, dialTO time.Duration) (err error, dialErr bool) {
+// attempt runs one shard on one endpoint: dial, send req for the task's
+// shard, and consume frames until done or failure. The second return
+// reports a dial failure (endpoint's fault) as opposed to an
+// established-connection one (charged to the shard's attempt budget).
+func (c *Coordinator) attempt(ctx context.Context, endpoint string, st *coordState, task *shardTask, req ShardRequest, stallTO, dialTO time.Duration) (err error, dialErr bool) {
 	d := net.Dialer{Timeout: dialTO}
 	conn, cerr := d.DialContext(ctx, "tcp", endpoint)
 	if cerr != nil {
@@ -492,20 +499,7 @@ func (c *Coordinator) attempt(ctx context.Context, endpoint string, st *coordSta
 	stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 	defer stop()
 
-	req := ShardRequest{
-		Type:     TypeRun,
-		Proto:    ProtocolVersion,
-		Campaign: c.Spec,
-		Shard:    task.shard,
-		Shards:   shards,
-		// Retries restart from the same resume front as the original
-		// attempt, never the live merge front: the done-frame Summary must
-		// tally every shard-owned sequence past startSeq exactly once, and
-		// the merger dedups whatever the retry re-delivers.
-		StartSeq:          startSeq,
-		ExperimentTimeout: c.ExperimentTimeout,
-		PhaseTimeout:      c.PhaseTimeout,
-	}
+	req.Shard = task.shard
 	if err := writeMsg(conn, req); err != nil {
 		return err, false
 	}
@@ -533,8 +527,8 @@ func (c *Coordinator) attempt(ctx context.Context, endpoint string, st *coordSta
 		case TypeProgress:
 			// Liveness only; arrival already reset the stall deadline.
 		case TypeDone:
-			st.finishShard(task.shard, f.Records, f.Summary, shards)
-			c.logf("dist: shard %d/%d done on %s (%d records)", task.shard, shards, endpoint, f.Records)
+			st.finishShard(task.shard, f.Records, f.Summary, req.Shards)
+			c.logf("dist: shard %d/%d done on %s (%d records)", task.shard, req.Shards, endpoint, f.Records)
 			return nil, false
 		case TypeError:
 			return fmt.Errorf("dist: worker error: %s", f.Err), false

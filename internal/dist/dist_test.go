@@ -479,20 +479,73 @@ func TestDistResumeRefusesDifferentSpec(t *testing.T) {
 	}
 	untouched("refused resume from a checkpoint without a spec")
 
+	// Without deadlines the checkpoint is byte-for-byte what a build from
+	// before the deadlines moved into the spec wrote, so those resume too.
+	if want := `{"campaign":{"system":"stub","plugin":"stub","seed":3,"limit":20,"port":1000},"shards":2,"front":1}` + "\n"; string(cp) != want {
+		t.Fatalf("checkpoint = %s, want %s", cp, want)
+	}
 	if err := os.WriteFile(cpPath, cp, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	relived := spec
 	relived.Lifecycle, relived.Memnet = "reload", true
+	relived.ExperimentTimeout, relived.PhaseTimeout = time.Hour, time.Minute
 	res, err := run(healthy, relived, true)
 	if err != nil {
-		t.Fatalf("resume under a different Lifecycle: %v", err)
+		t.Fatalf("resume under a different Lifecycle and deadlines: %v", err)
 	}
 	if res.StartSeq != 1 {
 		t.Fatalf("resume started from %d, want 1", res.StartSeq)
 	}
 	if got, _ := os.ReadFile(outPath); !bytes.Equal(got, wantStream(total)) {
 		t.Fatalf("resumed output diverges:\n%s", got)
+	}
+}
+
+// TestCoordinatorValidatesBeforeDial: a request every worker would
+// reject fails the run before any connection is opened, and a valid
+// spec's deadlines reach the worker inside the campaign spec.
+func TestCoordinatorValidatesBeforeDial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			conn.Close()
+		}
+	}()
+	coord := &dist.Coordinator{
+		Workers: []string{ln.Addr().String()},
+		Spec:    dist.CampaignSpec{System: "stub", Plugin: "stub", Limit: 4, PhaseTimeout: -1},
+		Out:     io.Discard,
+		Retry:   fastRetry,
+	}
+	if _, err := coord.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "negative watchdog timeout") {
+		t.Fatalf("err = %v, want the request's validation error", err)
+	}
+	if n := accepted.Load(); n != 0 {
+		t.Fatalf("coordinator opened %d connections for an invalid request", n)
+	}
+
+	var got atomic.Int64
+	_, addr := startServer(t, dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
+		got.Store(int64(req.Campaign.PhaseTimeout))
+		return stubShard(req, emit)
+	}))
+	coord.Workers, coord.Spec.PhaseTimeout = []string{addr}, 3*time.Second
+	if _, err := coord.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Duration(got.Load()); d != 3*time.Second {
+		t.Fatalf("worker saw PhaseTimeout %v, want 3s", d)
 	}
 }
 

@@ -23,11 +23,13 @@ import (
 	"conferr/internal/profile"
 )
 
-// CampaignSpec describes one campaign completely enough for a remote
-// worker to re-derive any shard of its faultload: the registered target
-// and generator names, the generator parameters, and the run flags that
-// shape the stream. It deliberately mirrors one `conferr matrix` cell —
-// the single-process run distributed campaigns must be byte-identical to.
+// CampaignSpec carries every setting a remote worker needs to re-derive
+// and run any shard of one campaign: the registered target and generator
+// names, the generator parameters, the run flags that shape the stream,
+// and the watchdog deadlines. It describes one `conferr matrix` cell —
+// the single-process run distributed campaigns must be byte-identical to
+// — and a worker builds that cell with the builder matrix uses
+// (conferr.DistCampaign).
 type CampaignSpec struct {
 	// System is the registered target name.
 	System string `json:"system"`
@@ -68,18 +70,25 @@ type CampaignSpec struct {
 	// record frames — for campaigns whose output is a scorecard, not a
 	// profile.
 	TallyOnly bool `json:"tally_only,omitempty"`
+	// ExperimentTimeout and PhaseTimeout (nanoseconds; 0 = off) arm the
+	// worker's phase watchdog, so every shard runs under the same
+	// deadlines as the single-process run it reproduces.
+	ExperimentTimeout time.Duration `json:"experiment_timeout,omitempty"`
+	PhaseTimeout      time.Duration `json:"phase_timeout,omitempty"`
 }
 
 // ProtocolVersion is the dist wire protocol's version. It is bumped on
 // any incompatible change to the request or frame encoding, so a
 // coordinator and a worker from different builds fail fast with a clear
-// complaint instead of mis-merging streams.
-const ProtocolVersion = 1
+// complaint instead of mis-merging streams. Version 2 moved the watchdog
+// deadlines into the campaign spec; a version 1 peer would silently run
+// without them.
+const ProtocolVersion = 2
 
 // ShardRequest is the single client→worker message: run shard Shard of
-// Shards of the described campaign, skipping sequences below StartSeq
-// (the coordinator's flush front on resume and retry). Proto carries the
-// sender's ProtocolVersion; workers reject mismatches.
+// Shards of the campaign Campaign describes in full, skipping sequences
+// below StartSeq (the coordinator's flush front on resume and retry).
+// Proto carries the sender's ProtocolVersion; workers reject mismatches.
 type ShardRequest struct {
 	Type     string       `json:"type"` // "run"
 	Proto    int          `json:"proto"`
@@ -87,11 +96,6 @@ type ShardRequest struct {
 	Shard    int          `json:"shard"`
 	Shards   int          `json:"shards"`
 	StartSeq int          `json:"start_seq,omitempty"`
-	// ExperimentTimeout and PhaseTimeout (nanoseconds) arm the worker's
-	// phase watchdog, inherited from the coordinator so every shard runs
-	// under the same deadlines as the single-process run it reproduces.
-	ExperimentTimeout time.Duration `json:"experiment_timeout,omitempty"`
-	PhaseTimeout      time.Duration `json:"phase_timeout,omitempty"`
 }
 
 // Frame is one worker→coordinator message. Type selects the variant:
@@ -317,7 +321,7 @@ func (r *ShardRequest) Validate() error {
 		}
 		return fmt.Errorf("dist: protocol version mismatch: request is v%d, worker speaks v%d", r.Proto, ProtocolVersion)
 	}
-	if r.ExperimentTimeout < 0 || r.PhaseTimeout < 0 {
+	if r.Campaign.ExperimentTimeout < 0 || r.Campaign.PhaseTimeout < 0 {
 		return fmt.Errorf("dist: negative watchdog timeout in shard request")
 	}
 	if r.Shards <= 0 || r.Shard < 0 || r.Shard >= r.Shards {

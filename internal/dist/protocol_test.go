@@ -337,13 +337,14 @@ func FuzzDecodeFrame(f *testing.F) {
 // worker can decode, and accepts only well-formed ones.
 func FuzzShardRequestValidate(f *testing.F) {
 	f.Add([]byte(validStubRequest(10)))
-	f.Add([]byte(fmt.Sprintf(`{"type":"run","proto":%d,"campaign":{"system":"nginx","plugin":"typo","seed":3},"shard":2,"shards":4,"start_seq":100,"experiment_timeout":1000000}`, dist.ProtocolVersion)))
+	f.Add([]byte(fmt.Sprintf(`{"type":"run","proto":%d,"campaign":{"system":"nginx","plugin":"typo","seed":3,"experiment_timeout":1000000},"shard":2,"shards":4,"start_seq":100}`, dist.ProtocolVersion)))
 	f.Add([]byte(`{"type":"run","proto":99,"campaign":{"system":"s","plugin":"p"},"shard":0,"shards":1}`))
 	f.Add([]byte(`{"type":"run","campaign":{"system":"s","plugin":"p"},"shard":0,"shards":1}`))
 	f.Add([]byte(`{"type":"run","proto":1,"campaign":{"system":"s","plugin":"p"},"shard":3,"shards":3}`))
 	f.Add([]byte(`{"type":"run","proto":1,"campaign":{"system":"s","plugin":"p"},"shard":-1,"shards":0}`))
 	f.Add([]byte(`{"type":"run","proto":1,"campaign":{"plugin":"p"},"shard":0,"shards":1,"start_seq":-4}`))
-	f.Add([]byte(`{"type":"rec","proto":1,"phase_timeout":-1}`))
+	f.Add([]byte(fmt.Sprintf(`{"type":"run","proto":%d,"campaign":{"system":"s","plugin":"p","phase_timeout":-1},"shard":0,"shards":1}`, dist.ProtocolVersion)))
+	f.Add([]byte(`{"type":"rec","proto":1,"campaign":{"phase_timeout":-1}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req dist.ShardRequest
 		if json.Unmarshal(data, &req) != nil {
@@ -352,7 +353,7 @@ func FuzzShardRequestValidate(f *testing.F) {
 		err := req.Validate()
 		wellFormed := req.Type == dist.TypeRun && req.Proto == dist.ProtocolVersion &&
 			req.Shards > 0 && req.Shard >= 0 && req.Shard < req.Shards && req.StartSeq >= 0 &&
-			req.ExperimentTimeout >= 0 && req.PhaseTimeout >= 0 &&
+			req.Campaign.ExperimentTimeout >= 0 && req.Campaign.PhaseTimeout >= 0 &&
 			req.Campaign.System != "" && req.Campaign.Plugin != ""
 		if wellFormed != (err == nil) {
 			t.Fatalf("Validate(%+v) = %v, well-formed = %v", req, err, wellFormed)

@@ -110,6 +110,23 @@ func LookupGenerator(name string) (GeneratorFactory, error) {
 	return f, nil
 }
 
+// newGenerator builds the generator registered as plugin for system;
+// opts.System is overwritten with system so system-specific generators
+// resolve their view against the right target. A factory's error is
+// wrapped with the cell's name.
+func newGenerator(system, plugin string, opts GeneratorOptions) (Generator, error) {
+	gf, err := LookupGenerator(plugin)
+	if err != nil {
+		return nil, err
+	}
+	opts.System = system
+	gen, err := gf(opts)
+	if err != nil {
+		return nil, fmt.Errorf("conferr: %s/%s: %w", system, plugin, err)
+	}
+	return gen, nil
+}
+
 // RegisteredGenerators returns the sorted names of every registered
 // generator.
 func RegisteredGenerators() []string {

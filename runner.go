@@ -2,7 +2,6 @@ package conferr
 
 import (
 	"context"
-	"fmt"
 
 	"conferr/internal/core"
 	"conferr/internal/profile"
@@ -88,12 +87,7 @@ func NewRunnerFor(system, plugin string, opts GeneratorOptions) (*Runner, error)
 	if err != nil {
 		return nil, err
 	}
-	gf, err := LookupGenerator(plugin)
-	if err != nil {
-		return nil, err
-	}
-	opts.System = system
-	gen, err := gf(opts)
+	gen, err := newGenerator(system, plugin, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -133,24 +127,14 @@ func (r *Runner) RunStream(ctx context.Context, sink Sink, opts ...RunOption) (i
 	return n, err
 }
 
-// campaign builds the core campaign around a fresh primary target, wiring
-// the per-worker factory — leases from a worker pool in the runner's
-// lifecycle, each instance at the primary's port over memnet or
-// port-mapped from it over kernel TCP — in front of the caller's
-// options. The returned cleanup closes the worker pool and must run
-// after the campaign.
+// campaign builds the runner's campaign as a suite cell — primary target,
+// per-worker pool in the runner's lifecycle — and returns it with the
+// cell's options in front of the caller's. The returned cleanup closes
+// the worker pool and must run after the campaign.
 func (r *Runner) campaign(opts []RunOption) (*core.Campaign, []RunOption, func() error, error) {
-	primary, err := r.Factory(r.Port)
+	sc, err := NewSuiteCampaignLifecycle(r.Generator.Name(), r.Factory, r.Port, r.Generator, r.Lifecycle, r.PoolCounters)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("conferr: building primary target: %w", err)
+		return nil, nil, nil, err
 	}
-	c := &core.Campaign{
-		Target:    primary.Target,
-		Generator: r.Generator,
-	}
-	factory, cleanup := lifecycleFactory(r.Factory, primary, r.Lifecycle, r.PoolCounters)
-	coreOpts := make([]RunOption, 0, len(opts)+1)
-	coreOpts = append(coreOpts, core.WithTargetFactory(factory))
-	coreOpts = append(coreOpts, opts...)
-	return c, coreOpts, cleanup, nil
+	return sc.Campaign, append(sc.Options, opts...), sc.Cleanup, nil
 }

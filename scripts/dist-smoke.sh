@@ -7,7 +7,10 @@
 # single-process `conferr matrix -stream-out` reference of the same
 # cell. This is the end-to-end check behind the determinism guarantee:
 # scheduling, worker death, shard retry and the sequence merge must all
-# be invisible in the output.
+# be invisible in the output. Two more legs: a campaign spec the workers
+# would reject (-limit -1) fails before any shard request is sent, and
+# watchdog deadlines that never fire cross the wire inside the campaign
+# spec without changing a byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,9 +33,9 @@ echo "== single-process reference"
   -no-duration -stream-out "$tmp/ref.jsonl" >/dev/null
 
 echo "== starting two workers"
-"$tmp/sutd" -serve 127.0.0.1:$W1 -quiet >"$tmp/w1.log" 2>&1 &
+"$tmp/sutd" -serve 127.0.0.1:$W1 >"$tmp/w1.log" 2>&1 &
 W1PID=$!
-"$tmp/sutd" -serve 127.0.0.1:$W2 -quiet >"$tmp/w2.log" 2>&1 &
+"$tmp/sutd" -serve 127.0.0.1:$W2 >"$tmp/w2.log" 2>&1 &
 W2PID=$!
 for log in w1 w2; do
   ok=""
@@ -42,6 +45,16 @@ for log in w1 w2; do
   done
   [ -n "$ok" ] || { echo "worker $log did not start"; cat "$tmp/$log.log"; exit 1; }
 done
+
+echo "== invalid campaign spec (-limit -1) is refused before any dial"
+if "$tmp/conferr" dist -workers 127.0.0.1:$W1,127.0.0.1:$W2 -system nginx -plugin typo \
+  -limit -1 -port $PORT -memnet -quiet 2>"$tmp/invalid.err"; then
+  echo "dist accepted -limit -1"; exit 1
+fi
+cat "$tmp/invalid.err"
+if grep -h "dist: " "$tmp/w1.log" "$tmp/w2.log"; then
+  echo "a worker saw a connection for the refused campaign"; exit 1
+fi
 
 echo "== distributed run (worker 1 dies mid-run)"
 "$tmp/conferr" dist -workers 127.0.0.1:$W1,127.0.0.1:$W2 -shards 4 \
@@ -68,3 +81,11 @@ cmp "$tmp/ref.jsonl" "$tmp/dist-converted.jsonl"
 jsonl_bytes=$(wc -c <"$tmp/ref.jsonl")
 cprof_bytes=$(wc -c <"$tmp/dist.cprof")
 echo "dist-smoke OK: .cprof merge converts byte-identical to the JSONL reference ($cprof_bytes vs $jsonl_bytes bytes)"
+
+echo "== distributed run with deadlines that never fire (surviving worker only)"
+"$tmp/conferr" dist -workers 127.0.0.1:$W2 -shards 4 \
+  -system nginx -plugin typo -seed $SEED -rounds $ROUNDS -limit $LIMIT \
+  -port $PORT -memnet -no-duration -phase-timeout 30s -experiment-timeout 60s \
+  -out "$tmp/dist-deadlines.jsonl"
+cmp "$tmp/ref.jsonl" "$tmp/dist-deadlines.jsonl"
+echo "dist-smoke OK: merged profile under -phase-timeout/-experiment-timeout byte-identical to the reference"

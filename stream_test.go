@@ -5,7 +5,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"conferr/internal/dist"
 	"conferr/internal/profile"
 )
 
@@ -185,6 +187,69 @@ func TestRunMatrixRoundsAndLimit(t *testing.T) {
 	if !strings.HasPrefix(cr.Profile.Records[0].ScenarioID, "r000/") {
 		t.Errorf("first record %s lacks round prefix", cr.Profile.Records[0].ScenarioID)
 	}
+}
+
+// TestRunMatrixRejectsPortPastRange: a base port that pushes a cell past
+// 65535 fails the matrix before any experiment runs. Built anyway, that
+// cell would report every scenario as detected, each config naming the
+// invalid port.
+func TestRunMatrixRejectsPortPastRange(t *testing.T) {
+	entries := []MatrixEntry{
+		{System: "nginx", Plugin: "structural", Options: GeneratorOptions{Seed: 1}},
+		{System: "redisd", Plugin: "structural", Options: GeneratorOptions{Seed: 1}},
+	}
+	var buf bytes.Buffer
+	lw := NewLockedWriter(&buf)
+	_, err := RunMatrix(context.Background(), entries, MatrixOptions{
+		BasePort: 65535,
+		Limit:    3,
+		SinkFor:  func(e MatrixEntry) Sink { return NewJSONLSink(lw, e.System, e.Plugin) },
+	})
+	if err == nil || !strings.Contains(err.Error(), "redisd/structural") || !strings.Contains(err.Error(), "65536") {
+		t.Fatalf("err = %v, want a refusal naming redisd/structural and port 65536", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused matrix wrote records:\n%s", buf.Bytes())
+	}
+}
+
+// TestCellRejectsNegativeSettings: every count and deadline for which
+// zero means "off" refuses a negative value, naming the cell and the
+// field, instead of silently treating it as "off".
+func TestCellRejectsNegativeSettings(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*dist.CampaignSpec)
+		want  string
+	}{
+		{"PerModel", func(s *dist.CampaignSpec) { s.PerModel = -1 }, "(-1)"},
+		{"PerDirective", func(s *dist.CampaignSpec) { s.PerDirective = -2 }, "(-2)"},
+		{"PerClass", func(s *dist.CampaignSpec) { s.PerClass = -3 }, "(-3)"},
+		{"Rounds", func(s *dist.CampaignSpec) { s.Rounds = -4 }, "(-4)"},
+		{"Sample", func(s *dist.CampaignSpec) { s.Sample = -5 }, "(-5)"},
+		{"Limit", func(s *dist.CampaignSpec) { s.Limit = -5 }, "(-5)"},
+		{"ExperimentTimeout", func(s *dist.CampaignSpec) { s.ExperimentTimeout = -time.Second }, "(-1s)"},
+		{"PhaseTimeout", func(s *dist.CampaignSpec) { s.PhaseTimeout = -1500 * time.Millisecond }, "(-1.5s)"},
+	} {
+		spec := dist.CampaignSpec{System: "nginx", Plugin: "typo", Seed: 1}
+		tc.set(&spec)
+		sc, err := DistCampaign(spec)
+		if err == nil {
+			sc.Cleanup()
+			t.Errorf("%s: negative value accepted", tc.field)
+			continue
+		}
+		for _, want := range []string{"nginx/typo", tc.field, tc.want} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want it to name %q", tc.field, err, want)
+			}
+		}
+	}
+	sc, err := DistCampaign(dist.CampaignSpec{System: "nginx", Plugin: "typo", Seed: 1})
+	if err != nil {
+		t.Fatalf("zero settings refused: %v", err)
+	}
+	sc.Cleanup()
 }
 
 // TestTallySinkMatchesProfileOnStream: the O(1)-memory summary of a

@@ -2,6 +2,7 @@ package conferr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -42,6 +43,11 @@ func NewSuiteCampaign(name string, factory TargetFactory, port int, gen Generato
 // cell finishes. A non-nil counters aggregates lifecycle activity across
 // cells.
 func NewSuiteCampaignLifecycle(name string, factory TargetFactory, port int, gen Generator, mode Lifecycle, counters *LifecycleCounters) (SuiteCampaign, error) {
+	if port < 0 || port > 65535 {
+		// A typo'd faultload against such a port would be one silent
+		// detection per scenario: every config names an invalid port.
+		return SuiteCampaign{}, fmt.Errorf("conferr: %s: port %d is outside 0-65535", name, port)
+	}
 	primary, err := factory(port)
 	if err != nil {
 		return SuiteCampaign{}, fmt.Errorf("conferr: building %s primary target: %w", name, err)
@@ -78,19 +84,20 @@ type MatrixEntry struct {
 // example, the semantic plugin against a non-DNS target) are skipped and
 // reported; unknown names are errors.
 func MatrixEntries(systems, plugins []string, opts GeneratorOptions) (entries []MatrixEntry, skipped []string, err error) {
+	for _, plugin := range plugins {
+		if _, err := LookupGenerator(plugin); err != nil {
+			return nil, nil, err
+		}
+	}
 	for _, system := range systems {
 		if _, err := LookupTarget(system); err != nil {
 			return nil, nil, err
 		}
+		o := opts
+		o.System = system
 		for _, plugin := range plugins {
-			gf, err := LookupGenerator(plugin)
-			if err != nil {
-				return nil, nil, err
-			}
-			o := opts
-			o.System = system
-			if _, err := gf(o); err != nil {
-				skipped = append(skipped, fmt.Sprintf("%s/%s: %v", system, plugin, err))
+			if _, err := newGenerator(system, plugin, o); err != nil {
+				skipped = append(skipped, fmt.Sprintf("%s/%s: %v", system, plugin, errors.Unwrap(err)))
 				continue
 			}
 			entries = append(entries, MatrixEntry{System: system, Plugin: plugin, Options: o})
@@ -148,51 +155,75 @@ type MatrixOptions struct {
 func RunMatrix(ctx context.Context, entries []MatrixEntry, mo MatrixOptions) (*SuiteResult, error) {
 	campaigns := make([]SuiteCampaign, 0, len(entries))
 	for i, e := range entries {
-		tf, err := LookupTarget(e.System)
-		if err != nil {
-			return nil, err
-		}
-		if mo.InMemory {
-			tf = InMemoryTransport(tf)
-		}
-		gf, err := LookupGenerator(e.Plugin)
-		if err != nil {
-			return nil, err
-		}
-		o := e.Options
-		o.System = e.System
-		gen, err := gf(o)
-		if err != nil {
-			return nil, fmt.Errorf("conferr: matrix %s/%s: %w", e.System, e.Plugin, err)
-		}
-		if mo.Rounds > 1 {
-			gen = core.RepeatGenerator(gen, mo.Rounds)
-		}
-		if mo.Sample > 0 {
-			gen = core.SampleGenerator(gen, o.Seed, mo.Sample)
-		}
-		if mo.Limit > 0 {
-			gen = core.LimitGenerator(gen, mo.Limit)
-		}
 		port := e.Port
 		if port == 0 && mo.BasePort > 0 {
 			port = mo.BasePort + i
 		}
-		sc, err := NewSuiteCampaignLifecycle(e.System+"/"+e.Plugin, tf, port, gen, mo.Lifecycle, mo.PoolCounters)
+		sc, err := matrixCell(e, port, mo)
 		if err != nil {
 			return nil, err
-		}
-		if mo.SinkFor != nil {
-			sc.Sink = mo.SinkFor(e)
-		}
-		if mo.ExperimentTimeout > 0 || mo.PhaseTimeout > 0 {
-			sc.Options = append(sc.Options, core.WithDeadlines(core.Deadlines{
-				Experiment: mo.ExperimentTimeout,
-				Phase:      mo.PhaseTimeout,
-			}))
 		}
 		campaigns = append(campaigns, sc)
 	}
 	suite := &Suite{Campaigns: campaigns, Workers: mo.Workers, KeepGoing: mo.KeepGoing}
 	return suite.Run(ctx)
+}
+
+// matrixCell builds the suite cell of entry e with its primary at port.
+// It is the one place a campaign cell is built from names and settings —
+// matrix cells and dist shards both come from here, which is what keeps a
+// shard byte-identical to the matrix cell it reproduces: the same
+// generator wrappers in the same order (rounds, then sample, then limit),
+// the same transport and lifecycle wiring, the same watchdog deadlines.
+// MatrixOptions.KeepGoing is suite-level and not applied here.
+func matrixCell(e MatrixEntry, port int, mo MatrixOptions) (SuiteCampaign, error) {
+	name := e.System + "/" + e.Plugin
+	o := e.Options
+	// Zero means "off" for each of these, and so, silently, would a
+	// negative value.
+	for _, f := range []struct {
+		field    string
+		negative bool
+		value    any
+	}{
+		{"PerModel", o.PerModel < 0, o.PerModel}, {"PerDirective", o.PerDirective < 0, o.PerDirective},
+		{"PerClass", o.PerClass < 0, o.PerClass}, {"Rounds", mo.Rounds < 0, mo.Rounds},
+		{"Sample", mo.Sample < 0, mo.Sample}, {"Limit", mo.Limit < 0, mo.Limit},
+		{"ExperimentTimeout", mo.ExperimentTimeout < 0, mo.ExperimentTimeout},
+		{"PhaseTimeout", mo.PhaseTimeout < 0, mo.PhaseTimeout},
+	} {
+		if f.negative {
+			return SuiteCampaign{}, fmt.Errorf("conferr: %s: %s is negative (%v)", name, f.field, f.value)
+		}
+	}
+	tf, err := LookupTarget(e.System)
+	if err != nil {
+		return SuiteCampaign{}, err
+	}
+	if mo.InMemory {
+		tf = InMemoryTransport(tf)
+	}
+	gen, err := newGenerator(e.System, e.Plugin, o)
+	if err != nil {
+		return SuiteCampaign{}, err
+	}
+	if mo.Rounds > 1 {
+		gen = core.RepeatGenerator(gen, mo.Rounds)
+	}
+	if mo.Sample > 0 {
+		gen = core.SampleGenerator(gen, o.Seed, mo.Sample)
+	}
+	if mo.Limit > 0 {
+		gen = core.LimitGenerator(gen, mo.Limit)
+	}
+	sc, err := NewSuiteCampaignLifecycle(name, tf, port, gen, mo.Lifecycle, mo.PoolCounters)
+	if err != nil {
+		return SuiteCampaign{}, err
+	}
+	if mo.SinkFor != nil {
+		sc.Sink = mo.SinkFor(e)
+	}
+	// Zero deadlines leave the watchdog off.
+	sc.Options = append(sc.Options, core.WithDeadlines(core.Deadlines{Experiment: mo.ExperimentTimeout, Phase: mo.PhaseTimeout}))
+	return sc, nil
 }
