@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"conferr"
+	"conferr/internal/profile"
 )
 
 func runT(args ...string) int {
@@ -258,6 +260,41 @@ func TestRunMatrixStreamStdout(t *testing.T) {
 	}
 	if len(profs) != 1 || len(profs[0].Records) == 0 || len(profs[0].Records) > 8 {
 		t.Fatalf("streamed profiles = %+v, want one nginx/typo profile with 1..8 records", profs)
+	}
+}
+
+// TestConvertRefusesSameFile: converting a profile onto itself, under
+// its own name or any path resolving to it, must fail before the output
+// is created and leave the input's bytes untouched, in both formats.
+func TestConvertRefusesSameFile(t *testing.T) {
+	dir := t.TempDir()
+	jsonl := filepath.Join(dir, "p.jsonl")
+	rec := profile.Record{ScenarioID: "s/0", Class: "c", Outcome: profile.DetectedAtStartup, Detail: "bad"}
+	if err := os.WriteFile(jsonl, profile.AppendJSONLRecord(nil, "sys", "gen", 0, rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp := filepath.Join(dir, "q.cprof")
+	if got := runT("convert", jsonl, cp); got != 0 {
+		t.Fatalf("convert to cprof: exit = %d", got)
+	}
+	link := filepath.Join(dir, "link.jsonl")
+	if err := os.Symlink(jsonl, link); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]string{
+		{jsonl, jsonl}, {jsonl, dir + "/./p.jsonl"}, {jsonl, link}, {cp, cp},
+	} {
+		want, err := os.ReadFile(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runT("convert", pair[0], pair[1]); got == 0 {
+			t.Errorf("convert %s %s: exit 0, want a refusal", pair[0], pair[1])
+		}
+		if got, err := os.ReadFile(pair[0]); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("convert %s %s changed the input: %d bytes, want %d (%v)",
+				pair[0], pair[1], len(got), len(want), err)
+		}
 	}
 }
 

@@ -139,6 +139,12 @@ func cmdConvert(ctx context.Context, args []string) error {
 		return errors.New("convert needs exactly two arguments: IN OUT (IN may be - for stdin, OUT may be - for JSONL on stdout)")
 	}
 	in, out := fs.Arg(0), fs.Arg(1)
+	// Creating OUT truncates it, so refuse before that when OUT is IN.
+	if si, err := os.Stat(in); err == nil && in != "-" {
+		if so, err := os.Stat(out); err == nil && os.SameFile(si, so) {
+			return fmt.Errorf("convert: %s and %s are the same file", in, out)
+		}
+	}
 
 	// Pick the scan: cprof inputs replay in canonical sequence order,
 	// JSONL inputs in file order (already canonical for ordered streams).

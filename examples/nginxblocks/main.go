@@ -21,6 +21,10 @@ import (
 	"conferr"
 )
 
+// port is the first of three fixed primary ports: the typo faultload
+// mutates the port's digits, so an allocated port would vary the output.
+const port = 12080
+
 func main() {
 	seed := flag.Int64("seed", conferr.DefaultSeed, "faultload seed")
 	workers := flag.Int("workers", 4, "parallel campaign workers (0 = GOMAXPROCS)")
@@ -43,6 +47,7 @@ func run(seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
+	structural.Port = port
 	prof, err := structural.Run(ctx, conferr.WithParallelism(workers), conferr.WithBaselineCheck())
 	if err != nil {
 		return err
@@ -57,6 +62,7 @@ func run(seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
+	typos.Port = port + 1
 	tprof, err := typos.Run(ctx, conferr.WithParallelism(workers))
 	if err != nil {
 		return err
@@ -72,6 +78,7 @@ func run(seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
+	redis.Port = port + 2
 	rprof, err := redis.Run(ctx, conferr.WithParallelism(workers), conferr.WithBaselineCheck())
 	if err != nil {
 		return err

@@ -36,6 +36,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Pin the primary port: the typo faultload mutates the port's digits,
+	// so an allocated port would change the profile from run to run.
+	runner.Port = 12432
 
 	// 2. Run every scenario over 4 workers. WithBaselineCheck first
 	// verifies the unmutated configuration starts and passes the tests —

@@ -39,6 +39,9 @@ func run(seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
+	// Pin the primary ports: faults that reach the Listen line then act on
+	// the same port in every run, not on whichever one was allocated.
+	faults.Port = 12180
 	prof, err := faults.Run(ctx, conferr.WithParallelism(workers))
 	if err != nil {
 		return err
@@ -53,6 +56,7 @@ func run(seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
+	variations.Port = 12181
 	vprof, err := variations.Run(ctx, conferr.WithParallelism(workers))
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 
 	"conferr/internal/benchfixture"
 	"conferr/internal/profile"
+	"conferr/internal/scenario"
 )
 
 // The InjectionPipeline benchmarks measure the engine's own per-injection
@@ -20,18 +21,29 @@ func benchTarget() *Target {
 	return &Target{System: benchfixture.System{}, Formats: benchfixture.Formats()}
 }
 
-func benchFaultload(b testing.TB) (*Target, *faultload) {
+// collectFaultload generates c's faultload as the engine does
+// (generateStream) and materializes its validated scenarios.
+func collectFaultload(tb testing.TB, c *Campaign) (*faultload, []scenario.Scenario) {
+	tb.Helper()
+	fl, src, err := c.generateStream()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	scens, err := scenario.Collect(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fl, scens
+}
+
+func benchFaultload(b testing.TB) (*Target, *faultload, []scenario.Scenario) {
 	b.Helper()
 	tgt := benchTarget()
-	c := &Campaign{Target: tgt, Generator: benchfixture.Gen{}}
-	fl, err := c.generate()
-	if err != nil {
-		b.Fatal(err)
+	fl, scens := collectFaultload(b, &Campaign{Target: tgt, Generator: benchfixture.Gen{}})
+	if want := benchfixture.Files * benchfixture.DirsPerFile; len(scens) != want {
+		b.Fatalf("scenarios = %d, want %d", len(scens), want)
 	}
-	if want := benchfixture.Files * benchfixture.DirsPerFile; len(fl.scens) != want {
-		b.Fatalf("scenarios = %d, want %d", len(fl.scens), want)
-	}
-	return tgt, fl
+	return tgt, fl, scens
 }
 
 // BenchmarkInjectionPipeline/fast is the incremental engine;
@@ -39,7 +51,7 @@ func benchFaultload(b testing.TB) (*Target, *faultload) {
 // identical faultload. ns/op and allocs/op compare directly.
 func BenchmarkInjectionPipeline(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
-		tgt, fl := benchFaultload(b)
+		tgt, fl, scens := benchFaultload(b)
 		if fl.incInto == nil || fl.baseBytes == nil {
 			b.Fatal("fast path not enabled")
 		}
@@ -47,7 +59,7 @@ func BenchmarkInjectionPipeline(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sc := fl.scens[i%len(fl.scens)]
+			sc := scens[i%len(scens)]
 			if _, err := runOne(tgt, sc, fl, scr); err != nil {
 				b.Fatal(err)
 			}
@@ -55,11 +67,11 @@ func BenchmarkInjectionPipeline(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/injection")
 	})
 	b.Run("reference", func(b *testing.B) {
-		tgt, fl := benchFaultload(b)
+		tgt, fl, scens := benchFaultload(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sc := fl.scens[i%len(fl.scens)]
+			sc := scens[i%len(scens)]
 			if _, err := runOneReference(tgt, sc, fl.view, fl.viewSet, fl.sysSet); err != nil {
 				b.Fatal(err)
 			}
@@ -69,11 +81,11 @@ func BenchmarkInjectionPipeline(b *testing.B) {
 }
 
 // BenchmarkStreamingDispatch measures the streaming engine end to end —
-// generation inside the workers, the worker loop, the sink — against the
-// same synthetic faultload the materialized campaign benchmarks run, at 1
-// and 8 workers. Comparing experiments/s with
-// BenchmarkInjectionPipelineCampaign quantifies the engine's overhead over
-// slice indexing. The pull cases hide GenerateShard, so the workers share
+// generation inside the workers, the worker loop, the sink — over the
+// synthetic faultload, at 1 and 8 workers, into a tally sink. Comparing
+// experiments/s with BenchmarkInjectionPipelineCampaign, which runs the
+// same faultload into an in-memory profile, isolates what keeping the
+// profile costs. The pull cases hide GenerateShard, so the workers share
 // one stream and take a lock per scenario: the path of every generator
 // without shard support.
 func BenchmarkStreamingDispatch(b *testing.B) {

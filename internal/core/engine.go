@@ -157,15 +157,14 @@ func (c *Campaign) Run() (*profile.Profile, error) {
 	return c.RunContext(context.Background())
 }
 
-// faultload is the immutable outcome of the campaign's generation phase:
-// the view, both representations of the initial configuration, the
-// scenario list, and the precomputed fast-path state. Workers share it
-// read-only.
+// faultload is the immutable state every scenario of a campaign is
+// injected against: the view, both representations of the initial
+// configuration, and the precomputed fast-path state. Workers share it
+// read-only; the scenarios themselves stream past (see shardFeed).
 type faultload struct {
 	view    view.View
 	viewSet *confnode.Set
 	sysSet  *confnode.Set
-	scens   []scenario.Scenario
 
 	// incInto and baseBytes enable the incremental injection pipeline.
 	// incInto is the view's incremental back-transform, nil when
@@ -174,16 +173,16 @@ type faultload struct {
 	// per campaign, the serialized bytes of the baseline round trip
 	// (Backward over the unmutated view): per scenario, only the files the
 	// mutation dirtied are re-serialized and every clean file reuses its
-	// cached slice. Both are nil when the baseline round trip fails, which
-	// forces the reference path.
+	// cached slice. Both are nil when the view has no incremental
+	// back-transform or the baseline round trip fails; runOne then falls
+	// back to runOneReference.
 	incInto   view.IncrementalInto
 	baseBytes map[string][]byte
 }
 
 // generateBase parses the initial configuration, maps it into the plugin
 // view and precomputes the fast-path state — everything the campaign needs
-// before the first scenario exists, shared by the materialized and
-// streaming generation paths.
+// before the first scenario exists.
 func (c *Campaign) generateBase() (*faultload, error) {
 	sysSet, err := c.parseInitial()
 	if err != nil {
@@ -204,63 +203,25 @@ func (c *Campaign) generateBase() (*faultload, error) {
 	return fl, nil
 }
 
-// generate is the materialized generation path: the whole faultload is
-// enumerated and validated before the first injection. It is executed once
-// per campaign, regardless of parallelism, so every worker injects the
-// identical faultload.
-func (c *Campaign) generate() (*faultload, error) {
-	fl, err := c.generateBase()
-	if err != nil {
-		return nil, err
-	}
-	scens, err := c.Generator.Generate(fl.viewSet)
-	if err != nil {
-		return nil, fmt.Errorf("core: generating scenarios: %w", err)
-	}
-	// Fail fast on malformed scenarios: a plugin emitting, say, an empty
-	// Class would otherwise corrupt every per-class profile table with a
-	// silent "" bucket thousands of experiments later. Duplicate IDs are
-	// rejected for the same reason: two scenarios sharing an ID silently
-	// collide in per-scenario reporting (Compare, FormatRecords sorting)
-	// and would corrupt JSONL dedup or resume keyed on the ID.
-	seen := make(map[string]struct{}, len(scens))
-	for i, sc := range scens {
-		if verr := sc.Validate(); verr != nil {
-			return nil, fmt.Errorf("core: plugin %s emitted invalid scenario #%d: %w",
-				c.Generator.Name(), i, verr)
-		}
-		if _, dup := seen[sc.ID]; dup {
-			return nil, fmt.Errorf("core: plugin %s emitted duplicate ScenarioID %q (scenario #%d)",
-				c.Generator.Name(), sc.ID, i)
-		}
-		seen[sc.ID] = struct{}{}
-	}
-	fl.scens = scens
-	return fl, nil
-}
-
-// generateStream is the streaming generation path: the faultload is pulled
-// from the generator one scenario at a time and never materialized. Each
-// scenario is shape-validated as it streams past; global duplicate-ID
-// detection is not performed here (it would grow with the faultload) —
-// compose scenario.Source.DedupByID upstream when merged sources may
-// collide.
+// generateStream is generateBase plus the faultload as one lazy pull
+// stream, each scenario shape-validated as it streams past (checkScenario).
+// It keeps no duplicate-ID set, which would grow with the faultload:
+// RunContext's sink keeps one, and merged sources that may collide can
+// compose scenario.Source.DedupByID upstream.
 func (c *Campaign) generateStream() (*faultload, scenario.Source, error) {
 	fl, err := c.generateBase()
 	if err != nil {
 		return nil, nil, err
 	}
-	inner := StreamOf(c.Generator, fl.viewSet)
 	src := scenario.Source(func(yield func(scenario.Scenario, error) bool) {
 		i := 0
-		inner(func(sc scenario.Scenario, serr error) bool {
+		StreamOf(c.Generator, fl.viewSet)(func(sc scenario.Scenario, serr error) bool {
 			if serr != nil {
 				yield(sc, fmt.Errorf("core: generating scenarios: %w", serr))
 				return false
 			}
-			if verr := sc.Validate(); verr != nil {
-				yield(scenario.Scenario{}, fmt.Errorf("core: plugin %s emitted invalid scenario #%d: %w",
-					c.Generator.Name(), i, verr))
+			if verr := c.checkScenario(i, sc); verr != nil {
+				yield(scenario.Scenario{}, verr)
 				return false
 			}
 			i++
@@ -270,12 +231,21 @@ func (c *Campaign) generateStream() (*faultload, scenario.Source, error) {
 	return fl, src, nil
 }
 
+// checkScenario refuses the malformed scenario at sequence seq: an empty
+// Class, say, would put a silent "" bucket in every per-class table.
+func (c *Campaign) checkScenario(seq int, sc scenario.Scenario) error {
+	if err := sc.Validate(); err != nil {
+		return fmt.Errorf("core: plugin %s emitted invalid scenario #%d: %w", c.Generator.Name(), seq, err)
+	}
+	return nil
+}
+
 // prepareFastPath caches the baseline round-trip bytes when the view
 // supports incremental back-transformation into a reused wrapper
 // (view.IncrementalInto). Any failure — an error from
 // the unmutated Backward, a missing format, a serializer error — leaves
 // the fast path disabled rather than the campaign broken: runOne then
-// behaves exactly like the paper's full-clone engine.
+// falls back to runOneReference, the paper's full-clone engine.
 func (fl *faultload) prepareFastPath(t *Target) {
 	inc, ok := fl.view.(view.IncrementalInto)
 	if !ok {
@@ -337,7 +307,7 @@ type scratch struct {
 	files      suts.Files
 	// filesFor remembers which campaign's baseline the files map is
 	// pre-populated with; a pooled scratch crossing into a new campaign
-	// rebuilds it (see runOne's fast path).
+	// rebuilds it (see runOne).
 	filesFor *faultload
 }
 
@@ -355,16 +325,14 @@ func putScratch(s *scratch) { scratchPool.Put(s) }
 // may hold onto the config bytes across Start/Stop — but the serializer's
 // intermediate growth happens in the pooled buffer.
 func (s *scratch) serialize(f formats.Format, root *confnode.Node) ([]byte, error) {
-	if s != nil {
-		if bf, ok := f.(formats.BufferedFormat); ok {
-			s.buf.Reset()
-			if err := bf.SerializeTo(&s.buf, root); err != nil {
-				return nil, err
-			}
-			out := make([]byte, s.buf.Len())
-			copy(out, s.buf.Bytes())
-			return out, nil
+	if bf, ok := f.(formats.BufferedFormat); ok {
+		s.buf.Reset()
+		if err := bf.SerializeTo(&s.buf, root); err != nil {
+			return nil, err
 		}
+		out := make([]byte, s.buf.Len())
+		copy(out, s.buf.Bytes())
+		return out, nil
 	}
 	return f.Serialize(root)
 }
@@ -399,10 +367,11 @@ func (c *Campaign) parseInitial() (*confnode.Set, error) {
 // only over the system files the fold rewrote, with every clean file
 // reusing its cached baseline bytes. When the view has no incremental
 // back-transform (or the baseline round trip failed at campaign start)
-// the per-scenario cost degrades gracefully to the reference behaviour —
-// full Backward over the tracked set — which runOneReference preserves
-// verbatim for equivalence tests and benchmarks.
+// runOne falls back to runOneReference.
 func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profile.Record, error) {
+	if fl.incInto == nil || fl.baseBytes == nil {
+		return runOneReference(t, sc, fl.view, fl.viewSet, fl.sysSet)
+	}
 	start := time.Now()
 	rec := profile.Record{
 		ScenarioID:  sc.ID,
@@ -430,27 +399,13 @@ func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profi
 		return finish(profile.NotApplicable, err.Error()), err
 	}
 	scr.dirty = mutated.SealAppend(scr.dirty[:0])
-	viewDirty := scr.dirty
 
 	// 2. Map back to the system representation; expressiveness gaps are a
 	// first-class outcome (paper §5.4). The incremental transform folds
 	// only the dirty files and reports which system files it rewrote.
-	fast := fl.incInto != nil && fl.baseBytes != nil
-	var (
-		mutatedSys *confnode.Set
-		sysDirty   []string
-		err        error
-	)
-	if fast {
-		mutatedSys, err = fl.incInto.IncrementalBackwardInto(scr.sysTracked, viewDirty, mutated, fl.sysSet)
-		if mutatedSys != nil {
-			scr.sysTracked = mutatedSys
-		}
-	} else {
-		// Flatten the tracked set first: Backward's historical contract
-		// hands the view a private set it could mutate in place, and the
-		// sealed wrapper's clean files alias the shared baseline.
-		mutatedSys, err = fl.view.Backward(mutated.Clone(), fl.sysSet)
+	mutatedSys, err := fl.incInto.IncrementalBackwardInto(scr.sysTracked, scr.dirty, mutated, fl.sysSet)
+	if mutatedSys != nil {
+		scr.sysTracked = mutatedSys
 	}
 	if err != nil {
 		if errors.Is(err, view.ErrNotExpressible) {
@@ -458,93 +413,52 @@ func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profi
 		}
 		return finish(profile.NotApplicable, err.Error()), err
 	}
-	if fast {
-		scr.sysDirty = mutatedSys.SealAppend(scr.sysDirty[:0])
-		sysDirty = scr.sysDirty
-	}
+	scr.sysDirty = mutatedSys.SealAppend(scr.sysDirty[:0])
+	sysDirty := scr.sysDirty
 
-	// 3. Serialize to native file formats — only the dirty ones on the
-	// fast path; clean files reuse the campaign's cached baseline bytes.
-	// The files map is worker scratch: suts.System.Start may retain the
-	// byte slices, never the map itself.
-	if fast {
-		// Fast path: the worker's files map is pre-populated with the
-		// campaign's baseline bytes (prepareFastPath guarantees baseBytes
-		// covers every baseline file), so an experiment touches only its
-		// dirty entries — written before the run, restored after — instead
-		// of rebuilding a full map per injection.
-		if scr.files == nil || scr.filesFor != fl {
-			if scr.files == nil {
-				scr.files = make(suts.Files, len(fl.baseBytes))
-			} else {
-				clear(scr.files)
-			}
-			for name, data := range fl.baseBytes {
-				scr.files[name] = data
-			}
-			scr.filesFor = fl
+	// 3. Serialize only the dirty files to their native formats. The
+	// worker's files map is pre-populated with the campaign's baseline
+	// bytes (prepareFastPath guarantees baseBytes covers every baseline
+	// file), so an experiment touches only its dirty entries — written
+	// before the run, restored after — instead of rebuilding a full map per
+	// injection. suts.System.Start may retain the byte slices, never the
+	// map itself.
+	if scr.files == nil || scr.filesFor != fl {
+		if scr.files == nil {
+			scr.files = make(suts.Files, len(fl.baseBytes))
+		} else {
+			clear(scr.files)
 		}
-		files := scr.files
-		defer func() {
-			for _, name := range sysDirty {
-				if data, ok := fl.baseBytes[name]; ok {
-					files[name] = data
-				} else {
-					delete(files, name)
-				}
-			}
-		}()
-		for _, name := range sysDirty {
-			f := t.Formats[name]
-			if f == nil {
-				// A scenario introduced a file no registered format can
-				// express — an expressiveness gap, not a crash.
-				return finish(profile.NotExpressible,
-					fmt.Sprintf("no format registered for file %q", name)), nil
-			}
-			data, serr := scr.serialize(f, mutatedSys.Get(name))
-			if serr != nil {
-				return finish(profile.NotExpressible, serr.Error()), nil
-			}
-			files[name] = data
+		for name, data := range fl.baseBytes {
+			scr.files[name] = data
 		}
-		return runOnFiles(t, files, sysDirty, true, finish)
+		scr.filesFor = fl
 	}
-
-	// Reference-grade slow path (no incremental transform): serialize the
-	// whole set into a rebuilt map.
-	if scr.files == nil {
-		scr.files = make(suts.Files, mutatedSys.Len())
-	} else {
-		clear(scr.files)
-	}
-	scr.filesFor = nil
 	files := scr.files
-	var (
-		badOutcome profile.Outcome
-		badDetail  string
-	)
-	mutatedSys.Each(func(name string, root *confnode.Node) bool {
+	defer func() {
+		for _, name := range sysDirty {
+			if data, ok := fl.baseBytes[name]; ok {
+				files[name] = data
+			} else {
+				delete(files, name)
+			}
+		}
+	}()
+	for _, name := range sysDirty {
 		f := t.Formats[name]
 		if f == nil {
-			badOutcome = profile.NotExpressible
-			badDetail = fmt.Sprintf("no format registered for file %q", name)
-			return false
+			// A scenario introduced a file no registered format can
+			// express — an expressiveness gap, not a crash.
+			return finish(profile.NotExpressible,
+				fmt.Sprintf("no format registered for file %q", name)), nil
 		}
-		data, serr := scr.serialize(f, root)
+		data, serr := scr.serialize(f, mutatedSys.Get(name))
 		if serr != nil {
-			badOutcome = profile.NotExpressible
-			badDetail = serr.Error()
-			return false
+			return finish(profile.NotExpressible, serr.Error()), nil
 		}
 		files[name] = data
-		return true
-	})
-	if badOutcome != 0 {
-		return finish(badOutcome, badDetail), nil
 	}
-
-	return runOnFiles(t, files, nil, false, finish)
+	return runOnFiles(t, files, sysDirty, true, finish)
 }
 
 // runOneSafe is runOne behind the per-experiment panic boundary: a panic
@@ -584,9 +498,11 @@ func isInfraPhaseErr(err error) bool {
 }
 
 // runOneReference is the pre-incremental engine — deep-clone the whole
-// view, full Backward, re-serialize every file — kept as the behavioural
-// reference: equivalence tests prove runOne produces byte-identical
-// profiles, and the benchmark family measures the win against it.
+// view, full Backward, re-serialize every file. It is runOne's fallback
+// for a view without an incremental back-transform (or a campaign whose
+// baseline round trip failed), and the behavioural reference:
+// equivalence tests prove runOne produces byte-identical profiles, and
+// the benchmark family measures the win against it.
 func runOneReference(t *Target, sc scenario.Scenario, v view.View, viewSet, sysSet *confnode.Set) (profile.Record, error) {
 	start := time.Now()
 	rec := profile.Record{

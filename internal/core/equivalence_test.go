@@ -97,12 +97,9 @@ func digestTarget() *Target {
 // infrastructure error fails the test.
 func refProfile(t *testing.T, c *Campaign) *profile.Profile {
 	t.Helper()
-	fl, err := c.generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl, scens := collectFaultload(t, c)
 	prof := &profile.Profile{System: c.Target.System.Name(), Generator: c.Generator.Name()}
-	for _, sc := range fl.scens {
+	for _, sc := range scens {
 		rec, err := runOneReference(c.Target, sc, fl.view, fl.viewSet, fl.sysSet)
 		prof.Add(rec)
 		if err != nil {
@@ -220,8 +217,9 @@ func TestFastPathMatchesReference(t *testing.T) {
 // contract on the full fixture: for word-view and struct-view faultloads
 // over the multi-codec digest target, the lazy streaming runner (pull from
 // the generator, sequence-numbered reassembly, sink flush) must produce
-// profiles record-for-record identical to the materialized RunContext path
-// — and hence to the reference full-clone engine — at workers 1 and 4.
+// profiles record-for-record identical to RunContext's in-memory profile
+// and to the reference full-clone engine over the collected faultload, at
+// workers 1, 4 and 8.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	gens := map[string]func() Generator{
 		"typo-wordview":  func() Generator { return &typo.Plugin{} },
@@ -366,8 +364,12 @@ func warmDigestTarget() *Target {
 // experiment engine at every worker count.
 func TestReloadLifecycleMatchesCold(t *testing.T) {
 	for label, gen := range map[string]Generator{
-		"typo-wordview":  &typo.Plugin{},
-		"mix-structview": mixGen{},
+		"typo-wordview": &typo.Plugin{},
+		// mixGen is pure, so it runs shard-stable here: worker k injects
+		// k, k+n, … whatever the scheduling, and the wedge scenarios land
+		// on warm instances at every worker count.
+		"mix-structview": streamFunc{name: "mix", view: view.StructView{}, shardable: true,
+			src: func(s *confnode.Set) scenario.Source { return StreamOf(mixGen{}, s) }},
 	} {
 		t.Run(label, func(t *testing.T) {
 			want, err := (&Campaign{Target: warmDigestTarget(), Generator: gen}).
@@ -484,11 +486,7 @@ func TestFastPathEnabledForBuiltinViews(t *testing.T) {
 		"word":   &typo.Plugin{},
 		"struct": mixGen{},
 	} {
-		c := &Campaign{Target: digestTarget(), Generator: gen}
-		fl, err := c.generate()
-		if err != nil {
-			t.Fatal(err)
-		}
+		fl, _ := collectFaultload(t, &Campaign{Target: digestTarget(), Generator: gen})
 		if fl.incInto == nil || fl.baseBytes == nil {
 			t.Errorf("%s view: fast path not enabled", label)
 		}

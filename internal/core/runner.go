@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 
 	"conferr/internal/profile"
@@ -16,7 +17,8 @@ import (
 // never collide.
 type TargetFactory func() (*Target, error)
 
-// runConfig collects the per-run settings of RunContext.
+// runConfig collects the per-run settings of RunContext, RunStream and
+// RunShard.
 type runConfig struct {
 	parallelism int
 	observer    func(profile.Record)
@@ -83,12 +85,18 @@ func WithTargetFactory(f TargetFactory) RunOption {
 	return func(cfg *runConfig) { cfg.factory = f }
 }
 
-// RunContext executes the campaign under a context. The faultload is
-// generated exactly once — materialized and validated up front — and
-// each of WithParallelism workers, each owning its own SUT instance,
-// walks the slice at its own stride. Whatever the parallelism, the
-// returned profile lists records in scenario order and is deterministic
-// for a fixed faultload.
+// RunContext executes the campaign under a context and returns its
+// profile: it is RunStream into a sink that keeps every record, so the
+// faultload streams and shards exactly as there, and WithParallelism
+// above 1 needs a target factory whatever the faultload's size. Whatever
+// the parallelism, the profile lists records in scenario order and is
+// deterministic for a fixed faultload.
+//
+// Keeping every record lets RunContext refuse a ScenarioID that repeats an
+// earlier one, which would collide in per-scenario reporting (Compare,
+// FormatRecords sorting) and in JSONL dedup or resume. The refusal comes
+// when the duplicate's record flushes, with the profile of every record
+// before it.
 //
 // On cancellation, RunContext returns ctx.Err() together with the profile
 // of every experiment that completed and flushed in order. On an
@@ -96,27 +104,27 @@ func WithTargetFactory(f TargetFactory) RunOption {
 // in-flight experiments finish, no new ones start, and the error of the
 // earliest failing scenario is returned.
 func (c *Campaign) RunContext(ctx context.Context, opts ...RunOption) (*profile.Profile, error) {
-	cfg := c.config(opts)
-	prof := &profile.Profile{
-		System:    c.Target.System.Name(),
-		Generator: c.Generator.Name(),
-	}
-	if err := ctx.Err(); err != nil {
-		return prof, err
-	}
-	fl, err := c.generate()
-	if err != nil {
-		return prof, err
-	}
-	if cfg.baseline {
-		if err := c.baselineOn(fl.sysSet, fl.baseBytes); err != nil {
-			return prof, err
-		}
-	}
-	// No more workers than scenarios, but at least one.
-	cfg.parallelism = max(min(cfg.parallelism, len(fl.scens)), 1)
-	_, err = runSharded(ctx, cfg, c.Target, fl, sliceFeed(fl.scens), &profile.MemorySink{Profile: prof})
+	prof := &profile.Profile{System: c.Target.System.Name(), Generator: c.Generator.Name()}
+	_, err := c.RunStream(ctx, &profileSink{prof: prof, seen: map[string]struct{}{}}, opts...)
 	return prof, err
+}
+
+// profileSink is RunContext's sink: it appends every record to the profile
+// and refuses a repeated ScenarioID. Records arrive gap-free in sequence
+// order, so the profile's length is the duplicate's position.
+type profileSink struct {
+	prof *profile.Profile
+	seen map[string]struct{}
+}
+
+func (s *profileSink) Write(rec profile.Record) error {
+	if _, dup := s.seen[rec.ScenarioID]; dup {
+		return fmt.Errorf("core: plugin %s emitted duplicate ScenarioID %q (scenario #%d)",
+			s.prof.Generator, rec.ScenarioID, len(s.prof.Records))
+	}
+	s.seen[rec.ScenarioID] = struct{}{}
+	s.prof.Add(rec)
+	return nil
 }
 
 // RunStream executes the campaign's faultload as a pull stream: scenarios
@@ -152,20 +160,10 @@ func (c *Campaign) RunStream(ctx context.Context, sink profile.Sink, opts ...Run
 
 // openFeed generates the faultload's base state, runs the baseline check
 // and picks the feed by generator: genFeed for a shardable generator
-// (CanShard), opaque over the validated stream for any other.
+// (CanShard), opaque over the validated stream for any other — pullFeed
+// for RunContext and RunStream, strideFeed for RunShard.
 func (c *Campaign) openFeed(cfg runConfig, opaque func(scenario.Source) shardFeed) (*faultload, shardFeed, error) {
-	sg, sharded := c.Generator.(ShardedGenerator)
-	sharded = sharded && CanShard(c.Generator)
-	var (
-		fl  *faultload
-		src scenario.Source
-		err error
-	)
-	if sharded {
-		fl, err = c.generateBase()
-	} else {
-		fl, src, err = c.generateStream()
-	}
+	fl, src, err := c.generateStream()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -174,7 +172,7 @@ func (c *Campaign) openFeed(cfg runConfig, opaque func(scenario.Source) shardFee
 			return nil, nil, err
 		}
 	}
-	if sharded {
+	if sg, ok := c.Generator.(ShardedGenerator); ok && CanShard(c.Generator) {
 		return fl, genFeed(c, fl, sg), nil
 	}
 	return fl, opaque(src), nil

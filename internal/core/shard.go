@@ -16,15 +16,16 @@ import (
 // This file is the campaign engine: one worker loop, runWorkers, that
 // every run goes through. Each worker pulls (sequence, scenario) pairs
 // from a feed, injects them on its private target and hands the records
-// to a stage. The feed is chosen by generator: a materialized faultload
-// walked by index (sliceFeed), a pure generator's shard derived by each
-// worker (genFeed), or one shared pull over any other generator's stream
-// (pullFeed). The stage is chosen by sink: the ordered reassembly ring,
-// in which records are parked until their predecessors flush, drained
-// cooperatively by whichever worker fills the next gap; the
-// order-insensitive bypass, in which each worker folds its records into
-// its own sub-sink (profile.ShardableSink); or RunShard's emit
-// (shardrun.go).
+// to a stage. The feed is chosen by generator (openFeed): a pure
+// generator's shard derived by each worker (genFeed), or, for any other
+// generator's stream, one shared pull (pullFeed, behind RunContext and
+// RunStream) or a per-shard stride (strideFeed, behind RunShard). The
+// faultload is never materialized. The stage is chosen by sink: the
+// ordered reassembly ring, in which records are parked until their
+// predecessors flush, drained cooperatively by whichever worker fills the
+// next gap; the order-insensitive bypass, in which each worker folds its
+// records into its own sub-sink (profile.ShardableSink); or RunShard's
+// emit (shardrun.go).
 
 // shardFeed drives worker k of n over its part of the faultload: emit is
 // called with each scenario and its global sequence number, in increasing
@@ -35,22 +36,10 @@ import (
 // and agree with a one-worker run on where the stream broke.
 type shardFeed func(k, n int, emit func(seq int, sc scenario.Scenario) bool) (stopSeq int, err error)
 
-// sliceFeed shards a materialized, pre-validated faultload by index.
-func sliceFeed(scens []scenario.Scenario) shardFeed {
-	return func(k, n int, emit func(int, scenario.Scenario) bool) (int, error) {
-		for i := k; i < len(scens); i += n {
-			if !emit(i, scens[i]) {
-				break
-			}
-		}
-		return math.MaxInt, nil
-	}
-}
-
 // genFeed shards a streaming generator: each worker derives its own
 // identical stream (ShardedGenerator's purity contract) and keeps stride
-// k. Scenarios are shape-validated as they stream past, exactly like the
-// unsharded streaming path.
+// k. Scenarios are shape-validated as they stream past (checkScenario),
+// exactly like the unsharded streaming path.
 func genFeed(c *Campaign, fl *faultload, sg ShardedGenerator) shardFeed {
 	return func(k, n int, emit func(int, scenario.Scenario) bool) (int, error) {
 		j := 0
@@ -64,9 +53,7 @@ func genFeed(c *Campaign, fl *faultload, sg ShardedGenerator) shardFeed {
 			// unsharded stream, so the index in validation errors matches
 			// a one-worker run's.
 			seq := j*n + k
-			if verr := sc.Validate(); verr != nil {
-				gerr = fmt.Errorf("core: plugin %s emitted invalid scenario #%d: %w",
-					c.Generator.Name(), seq, verr)
+			if gerr = c.checkScenario(seq, sc); gerr != nil {
 				return false
 			}
 			j++

@@ -328,7 +328,7 @@ func TestShardedMidStreamGenerationError(t *testing.T) {
 // allocations per injection; the ceiling keeps the diet from silently
 // regressing.
 func TestRunOneFastPathAllocs(t *testing.T) {
-	tgt, fl := benchFaultload(t)
+	tgt, fl, scens := benchFaultload(t)
 	if fl.incInto == nil || fl.baseBytes == nil {
 		t.Fatal("fast path not enabled")
 	}
@@ -336,7 +336,7 @@ func TestRunOneFastPathAllocs(t *testing.T) {
 	defer putScratch(scr)
 	i := 0
 	allocs := testing.AllocsPerRun(300, func() {
-		sc := fl.scens[i%len(fl.scens)]
+		sc := scens[i%len(scens)]
 		i++
 		if _, err := runOne(tgt, sc, fl, scr); err != nil {
 			t.Fatal(err)

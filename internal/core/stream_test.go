@@ -26,11 +26,19 @@ func TestGenerateRejectsDuplicateScenarioIDs(t *testing.T) {
 		{ID: "ok/1", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 		{ID: "dup/0", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}
-	c := &Campaign{Target: target(&fakeSystem{}), Generator: badGen{scens: scens}}
-	_, err := c.RunContext(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "duplicate ScenarioID") ||
-		!strings.Contains(err.Error(), `"dup/0"`) {
-		t.Errorf("err = %v, want duplicate-ScenarioID rejection naming dup/0", err)
+	for _, workers := range []int{1, 4} {
+		opts := []RunOption{WithParallelism(workers)}
+		if workers > 1 {
+			opts = append(opts, WithTargetFactory(parFactory))
+		}
+		c := &Campaign{Target: target(&fakeSystem{}), Generator: badGen{scens: scens}}
+		prof, err := c.RunContext(context.Background(), opts...)
+		if err == nil || err.Error() != `core: plugin bad emitted duplicate ScenarioID "dup/0" (scenario #2)` {
+			t.Errorf("workers=%d: err = %v, want duplicate-ScenarioID rejection naming dup/0 at #2", workers, err)
+		}
+		if len(prof.Records) != 2 {
+			t.Errorf("workers=%d: profile holds %d records, want the 2 before the duplicate", workers, len(prof.Records))
+		}
 	}
 }
 
@@ -224,8 +232,8 @@ func TestRunStreamMidStreamGenerationError(t *testing.T) {
 	}
 }
 
-// TestRunStreamInvalidScenarioAborts: streaming validation mirrors the
-// materialized path's shape check.
+// TestRunStreamInvalidScenarioAborts: a malformed scenario in the stream
+// fails the run (checkScenario).
 func TestRunStreamInvalidScenarioAborts(t *testing.T) {
 	scens := []scenario.Scenario{
 		{ID: "ok/0", Class: "c", Apply: func(*confnode.Set) error { return nil }},
@@ -386,12 +394,7 @@ func TestSuiteFirstErrorPrefersRootCause(t *testing.T) {
 
 // TestGeneratorCombinators covers the stream-composing generator wrappers.
 func TestGeneratorCombinators(t *testing.T) {
-	base := &Campaign{Target: target(&fakeSystem{}), Generator: &typo.Plugin{}}
-	fl, err := base.generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := fl.scens
+	fl, all := collectFaultload(t, &Campaign{Target: target(&fakeSystem{}), Generator: &typo.Plugin{}})
 
 	t.Run("limit", func(t *testing.T) {
 		g := LimitGenerator(&typo.Plugin{}, 7)

@@ -356,8 +356,8 @@ func TestPullFeedAbortFlushesPrefixThroughFailure(t *testing.T) {
 }
 
 // TestEmptyFaultload: an empty faultload runs to zero records and no
-// error on every path, and RunContext's clamp to the faultload size keeps
-// one worker.
+// error on every path, and both RunContext and RunStream refuse more than
+// one worker without a target factory, even when there is nothing to run.
 func TestEmptyFaultload(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, factory := range []bool{false, true} {
@@ -365,20 +365,24 @@ func TestEmptyFaultload(t *testing.T) {
 			if factory {
 				opts = append(opts, WithTargetFactory(parFactory))
 			}
+			refused := workers > 1 && !factory
+			check := func(entry string, n int, err error) {
+				t.Helper()
+				if refused {
+					if !errors.Is(err, errParallelNeedsFactory) || n != 0 {
+						t.Errorf("%s workers=%d without factory: %d records, err %v; want 0, the factory refusal",
+							entry, workers, n, err)
+					}
+				} else if err != nil || n != 0 {
+					t.Errorf("%s workers=%d factory=%v: %d records, err %v; want 0, nil",
+						entry, workers, factory, n, err)
+				}
+			}
 			c := &Campaign{Target: target(&fakeSystem{}), Generator: sliceGen{}}
 			prof, err := c.RunContext(context.Background(), opts...)
-			if err != nil || len(prof.Records) != 0 {
-				t.Errorf("RunContext workers=%d factory=%v: %d records, err %v; want 0, nil",
-					workers, factory, len(prof.Records), err)
-			}
-			if workers > 1 && !factory {
-				continue // RunStream cannot clamp a stream of unknown length
-			}
+			check("RunContext", len(prof.Records), err)
 			n, err := c.RunStream(context.Background(), &profile.TallySink{}, opts...)
-			if err != nil || n != 0 {
-				t.Errorf("RunStream workers=%d factory=%v: %d records, err %v; want 0, nil",
-					workers, factory, n, err)
-			}
+			check("RunStream", n, err)
 		}
 	}
 }

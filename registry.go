@@ -1,10 +1,12 @@
 package conferr
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // This file implements the name-based registry that replaces the
@@ -32,6 +34,21 @@ type GeneratorOptions struct {
 	// Classes restricts class-driven generators (variations, semantic) to
 	// the named classes (nil = all).
 	Classes []string
+}
+
+// check refuses the first negative count.
+func (o GeneratorOptions) check() error {
+	return cmp.Or(negative("PerModel", o.PerModel), negative("PerDirective", o.PerDirective),
+		negative("PerClass", o.PerClass))
+}
+
+// negative refuses a negative count or deadline: zero means "all" or
+// "off" for each of them, and so, silently, would a negative value.
+func negative[T int | time.Duration](field string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("%s is negative (%v)", field, v)
+	}
+	return nil
 }
 
 // GeneratorFactory constructs an error generator from options. Factories
@@ -112,7 +129,8 @@ func LookupGenerator(name string) (GeneratorFactory, error) {
 
 // newGenerator builds the generator registered as plugin for system;
 // opts.System is overwritten with system so system-specific generators
-// resolve their view against the right target. A factory's error is
+// resolve their view against the right target. Negative counts are
+// refused (GeneratorOptions.check); that error and a factory's are
 // wrapped with the cell's name.
 func newGenerator(system, plugin string, opts GeneratorOptions) (Generator, error) {
 	gf, err := LookupGenerator(plugin)
@@ -120,7 +138,10 @@ func newGenerator(system, plugin string, opts GeneratorOptions) (Generator, erro
 		return nil, err
 	}
 	opts.System = system
-	gen, err := gf(opts)
+	var gen Generator
+	if err = opts.check(); err == nil {
+		gen, err = gf(opts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("conferr: %s/%s: %w", system, plugin, err)
 	}

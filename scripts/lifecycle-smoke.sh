@@ -22,7 +22,12 @@
 #     digits: 8 workers.
 #   - djbdns (semantic; typo yields no scenarios for it): 4 workers.
 #
-# Base ports 11516-11800 keep every typo'd port below the kernel's
+# Last, `conferr campaign -records` (the in-memory profile path, Runner
+# and Campaign.RunContext) on nginx/typo: 1 cold worker vs 4 reload
+# workers, cmp'd from the per-class table on (the banner names the
+# worker count).
+#
+# Base ports 11516-11850 keep every typo'd port below the kernel's
 # ephemeral range, where a TIME_WAIT collision could change an outcome.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -86,6 +91,18 @@ echo "== djbdns: semantic (1 vs 4 workers)"
 cell djbdns-w1 -systems djbdns -plugins semantic -base-port 11650 -workers 1
 cell djbdns-w4 -systems djbdns -plugins semantic -base-port 11650 -workers 4
 cmp "$tmp/djbdns-w1.jsonl" "$tmp/djbdns-w4.jsonl"
+
+echo "== campaign: nginx cold (1 worker) vs reload (4 workers)"
+campaign() {
+  local name=$1
+  shift
+  "$tmp/conferr" campaign -system nginx -port 11850 -records "$@" |
+    sed -n '/^Per-class detection:/,$p' >"$tmp/$name.txt"
+  test -s "$tmp/$name.txt"
+}
+campaign campaign-w1 -workers 1
+campaign campaign-reload-w4 -workers 4 -lifecycle reload
+cmp "$tmp/campaign-w1.txt" "$tmp/campaign-reload-w4.txt"
 
 md5() { md5sum <"$1" | cut -d' ' -f1; }
 summary="nginx $(wc -l <"$tmp/cold-tcp-w1.jsonl") records, md5 $(md5 "$tmp/cold-tcp-w1.jsonl")"

@@ -14,7 +14,7 @@ import (
 // TestStreamingEquivalenceAllRegisteredTargets is the facade half of the
 // streaming equivalence contract: for every target in the registry, the
 // streaming runner (lazy faultload, bounded dispatch, ordered sink flush)
-// must produce a record stream byte-identical to the materialized
+// must produce a record stream byte-identical to Runner.Run's in-memory
 // profile, at workers 1 and 4.
 func TestStreamingEquivalenceAllRegisteredTargets(t *testing.T) {
 	for i, system := range RegisteredTargets() {
@@ -250,6 +250,22 @@ func TestCellRejectsNegativeSettings(t *testing.T) {
 		t.Fatalf("zero settings refused: %v", err)
 	}
 	sc.Cleanup()
+}
+
+// TestRunnerRejectsNegativeCounts: a Runner built from names refuses a
+// negative generator count as the matrix cell does, instead of running
+// the whole faultload, and a matrix refuses it once instead of skipping
+// every pair.
+func TestRunnerRejectsNegativeCounts(t *testing.T) {
+	opts := GeneratorOptions{Seed: DefaultSeed, PerModel: -3}
+	if _, err := NewRunnerFor("nginx", "typo", opts); err == nil ||
+		!strings.Contains(err.Error(), "PerModel") || !strings.Contains(err.Error(), "(-3)") {
+		t.Errorf("NewRunnerFor: err = %v, want PerModel refused", err)
+	}
+	entries, skipped, err := MatrixEntries([]string{"nginx", "apache"}, []string{"typo"}, opts)
+	if err == nil || !strings.Contains(err.Error(), "PerModel") {
+		t.Errorf("MatrixEntries: %d entries, skipped %v, err %v; want PerModel refused", len(entries), skipped, err)
+	}
 }
 
 // TestTallySinkMatchesProfileOnStream: the O(1)-memory summary of a

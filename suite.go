@@ -1,6 +1,7 @@
 package conferr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -82,12 +83,17 @@ type MatrixEntry struct {
 // MatrixEntries builds the cross product of registered system and plugin
 // names. Pairs whose generator cannot be built for the system (for
 // example, the semantic plugin against a non-DNS target) are skipped and
-// reported; unknown names are errors.
+// reported; unknown names and negative counts are errors.
 func MatrixEntries(systems, plugins []string, opts GeneratorOptions) (entries []MatrixEntry, skipped []string, err error) {
 	for _, plugin := range plugins {
 		if _, err := LookupGenerator(plugin); err != nil {
 			return nil, nil, err
 		}
+	}
+	// Checked once here: newGenerator would refuse them per pair, and the
+	// loop below would skip every pair.
+	if err := opts.check(); err != nil {
+		return nil, nil, fmt.Errorf("conferr: %w", err)
 	}
 	for _, system := range systems {
 		if _, err := LookupTarget(system); err != nil {
@@ -179,22 +185,10 @@ func RunMatrix(ctx context.Context, entries []MatrixEntry, mo MatrixOptions) (*S
 func matrixCell(e MatrixEntry, port int, mo MatrixOptions) (SuiteCampaign, error) {
 	name := e.System + "/" + e.Plugin
 	o := e.Options
-	// Zero means "off" for each of these, and so, silently, would a
-	// negative value.
-	for _, f := range []struct {
-		field    string
-		negative bool
-		value    any
-	}{
-		{"PerModel", o.PerModel < 0, o.PerModel}, {"PerDirective", o.PerDirective < 0, o.PerDirective},
-		{"PerClass", o.PerClass < 0, o.PerClass}, {"Rounds", mo.Rounds < 0, mo.Rounds},
-		{"Sample", mo.Sample < 0, mo.Sample}, {"Limit", mo.Limit < 0, mo.Limit},
-		{"ExperimentTimeout", mo.ExperimentTimeout < 0, mo.ExperimentTimeout},
-		{"PhaseTimeout", mo.PhaseTimeout < 0, mo.PhaseTimeout},
-	} {
-		if f.negative {
-			return SuiteCampaign{}, fmt.Errorf("conferr: %s: %s is negative (%v)", name, f.field, f.value)
-		}
+	// newGenerator refuses negative generator counts; these are the cell's.
+	if err := cmp.Or(negative("Rounds", mo.Rounds), negative("Sample", mo.Sample), negative("Limit", mo.Limit),
+		negative("ExperimentTimeout", mo.ExperimentTimeout), negative("PhaseTimeout", mo.PhaseTimeout)); err != nil {
+		return SuiteCampaign{}, fmt.Errorf("conferr: %s: %w", name, err)
 	}
 	tf, err := LookupTarget(e.System)
 	if err != nil {
