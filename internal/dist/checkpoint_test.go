@@ -82,3 +82,40 @@ func TestShardRequestProtocolValidation(t *testing.T) {
 		t.Fatal("negative watchdog timeout accepted")
 	}
 }
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to loadCheckpoint: it must
+// never panic, and any checkpoint it accepts must survive a
+// writeCheckpoint/loadCheckpoint round trip unchanged.
+func FuzzLoadCheckpoint(f *testing.F) {
+	f.Add([]byte(`{"campaign":{"system":"nginx","plugin":"typo","seed":7},"shards":3,"front":41}` + "\n"))
+	f.Add([]byte(`{"campaign":{"system":"nginx","plugin":"typo","seed":12,"rounds":107,"limit":20000,"port":11516,` +
+		`"lifecycle":"reload","memnet":true,"no_duration":true,"experiment_timeout":60000000000,"phase_timeout":30000000000},` +
+		`"shards":4,"front":0}`))
+	f.Add([]byte(`{"campaign":{"system":"nginx","plugin":"typo","se`))
+	f.Add([]byte(`{"campaign":{"system":"né😀"},"shards":1,"front":0,"extra":[1,2]}`))
+	f.Add([]byte("{\"campaign\":{\"system\":\"bad\xff\"},\"shards\":1,\"front\":0}"))
+	f.Add([]byte(`{"campaign":{"system":"nginx"},"shards":0,"front":-1}`))
+	f.Add([]byte(`{"campaign":{},"shards":1,"front":0}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := loadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		if err := writeCheckpoint(path, cp); err != nil {
+			t.Fatalf("rewriting accepted checkpoint %+v: %v", cp, err)
+		}
+		back, err := loadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("rewritten checkpoint %+v does not load: %v", cp, err)
+		}
+		if back != cp {
+			t.Fatalf("checkpoint round trip:\ngot  %+v\nwant %+v", back, cp)
+		}
+	})
+}

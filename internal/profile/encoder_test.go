@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // refJSONLLine is the reference rendering: the stock encoder over the
@@ -64,7 +65,9 @@ func TestAppendJSONLRecordMatchesEncodingJSON(t *testing.T) {
 // FuzzJSONLEncoder pins the append encoder to encoding/json byte for
 // byte: any divergence in field order, empty-field omission, escaping
 // (HTML-safe set, \u00xx forms, invalid UTF-8 replacement) or number
-// rendering is a finding.
+// rendering is a finding. Every line with valid UTF-8 strings must also
+// parse back to what was encoded, through the fast decoder whenever its
+// numbers are under 19 digits.
 func FuzzJSONLEncoder(f *testing.F) {
 	f.Add("nginx", "typo", 7, "typo/a.conf#1/0", "typo/omission", "omit 'r'", "detail <&>", int64(912345), uint8(1))
 	f.Add("", "", 0, "", "", "", "", int64(0), uint8(3))
@@ -74,7 +77,7 @@ func FuzzJSONLEncoder(f *testing.F) {
 			ScenarioID:  id,
 			Class:       class,
 			Description: desc,
-			Outcome:     Outcome(int(outcome)%5 + 1),
+			Outcome:     Outcome(int(outcome)%6 + 1),
 			Detail:      detail,
 			Duration:    time.Duration(durNS),
 		}
@@ -82,6 +85,23 @@ func FuzzJSONLEncoder(f *testing.F) {
 		want := refJSONLLine(t, system, gen, seq, rec)
 		if !bytes.Equal(got, want) {
 			t.Errorf("encoder diverged\ngot:  %q\nwant: %q", got, want)
+		}
+		for _, s := range []string{system, gen, id, class, desc, detail} {
+			if !utf8.ValidString(s) {
+				return // encoding replaced the invalid bytes; no round trip
+			}
+		}
+		line := bytes.TrimSuffix(got, []byte("\n"))
+		const fastMax = 1e18 // the fast path parses at most 18 digits
+		if _, ok := decodeJSONLLine(line); !ok && -fastMax < seq && seq < fastMax && -fastMax < durNS && durNS < fastMax {
+			t.Errorf("fast path refused the encoder's line %q", line)
+		}
+		e, err := ParseJSONLLine(line)
+		if err != nil {
+			t.Fatalf("parse back %q: %v", line, err)
+		}
+		if back := (JSONLEntry{System: system, Generator: gen, Seq: seq, Record: rec}); e != back {
+			t.Errorf("round trip of %q:\ngot  %+v\nwant %+v", line, e, back)
 		}
 	})
 }

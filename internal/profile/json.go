@@ -90,10 +90,8 @@ func ReadJSON(r io.Reader) (*Profile, error) {
 
 // outcomeFromString resolves an outcome's kebab-case name.
 func outcomeFromString(s string) (Outcome, error) {
-	for o, name := range outcomeNames {
-		if name == s {
-			return o, nil
-		}
+	if o := outcomeByName([]byte(s)); o != 0 {
+		return o, nil
 	}
 	return 0, fmt.Errorf("profile: unknown outcome %q", s)
 }

@@ -44,7 +44,9 @@ const (
 	InfrastructureError
 )
 
-var outcomeNames = map[Outcome]string{
+// outcomeNames holds each outcome's kebab-case name at its own index;
+// index 0 is no outcome.
+var outcomeNames = [...]string{
 	DetectedAtStartup:   "detected-at-startup",
 	DetectedByTest:      "detected-by-test",
 	Ignored:             "ignored",
@@ -55,10 +57,22 @@ var outcomeNames = map[Outcome]string{
 
 // String returns the outcome's kebab-case name.
 func (o Outcome) String() string {
-	if s, ok := outcomeNames[o]; ok {
-		return s
+	if o >= DetectedAtStartup && int(o) < len(outcomeNames) {
+		return outcomeNames[o]
 	}
 	return fmt.Sprintf("outcome(%d)", int(o))
+}
+
+// outcomeByName resolves a kebab-case outcome name, or returns 0 for
+// an unknown one. It takes bytes so a decoder can resolve a name
+// without allocating it.
+func outcomeByName(name []byte) Outcome {
+	for o := DetectedAtStartup; int(o) < len(outcomeNames); o++ {
+		if string(name) == outcomeNames[o] {
+			return o
+		}
+	}
+	return 0
 }
 
 // Detected reports whether the outcome counts as the system detecting the

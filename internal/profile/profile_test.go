@@ -26,12 +26,16 @@ func sampleProfile() *Profile {
 
 func TestOutcomeString(t *testing.T) {
 	cases := map[Outcome]string{
-		DetectedAtStartup: "detected-at-startup",
-		DetectedByTest:    "detected-by-test",
-		Ignored:           "ignored",
-		NotExpressible:    "not-expressible",
-		NotApplicable:     "not-applicable",
-		Outcome(42):       "outcome(42)",
+		DetectedAtStartup:   "detected-at-startup",
+		DetectedByTest:      "detected-by-test",
+		Ignored:             "ignored",
+		NotExpressible:      "not-expressible",
+		NotApplicable:       "not-applicable",
+		InfrastructureError: "infrastructure-error",
+		Outcome(0):          "outcome(0)",
+		Outcome(-1):         "outcome(-1)",
+		Outcome(7):          "outcome(7)",
+		Outcome(42):         "outcome(42)",
 	}
 	for o, want := range cases {
 		if got := o.String(); got != want {

@@ -254,8 +254,8 @@ func (s *JSONLSink) Write(r Record) error {
 // trailing newline) into buf and returns it. The output is byte-identical
 // to encoding/json marshalling of the same schema — field order, omitted
 // empties, string escaping (HTML-safe, invalid-UTF-8 replacement) — which
-// the round-trip fuzz test pins down; ReadJSONL and ScanJSONL parse it
-// back with the stock decoder.
+// the encoder fuzz test pins down. ParseJSONLLine, under ReadJSONL and
+// ScanJSONL, decodes exactly this shape without reflection.
 func AppendJSONLRecord(buf []byte, system, generator string, seq int, r Record) []byte {
 	buf = append(buf, `{"system":`...)
 	buf = appendJSONString(buf, system)
@@ -384,8 +384,20 @@ type JSONLEntry struct {
 
 // ParseJSONLLine decodes one JSONL profile line (no trailing newline)
 // into its entry — the single-line counterpart of ScanJSONL, used by
-// converters and merge adapters that receive lines one at a time.
+// converters and merge adapters that receive lines one at a time. Lines
+// in AppendJSONLRecord's exact shape take a reflection-free decoder;
+// any other line, malformed ones included, goes through encoding/json,
+// whose result and error are returned unchanged.
 func ParseJSONLLine(line []byte) (JSONLEntry, error) {
+	if e, ok := decodeJSONLLine(line); ok {
+		return e, nil
+	}
+	return unmarshalJSONLLine(line)
+}
+
+// unmarshalJSONLLine decodes any JSONL profile line with encoding/json:
+// ParseJSONLLine's fallback, and the specification of its fast path.
+func unmarshalJSONLLine(line []byte) (JSONLEntry, error) {
 	var jr jsonlRecord
 	if err := json.Unmarshal(line, &jr); err != nil {
 		return JSONLEntry{}, err
