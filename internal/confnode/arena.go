@@ -48,8 +48,12 @@ func (a *Arena) Reset() {
 
 // node returns a zeroed *Node from the arena. Chunks are fixed-size and
 // never reallocated, so pointers into earlier chunks stay valid while
-// later ones grow the arena.
+// later ones grow the arena. A nil arena allocates from the heap, as do
+// ptrs and kvs.
 func (a *Arena) node() *Node {
+	if a == nil {
+		return &Node{}
+	}
 	if a.nodeChunk >= len(a.nodeChunks) {
 		a.nodeChunks = append(a.nodeChunks, make([]Node, arenaNodeChunk))
 	}
@@ -73,7 +77,7 @@ func (a *Arena) node() *Node {
 // which keeps arena memory from being overwritten by a neighbour.
 // Oversized requests are served from the heap directly.
 func (a *Arena) ptrs(n int) []*Node {
-	if n > arenaPtrChunk {
+	if a == nil || n > arenaPtrChunk {
 		return make([]*Node, n)
 	}
 	if a.ptrChunk >= len(a.ptrChunks) {
@@ -101,7 +105,7 @@ func (a *Arena) ptrs(n int) []*Node {
 // back to a regular heap append, keeping arena memory from being
 // overwritten by a neighbour. Oversized requests come from the heap.
 func (a *Arena) kvs(n int) []attrKV {
-	if n > arenaKVChunk {
+	if a == nil || n > arenaKVChunk {
 		return make([]attrKV, n)
 	}
 	if a.kvChunk >= len(a.kvChunks) {
@@ -122,27 +126,14 @@ func (a *Arena) kvs(n int) []attrKV {
 }
 
 // CloneInto returns a deep copy of the subtree rooted at n with every
-// node, child slice and attribute list drawn from the arena. A nil arena
-// degrades to the regular heap Clone. The copy has no parent and obeys
-// the arena's Reset lifetime.
+// node, child slice and attribute list drawn from the arena (a nil arena
+// is the heap, which is Clone). The copy has no parent, is not frozen and
+// obeys the arena's Reset lifetime.
 func (n *Node) CloneInto(a *Arena) *Node {
 	if n == nil {
 		return nil
 	}
-	if a == nil {
-		return n.Clone()
-	}
-	c := a.node()
-	c.Kind, c.Name, c.Value = n.Kind, n.Name, n.Value
-	if n.attrsShared {
-		// Frozen source: alias the list copy-on-write instead of copying
-		// every attribute per clone (see Freeze).
-		c.attrs, c.attrsShared = n.attrs, true
-	} else if len(n.attrs) > 0 {
-		kvs := a.kvs(len(n.attrs))
-		copy(kvs, n.attrs)
-		c.attrs = kvs
-	}
+	c := n.copyHead(a)
 	if len(n.children) > 0 {
 		cs := a.ptrs(len(n.children))
 		for i, ch := range n.children {
@@ -151,6 +142,36 @@ func (n *Node) CloneInto(a *Arena) *Node {
 			cs[i] = cc
 		}
 		c.children = cs
+	}
+	return c
+}
+
+// shallowCopy returns a private copy of n whose child slice is fresh but
+// holds n's own children: the siblings stay shared, and their parent
+// pointers still name n. It is the path step of Set.ResolvePath. A nil
+// arena allocates from the heap. The copy has no parent and is not
+// frozen.
+func (n *Node) shallowCopy(a *Arena) *Node {
+	c := n.copyHead(a)
+	if len(n.children) > 0 {
+		c.children = a.ptrs(len(n.children))
+		copy(c.children, n.children)
+	}
+	return c
+}
+
+// copyHead returns a childless, parentless, unfrozen copy of n's kind,
+// name, value and attributes, drawn from the arena (nil = heap).
+func (n *Node) copyHead(a *Arena) *Node {
+	c := a.node()
+	c.Kind, c.Name, c.Value = n.Kind, n.Name, n.Value
+	if n.attrsShared {
+		// Frozen source: alias the list copy-on-write instead of copying
+		// every attribute per clone (see Freeze).
+		c.attrs, c.attrsShared = n.attrs, true
+	} else if len(n.attrs) > 0 {
+		c.attrs = a.kvs(len(n.attrs))
+		copy(c.attrs, n.attrs)
 	}
 	return c
 }

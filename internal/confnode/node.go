@@ -108,8 +108,14 @@ type Node struct {
 	// lets the injection hot path clone thousands of nodes per second
 	// without copying their attributes. See Freeze.
 	attrsShared bool
-	children    []*Node
-	parent      *Node
+	// frozen marks a node of a frozen baseline tree (see Freeze), which
+	// copy-on-write sets share between experiments and never write: a
+	// tracked set copies a frozen node before handing it out (see
+	// Set.ResolvePath). Clone and CloneInto never copy the bit. It sits
+	// beside attrsShared so both share one word of padding.
+	frozen   bool
+	children []*Node
+	parent   *Node
 }
 
 // attrKV is one attribute entry. Nodes carry at most a handful of
@@ -301,16 +307,19 @@ func (n *Node) ReplaceWith(repl *Node) {
 	n.parent = nil
 }
 
-// Freeze marks every attribute list in the subtree as shared: subsequent
-// clones alias the lists instead of copying them, and any holder — the
-// original included — transparently copies before its first attribute
-// mutation. The engine freezes the campaign's baseline sets once, before
-// the workers start, so concurrent per-experiment clones never touch the
-// flag again.
+// Freeze marks the subtree as a frozen baseline. Its attribute lists
+// become shared: subsequent clones alias the lists instead of copying
+// them, and any holder — the original included — transparently copies
+// before its first attribute mutation. Its nodes become shareable: a
+// tracked set over a frozen base copies only the nodes on the path to
+// the node a scenario writes (Set.ResolvePath) and shares the rest. The
+// engine freezes the campaign's baseline sets once, before the workers
+// start, so concurrent per-experiment clones never touch the flags again.
 func (n *Node) Freeze() {
 	if n == nil {
 		return
 	}
+	n.frozen = true
 	if n.attrs != nil {
 		n.attrsShared = true
 	}
@@ -320,28 +329,10 @@ func (n *Node) Freeze() {
 }
 
 // Clone returns a deep copy of the subtree rooted at the node. The copy has
-// no parent. Attribute lists of frozen nodes are shared copy-on-write
-// rather than duplicated (see Freeze).
+// no parent and is not frozen. Attribute lists of frozen nodes are shared
+// copy-on-write rather than duplicated (see Freeze).
 func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	c := &Node{Kind: n.Kind, Name: n.Name, Value: n.Value}
-	if n.attrsShared {
-		c.attrs, c.attrsShared = n.attrs, true
-	} else if len(n.attrs) > 0 {
-		c.attrs = make([]attrKV, len(n.attrs))
-		copy(c.attrs, n.attrs)
-	}
-	if len(n.children) > 0 {
-		c.children = make([]*Node, 0, len(n.children))
-		for _, ch := range n.children {
-			cc := ch.Clone()
-			cc.parent = c
-			c.children = append(c.children, cc)
-		}
-	}
-	return c
+	return n.CloneInto(nil)
 }
 
 // Equal reports whether two subtrees are structurally identical: same kind,

@@ -2,6 +2,7 @@ package confnode
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,8 +13,9 @@ import (
 // A Set can either own its trees outright (the normal case) or be a
 // copy-on-write view of a base Set produced by Tracked. Tracked sets power
 // the engine's incremental injection pipeline: a scenario applied to a
-// tracked set only clones the file trees it actually reaches, and the set
-// records exactly those files as dirty.
+// tracked set only clones the file trees it actually reaches — over a
+// frozen base, through ResolvePath, only the nodes on the path to what it
+// writes — and the set records exactly those files as dirty.
 type Set struct {
 	order []string
 	trees map[string]*Node
@@ -40,6 +42,11 @@ type Set struct {
 	// injection engine threads one arena per worker through the whole
 	// mutate/fold/serialize pipeline of an experiment.
 	arena *Arena
+	// partial lists the overlay files whose trees are path copies (see
+	// ResolvePath): private nodes on the paths written so far, shared
+	// frozen base nodes everywhere else. Get and Walk own such a tree
+	// fully before handing it out; Put drops the mark.
+	partial []string
 }
 
 // NewSet returns an empty configuration set.
@@ -48,13 +55,15 @@ func NewSet() *Set {
 }
 
 // Tracked returns a copy-on-write wrapper of the set. Mutating the wrapper
-// (through Get, Walk, Put and the node APIs of the trees they return)
-// never touches the receiver: the first access to a file clones that
-// file's tree into the wrapper and marks the file dirty. DirtyFiles (or
-// Seal) then reports which files a scenario touched, which is what lets
-// the engine re-serialize only those. Tracking is conservative: a file
-// that was merely read through Get or Walk counts as dirty, because the
-// caller could have mutated the returned nodes.
+// (through Get, Walk, Put, ResolvePath and the node APIs of the nodes they
+// return) never touches the receiver: the first access to a file clones
+// that file's tree into the wrapper — or, through ResolvePath over a
+// frozen receiver, only the nodes on the resolved path — and marks the
+// file dirty. DirtyFiles (or Seal) then reports which files a scenario
+// touched, which is what lets the engine re-serialize only those.
+// Tracking is conservative: a file that was merely read through Get or
+// Walk counts as dirty, because the caller could have mutated the
+// returned nodes.
 //
 // The receiver must not be mutated while wrappers of it are alive.
 func (s *Set) Tracked() *Set {
@@ -82,6 +91,7 @@ func (s *Set) TrackedInto(dst *Set, a *Arena) *Set {
 	dst.base = s
 	dst.sealed = false
 	dst.arena = a
+	dst.partial = dst.partial[:0]
 	return dst
 }
 
@@ -167,9 +177,13 @@ func (s *Set) contains(name string) bool {
 }
 
 // materialize clones the base tree for name into the overlay, marking the
-// file dirty, and returns the private clone.
+// file dirty, and returns the private clone. A partial overlay tree is
+// owned fully first (see own).
 func (s *Set) materialize(name string) *Node {
 	if t, ok := s.trees[name]; ok {
+		if s.unmarkPartial(name) {
+			s.own(t)
+		}
 		return t
 	}
 	bt := s.base.tree(name)
@@ -177,20 +191,126 @@ func (s *Set) materialize(name string) *Node {
 		return nil
 	}
 	c := bt.CloneInto(s.arena)
+	s.store(name, c)
+	return c
+}
+
+// store records root as the overlay tree for name.
+func (s *Set) store(name string, root *Node) {
 	if s.trees == nil {
 		s.trees = make(map[string]*Node)
 	}
-	s.trees[name] = c
-	return c
+	s.trees[name] = root
+}
+
+// own replaces every frozen node below the private node n with a private
+// clone, turning a path-copied tree into one the caller owns outright.
+func (s *Set) own(n *Node) {
+	for i, c := range n.children {
+		if c.frozen {
+			cc := c.CloneInto(s.arena)
+			cc.parent = n
+			n.children[i] = cc
+		} else {
+			s.own(c)
+		}
+	}
+}
+
+// unmarkPartial drops name from the partial list, reporting whether it was
+// there. The list holds the handful of files one scenario reached, so a
+// linear scan beats a map.
+func (s *Set) unmarkPartial(name string) bool {
+	for i, p := range s.partial {
+		if p == name {
+			s.partial = append(s.partial[:i], s.partial[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// ResolvePath returns the node at the child-index path below the file's
+// root, for writing. found reports whether the set holds the file; n is
+// nil when it does not, or when the path leads nowhere.
+//
+// On an unsealed tracked set over a frozen base, ResolvePath copies at
+// path granularity instead of materializing the whole file as Get does:
+// the file root and each frozen node on the path are copied shallowly —
+// fresh child slice, siblings still shared with the base — and the
+// target's subtree is cloned deep. The file is marked dirty and partial;
+// a later Get or Walk owns the rest of the tree before returning it, so
+// callers that need the whole tree keep Get's guarantee. The caller may
+// mutate the returned node and its subtree only: the other children of
+// its ancestors are shared with the base. Everywhere else — a sealed or
+// untracked set, an unfrozen base, a file already materialized or Put —
+// ResolvePath is Get followed by a walk down the path.
+func (s *Set) ResolvePath(file string, indices []int) (n *Node, found bool) {
+	if s == nil {
+		return nil, false
+	}
+	root, inTrees := s.trees[file]
+	if !inTrees && s.base != nil {
+		root = s.base.tree(file)
+	}
+	copyPath := s.base != nil && !s.sealed && root != nil &&
+		((inTrees && slices.Contains(s.partial, file)) || (!inTrees && root.frozen))
+	if !copyPath {
+		root = s.Get(file)
+		return walkPath(root, indices), root != nil
+	}
+	// Check the path before copying anything, so a miss leaves the file
+	// as it was.
+	if walkPath(root, indices) == nil {
+		return nil, true
+	}
+	if !inTrees {
+		root = root.shallowCopy(s.arena)
+		s.store(file, root)
+		s.partial = append(s.partial, file)
+	}
+	n = root
+	for _, i := range indices {
+		if c := n.children[i]; c.frozen {
+			c = c.shallowCopy(s.arena)
+			c.parent = n
+			n.children[i] = c
+		}
+		n = n.children[i]
+	}
+	// The target may be a path copy from this or an earlier call: own its
+	// whole subtree.
+	s.own(n)
+	return n, true
+}
+
+// walkPath follows the child-index path down from n, returning nil when
+// it leads nowhere.
+func walkPath(n *Node, indices []int) *Node {
+	for _, i := range indices {
+		if n == nil {
+			return nil
+		}
+		n = n.Child(i)
+	}
+	return n
+}
+
+// BaseTree returns the tree a tracked set's file had before any access —
+// the base set's tree — or nil for an untracked set or a file the base
+// lacks. The word view's back-transform compares a mutated file with it
+// line by line: a line still pointer-equal to its base line is clean.
+func (s *Set) BaseTree(file string) *Node {
+	if s == nil || s.base == nil {
+		return nil
+	}
+	return s.base.tree(file)
 }
 
 // Put adds or replaces the tree for the given logical file name. Insertion
 // order of first occurrence is preserved by Names. On a tracked set the
 // file is marked dirty.
 func (s *Set) Put(name string, root *Node) {
-	if s.trees == nil {
-		s.trees = make(map[string]*Node)
-	}
 	if !s.contains(name) {
 		if s.sharedOrder {
 			// The order slice aliases the base's: copy before the first
@@ -202,13 +322,16 @@ func (s *Set) Put(name string, root *Node) {
 		}
 		s.order = append(s.order, name)
 	}
-	s.trees[name] = root
+	s.store(name, root)
+	s.unmarkPartial(name)
 }
 
 // Get returns the tree for the given file name, or nil when absent. On an
-// unsealed tracked set the returned tree is a private clone and the file
-// is marked dirty (the caller may mutate it freely); on a sealed tracked
-// set clean files return the shared base tree, which must not be mutated.
+// unsealed tracked set the returned tree is private and the file is
+// marked dirty (the caller may mutate it freely): a file ResolvePath left
+// partial is owned fully first. On a sealed tracked set clean files return
+// the shared base tree, and partial files their path copies; neither may
+// be mutated.
 func (s *Set) Get(name string) *Node {
 	if s == nil {
 		return nil
@@ -273,9 +396,10 @@ func (s *Set) Walk(visit func(file string, root *Node)) {
 	}
 }
 
-// Freeze marks every tree's attribute maps as shared copy-on-write (see
-// Node.Freeze). The engine freezes a campaign's baseline sets once so the
-// per-experiment clones alias attribute maps instead of copying them.
+// Freeze marks every tree as a frozen baseline (see Node.Freeze). The
+// engine freezes a campaign's baseline sets once, so the per-experiment
+// clones alias attribute lists instead of copying them, and tracked sets
+// over them can copy one path (ResolvePath) instead of a whole file.
 func (s *Set) Freeze() {
 	for _, name := range s.order {
 		s.tree(name).Freeze()

@@ -6,8 +6,14 @@ import (
 	"testing"
 
 	"conferr/internal/benchfixture"
+	"conferr/internal/formats"
+	"conferr/internal/formats/nginxconf"
+	"conferr/internal/memnet"
+	"conferr/internal/plugins/typo"
 	"conferr/internal/profile"
 	"conferr/internal/scenario"
+	"conferr/internal/sutpool"
+	"conferr/internal/suts/nginx"
 )
 
 // The InjectionPipeline benchmarks measure the engine's own per-injection
@@ -46,9 +52,38 @@ func benchFaultload(b testing.TB) (*Target, *faultload, []scenario.Scenario) {
 	return tgt, fl, scens
 }
 
+// nginxTypoFaultload is the real nginx target — its nested nginx.conf,
+// its functional tests — warm-reloading over an in-process memnet
+// network, with the full typo faultload: the regime the word view's
+// path-granular copy targets, where one experiment writes one word of
+// one line three sections deep. The instance is shut down at cleanup.
+func nginxTypoFaultload(tb testing.TB) (*Target, *faultload, []scenario.Scenario) {
+	tb.Helper()
+	srv, err := nginx.New(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv.SetTransport(memnet.New())
+	inst := sutpool.NewInstance(srv, sutpool.Reload, nil)
+	tb.Cleanup(func() { _ = inst.Shutdown() })
+	tgt := &Target{
+		System:  inst,
+		Formats: map[string]formats.Format{nginx.ConfigFile: nginxconf.Format{}},
+		Tests:   nginx.Tests(srv),
+	}
+	fl, scens := collectFaultload(tb, &Campaign{Target: tgt, Generator: &typo.Plugin{}})
+	if fl.incInto == nil || fl.baseBytes == nil {
+		tb.Fatal("fast path not enabled")
+	}
+	return tgt, fl, scens
+}
+
 // BenchmarkInjectionPipeline/fast is the incremental engine;
 // BenchmarkInjectionPipeline/reference is the full-clone engine on the
 // identical faultload. ns/op and allocs/op compare directly.
+// BenchmarkInjectionPipeline/nginx-typo is one runOne per op over
+// nginxTypoFaultload: the fast path plus the simulator's reload and
+// probes, the per-experiment cost of the nginx-reload benchmark workload.
 func BenchmarkInjectionPipeline(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		tgt, fl, scens := benchFaultload(b)
@@ -61,6 +96,18 @@ func BenchmarkInjectionPipeline(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sc := scens[i%len(scens)]
 			if _, err := runOne(tgt, sc, fl, scr); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/injection")
+	})
+	b.Run("nginx-typo", func(b *testing.B) {
+		tgt, fl, scens := nginxTypoFaultload(b)
+		scr := &scratch{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := runOne(tgt, scens[i%len(scens)], fl, scr); err != nil {
 				b.Fatal(err)
 			}
 		}

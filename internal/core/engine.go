@@ -166,17 +166,26 @@ type faultload struct {
 	viewSet *confnode.Set
 	sysSet  *confnode.Set
 
-	// incInto and baseBytes enable the incremental injection pipeline.
-	// incInto is the view's incremental back-transform, nil when
+	// incInto, baseSys and baseBytes enable the incremental injection
+	// pipeline. incInto is the view's incremental back-transform, nil when
 	// unsupported; workers thread their scratch tracked system set through
-	// it instead of allocating one per experiment. baseBytes caches, once
-	// per campaign, the serialized bytes of the baseline round trip
-	// (Backward over the unmutated view): per scenario, only the files the
-	// mutation dirtied are re-serialized and every clean file reuses its
-	// cached slice. Both are nil when the view has no incremental
-	// back-transform or the baseline round trip fails; runOne then falls
-	// back to runOneReference.
+	// it instead of allocating one per experiment. baseSys is the frozen
+	// baseline round trip (Backward over the unmutated view) that every
+	// experiment folds onto: folding an unchanged view line onto it writes
+	// nothing, so the word view skips such lines exactly, even where it
+	// normalizes a value. The one case where folding onto baseSys and onto
+	// sysSet differ: a word-view scenario that drops a line, or moves its
+	// provenance, leaves that line's directive at its round-tripped value
+	// here and at its parsed value in runOneReference. The two differ only
+	// for a value the view normalizes, and no built-in generator changes
+	// lines that way. baseBytes caches, once per campaign, baseSys
+	// serialized: per scenario, only the files the mutation dirtied are
+	// re-serialized and every clean file reuses its cached slice. All
+	// three are nil when the view has no incremental back-transform or the
+	// baseline round trip fails; runOne then falls back to
+	// runOneReference.
 	incInto   view.IncrementalInto
+	baseSys   *confnode.Set
 	baseBytes map[string][]byte
 }
 
@@ -240,9 +249,9 @@ func (c *Campaign) checkScenario(seq int, sc scenario.Scenario) error {
 	return nil
 }
 
-// prepareFastPath caches the baseline round-trip bytes when the view
-// supports incremental back-transformation into a reused wrapper
-// (view.IncrementalInto). Any failure — an error from
+// prepareFastPath keeps the frozen baseline round trip and caches its
+// bytes when the view supports incremental back-transformation into a
+// reused wrapper (view.IncrementalInto). Any failure — an error from
 // the unmutated Backward, a missing format, a serializer error — leaves
 // the fast path disabled rather than the campaign broken: runOne then
 // falls back to runOneReference, the paper's full-clone engine.
@@ -283,7 +292,8 @@ func (fl *faultload) prepareFastPath(t *Target) {
 			return
 		}
 	}
-	fl.incInto, fl.baseBytes = inc, baseBytes
+	baseSys.Freeze()
+	fl.incInto, fl.baseSys, fl.baseBytes = inc, baseSys, baseBytes
 }
 
 // scratch is per-worker reusable state threaded through every injection a
@@ -402,8 +412,9 @@ func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profi
 
 	// 2. Map back to the system representation; expressiveness gaps are a
 	// first-class outcome (paper §5.4). The incremental transform folds
-	// only the dirty files and reports which system files it rewrote.
-	mutatedSys, err := fl.incInto.IncrementalBackwardInto(scr.sysTracked, scr.dirty, mutated, fl.sysSet)
+	// only the dirty files onto the frozen baseline round trip and reports
+	// which system files it rewrote.
+	mutatedSys, err := fl.incInto.IncrementalBackwardInto(scr.sysTracked, scr.dirty, mutated, fl.baseSys)
 	if mutatedSys != nil {
 		scr.sysTracked = mutatedSys
 	}

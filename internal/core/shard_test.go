@@ -343,8 +343,35 @@ func TestRunOneFastPathAllocs(t *testing.T) {
 		}
 	})
 	const ceiling = 6
+	t.Logf("fast injection path allocs/op = %v", allocs)
 	if allocs > ceiling {
 		t.Errorf("fast injection path allocs/op = %v, want <= %d", allocs, ceiling)
+	}
+}
+
+// TestRunOneWordViewAllocs pins the allocation ceiling of one typo
+// experiment on the real nginx target (nginxTypoFaultload), simulator
+// reload and probes included. The word view's fold copies only the path
+// to the changed directive, on the worker's arena; what allocates is the
+// changed line's ref parse, the serialized file, the simulator's reload
+// and the HTTP probes.
+func TestRunOneWordViewAllocs(t *testing.T) {
+	tgt, fl, scens := nginxTypoFaultload(t)
+	scr := getScratch()
+	defer putScratch(scr)
+	i := 0
+	allocs := testing.AllocsPerRun(300, func() {
+		sc := scens[i%len(scens)]
+		i++
+		if _, err := runOne(tgt, sc, fl, scr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured: 22 allocs/op, 23 under -race.
+	const ceiling = 23
+	t.Logf("nginx typo injection allocs/op = %v", allocs)
+	if allocs > ceiling {
+		t.Errorf("nginx typo injection allocs/op = %v, want <= %d", allocs, ceiling)
 	}
 }
 

@@ -149,7 +149,9 @@ func (p *Plugin) editScenario(edit Edit, lineRef template.Ref, model string, seq
 		Description: fmt.Sprintf("set %s = %s, then %s",
 			edit.Directive, edit.NewValue, v.Description),
 		Apply: func(s *confnode.Set) error {
-			line, err := lineRef.Resolve(s)
+			// The edit rewrites only the line's own words, so a copy of
+			// the path to the line is all it needs.
+			line, err := lineRef.ResolveOwned(s)
 			if err != nil {
 				return err
 			}

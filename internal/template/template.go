@@ -80,6 +80,22 @@ func (r Ref) Resolve(set *confnode.Set) (*confnode.Node, error) {
 	return n, nil
 }
 
+// ResolveOwned is Resolve for a caller that writes only the resolved node
+// and its subtree, with Resolve's exact errors. On a tracked set over a
+// frozen base it copies just the nodes on the ref's path instead of the
+// whole file (see confnode.Set.ResolvePath); everywhere else it is
+// Resolve.
+func (r Ref) ResolveOwned(set *confnode.Set) (*confnode.Node, error) {
+	n, found := set.ResolvePath(r.File, r.Indices)
+	if !found {
+		return nil, fmt.Errorf("file %q not in set: %w", r.File, scenario.ErrNotApplicable)
+	}
+	if n == nil {
+		return nil, fmt.Errorf("node %v not found: %w", r, scenario.ErrNotApplicable)
+	}
+	return n, nil
+}
+
 // String renders the ref in the form "file#i1.i2...", parseable by
 // ParseRef. The '#' separator keeps file names containing dots
 // unambiguous.
@@ -96,7 +112,9 @@ func (r Ref) String() string {
 	return string(b)
 }
 
-// ParseRef parses the string form produced by Ref.String.
+// ParseRef parses the string form produced by Ref.String. It sizes the
+// index slice up front and parses each index in place: one allocation per
+// ref, which the word view's back-transform pays per folded line.
 func ParseRef(s string) (Ref, error) {
 	hash := strings.LastIndexByte(s, '#')
 	if hash < 0 {
@@ -107,12 +125,21 @@ func ParseRef(s string) (Ref, error) {
 	if rest == "" {
 		return ref, nil
 	}
-	for _, part := range strings.Split(rest, ".") {
+	ref.Indices = make([]int, 0, strings.Count(rest, ".")+1)
+	for {
+		part := rest
+		dot := strings.IndexByte(rest, '.')
+		if dot >= 0 {
+			part, rest = rest[:dot], rest[dot+1:]
+		}
 		i, err := strconv.Atoi(part)
 		if err != nil || i < 0 {
 			return Ref{}, fmt.Errorf("template: malformed ref %q", s)
 		}
 		ref.Indices = append(ref.Indices, i)
+		if dot < 0 {
+			break
+		}
 	}
 	return ref, nil
 }
@@ -354,7 +381,11 @@ func isInside(n, root *confnode.Node) bool {
 type Variant struct {
 	// Description says what changed, e.g. `omit 'r' at 2: "pot"`.
 	Description string
-	// Apply performs the change on the (cloned) node.
+	// Apply performs the change on the (copied) node. It may mutate only
+	// the node and its subtree, never its parent or siblings:
+	// ModifyTemplate resolves the node with Ref.ResolveOwned, which on the
+	// engine's tracked sets copies just the path down to it and leaves the
+	// siblings shared with the campaign's baseline.
 	Apply func(n *confnode.Node)
 }
 
@@ -413,7 +444,7 @@ func (t *ModifyTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 					Class:       class,
 					Description: v.Description + on,
 					Apply: func(s *confnode.Set) error {
-						n, err := ref.Resolve(s)
+						n, err := ref.ResolveOwned(s)
 						if err != nil {
 							return err
 						}

@@ -70,6 +70,96 @@ func TestRefResolveErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefTable pins the inputs ParseRef accepts and the error it
+// gives the rest: Atoi's leading sign and zeros are accepted, negative and
+// empty indices are not.
+func TestParseRefTable(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		file    string
+		indices []int
+		bad     bool
+	}{
+		{in: "f#", file: "f"},
+		{in: "f#1.2", file: "f", indices: []int{1, 2}},
+		{in: "f#+1", file: "f", indices: []int{1}},
+		{in: "f#01", file: "f", indices: []int{1}},
+		{in: "a.b#0.10.3", file: "a.b", indices: []int{0, 10, 3}},
+		{in: "x#y#7", file: "x#y", indices: []int{7}},
+		{in: "#4", file: "", indices: []int{4}},
+		{in: "f#-1", bad: true},
+		{in: "f#1..2", bad: true},
+		{in: "f#1.", bad: true},
+		{in: "f#.1", bad: true},
+		{in: "f#1.x", bad: true},
+		{in: "nohash", bad: true},
+	} {
+		ref, err := ParseRef(tc.in)
+		if tc.bad {
+			want := fmt.Sprintf("template: malformed ref %q", tc.in)
+			if err == nil || err.Error() != want {
+				t.Errorf("ParseRef(%q) = %+v, %v; want error %q", tc.in, ref, err, want)
+			}
+			continue
+		}
+		if err != nil || ref.File != tc.file || fmt.Sprint(ref.Indices) != fmt.Sprint(tc.indices) {
+			t.Errorf("ParseRef(%q) = %+v, %v; want file %q indices %v", tc.in, ref, err, tc.file, tc.indices)
+		}
+	}
+}
+
+// TestResolveOwnedErrors pins ResolveOwned to Resolve's exact errors on
+// plain and tracked sets alike.
+func TestResolveOwnedErrors(t *testing.T) {
+	base := initialSet()
+	base.Freeze()
+	for _, ref := range []Ref{
+		{File: "nope"},
+		{File: "nope", Indices: []int{0}},
+		{File: "my.cnf", Indices: []int{0, 99}},
+		{File: "my.cnf", Indices: []int{5}},
+	} {
+		for label, set := range map[string]*confnode.Set{"plain": initialSet(), "tracked": base.Tracked()} {
+			_, want := ref.Resolve(initialSet())
+			_, got := ref.ResolveOwned(set)
+			if got == nil || got.Error() != want.Error() || !errors.Is(got, scenario.ErrNotApplicable) {
+				t.Errorf("%s %v: ResolveOwned err = %v, want %v", label, ref, got, want)
+			}
+		}
+	}
+}
+
+// TestResolveOwnedCopiesPath checks that a write through ResolveOwned on a
+// tracked set over a frozen base reaches the tracked set only: the
+// resolved node is a copy, its siblings are still the base's, and the
+// base is unchanged.
+func TestResolveOwnedCopiesPath(t *testing.T) {
+	base := initialSet()
+	base.Freeze()
+	snap := base.Clone()
+	tr := base.Tracked()
+	ref := Ref{File: "my.cnf", Indices: []int{0, 1}}
+	n, err := ref.ResolveOwned(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Value = "32M"
+	if !base.Equal(snap) {
+		t.Fatal("write through ResolveOwned reached the base")
+	}
+	dirty := tr.Seal()
+	if len(dirty) != 1 || dirty[0] != "my.cnf" {
+		t.Fatalf("dirty = %v, want [my.cnf]", dirty)
+	}
+	root, baseRoot := tr.Get("my.cnf"), base.Get("my.cnf")
+	if root.Child(1) != baseRoot.Child(1) || root.Child(0).Child(0) != baseRoot.Child(0).Child(0) {
+		t.Error("siblings off the path were copied")
+	}
+	if got, err := ref.Resolve(tr); err != nil || got.Value != "32M" {
+		t.Errorf("tracked node = %v, %v; want the write", got, err)
+	}
+}
+
 func TestDeleteTemplate(t *testing.T) {
 	set := initialSet()
 	tpl := &DeleteTemplate{Targets: cpath.MustCompile("//directive")}

@@ -16,7 +16,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"conferr/internal/confnode"
 	"conferr/internal/template"
@@ -56,7 +55,15 @@ type View interface {
 //
 // Contract notes:
 //   - dirty lists the mutated view files in set order; mutated is sealed
-//     (reads are safe, clean files share baseline trees).
+//     (reads are safe, clean files share baseline trees, and a file a
+//     scenario wrote through Ref.ResolveOwned shares every node off the
+//     written path; mutated.BaseTree gives the unmutated tree to compare
+//     against).
+//   - sys is the fold base. The engine passes the frozen round trip of
+//     the unmutated view (Backward over it), so folding an unchanged view
+//     node onto sys writes nothing and may be skipped. Write into sys's
+//     tracked wrapper through Ref.ResolveOwned or Set.Get, never into a
+//     tree read without one.
 //   - The result may adopt mutated's dirty trees without cloning; callers
 //     must not reuse mutated afterwards.
 //   - Errors must match what Backward would return for the same mutation,
@@ -192,7 +199,7 @@ func (WordView) Backward(mutated, sys *confnode.Set) (*confnode.Set, error) {
 		if retErr != nil {
 			return
 		}
-		retErr = backwardWordFile(out, root, buf)
+		retErr = foldLines(out, root, nil, buf)
 	})
 	if retErr != nil {
 		return nil, retErr
@@ -201,35 +208,52 @@ func (WordView) Backward(mutated, sys *confnode.Set) (*confnode.Set, error) {
 }
 
 // IncrementalBackward implements Incremental: only the dirty files' lines
-// are folded back. Folding resolves provenance against the tracked output
-// set, so whatever system file a line's ref points at — normally its own
-// file, but cross-file after exotic attribute mutations — is materialized
-// (and thereby reported dirty) before being rewritten. To stay
-// fold-for-fold identical with the full Backward, files are visited in
-// set order and a clean file is re-folded once an earlier cross-file
-// write has materialized its system file: in the full path that clean
-// fold runs unconditionally and overwrites such a write with the
-// baseline tokens.
+// are folded back, and of those only the lines the scenario changed (see
+// IncrementalBackwardInto).
 func (v WordView) IncrementalBackward(dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error) {
 	return v.IncrementalBackwardInto(nil, dirty, mutated, sys)
 }
 
-// IncrementalBackwardInto implements IncrementalInto.
+// IncrementalBackwardInto implements IncrementalInto. Each dirty view file
+// is walked in lockstep with its base tree (mutated.BaseTree). A line
+// still pointer-equal to its base line is clean and skipped. The other
+// lines are folded one by one, each through Ref.ResolveOwned, which copies
+// only the path to its system directive — provided the file kept its line
+// count and each such line its kind and provenance. Skipping a clean line
+// is exact only when folding it onto sys writes nothing, i.e. when sys is
+// the round trip of the unmutated view; the engine passes exactly that
+// set.
+//
+// A file that fails the check gets the full fold, and so does every file
+// after it in set order. The full fold resolves provenance against the
+// output set, so whatever system file a line's ref points at — normally
+// its own file, but cross-file after exotic attribute mutations — is
+// materialized (and thereby reported dirty) before being rewritten. To
+// stay fold-for-fold identical with Backward, a clean file is re-folded
+// once an earlier cross-file write has materialized its system file: in
+// Backward that clean fold runs unconditionally and overwrites such a
+// write with the baseline tokens.
 func (WordView) IncrementalBackwardInto(dst *confnode.Set, dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error) {
 	out := sys.TrackedInto(dst, mutated.Arena())
 	buf := foldBufPool.Get().(*[]byte)
 	defer foldBufPool.Put(buf)
+	full := false
 	var retErr error
 	mutated.Each(func(file string, root *confnode.Node) bool {
 		// The dirty list is short and set-ordered: a linear scan beats
 		// building a lookup map per experiment.
-		if !slices.Contains(dirty, file) && !out.IsDirty(file) {
+		isDirty := slices.Contains(dirty, file)
+		if !isDirty && !out.IsDirty(file) {
 			return true
 		}
 		if root == nil {
 			return true
 		}
-		if err := backwardWordFile(out, root, buf); err != nil {
+		base := mutated.BaseTree(file)
+		if full || !isDirty || !changedLinesKeepShape(root, base) {
+			full, base = true, nil
+		}
+		if err := foldLines(out, root, base, buf); err != nil {
 			retErr = err
 			return false
 		}
@@ -241,96 +265,95 @@ func (WordView) IncrementalBackwardInto(dst *confnode.Set, dirty []string, mutat
 	return out, nil
 }
 
-// foldBufPool recycles the scratch buffers backwardWordFile re-joins
-// directive values in, keeping the per-line fold allocation-free across
-// experiments and workers.
+// foldBufPool recycles the scratch buffers foldLine re-joins directive
+// values in, keeping the per-line fold allocation-free across experiments
+// and workers.
 var foldBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
-// refCache memoizes template.ParseRef by source string. Provenance
-// attributes come from the frozen baseline view, so a campaign folds the
-// same handful of ref strings millions of times; parsing each once turns
-// the per-line split/Atoi work into a map hit. It is a sync.Map because
-// every campaign worker reads it on every folded line and a sync.Map
-// Load takes no lock. Mutated provenance (a plugin rewriting SrcAttr)
-// can introduce new strings, so the cache is capped — refCacheLen counts
-// stored entries, and past the cap misses simply parse without storing.
-var (
-	refCache    sync.Map // string → template.Ref
-	refCacheLen atomic.Int32
-)
-
-// refCacheCap bounds refCache; far above any real configuration's line
-// count, small enough that adversarial SrcAttr churn stays cheap.
-const refCacheCap = 4096
-
-// parseRefCached is template.ParseRef through refCache. Only successful
-// parses are cached; errors keep ParseRef's exact wording.
-func parseRefCached(s string) (template.Ref, error) {
-	if ref, ok := refCache.Load(s); ok {
-		return ref.(template.Ref), nil
+// changedLinesKeepShape reports whether the mutated word-view document can
+// be folded line by line against its base: it has as many children as
+// base, and every child that is not base's own keeps base's kind and
+// provenance, so each folds onto the directive its base line came from.
+func changedLinesKeepShape(root, base *confnode.Node) bool {
+	if base == nil || root.NumChildren() != base.NumChildren() {
+		return false
 	}
-	ref, err := template.ParseRef(s)
-	if err != nil {
-		return template.Ref{}, err
-	}
-	// Reserve a slot before storing, so concurrent misses never push the
-	// cache past its cap; a slot past the cap, or lost to a racing store
-	// of the same string, is handed back.
-	if refCacheLen.Add(1) > refCacheCap {
-		refCacheLen.Add(-1)
-	} else if _, loaded := refCache.LoadOrStore(s, ref); loaded {
-		refCacheLen.Add(-1)
-	}
-	return ref, nil
-}
-
-// backwardWordFile folds one word-view document's lines onto the system
-// directives they came from. It is the injection hot path's inner loop,
-// shaped to stay allocation-free for clean lines: children are scanned in
-// place (no per-kind slices), the value words are re-joined into the
-// caller's scratch buffer, and the directive is only rewritten when the
-// joined value actually differs — folding the baseline back onto itself,
-// which is what almost every line of almost every experiment does, writes
-// nothing.
-func backwardWordFile(out *confnode.Set, root *confnode.Node, buf *[]byte) error {
-	for _, line := range root.Children() {
-		if line.Kind != confnode.KindLine {
+	for i, line := range root.Children() {
+		bl := base.Child(i)
+		if line == bl {
 			continue
 		}
-		srcStr, ok := line.Attr(SrcAttr)
-		if !ok {
-			return fmt.Errorf("word view: line without provenance: %w", ErrNotExpressible)
+		src, ok := line.Attr(SrcAttr)
+		bsrc, bok := bl.Attr(SrcAttr)
+		if line.Kind != bl.Kind || ok != bok || src != bsrc {
+			return false
 		}
-		ref, err := parseRefCached(srcStr)
-		if err != nil {
+	}
+	return true
+}
+
+// foldLines folds the lines of one word-view document onto the system
+// directives they came from. With a base tree (changedLinesKeepShape must
+// hold) it folds only the lines that are not base's own, each onto a path
+// copy of its directive; with a nil base it folds every line.
+func foldLines(out *confnode.Set, root, base *confnode.Node, buf *[]byte) error {
+	for i, line := range root.Children() {
+		if line.Kind != confnode.KindLine || (base != nil && line == base.Child(i)) {
+			continue
+		}
+		if err := foldLine(out, line, base != nil, buf); err != nil {
 			return err
 		}
-		dir, err := ref.Resolve(out)
-		if err != nil {
-			return fmt.Errorf("word view: stale provenance %q: %v: %w", srcStr, err, ErrNotExpressible)
+	}
+	return nil
+}
+
+// foldLine folds one word-view line onto the system directive its
+// provenance names, resolved in out — through Ref.ResolveOwned when owned
+// is set, which copies only the directive's path. It is the injection hot
+// path's inner loop, shaped to stay allocation-free past the ref parse:
+// children are scanned in place (no per-kind slices), the value words are
+// re-joined into the caller's scratch buffer, and the directive value is
+// only rewritten when the joined value actually differs.
+func foldLine(out *confnode.Set, line *confnode.Node, owned bool, buf *[]byte) error {
+	srcStr, ok := line.Attr(SrcAttr)
+	if !ok {
+		return fmt.Errorf("word view: line without provenance: %w", ErrNotExpressible)
+	}
+	ref, err := template.ParseRef(srcStr)
+	if err != nil {
+		return err
+	}
+	var dir *confnode.Node
+	if owned {
+		dir, err = ref.ResolveOwned(out)
+	} else {
+		dir, err = ref.Resolve(out)
+	}
+	if err != nil {
+		return fmt.Errorf("word view: stale provenance %q: %v: %w", srcStr, err, ErrNotExpressible)
+	}
+	var name string
+	b := (*buf)[:0]
+	sawValue := false
+	for _, w := range line.Children() {
+		if w.Kind != confnode.KindWord {
+			continue
 		}
-		var name string
-		b := (*buf)[:0]
-		sawValue := false
-		for _, w := range line.Children() {
-			if w.Kind != confnode.KindWord {
-				continue
+		if w.AttrDefault(TokenAttr, TokenValue) == TokenName {
+			name = w.Value
+		} else {
+			if sawValue {
+				b = append(b, ' ')
 			}
-			if w.AttrDefault(TokenAttr, TokenValue) == TokenName {
-				name = w.Value
-			} else {
-				if sawValue {
-					b = append(b, ' ')
-				}
-				b = append(b, w.Value...)
-				sawValue = true
-			}
+			b = append(b, w.Value...)
+			sawValue = true
 		}
-		*buf = b
-		dir.Name = name
-		if string(b) != dir.Value {
-			dir.Value = string(b)
-		}
+	}
+	*buf = b
+	dir.Name = name
+	if string(b) != dir.Value {
+		dir.Value = string(b)
 	}
 	return nil
 }
