@@ -21,20 +21,21 @@ import (
 
 	"conferr/internal/benchfixture"
 	"conferr/internal/plugins/semantic"
-	"conferr/internal/profile"
 	"conferr/internal/suts"
 )
 
 // benchTable1System runs one Table 1 column and reports its row values.
-func benchTable1System(b *testing.B, label string) {
-	spec := Table1Specs()[label]
+func benchTable1System(b *testing.B, m table1Mix) {
 	var last Summary
 	for i := 0; i < b.N; i++ {
-		p, err := RunTable1System(spec, DefaultSeed)
+		results, err := runCells(context.Background(), "table1", 1, m.cells(DefaultSeed))
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = p.Summarize()
+		last = Summary{}
+		for _, cr := range results {
+			last.Merge(cr.Summary)
+		}
 	}
 	b.ReportMetric(float64(last.Injected), "injected")
 	b.ReportMetric(pctOf(last.AtStartup, last.Injected), "startup-det-%")
@@ -55,15 +56,15 @@ func pctOf(n, total int) float64 {
 
 // BenchmarkTable1_MySQL regenerates the MySQL column of Table 1
 // (paper: 327 injected, 83% startup, ~0% tests, 17% ignored).
-func BenchmarkTable1_MySQL(b *testing.B) { benchTable1System(b, "MySQL") }
+func BenchmarkTable1_MySQL(b *testing.B) { benchTable1System(b, table1Mixes[0]) }
 
 // BenchmarkTable1_Postgres regenerates the Postgres column of Table 1
 // (paper: 98 injected, 78% startup, 0% tests, 22% ignored).
-func BenchmarkTable1_Postgres(b *testing.B) { benchTable1System(b, "Postgres") }
+func BenchmarkTable1_Postgres(b *testing.B) { benchTable1System(b, table1Mixes[1]) }
 
 // BenchmarkTable1_Apache regenerates the Apache column of Table 1
 // (paper: 120 injected, 38% startup, 5% tests, 57% ignored).
-func BenchmarkTable1_Apache(b *testing.B) { benchTable1System(b, "Apache") }
+func BenchmarkTable1_Apache(b *testing.B) { benchTable1System(b, table1Mixes[2]) }
 
 // BenchmarkTable2_Structural regenerates Table 2 (paper: MySQL satisfies
 // 80% of the structural assumptions, Postgres and Apache 75%).
@@ -210,10 +211,9 @@ func BenchmarkAblation_TypoSubmodels(b *testing.B) {
 		}
 		prof = p
 	}
-	for class, m := range prof.CountByClass() {
-		injected := m[profile.DetectedAtStartup] + m[profile.DetectedByTest] + m[profile.Ignored]
-		detected := m[profile.DetectedAtStartup] + m[profile.DetectedByTest]
-		b.ReportMetric(pctOf(detected, injected), class+"-det-%")
+	for _, cs := range prof.Stats(nil).Classes() {
+		s := cs.Summary
+		b.ReportMetric(pctOf(s.AtStartup+s.ByTest, s.Injected), cs.Class+"-det-%")
 	}
 }
 

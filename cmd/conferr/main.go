@@ -259,6 +259,15 @@ func (d *diagFlags) start() (func() error, error) {
 	}, nil
 }
 
+// checkN refuses a negative -n: a negative count would otherwise run as
+// "off" or "all" and print a table of the wrong faultload.
+func checkN(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-n is negative (%d)", n)
+	}
+	return nil
+}
+
 func cmdTable1(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
@@ -279,6 +288,9 @@ func cmdTable2(ctx context.Context, args []string) error {
 	n := fs.Int("n", 10, "variant configurations per class")
 	workers := workersFlag(fs)
 	_ = fs.Parse(args)
+	if err := checkN(*n); err != nil {
+		return err
+	}
 	res, err := conferr.RunTable2Ctx(ctx, *seed, *n, *workers)
 	if err != nil {
 		return err
@@ -308,6 +320,9 @@ func cmdFigure3(ctx context.Context, args []string) error {
 	n := fs.Int("n", 20, "typo experiments per directive")
 	workers := workersFlag(fs)
 	_ = fs.Parse(args)
+	if err := checkN(*n); err != nil {
+		return err
+	}
 	res, err := conferr.RunFigure3Ctx(ctx, *seed, *n, *workers)
 	if err != nil {
 		return err
@@ -323,6 +338,9 @@ func cmdEditBench(ctx context.Context, args []string) error {
 	n := fs.Int("n", 20, "typo variants per edit")
 	workers := workersFlag(fs)
 	_ = fs.Parse(args)
+	if err := checkN(*n); err != nil {
+		return err
+	}
 	res, err := conferr.RunEditBenchmarkCtx(ctx, *seed, *n, *workers)
 	if err != nil {
 		return err
@@ -340,6 +358,9 @@ func cmdCompare(ctx context.Context, args []string) error {
 	n := fs.Int("n", 15, "value typos per directive")
 	workers := workersFlag(fs)
 	_ = fs.Parse(args)
+	if err := checkN(*n); err != nil {
+		return err
+	}
 
 	const port = 23467
 	campaign := func(system string) (*conferr.Profile, error) {

@@ -20,14 +20,18 @@ func runT(args ...string) int {
 }
 
 // capture runs fn with stdout redirected and returns what it printed.
-func capture(t *testing.T, fn func()) string {
+func capture(t *testing.T, fn func()) string { return captureFile(t, &os.Stdout, fn) }
+
+// captureFile runs fn with *f (os.Stdout or os.Stderr) redirected and
+// returns what it printed.
+func captureFile(t *testing.T, f **os.File, fn func()) string {
 	t.Helper()
-	old := os.Stdout
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string)
 	go func() {
 		data, _ := io.ReadAll(r)
@@ -35,7 +39,7 @@ func capture(t *testing.T, fn func()) string {
 	}()
 	fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	return <-done
 }
 
@@ -57,6 +61,39 @@ func TestRunTable3Command(t *testing.T) {
 	}
 	if got := runT("table3", "-extended", "-workers", "4"); got != 0 {
 		t.Errorf("table3 -extended -workers 4: exit = %d", got)
+	}
+}
+
+// TestNegativeNRefused: a negative -n fails with exit 1 and an error
+// naming the flag, before anything runs or prints; without the check
+// table2 printed 100% satisfied, editbench 0%, and figure3 and compare
+// ran the uncapped faultload.
+func TestNegativeNRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"table2", "-n", "-1"},
+		{"figure3", "-n", "-1"},
+		{"editbench", "-n", "-2"},
+		{"compare", "-n", "-1"},
+	} {
+		var code int
+		var stdout string
+		stderr := captureFile(t, &os.Stderr, func() {
+			stdout = capture(t, func() { code = runT(args...) })
+		})
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "-n is negative") {
+			t.Errorf("%v: exit = %d, stdout %q, stderr %q; want exit 1 naming -n", args, code, stdout, stderr)
+		}
+	}
+	// The library refuses them too, naming its parameter.
+	ctx := context.Background()
+	if _, err := conferr.RunTable2Ctx(ctx, 1, -1, 1); err == nil || !strings.Contains(err.Error(), "perClass is negative") {
+		t.Errorf("RunTable2Ctx(-1): %v", err)
+	}
+	if _, err := conferr.RunFigure3Ctx(ctx, 1, -1, 1); err == nil || !strings.Contains(err.Error(), "perDirective is negative") {
+		t.Errorf("RunFigure3Ctx(-1): %v", err)
+	}
+	if _, err := conferr.RunEditBenchmarkCtx(ctx, 1, -2, 1); err == nil || !strings.Contains(err.Error(), "perEdit is negative") {
+		t.Errorf("RunEditBenchmarkCtx(-2): %v", err)
 	}
 }
 

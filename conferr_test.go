@@ -212,15 +212,16 @@ func TestPaperFindingsInProfiles(t *testing.T) {
 	}
 	// MySQL: there must be ignored value typos on numeric directives
 	// (clamping/prefix-parse flaws).
-	spec := Table1Specs()["MySQL"]
-	p, err := RunTable1System(spec, 7)
+	results, err := runCells(context.Background(), "table1", 1, table1Mixes[0].cells(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ignoredValueTypos := 0
-	for _, rec := range p.Records {
-		if strings.HasPrefix(rec.Class, "typo/") && rec.Outcome == Ignored {
-			ignoredValueTypos++
+	for _, cr := range results {
+		for _, rec := range cr.Profile.Records {
+			if strings.HasPrefix(rec.Class, "typo/") && rec.Outcome == Ignored {
+				ignoredValueTypos++
+			}
 		}
 	}
 	if ignoredValueTypos == 0 {

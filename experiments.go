@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"conferr/internal/confnode"
@@ -12,7 +11,6 @@ import (
 	"conferr/internal/cpath"
 	"conferr/internal/plugins/semantic"
 	"conferr/internal/plugins/structural"
-	"conferr/internal/profile"
 	"conferr/internal/scenario"
 	"conferr/internal/template"
 	"conferr/internal/view"
@@ -22,16 +20,19 @@ import (
 // point per table and figure, shared by the CLI, the examples and the
 // benchmark harness. Every experiment has a context-aware form taking a
 // worker count (RunTable1Ctx, ...); the plain forms are sequential
-// shorthands. Whatever the worker count, each experiment injects the
-// identical faultload and produces the identical profile — parallelism
-// only changes wall-clock time.
+// shorthands. Each experiment is a list of cells in paper order — a
+// registered system, a fixed port and a generator — run as one suite by
+// runCells, and a fold of the results through profile.CampaignStats, the
+// fold behind `conferr report`. Whatever the worker count, each
+// experiment injects the identical faultload and produces the identical
+// profile — parallelism only changes wall-clock time.
 
 // DefaultSeed is the canonical faultload seed used by the CLI, the
 // examples and the benchmark harness. The qualitative Table 1 shape
 // (MySQL ≥ Postgres ≫ Apache on startup detection; Apache alone with
 // functional-test detections) holds for most seeds; this one also
-// reproduces the paper's percentages closely. Seed sensitivity is
-// discussed in EXPERIMENTS.md. The value was re-picked when RandomSubset
+// reproduces the paper's percentages closely; the README's experiments
+// section discusses seed sensitivity. The value was re-picked when RandomSubset
 // switched to an O(n) partial Fisher–Yates draw, which changed the
 // sample each seed selects.
 const DefaultSeed = 12
@@ -97,120 +98,91 @@ func (g sampledGen) Generate(set *confnode.Set) ([]scenario.Scenario, error) {
 	return scenario.RandomSubset(rand.New(rand.NewSource(g.seed)), scens, g.n), nil
 }
 
-// runMerged runs one campaign per generator against the target family —
-// concurrently, as a suite sharing the worker budget — and merges the
-// profiles in generator order.
-func runMerged(ctx context.Context, factory TargetFactory, port int, label string, workers int, gens ...core.Generator) (*Profile, error) {
-	campaigns := make([]SuiteCampaign, 0, len(gens))
-	for i, gen := range gens {
-		sc, err := NewSuiteCampaign(fmt.Sprintf("%s/%d/%s", label, i, gen.Name()), factory, port, gen)
-		if err != nil {
-			return nil, fmt.Errorf("conferr: %s campaign (%s): %w", label, gen.Name(), err)
+// artifactCell is one campaign of a paper artifact: a registered system
+// at a fixed primary port (0 allocates) under a generator. label names
+// the artifact column or row the cell's records fold into.
+type artifactCell struct {
+	label  string
+	system string
+	port   int
+	gen    Generator
+}
+
+// runCells runs an artifact's cells as one suite sharing the worker
+// budget, each built by NewSuiteCampaignLifecycle — the builder behind
+// matrix cells and Runner — and returns their results in cell order.
+func runCells(ctx context.Context, name string, workers int, cells []artifactCell) ([]CampaignResult, error) {
+	campaigns := make([]SuiteCampaign, len(cells))
+	for i, c := range cells {
+		tf, err := LookupTarget(c.system)
+		if err == nil {
+			campaigns[i], err = NewSuiteCampaignLifecycle(fmt.Sprintf("%s/%d/%s/%s", c.label, i, c.system, c.gen.Name()),
+				tf, c.port, c.gen, LifecycleCold, nil)
 		}
-		campaigns = append(campaigns, sc)
+		if err != nil {
+			return nil, fmt.Errorf("conferr: %s: %w", name, err)
+		}
 	}
 	res, err := (&Suite{Campaigns: campaigns, Workers: workers}).Run(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("conferr: %s: %w", label, err)
+		return nil, fmt.Errorf("conferr: %s: %w", name, err)
 	}
-	return mergeSuiteProfiles(label, res.Results), nil
+	return res.Results, nil
 }
 
-// mergeSuiteProfiles folds consecutive campaign results into one profile
-// labelled with the experiment name.
-func mergeSuiteProfiles(label string, results []CampaignResult) *Profile {
-	parts := make([]*Profile, 0, len(results))
-	system := ""
-	for _, cr := range results {
-		system = cr.Profile.System
-		parts = append(parts, cr.Profile)
+// table1Mix is one system's §5.2 faultload: every directive deleted
+// (capped at deleteCap when non-zero) plus name and value typos per
+// directive, each typo campaign capped at nameCap/valueCap when
+// non-zero. The per-system mixes mirror the paper's per-section
+// sampling, which weights each system differently (see the README's
+// experiments section).
+type table1Mix struct {
+	label, system                string // column header, registry name
+	port                         int
+	names, values                int
+	deleteCap, nameCap, valueCap int
+}
+
+// table1Mixes lists Table 1's systems in paper order, sized to
+// approximate the paper's injection counts (MySQL 327, Postgres 98,
+// Apache 120).
+var table1Mixes = []table1Mix{
+	// 14 deletions + 14×16 name + 14×6 value ≈ 322.
+	{label: "MySQL", system: "mysql", port: table1MySQLPort, names: 16, values: 6},
+	// 8 deletions + 8×6 + 8×6 = 104.
+	{label: "Postgres", system: "postgres", port: table1PostgresPort, names: 6, values: 6},
+	// 20 deletions + 25 name + 75 value = 120 (Apache's faultload is
+	// value-heavy: most of its 98 directives are freeform-valued).
+	{label: "Apache", system: "apache", port: table1ApachePort, names: 1, values: 1,
+		deleteCap: 20, nameCap: 25, valueCap: 75},
+}
+
+// cells builds the system's three Table 1 campaigns: directive
+// deletions, name typos and value typos, each capped per the mix.
+func (m table1Mix) cells(seed int64) []artifactCell {
+	var del Generator = deleteGen{}
+	if m.deleteCap > 0 {
+		del = sampledGen{inner: del, n: m.deleteCap, seed: seed}
 	}
-	return MergeProfiles(system, label, parts...)
-}
-
-// Table1Spec sets the §5.2 faultload sizes for one system: every directive
-// is deleted (capped at DeleteCap when non-zero) and typos are injected
-// into directive names and values. The per-system mixes mirror the paper's
-// per-section sampling, which weights each system differently (the paper's
-// own injection counts — 327/98/120 for 14/8/98 directives — imply
-// non-uniform faultloads); see EXPERIMENTS.md.
-type Table1Spec struct {
-	// Factory constructs the system target; parallel runs call it once per
-	// worker.
-	Factory TargetFactory
-	// Port is the fixed primary port the faultload embeds.
-	Port int
-	// NamesPerDirective is the number of name typos per directive.
-	NamesPerDirective int
-	// ValuesPerDirective is the number of value typos per directive.
-	ValuesPerDirective int
-	// DeleteCap caps deletion scenarios (0 = all).
-	DeleteCap int
-	// NameCap / ValueCap cap each typo campaign's total (0 = all).
-	NameCap  int
-	ValueCap int
-}
-
-// Table1Specs returns the default specs for the paper's three systems,
-// sized to approximate the paper's injection counts (MySQL 327, Postgres
-// 98, Apache 120).
-func Table1Specs() map[string]Table1Spec {
-	return map[string]Table1Spec{
-		// 14 deletions + 14×16 name + 14×6 value ≈ 322.
-		"MySQL": {Factory: MySQLTargetAt, Port: table1MySQLPort,
-			NamesPerDirective: 16, ValuesPerDirective: 6},
-		// 8 deletions + 8×6 + 8×6 = 104.
-		"Postgres": {Factory: PostgresTargetAt, Port: table1PostgresPort,
-			NamesPerDirective: 6, ValuesPerDirective: 6},
-		// 20 deletions + 25 name + 75 value = 120 (Apache's faultload is
-		// value-heavy: most of its 98 directives are freeform-valued).
-		"Apache": {Factory: ApacheTargetAt, Port: table1ApachePort,
-			NamesPerDirective: 1, ValuesPerDirective: 1,
-			DeleteCap: 20, NameCap: 25, ValueCap: 75},
+	names := TypoGenerator(TypoOptions{Seed: seed + 1, NamesOnly: true, PerDirective: m.names})
+	values := TypoGenerator(TypoOptions{Seed: seed + 2, ValuesOnly: true, PerDirective: m.values})
+	if m.nameCap > 0 {
+		names = sampledGen{inner: names, n: m.nameCap, seed: seed + 3}
 	}
-}
-
-// RunTable1System runs the §5.2 typo-resilience experiment for one system,
-// sequentially.
-func RunTable1System(spec Table1Spec, seed int64) (*Profile, error) {
-	return RunTable1SystemCtx(context.Background(), spec, seed, 1)
-}
-
-// table1Generators builds the three campaign generators of one system's
-// §5.2 faultload: directive deletions plus name and value typos, each
-// capped per the spec.
-func table1Generators(spec Table1Spec, seed int64) []core.Generator {
-	var del core.Generator = deleteGen{}
-	if spec.DeleteCap > 0 {
-		del = sampledGen{inner: del, n: spec.DeleteCap, seed: seed}
+	if m.valueCap > 0 {
+		values = sampledGen{inner: values, n: m.valueCap, seed: seed + 4}
 	}
-	var names core.Generator = TypoGenerator(TypoOptions{
-		Seed: seed + 1, NamesOnly: true, PerDirective: spec.NamesPerDirective,
-	})
-	var values core.Generator = TypoGenerator(TypoOptions{
-		Seed: seed + 2, ValuesOnly: true, PerDirective: spec.ValuesPerDirective,
-	})
-	if spec.NameCap > 0 {
-		names = sampledGen{inner: names, n: spec.NameCap, seed: seed + 3}
+	cells := make([]artifactCell, 0, 3)
+	for _, gen := range []Generator{del, names, values} {
+		cells = append(cells, artifactCell{label: m.label, system: m.system, port: m.port, gen: gen})
 	}
-	if spec.ValueCap > 0 {
-		values = sampledGen{inner: values, n: spec.ValueCap, seed: seed + 4}
-	}
-	return []core.Generator{del, names, values}
+	return cells
 }
 
-// RunTable1SystemCtx is RunTable1System under a context: the system's
-// three campaigns run as a suite sharing the given worker budget.
-func RunTable1SystemCtx(ctx context.Context, spec Table1Spec, seed int64, workers int) (*Profile, error) {
-	return runMerged(ctx, spec.Factory, spec.Port, "table1", workers, table1Generators(spec, seed)...)
-}
-
-// Table1Result holds the per-system profiles and summaries of Table 1.
+// Table1Result holds the per-system summaries of Table 1.
 type Table1Result struct {
 	// Order lists system labels in paper order.
 	Order []string
-	// Profiles maps system label to its merged profile.
-	Profiles map[string]*Profile
 	// Summaries maps system label to its Table 1 row.
 	Summaries map[string]Summary
 }
@@ -223,44 +195,24 @@ func RunTable1(seed int64) (*Table1Result, error) {
 
 // RunTable1Ctx is RunTable1 under a context: the full 3-system × 3-campaign
 // matrix runs as one suite, with the worker budget shared across every
-// campaign. The per-system profiles are identical to sequential runs —
-// only wall-clock time changes with the budget.
+// campaign. A system's row sums its three campaigns' summaries, which is
+// identical at any budget — only wall-clock time changes.
 func RunTable1Ctx(ctx context.Context, seed int64, workers int) (*Table1Result, error) {
-	res := &Table1Result{
-		Order:     []string{"MySQL", "Postgres", "Apache"},
-		Profiles:  make(map[string]*Profile),
-		Summaries: make(map[string]Summary),
+	res := &Table1Result{Summaries: make(map[string]Summary)}
+	var cells []artifactCell
+	for _, m := range table1Mixes {
+		res.Order = append(res.Order, m.label)
+		res.Summaries[m.label] = Summary{System: m.label}
+		cells = append(cells, m.cells(seed)...)
 	}
-	specs := Table1Specs()
-	var campaigns []SuiteCampaign
-	// spans[label] is the half-open campaign index range of that system's
-	// cells — recorded while building, so the result grouping cannot drift
-	// from the suite layout.
-	spans := make(map[string][2]int, len(res.Order))
-	for _, label := range res.Order {
-		spec := specs[label]
-		start := len(campaigns)
-		for i, gen := range table1Generators(spec, seed) {
-			sc, err := NewSuiteCampaign(fmt.Sprintf("%s/%d/%s", label, i, gen.Name()),
-				spec.Factory, spec.Port, gen)
-			if err != nil {
-				return nil, fmt.Errorf("conferr: table1 %s: %w", label, err)
-			}
-			campaigns = append(campaigns, sc)
-		}
-		spans[label] = [2]int{start, len(campaigns)}
-	}
-	suiteRes, err := (&Suite{Campaigns: campaigns, Workers: workers}).Run(ctx)
+	results, err := runCells(ctx, "table1", workers, cells)
 	if err != nil {
-		return nil, fmt.Errorf("conferr: table1: %w", err)
+		return nil, err
 	}
-	for _, label := range res.Order {
-		span := spans[label]
-		p := mergeSuiteProfiles("table1", suiteRes.Results[span[0]:span[1]])
-		s := p.Summarize()
-		s.System = label
-		res.Profiles[label] = p
-		res.Summaries[label] = s
+	for i, cr := range results {
+		s := res.Summaries[cells[i].label]
+		s.Merge(cr.Summary)
+		res.Summaries[cells[i].label] = s
 	}
 	return res, nil
 }
@@ -294,7 +246,7 @@ type Table2Result struct {
 	Support map[string]map[string]string
 }
 
-// table2Applicability mirrors the paper's n/a cells: section ordering only
+// table2Applicable mirrors the paper's n/a cells: section ordering only
 // applies to MySQL (Postgres has a single implicit section; Apache's
 // sections are argument-scoped containers).
 func table2Applicable(system, class string) bool {
@@ -313,59 +265,54 @@ func RunTable2(seed int64, perClass int) (*Table2Result, error) {
 
 // RunTable2Ctx is RunTable2 under a context: the full system × class
 // matrix (minus the paper's n/a cells) runs as one suite sharing the
-// worker budget.
+// worker budget. perClass 0 selects the paper's 10; a negative count is
+// refused.
 func RunTable2Ctx(ctx context.Context, seed int64, perClass, workers int) (*Table2Result, error) {
+	if err := negative("perClass", perClass); err != nil {
+		return nil, fmt.Errorf("conferr: table2: %w", err)
+	}
 	if perClass == 0 {
 		perClass = 10
 	}
 	res := &Table2Result{
-		Order:   []string{"MySQL", "Postgres", "Apache"},
 		Classes: structural.AllVariationClasses(),
 		Support: make(map[string]map[string]string),
 	}
-	targets := map[string]TargetFactory{
-		"MySQL":    MySQLTargetAt,
-		"Postgres": PostgresTargetAt,
-		"Apache":   ApacheTargetAt,
-	}
-	type cell struct{ label, class string }
-	var cells []cell
-	var campaigns []SuiteCampaign
-	for _, label := range res.Order {
+	var cells []artifactCell
+	var classes []string // classes[i] is cells[i]'s variation class
+	// Table 2 measures Table 1's systems.
+	for _, m := range table1Mixes {
+		label := m.label
+		res.Order = append(res.Order, label)
 		res.Support[label] = make(map[string]string)
 		for _, class := range res.Classes {
 			if !table2Applicable(label, class) {
 				res.Support[label][class] = SupportNA
 				continue
 			}
-			sc, err := NewSuiteCampaign(label+"/"+class, targets[label], 0,
-				VariationsGenerator(seed, perClass, []string{class}))
-			if err != nil {
-				return nil, fmt.Errorf("conferr: table2 %s/%s: %w", label, class, err)
-			}
-			cells = append(cells, cell{label, class})
-			campaigns = append(campaigns, sc)
+			cells = append(cells, artifactCell{label: label, system: m.system,
+				gen: VariationsGenerator(seed, perClass, []string{class})})
+			classes = append(classes, class)
 		}
 	}
-	suiteRes, err := (&Suite{Campaigns: campaigns, Workers: workers}).Run(ctx)
+	results, err := runCells(ctx, "table2", workers, cells)
 	if err != nil {
-		return nil, fmt.Errorf("conferr: table2: %w", err)
+		return nil, err
 	}
-	for i, c := range cells {
-		support := SupportYes
-		for _, rec := range suiteRes.Results[i].Profile.Records {
-			if rec.Outcome != profile.Ignored {
-				support = SupportNo
-				break
-			}
+	for i, cr := range results {
+		// Supported when the system accepted (ignored) every variant.
+		support := SupportNo
+		if cr.Records == cr.Summary.Ignored {
+			support = SupportYes
 		}
-		res.Support[c.label][c.class] = support
+		res.Support[cells[i].label][classes[i]] = support
 	}
 	return res, nil
 }
 
 // SatisfiedPercent returns the share of applicable variation classes a
-// system supports, as the paper's bottom row.
+// system supports, as the paper's bottom row. n/a rows are excluded from
+// the denominator: MySQL 4/5 = 80%, Postgres and Apache 3/4 = 75%.
 func (r *Table2Result) SatisfiedPercent(system string) int {
 	total, yes := 0, 0
 	for _, class := range r.Classes {
@@ -377,9 +324,6 @@ func (r *Table2Result) SatisfiedPercent(system string) int {
 			total++
 		}
 	}
-	// The paper counts n/a rows in the denominator as satisfied
-	// assumptions are out of 5 rows minus nothing: MySQL 4/5=80%,
-	// Postgres and Apache 3/4=75%.
 	if total == 0 {
 		return 0
 	}
@@ -460,61 +404,49 @@ func RunTable3Ctx(ctx context.Context, extended bool, workers int) (*Table3Resul
 		classes = semantic.AllClasses()
 	}
 	res := &Table3Result{
-		Order:    []string{"BIND", "djbdns"},
 		Classes:  classes,
 		Cells:    make(map[string]map[string]string),
 		Profiles: make(map[string]*Profile),
 	}
-	systems := map[string]string{"BIND": "bind", "djbdns": "djbdns"}
-	var campaigns []SuiteCampaign
-	for _, label := range res.Order {
-		sc, err := matrixCell(MatrixEntry{System: systems[label], Plugin: "semantic", Options: GeneratorOptions{Classes: classes}}, 0, MatrixOptions{})
+	cells := []artifactCell{{label: "BIND", system: "bind"}, {label: "djbdns", system: "djbdns"}}
+	for i, c := range cells {
+		gen, err := newGenerator(c.system, "semantic", GeneratorOptions{Classes: classes})
 		if err != nil {
 			return nil, fmt.Errorf("conferr: table3: %w", err)
 		}
-		campaigns = append(campaigns, sc)
+		cells[i].gen = gen
+		res.Order = append(res.Order, c.label)
 	}
-	suiteRes, err := (&Suite{Campaigns: campaigns, Workers: workers}).Run(ctx)
+	results, err := runCells(ctx, "table3", workers, cells)
 	if err != nil {
-		return nil, fmt.Errorf("conferr: table3: %w", err)
+		return nil, err
 	}
-	for i, label := range res.Order {
-		p := suiteRes.Results[i].Profile
-		res.Profiles[label] = p
-		byClass := make(map[string][]profile.Record)
-		for _, rec := range p.Records {
-			byClass[rec.Class] = append(byClass[rec.Class], rec)
+	for _, class := range classes {
+		res.Cells[class] = make(map[string]string)
+	}
+	for i, cr := range results {
+		label := cells[i].label
+		res.Profiles[label] = cr.Profile
+		byClass := make(map[string]Summary)
+		for _, cs := range cr.Profile.Stats(nil).Classes() {
+			byClass[cs.Class] = cs.Summary
 		}
 		for _, class := range classes {
-			if res.Cells[class] == nil {
-				res.Cells[class] = make(map[string]string)
-			}
-			res.Cells[class][label] = classifyTable3(byClass[class])
+			res.Cells[class][label] = table3Cell(byClass[class])
 		}
 	}
 	return res, nil
 }
 
-// classifyTable3 folds the records of one fault class into a cell value:
-// all inexpressible ⇒ N/A; any detection ⇒ found; otherwise not found.
-func classifyTable3(recs []profile.Record) string {
-	if len(recs) == 0 {
-		return NotInjectable
-	}
-	injected, detected := 0, 0
-	for _, r := range recs {
-		switch r.Outcome {
-		case profile.DetectedAtStartup, profile.DetectedByTest:
-			injected++
-			detected++
-		case profile.Ignored:
-			injected++
-		}
-	}
+// table3Cell folds one fault class's outcomes into a cell value: nothing
+// injected ⇒ N/A; every injection detected ⇒ found; some ⇒ partially
+// found; none ⇒ not found.
+func table3Cell(s Summary) string {
+	detected := s.AtStartup + s.ByTest
 	switch {
-	case injected == 0:
+	case s.Injected == 0:
 		return NotInjectable
-	case detected == injected:
+	case detected == s.Injected:
 		return Found
 	case detected > 0:
 		return Found + " (partially)"
@@ -568,40 +500,32 @@ func RunFigure3(seed int64, perDirective int) (*Figure3Result, error) {
 }
 
 // RunFigure3Ctx is RunFigure3 under a context, with each system's campaign
-// fanned out over the given number of workers.
+// fanned out over the given number of workers. perDirective 0 selects
+// the paper's 20; a negative count is refused.
 func RunFigure3Ctx(ctx context.Context, seed int64, perDirective, workers int) (*Figure3Result, error) {
+	if err := negative("perDirective", perDirective); err != nil {
+		return nil, fmt.Errorf("conferr: figure3: %w", err)
+	}
 	if perDirective == 0 {
 		perDirective = 20
 	}
-	res := &Figure3Result{Profiles: make(map[string]*Profile)}
-	systems := []struct {
-		label   string
-		factory TargetFactory
-		port    int
-	}{
-		{"Postgresql", PostgresFullTargetAt, figure3PostgresPort},
-		{"MySQL", MySQLFullTargetAt, figure3MySQLPort},
+	valueTypos := func() Generator {
+		return TypoGenerator(TypoOptions{Seed: seed, ValuesOnly: true, PerDirective: perDirective})
 	}
-	var campaigns []SuiteCampaign
-	for _, sys := range systems {
-		sc, err := NewSuiteCampaign(sys.label+"/value-typo", sys.factory, sys.port,
-			TypoGenerator(TypoOptions{
-				Seed: seed, ValuesOnly: true, PerDirective: perDirective,
-			}))
-		if err != nil {
-			return nil, fmt.Errorf("conferr: figure3 %s: %w", sys.label, err)
-		}
-		campaigns = append(campaigns, sc)
+	cells := []artifactCell{
+		{label: "Postgresql", system: "postgres-full", port: figure3PostgresPort, gen: valueTypos()},
+		{label: "MySQL", system: "mysql-full", port: figure3MySQLPort, gen: valueTypos()},
 	}
-	suiteRes, err := (&Suite{Campaigns: campaigns, Workers: workers}).Run(ctx)
+	results, err := runCells(ctx, "figure3", workers, cells)
 	if err != nil {
-		return nil, fmt.Errorf("conferr: figure3: %w", err)
+		return nil, err
 	}
-	for i, sys := range systems {
-		p := suiteRes.Results[i].Profile
-		res.Profiles[sys.label] = p
-		banding := p.BandByKey(func(r Record) string { return TypoDirectiveKey(r.ScenarioID) })
-		banding.System = sys.label
+	res := &Figure3Result{Profiles: make(map[string]*Profile)}
+	for i, cr := range results {
+		label := cells[i].label
+		res.Profiles[label] = cr.Profile
+		banding := cr.Profile.Stats(func(r Record) string { return TypoDirectiveKey(r.ScenarioID) }).Banding()
+		banding.System = label
 		res.Bandings = append(res.Bandings, banding)
 	}
 	return res, nil
@@ -633,53 +557,36 @@ func RunEditBenchmark(seed int64, perEdit int) (*EditBenchmarkResult, error) {
 
 // RunEditBenchmarkCtx is RunEditBenchmark under a context, with each
 // system's campaign fanned out over the given number of workers.
+// perEdit 0 selects the paper's 20; a negative count is refused.
 func RunEditBenchmarkCtx(ctx context.Context, seed int64, perEdit, workers int) (*EditBenchmarkResult, error) {
+	if err := negative("perEdit", perEdit); err != nil {
+		return nil, fmt.Errorf("conferr: edit benchmark: %w", err)
+	}
+	cells := []artifactCell{
+		{label: "Postgres", system: "postgres", port: table1PostgresPort, gen: EditBenchmarkGenerator([]Edit{
+			{Directive: "max_connections", NewValue: "200"},
+			{Directive: "shared_buffers", NewValue: "64MB"},
+			{Directive: "max_fsm_pages", NewValue: "204800"},
+		}, seed, perEdit)},
+		{label: "MySQL", system: "mysql", port: table1MySQLPort, gen: EditBenchmarkGenerator([]Edit{
+			{Directive: "max_connections", NewValue: "200"},
+			{Directive: "key_buffer_size", NewValue: "32M"},
+			{Directive: "table_open_cache", NewValue: "128"},
+		}, seed, perEdit)},
+	}
+	results, err := runCells(ctx, "edit benchmark", workers, cells)
+	if err != nil {
+		return nil, err
+	}
 	res := &EditBenchmarkResult{
-		Order:    []string{"Postgres", "MySQL"},
 		Rates:    make(map[string]float64),
 		Profiles: make(map[string]*Profile),
 	}
-	type task struct {
-		factory TargetFactory
-		port    int
-		edits   []Edit
-	}
-	tasks := map[string]task{
-		"Postgres": {
-			factory: PostgresTargetAt, port: table1PostgresPort,
-			edits: []Edit{
-				{Directive: "max_connections", NewValue: "200"},
-				{Directive: "shared_buffers", NewValue: "64MB"},
-				{Directive: "max_fsm_pages", NewValue: "204800"},
-			},
-		},
-		"MySQL": {
-			factory: MySQLTargetAt, port: table1MySQLPort,
-			edits: []Edit{
-				{Directive: "max_connections", NewValue: "200"},
-				{Directive: "key_buffer_size", NewValue: "32M"},
-				{Directive: "table_open_cache", NewValue: "128"},
-			},
-		},
-	}
-	var campaigns []SuiteCampaign
-	for _, label := range res.Order {
-		tk := tasks[label]
-		sc, err := NewSuiteCampaign(label+"/editsim", tk.factory, tk.port,
-			EditBenchmarkGenerator(tk.edits, seed, perEdit))
-		if err != nil {
-			return nil, fmt.Errorf("conferr: edit benchmark %s: %w", label, err)
-		}
-		campaigns = append(campaigns, sc)
-	}
-	suiteRes, err := (&Suite{Campaigns: campaigns, Workers: workers}).Run(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("conferr: edit benchmark: %w", err)
-	}
-	for i, label := range res.Order {
-		p := suiteRes.Results[i].Profile
-		res.Profiles[label] = p
-		res.Rates[label] = p.DetectionRate()
+	for i, cr := range results {
+		label := cells[i].label
+		res.Order = append(res.Order, label)
+		res.Profiles[label] = cr.Profile
+		res.Rates[label] = cr.Profile.DetectionRate()
 	}
 	return res, nil
 }
@@ -698,23 +605,16 @@ func (r *EditBenchmarkResult) Format() string {
 // DetectionByClass summarizes a profile's detection rate per fault class,
 // sorted by class name — the ablation view of a resilience profile.
 func DetectionByClass(p *Profile) string {
-	byClass := p.CountByClass()
-	classes := make([]string, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
 	var b strings.Builder
-	for _, c := range classes {
-		m := byClass[c]
-		injected := m[profile.DetectedAtStartup] + m[profile.DetectedByTest] + m[profile.Ignored]
-		detected := m[profile.DetectedAtStartup] + m[profile.DetectedByTest]
-		fmt.Fprintf(&b, "%-36s injected=%-4d detected=%-4d", c, injected, detected)
-		if injected > 0 {
-			fmt.Fprintf(&b, " (%d%%)", int(float64(detected)/float64(injected)*100+0.5))
+	for _, cs := range p.Stats(nil).Classes() {
+		s := cs.Summary
+		detected := s.AtStartup + s.ByTest
+		fmt.Fprintf(&b, "%-36s injected=%-4d detected=%-4d", cs.Class, s.Injected, detected)
+		if s.Injected > 0 {
+			fmt.Fprintf(&b, " (%d%%)", int(float64(detected)/float64(s.Injected)*100+0.5))
 		}
-		if na := m[profile.NotExpressible]; na > 0 {
-			fmt.Fprintf(&b, " not-expressible=%d", na)
+		if s.NotExpressible > 0 {
+			fmt.Fprintf(&b, " not-expressible=%d", s.NotExpressible)
 		}
 		b.WriteByte('\n')
 	}

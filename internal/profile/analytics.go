@@ -137,6 +137,21 @@ func (s *StreamStats) Merge(o *StreamStats) {
 	}
 }
 
+// Stats folds the profile's records through a StreamStats and returns
+// its one campaign — the fold behind the paper's tables and `conferr
+// report` alike. key groups records for the Figure 3 banding, as in
+// NewStreamStats (nil: no banding).
+func (p *Profile) Stats(key func(Record) string) *CampaignStats {
+	s := NewStreamStats(key)
+	for _, r := range p.Records {
+		_ = s.Add(JSONLEntry{System: p.System, Generator: p.Generator, Record: r})
+	}
+	if c := s.byName[p.System+"\x00"+p.Generator]; c != nil {
+		return c
+	}
+	return &CampaignStats{System: p.System, Generator: p.Generator, Summary: Summary{System: p.System}}
+}
+
 // TotalRecords returns the total records folded.
 func (s *StreamStats) TotalRecords() int { return s.records }
 

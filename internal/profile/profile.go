@@ -113,18 +113,6 @@ func (p *Profile) Add(r Record) {
 	p.Records = append(p.Records, r)
 }
 
-// Injected returns the records that actually reached the SUT (everything
-// except NotApplicable, NotExpressible and InfrastructureError).
-func (p *Profile) Injected() []Record {
-	var out []Record
-	for _, r := range p.Records {
-		if r.Outcome.counted() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // counted reports whether the outcome participates in detection
 // statistics — i.e. the fault reached the SUT and the SUT's reaction was
 // observed.
@@ -141,36 +129,10 @@ func (p *Profile) CountByOutcome() map[Outcome]int {
 	return out
 }
 
-// CountByClass tallies records per fault class and outcome.
-func (p *Profile) CountByClass() map[string]map[Outcome]int {
-	out := make(map[string]map[Outcome]int)
-	for _, r := range p.Records {
-		m := out[r.Class]
-		if m == nil {
-			m = make(map[Outcome]int)
-			out[r.Class] = m
-		}
-		m[r.Outcome]++
-	}
-	return out
-}
-
 // DetectionRate returns the fraction of injected faults the system
 // detected (startup or test), in [0,1]. It returns 0 when nothing was
 // injected.
-func (p *Profile) DetectionRate() float64 {
-	injected := p.Injected()
-	if len(injected) == 0 {
-		return 0
-	}
-	detected := 0
-	for _, r := range injected {
-		if r.Outcome.Detected() {
-			detected++
-		}
-	}
-	return float64(detected) / float64(len(injected))
-}
+func (p *Profile) DetectionRate() float64 { return p.Stats(nil).DetectionRate() }
 
 // Summary is the Table 1 row shape: total injections and the share
 // detected at startup, detected by functional tests, and ignored.
@@ -331,34 +293,7 @@ type Banding struct {
 // BandByKey groups the profile's injected records by the given key
 // function (typically the directive a fault targeted), computes each
 // group's detection rate, and returns the banding distribution.
-func (p *Profile) BandByKey(key func(Record) string) Banding {
-	type agg struct{ detected, total int }
-	groups := make(map[string]*agg)
-	for _, r := range p.Injected() {
-		k := key(r)
-		if k == "" {
-			continue
-		}
-		g := groups[k]
-		if g == nil {
-			g = &agg{}
-			groups[k] = g
-		}
-		g.total++
-		if r.Outcome.Detected() {
-			g.detected++
-		}
-	}
-	counts := make(map[Band]int)
-	for _, g := range groups {
-		counts[BandOf(float64(g.detected)/float64(g.total))]++
-	}
-	b := Banding{System: p.System, Directives: len(groups), Share: make(map[Band]float64)}
-	for band, n := range counts {
-		b.Share[band] = float64(n) / float64(len(groups))
-	}
-	return b
-}
+func (p *Profile) BandByKey(key func(Record) string) Banding { return p.Stats(key).Banding() }
 
 // FormatFigure3 renders bandings as a text histogram in the shape of the
 // paper's Figure 3.

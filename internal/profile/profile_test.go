@@ -53,11 +53,25 @@ func TestOutcomeDetected(t *testing.T) {
 	}
 }
 
-func TestInjected(t *testing.T) {
-	p := sampleProfile()
-	inj := p.Injected()
-	if len(inj) != 5 {
-		t.Errorf("Injected = %d, want 5", len(inj))
+// TestProfileStats checks a profile's fold: injected counts exclude
+// not-expressible and not-applicable records, every class is tallied,
+// and an empty profile still yields its campaign.
+func TestProfileStats(t *testing.T) {
+	c := sampleProfile().Stats(nil)
+	if c.System != "mysql-sim" || c.Generator != "typo" || c.Records != 7 || c.Summary.Injected != 5 {
+		t.Errorf("stats = %+v", c)
+	}
+	byClass := make(map[string]Summary)
+	for _, cs := range c.Classes() {
+		byClass[cs.Class] = cs.Summary
+	}
+	if len(byClass) != 3 || byClass["typo/omission"].AtStartup != 2 ||
+		byClass["typo/substitution"].Ignored != 1 || byClass["typo/case"].NotExpressible != 1 {
+		t.Errorf("classes = %+v", byClass)
+	}
+	empty := (&Profile{System: "x", Generator: "g"}).Stats(nil)
+	if empty.System != "x" || empty.Generator != "g" || empty.Records != 0 || len(empty.Classes()) != 0 {
+		t.Errorf("empty stats = %+v", empty)
 	}
 }
 
@@ -65,16 +79,6 @@ func TestCountByOutcome(t *testing.T) {
 	c := sampleProfile().CountByOutcome()
 	if c[DetectedAtStartup] != 2 || c[DetectedByTest] != 1 || c[Ignored] != 2 ||
 		c[NotExpressible] != 1 || c[NotApplicable] != 1 {
-		t.Errorf("counts = %v", c)
-	}
-}
-
-func TestCountByClass(t *testing.T) {
-	c := sampleProfile().CountByClass()
-	if c["typo/omission"][DetectedAtStartup] != 2 {
-		t.Errorf("counts = %v", c)
-	}
-	if c["typo/substitution"][Ignored] != 1 {
 		t.Errorf("counts = %v", c)
 	}
 }

@@ -27,22 +27,17 @@ type (
 	CampaignResult = core.CampaignResult
 )
 
-// NewSuiteCampaign builds one suite cell from a target family and a
-// generator: the primary target (built at port; 0 allocates) serves
+// NewSuiteCampaignLifecycle builds one suite cell from a target family
+// and a generator: the primary target (built at port; 0 allocates) serves
 // faultload generation, and every worker runs its own factory-built SUT
 // instance at the primary's port, in a private memnet namespace or on a
 // kernel loopback host of its own — which is what lets several campaigns
 // of one system family run concurrently in a suite without colliding.
-func NewSuiteCampaign(name string, factory TargetFactory, port int, gen Generator) (SuiteCampaign, error) {
-	return NewSuiteCampaignLifecycle(name, factory, port, gen, LifecycleCold, nil)
-}
-
-// NewSuiteCampaignLifecycle is NewSuiteCampaign with the worker SUT
-// lifecycle selected: the cell's workers lease their SUTs from a
-// per-cell pool in that mode (cold starts, warm reloads or validate-only,
-// falling back to cold for incapable systems) that is closed when the
-// cell finishes. A non-nil counters aggregates lifecycle activity across
-// cells.
+// The cell's workers lease their SUTs from a per-cell pool in the given
+// lifecycle (cold starts, warm reloads or validate-only, falling back to
+// cold for incapable systems) that is closed when the cell finishes. A
+// non-nil counters aggregates lifecycle activity across cells. matrix
+// cells, Runner and the paper's experiments are all built here.
 func NewSuiteCampaignLifecycle(name string, factory TargetFactory, port int, gen Generator, mode Lifecycle, counters *LifecycleCounters) (SuiteCampaign, error) {
 	if port < 0 || port > 65535 {
 		// A typo'd faultload against such a port would be one silent
