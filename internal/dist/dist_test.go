@@ -66,6 +66,25 @@ func healthyRunner() dist.ShardRunner {
 	})
 }
 
+// holdFirstShard makes runner's first shard wait until closed is closed —
+// the victim server has died — so a death test's healthy endpoint cannot
+// drain every shard before the coordinator dials the victim, which would
+// then run no shard and its death register as no retry. The wait is
+// bounded; running out of it fails the test.
+func holdFirstShard(t *testing.T, runner dist.ShardRunner, closed <-chan struct{}) dist.ShardRunner {
+	var held atomic.Bool
+	return dist.ShardRunnerFunc(func(ctx context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
+		if held.CompareAndSwap(false, true) {
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Error("the victim worker never died: it ran no shard")
+			}
+		}
+		return runner.RunShard(ctx, req, emit)
+	})
+}
+
 // wantStream renders the expected merged output for a stub faultload.
 func wantStream(total int) []byte {
 	var b bytes.Buffer
@@ -167,22 +186,24 @@ func TestDistByteIdentityAfterWorkerKill(t *testing.T) {
 	real := conferr.NewDistRunner()
 
 	// Server A dies after its sixth record; the atomic pointer (set once
-	// the server exists) keeps the kill hook race-clean.
+	// the server exists) keeps the kill hook race-clean. Server B holds
+	// its first shard until A is dead, so A is sure to run one.
 	var victim atomic.Pointer[dist.Server]
 	var once sync.Once
+	closed := make(chan struct{})
 	killer := dist.ShardRunnerFunc(func(ctx context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
 		n := 0
 		return real.RunShard(ctx, req, func(seq int, line []byte) error {
 			n++
 			if n == 6 {
-				once.Do(func() { _ = victim.Load().Close() })
+				once.Do(func() { _ = victim.Load().Close(); close(closed) })
 			}
 			return emit(seq, line)
 		})
 	})
 	srvA, a1 := startServer(t, killer)
 	victim.Store(srvA)
-	_, a2 := startServer(t, real)
+	_, a2 := startServer(t, holdFirstShard(t, real, closed))
 
 	var out bytes.Buffer
 	coord := &dist.Coordinator{
@@ -260,6 +281,7 @@ func TestDistWorkerDeathReassigned(t *testing.T) {
 	const total = 40
 	var victim atomic.Pointer[dist.Server]
 	var once sync.Once
+	closed := make(chan struct{})
 	dying := dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
 		total := req.Campaign.Limit
 		owned, sent := 0, 0
@@ -269,7 +291,7 @@ func TestDistWorkerDeathReassigned(t *testing.T) {
 				continue
 			}
 			if sent == 3 {
-				once.Do(func() { _ = victim.Load().Close() })
+				once.Do(func() { _ = victim.Load().Close(); close(closed) })
 			}
 			if err := emit(seq, stubLine(seq)); err != nil {
 				return dist.ShardResult{}, err
@@ -280,7 +302,7 @@ func TestDistWorkerDeathReassigned(t *testing.T) {
 	})
 	srvA, a1 := startServer(t, dying)
 	victim.Store(srvA)
-	_, a2 := startServer(t, healthyRunner())
+	_, a2 := startServer(t, holdFirstShard(t, healthyRunner(), closed))
 
 	var out bytes.Buffer
 	coord := &dist.Coordinator{
