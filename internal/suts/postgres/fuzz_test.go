@@ -1,0 +1,29 @@
+package postgres
+
+import (
+	"fmt"
+	"testing"
+)
+
+// FuzzParseConfig feeds arbitrary configuration text to the parser,
+// seeded from the simulator's baseline configuration: it must not panic,
+// and an accepted input must parse the same way twice.
+func FuzzParseConfig(f *testing.F) {
+	s, err := New(5432)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, files := range []map[string][]byte{s.DefaultConfig(), s.FullConfig()} {
+		f.Add(string(files[ConfigFile]))
+	}
+	f.Fuzz(func(t *testing.T, conf string) {
+		first, err := parseConfig(conf)
+		if err != nil {
+			return
+		}
+		second, err := parseConfig(conf)
+		if err != nil || fmt.Sprintf("%#v", first) != fmt.Sprintf("%#v", second) {
+			t.Fatalf("accepted input parsed differently the second time (err %v):\n%#v\n%#v", err, first, second)
+		}
+	})
+}
