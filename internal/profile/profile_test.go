@@ -53,14 +53,23 @@ func TestOutcomeDetected(t *testing.T) {
 	}
 }
 
-// TestProfileStats checks a profile's fold: injected counts exclude
-// not-expressible and not-applicable records, every class is tallied,
-// and an empty profile still yields its campaign.
-func TestProfileStats(t *testing.T) {
+// TestInjected checks a profile's fold counts as injected every record
+// but the not-expressible and not-applicable ones, and that an empty
+// profile still yields its campaign.
+func TestInjected(t *testing.T) {
 	c := sampleProfile().Stats(nil)
 	if c.System != "mysql-sim" || c.Generator != "typo" || c.Records != 7 || c.Summary.Injected != 5 {
 		t.Errorf("stats = %+v", c)
 	}
+	empty := (&Profile{System: "x", Generator: "g"}).Stats(nil)
+	if empty.System != "x" || empty.Generator != "g" || empty.Records != 0 || len(empty.Classes()) != 0 {
+		t.Errorf("empty stats = %+v", empty)
+	}
+}
+
+// TestCountByClass checks a profile's fold tallies every class apart.
+func TestCountByClass(t *testing.T) {
+	c := sampleProfile().Stats(nil)
 	byClass := make(map[string]Summary)
 	for _, cs := range c.Classes() {
 		byClass[cs.Class] = cs.Summary
@@ -68,10 +77,6 @@ func TestProfileStats(t *testing.T) {
 	if len(byClass) != 3 || byClass["typo/omission"].AtStartup != 2 ||
 		byClass["typo/substitution"].Ignored != 1 || byClass["typo/case"].NotExpressible != 1 {
 		t.Errorf("classes = %+v", byClass)
-	}
-	empty := (&Profile{System: "x", Generator: "g"}).Stats(nil)
-	if empty.System != "x" || empty.Generator != "g" || empty.Records != 0 || len(empty.Classes()) != 0 {
-		t.Errorf("empty stats = %+v", empty)
 	}
 }
 
