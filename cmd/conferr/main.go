@@ -349,17 +349,26 @@ func cmdEditBench(ctx context.Context, args []string) error {
 	return nil
 }
 
+// compareDefaultN is compare's -n default, which -n 0 also selects.
+const compareDefaultN = 15
+
 // cmdCompare runs the development-feedback comparison: the same typo
 // faultload against MySQL with and without the simple checks the paper's
 // profile suggests, diffing the two resilience profiles.
 func cmdCompare(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
-	n := fs.Int("n", 15, "value typos per directive")
+	n := fs.Int("n", compareDefaultN, "value typos per directive")
 	workers := workersFlag(fs)
 	_ = fs.Parse(args)
 	if err := checkN(*n); err != nil {
 		return err
+	}
+	// 0 selects the default, as in the other artifact commands; passed
+	// on, it would reach TypoOptions.PerDirective, where it means
+	// uncapped.
+	if *n == 0 {
+		*n = compareDefaultN
 	}
 
 	const port = 23467

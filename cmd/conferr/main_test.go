@@ -277,6 +277,25 @@ func TestRunCompareCommand(t *testing.T) {
 	}
 }
 
+// TestCompareNZeroIsDefault: `compare -n 0` runs the default faultload,
+// as -n 0 does for every other artifact command. Passed on, 0 reached
+// TypoOptions.PerDirective, where it means uncapped: 708 typos instead
+// of 189.
+func TestCompareNZeroIsDefault(t *testing.T) {
+	var codeDef, codeZero int
+	def := capture(t, func() { codeDef = runT("compare") })
+	zero := capture(t, func() { codeZero = runT("compare", "-n", "0") })
+	if codeDef != 0 || codeZero != 0 {
+		t.Fatalf("exit codes: compare %d, compare -n 0 %d", codeDef, codeZero)
+	}
+	if zero != def {
+		t.Errorf("compare -n 0 printed\n%s\nwant what compare prints\n%s", zero, def)
+	}
+	if !strings.Contains(def, "189 (100%)") {
+		t.Errorf("compare printed\n%s\nwant 189 injected typos", def)
+	}
+}
+
 // TestRunMatrixStreamStdout: `matrix -stream-out -` must put records —
 // and nothing else — on stdout, with the summary table diverted to
 // stderr.

@@ -187,6 +187,14 @@ type faultload struct {
 	incInto   view.IncrementalInto
 	baseSys   *confnode.Set
 	baseBytes map[string][]byte
+	// baseSpans holds, for each file whose format is a
+	// formats.SpliceFormat, the span of every baseSys node in the file's
+	// baseBytes. runOne splices such a dirty file: every node it still
+	// shares with baseSys is copied from baseBytes, and only the nodes
+	// the fold copied are rendered. baseSys lives as long as the
+	// campaign and is never written, so a node that is still baseSys's
+	// own renders to exactly its recorded bytes.
+	baseSpans map[string]formats.Spans
 }
 
 // generateBase parses the initial configuration, maps it into the plugin
@@ -268,16 +276,31 @@ func (fl *faultload) prepareFastPath(t *Target) {
 		return
 	}
 	baseBytes := make(map[string][]byte, baseSys.Len())
+	var baseSpans map[string]formats.Spans
 	for _, name := range baseSys.Names() {
 		f := t.Formats[name]
 		if f == nil {
 			return
 		}
-		data, err := f.Serialize(baseSys.Get(name))
-		if err != nil {
+		sf, ok := f.(formats.SpliceFormat)
+		if !ok {
+			data, err := f.Serialize(baseSys.Get(name))
+			if err != nil {
+				return
+			}
+			baseBytes[name] = data
+			continue
+		}
+		// One recording pass yields both the bytes and their spans.
+		var b bytes.Buffer
+		spans := formats.Spans{}
+		if err := sf.SerializeSpans(&b, baseSys.Get(name), spans); err != nil {
 			return
 		}
-		baseBytes[name] = data
+		if baseSpans == nil {
+			baseSpans = make(map[string]formats.Spans)
+		}
+		baseBytes[name], baseSpans[name] = b.Bytes(), spans
 	}
 	// The fast path pre-populates each worker's files map from baseBytes
 	// and serializes only dirty files, so baseBytes must name exactly the
@@ -293,7 +316,7 @@ func (fl *faultload) prepareFastPath(t *Target) {
 		}
 	}
 	baseSys.Freeze()
-	fl.incInto, fl.baseSys, fl.baseBytes = inc, baseSys, baseBytes
+	fl.incInto, fl.baseSys, fl.baseBytes, fl.baseSpans = inc, baseSys, baseBytes, baseSpans
 }
 
 // scratch is per-worker reusable state threaded through every injection a
@@ -331,20 +354,33 @@ func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
 func putScratch(s *scratch) { scratchPool.Put(s) }
 
 // serialize renders one file tree, reusing the scratch buffer for formats
-// that support it. The returned slice is always freshly allocated — SUTs
-// may hold onto the config bytes across Start/Stop — but the serializer's
-// intermediate growth happens in the pooled buffer.
-func (s *scratch) serialize(f formats.Format, root *confnode.Node) ([]byte, error) {
-	if bf, ok := f.(formats.BufferedFormat); ok {
-		s.buf.Reset()
-		if err := bf.SerializeTo(&s.buf, root); err != nil {
-			return nil, err
-		}
-		out := make([]byte, s.buf.Len())
-		copy(out, s.buf.Bytes())
-		return out, nil
+// that support it. With spans, a formats.SpliceFormat splices the tree
+// against base, the bytes the spans were recorded in. The returned slice
+// is always freshly allocated — SUTs may hold onto the config bytes
+// across Start/Stop — but the serializer's intermediate growth happens
+// in the pooled buffer.
+//
+// The spans come from the campaign target's format and f is the worker
+// target's; a target factory registers the same formats on every
+// instance it builds.
+func (s *scratch) serialize(f formats.Format, root *confnode.Node, base []byte, spans formats.Spans) ([]byte, error) {
+	bf, ok := f.(formats.BufferedFormat)
+	if !ok {
+		return f.Serialize(root)
 	}
-	return f.Serialize(root)
+	s.buf.Reset()
+	var err error
+	if sf, ok := f.(formats.SpliceFormat); ok && spans != nil {
+		err = sf.SpliceTo(&s.buf, root, base, spans)
+	} else {
+		err = bf.SerializeTo(&s.buf, root)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, s.buf.Len())
+	copy(out, s.buf.Bytes())
+	return out, nil
 }
 
 // parseInitial parses the SUT's default configuration files into the
@@ -427,13 +463,13 @@ func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profi
 	scr.sysDirty = mutatedSys.SealAppend(scr.sysDirty[:0])
 	sysDirty := scr.sysDirty
 
-	// 3. Serialize only the dirty files to their native formats. The
-	// worker's files map is pre-populated with the campaign's baseline
-	// bytes (prepareFastPath guarantees baseBytes covers every baseline
-	// file), so an experiment touches only its dirty entries — written
-	// before the run, restored after — instead of rebuilding a full map per
-	// injection. suts.System.Start may retain the byte slices, never the
-	// map itself.
+	// 3. Serialize only the dirty files to their native formats, splicing
+	// those whose format can (see baseSpans). The worker's files map is
+	// pre-populated with the campaign's baseline bytes (prepareFastPath
+	// guarantees baseBytes covers every baseline file), so an experiment
+	// touches only its dirty entries — written before the run, restored
+	// after — instead of rebuilding a full map per injection.
+	// suts.System.Start may retain the byte slices, never the map itself.
 	if scr.files == nil || scr.filesFor != fl {
 		if scr.files == nil {
 			scr.files = make(suts.Files, len(fl.baseBytes))
@@ -463,7 +499,7 @@ func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profi
 			return finish(profile.NotExpressible,
 				fmt.Sprintf("no format registered for file %q", name)), nil
 		}
-		data, serr := scr.serialize(f, mutatedSys.Get(name))
+		data, serr := scr.serialize(f, mutatedSys.Get(name), fl.baseBytes[name], fl.baseSpans[name])
 		if serr != nil {
 			return finish(profile.NotExpressible, serr.Error()), nil
 		}

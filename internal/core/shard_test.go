@@ -352,9 +352,10 @@ func TestRunOneFastPathAllocs(t *testing.T) {
 // TestRunOneWordViewAllocs pins the allocation ceiling of one typo
 // experiment on the real nginx target (nginxTypoFaultload), simulator
 // reload and probes included. The word view's fold copies only the path
-// to the changed directive, on the worker's arena; what allocates is the
-// changed line's ref parse, the serialized file, the simulator's reload
-// and the HTTP probes.
+// to the changed directive, on the worker's arena, and the splice renders
+// only that path; what allocates is the changed line's ref parse, the
+// serialized file, the simulator's parse of the changed line and of its
+// server blocks, its reload and the HTTP probes.
 func TestRunOneWordViewAllocs(t *testing.T) {
 	tgt, fl, scens := nginxTypoFaultload(t)
 	scr := getScratch()
@@ -367,8 +368,8 @@ func TestRunOneWordViewAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured: 22 allocs/op, 23 under -race.
-	const ceiling = 23
+	// Measured: 17 allocs/op, 18 under -race.
+	const ceiling = 18
 	t.Logf("nginx typo injection allocs/op = %v", allocs)
 	if allocs > ceiling {
 		t.Errorf("nginx typo injection allocs/op = %v, want <= %d", allocs, ceiling)

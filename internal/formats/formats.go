@@ -43,6 +43,37 @@ type BufferedFormat interface {
 	SerializeTo(buf *bytes.Buffer, root *confnode.Node) error
 }
 
+// Span locates one node's rendering in serialized file content: the
+// bytes [Start, End), rendered at nesting depth Depth.
+type Span struct {
+	Start, End, Depth int
+}
+
+// Spans maps the nodes of one serialized tree to their Span.
+type Spans map[*confnode.Node]Span
+
+// SpliceFormat is an optional BufferedFormat extension for formats that
+// render every node from the node itself and its depth alone. It lets a
+// mutated copy of a tree be serialized by copying, byte for byte, the
+// rendering of every node it still shares with the tree's own
+// serialization, so only the nodes a mutation copied are rendered again.
+//
+// Spans are keyed by node identity, so they are only sound while the
+// recorded tree is immutable — a frozen baseline (confnode.Node.Freeze)
+// that copy-on-write sets share but never write.
+type SpliceFormat interface {
+	BufferedFormat
+	// SerializeSpans is SerializeTo that also records, in spans, the
+	// span of every node it renders below root, relative to the first
+	// byte it appends.
+	SerializeSpans(buf *bytes.Buffer, root *confnode.Node, spans Spans) error
+	// SpliceTo appends exactly what SerializeTo would for root, copying
+	// base[Start:End] for every node found in spans at its own depth
+	// instead of rendering it. base and spans are one SerializeSpans
+	// call's output.
+	SpliceTo(buf *bytes.Buffer, root *confnode.Node, base []byte, spans Spans) error
+}
+
 // ParseError describes a configuration file parse failure.
 type ParseError struct {
 	// File is the logical file name.

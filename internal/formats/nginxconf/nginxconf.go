@@ -42,7 +42,7 @@ const (
 // Format implements formats.Format for nginx configuration files.
 type Format struct{}
 
-var _ formats.BufferedFormat = Format{}
+var _ formats.SpliceFormat = Format{}
 
 // Name implements formats.Format.
 func (Format) Name() string { return "nginxconf" }
@@ -175,12 +175,45 @@ func (Format) Serialize(root *confnode.Node) ([]byte, error) {
 
 // SerializeTo implements formats.BufferedFormat.
 func (Format) SerializeTo(b *bytes.Buffer, root *confnode.Node) error {
-	writeItems(b, root.Children(), 0)
+	writeItems(b, root.Children(), 0, nil)
 	return nil
 }
 
-func writeItems(b *bytes.Buffer, items []*confnode.Node, depth int) {
+// SerializeSpans implements formats.SpliceFormat.
+func (Format) SerializeSpans(b *bytes.Buffer, root *confnode.Node, spans formats.Spans) error {
+	writeItems(b, root.Children(), 0, &spanState{spans: spans, origin: b.Len()})
+	return nil
+}
+
+// SpliceTo implements formats.SpliceFormat. A node renders from its own
+// fields and its depth alone — a node without AttrIndent is indented by
+// depth — so a recorded node found at its recorded depth renders to its
+// recorded bytes.
+func (Format) SpliceTo(b *bytes.Buffer, root *confnode.Node, base []byte, spans formats.Spans) error {
+	writeItems(b, root.Children(), 0, &spanState{spans: spans, base: base})
+	return nil
+}
+
+// spanState is writeItems' span bookkeeping. Without base it records
+// the span of every node rendered, relative to origin; with base it
+// copies the recorded span of every node found at its recorded depth.
+type spanState struct {
+	spans  formats.Spans
+	base   []byte
+	origin int
+}
+
+// writeItems renders items at the given depth. sp is nil for a plain
+// serialization (see spanState).
+func writeItems(b *bytes.Buffer, items []*confnode.Node, depth int, sp *spanState) {
 	for _, n := range items {
+		if sp != nil && sp.base != nil {
+			if s, ok := sp.spans[n]; ok && s.Depth == depth {
+				b.Write(sp.base[s.Start:s.End])
+				continue
+			}
+		}
+		start := b.Len()
 		switch n.Kind {
 		case confnode.KindBlank:
 			b.WriteByte('\n')
@@ -188,7 +221,7 @@ func writeItems(b *bytes.Buffer, items []*confnode.Node, depth int) {
 			b.WriteString(n.Value)
 			b.WriteByte('\n')
 		case confnode.KindSection:
-			indent := n.AttrDefault(formats.AttrIndent, strings.Repeat("    ", depth))
+			indent := indentOf(n, depth)
 			b.WriteString(indent)
 			b.WriteString(n.Name)
 			if arg, ok := n.Attr(formats.AttrArg); ok && arg != "" {
@@ -198,14 +231,13 @@ func writeItems(b *bytes.Buffer, items []*confnode.Node, depth int) {
 			b.WriteString(" {")
 			b.WriteString(n.AttrDefault(formats.AttrTrailing, ""))
 			b.WriteByte('\n')
-			writeItems(b, n.Children(), depth+1)
+			writeItems(b, n.Children(), depth+1, sp)
 			b.WriteString(n.AttrDefault(AttrCloseIndent, indent))
 			b.WriteByte('}')
 			b.WriteString(n.AttrDefault(AttrCloseTrailing, ""))
 			b.WriteByte('\n')
 		case confnode.KindDirective:
-			indent := n.AttrDefault(formats.AttrIndent, strings.Repeat("    ", depth))
-			b.WriteString(indent)
+			b.WriteString(indentOf(n, depth))
 			b.WriteString(n.Name)
 			if n.Value != "" {
 				sep := n.AttrDefault(formats.AttrSep, " ")
@@ -222,7 +254,19 @@ func writeItems(b *bytes.Buffer, items []*confnode.Node, depth int) {
 			b.WriteString(n.Value)
 			b.WriteByte('\n')
 		}
+		if sp != nil && sp.base == nil {
+			sp.spans[n] = formats.Span{Start: start - sp.origin, End: b.Len() - sp.origin, Depth: depth}
+		}
 	}
+}
+
+// indentOf is a node's AttrIndent, or four spaces per depth level when it
+// has none (a node a mutation created).
+func indentOf(n *confnode.Node, depth int) string {
+	if indent, ok := n.Attr(formats.AttrIndent); ok {
+		return indent
+	}
+	return strings.Repeat("    ", depth)
 }
 
 func leadingWS(s string) string {

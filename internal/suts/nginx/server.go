@@ -35,15 +35,16 @@ type Server struct {
 	clientOnce sync.Once
 	client     *http.Client
 
-	// baseMemo caches the checked parse of the campaign-baseline
-	// nginx.conf across warm reloads (see suts.ParseMemo for why the
-	// identity keying is sound).
-	baseMemo suts.ParseMemo[checkedConfig]
+	// refOnce builds ref, the tokens of the server's own default
+	// configuration, on first use; check reuses them for every line a
+	// configuration shares with it (see reference).
+	refOnce sync.Once
+	ref     *reference
 }
 
 // checkedConfig is a parsed-and-checked configuration: the effective
 // server blocks and the unique ports to bind in configuration order. It
-// is the unit the baseline memo caches and apply consumes.
+// is the unit apply consumes.
 type checkedConfig struct {
 	servers []vserver
 	ports   []int
@@ -161,6 +162,14 @@ type parsed struct {
 	servers   []vserver
 }
 
+// reference returns the tokens of the server's default configuration,
+// tokenizing it on first use. They are read-only from then on, so every
+// lifecycle path shares them.
+func (s *Server) reference() *reference {
+	s.refOnce.Do(func() { s.ref = newReference(string(s.DefaultConfig()[ConfigFile])) })
+	return s.ref
+}
+
 // check parses and validates a configuration without touching listener
 // state. Errors carry nginx's startup wording.
 func (s *Server) check(files suts.Files) (checkedConfig, error) {
@@ -168,7 +177,7 @@ func (s *Server) check(files suts.Files) (checkedConfig, error) {
 	if !ok {
 		return checkedConfig{}, &suts.StartupError{System: s.Name(), Msg: "missing " + ConfigFile}
 	}
-	cfg, err := parseConfig(string(data))
+	cfg, err := parseLines(data, s.reference())
 	if err != nil {
 		return checkedConfig{}, &suts.StartupError{System: s.Name(), Msg: err.Error()}
 	}
@@ -214,18 +223,10 @@ func (s *Server) Start(files suts.Files) error { return s.configure(files) }
 // connections), only the routing tables are swapped.
 func (s *Server) Reload(files suts.Files) error { return s.configure(files) }
 
-// ReloadDirty implements suts.DirtyReloader: when nginx.conf is not in
-// the dirty set its bytes are the campaign baseline, so the memoized
-// baseline parse is applied without re-parsing. Observationally
-// identical to Reload — apply still runs in full, because the running
-// configuration may be the previous experiment's mutation.
-func (s *Server) ReloadDirty(files suts.Files, dirty []string) error {
-	cc, err := s.baseMemo.Check(files, dirty, ConfigFile, s.check)
-	if err != nil {
-		return err
-	}
-	return s.apply(cc)
-}
+// ReloadDirty implements suts.DirtyReloader as Reload: check already
+// reuses the tokens of every line the configuration shares with the
+// default one, whether or not the file is dirty.
+func (s *Server) ReloadDirty(files suts.Files, _ []string) error { return s.Reload(files) }
 
 // Validate implements suts.Validator: the `nginx -t` parse-and-check
 // path. It detects exactly Start's configuration rejections; bind-time
@@ -346,78 +347,193 @@ func (s *Server) Health() error {
 // Addr implements suts.Addressable (first configured port's listener).
 func (s *Server) Addr() string { return s.ls.Addr() }
 
+// lineKind classifies one configuration line: blank, a lone "}", or by
+// its last character.
+type lineKind uint8
+
+const (
+	// lineBlank is an empty or comment-only line.
+	lineBlank lineKind = iota
+	// lineClose is a lone "}".
+	lineClose
+	// lineOpen ends in "{": a block directive.
+	lineOpen
+	// lineSimple ends in ";": a simple directive.
+	lineSimple
+	// lineUnterminated is any other line.
+	lineUnterminated
+)
+
+// token is everything the parser derives from one line's text alone: its
+// kind, the directive name and arguments, the directive's table entry
+// and the verdict of its argument check. The context machine in
+// parseLines adds what depends on the lines before it. A token's strings
+// are substrings of its line, and its args slice is its own unless
+// tokenize was handed a reused buffer.
+type token struct {
+	kind lineKind
+	name string
+	args []string
+	// def is the directive's table entry, nil for an unknown name.
+	def *directive
+	// port and argErr are checkArgs' result. It runs only when def's
+	// kind matches the line's (block on "{", simple on ";"): otherwise
+	// the kind mismatch is the line's error and its args are never
+	// checked.
+	port   int
+	argErr error
+}
+
+// tokenize derives a line's token, splitting its arguments into buf
+// (reset to length zero).
+func tokenize(line string, buf []string) token {
+	t := stripComment(strings.TrimSpace(line))
+	var tok token
+	switch {
+	case t == "":
+		return token{kind: lineBlank}
+	case t == "}":
+		return token{kind: lineClose}
+	case strings.HasSuffix(t, "{"):
+		tok.kind = lineOpen
+		tok.name, tok.args = splitDirectiveInto(trimTrailingBlank(t[:len(t)-1]), buf)
+	case strings.HasSuffix(t, ";"):
+		tok.kind = lineSimple
+		tok.name, tok.args = splitDirectiveInto(trimTrailingBlank(t[:len(t)-1]), buf)
+	default:
+		tok.kind = lineUnterminated
+		tok.name, tok.args = splitDirectiveInto(t, buf)
+		return tok
+	}
+	tok.def = lookupDirective(tok.name)
+	if tok.def != nil && (tok.def.kind == argBlock) == (tok.kind == lineOpen) {
+		tok.port, tok.argErr = checkArgs(tok.def, tok.args)
+	}
+	return tok
+}
+
+// reference is one configuration's lines and their tokens, read-only
+// once built. parseLines reuses a reference token for every line whose
+// text equals the reference line at the same index, so a configuration
+// that differs from the reference in a few lines, keeping its line
+// count, tokenizes only those.
+type reference struct {
+	lines []string
+	toks  []token
+}
+
+// newReference tokenizes every line of conf, each into its own args
+// slice.
+func newReference(conf string) *reference {
+	ref := &reference{lines: strings.Split(conf, "\n")}
+	ref.toks = make([]token, len(ref.lines))
+	for i, line := range ref.lines {
+		ref.toks[i] = tokenize(line, nil)
+	}
+	return ref
+}
+
+// match returns the reference token for line i, which starts at
+// data[start], and the index of the line's end, when the text equals the
+// reference line at index i; tok is nil when it does not. Reference
+// lines are compared in place, so a line that matches is found without
+// scanning it for its newline.
+func (ref *reference) match(data []byte, start, i int) (tok *token, end int) {
+	if ref == nil || !ref.at(data, start, i) {
+		return nil, 0
+	}
+	return &ref.toks[i], start + len(ref.lines[i])
+}
+
+// at reports whether the reference has a line j and data holds exactly
+// that line at start: its text, then a newline or the end of data. A
+// reference line holds no newline, so one that runs to the end of data
+// is the last line.
+func (ref *reference) at(data []byte, start, j int) bool {
+	if j < 0 || j >= len(ref.lines) {
+		return false
+	}
+	l := ref.lines[j]
+	end := start + len(l)
+	return end <= len(data) && (end == len(data) || data[end] == '\n') && string(data[start:end]) == l
+}
+
 // parseConfig applies nginx's startup semantics to the configuration
 // text: brace-block syntax, directive lookup, context checking and
 // argument validation, erroring with nginx's wording.
-func parseConfig(conf string) (parsed, error) {
+func parseConfig(conf string) (parsed, error) { return parseLines([]byte(conf), nil) }
+
+// parseLines is parseConfig over the file's bytes, reusing ref's tokens
+// (see reference; a nil ref tokenizes every line). Only the lines
+// tokenized afresh are scanned for their newline, and they split into
+// one reused args buffer: the context machine consumes each token before
+// the next line is read, and keeps only strings, never the args slice.
+// The result is the same with or without ref — FuzzParseConfigReuse
+// holds the two to it.
+func parseLines(data []byte, ref *reference) (parsed, error) {
 	var cfg parsed
+	// A location frame (ctx ctxLocation) carries its location by value
+	// until its "}" attaches it to the enclosing server.
 	type frame struct {
 		ctx context
-		tag string
 		srv *vserver
-		loc *location
+		loc location
 	}
-	stack := []frame{{ctx: ctxMain}}
-	// Lines are walked with IndexByte and directives split into a reused
-	// args buffer: parseConfig runs once per experiment on the reload and
-	// validate paths, and the strings.Split/Fields slices it used to
-	// build dominated its allocation profile. The retained strings
-	// (server names, roots, location prefixes) are substrings of conf, so
-	// dropping the intermediate slices changes nothing downstream.
+	// Real configurations nest three or four blocks deep: a fixed array
+	// holds the stack without allocating.
+	var stackArr [8]frame
+	stack := append(stackArr[:0], frame{ctx: ctxMain})
 	var argsBuf []string
-	lineno := 0
-	for start := 0; start <= len(conf); {
-		var line string
-		if nl := strings.IndexByte(conf[start:], '\n'); nl >= 0 {
-			line = conf[start : start+nl]
-			start += nl + 1
-		} else {
-			line = conf[start:]
-			start = len(conf) + 1
+	var fresh token
+	for i, start := 0, 0; start <= len(data); i++ {
+		lineno := i + 1
+		tok, end := ref.match(data, start, i)
+		if tok == nil {
+			end = len(data)
+			if nl := bytes.IndexByte(data[start:], '\n'); nl >= 0 {
+				end = start + nl
+			}
+			fresh = tokenize(string(data[start:end]), argsBuf)
+			argsBuf = fresh.args[:0]
+			tok = &fresh
 		}
-		lineno++
-		t := strings.TrimSpace(line)
-		t = stripComment(t)
-		if t == "" {
+		start = end + 1
+		switch tok.kind {
+		case lineBlank:
 			continue
-		}
-		switch {
-		case t == "}":
+		case lineClose:
 			if len(stack) == 1 {
 				return cfg, fmt.Errorf(`unexpected "}" in %s:%d`, ConfigFile, lineno)
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if top.loc != nil {
+			if top.ctx == ctxLocation {
 				// A closing location attaches to its enclosing server
 				// (nested locations flatten onto the server, prefix
 				// matching makes the nesting irrelevant at serve time).
 				for i := len(stack) - 1; i >= 0; i-- {
 					if stack[i].srv != nil {
-						stack[i].srv.locations = append(stack[i].srv.locations, *top.loc)
+						stack[i].srv.locations = append(stack[i].srv.locations, top.loc)
 						break
 					}
 				}
 			}
-		case strings.HasSuffix(t, "{"):
-			name, args := splitDirectiveInto(trimTrailingBlank(t[:len(t)-1]), argsBuf)
-			argsBuf = args[:0]
-			def := lookupDirective(name)
+		case lineOpen:
+			def := tok.def
 			if def == nil {
-				return cfg, fmt.Errorf("unknown directive %q in %s:%d", name, ConfigFile, lineno)
+				return cfg, fmt.Errorf("unknown directive %q in %s:%d", tok.name, ConfigFile, lineno)
 			}
 			if def.kind != argBlock {
-				return cfg, fmt.Errorf("directive %q has no opening \"{\" form in %s:%d", name, ConfigFile, lineno)
+				return cfg, fmt.Errorf("directive %q has no opening \"{\" form in %s:%d", tok.name, ConfigFile, lineno)
 			}
-			cur := stack[len(stack)-1].ctx
-			if def.contexts&cur == 0 {
-				return cfg, fmt.Errorf("%q directive is not allowed here in %s:%d", name, ConfigFile, lineno)
+			if def.contexts&stack[len(stack)-1].ctx == 0 {
+				return cfg, fmt.Errorf("%q directive is not allowed here in %s:%d", tok.name, ConfigFile, lineno)
 			}
-			if _, err := checkArgs(def, args); err != nil {
-				return cfg, fmt.Errorf("%v in %s:%d", err, ConfigFile, lineno)
+			if tok.argErr != nil {
+				return cfg, fmt.Errorf("%v in %s:%d", tok.argErr, ConfigFile, lineno)
 			}
-			fr := frame{tag: name}
-			switch name {
+			var fr frame
+			switch tok.name {
 			case "events":
 				fr.ctx = ctxEvents
 				cfg.sawEvents = true
@@ -429,48 +545,41 @@ func parseConfig(conf string) (parsed, error) {
 				fr.srv = &cfg.servers[len(cfg.servers)-1]
 			case "location":
 				fr.ctx = ctxLocation
-				fr.loc = &location{prefix: args[len(args)-1]}
+				fr.loc.prefix = tok.args[len(tok.args)-1]
 			}
 			stack = append(stack, fr)
-		case strings.HasSuffix(t, ";"):
-			name, args := splitDirectiveInto(trimTrailingBlank(t[:len(t)-1]), argsBuf)
-			argsBuf = args[:0]
-			def := lookupDirective(name)
+		case lineSimple:
+			def := tok.def
 			if def == nil {
-				return cfg, fmt.Errorf("unknown directive %q in %s:%d", name, ConfigFile, lineno)
+				return cfg, fmt.Errorf("unknown directive %q in %s:%d", tok.name, ConfigFile, lineno)
 			}
 			if def.kind == argBlock {
-				return cfg, fmt.Errorf("directive %q has no terminating \";\" form in %s:%d", name, ConfigFile, lineno)
-			}
-			cur := stack[len(stack)-1].ctx
-			if def.contexts&cur == 0 {
-				return cfg, fmt.Errorf("%q directive is not allowed here in %s:%d", name, ConfigFile, lineno)
-			}
-			port, err := checkArgs(def, args)
-			if err != nil {
-				return cfg, fmt.Errorf("%v in %s:%d", err, ConfigFile, lineno)
+				return cfg, fmt.Errorf("directive %q has no terminating \";\" form in %s:%d", tok.name, ConfigFile, lineno)
 			}
 			top := stack[len(stack)-1]
-			switch name {
+			if def.contexts&top.ctx == 0 {
+				return cfg, fmt.Errorf("%q directive is not allowed here in %s:%d", tok.name, ConfigFile, lineno)
+			}
+			if tok.argErr != nil {
+				return cfg, fmt.Errorf("%v in %s:%d", tok.argErr, ConfigFile, lineno)
+			}
+			switch tok.name {
 			case "listen":
-				for _, p := range top.srv.ports {
-					if p == port {
-						return cfg, fmt.Errorf("duplicate listen options for 127.0.0.1:%d in %s:%d", port, ConfigFile, lineno)
-					}
+				if slices.Contains(top.srv.ports, tok.port) {
+					return cfg, fmt.Errorf("duplicate listen options for 127.0.0.1:%d in %s:%d", tok.port, ConfigFile, lineno)
 				}
-				top.srv.ports = append(top.srv.ports, port)
+				top.srv.ports = append(top.srv.ports, tok.port)
 			case "server_name":
-				top.srv.names = append(top.srv.names, args...)
+				top.srv.names = append(top.srv.names, tok.args...)
 			case "root":
-				if top.loc != nil {
-					top.loc.root = args[0]
+				if top.ctx == ctxLocation {
+					stack[len(stack)-1].loc.root = tok.args[0]
 				} else if top.srv != nil {
-					top.srv.root = args[0]
+					top.srv.root = tok.args[0]
 				}
 			}
 		default:
-			name, _ := splitDirectiveInto(t, argsBuf)
-			return cfg, fmt.Errorf("directive %q is not terminated by \";\" in %s:%d", name, ConfigFile, lineno)
+			return cfg, fmt.Errorf("directive %q is not terminated by \";\" in %s:%d", tok.name, ConfigFile, lineno)
 		}
 	}
 	if len(stack) != 1 {

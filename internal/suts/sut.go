@@ -10,8 +10,10 @@
 //
 // The simulators share one chassis: FreePort picks the default port of
 // New(0); Net holds the transport of the ones that accept SetTransport
-// (nginx, httpd, postgres, redisd); ParseMemo.Check is their ReloadDirty
-// rule; and httpprobe.Listeners is the web servers' set of ports.
+// (nginx, httpd, postgres, redisd); ParseMemo.Check is the ReloadDirty
+// rule of httpd, postgres and redisd (nginx reuses its default
+// configuration's tokens line by line instead, dirty or not); and
+// httpprobe.Listeners is the web servers' set of ports.
 package suts
 
 import (
@@ -80,7 +82,8 @@ type Reloader interface {
 // serializes only the mutated files and hands every clean file the
 // campaign baseline's exact byte slice, so a SUT holding a memoized
 // parse of the baseline (see ParseMemo) can skip re-parsing everything
-// not named in dirty.
+// not named in dirty. A SUT may also ignore dirty and implement
+// ReloadDirty as Reload.
 //
 // The contract is strictly observational: ReloadDirty(files, dirty)
 // must behave byte-identically to Reload(files) — same applied
