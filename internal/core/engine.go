@@ -505,7 +505,7 @@ func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profi
 		}
 		files[name] = data
 	}
-	return runOnFiles(t, files, sysDirty, true, finish)
+	return runOnFiles(t, files, finish)
 }
 
 // runOneSafe is runOne behind the per-experiment panic boundary: a panic
@@ -597,27 +597,20 @@ func runOneReference(t *Target, sc scenario.Scenario, v view.View, viewSet, sysS
 		files[name] = data
 	}
 
-	return runOnFiles(t, files, nil, false, finish)
+	return runOnFiles(t, files, finish)
 }
 
 // runOnFiles drives steps 4 and 5 — start the SUT on the mutated bytes,
 // run the functional tests, stop — shared by the incremental and
-// reference pipelines. On the incremental path haveDirty is true and
-// dirty names the files whose bytes differ from the campaign baseline;
-// the SUT adapter forwards that to a warm DirtyReloader so clean files
-// skip re-parsing. The capability is strictly an optimization — outcomes
-// are identical either way. With deadlines armed every phase runs under
-// the target's watchdog.
-func runOnFiles(t *Target, files suts.Files, dirty []string, haveDirty bool, finish func(profile.Outcome, string) profile.Record) (profile.Record, error) {
+// reference pipelines. The SUT gets the bytes and nothing else. With
+// deadlines armed every phase runs under the target's watchdog.
+func runOnFiles(t *Target, files suts.Files, finish func(profile.Outcome, string) profile.Record) (profile.Record, error) {
 	inst, wd := t.instance(), t.wd
 	// 4. Start the SUT with the faulty configuration.
 	var err error
-	switch {
-	case wd != nil:
-		err = wd.start(files, dirty, haveDirty)
-	case haveDirty:
-		err = inst.StartDirty(files, dirty)
-	default:
+	if wd != nil {
+		err = wd.start(files)
+	} else {
 		err = inst.Start(files)
 	}
 	if err != nil {

@@ -12,12 +12,9 @@ import (
 	"conferr/internal/formats"
 	"conferr/internal/formats/apacheconf"
 	"conferr/internal/formats/ini"
-	"conferr/internal/formats/jsonconf"
 	"conferr/internal/formats/kv"
 	"conferr/internal/formats/nginxconf"
 	"conferr/internal/formats/tinydns"
-	"conferr/internal/formats/xmlconf"
-	"conferr/internal/formats/yamlconf"
 	"conferr/internal/formats/zonefile"
 	"conferr/internal/plugins/typo"
 	"conferr/internal/profile"
@@ -43,18 +40,15 @@ func (digestSystem) DefaultConfig() suts.Files {
 		"b.conf": []byte("charlie = 3\ndelta = 4\n"),
 		"c.conf": []byte("echo = 5\nfoxtrot = 6\ngolf = 7\n"),
 		// One file per remaining registered codec, so the equivalence
-		// contract covers the whole format matrix. d.nginx and e.json add
-		// the recursive shapes (directives inside nested sections and
-		// arrays), exercising dirty-file tracking and per-file
-		// re-serialization on trees the seed's flat formats never built.
+		// contract covers the whole format matrix. d.nginx adds the
+		// recursive shape (directives inside nested sections),
+		// exercising dirty-file tracking and per-file re-serialization
+		// on trees the seed's flat formats never built.
 		"d.nginx": []byte("events {\n    worker_connections 64;\n}\nhttp {\n    server {\n        listen 8080;\n        location / {\n            root /srv;\n        }\n    }\n}\n"),
-		"e.json":  []byte("{\n  \"name\": \"digest\",\n  \"nested\": {\n    \"flag\": true\n  },\n  \"list\": [\n    1,\n    2\n  ]\n}\n"),
 		"f.ini":   []byte("[server]\nhotel = 8\n[client]\nindia = 9\n"),
 		"g.httpd": []byte("Listen 1234\n<Files x>\nJuliet 10\n</Files>\n"),
 		"h.zone":  []byte("$TTL 3600\nexample.com.\tIN\tNS\tns.example.com.\nwww\tA\t192.0.2.1\n"),
 		"i.tiny":  []byte("# tinydns\n=www.example.com:192.0.2.1:86400\n"),
-		"j.xml":   []byte("<config>\n  <kilo>11</kilo>\n</config>\n"),
-		"k.yaml":  []byte("lima: 12\nmike:\n  november: 13\n"),
 		"l.raw":   []byte("opaque passthrough bytes\n"),
 	}
 }
@@ -77,13 +71,10 @@ func digestTarget() *Target {
 			"b.conf":  kv.Format{},
 			"c.conf":  kv.Format{},
 			"d.nginx": nginxconf.Format{},
-			"e.json":  jsonconf.Format{},
 			"f.ini":   ini.Format{},
 			"g.httpd": apacheconf.Format{},
 			"h.zone":  zonefile.Format{},
 			"i.tiny":  tinydns.Format{},
-			"j.xml":   xmlconf.Format{},
-			"k.yaml":  yamlconf.Format{},
 			"l.raw":   formats.Raw{},
 			// Registered so scenarios can introduce it; *.zzz stays
 			// unregistered to exercise the no-format outcome.
@@ -139,11 +130,6 @@ func (mixGen) Generate(s *confnode.Set) ([]scenario.Scenario, error) {
 		// the incremental fold.
 		loc := s.Get("d.nginx").ChildByName("http").ChildByName("server").ChildByName("location")
 		loc.ChildByName("root").Value = "/data"
-		return nil
-	})
-	add("mutate-json-array", func(s *confnode.Set) error {
-		list := s.Get("e.json").ChildByName("list")
-		list.Child(1).Value = "22"
 		return nil
 	})
 	add("read-only", func(s *confnode.Set) error {

@@ -19,11 +19,12 @@ import (
 // Goroutines cannot be killed, so a timed-out phase is ABANDONED: the
 // call keeps running on its goroutine until it returns, at which point
 // the instance is torn down. The watchdog never lets two calls touch the
-// underlying system concurrently — a replacement phase runner waits for
-// its abandoned predecessor to fully exit before issuing the next call —
-// so a still-wedged instance simply times out again (each experiment
-// bounded by its own deadline) until the stuck call finally returns and
-// the cold-restart path revives it.
+// underlying system concurrently: it starts a replacement runner only
+// after the abandoned one has fully exited, and waits for that under the
+// next phase's deadline. So a still-wedged instance simply times out
+// again (each experiment bounded by its own deadline) until the stuck
+// call finally returns and the cold-restart path revives it, and a
+// worker never holds more than one runner, however long the wedge lasts.
 
 // Deadlines configures the phase watchdog. The zero value disables it:
 // no worker gets a watchdog, no phase goroutine starts, and the engine
@@ -68,36 +69,30 @@ type watchdog struct {
 	// (or after an abandonment — the next phase starts a fresh runner).
 	calls chan phaseCall
 	// gate closes when the most recently started runner has fully
-	// exited, teardown included; its successor waits on it so the
-	// underlying system never sees concurrent calls.
+	// exited, teardown included; no successor starts before it closes,
+	// so the underlying system never sees concurrent calls.
 	gate chan struct{}
 
 	timer    *time.Timer
 	expStart time.Time
 
-	// files and dirty are the watchdog's private copies of the engine's
-	// per-worker scratch: an abandoned phase goroutine may still read
-	// them long after the engine has recycled its own, so the watchdog
-	// owns what it hands down and forfeits it on every timeout.
+	// files is the watchdog's private copy of the engine's per-worker
+	// scratch map: an abandoned phase goroutine may still read it long
+	// after the engine has recycled its own, so the watchdog owns what
+	// it hands down and forfeits it on every abandonment.
 	files suts.Files
-	dirty []string
 }
 
 func newWatchdog(inst *sutpool.Instance, d Deadlines) *watchdog {
 	return &watchdog{inst: inst, name: inst.Name(), d: d}
 }
 
-// start runs an experiment's start phase — Start, or StartDirty on the
-// incremental path — re-arming the experiment budget.
-func (w *watchdog) start(files suts.Files, dirty []string, haveDirty bool) error {
+// start runs an experiment's start phase, re-arming the experiment
+// budget.
+func (w *watchdog) start(files suts.Files) error {
 	w.expStart = time.Now()
 	f := w.copyFiles(files)
-	if !haveDirty {
-		return w.run("start", func() error { return w.inst.Start(f) })
-	}
-	w.dirty = append(w.dirty[:0], dirty...)
-	d := w.dirty
-	return w.run("start", func() error { return w.inst.StartDirty(f, d) })
+	return w.run("start", func() error { return w.inst.Start(f) })
 }
 
 // release hands the instance back under a deadline, so even the
@@ -133,21 +128,27 @@ func (w *watchdog) run(phase string, fn func() error) error {
 		// or timed out): refuse without dispatching.
 		return &suts.PhaseTimeoutError{System: w.name, Phase: phase, Timeout: 0}
 	}
-	if w.calls == nil {
-		w.startRunner()
-	}
-	pc := phaseCall{phase: phase, fn: fn, done: make(chan error, 1)}
 	w.arm(budget)
 	start := time.Now()
-	// The send itself is bounded too: a fresh runner first waits for an
-	// abandoned predecessor (still stuck in its phase) to exit, so on a
-	// wedged instance the handoff may never happen.
-	select {
-	case w.calls <- pc:
-	case <-w.timer.C:
-		w.abandon()
-		return &suts.PhaseTimeoutError{System: w.name, Phase: phase, Timeout: budget, Elapsed: time.Since(start)}
+	if w.calls == nil {
+		// No runner serves: start one, but only once the abandoned one
+		// (possibly still stuck in its phase) has exited. On a wedged
+		// instance that may never happen, so the wait is bounded too.
+		if w.gate != nil {
+			select {
+			case <-w.gate:
+			case <-w.timer.C:
+				w.inst.Quarantine()
+				return &suts.PhaseTimeoutError{System: w.name, Phase: phase, Timeout: budget, Elapsed: time.Since(start)}
+			}
+		}
+		w.calls, w.gate = make(chan phaseCall), make(chan struct{})
+		go runPhases(w.inst, w.name, w.calls, w.gate)
 	}
+	pc := phaseCall{phase: phase, fn: fn, done: make(chan error, 1)}
+	// The runner has answered every earlier call, so the handoff waits
+	// at most for it to loop back to its receive.
+	w.calls <- pc
 	select {
 	case err := <-pc.done:
 		w.disarm()
@@ -158,24 +159,11 @@ func (w *watchdog) run(phase string, fn func() error) error {
 	}
 }
 
-// startRunner spawns a fresh phase runner chained behind its
-// predecessor's gate.
-func (w *watchdog) startRunner() {
-	w.calls = make(chan phaseCall)
-	prev, gate := w.gate, make(chan struct{})
-	w.gate = gate
-	go runPhases(w.inst, w.name, w.calls, prev, gate)
-}
-
 // runPhases is the phase runner: it serves calls until the channel
-// closes (abandonment), then tears the — by then wedged — system down.
-// Waiting on prev first guarantees the underlying system never executes
-// two calls concurrently, however many runners have been abandoned.
-func runPhases(inst *sutpool.Instance, name string, calls chan phaseCall, prev, gate chan struct{}) {
+// closes (abandonment), then tears the — by then wedged — system down
+// and closes gate.
+func runPhases(inst *sutpool.Instance, name string, calls chan phaseCall, gate chan struct{}) {
 	defer close(gate)
-	if prev != nil {
-		<-prev
-	}
 	for c := range calls {
 		c.done <- safePhase(name, c.phase, c.fn)
 	}
@@ -206,14 +194,13 @@ func safePhase(name, phase string, fn func() error) (err error) {
 
 // abandon gives up on the current runner after a timeout: the calls
 // channel closes (the runner exits and tears the system down whenever
-// its stuck call returns), the scratch copies are forfeited (the stuck
-// call may still read them), and the instance is quarantined so the next
+// its stuck call returns), the scratch copy is forfeited (the stuck
+// call may still read it), and the instance is quarantined so the next
 // experiment cold-starts instead of trusting wedged warm state.
 func (w *watchdog) abandon() {
 	close(w.calls)
 	w.calls = nil
 	w.files = nil
-	w.dirty = nil
 	w.inst.Quarantine()
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +155,28 @@ func TestWatchdogTransientWedgeRecovers(t *testing.T) {
 	// healthy again.
 	if last := prof.Records[len(prof.Records)-1]; last.Outcome != profile.Ignored {
 		t.Errorf("final record outcome = %v, want ignored (instance should have recovered)", last.Outcome)
+	}
+}
+
+// TestWatchdogWedgeHoldsOneRunner: a SUT that stays wedged costs its
+// worker one abandoned runner, not one per timed-out phase. Every later
+// phase waits on that runner's exit under its own deadline instead of
+// queueing a runner of its own behind it.
+func TestWatchdogWedgeHoldsOneRunner(t *testing.T) {
+	sys := &wedgeSystem{wedgeAt: map[int]bool{1: true}, release: make(chan struct{})}
+	t.Cleanup(func() { close(sys.release) })
+	c := &Campaign{Target: wedgeTarget(sys, nil), Generator: sliceGen{wedgeScens(200)}}
+	before := runtime.NumGoroutine()
+	prof, err := c.RunContext(context.Background(),
+		WithDeadlines(Deadlines{Phase: 2 * time.Millisecond}))
+	if err != nil {
+		t.Fatalf("RunContext: %v", err)
+	}
+	if n := prof.CountByOutcome()[profile.InfrastructureError]; n != 200 {
+		t.Fatalf("infrastructure errors = %d, want 200", n)
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 5 {
+		t.Errorf("goroutines grew by %d over 200 wedged experiments, want at most 5", grew)
 	}
 }
 

@@ -4,8 +4,8 @@
 // mutated — tree back into the native format (paper §3.2).
 //
 // Subpackages implement the concrete formats: ini (MySQL-style), kv
-// (Postgres-style), apacheconf (Apache httpd), zonefile and tinydns (DNS),
-// and xmlconf (generic XML).
+// (Postgres-style), apacheconf (Apache httpd), nginxconf (nginx), and
+// zonefile and tinydns (DNS).
 package formats
 
 import (

@@ -9,17 +9,18 @@ import (
 // Instance is the one adapter between the campaign engine and a
 // worker's SUT. Start dispatches each experiment to a cold start, a warm
 // reload or a parse-only validation by Mode, handing the SUT the
-// engine's bytes verbatim; Stop keeps warm instances running. The engine
-// calls it directly — the System methods are for everything that only
-// needs a suts.System. An Instance is used by one campaign worker at a
-// time (the pool's lease discipline); it is not safe for concurrent use.
+// engine's bytes verbatim and nothing else: the SUT is never told which
+// files an experiment changed. Stop keeps warm instances running. The
+// engine calls it directly — the System methods are for everything that
+// only needs a suts.System. An Instance is used by one campaign worker
+// at a time (the pool's lease discipline); it is not safe for concurrent
+// use.
 type Instance struct {
 	sys  suts.System
 	mode Mode
 	c    *Counters
-	rel  suts.Reloader      // nil unless sys reloads and mode == Reload
-	drel suts.DirtyReloader // nil unless rel also takes dirty-file sets
-	val  suts.Validator     // nil unless sys validates and mode == Validate
+	rel  suts.Reloader  // nil unless sys reloads and mode == Reload
+	val  suts.Validator // nil unless sys validates and mode == Validate
 
 	// warm is true while sys is running and the next Start may reload
 	// instead of cold-starting. Only ever true in Reload mode with a
@@ -50,7 +51,6 @@ func NewInstance(sys suts.System, mode Mode, c *Counters) *Instance {
 	i := &Instance{sys: sys, mode: mode, c: c}
 	if mode == Reload {
 		i.rel, _ = sys.(suts.Reloader)
-		i.drel, _ = sys.(suts.DirtyReloader)
 	}
 	if mode == Validate {
 		i.val, _ = sys.(suts.Validator)
@@ -78,30 +78,14 @@ func (i *Instance) DefaultConfig() suts.Files { return i.sys.DefaultConfig() }
 // and cold-restarting the instance when the reload wedges it (any
 // non-StartupError failure). Everything else — Cold mode, capability
 // fallbacks, the first start of a warm chain — is a plain cold start.
-func (i *Instance) Start(files suts.Files) error { return i.start(files, nil, false) }
-
-// StartDirty is Start, forwarding the engine's dirty-file set to a warm
-// DirtyReloader underneath. Every other mode and capability combination
-// degrades to exactly Start.
-func (i *Instance) StartDirty(files suts.Files, dirty []string) error {
-	return i.start(files, dirty, true)
-}
-
-// start dispatches one experiment's configuration by mode and
-// capability.
-func (i *Instance) start(files suts.Files, dirty []string, haveDirty bool) error {
+func (i *Instance) Start(files suts.Files) error {
 	if i.mode == Validate && i.val != nil {
 		i.c.Validates.Add(1)
 		return i.val.Validate(files)
 	}
 	if i.warm.Load() && i.rel != nil {
 		i.c.Reloads.Add(1)
-		var err error
-		if haveDirty && i.drel != nil {
-			err = i.drel.ReloadDirty(files, dirty)
-		} else {
-			err = i.rel.Reload(files)
-		}
+		err := i.rel.Reload(files)
 		if err == nil || suts.IsStartupError(err) {
 			// Applied, or rejected by the SUT's own validation — either
 			// way the instance keeps serving (the previous configuration

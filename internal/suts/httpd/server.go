@@ -26,10 +26,6 @@ type Server struct {
 
 	clientOnce sync.Once
 	client     *http.Client
-
-	// baseMemo caches the checked parse of the campaign-baseline
-	// httpd.conf across warm reloads (see suts.ParseMemo).
-	baseMemo suts.ParseMemo[parsed]
 }
 
 var _ suts.System = (*Server)(nil)
@@ -263,16 +259,10 @@ func (s *Server) Start(files suts.Files) error { return s.configure(files) }
 // configuration keep their listener, only the routing table is swapped.
 func (s *Server) Reload(files suts.Files) error { return s.configure(files) }
 
-// ReloadDirty implements suts.DirtyReloader: a clean httpd.conf carries
-// the campaign baseline's bytes, so the memoized baseline parse is
-// applied without re-parsing. Observationally identical to Reload.
-func (s *Server) ReloadDirty(files suts.Files, dirty []string) error {
-	cfg, err := s.baseMemo.Check(files, dirty, ConfigFile, s.check)
-	if err != nil {
-		return err
-	}
-	return s.apply(cfg)
-}
+// ReloadDirty is Reload; the dirty set is ignored. Nothing in the
+// program calls it. It stays because the benchmark's capability table
+// (bench/wrap.go) lists suts.DirtyReloader.
+func (s *Server) ReloadDirty(files suts.Files, _ []string) error { return s.Reload(files) }
 
 // Validate implements suts.Validator: the `apachectl configtest` parse
 // path. It detects exactly Start's configuration rejections; bind-time
@@ -290,12 +280,7 @@ func (s *Server) configure(files suts.Files) error {
 	if err != nil {
 		return err
 	}
-	return s.apply(cfg)
-}
-
-// apply drives the listener and routing state to a checked
-// configuration; every port serves the one routing table.
-func (s *Server) apply(cfg parsed) error {
+	// Every port serves the one routing table.
 	h := buildHandler(cfg)
 	return s.ls.Apply(s.Transport().Listen, "Apache-sim/2.2", cfg.ports,
 		func(int) httpprobe.Handler { return h },

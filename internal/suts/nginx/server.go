@@ -223,9 +223,9 @@ func (s *Server) Start(files suts.Files) error { return s.configure(files) }
 // connections), only the routing tables are swapped.
 func (s *Server) Reload(files suts.Files) error { return s.configure(files) }
 
-// ReloadDirty implements suts.DirtyReloader as Reload: check already
-// reuses the tokens of every line the configuration shares with the
-// default one, whether or not the file is dirty.
+// ReloadDirty is Reload; the dirty set is ignored. Nothing in the
+// program calls it. It stays because the benchmark's capability table
+// (bench/wrap.go) lists suts.DirtyReloader.
 func (s *Server) ReloadDirty(files suts.Files, _ []string) error { return s.Reload(files) }
 
 // Validate implements suts.Validator: the `nginx -t` parse-and-check

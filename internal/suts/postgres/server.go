@@ -20,14 +20,10 @@ type Server struct {
 	srv      *sqlmini.Server
 	curAddr  string
 	settings settings
-
-	// baseMemo caches the checked parse of the campaign-baseline
-	// postgresql.conf across warm reloads (see suts.ParseMemo).
-	baseMemo suts.ParseMemo[checkedConfig]
 }
 
 // checkedConfig is a parsed-and-checked configuration and its resolved
-// listen address, the unit the baseline memo caches.
+// listen address.
 type checkedConfig struct {
 	st   settings
 	addr string
@@ -165,22 +161,6 @@ func (s *Server) Reload(files suts.Files) error {
 	if err != nil {
 		return err
 	}
-	return s.applyReload(cc)
-}
-
-// ReloadDirty implements suts.DirtyReloader: a clean postgresql.conf
-// carries the campaign baseline's bytes, so the memoized baseline parse
-// is applied without re-parsing. Observationally identical to Reload.
-func (s *Server) ReloadDirty(files suts.Files, dirty []string) error {
-	cc, err := s.baseMemo.Check(files, dirty, ConfigFile, s.check)
-	if err != nil {
-		return err
-	}
-	return s.applyReload(cc)
-}
-
-// applyReload drives the running server to a checked configuration.
-func (s *Server) applyReload(cc checkedConfig) error {
 	st, addr := cc.st, cc.addr
 	if s.srv != nil && addr == s.curAddr {
 		s.srv.SetEngine(&sqlmini.Engine{})
@@ -202,6 +182,11 @@ func (s *Server) applyReload(cc checkedConfig) error {
 	}
 	return nil
 }
+
+// ReloadDirty is Reload; the dirty set is ignored. Nothing in the
+// program calls it. It stays because the benchmark's capability table
+// (bench/wrap.go) lists suts.DirtyReloader.
+func (s *Server) ReloadDirty(files suts.Files, _ []string) error { return s.Reload(files) }
 
 // Validate implements suts.Validator: the `postgres -C` / config-check
 // idiom — parse and address resolution only, nothing bound.

@@ -36,10 +36,6 @@ type Server struct {
 
 	dataMu sync.Mutex
 	data   map[string]string
-
-	// baseMemo caches the checked parse of the campaign-baseline
-	// redis.conf across warm reloads (see suts.ParseMemo).
-	baseMemo suts.ParseMemo[config]
 }
 
 var _ suts.System = (*Server)(nil)
@@ -154,22 +150,6 @@ func (s *Server) Reload(files suts.Files) error {
 	if err != nil {
 		return err
 	}
-	return s.applyReload(cfg)
-}
-
-// ReloadDirty implements suts.DirtyReloader: a clean redis.conf carries
-// the campaign baseline's bytes, so the memoized baseline parse is
-// applied without re-parsing. Observationally identical to Reload.
-func (s *Server) ReloadDirty(files suts.Files, dirty []string) error {
-	cfg, err := s.baseMemo.Check(files, dirty, ConfigFile, s.check)
-	if err != nil {
-		return err
-	}
-	return s.applyReload(cfg)
-}
-
-// applyReload drives the running server to a checked configuration.
-func (s *Server) applyReload(cfg config) error {
 	s.mu.Lock()
 	old := s.ln
 	samePort := old != nil && s.curPort == cfg.port
@@ -194,6 +174,11 @@ func (s *Server) applyReload(cfg config) error {
 	s.resetData()
 	return nil
 }
+
+// ReloadDirty is Reload; the dirty set is ignored. Nothing in the
+// program calls it. It stays because the benchmark's capability table
+// (bench/wrap.go) lists suts.DirtyReloader.
+func (s *Server) ReloadDirty(files suts.Files, _ []string) error { return s.Reload(files) }
 
 // Validate implements suts.Validator: parse and check only, the
 // `redis-server --test-config` idiom. Socket-level failures are

@@ -10,10 +10,8 @@
 //
 // The simulators share one chassis: FreePort picks the default port of
 // New(0); Net holds the transport of the ones that accept SetTransport
-// (nginx, httpd, postgres, redisd); ParseMemo.Check is the ReloadDirty
-// rule of httpd, postgres and redisd (nginx reuses its default
-// configuration's tokens line by line instead, dirty or not); and
-// httpprobe.Listeners is the web servers' set of ports.
+// (nginx, httpd, postgres, redisd); and httpprobe.Listeners is the web
+// servers' set of ports.
 package suts
 
 import (
@@ -76,23 +74,12 @@ type Reloader interface {
 	Reload(files Files) error
 }
 
-// DirtyReloader is an optional refinement of Reloader: a SUT that can
-// exploit the engine's knowledge of which configuration files an
-// experiment actually changed. The incremental injection pipeline
-// serializes only the mutated files and hands every clean file the
-// campaign baseline's exact byte slice, so a SUT holding a memoized
-// parse of the baseline (see ParseMemo) can skip re-parsing everything
-// not named in dirty. A SUT may also ignore dirty and implement
-// ReloadDirty as Reload.
-//
-// The contract is strictly observational: ReloadDirty(files, dirty)
-// must behave byte-identically to Reload(files) — same applied
-// configuration, same rejection wording, same error taxonomy. dirty
-// names the files whose content may differ from the campaign baseline
-// for THIS experiment (not from the previously applied configuration:
-// a file clean now may have been mutated by the last experiment, so
-// "clean" only licenses reusing a parse of the baseline, never skipping
-// the apply). dirty is engine scratch, valid only for the call.
+// DirtyReloader is Reloader plus a dirty-file set: ReloadDirty(files,
+// dirty) must behave exactly as Reload(files), and the four warm
+// simulators (nginx, httpd, postgres, redisd) implement it as Reload,
+// ignoring dirty. The engine hands a SUT bytes only, so nothing in the
+// program calls it. It stays declared because the benchmark's
+// capability table (bench/wrap.go) lists it.
 type DirtyReloader interface {
 	Reloader
 	// ReloadDirty applies files like Reload, where every file not named
@@ -100,15 +87,13 @@ type DirtyReloader interface {
 	ReloadDirty(files Files, dirty []string) error
 }
 
-// DirtyStarter is the shape of sutpool.Instance.StartDirty: Start plus
-// the engine's dirty-file knowledge, forwarded toward a DirtyReloader and
-// degrading to exactly Start's behaviour without one. Nothing in the
-// engine checks for it, since the engine calls the Instance directly. It
-// stays declared because the benchmark's capability table
-// (bench/wrap.go) lists it.
+// DirtyStarter is Start plus a dirty-file set, the shape of a SUT
+// adapter that forwards one toward a DirtyReloader. Nothing in the
+// program implements or checks for it. It stays declared because the
+// benchmark's capability table (bench/wrap.go) lists it.
 type DirtyStarter interface {
-	// StartDirty is Start plus the dirty-file set, same contract as
-	// DirtyReloader.ReloadDirty for the dirty parameter.
+	// Start plus the dirty-file set, which has the same meaning as in
+	// DirtyReloader.
 	StartDirty(files Files, dirty []string) error
 }
 

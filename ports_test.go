@@ -90,11 +90,6 @@ func (s loggedNginx) Reload(files suts.Files) error {
 	return s.Server.Reload(files)
 }
 
-func (s loggedNginx) ReloadDirty(files suts.Files, dirty []string) error {
-	s.log.add(files)
-	return s.Server.ReloadDirty(files, dirty)
-}
-
 // loggedMySQL is the (cold-only) mysql simulator logging what it starts
 // on.
 type loggedMySQL struct {
