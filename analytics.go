@@ -17,18 +17,12 @@ type (
 	// report shapes (Tables 1-3, Figure 3, scorecards) in memory
 	// proportional to the number of campaigns, not records.
 	StreamStats = profile.StreamStats
-	// CampaignStats is one campaign's aggregation within a StreamStats.
-	CampaignStats = profile.CampaignStats
-	// StatsDiff compares two folds — the resilience regression gate.
-	StatsDiff = profile.StatsDiff
 	// CprofWriter appends cprof frames to a stream; its Sink method is
 	// the compact counterpart of NewJSONLSink.
 	CprofWriter = cprof.Writer
 	// CprofFile is a cprof writer bound to a file with flush/close
 	// lifecycle (the stack behind `matrix -stream-out foo.cprof`).
 	CprofFile = cprof.File
-	// CprofFrameInfo describes one indexed frame of a cprof file.
-	CprofFrameInfo = cprof.FrameInfo
 )
 
 // NewStreamStats returns an empty analytics fold. key, when non-nil,
@@ -38,17 +32,6 @@ func NewStreamStats(key func(Record) string) *StreamStats {
 	return profile.NewStreamStats(key)
 }
 
-// DiffProfileStats compares two folds campaign by campaign and class by
-// class, in detection-rate percentage points.
-func DiffProfileStats(before, after *StreamStats) StatsDiff {
-	return profile.DiffStats(before, after)
-}
-
-// ParseJSONLLine decodes one JSONL profile line into its entry.
-func ParseJSONLLine(line []byte) (JSONLEntry, error) {
-	return profile.ParseJSONLLine(line)
-}
-
 // NewCprofWriter returns a writer appending cprof frames to w
 // (typically buffered); Close writes the frame index and trailer.
 func NewCprofWriter(w io.Writer) *CprofWriter { return cprof.NewWriter(w) }
@@ -56,21 +39,11 @@ func NewCprofWriter(w io.Writer) *CprofWriter { return cprof.NewWriter(w) }
 // CreateCprof creates (or truncates) a cprof profile file.
 func CreateCprof(path string) (*CprofFile, error) { return cprof.Create(path) }
 
-// ScanProfileAuto streams a profile of either format (sniffed by
-// content, not extension) entry by entry to fn, in file order.
-func ScanProfileAuto(r io.Reader, fn func(JSONLEntry) error) error {
-	return cprof.ScanAuto(r, fn)
-}
-
-// ScanProfilePath is ScanProfileAuto over a file path; "-" reads stdin.
+// ScanProfilePath streams the profile at path, of either format (sniffed
+// by content, not extension), entry by entry to fn, in file order; "-"
+// reads stdin.
 func ScanProfilePath(path string, fn func(JSONLEntry) error) error {
 	return cprof.ScanPath(path, fn)
-}
-
-// ScanProfileCprof streams a cprof stream entry by entry to fn, in file
-// order — the binary counterpart of ScanProfilesJSONL.
-func ScanProfileCprof(r io.Reader, fn func(JSONLEntry) error) error {
-	return cprof.Scan(r, fn)
 }
 
 // ScanCprofSeqOrdered replays a cprof file in canonical order —

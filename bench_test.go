@@ -71,7 +71,7 @@ func BenchmarkTable1_Apache(b *testing.B) { benchTable1System(b, table1Mixes[2])
 func BenchmarkTable2_Structural(b *testing.B) {
 	var res *Table2Result
 	for i := 0; i < b.N; i++ {
-		r, err := RunTable2(DefaultSeed, 10)
+		r, err := RunTable2Ctx(context.Background(), DefaultSeed, 10, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkTable2_Structural(b *testing.B) {
 func benchTable3System(b *testing.B, label string) {
 	var res *Table3Result
 	for i := 0; i < b.N; i++ {
-		r, err := RunTable3(false)
+		r, err := RunTable3Ctx(context.Background(), false, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkTable3_Djbdns(b *testing.B) { benchTable3System(b, "djbdns") }
 func BenchmarkFigure3_Compare(b *testing.B) {
 	var res *Figure3Result
 	for i := 0; i < b.N; i++ {
-		r, err := RunFigure3(DefaultSeed, 20)
+		r, err := RunFigure3Ctx(context.Background(), DefaultSeed, 20, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkInjectionOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := &Campaign{Target: tgt.Target, Generator: gen}
-			p, err := c.Run()
+			p, err := c.RunContext(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func BenchmarkInjectionOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := &Campaign{Target: tgt, Generator: benchfixture.Gen{}}
-			p, err := c.Run()
+			p, err := c.RunContext(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -205,7 +205,7 @@ func BenchmarkAblation_TypoSubmodels(b *testing.B) {
 			b.Fatal(err)
 		}
 		c := &Campaign{Target: tgt.Target, Generator: TypoGenerator(TypoOptions{Seed: 2, PerModel: 20})}
-		p, err := c.Run()
+		p, err := c.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func BenchmarkAblation_KeyboardLayout(b *testing.B) {
 			b.Fatal(err)
 		}
 		cUS := &Campaign{Target: tgt.Target, Generator: TypoGenerator(TypoOptions{Seed: 3})}
-		pUS, err := cUS.Run()
+		pUS, err := cUS.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func BenchmarkAblation_KeyboardLayout(b *testing.B) {
 			b.Fatal(err)
 		}
 		cCH := &Campaign{Target: tgt2.Target, Generator: TypoGenerator(TypoOptions{Seed: 3, SwissKeyboard: true})}
-		pCH, err := cCH.Run()
+		pCH, err := cCH.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkAblation_KeyboardLayout(b *testing.B) {
 func BenchmarkAblation_SemanticExtended(b *testing.B) {
 	var res *Table3Result
 	for i := 0; i < b.N; i++ {
-		r, err := RunTable3(true)
+		r, err := RunTable3Ctx(context.Background(), true, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func BenchmarkAblation_SemanticExtended(b *testing.B) {
 func BenchmarkEditBenchmark(b *testing.B) {
 	var res *EditBenchmarkResult
 	for i := 0; i < b.N; i++ {
-		r, err := RunEditBenchmark(DefaultSeed, 20)
+		r, err := RunEditBenchmarkCtx(context.Background(), DefaultSeed, 20, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -44,7 +44,9 @@ func cmdDist(ctx context.Context, args []string) error {
 	retries := fs.Int("retries", 5, "per-shard attempt cap (dial failures retire the endpoint instead)")
 	fsync := fs.Bool("fsync", false, "fsync the merged output at every checkpoint flush so -resume survives host crashes, not just process kills")
 	quiet := fs.Bool("quiet", false, "suppress scheduling diagnostics")
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	endpoints := splitNames(*workersCSV)
 	if len(endpoints) == 0 {

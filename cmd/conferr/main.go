@@ -259,20 +259,42 @@ func (d *diagFlags) start() (func() error, error) {
 	}, nil
 }
 
-// checkN refuses a negative -n: a negative count would otherwise run as
-// "off" or "all" and print a table of the wrong faultload.
-func checkN(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-n is negative (%d)", n)
-	}
-	return nil
+// parseFlags parses args into fs and refuses any int or duration flag
+// set to a negative value, naming the flag: a negative count, worker
+// number or timeout would otherwise run silently as "off", "all" or a
+// default and print the wrong result. Seeds are int64 and stay signed.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	_ = fs.Parse(args) // the flag sets exit on a parse error
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
+		g, ok := f.Value.(flag.Getter)
+		if !ok {
+			return
+		}
+		switch v := g.Get().(type) {
+		case int:
+			if v < 0 {
+				err = fmt.Errorf("-%s is negative (%d)", f.Name, v)
+			}
+		case time.Duration:
+			if v < 0 {
+				err = fmt.Errorf("-%s is negative (%s)", f.Name, v)
+			}
+		}
+	})
+	return err
 }
 
 func cmdTable1(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
 	workers := workersFlag(fs)
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	res, err := conferr.RunTable1Ctx(ctx, *seed, *workers)
 	if err != nil {
 		return err
@@ -287,8 +309,7 @@ func cmdTable2(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", conferr.DefaultSeed, "variation seed")
 	n := fs.Int("n", 10, "variant configurations per class")
 	workers := workersFlag(fs)
-	_ = fs.Parse(args)
-	if err := checkN(*n); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	res, err := conferr.RunTable2Ctx(ctx, *seed, *n, *workers)
@@ -304,7 +325,9 @@ func cmdTable3(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("table3", flag.ExitOnError)
 	extended := fs.Bool("extended", false, "include extension fault classes")
 	workers := workersFlag(fs)
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	res, err := conferr.RunTable3Ctx(ctx, *extended, *workers)
 	if err != nil {
 		return err
@@ -319,8 +342,7 @@ func cmdFigure3(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
 	n := fs.Int("n", 20, "typo experiments per directive")
 	workers := workersFlag(fs)
-	_ = fs.Parse(args)
-	if err := checkN(*n); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	res, err := conferr.RunFigure3Ctx(ctx, *seed, *n, *workers)
@@ -337,8 +359,7 @@ func cmdEditBench(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
 	n := fs.Int("n", 20, "typo variants per edit")
 	workers := workersFlag(fs)
-	_ = fs.Parse(args)
-	if err := checkN(*n); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	res, err := conferr.RunEditBenchmarkCtx(ctx, *seed, *n, *workers)
@@ -360,8 +381,7 @@ func cmdCompare(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
 	n := fs.Int("n", compareDefaultN, "value typos per directive")
 	workers := workersFlag(fs)
-	_ = fs.Parse(args)
-	if err := checkN(*n); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	// 0 selects the default, as in the other artifact commands; passed
@@ -415,7 +435,9 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	lifecycleS := fs.String("lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm pooled instances) or validate (parse-only)")
 	workers := workersFlag(fs)
 	diag := addDiagFlags(fs)
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	lifecycle, err := conferr.ParseLifecycle(*lifecycleS)
 	if err != nil {
@@ -492,7 +514,9 @@ func cmdMatrix(ctx context.Context, args []string) error {
 	keepGoing := fs.Bool("keep-going", false, "suite level: keep running the other cells when one cell fails")
 	workers := workersFlag(fs)
 	diag := addDiagFlags(fs)
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	lifecycle, err := conferr.ParseLifecycle(spec.Lifecycle)
 	if err != nil {
@@ -699,7 +723,9 @@ func cmdAll(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
 	workers := workersFlag(fs)
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	w := fmt.Sprint(*workers)
 	if err := cmdTable1(ctx, []string{"-seed", fmt.Sprint(*seed), "-workers", w}); err != nil {
 		return err

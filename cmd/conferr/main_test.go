@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"os"
@@ -64,24 +65,34 @@ func TestRunTable3Command(t *testing.T) {
 	}
 }
 
-// TestNegativeNRefused: a negative -n fails with exit 1 and an error
-// naming the flag, before anything runs or prints; without the check
-// table2 printed 100% satisfied, editbench 0%, and figure3 and compare
-// ran the uncapped faultload.
+// TestNegativeNRefused: a negative count or duration fails with exit 1
+// and an error naming the flag, before anything runs or prints; without
+// the check table2 printed 100% satisfied, editbench 0%, figure3 and
+// compare ran the uncapped faultload, table3 ran at GOMAXPROCS workers
+// and dist went on to dial with its values defaulted.
 func TestNegativeNRefused(t *testing.T) {
-	for _, args := range [][]string{
-		{"table2", "-n", "-1"},
-		{"figure3", "-n", "-1"},
-		{"editbench", "-n", "-2"},
-		{"compare", "-n", "-1"},
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"table2", "-n", "-1"}, "-n"},
+		{[]string{"figure3", "-n", "-1"}, "-n"},
+		{[]string{"editbench", "-n", "-2"}, "-n"},
+		{[]string{"compare", "-n", "-1"}, "-n"},
+		{[]string{"table3", "-workers", "-3"}, "-workers"},
+		{[]string{"report", "-workers", "-1", "x.jsonl"}, "-workers"},
+		{[]string{"dist", "-system", "nginx", "-shards", "-4"}, "-shards"},
+		{[]string{"dist", "-system", "nginx", "-retries", "-1"}, "-retries"},
+		{[]string{"dist", "-system", "nginx", "-stall-timeout", "-1s"}, "-stall-timeout"},
+		{[]string{"dist", "-system", "nginx", "-dial-timeout", "-1s"}, "-dial-timeout"},
 	} {
 		var code int
 		var stdout string
 		stderr := captureFile(t, &os.Stderr, func() {
-			stdout = capture(t, func() { code = runT(args...) })
+			stdout = capture(t, func() { code = runT(tc.args...) })
 		})
-		if code != 1 || stdout != "" || !strings.Contains(stderr, "-n is negative") {
-			t.Errorf("%v: exit = %d, stdout %q, stderr %q; want exit 1 naming -n", args, code, stdout, stderr)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.flag+" is negative") {
+			t.Errorf("%v: exit = %d, stdout %q, stderr %q; want exit 1 naming %s", tc.args, code, stdout, stderr, tc.flag)
 		}
 	}
 	// The library refuses them too, naming its parameter.
@@ -138,16 +149,16 @@ func TestRunMatrixCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	profs, err := conferr.ReadProfilesJSONL(f)
+	counts, err := countJSONL(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(profs) != 4 {
-		t.Fatalf("JSONL split into %d profiles, want 4", len(profs))
+	if len(counts) != 4 {
+		t.Fatalf("JSONL holds %d campaigns, want 4", len(counts))
 	}
-	for _, p := range profs {
-		if len(p.Records) == 0 || len(p.Records) > 10 {
-			t.Errorf("%s/%s: %d records, want 1..10 (limit)", p.System, p.Generator, len(p.Records))
+	for cell, n := range counts {
+		if n == 0 || n > 10 {
+			t.Errorf("%s: %d records, want 1..10 (limit)", cell, n)
 		}
 	}
 
@@ -262,8 +273,11 @@ func TestRunCampaignJSONOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	prof, err := conferr.ReadProfileJSON(f)
-	if err != nil {
+	var prof struct {
+		System  string            `json:"system"`
+		Records []json.RawMessage `json:"records"`
+	}
+	if err := json.NewDecoder(f).Decode(&prof); err != nil {
 		t.Fatal(err)
 	}
 	if prof.System != "bind-sim" || len(prof.Records) == 0 {
@@ -310,12 +324,12 @@ func TestRunMatrixStreamStdout(t *testing.T) {
 	if strings.Contains(stdout, "campaign") || strings.Contains(stdout, "records streamed") {
 		t.Errorf("summary leaked into the record stream:\n%s", stdout)
 	}
-	profs, err := conferr.ReadProfilesJSONL(strings.NewReader(stdout))
+	counts, err := countJSONL(strings.NewReader(stdout))
 	if err != nil {
 		t.Fatalf("stdout is not clean JSONL: %v", err)
 	}
-	if len(profs) != 1 || len(profs[0].Records) == 0 || len(profs[0].Records) > 8 {
-		t.Fatalf("streamed profiles = %+v, want one nginx/typo profile with 1..8 records", profs)
+	if n := counts["nginx/typo"]; len(counts) != 1 || n == 0 || n > 8 {
+		t.Fatalf("streamed campaigns = %v, want one nginx/typo campaign with 1..8 records", counts)
 	}
 }
 
@@ -463,4 +477,14 @@ func TestDistResumeNeedsCheckpoint(t *testing.T) {
 	if n := accepted.Load(); n != 0 {
 		t.Fatalf("refused runs opened %d worker connections", n)
 	}
+}
+
+// countJSONL counts a JSONL profile's records per system/generator.
+func countJSONL(r io.Reader) (map[string]int, error) {
+	counts := map[string]int{}
+	err := profile.ScanJSONL(r, func(e profile.JSONLEntry) error {
+		counts[e.System+"/"+e.Generator]++
+		return nil
+	})
+	return counts, err
 }

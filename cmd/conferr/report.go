@@ -29,7 +29,9 @@ func cmdReport(ctx context.Context, args []string) error {
 	failRegress := fs.Float64("fail-regress", 0, "with -diff: fail when any campaign or class detection rate drops by more than this many percentage points (0 = report only)")
 	bandKey := fs.String("band-key", "directive", "Figure 3 banding key: directive, class or none")
 	workers := fs.Int("workers", 0, "parallel frame-decode workers for indexed cprof files (0 = GOMAXPROCS; JSONL always scans sequentially)")
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	key, err := bandKeyFunc(*bandKey)
 	if err != nil {
@@ -134,7 +136,9 @@ func loadStats(path string, key func(profile.Record) string, workers int) (*prof
 func cmdConvert(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	noDuration := fs.Bool("no-duration", false, "zero the duration field during conversion, making equivalent runs byte-comparable")
-	_ = fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if fs.NArg() != 2 {
 		return errors.New("convert needs exactly two arguments: IN OUT (IN may be - for stdin, OUT may be - for JSONL on stdout)")
 	}

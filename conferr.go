@@ -190,17 +190,6 @@ func EditBenchmarkGenerator(edits []Edit, seed int64, perEdit int) Generator {
 	}
 }
 
-// MergeProfiles concatenates profiles from multiple campaigns against the
-// same system (e.g. a structural deletion campaign plus a typo campaign,
-// the Table 1 faultload) into one profile.
-func MergeProfiles(system, generator string, profs ...*Profile) *Profile {
-	out := &Profile{System: system, Generator: generator}
-	for _, p := range profs {
-		out.Records = append(out.Records, p.Records...)
-	}
-	return out
-}
-
 // FormatTable1 renders summaries in the paper's Table 1 shape.
 func FormatTable1(summaries ...Summary) string { return profile.FormatTable1(summaries...) }
 
@@ -250,12 +239,6 @@ func BorrowGenerator(donor *SystemTarget, seed int64, perClass int) (Generator, 
 	}, nil
 }
 
-// ReadProfileJSON deserializes a resilience profile previously written
-// with Profile.WriteJSON.
-func ReadProfileJSON(r io.Reader) (*Profile, error) {
-	return profile.ReadJSON(r)
-}
-
 // NewJSONLSink returns a streaming sink writing one self-contained JSON
 // object per record to w, tagged with the campaign identity — the
 // bounded-memory destination for million-scenario campaigns (`conferr
@@ -282,43 +265,17 @@ func StripDurations(s Sink) Sink { return profile.StripDurations(s) }
 // suite's per-shard sink bypass stays intact.
 var DiscardSink Sink = profile.Discard
 
-// ReadProfilesJSONL parses a JSON Lines stream written by JSONL sinks,
-// splitting it into one scenario-ordered Profile per campaign.
-func ReadProfilesJSONL(r io.Reader) ([]*Profile, error) {
-	return profile.ReadJSONL(r)
-}
-
 // JSONLEntry is one decoded JSONL profile line.
 type JSONLEntry = profile.JSONLEntry
-
-// ScanProfilesJSONL streams a JSON Lines profile entry by entry to fn in
-// file order, in constant memory — the reader-side counterpart of the
-// streaming campaign engine, for files too large to materialize with
-// ReadProfilesJSONL.
-func ScanProfilesJSONL(r io.Reader, fn func(JSONLEntry) error) error {
-	return profile.ScanJSONL(r, fn)
-}
 
 // LimitGenerator caps gen's faultload at n scenarios; on the streaming
 // path generation work past the cap never happens.
 func LimitGenerator(gen Generator, n int) Generator { return core.LimitGenerator(gen, n) }
 
-// SampleGenerator draws n scenarios uniformly from gen's faultload via
-// seeded reservoir sampling, holding only n scenarios in memory.
-func SampleGenerator(gen Generator, seed int64, n int) Generator {
-	return core.SampleGenerator(gen, seed, n)
-}
-
 // RepeatGenerator replays gen's faultload rounds times with round-prefixed
 // scenario IDs — the scale harness for streaming campaigns.
 func RepeatGenerator(gen Generator, rounds int) Generator {
 	return core.RepeatGenerator(gen, rounds)
-}
-
-// MergeGenerators concatenates the faultloads of generators sharing one
-// view into a single streamed campaign.
-func MergeGenerators(name string, gens ...Generator) (Generator, error) {
-	return core.MergeGenerators(name, gens...)
 }
 
 // CompareProfiles diffs two profiles of the same faultload by scenario

@@ -26,8 +26,8 @@ func TestBaselines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := &Campaign{Target: tgt.Target, Generator: TypoGenerator(TypoOptions{})}
-			if err := c.Baseline(); err != nil {
+			c := &Campaign{Target: tgt.Target, Generator: LimitGenerator(TypoGenerator(TypoOptions{}), 0)}
+			if _, err := c.RunContext(context.Background(), WithBaselineCheck()); err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
 		})
@@ -48,7 +48,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign in -short mode")
 	}
-	res, err := RunTable1(DefaultSeed)
+	res, err := RunTable1Ctx(context.Background(), DefaultSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign in -short mode")
 	}
-	res, err := RunTable2(1, 10)
+	res, err := RunTable2Ctx(context.Background(), 1, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestTable2Shape(t *testing.T) {
 // TestTable3Shape asserts the paper's Table 3 cells, including the N/A
 // entries arising from tinydns's combined "=" directive.
 func TestTable3Shape(t *testing.T) {
-	res, err := RunTable3(false)
+	res, err := RunTable3Ctx(context.Background(), false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFigure3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign in -short mode")
 	}
-	res, err := RunFigure3(1, 20)
+	res, err := RunFigure3Ctx(context.Background(), 1, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestDetectionByClassRendering(t *testing.T) {
 		Target:    tgt.Target,
 		Generator: TypoGenerator(TypoOptions{Seed: 3, PerModel: 5}),
 	}
-	p, err := c.Run()
+	p, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,22 +262,22 @@ func TestStructuralCampaign(t *testing.T) {
 		Target:    tgt.Target,
 		Generator: StructuralGenerator(StructuralOptions{Seed: 5, PerClass: 15, Sections: true}),
 	}
-	p, err := c.Run()
+	p, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := p.CountByOutcome()
-	if counts[Ignored] == 0 {
+	counts := p.Summarize()
+	if counts.Ignored == 0 {
 		t.Error("structural campaign: expected some ignored faults (harmless duplications)")
 	}
-	if counts[DetectedAtStartup] == 0 {
+	if counts.AtStartup == 0 {
 		t.Error("structural campaign: expected some startup detections (misplaced directives)")
 	}
 }
 
 // TestSemanticExtendedClasses runs the extended RFC-1912 classes.
 func TestSemanticExtendedClasses(t *testing.T) {
-	res, err := RunTable3(true)
+	res, err := RunTable3Ctx(context.Background(), true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestCampaignObserverIntegration(t *testing.T) {
 		Target:    tgt.Target,
 		Generator: SemanticDNSGenerator(DjbdnsRecordView(), []string{semantic.ClassMXToCNAME}),
 	}
-	p, err := c.RunContext(context.Background(), WithObserver(func(Record) { n++ }))
+	p, err := c.RunContext(context.Background(), core.WithObserver(func(Record) { n++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestCampaignObserverIntegration(t *testing.T) {
 // and asserts its headline: Postgres detects more near-edit typos than
 // MySQL.
 func TestEditBenchmarkShape(t *testing.T) {
-	res, err := RunEditBenchmark(DefaultSeed, 20)
+	res, err := RunEditBenchmarkCtx(context.Background(), DefaultSeed, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,20 +366,20 @@ func TestBorrowCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Campaign{Target: tgt.Target, Generator: gen}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := prof.CountByOutcome()
-	if counts[DetectedAtStartup] == 0 {
+	counts := prof.Summarize()
+	if counts.AtStartup == 0 {
 		t.Error("foreign directives should mostly be unknown variables")
 	}
-	if counts[Ignored] == 0 {
+	if counts.Ignored == 0 {
 		t.Error("shared directive names (e.g. max_connections, port) should slip through")
 	}
-	if counts[DetectedAtStartup] <= counts[Ignored] {
+	if counts.AtStartup <= counts.Ignored {
 		t.Errorf("most borrowed directives should be detected: detected=%d ignored=%d",
-			counts[DetectedAtStartup], counts[Ignored])
+			counts.AtStartup, counts.Ignored)
 	}
 }
 
@@ -396,7 +396,7 @@ func TestCampaignReplayDeterminism(t *testing.T) {
 			Target:    tgt.Target,
 			Generator: TypoGenerator(TypoOptions{Seed: 21, PerModel: 10}),
 		}
-		p, err := c.Run()
+		p, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func TestStrictModeImprovement(t *testing.T) {
 			Target:    tgt.Target,
 			Generator: TypoGenerator(TypoOptions{Seed: 13, ValuesOnly: true, PerDirective: 10}),
 		}
-		p, err := c.Run()
+		p, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func TestLatentSharedConfigErrors(t *testing.T) {
 			Target:    tgt.Target,
 			Generator: TypoGenerator(TypoOptions{Seed: 31, NamesOnly: true, PerDirective: 8}),
 		}
-		p, err := c.Run()
+		p, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,16 +477,16 @@ func TestLatentSharedConfigErrors(t *testing.T) {
 
 	// Without tool checks, name typos in the aux groups are silently
 	// absorbed at startup AND by the server functional test.
-	ignoredWithout := without.CountByOutcome()[Ignored]
+	ignoredWithout := without.Summarize().Ignored
 	if ignoredWithout == 0 {
 		t.Fatal("expected latent (ignored) faults in the shared config")
 	}
 	// With tool checks, a chunk of those become detected-by-test.
-	byTest := with.CountByOutcome()[DetectedByTest]
+	byTest := with.Summarize().ByTest
 	if byTest == 0 {
 		t.Fatal("tool checks detected nothing; latent mechanism broken")
 	}
-	ignoredWith := with.CountByOutcome()[Ignored]
+	ignoredWith := with.Summarize().Ignored
 	if ignoredWith >= ignoredWithout {
 		t.Errorf("tool checks did not reduce ignored faults: %d -> %d", ignoredWithout, ignoredWith)
 	}

@@ -109,7 +109,7 @@ func TestCprofSameRunMatchesJSONLWithDurations(t *testing.T) {
 
 	// Sanity: both formats fold to the same analytics.
 	jstats, cstats := NewStreamStats(nil), NewStreamStats(nil)
-	if err := ScanProfilesJSONL(bytes.NewReader(ref.Bytes()), jstats.Add); err != nil {
+	if err := profile.ScanJSONL(bytes.NewReader(ref.Bytes()), jstats.Add); err != nil {
 		t.Fatal(err)
 	}
 	if err := ScanProfilePath(path, cstats.Add); err != nil {

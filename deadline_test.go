@@ -138,14 +138,14 @@ func TestDeadlinesThroughPooledPortMappedWorkers(t *testing.T) {
 		return p, ctrs
 	}
 	want, _ := run("")
-	got, ctrs := run("k5", WithDeadlines(Deadlines{Phase: 25 * time.Millisecond}))
+	got, ctrs := run("k5", core.WithDeadlines(core.Deadlines{Phase: 25 * time.Millisecond}))
 
 	if len(got.Records) != len(want.Records) {
 		t.Fatalf("records = %d, want %d", len(got.Records), len(want.Records))
 	}
 	const k = 6 // port, k0..k5: the scenario deleting k5
-	counts := want.CountByOutcome()
-	if counts[profile.DetectedAtStartup] == 0 || counts[profile.DetectedByTest] == 0 {
+	counts := want.Summarize()
+	if counts.AtStartup == 0 || counts.ByTest == 0 {
 		t.Fatalf("unwedged outcomes %v: want startup and probe detections", counts)
 	}
 	for i, r := range got.Records {

@@ -39,7 +39,7 @@ func ExampleCampaign() {
 		Target:    tgt.Target,
 		Generator: conferr.TypoGenerator(conferr.TypoOptions{Seed: 1, PerModel: 2}),
 	}
-	prof, err := campaign.Run()
+	prof, err := campaign.RunContext(context.Background())
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -91,8 +91,8 @@ func ExampleSemanticDNSGenerator() {
 
 // Table 3 reproduces exactly, including the N/A cells caused by
 // tinydns's combined "=" directive.
-func ExampleRunTable3() {
-	res, err := conferr.RunTable3(false)
+func ExampleRunTable3Ctx() {
+	res, err := conferr.RunTable3Ctx(context.Background(), false, 1)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

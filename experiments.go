@@ -187,15 +187,9 @@ type Table1Result struct {
 	Summaries map[string]Summary
 }
 
-// RunTable1 reproduces Table 1 ("Resilience to typos") for MySQL,
-// Postgres and Apache, sequentially.
-func RunTable1(seed int64) (*Table1Result, error) {
-	return RunTable1Ctx(context.Background(), seed, 1)
-}
-
-// RunTable1Ctx is RunTable1 under a context: the full 3-system × 3-campaign
-// matrix runs as one suite, with the worker budget shared across every
-// campaign. A system's row sums its three campaigns' summaries, which is
+// RunTable1Ctx reproduces Table 1 ("Resilience to typos") for MySQL,
+// Postgres and Apache: the full 3-system × 3-campaign matrix runs as one
+// suite, with the worker budget shared across every campaign. A system's row sums its three campaigns' summaries, which is
 // identical at any budget — only wall-clock time changes.
 func RunTable1Ctx(ctx context.Context, seed int64, workers int) (*Table1Result, error) {
 	res := &Table1Result{Summaries: make(map[string]Summary)}
@@ -256,16 +250,11 @@ func table2Applicable(system, class string) bool {
 	return true
 }
 
-// RunTable2 reproduces Table 2 ("Resilience to structural errors"): for
-// each system and variation class, PerClass variant configurations are
-// generated; the class is supported when the system accepts every one.
-func RunTable2(seed int64, perClass int) (*Table2Result, error) {
-	return RunTable2Ctx(context.Background(), seed, perClass, 1)
-}
-
-// RunTable2Ctx is RunTable2 under a context: the full system × class
-// matrix (minus the paper's n/a cells) runs as one suite sharing the
-// worker budget. perClass 0 selects the paper's 10; a negative count is
+// RunTable2Ctx reproduces Table 2 ("Resilience to structural errors"):
+// for each system and variation class, perClass variant configurations
+// are generated; the class is supported when the system accepts every
+// one. The full system × class matrix (minus the paper's n/a cells) runs
+// as one suite sharing the worker budget. perClass 0 selects the paper's 10; a negative count is
 // refused.
 func RunTable2Ctx(ctx context.Context, seed int64, perClass, workers int) (*Table2Result, error) {
 	if err := negative("perClass", perClass); err != nil {
@@ -383,14 +372,9 @@ type Table3Result struct {
 	Profiles map[string]*Profile
 }
 
-// RunTable3 reproduces Table 3 ("Resilience to semantic errors") for BIND
-// and djbdns, using the four fault classes of the paper plus the
-// extension classes when extended is true.
-func RunTable3(extended bool) (*Table3Result, error) {
-	return RunTable3Ctx(context.Background(), extended, 1)
-}
-
-// RunTable3Ctx is RunTable3 under a context, with each system's campaign
+// RunTable3Ctx reproduces Table 3 ("Resilience to semantic errors") for
+// BIND and djbdns, using the four fault classes of the paper plus the
+// extension classes when extended is true, with each system's campaign
 // fanned out over the given number of workers. Targets and the semantic
 // generator are resolved from the registry.
 func RunTable3Ctx(ctx context.Context, extended bool, workers int) (*Table3Result, error) {
@@ -491,15 +475,10 @@ type Figure3Result struct {
 	Profiles map[string]*Profile
 }
 
-// RunFigure3 reproduces Figure 3: the MySQL-vs-Postgres comparison of
+// RunFigure3Ctx reproduces Figure 3: the MySQL-vs-Postgres comparison of
 // resilience to typos in directive values, over configurations listing
 // most available directives with defaults (booleans excluded), with
-// perDirective experiments per directive (the paper used 20).
-func RunFigure3(seed int64, perDirective int) (*Figure3Result, error) {
-	return RunFigure3Ctx(context.Background(), seed, perDirective, 1)
-}
-
-// RunFigure3Ctx is RunFigure3 under a context, with each system's campaign
+// perDirective experiments per directive and each system's campaign
 // fanned out over the given number of workers. perDirective 0 selects
 // the paper's 20; a negative count is refused.
 func RunFigure3Ctx(ctx context.Context, seed int64, perDirective, workers int) (*Figure3Result, error) {
@@ -547,15 +526,10 @@ type EditBenchmarkResult struct {
 	Profiles map[string]*Profile
 }
 
-// RunEditBenchmark runs the §5.5 benchmark procedure on MySQL and
+// RunEditBenchmarkCtx runs the §5.5 benchmark procedure on MySQL and
 // Postgres: a three-edit administration task per system (raise the
 // connection limit, grow the main buffer, retune a capacity knob), with
-// perEdit typo variants injected right where each edit happened.
-func RunEditBenchmark(seed int64, perEdit int) (*EditBenchmarkResult, error) {
-	return RunEditBenchmarkCtx(context.Background(), seed, perEdit, 1)
-}
-
-// RunEditBenchmarkCtx is RunEditBenchmark under a context, with each
+// perEdit typo variants injected right where each edit happened and each
 // system's campaign fanned out over the given number of workers.
 // perEdit 0 selects the paper's 20; a negative count is refused.
 func RunEditBenchmarkCtx(ctx context.Context, seed int64, perEdit, workers int) (*EditBenchmarkResult, error) {

@@ -107,9 +107,9 @@ func TestTrackedWithArena(t *testing.T) {
 	base.Freeze()
 
 	var a Arena
-	tr := base.TrackedWith(&a)
+	tr := base.TrackedInto(nil, &a)
 	tr.Get("a.conf").Child(0).Child(0).Value = "x"
-	dirty := tr.Seal()
+	dirty := tr.SealAppend(nil)
 	if len(dirty) != 1 || dirty[0] != "a.conf" {
 		t.Fatalf("dirty = %v", dirty)
 	}
@@ -135,19 +135,19 @@ func TestTrackedIntoReuse(t *testing.T) {
 		switch i % 3 {
 		case 0:
 			tr.Get("b.conf").Child(1).Child(2).Value = fmt.Sprint(i)
-			if d := tr.Seal(); len(d) != 1 || d[0] != "b.conf" {
+			if d := tr.SealAppend(nil); len(d) != 1 || d[0] != "b.conf" {
 				t.Fatalf("cycle %d: dirty = %v", i, d)
 			}
 		case 1:
 			tr.Put("new.conf", New(KindDocument, "new.conf"))
-			if d := tr.Seal(); len(d) != 1 || d[0] != "new.conf" {
+			if d := tr.SealAppend(nil); len(d) != 1 || d[0] != "new.conf" {
 				t.Fatalf("cycle %d: dirty = %v", i, d)
 			}
 			if tr.Len() != 3 {
 				t.Fatalf("cycle %d: tracked len = %d", i, tr.Len())
 			}
 		case 2:
-			if d := tr.Seal(); len(d) != 0 {
+			if d := tr.SealAppend(nil); len(d) != 0 {
 				t.Fatalf("cycle %d: clean experiment dirty = %v", i, d)
 			}
 		}
@@ -163,9 +163,9 @@ func TestSetEach(t *testing.T) {
 	base := NewSet()
 	base.Put("a.conf", buildTree())
 	base.Put("b.conf", buildTree())
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	tr.Get("b.conf").Child(0).Child(0).Value = "x"
-	tr.Seal()
+	tr.SealAppend(nil)
 	var names []string
 	tr.Each(func(file string, root *Node) bool {
 		names = append(names, file)
@@ -178,7 +178,7 @@ func TestSetEach(t *testing.T) {
 		t.Errorf("Each order = %v", names)
 	}
 	// Each on the sealed set must not have inflated the dirty list.
-	if d := tr.DirtyFiles(); len(d) != 1 || d[0] != "b.conf" {
+	if d := tr.AppendDirty(nil); len(d) != 1 || d[0] != "b.conf" {
 		t.Errorf("dirty after Each = %v", d)
 	}
 }

@@ -290,23 +290,6 @@ func (n *Node) detach() {
 	n.parent = nil
 }
 
-// ReplaceWith substitutes the node with repl in its parent's child list.
-// It is a no-op when the node is a root or repl is nil.
-func (n *Node) ReplaceWith(repl *Node) {
-	if repl == nil || n.parent == nil {
-		return
-	}
-	p := n.parent
-	i := n.Index()
-	if i < 0 {
-		return
-	}
-	repl.detach()
-	repl.parent = p
-	p.children[i] = repl
-	n.parent = nil
-}
-
 // Freeze marks the subtree as a frozen baseline. Its attribute lists
 // become shared: subsequent clones alias the lists instead of copying
 // them, and any holder — the original included — transparently copies
@@ -384,24 +367,6 @@ func (n *Node) Walk(visit func(*Node) bool) {
 	}
 }
 
-// Find returns all nodes in the subtree (including the root) for which pred
-// returns true, in pre-order.
-func (n *Node) Find(pred func(*Node) bool) []*Node {
-	var out []*Node
-	n.Walk(func(m *Node) bool {
-		if pred(m) {
-			out = append(out, m)
-		}
-		return true
-	})
-	return out
-}
-
-// FindKind returns all nodes of the given kind in pre-order.
-func (n *Node) FindKind(kind Kind) []*Node {
-	return n.Find(func(m *Node) bool { return m.Kind == kind })
-}
-
 // ChildByName returns the first direct child with the given name, or nil.
 func (n *Node) ChildByName(name string) *Node {
 	for _, c := range n.children {
@@ -421,38 +386,6 @@ func (n *Node) ChildrenByKind(kind Kind) []*Node {
 		}
 	}
 	return out
-}
-
-// Root returns the topmost ancestor of the node (possibly itself).
-func (n *Node) Root() *Node {
-	r := n
-	for r.parent != nil {
-		r = r.parent
-	}
-	return r
-}
-
-// Path returns a human-readable path from the root to the node, for
-// diagnostics and profile records, e.g. "/document/section[1]/directive[3]".
-func (n *Node) Path() string {
-	if n == nil {
-		return ""
-	}
-	var parts []string
-	for cur := n; cur != nil; cur = cur.parent {
-		label := cur.Kind.String()
-		if cur.Name != "" {
-			label += "(" + cur.Name + ")"
-		}
-		if idx := cur.Index(); idx >= 0 {
-			label += fmt.Sprintf("[%d]", idx)
-		}
-		parts = append(parts, label)
-	}
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	return "/" + strings.Join(parts, "/")
 }
 
 // String renders a compact single-line description of the node (not its

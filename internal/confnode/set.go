@@ -11,7 +11,7 @@ import (
 // ConfErr to inject cross-file errors (paper §3.1).
 //
 // A Set can either own its trees outright (the normal case) or be a
-// copy-on-write view of a base Set produced by Tracked. Tracked sets power
+// copy-on-write view of a base Set produced by TrackedInto. Tracked sets power
 // the engine's incremental injection pipeline: a scenario applied to a
 // tracked set only clones the file trees it actually reaches — over a
 // frozen base, through ResolvePath, only the nodes on the path to what it
@@ -54,33 +54,24 @@ func NewSet() *Set {
 	return &Set{trees: make(map[string]*Node)}
 }
 
-// Tracked returns a copy-on-write wrapper of the set. Mutating the wrapper
-// (through Get, Walk, Put, ResolvePath and the node APIs of the nodes they
-// return) never touches the receiver: the first access to a file clones
-// that file's tree into the wrapper — or, through ResolvePath over a
-// frozen receiver, only the nodes on the resolved path — and marks the
-// file dirty. DirtyFiles (or Seal) then reports which files a scenario
-// touched, which is what lets the engine re-serialize only those.
-// Tracking is conservative: a file that was merely read through Get or
-// Walk counts as dirty, because the caller could have mutated the
-// returned nodes.
+// TrackedInto returns a copy-on-write wrapper of the receiver, rebuilt in
+// dst. Mutating the wrapper (through Get, Walk, Put, ResolvePath and the
+// node APIs of the nodes they return) never touches the receiver: the
+// first access to a file clones that file's tree into the wrapper — or,
+// through ResolvePath over a frozen receiver, only the nodes on the
+// resolved path — and marks the file dirty. AppendDirty (or SealAppend)
+// then reports which files a scenario touched, which is what lets the
+// engine re-serialize only those. Tracking is conservative: a file that
+// was merely read through Get or Walk counts as dirty, because the caller
+// could have mutated the returned nodes.
+//
+// The wrapper's materialized clones are drawn from a (nil = regular
+// heap); trees read from it then live only until the arena's next Reset.
+// dst's overlay map is reused, so a worker can track one experiment after
+// another without allocating a wrapper per experiment. dst must not be in
+// use; a nil dst allocates a fresh wrapper. Returns dst.
 //
 // The receiver must not be mutated while wrappers of it are alive.
-func (s *Set) Tracked() *Set {
-	return s.TrackedWith(nil)
-}
-
-// TrackedWith is Tracked with the wrapper's materialized clones drawn from
-// the given arena (nil = regular heap). Trees read from the wrapper then
-// live only until the arena's next Reset; see Arena.
-func (s *Set) TrackedWith(a *Arena) *Set {
-	return &Set{order: s.order, sharedOrder: true, base: s, arena: a}
-}
-
-// TrackedInto rebuilds dst as a tracked wrapper of the receiver, reusing
-// dst's overlay map so a worker can track one experiment after another
-// without allocating a wrapper per experiment. dst must not be in use; a
-// nil dst allocates a fresh wrapper. Returns dst.
 func (s *Set) TrackedInto(dst *Set, a *Arena) *Set {
 	if dst == nil {
 		dst = &Set{}
@@ -105,38 +96,21 @@ func (s *Set) Arena() *Arena {
 	return s.arena
 }
 
-// IsTracked reports whether the set is a copy-on-write wrapper from
-// Tracked.
-func (s *Set) IsTracked() bool { return s.base != nil }
-
-// Seal ends the mutation phase of a tracked set and returns its dirty
-// files (see DirtyFiles). After Seal, reads return shared base trees for
-// clean files instead of materializing clones; callers must treat the
-// returned trees as read-only.
-func (s *Set) Seal() []string {
-	s.sealed = true
-	return s.DirtyFiles()
-}
-
-// SealAppend is Seal with the dirty files appended to buf — the
-// allocation-free form for per-worker scratch slices.
+// SealAppend ends the mutation phase of a tracked set and appends its
+// dirty files (see AppendDirty) to buf. After it, reads return shared
+// base trees for clean files instead of materializing clones; callers
+// must treat the returned trees as read-only.
 func (s *Set) SealAppend(buf []string) []string {
 	s.sealed = true
 	return s.AppendDirty(buf)
 }
 
-// DirtyFiles returns, in set order, the files whose trees may differ from
-// the base set: every file that was materialized by an access or replaced
-// by Put. For a set that is not tracked there is no base to compare
-// against, so all files are reported dirty — the conservative fallback for
-// raw sets and tree surgery performed outside the tracking API.
-func (s *Set) DirtyFiles() []string {
-	return s.AppendDirty(nil)
-}
-
-// AppendDirty appends the dirty files (see DirtyFiles) to buf and returns
-// it — the allocation-free form for callers that keep a per-worker
-// scratch slice.
+// AppendDirty appends to buf, in set order, the files whose trees may
+// differ from the base set: every file that was materialized by an access
+// or replaced by Put. For a set that is not tracked there is no base to
+// compare against, so all files are reported dirty — the conservative
+// fallback for raw sets and tree surgery performed outside the tracking
+// API.
 func (s *Set) AppendDirty(buf []string) []string {
 	for _, name := range s.order {
 		if _, ok := s.trees[name]; ok {
@@ -146,7 +120,7 @@ func (s *Set) AppendDirty(buf []string) []string {
 	return buf
 }
 
-// IsDirty reports whether DirtyFiles would list the file: its tree was
+// IsDirty reports whether AppendDirty would list the file: its tree was
 // materialized or replaced on a tracked set, or — conservatively — it is
 // simply present on an untracked one.
 func (s *Set) IsDirty(name string) bool {

@@ -25,11 +25,11 @@ func trackedFixture(files, directives int) *Set {
 func TestTrackedBasics(t *testing.T) {
 	base := trackedFixture(3, 4)
 	snap := base.Clone()
-	tr := base.Tracked()
-	if !tr.IsTracked() || base.IsTracked() {
+	tr := base.TrackedInto(nil, nil)
+	if tr.base == nil || base.base != nil {
 		t.Fatal("tracking flags wrong")
 	}
-	if got := len(tr.DirtyFiles()); got != 0 {
+	if got := len(tr.AppendDirty(nil)); got != 0 {
 		t.Fatalf("fresh tracked set has %d dirty files", got)
 	}
 
@@ -37,7 +37,7 @@ func TestTrackedBasics(t *testing.T) {
 	// untouched.
 	doc := tr.Get("f01.conf")
 	doc.Child(0).Value = "mutated"
-	dirty := tr.Seal()
+	dirty := tr.SealAppend(nil)
 	if len(dirty) != 1 || dirty[0] != "f01.conf" {
 		t.Fatalf("dirty = %v, want [f01.conf]", dirty)
 	}
@@ -59,9 +59,9 @@ func TestTrackedBasics(t *testing.T) {
 
 func TestTrackedPutNewFile(t *testing.T) {
 	base := trackedFixture(2, 2)
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	tr.Put("new.conf", New(KindDocument, "new.conf"))
-	dirty := tr.Seal()
+	dirty := tr.SealAppend(nil)
 	if len(dirty) != 1 || dirty[0] != "new.conf" {
 		t.Fatalf("dirty = %v, want [new.conf]", dirty)
 	}
@@ -75,26 +75,26 @@ func TestTrackedPutNewFile(t *testing.T) {
 
 func TestTrackedWalkDirtiesEverything(t *testing.T) {
 	base := trackedFixture(3, 2)
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	tr.Walk(func(_ string, root *Node) { root.Append(New(KindBlank, "")) })
-	if got, want := len(tr.Seal()), 3; got != want {
+	if got, want := len(tr.SealAppend(nil)), 3; got != want {
 		t.Fatalf("dirty count = %d, want %d", got, want)
 	}
 }
 
 func TestUntrackedSetReportsAllDirty(t *testing.T) {
 	s := trackedFixture(2, 2)
-	if got := len(s.DirtyFiles()); got != 2 {
-		t.Fatalf("untracked DirtyFiles = %d files, want all (2)", got)
+	if got := len(s.AppendDirty(nil)); got != 2 {
+		t.Fatalf("untracked AppendDirty = %d files, want all (2)", got)
 	}
 }
 
 func TestTrackedCloneFlattens(t *testing.T) {
 	base := trackedFixture(2, 2)
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	tr.Get("f00.conf").Child(0).Value = "x"
 	c := tr.Clone()
-	if c.IsTracked() {
+	if c.base != nil {
 		t.Fatal("clone is still tracked")
 	}
 	if !c.Equal(tr) {
@@ -155,10 +155,10 @@ func applyRandomOps(s *Set, ops []byte) {
 func checkDirtyNotUnderInclusive(t *testing.T, base *Set, ops []byte) {
 	t.Helper()
 	snap := base.Clone()
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	applyRandomOps(tr, ops)
 	dirty := map[string]bool{}
-	for _, name := range tr.Seal() {
+	for _, name := range tr.SealAppend(nil) {
 		dirty[name] = true
 	}
 	if !base.Equal(snap) {
@@ -240,7 +240,7 @@ func TestResolvePathCopiesOnlyThePath(t *testing.T) {
 	base.Freeze()
 	snap := base.Clone()
 	br := base.Get("n.conf")
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 
 	x, found := tr.ResolvePath("n.conf", []int{1, 0, 0})
 	if !found || x == nil || x.Name != "x" {
@@ -301,7 +301,7 @@ func TestResolvePathCopiesOnlyThePath(t *testing.T) {
 func TestResolvePathWalkOwns(t *testing.T) {
 	base := nestedFixture()
 	base.Freeze()
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	tr.ResolvePath("n.conf", []int{0, 1})
 	tr.Walk(func(_ string, root *Node) {
 		if n := frozenNodes(root); n != 0 {
@@ -315,7 +315,7 @@ func TestResolvePathWalkOwns(t *testing.T) {
 func TestResolvePathPutDropsPartial(t *testing.T) {
 	base := nestedFixture()
 	base.Freeze()
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	tr.ResolvePath("n.conf", []int{0, 0})
 	repl := base.Get("n.conf")
 	tr.Put("n.conf", repl)
@@ -334,7 +334,7 @@ func TestResolvePathElsewhereIsGet(t *testing.T) {
 	}
 
 	unfrozen := nestedFixture()
-	tr := unfrozen.Tracked()
+	tr := unfrozen.TrackedInto(nil, nil)
 	n, _ := tr.ResolvePath("n.conf", []int{1, 0, 0})
 	if root := tr.tree("n.conf"); root.Child(0) == unfrozen.Get("n.conf").Child(0) || n.Parent().Parent().Parent() != root {
 		t.Error("unfrozen base: file was not materialized whole")
@@ -342,24 +342,24 @@ func TestResolvePathElsewhereIsGet(t *testing.T) {
 
 	frozen := nestedFixture()
 	frozen.Freeze()
-	sealed := frozen.Tracked()
-	sealed.Seal()
+	sealed := frozen.TrackedInto(nil, nil)
+	sealed.SealAppend(nil)
 	if n, _ := sealed.ResolvePath("n.conf", []int{0}); n != frozen.Get("n.conf").Child(0) {
 		t.Error("sealed: did not return the shared base node")
 	}
 
-	tr = frozen.Tracked()
+	tr = frozen.TrackedInto(nil, nil)
 	whole := tr.Get("n.conf")
 	if n, _ := tr.ResolvePath("n.conf", []int{0, 1}); n != whole.Child(0).Child(1) {
 		t.Error("materialized file: not the owned node")
 	}
 
-	tr = frozen.Tracked()
+	tr = frozen.TrackedInto(nil, nil)
 	if root, _ := tr.ResolvePath("n.conf", nil); frozenNodes(root) != 0 {
 		t.Error("root path: tree not owned whole")
 	}
 
-	tr = frozen.Tracked()
+	tr = frozen.TrackedInto(nil, nil)
 	if n, found := tr.ResolvePath("n.conf", []int{1, 5}); n != nil || !found {
 		t.Errorf("miss = %v, %v; want nil, true", n, found)
 	}
@@ -376,7 +376,7 @@ func TestResolvePathElsewhereIsGet(t *testing.T) {
 func TestTrackedIntoDropsPartial(t *testing.T) {
 	base := nestedFixture()
 	base.Freeze()
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	tr.ResolvePath("n.conf", []int{0, 0})
 	tr = base.TrackedInto(tr, nil)
 	if len(tr.partial) != 0 || len(tr.AppendDirty(nil)) != 0 {

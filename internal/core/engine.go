@@ -8,9 +8,9 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -83,8 +83,8 @@ func CanShard(gen Generator) bool {
 
 // StreamOf returns the generator's faultload as a stream: lazily when the
 // generator implements StreamingGenerator, otherwise by materializing
-// Generate's slice behind a FromSlice adapter — slice-based plugins keep
-// working unchanged on every streaming path.
+// Generate's slice — slice-based plugins keep working unchanged on every
+// streaming path.
 func StreamOf(gen Generator, viewSet *confnode.Set) scenario.Source {
 	if sg, ok := gen.(StreamingGenerator); ok {
 		return sg.GenerateStream(viewSet)
@@ -147,16 +147,6 @@ type Campaign struct {
 	Generator Generator
 }
 
-// Run executes the campaign on one worker, in scenario order: every
-// scenario produced by the generator is injected into a fresh clone of
-// the initial configuration and the outcome recorded. The returned
-// profile is complete even when an error is returned (it covers the
-// experiments run so far). Run is equivalent to
-// RunContext(context.Background()).
-func (c *Campaign) Run() (*profile.Profile, error) {
-	return c.RunContext(context.Background())
-}
-
 // faultload is the immutable state every scenario of a campaign is
 // injected against: the view, both representations of the initial
 // configuration, and the precomputed fast-path state. Workers share it
@@ -166,24 +156,16 @@ type faultload struct {
 	viewSet *confnode.Set
 	sysSet  *confnode.Set
 
-	// incInto, baseSys and baseBytes enable the incremental injection
-	// pipeline. incInto is the view's incremental back-transform, nil when
-	// unsupported; workers thread their scratch tracked system set through
-	// it instead of allocating one per experiment. baseSys is the frozen
-	// baseline round trip (Backward over the unmutated view) that every
-	// experiment folds onto: folding an unchanged view line onto it writes
-	// nothing, so the word view skips such lines exactly, even where it
-	// normalizes a value. The one case where folding onto baseSys and onto
-	// sysSet differ: a word-view scenario that drops a line, or moves its
-	// provenance, leaves that line's directive at its round-tripped value
-	// here and at its parsed value in runOneReference. The two differ only
-	// for a value the view normalizes, and no built-in generator changes
-	// lines that way. baseBytes caches, once per campaign, baseSys
-	// serialized: per scenario, only the files the mutation dirtied are
-	// re-serialized and every clean file reuses its cached slice. All
-	// three are nil when the view has no incremental back-transform or the
-	// baseline round trip fails; runOne then falls back to
-	// runOneReference.
+	// incInto, baseSys and baseBytes are the incremental injection
+	// pipeline's state. incInto is the view's incremental back-transform;
+	// workers thread their scratch tracked system set through it instead
+	// of allocating one per experiment. baseSys is the frozen baseline
+	// round trip (Backward over the unmutated view) that every experiment
+	// folds onto: folding an unchanged view line onto it writes nothing,
+	// so the word view skips such lines exactly, even where it normalizes
+	// a value. baseBytes caches, once per campaign, baseSys serialized:
+	// per scenario, only the files the mutation dirtied are re-serialized
+	// and every clean file reuses its cached slice.
 	incInto   view.IncrementalInto
 	baseSys   *confnode.Set
 	baseBytes map[string][]byte
@@ -216,15 +198,16 @@ func (c *Campaign) generateBase() (*faultload, error) {
 	// copy-on-write instead of re-hashing them per injection.
 	fl.sysSet.Freeze()
 	fl.viewSet.Freeze()
-	fl.prepareFastPath(c.Target)
+	if err := fl.prepareFastPath(c.Target); err != nil {
+		return nil, fmt.Errorf("core: baseline round trip (%s): %w", v.Name(), err)
+	}
 	return fl, nil
 }
 
 // generateStream is generateBase plus the faultload as one lazy pull
 // stream, each scenario shape-validated as it streams past (checkScenario).
 // It keeps no duplicate-ID set, which would grow with the faultload:
-// RunContext's sink keeps one, and merged sources that may collide can
-// compose scenario.Source.DedupByID upstream.
+// RunContext's sink keeps one.
 func (c *Campaign) generateStream() (*faultload, scenario.Source, error) {
 	fl, err := c.generateBase()
 	if err != nil {
@@ -258,35 +241,35 @@ func (c *Campaign) checkScenario(seq int, sc scenario.Scenario) error {
 }
 
 // prepareFastPath keeps the frozen baseline round trip and caches its
-// bytes when the view supports incremental back-transformation into a
-// reused wrapper (view.IncrementalInto). Any failure — an error from
-// the unmutated Backward, a missing format, a serializer error — leaves
-// the fast path disabled rather than the campaign broken: runOne then
-// falls back to runOneReference, the paper's full-clone engine.
-func (fl *faultload) prepareFastPath(t *Target) {
+// bytes. Every campaign runs on the incremental pipeline, so a view
+// without an incremental back-transform into a reused wrapper
+// (view.IncrementalInto), an unmutated configuration the view cannot
+// round-trip, a file without a format or a serializer error fails the
+// campaign at start.
+func (fl *faultload) prepareFastPath(t *Target) error {
 	inc, ok := fl.view.(view.IncrementalInto)
 	if !ok {
-		return
+		return errors.New("view has no incremental back-transform (view.IncrementalInto)")
 	}
 	// Clone defensively: Backward's historical contract lets a view
 	// mutate the passed-in set, and this one is the campaign-wide
 	// baseline every scenario is tracked against.
 	baseSys, err := fl.view.Backward(fl.viewSet.Clone(), fl.sysSet)
 	if err != nil {
-		return
+		return err
 	}
 	baseBytes := make(map[string][]byte, baseSys.Len())
 	var baseSpans map[string]formats.Spans
 	for _, name := range baseSys.Names() {
 		f := t.Formats[name]
 		if f == nil {
-			return
+			return fmt.Errorf("no format registered for file %q", name)
 		}
 		sf, ok := f.(formats.SpliceFormat)
 		if !ok {
 			data, err := f.Serialize(baseSys.Get(name))
 			if err != nil {
-				return
+				return fmt.Errorf("serializing %s: %w", name, err)
 			}
 			baseBytes[name] = data
 			continue
@@ -295,28 +278,28 @@ func (fl *faultload) prepareFastPath(t *Target) {
 		var b bytes.Buffer
 		spans := formats.Spans{}
 		if err := sf.SerializeSpans(&b, baseSys.Get(name), spans); err != nil {
-			return
+			return fmt.Errorf("serializing %s: %w", name, err)
 		}
 		if baseSpans == nil {
 			baseSpans = make(map[string]formats.Spans)
 		}
 		baseBytes[name], baseSpans[name] = b.Bytes(), spans
 	}
-	// The fast path pre-populates each worker's files map from baseBytes
-	// and serializes only dirty files, so baseBytes must name exactly the
+	// Each worker's files map is pre-populated from baseBytes and only
+	// dirty files are serialized, so baseBytes must name exactly the
 	// baseline system files: a view whose round trip drops or invents
-	// files would silently hand the SUT the wrong file set. Such views
-	// fall back to the reference path instead.
+	// files would silently hand the SUT the wrong file set.
 	if baseSys.Len() != fl.sysSet.Len() {
-		return
+		return fmt.Errorf("%d files, want %d", baseSys.Len(), fl.sysSet.Len())
 	}
 	for _, name := range fl.sysSet.Names() {
 		if _, ok := baseBytes[name]; !ok {
-			return
+			return fmt.Errorf("file %q lost", name)
 		}
 	}
 	baseSys.Freeze()
 	fl.incInto, fl.baseSys, fl.baseBytes, fl.baseSpans = inc, baseSys, baseBytes, baseSpans
+	return nil
 }
 
 // scratch is per-worker reusable state threaded through every injection a
@@ -411,13 +394,8 @@ func (c *Campaign) parseInitial() (*confnode.Set, error) {
 // wrapper of the view, so only the files it actually touches are cloned;
 // the backward transform folds only those files; and serialization runs
 // only over the system files the fold rewrote, with every clean file
-// reusing its cached baseline bytes. When the view has no incremental
-// back-transform (or the baseline round trip failed at campaign start)
-// runOne falls back to runOneReference.
+// reusing its cached baseline bytes.
 func runOne(t *Target, sc scenario.Scenario, fl *faultload, scr *scratch) (profile.Record, error) {
-	if fl.incInto == nil || fl.baseBytes == nil {
-		return runOneReference(t, sc, fl.view, fl.viewSet, fl.sysSet)
-	}
 	start := time.Now()
 	rec := profile.Record{
 		ScenarioID:  sc.ID,
@@ -544,65 +522,8 @@ func isInfraPhaseErr(err error) bool {
 	return suts.IsPhaseTimeout(err) || suts.IsPhasePanic(err)
 }
 
-// runOneReference is the pre-incremental engine — deep-clone the whole
-// view, full Backward, re-serialize every file. It is runOne's fallback
-// for a view without an incremental back-transform (or a campaign whose
-// baseline round trip failed), and the behavioural reference:
-// equivalence tests prove runOne produces byte-identical profiles, and
-// the benchmark family measures the win against it.
-func runOneReference(t *Target, sc scenario.Scenario, v view.View, viewSet, sysSet *confnode.Set) (profile.Record, error) {
-	start := time.Now()
-	rec := profile.Record{
-		ScenarioID:  sc.ID,
-		Class:       sc.Class,
-		Description: sc.Description,
-	}
-	finish := func(o profile.Outcome, detail string) profile.Record {
-		rec.Outcome = o
-		rec.Detail = detail
-		rec.Duration = time.Since(start)
-		return rec
-	}
-
-	// 1. Mutate a fresh clone of the view.
-	mutated := viewSet.Clone()
-	if err := sc.Apply(mutated); err != nil {
-		if errors.Is(err, scenario.ErrNotApplicable) {
-			return finish(profile.NotApplicable, err.Error()), nil
-		}
-		return finish(profile.NotApplicable, err.Error()), err
-	}
-
-	// 2. Map back to the system representation.
-	mutatedSys, err := v.Backward(mutated, sysSet)
-	if err != nil {
-		if errors.Is(err, view.ErrNotExpressible) {
-			return finish(profile.NotExpressible, err.Error()), nil
-		}
-		return finish(profile.NotApplicable, err.Error()), err
-	}
-
-	// 3. Serialize to native file formats.
-	files := make(suts.Files, mutatedSys.Len())
-	for _, name := range mutatedSys.Names() {
-		f := t.Formats[name]
-		if f == nil {
-			return finish(profile.NotExpressible,
-				fmt.Sprintf("no format registered for file %q", name)), nil
-		}
-		data, serr := f.Serialize(mutatedSys.Get(name))
-		if serr != nil {
-			return finish(profile.NotExpressible, serr.Error()), nil
-		}
-		files[name] = data
-	}
-
-	return runOnFiles(t, files, finish)
-}
-
 // runOnFiles drives steps 4 and 5 — start the SUT on the mutated bytes,
-// run the functional tests, stop — shared by the incremental and
-// reference pipelines. The SUT gets the bytes and nothing else. With
+// run the functional tests, stop. The SUT gets the bytes and nothing else. With
 // deadlines armed every phase runs under the target's watchdog.
 func runOnFiles(t *Target, files suts.Files, finish func(profile.Outcome, string) profile.Record) (profile.Record, error) {
 	inst, wd := t.instance(), t.wd
@@ -697,45 +618,13 @@ func stopPhase(inst *sutpool.Instance, wd *watchdog) error {
 	return inst.Stop()
 }
 
-// Baseline verifies that the unmutated default configuration starts the
-// SUT and passes all functional tests; campaigns are meaningless without
-// this invariant (a failing test would count every scenario as detected).
-func (c *Campaign) Baseline() error {
-	sysSet, err := c.parseInitial()
-	if err != nil {
-		return fmt.Errorf("core: baseline parse: %w", err)
-	}
-	return c.baselineOn(sysSet, nil)
-}
-
-// baselineOn is Baseline over an already-parsed initial configuration,
-// letting RunContext share one parse between the baseline check and
-// faultload generation. It round-trips the configuration through
-// serialize so the baseline exercises the exact bytes mutated runs will
-// produce: when the campaign cached baseline bytes for the fast path,
-// those — the bytes every clean file of every experiment reuses — are
-// what the baseline starts the SUT on.
-func (c *Campaign) baselineOn(sysSet *confnode.Set, baseBytes map[string][]byte) error {
-	rt := make(suts.Files, sysSet.Len())
-	for _, name := range sysSet.Names() {
-		if data, ok := baseBytes[name]; ok {
-			rt[name] = data
-			continue
-		}
-		f := c.Target.Formats[name]
-		if f == nil {
-			// A Target whose Formats map lost (or never had) an entry for a
-			// parsed file must fail diagnosably, not panic on the nil
-			// interface.
-			return fmt.Errorf("core: baseline: no format registered for file %q", name)
-		}
-		data, err := f.Serialize(sysSet.Get(name))
-		if err != nil {
-			return fmt.Errorf("core: baseline serialize %s: %w", name, err)
-		}
-		rt[name] = data
-	}
-	if err := c.Target.System.Start(rt); err != nil {
+// baselineOn verifies that the unmutated default configuration starts
+// the SUT and passes all functional tests; campaigns are meaningless
+// without this invariant (a failing test would count every scenario as
+// detected). It starts the SUT on baseBytes, the bytes every clean file
+// of every experiment reuses.
+func (c *Campaign) baselineOn(baseBytes map[string][]byte) error {
+	if err := c.Target.System.Start(maps.Clone(baseBytes)); err != nil {
 		_ = c.Target.System.Stop()
 		return fmt.Errorf("core: baseline start: %w", err)
 	}

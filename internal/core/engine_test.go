@@ -89,11 +89,21 @@ func target(sys suts.System) *Target {
 	}
 }
 
+// baseline runs c's baseline check alone, as WithBaselineCheck does
+// before the first scenario.
+func baseline(c *Campaign) error {
+	fl, err := c.generateBase()
+	if err != nil {
+		return err
+	}
+	return c.baselineOn(fl.baseBytes)
+}
+
 func TestBaseline(t *testing.T) {
 	sys := &fakeSystem{}
 	c := &Campaign{Target: target(sys), Generator: &typo.Plugin{}}
-	if err := c.Baseline(); err != nil {
-		t.Fatalf("Baseline: %v", err)
+	if err := baseline(c); err != nil {
+		t.Fatalf("baseline: %v", err)
 	}
 	if sys.started != 1 || sys.stopped != 1 {
 		t.Errorf("started=%d stopped=%d", sys.started, sys.stopped)
@@ -103,25 +113,27 @@ func TestBaseline(t *testing.T) {
 func TestRunTypoCampaign(t *testing.T) {
 	sys := &fakeSystem{}
 	c := &Campaign{Target: target(sys), Generator: &typo.Plugin{}}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prof.System != "fake" || prof.Generator != "typo" {
 		t.Errorf("profile identity = %q/%q", prof.System, prof.Generator)
 	}
-	counts := prof.CountByOutcome()
+	counts := prof.Summarize()
 	// Typos in names ("port"->"prt", "greet"->"gret") are unknown
 	// directives -> startup detection. Typos in port's value -> bad port.
 	// Typos in greet's value -> functional test detection.
-	if counts[profile.DetectedAtStartup] == 0 {
+	if counts.AtStartup == 0 {
 		t.Error("expected startup detections")
 	}
-	if counts[profile.DetectedByTest] == 0 {
+	if counts.ByTest == 0 {
 		t.Error("expected test detections")
 	}
-	if counts[profile.NotApplicable] != 0 {
-		t.Errorf("unexpected not-applicable: %v", counts)
+	for _, r := range prof.Records {
+		if r.Outcome == profile.NotApplicable {
+			t.Errorf("unexpected not-applicable: %+v", r)
+		}
 	}
 	// Start/Stop balanced.
 	if sys.started != sys.stopped {
@@ -164,7 +176,7 @@ func (delGen) Generate(s *confnode.Set) ([]scenario.Scenario, error) {
 func TestRunStructuralDeletion(t *testing.T) {
 	sys := &fakeSystem{}
 	c := &Campaign{Target: target(sys), Generator: delGen{}}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +217,7 @@ func TestRunNotApplicableScenario(t *testing.T) {
 		},
 	}}}
 	c := &Campaign{Target: target(sys), Generator: g}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +233,7 @@ func TestRunInfrastructureErrorAborts(t *testing.T) {
 		{ID: "after", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}}
 	c := &Campaign{Target: target(sys), Generator: g}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err == nil {
 		t.Fatal("expected campaign abort")
 	}
@@ -252,7 +264,7 @@ func TestRunNonStartupErrorIsInfrastructure(t *testing.T) {
 		{ID: "s", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}}
 	c := &Campaign{Target: target(sys), Generator: g}
-	_, err := c.Run()
+	_, err := c.RunContext(context.Background())
 	if err == nil {
 		t.Fatal("non-startup error should abort the campaign")
 	}
@@ -275,7 +287,7 @@ func TestRunScenarioAddsFileWithoutFormat(t *testing.T) {
 		{ID: "after", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}}
 	c := &Campaign{Target: target(sys), Generator: g}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,30 +309,31 @@ func TestRunMissingFormat(t *testing.T) {
 		Target:    &Target{System: sys, Formats: map[string]formats.Format{}},
 		Generator: &typo.Plugin{},
 	}
-	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "no format registered") {
+	if _, err := c.RunContext(context.Background()); err == nil || !strings.Contains(err.Error(), "no format registered") {
 		t.Errorf("err = %v", err)
 	}
 }
 
-// notExprView always fails the backward transform.
+// notExprView round-trips the unmutated configuration but fails every
+// scenario's incremental backward transform as inexpressible.
 type notExprView struct{ view.StructView }
 
-func (notExprView) Backward(_, _ *confnode.Set) (*confnode.Set, error) {
+func (notExprView) IncrementalBackwardInto(_ *confnode.Set, _ []string, _, _ *confnode.Set) (*confnode.Set, error) {
 	return nil, fmt.Errorf("nope: %w", view.ErrNotExpressible)
 }
 
-type notExprGen struct{}
+type notExprGen struct{ v view.View }
 
-func (notExprGen) Name() string    { return "ne" }
-func (notExprGen) View() view.View { return notExprView{} }
+func (notExprGen) Name() string      { return "ne" }
+func (g notExprGen) View() view.View { return g.v }
 func (notExprGen) Generate(s *confnode.Set) ([]scenario.Scenario, error) {
 	return []scenario.Scenario{{ID: "x", Class: "c", Apply: func(*confnode.Set) error { return nil }}}, nil
 }
 
 func TestRunNotExpressible(t *testing.T) {
 	sys := &fakeSystem{}
-	c := &Campaign{Target: target(sys), Generator: notExprGen{}}
-	prof, err := c.Run()
+	c := &Campaign{Target: target(sys), Generator: notExprGen{notExprView{}}}
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +342,34 @@ func TestRunNotExpressible(t *testing.T) {
 	}
 	if sys.started != 0 {
 		t.Error("SUT must not start for inexpressible faults")
+	}
+}
+
+// noRoundTripView fails even the unmutated configuration's backward
+// transform.
+type noRoundTripView struct{ view.StructView }
+
+func (noRoundTripView) Name() string { return "no-round-trip" }
+
+func (noRoundTripView) Backward(_, _ *confnode.Set) (*confnode.Set, error) {
+	return nil, fmt.Errorf("nope: %w", view.ErrNotExpressible)
+}
+
+// TestRunRefusesViewWithoutRoundTrip: a view that cannot map the
+// unmutated configuration back fails the campaign at start, naming the
+// view, before any SUT starts.
+func TestRunRefusesViewWithoutRoundTrip(t *testing.T) {
+	sys := &fakeSystem{}
+	c := &Campaign{Target: target(sys), Generator: notExprGen{noRoundTripView{}}}
+	prof, err := c.RunContext(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "baseline round trip (no-round-trip)") {
+		t.Fatalf("err = %v, want a baseline round-trip error naming the view", err)
+	}
+	if prof != nil && len(prof.Records) != 0 {
+		t.Errorf("%d records, want none", len(prof.Records))
+	}
+	if sys.started != 0 {
+		t.Error("SUT started for a campaign refused at start")
 	}
 }
 
@@ -367,7 +408,7 @@ func TestRunStopFailureAfterDetectionIsDetail(t *testing.T) {
 		{ID: "s2", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}}
 	c := &Campaign{Target: tgt, Generator: g} // WithKeepGoing defaults to false
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("campaign aborted on post-detection stop failure: %v", err)
 	}
@@ -399,7 +440,7 @@ func TestRunStopFailureIsDetail(t *testing.T) {
 		{ID: "s2", Class: "c", Apply: func(*confnode.Set) error { return nil }},
 	}}
 	c := &Campaign{Target: tgt, Generator: g} // WithKeepGoing defaults to false
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatalf("campaign aborted on post-run stop failure: %v", err)
 	}
@@ -422,7 +463,7 @@ func TestBaselineFailures(t *testing.T) {
 	tgt := target(sys)
 	tgt.Tests = []suts.Test{{Name: "always-fails", Run: func() error { return errors.New("nope") }}}
 	c := &Campaign{Target: tgt, Generator: &typo.Plugin{}}
-	if err := c.Baseline(); err == nil || !strings.Contains(err.Error(), "always-fails") {
+	if err := baseline(c); err == nil || !strings.Contains(err.Error(), "always-fails") {
 		t.Errorf("err = %v", err)
 	}
 	// Baseline with a config the SUT rejects.
@@ -430,7 +471,7 @@ func TestBaselineFailures(t *testing.T) {
 	tgt2 := target(sys2)
 	tgt2.System = rejectAllSystem{sys2}
 	c2 := &Campaign{Target: tgt2, Generator: &typo.Plugin{}}
-	if err := c2.Baseline(); err == nil || !strings.Contains(err.Error(), "baseline start") {
+	if err := baseline(c2); err == nil || !strings.Contains(err.Error(), "baseline start") {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -445,7 +486,7 @@ func (s rejectAllSystem) Start(suts.Files) error {
 func TestRunDurationRecorded(t *testing.T) {
 	sys := &fakeSystem{}
 	c := &Campaign{Target: target(sys), Generator: delGen{}}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +507,7 @@ func TestGenerateRejectsInvalidScenario(t *testing.T) {
 		{ID: "classless", Apply: func(*confnode.Set) error { return nil }},
 	}}
 	c := &Campaign{Target: target(sys), Generator: g}
-	prof, err := c.Run()
+	prof, err := c.RunContext(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "empty Class") {
 		t.Fatalf("err = %v, want invalid-scenario abort", err)
 	}

@@ -26,9 +26,6 @@ func OpenFastPath(c *Campaign) (*FastPath, scenario.Source, error) {
 	return &FastPath{t: c.Target, fl: fl, scr: &scratch{}}, src, nil
 }
 
-// Enabled reports whether runOne takes the incremental pipeline.
-func (p *FastPath) Enabled() bool { return p.fl.incInto != nil && p.fl.baseBytes != nil }
-
 // RunFast runs one scenario through runOne on the path's own scratch.
 func (p *FastPath) RunFast(sc scenario.Scenario) (profile.Record, error) {
 	return runOne(p.t, sc, p.fl, p.scr)

@@ -9,7 +9,7 @@ import (
 )
 
 // This file provides generator combinators: wrappers that reshape another
-// generator's faultload — capping, sampling, merging or replicating it —
+// generator's faultload — capping, sampling or replicating it —
 // while implementing both the slice and the streaming contract. Each
 // wrapper's Generate is defined as Collect over its own stream, so the two
 // paths cannot drift apart.
@@ -80,42 +80,6 @@ func SampleGenerator(gen Generator, seed int64, n int) Generator {
 			return StreamOf(gen, viewSet).SampleN(seed, n)
 		},
 	}
-}
-
-// MergeGenerators concatenates the faultloads of several generators that
-// share one view — the streaming form of running them as separate merged
-// campaigns. All generators must declare the same view; the first one's is
-// used.
-func MergeGenerators(name string, gens ...Generator) (Generator, error) {
-	if len(gens) == 0 {
-		return nil, fmt.Errorf("core: MergeGenerators needs at least one generator")
-	}
-	v := gens[0].View()
-	for _, g := range gens[1:] {
-		if g.View().Name() != v.Name() {
-			return nil, fmt.Errorf("core: MergeGenerators: %s uses view %s, want %s",
-				g.Name(), g.View().Name(), v.Name())
-		}
-	}
-	shardable := true
-	for _, g := range gens {
-		if !CanShard(g) {
-			shardable = false
-			break
-		}
-	}
-	return streamFunc{
-		name:      name,
-		view:      v,
-		shardable: shardable,
-		src: func(viewSet *confnode.Set) scenario.Source {
-			sources := make([]scenario.Source, len(gens))
-			for i, g := range gens {
-				sources[i] = StreamOf(g, viewSet)
-			}
-			return scenario.Concat(sources...)
-		},
-	}, nil
 }
 
 // RepeatGenerator replays gen's faultload rounds times, prefixing every

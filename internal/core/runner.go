@@ -168,7 +168,7 @@ func (c *Campaign) openFeed(cfg runConfig, opaque func(scenario.Source) shardFee
 		return nil, nil, err
 	}
 	if cfg.baseline {
-		if err := c.baselineOn(fl.sysSet, fl.baseBytes); err != nil {
+		if err := c.baselineOn(fl.baseBytes); err != nil {
 			return nil, nil, err
 		}
 	}

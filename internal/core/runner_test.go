@@ -133,7 +133,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		fullProf, err := (&Campaign{Target: target(&fakeSystem{}), Generator: &typo.Plugin{}}).Run()
+		fullProf, err := (&Campaign{Target: target(&fakeSystem{}), Generator: &typo.Plugin{}}).RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

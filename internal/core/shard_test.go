@@ -140,15 +140,6 @@ func TestCombinatorShardability(t *testing.T) {
 	if !CanShard(LimitGenerator(shardable, 30)) {
 		t.Error("Limit over a shardable generator should be shardable")
 	}
-	// Merge requires a shared view: pair the (shardable) struct-view
-	// synthetic generator with the (opaque) struct-view mixGen.
-	if merged, err := MergeGenerators("m", benchfixture.Gen{}, opaque); err != nil || CanShard(merged) {
-		t.Errorf("Merge with one non-shardable generator must not be shardable (err=%v)", err)
-	}
-	if merged, err := MergeGenerators("m", benchfixture.Gen{}, benchfixture.Gen{}); err != nil || !CanShard(merged) {
-		t.Errorf("Merge of shardable generators should be shardable (err=%v)", err)
-	}
-
 	c := &Campaign{Target: digestTarget(), Generator: shardable}
 	fl, err := c.generateBase()
 	if err != nil {
@@ -246,9 +237,6 @@ func TestShardedTallyBypassMatchesOrderedRun(t *testing.T) {
 		}
 		if n != len(ref.Records) {
 			t.Errorf("workers=%d: %d records, want %d", workers, n, len(ref.Records))
-		}
-		if n != tally.Records() {
-			t.Errorf("workers=%d: run reported %d records, tally holds %d", workers, n, tally.Records())
 		}
 		got := tally.Summary()
 		got.System = want.System
@@ -451,7 +439,14 @@ func TestWorkerBuildFailureReleasesLeases(t *testing.T) {
 	if !errors.Is(err, errBuild) {
 		t.Fatalf("err = %v, want the build error", err)
 	}
-	if idle := pool.Idle(); idle != 2 {
-		t.Errorf("pool.Idle() = %d, want the 2 leases taken before the failure back", idle)
+	// The 2 leases taken before the failure are parked again: leasing
+	// them back builds nothing.
+	for range 2 {
+		if _, err := pool.Lease(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds != 3 {
+		t.Errorf("%d builds, want 3: the leases taken before the failure were not returned", builds)
 	}
 }

@@ -79,16 +79,6 @@ type SuiteResult struct {
 	Results []CampaignResult
 }
 
-// ProfileByName returns the named campaign's profile, or nil.
-func (r *SuiteResult) ProfileByName(name string) *profile.Profile {
-	for _, cr := range r.Results {
-		if cr.Name == name {
-			return cr.Profile
-		}
-	}
-	return nil
-}
-
 // FirstError returns the first failed campaign's error in suite order,
 // preferring root causes: when one campaign's failure cancelled its
 // siblings, the failing campaign's error wins over the siblings'

@@ -147,8 +147,8 @@ func TestWatchdogTransientWedgeRecovers(t *testing.T) {
 	if len(prof.Records) != 40 {
 		t.Fatalf("records = %d, want 40", len(prof.Records))
 	}
-	counts := prof.CountByOutcome()
-	if counts[profile.InfrastructureError] == 0 {
+	counts := prof.Summarize()
+	if counts.Infrastructure == 0 {
 		t.Error("expected infrastructure-error records from the transient wedge")
 	}
 	// The wedge resolves after 150ms; the tail of the campaign must be
@@ -172,7 +172,7 @@ func TestWatchdogWedgeHoldsOneRunner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
 	}
-	if n := prof.CountByOutcome()[profile.InfrastructureError]; n != 200 {
+	if n := prof.Summarize().Infrastructure; n != 200 {
 		t.Fatalf("infrastructure errors = %d, want 200", n)
 	}
 	if grew := runtime.NumGoroutine() - before; grew > 5 {

@@ -134,16 +134,6 @@ func (e *Expr) Select(root *confnode.Node) []*confnode.Node {
 	return current
 }
 
-// SelectSet evaluates the expression against every tree in the set and
-// returns all matches, grouped in file order.
-func (e *Expr) SelectSet(set *confnode.Set) []*confnode.Node {
-	var out []*confnode.Node
-	set.Walk(func(_ string, root *confnode.Node) {
-		out = append(out, e.Select(root)...)
-	})
-	return out
-}
-
 func applyStep(current []*confnode.Node, st step) []*confnode.Node {
 	seen := make(map[*confnode.Node]bool)
 	var out []*confnode.Node

@@ -146,22 +146,6 @@ func TestRelativeExprIsDescendant(t *testing.T) {
 	}
 }
 
-func TestSelectSet(t *testing.T) {
-	set := confnode.NewSet()
-	set.Put("a", testTree())
-	b := confnode.New(confnode.KindDocument, "b")
-	b.Append(confnode.NewValued(confnode.KindDirective, "port", "5432"))
-	set.Put("b", b)
-	e := MustCompile("//directive")
-	got := e.SelectSet(set)
-	if len(got) != 6 {
-		t.Fatalf("SelectSet matched %d nodes, want 6", len(got))
-	}
-	if got[5].Name != "port" {
-		t.Errorf("file order not preserved: last = %s", got[5].Name)
-	}
-}
-
 func TestSelectNilAndEmpty(t *testing.T) {
 	e := MustCompile("//directive")
 	if e.Select(nil) != nil {

@@ -23,7 +23,7 @@ func incrementalFolds(v view.IncrementalInto, stale string) []incrementalFold {
 	return []incrementalFold{
 		{"IncrementalBackward", v.IncrementalBackward},
 		{"IncrementalBackwardInto", func(dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error) {
-			dst := sys.Tracked()
+			dst := sys.TrackedInto(nil, nil)
 			dst.Get(stale)
 			out, err := v.IncrementalBackwardInto(dst, dirty, mutated, sys)
 			if err == nil && out != dst {
@@ -64,13 +64,13 @@ func TestZoneViewIncrementalBackward(t *testing.T) {
 
 	for _, f := range incrementalFolds(v, "reverse.zone") {
 		t.Run(f.name, func(t *testing.T) {
-			tracked := fwd.Tracked()
+			tracked := fwd.TrackedInto(nil, nil)
 			mutate(tracked)
-			out, err := f.fold(tracked.Seal(), tracked, sys)
+			out, err := f.fold(tracked.SealAppend(nil), tracked, sys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dirty := out.Seal()
+			dirty := out.SealAppend(nil)
 			if len(dirty) != 1 || dirty[0] != "example.zone" {
 				t.Fatalf("sys dirty = %v, want [example.zone]", dirty)
 			}
@@ -120,13 +120,13 @@ func TestTinyViewIncrementalBackward(t *testing.T) {
 
 	for _, f := range incrementalFolds(v, "data") {
 		t.Run(f.name, func(t *testing.T) {
-			tracked := fwd.Tracked()
+			tracked := fwd.TrackedInto(nil, nil)
 			mutate(tracked)
-			out, err := f.fold(tracked.Seal(), tracked, sys)
+			out, err := f.fold(tracked.SealAppend(nil), tracked, sys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dirty := out.Seal(); len(dirty) != 1 || dirty[0] != "data" {
+			if dirty := out.SealAppend(nil); len(dirty) != 1 || dirty[0] != "data" {
 				t.Fatalf("sys dirty = %v, want [data]", dirty)
 			}
 			if !out.Get("data").Equal(want.Get("data")) {
@@ -167,9 +167,9 @@ func TestTinyViewIncrementalNotExpressibleParity(t *testing.T) {
 
 	for _, f := range incrementalFolds(v, "data") {
 		t.Run(f.name, func(t *testing.T) {
-			tracked := fwd.Tracked()
+			tracked := fwd.TrackedInto(nil, nil)
 			mutate(tracked)
-			_, fastErr := f.fold(tracked.Seal(), tracked, sys)
+			_, fastErr := f.fold(tracked.SealAppend(nil), tracked, sys)
 
 			if !errors.Is(refErr, view.ErrNotExpressible) || !errors.Is(fastErr, view.ErrNotExpressible) {
 				t.Fatalf("errors = %v / %v, want both ErrNotExpressible", refErr, fastErr)

@@ -45,10 +45,10 @@ func FuzzSplice(f *testing.F) {
 		if len(paths) == 0 {
 			return
 		}
-		tr := set.Tracked()
+		tr := set.TrackedInto(nil, nil)
 		n, _ := tr.ResolvePath("nginx.conf", paths[pick%uint(len(paths))])
 		n.Value = value
-		tr.Seal()
+		tr.SealAppend(nil)
 		got, want := spliceAndSerialize(t, tr.Get("nginx.conf"), base, spans)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("SpliceTo = %q, want %q", got, want)

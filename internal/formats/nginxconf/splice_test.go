@@ -92,11 +92,11 @@ func TestSpliceEveryDirective(t *testing.T) {
 		t.Fatalf("only %d directives found", len(paths))
 	}
 	for _, p := range paths {
-		tr := set.Tracked()
+		tr := set.TrackedInto(nil, nil)
 		n, _ := tr.ResolvePath("nginx.conf", p)
 		n.Value += "x"
 		n.Name = "typo_" + n.Name
-		tr.Seal()
+		tr.SealAppend(nil)
 		got, want := spliceAndSerialize(t, tr.Get("nginx.conf"), base, spans)
 		if !bytes.Equal(got, want) {
 			t.Errorf("directive %v: SpliceTo = %q, want %q", p, got, want)

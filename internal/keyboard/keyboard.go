@@ -82,24 +82,6 @@ func NewLayout(name string, keys []Key) *Layout {
 	return l
 }
 
-// Name returns the layout's name.
-func (l *Layout) Name() string { return l.name }
-
-// Contains reports whether the layout can produce the rune.
-func (l *Layout) Contains(r rune) bool {
-	_, ok := l.index[r]
-	return ok
-}
-
-// KeyFor returns the key and modifier that produce the rune.
-func (l *Layout) KeyFor(r rune) (Key, Modifier, bool) {
-	ref, ok := l.index[r]
-	if !ok {
-		return Key{}, ModNone, false
-	}
-	return l.keys[ref.key], ref.mod, true
-}
-
 // Neighbors returns the characters produced by pressing the keys adjacent
 // to the one producing r, holding the same modifiers — the realistic
 // outcomes of a finger slip. Results are sorted by distance, nearest
@@ -140,32 +122,6 @@ func (l *Layout) Neighbors(r rune) []rune {
 	for i, c := range cands {
 		out[i] = c.r
 	}
-	return out
-}
-
-// ShiftCounterpart returns the character on the same physical key at the
-// opposite Shift level: the shifted character for a bare press and vice
-// versa. It models Shift-miscoordination (case-alteration) errors. ok is
-// false when the layout cannot produce r or the key has no counterpart.
-func (l *Layout) ShiftCounterpart(r rune) (rune, bool) {
-	ref, ok := l.index[r]
-	if !ok {
-		return 0, false
-	}
-	k := l.keys[ref.key]
-	if ref.mod&ModShift != 0 {
-		return k.Base, k.Base != 0
-	}
-	return k.Shift, k.Shift != 0
-}
-
-// Runes returns every rune the layout can produce, sorted.
-func (l *Layout) Runes() []rune {
-	out := make([]rune, 0, len(l.index))
-	for r := range l.index {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -1,9 +1,38 @@
 package keyboard
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Name returns the layout's name.
+func (l *Layout) Name() string { return l.name }
+
+// Contains reports whether the layout can produce the rune.
+func (l *Layout) Contains(r rune) bool {
+	_, ok := l.index[r]
+	return ok
+}
+
+// KeyFor returns the key and modifier that produce the rune.
+func (l *Layout) KeyFor(r rune) (Key, Modifier, bool) {
+	ref, ok := l.index[r]
+	if !ok {
+		return Key{}, ModNone, false
+	}
+	return l.keys[ref.key], ref.mod, true
+}
+
+// Runes returns every rune the layout can produce, sorted.
+func (l *Layout) Runes() []rune {
+	out := make([]rune, 0, len(l.index))
+	for r := range l.index {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
 
 func TestUSQwertyContains(t *testing.T) {
 	l := USQwerty()
@@ -136,28 +165,6 @@ func TestNeighborsDeterministic(t *testing.T) {
 	}
 }
 
-func TestShiftCounterpart(t *testing.T) {
-	l := USQwerty()
-	tests := []struct {
-		in   rune
-		want rune
-	}{
-		{'a', 'A'}, {'A', 'a'}, {'1', '!'}, {'!', '1'}, {';', ':'}, {'/', '?'},
-	}
-	for _, tt := range tests {
-		got, ok := l.ShiftCounterpart(tt.in)
-		if !ok || got != tt.want {
-			t.Errorf("ShiftCounterpart(%q) = %q, %v; want %q", tt.in, got, ok, tt.want)
-		}
-	}
-	if _, ok := l.ShiftCounterpart(' '); ok {
-		t.Error("space has no shift counterpart")
-	}
-	if _, ok := l.ShiftCounterpart('€'); ok {
-		t.Error("unknown rune has no counterpart")
-	}
-}
-
 func TestRunes(t *testing.T) {
 	l := USQwerty()
 	rs := l.Runes()
@@ -221,21 +228,5 @@ func TestPropertyNeighborsProper(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: ShiftCounterpart is an involution where defined on both sides.
-func TestPropertyShiftInvolution(t *testing.T) {
-	for _, l := range []*Layout{USQwerty(), SwissGerman()} {
-		for _, r := range l.Runes() {
-			c, ok := l.ShiftCounterpart(r)
-			if !ok {
-				continue
-			}
-			back, ok2 := l.ShiftCounterpart(c)
-			if !ok2 || back != r {
-				t.Errorf("%s: ShiftCounterpart not involutive at %q (-> %q -> %q)", l.Name(), r, c, back)
-			}
-		}
 	}
 }

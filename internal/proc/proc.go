@@ -8,7 +8,6 @@ package proc
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -264,39 +263,5 @@ func (c *Controller) cleanupLocked() {
 	if c.opts.WorkDir == "" && c.dir != "" {
 		_ = os.RemoveAll(c.dir)
 		c.dir = ""
-	}
-}
-
-// Output returns the child's combined stdout/stderr captured so far.
-func (c *Controller) Output() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.output == nil {
-		return ""
-	}
-	return c.output.String()
-}
-
-// WorkDir returns the directory the current configuration was written to.
-func (c *Controller) WorkDir() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dir
-}
-
-// WaitExit blocks until the child exits or ctx is done; for tests and
-// crash-observation campaigns.
-func (c *Controller) WaitExit(ctx context.Context) error {
-	c.mu.Lock()
-	ch := c.exited
-	c.mu.Unlock()
-	if ch == nil {
-		return nil
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

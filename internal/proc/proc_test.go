@@ -1,7 +1,6 @@
 package proc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -211,27 +210,6 @@ func TestOutputCapture(t *testing.T) {
 	}
 }
 
-func TestWaitExit(t *testing.T) {
-	c, _ := New(Options{
-		Command: "/bin/sh",
-		Args:    []string{"-c", "sleep 0.2"},
-	})
-	if err := c.Start(suts.Files{}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := c.WaitExit(ctx); err != nil {
-		t.Errorf("WaitExit: %v", err)
-	}
-	_ = c.Stop()
-	// WaitExit with no child is a no-op.
-	c2, _ := New(Options{Command: "/bin/true"})
-	if err := c2.WaitExit(context.Background()); err != nil {
-		t.Errorf("idle WaitExit: %v", err)
-	}
-}
-
 func TestFixedWorkDirPreserved(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := New(Options{
@@ -250,4 +228,21 @@ func TestFixedWorkDirPreserved(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "nested", "app.conf")); err != nil {
 		t.Errorf("fixed work dir cleaned up: %v", err)
 	}
+}
+
+// Output returns the child's combined stdout/stderr captured so far.
+func (c *Controller) Output() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.output == nil {
+		return ""
+	}
+	return c.output.String()
+}
+
+// WorkDir returns the directory the current configuration was written to.
+func (c *Controller) WorkDir() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dir
 }

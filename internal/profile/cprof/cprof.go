@@ -178,15 +178,6 @@ func (w *Writer) Sink(system, generator string) *Sink {
 	return s
 }
 
-// Frames returns a snapshot of the frames written so far.
-func (w *Writer) Frames() []FrameInfo {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]FrameInfo, len(w.frames))
-	copy(out, w.frames)
-	return out
-}
-
 // Flush cuts every attached sink's partially filled frame and writes it
 // out. This is the durability point for checkpointing writers (the dist
 // merger flushes before each checkpoint, so the checkpoint never claims

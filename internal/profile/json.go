@@ -71,23 +71,6 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON deserializes a profile written by WriteJSON.
-func ReadJSON(r io.Reader) (*Profile, error) {
-	var in jsonProfile
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("profile: decoding: %w", err)
-	}
-	p := &Profile{System: in.System, Generator: in.Generator}
-	for _, jr := range in.Records {
-		r, err := jr.record()
-		if err != nil {
-			return nil, err
-		}
-		p.Add(r)
-	}
-	return p, nil
-}
-
 // outcomeFromString resolves an outcome's kebab-case name.
 func outcomeFromString(s string) (Outcome, error) {
 	if o := outcomeByName([]byte(s)); o != 0 {

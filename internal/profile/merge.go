@@ -87,13 +87,6 @@ func (m *SeqMerger) Add(seq int, line []byte) error {
 // here and nothing else.
 func (m *SeqMerger) Front() int { return m.next }
 
-// Flushed returns how many lines this merger has written (excluding any
-// pre-existing prefix accounted by the start offset).
-func (m *SeqMerger) Flushed() int { return m.flushed }
-
-// PendingCount returns how many lines are parked past a gap.
-func (m *SeqMerger) PendingCount() int { return len(m.pending) }
-
 // Duplicates returns how many re-delivered lines were dropped.
 func (m *SeqMerger) Duplicates() int { return m.dups }
 

@@ -202,3 +202,10 @@ func TestSeqMergerWriteThroughKeepsCallerSlice(t *testing.T) {
 		t.Fatalf("merged stream = %q, want %q", out.String(), want)
 	}
 }
+
+// Flushed returns how many lines this merger has written (excluding any
+// pre-existing prefix accounted by the start offset).
+func (m *SeqMerger) Flushed() int { return m.flushed }
+
+// PendingCount returns how many lines are parked past a gap.
+func (m *SeqMerger) PendingCount() int { return len(m.pending) }

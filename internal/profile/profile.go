@@ -120,15 +120,6 @@ func (o Outcome) counted() bool {
 	return o != NotApplicable && o != NotExpressible && o != InfrastructureError
 }
 
-// CountByOutcome tallies records per outcome.
-func (p *Profile) CountByOutcome() map[Outcome]int {
-	out := make(map[Outcome]int)
-	for _, r := range p.Records {
-		out[r.Outcome]++
-	}
-	return out
-}
-
 // DetectionRate returns the fraction of injected faults the system
 // detected (startup or test), in [0,1]. It returns 0 when nothing was
 // injected.
@@ -289,11 +280,6 @@ type Banding struct {
 	// Share maps each band to its fraction of directives, in [0,1].
 	Share map[Band]float64
 }
-
-// BandByKey groups the profile's injected records by the given key
-// function (typically the directive a fault targeted), computes each
-// group's detection rate, and returns the banding distribution.
-func (p *Profile) BandByKey(key func(Record) string) Banding { return p.Stats(key).Banding() }
 
 // FormatFigure3 renders bandings as a text histogram in the shape of the
 // paper's Figure 3.

@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,14 +83,6 @@ func TestCountByClass(t *testing.T) {
 	}
 }
 
-func TestCountByOutcome(t *testing.T) {
-	c := sampleProfile().CountByOutcome()
-	if c[DetectedAtStartup] != 2 || c[DetectedByTest] != 1 || c[Ignored] != 2 ||
-		c[NotExpressible] != 1 || c[NotApplicable] != 1 {
-		t.Errorf("counts = %v", c)
-	}
-}
-
 func TestDetectionRate(t *testing.T) {
 	p := sampleProfile()
 	// 3 detected out of 5 injected.
@@ -159,7 +154,7 @@ func TestBandByKey(t *testing.T) {
 	// A not-expressible record and an empty-key record are excluded.
 	p.Add(Record{ScenarioID: "sx", Class: "a", Outcome: NotExpressible})
 	p.Add(Record{ScenarioID: "se", Class: "", Outcome: Ignored})
-	b := p.BandByKey(func(r Record) string { return r.Class })
+	b := p.Stats(func(r Record) string { return r.Class }).Banding()
 	if b.Directives != 2 {
 		t.Fatalf("Directives = %d, want 2", b.Directives)
 	}
@@ -209,7 +204,7 @@ func TestPropertyBandSharesSumToOne(t *testing.T) {
 			}
 			p.Add(Record{ScenarioID: "s", Class: string(rune('a' + i%7)), Outcome: o})
 		}
-		b := p.BandByKey(func(r Record) string { return r.Class })
+		b := p.Stats(func(r Record) string { return r.Class }).Banding()
 		sum := 0.0
 		for _, v := range b.Share {
 			sum += v
@@ -219,6 +214,23 @@ func TestPropertyBandSharesSumToOne(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// ReadJSON deserializes a profile written by WriteJSON.
+func ReadJSON(r io.Reader) (*Profile, error) {
+	var in jsonProfile
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
+		return nil, fmt.Errorf("profile: decoding: %w", err)
+	}
+	p := &Profile{System: in.System, Generator: in.Generator}
+	for _, jr := range in.Records {
+		r, err := jr.record()
+		if err != nil {
+			return nil, err
+		}
+		p.Add(r)
+	}
+	return p, nil
 }
 
 func TestJSONRoundTrip(t *testing.T) {

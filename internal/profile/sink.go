@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -65,11 +64,10 @@ func CanShardSink(s Sink) bool {
 // O(1) memory whatever the faultload size, the companion of a JSONL sink
 // on million-scenario campaigns. It is shardable: under a sharded
 // parallel run each worker folds into its own padded counter set and
-// Summary/Records merge the shards, so the hot path never shares a cache
+// Summary merges the shards, so the hot path never shares a cache
 // line between workers.
 type TallySink struct {
 	summary Summary
-	records int
 	shards  []tallyShard
 }
 
@@ -79,20 +77,17 @@ var _ ShardableSink = (*TallySink)(nil)
 // neighbouring shards out of each other's cache lines.
 type tallyShard struct {
 	summary Summary
-	records int
 	_       [64]byte
 }
 
 // Write implements Sink.
 func (t *tallyShard) Write(r Record) error {
-	t.records++
 	t.summary.Add(r)
 	return nil
 }
 
 // Write implements Sink.
 func (s *TallySink) Write(r Record) error {
-	s.records++
 	s.summary.Add(r)
 	return nil
 }
@@ -115,16 +110,6 @@ func (s *TallySink) Summary() Summary {
 		out.Merge(s.shards[i].summary)
 	}
 	return out
-}
-
-// Records returns how many records have been written, merged across
-// shards.
-func (s *TallySink) Records() int {
-	n := s.records
-	for i := range s.shards {
-		n += s.shards[i].records
-	}
-	return n
 }
 
 // Discard drops every record — the sink for runs whose only output is a
@@ -254,8 +239,8 @@ func (s *JSONLSink) Write(r Record) error {
 // trailing newline) into buf and returns it. The output is byte-identical
 // to encoding/json marshalling of the same schema — field order, omitted
 // empties, string escaping (HTML-safe, invalid-UTF-8 replacement) — which
-// the encoder fuzz test pins down. ParseJSONLLine, under ReadJSONL and
-// ScanJSONL, decodes exactly this shape without reflection.
+// the encoder fuzz test pins down. ParseJSONLLine, under ScanJSONL,
+// decodes exactly this shape without reflection.
 func AppendJSONLRecord(buf []byte, system, generator string, seq int, r Record) []byte {
 	buf = append(buf, `{"system":`...)
 	buf = appendJSONString(buf, system)
@@ -469,62 +454,4 @@ func ScanJSONL(r io.Reader, fn func(JSONLEntry) error) error {
 			return fmt.Errorf("profile: reading JSONL: %w", rerr)
 		}
 	}
-}
-
-// ReadJSONL parses a JSON Lines profile stream written by JSONLSink,
-// splitting it back into one Profile per (system, generator) campaign, in
-// order of first appearance. Within each profile, records are ordered by
-// their sequence numbers, so interleaved suite output round-trips to the
-// deterministic per-campaign profiles. The (system, generator) pair is
-// the only campaign identity in the schema: records of two campaigns
-// tagged identically (a deliberately duplicated matrix cell) merge into
-// one profile, seq ties broken by file order. Unlike ScanJSONL — on which
-// it is built — it materializes every record; prefer the scanner when a
-// single pass suffices.
-func ReadJSONL(r io.Reader) ([]*Profile, error) {
-	type keyed struct {
-		prof *Profile
-		seqs []int
-	}
-	var order []string
-	byKey := make(map[string]*keyed)
-	err := ScanJSONL(r, func(e JSONLEntry) error {
-		key := e.System + "\x00" + e.Generator
-		k, ok := byKey[key]
-		if !ok {
-			k = &keyed{prof: &Profile{System: e.System, Generator: e.Generator}}
-			byKey[key] = k
-			order = append(order, key)
-		}
-		k.prof.Add(e.Record)
-		k.seqs = append(k.seqs, e.Seq)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Profile, 0, len(order))
-	for _, key := range order {
-		k := byKey[key]
-		sortBySeq(k.prof.Records, k.seqs)
-		out = append(out, k.prof)
-	}
-	return out, nil
-}
-
-// sortBySeq stably orders records by their parallel seq slice. A stable
-// O(n log n) sort, not an insertion sort: same-tagged campaigns merged
-// into one profile concatenate their seq runs ([0..N, 0..N]), which would
-// degrade a nearly-sorted-input sort to quadratic at streaming scale.
-func sortBySeq(recs []Record, seqs []int) {
-	idx := make([]int, len(seqs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return seqs[idx[a]] < seqs[idx[b]] })
-	outRecs := make([]Record, len(recs))
-	for i, j := range idx {
-		outRecs[i] = recs[j]
-	}
-	copy(recs, outRecs)
 }

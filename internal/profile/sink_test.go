@@ -3,6 +3,9 @@ package profile
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,9 +50,6 @@ func TestTallySinkMatchesSummarize(t *testing.T) {
 	if got != want {
 		t.Errorf("tally = %+v, want %+v", got, want)
 	}
-	if tally.Records() != 5 {
-		t.Errorf("records = %d, want 5", tally.Records())
-	}
 }
 
 type failSink struct{ err error }
@@ -79,29 +79,35 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != 5 {
 		t.Fatalf("wrote %d lines, want 5", got)
 	}
-	profs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profs) != 1 {
-		t.Fatalf("profiles = %d, want 1", len(profs))
-	}
-	p := profs[0]
-	if p.System != "sys" || p.Generator != "gen" {
-		t.Errorf("identity = %s/%s", p.System, p.Generator)
-	}
+	got := scanAll(t, &buf)
 	want := sinkRecords()
-	if len(p.Records) != len(want) {
-		t.Fatalf("records = %d, want %d", len(p.Records), len(want))
+	if len(got) != len(want) {
+		t.Fatalf("records = %d, want %d", len(got), len(want))
 	}
-	for i, r := range p.Records {
-		if r != want[i] {
-			t.Errorf("record %d = %+v, want %+v", i, r, want[i])
+	for i, e := range got {
+		if e.System != "sys" || e.Generator != "gen" || e.Seq != i {
+			t.Errorf("entry %d tagged %s/%s seq %d", i, e.System, e.Generator, e.Seq)
+		}
+		if e.Record != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, e.Record, want[i])
 		}
 	}
 }
 
-func TestJSONLInterleavedCampaignsSplitAndReorder(t *testing.T) {
+// scanAll decodes every entry of a JSONL stream, in file order.
+func scanAll(t *testing.T, r io.Reader) []JSONLEntry {
+	t.Helper()
+	var out []JSONLEntry
+	if err := ScanJSONL(r, func(e JSONLEntry) error {
+		out = append(out, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestJSONLInterleavedCampaignsKeepTheirTags(t *testing.T) {
 	var buf bytes.Buffer
 	lw := NewLockedWriter(&buf)
 	a := NewJSONLSink(lw, "sysA", "gen")
@@ -111,23 +117,13 @@ func TestJSONLInterleavedCampaignsSplitAndReorder(t *testing.T) {
 	_ = b.Write(Record{ScenarioID: "b/0", Class: "c", Outcome: Ignored})
 	_ = a.Write(Record{ScenarioID: "a/1", Class: "c", Outcome: Ignored})
 	_ = b.Write(Record{ScenarioID: "b/1", Class: "c", Outcome: Ignored})
-	profs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var got []string
+	for _, e := range scanAll(t, &buf) {
+		got = append(got, fmt.Sprintf("%s %d %s", e.System, e.Seq, e.Record.ScenarioID))
 	}
-	if len(profs) != 2 {
-		t.Fatalf("profiles = %d, want 2", len(profs))
-	}
-	if profs[0].System != "sysA" || profs[1].System != "sysB" {
-		t.Errorf("order = %s, %s", profs[0].System, profs[1].System)
-	}
-	for i, p := range profs {
-		if len(p.Records) != 2 {
-			t.Errorf("profile %d has %d records, want 2", i, len(p.Records))
-		}
-	}
-	if profs[1].Records[0].ScenarioID != "b/0" || profs[1].Records[1].ScenarioID != "b/1" {
-		t.Errorf("sysB records out of order: %+v", profs[1].Records)
+	want := []string{"sysA 0 a/0", "sysB 0 b/0", "sysA 1 a/1", "sysB 1 b/1"}
+	if !slices.Equal(got, want) {
+		t.Errorf("entries = %q, want %q", got, want)
 	}
 }
 
@@ -156,11 +152,12 @@ func TestLockedWriterConcurrentLines(t *testing.T) {
 	}
 }
 
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
+func TestScanJSONLRejectsGarbage(t *testing.T) {
+	none := func(JSONLEntry) error { return nil }
+	if err := ScanJSONL(strings.NewReader("not json\n"), none); err == nil {
 		t.Error("garbage line accepted")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"system":"s","generator":"g","scenario_id":"x","outcome":"nope"}` + "\n")); err == nil {
+	if err := ScanJSONL(strings.NewReader(`{"system":"s","generator":"g","scenario_id":"x","outcome":"nope"}`+"\n"), none); err == nil {
 		t.Error("unknown outcome accepted")
 	}
 }
@@ -185,8 +182,8 @@ func TestMultiSinkShardability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ts := range []*TallySink{t1, t2} {
-		if ts.Records() != 2 || ts.Summary().Injected != 2 {
-			t.Errorf("tally %d: records=%d summary=%+v", i, ts.Records(), ts.Summary())
+		if ts.Summary().Injected != 2 {
+			t.Errorf("tally %d: summary=%+v", i, ts.Summary())
 		}
 	}
 }

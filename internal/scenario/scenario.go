@@ -87,30 +87,6 @@ func RandomSubset(rng *rand.Rand, scenarios []Scenario, n int) []Scenario {
 	return out
 }
 
-// Filter returns the scenarios for which keep returns true.
-func Filter(scenarios []Scenario, keep func(Scenario) bool) []Scenario {
-	var out []Scenario
-	for _, s := range scenarios {
-		if keep(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Limit returns at most n scenarios, preserving order.
-func Limit(scenarios []Scenario, n int) []Scenario {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(scenarios) {
-		n = len(scenarios)
-	}
-	out := make([]Scenario, n)
-	copy(out, scenarios)
-	return out
-}
-
 // ByClass groups scenarios by their Class field, preserving order within
 // each class.
 func ByClass(scenarios []Scenario) map[string][]Scenario {

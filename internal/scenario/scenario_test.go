@@ -86,27 +86,6 @@ func TestRandomSubsetDeterministic(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	s := mkScenarios(4)
-	even := Filter(s, func(x Scenario) bool { return x.Class == "even" })
-	if !reflect.DeepEqual(ids(even), []string{"a", "c"}) {
-		t.Errorf("Filter = %v", ids(even))
-	}
-}
-
-func TestLimit(t *testing.T) {
-	s := mkScenarios(4)
-	if got := Limit(s, 2); !reflect.DeepEqual(ids(got), []string{"a", "b"}) {
-		t.Errorf("Limit(2) = %v", ids(got))
-	}
-	if got := Limit(s, 10); len(got) != 4 {
-		t.Errorf("Limit(10) len = %d", len(got))
-	}
-	if got := Limit(s, -1); len(got) != 0 {
-		t.Errorf("Limit(-1) len = %d", len(got))
-	}
-}
-
 func TestByClass(t *testing.T) {
 	s := mkScenarios(4)
 	g := ByClass(s)

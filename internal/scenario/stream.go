@@ -19,17 +19,6 @@ import (
 // of in-flight experiments, not by the faultload size.
 type Source func(yield func(Scenario, error) bool)
 
-// FromSlice adapts a materialized faultload into a Source.
-func FromSlice(scenarios []Scenario) Source {
-	return func(yield func(Scenario, error) bool) {
-		for _, sc := range scenarios {
-			if !yield(sc, nil) {
-				return
-			}
-		}
-	}
-}
-
 // Fail returns a Source that yields only the given error.
 func Fail(err error) Source {
 	return func(yield func(Scenario, error) bool) {
@@ -59,8 +48,8 @@ func Collect(src Source) ([]Scenario, error) {
 }
 
 // Concat chains sources: each is drained in turn, preserving order — the
-// paper's union template for composing error models, used to merge the
-// faultloads of several generators. A stream error in any part terminates
+// paper's union template for composing error models, used to chain the
+// rounds of a repeated faultload. A stream error in any part terminates
 // the whole stream.
 func Concat(sources ...Source) Source {
 	return func(yield func(Scenario, error) bool) {
@@ -106,22 +95,6 @@ func (s Source) MapErr(f func(error) error) Source {
 		s(func(sc Scenario, err error) bool {
 			if err != nil {
 				return yield(sc, f(err))
-			}
-			return yield(sc, nil)
-		})
-	}
-}
-
-// Filter keeps only the scenarios for which keep returns true, preserving
-// order. It is the streaming form of the slice Filter.
-func (s Source) Filter(keep func(Scenario) bool) Source {
-	return func(yield func(Scenario, error) bool) {
-		s(func(sc Scenario, err error) bool {
-			if err != nil {
-				return yield(sc, err)
-			}
-			if !keep(sc) {
-				return true
 			}
 			return yield(sc, nil)
 		})
@@ -178,25 +151,6 @@ func (s Source) Shard(k, n int) Source {
 			if !keep {
 				return true
 			}
-			return yield(sc, nil)
-		})
-	}
-}
-
-// DedupByID drops scenarios whose ID was already seen, preserving first
-// occurrences. Memory is O(distinct IDs) — far below a materialized
-// faultload, but not constant; use it when merged sources may overlap.
-func (s Source) DedupByID() Source {
-	return func(yield func(Scenario, error) bool) {
-		seen := make(map[string]struct{})
-		s(func(sc Scenario, err error) bool {
-			if err != nil {
-				return yield(sc, err)
-			}
-			if _, dup := seen[sc.ID]; dup {
-				return true
-			}
-			seen[sc.ID] = struct{}{}
 			return yield(sc, nil)
 		})
 	}

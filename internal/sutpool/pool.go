@@ -41,9 +41,6 @@ func New(mode Mode, c *Counters, build BuildFunc) *Pool {
 	return &Pool{mode: mode, c: c, build: build}
 }
 
-// Counters returns the pool's shared counters.
-func (p *Pool) Counters() *Counters { return p.c }
-
 // Instance adapts sys to the pool's mode and counters and ties it to
 // the pool, so Release returns it here. For use by BuildFuncs.
 func (p *Pool) Instance(sys suts.System) *Instance {
@@ -105,13 +102,6 @@ func (p *Pool) Size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.total
-}
-
-// Idle returns how many instances are parked, for tests and diagnostics.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
 }
 
 // Close shuts down every idle instance and marks the pool closed:

@@ -509,3 +509,13 @@ func TestCountersSnapshotString(t *testing.T) {
 		}
 	}
 }
+
+// Counters returns the pool's shared counters.
+func (p *Pool) Counters() *Counters { return p.c }
+
+// Idle returns how many instances are parked.
+func (p *Pool) Idle() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
+}

@@ -46,28 +46,3 @@ func ZoneLivenessTests(lo *suts.LoopbackTransport, addr string, zones []string) 
 	}
 	return tests
 }
-
-// RecordTests returns functional tests that check specific records — a
-// stricter diagnosis suite than the paper's, useful for custom campaigns.
-func RecordTests(lo *suts.LoopbackTransport, addr string, expect map[string]string) []suts.Test {
-	var tests []suts.Test
-	for name, ip := range expect {
-		name, ip := name, ip
-		tests = append(tests, suts.Test{
-			Name: "record/" + name,
-			Run: func() error {
-				resp, err := dnswire.Query(lo.DialPacket, addr, name, dnswire.TypeA, queryTimeout)
-				if err != nil {
-					return fmt.Errorf("query A %s: %w", name, err)
-				}
-				for _, rr := range resp.Answers {
-					if rr.Type == dnswire.TypeA && rr.Data == ip {
-						return nil
-					}
-				}
-				return fmt.Errorf("A %s: expected %s, got %v", name, ip, resp.Answers)
-			},
-		})
-	}
-	return tests
-}

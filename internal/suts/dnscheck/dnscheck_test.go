@@ -57,24 +57,3 @@ func TestZoneLivenessUnreachableServer(t *testing.T) {
 		t.Error("unreachable server passed")
 	}
 }
-
-func TestRecordTests(t *testing.T) {
-	addr := fakeDNS(t, nil, map[string]string{"www.example.com": "192.0.2.10"})
-	tests := RecordTests(&lo, addr, map[string]string{
-		"www.example.com": "192.0.2.10",
-		"nx.example.com":  "192.0.2.99",
-	})
-	if len(tests) != 2 {
-		t.Fatalf("tests = %d", len(tests))
-	}
-	byName := map[string]func() error{}
-	for _, tc := range tests {
-		byName[tc.Name] = tc.Run
-	}
-	if err := byName["record/www.example.com"](); err != nil {
-		t.Errorf("existing record failed: %v", err)
-	}
-	if err := byName["record/nx.example.com"](); err == nil {
-		t.Error("missing record passed")
-	}
-}

@@ -133,9 +133,6 @@ func (c *Client) Do(p *Probe) (int, []byte, error) {
 	return status, body, nil
 }
 
-// Close hangs up the warm connection, if any.
-func (c *Client) Close() { c.closeConn() }
-
 func (c *Client) closeConn() {
 	if c.conn != nil {
 		_ = c.conn.Close()

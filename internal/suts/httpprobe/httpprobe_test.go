@@ -252,3 +252,6 @@ func TestProbeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state probe allocates: %.2f allocs/op, want 0", avg)
 	}
 }
+
+// Close hangs up the warm connection, if any.
+func (c *Client) Close() { c.closeConn() }

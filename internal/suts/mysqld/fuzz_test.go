@@ -17,13 +17,13 @@ func FuzzParseConfig(f *testing.F) {
 		f.Add(string(files[ConfigFile]))
 	}
 	f.Fuzz(func(t *testing.T, conf string) {
-		st, latent, warns, err := s.parseConfig(conf)
+		st, latent, err := s.parseConfig(conf)
 		if err != nil {
 			return
 		}
-		first := fmt.Sprintf("%#v %#v %#v", st, latent, warns)
-		st, latent, warns, err = s.parseConfig(conf)
-		if second := fmt.Sprintf("%#v %#v %#v", st, latent, warns); err != nil || first != second {
+		first := fmt.Sprintf("%#v %#v", st, latent)
+		st, latent, err = s.parseConfig(conf)
+		if second := fmt.Sprintf("%#v %#v", st, latent); err != nil || first != second {
 			t.Fatalf("accepted input parsed differently the second time (err %v):\n%s\n%s", err, first, second)
 		}
 	})

@@ -28,7 +28,6 @@ type Server struct {
 	// state of the running instance
 	srv      *sqlmini.Server
 	settings settings
-	warnings []string
 	// latent holds the raw lines of non-server groups, unparsed at
 	// startup — the shared-config design flaw (paper §5.2).
 	latent map[string][]string
@@ -138,13 +137,12 @@ func (s *Server) Start(files suts.Files) error {
 	if !ok {
 		return &suts.StartupError{System: s.Name(), Msg: "missing " + ConfigFile}
 	}
-	st, latent, warns, err := s.parseConfig(string(data))
+	st, latent, err := s.parseConfig(string(data))
 	if err != nil {
 		return &suts.StartupError{System: s.Name(), Msg: err.Error()}
 	}
 	s.settings = st
 	s.latent = latent
-	s.warnings = warns
 
 	eng := &sqlmini.Engine{}
 	srv := sqlmini.NewServer(eng)
@@ -179,17 +177,8 @@ func (s *Server) Addr() string {
 	return s.srv.Addr()
 }
 
-// Warnings returns the silent adjustments made while parsing the current
-// configuration (clamped values, defaulted junk) — visible only in the
-// error log, never fatal, which is the design flaw the paper calls out.
-func (s *Server) Warnings() []string {
-	out := make([]string, len(s.warnings))
-	copy(out, s.warnings)
-	return out
-}
-
 // parseConfig applies MySQL's option-file semantics to the shared my.cnf.
-func (s *Server) parseConfig(conf string) (settings, map[string][]string, []string, error) {
+func (s *Server) parseConfig(conf string) (settings, map[string][]string, error) {
 	st := settings{
 		nums:  make(map[string]int64),
 		strs:  make(map[string]string),
@@ -201,7 +190,6 @@ func (s *Server) parseConfig(conf string) (settings, map[string][]string, []stri
 		maxConn: 151,
 	}
 	latent := make(map[string][]string)
-	var warns []string
 
 	group := ""
 	for _, line := range strings.Split(conf, "\n") {
@@ -212,7 +200,7 @@ func (s *Server) parseConfig(conf string) (settings, map[string][]string, []stri
 		if strings.HasPrefix(t, "[") {
 			end := strings.IndexByte(t, ']')
 			if end < 0 {
-				return st, nil, nil, fmt.Errorf("wrong group definition in config file: %s", t)
+				return st, nil, fmt.Errorf("wrong group definition in config file: %s", t)
 			}
 			group = strings.TrimSpace(t[1:end])
 			continue
@@ -224,16 +212,16 @@ func (s *Server) parseConfig(conf string) (settings, map[string][]string, []stri
 				latent[group] = append(latent[group], t)
 			} else {
 				// Directives before any group header: mysqld rejects them.
-				return st, nil, nil, fmt.Errorf("option without preceding group in config file: %s", t)
+				return st, nil, fmt.Errorf("option without preceding group in config file: %s", t)
 			}
 			continue
 		}
 		name, value, hasValue := splitOption(t)
-		if err := applyOption(&st, name, value, hasValue, s.Strict, &warns); err != nil {
-			return st, nil, nil, err
+		if err := applyOption(&st, name, value, hasValue, s.Strict); err != nil {
+			return st, nil, err
 		}
 	}
-	return st, latent, warns, nil
+	return st, latent, nil
 }
 
 // splitOption splits "name = value" / "name=value" / "name".
@@ -251,7 +239,7 @@ func normalizeName(name string) string {
 	return strings.ReplaceAll(name, "-", "_")
 }
 
-func applyOption(st *settings, name, value string, hasValue, strict bool, warns *[]string) error {
+func applyOption(st *settings, name, value string, hasValue, strict bool) error {
 	def, ambiguous := lookupVar(normalizeName(name))
 	if ambiguous {
 		return fmt.Errorf("ambiguous option '--%s'", name)
@@ -266,7 +254,6 @@ func applyOption(st *settings, name, value string, hasValue, strict bool, warns 
 		if strict {
 			return fmt.Errorf("option '%s' requires a value", def.name)
 		}
-		*warns = append(*warns, fmt.Sprintf("option '%s' given without a value; using default", def.name))
 		return nil
 	}
 	switch def.kind {
@@ -279,18 +266,14 @@ func applyOption(st *settings, name, value string, hasValue, strict bool, warns 
 			if strict {
 				return fmt.Errorf("option '%s' requires a value", def.name)
 			}
-			*warns = append(*warns, fmt.Sprintf("option '%s': empty value; using default", def.name))
 			return nil
 		}
 		if res.trailingJunk && strict {
 			return fmt.Errorf("option '%s': trailing characters after multiplier in '%s'", def.name, value)
 		}
-		if res.clamped {
-			if strict {
-				return fmt.Errorf("option '%s': value '%s' out of range [%d, %d]",
-					def.name, value, def.min, def.max)
-			}
-			*warns = append(*warns, fmt.Sprintf("option '%s': value adjusted to %d", def.name, res.value))
+		if res.clamped && strict {
+			return fmt.Errorf("option '%s': value '%s' out of range [%d, %d]",
+				def.name, value, def.min, def.max)
 		}
 		st.nums[def.name] = res.value
 		switch def.name {

@@ -119,7 +119,7 @@ func TestResolveOwnedErrors(t *testing.T) {
 		{File: "my.cnf", Indices: []int{0, 99}},
 		{File: "my.cnf", Indices: []int{5}},
 	} {
-		for label, set := range map[string]*confnode.Set{"plain": initialSet(), "tracked": base.Tracked()} {
+		for label, set := range map[string]*confnode.Set{"plain": initialSet(), "tracked": base.TrackedInto(nil, nil)} {
 			_, want := ref.Resolve(initialSet())
 			_, got := ref.ResolveOwned(set)
 			if got == nil || got.Error() != want.Error() || !errors.Is(got, scenario.ErrNotApplicable) {
@@ -137,7 +137,7 @@ func TestResolveOwnedCopiesPath(t *testing.T) {
 	base := initialSet()
 	base.Freeze()
 	snap := base.Clone()
-	tr := base.Tracked()
+	tr := base.TrackedInto(nil, nil)
 	ref := Ref{File: "my.cnf", Indices: []int{0, 1}}
 	n, err := ref.ResolveOwned(tr)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestResolveOwnedCopiesPath(t *testing.T) {
 	if !base.Equal(snap) {
 		t.Fatal("write through ResolveOwned reached the base")
 	}
-	dirty := tr.Seal()
+	dirty := tr.SealAppend(nil)
 	if len(dirty) != 1 || dirty[0] != "my.cnf" {
 		t.Fatalf("dirty = %v, want [my.cnf]", dirty)
 	}

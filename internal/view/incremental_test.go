@@ -38,15 +38,15 @@ func checkIncremental(t *testing.T, v Incremental, sys *confnode.Set, mutate fun
 		t.Fatal(err)
 	}
 
-	tracked := fwd.Tracked()
+	tracked := fwd.TrackedInto(nil, nil)
 	mutate(tracked)
-	viewDirty := tracked.Seal()
+	viewDirty := tracked.SealAppend(nil)
 	out, err := v.IncrementalBackward(viewDirty, tracked, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sysDirty := map[string]bool{}
-	for _, name := range out.Seal() {
+	for _, name := range out.SealAppend(nil) {
 		sysDirty[name] = true
 	}
 
@@ -76,13 +76,13 @@ func TestStructViewIncrementalBackward(t *testing.T) {
 	})
 	// The untouched file must stay clean.
 	fwd, _ := StructView{}.Forward(sys)
-	tr := fwd.Tracked()
+	tr := fwd.TrackedInto(nil, nil)
 	tr.Get("my.cnf").ChildByName("mysqld").Child(0).Value = "3307"
-	out, err := StructView{}.IncrementalBackward(tr.Seal(), tr, sys)
+	out, err := StructView{}.IncrementalBackward(tr.SealAppend(nil), tr, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := out.Seal(); len(d) != 1 || d[0] != "my.cnf" {
+	if d := out.SealAppend(nil); len(d) != 1 || d[0] != "my.cnf" {
 		t.Errorf("sys dirty = %v, want [my.cnf]", d)
 	}
 }
@@ -100,14 +100,14 @@ func TestWordViewIncrementalDirtiesOnlyTouchedSysFile(t *testing.T) {
 	sys := multiSysSet()
 	v := WordView{}
 	fwd, _ := v.Forward(sys)
-	tr := fwd.Tracked()
+	tr := fwd.TrackedInto(nil, nil)
 	line := tr.Get("other.conf").ChildrenByKind(confnode.KindLine)[1]
 	line.ChildrenByKind(confnode.KindWord)[1].Value = "99"
-	out, err := v.IncrementalBackward(tr.Seal(), tr, sys)
+	out, err := v.IncrementalBackward(tr.SealAppend(nil), tr, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := out.Seal(); len(d) != 1 || d[0] != "other.conf" {
+	if d := out.SealAppend(nil); len(d) != 1 || d[0] != "other.conf" {
 		t.Fatalf("sys dirty = %v, want [other.conf]", d)
 	}
 	if out.Get("my.cnf") != sys.Get("my.cnf") {
@@ -139,14 +139,14 @@ func TestWordViewIncrementalCrossFileProvenance(t *testing.T) {
 	// The fold target itself must be reported system-dirty.
 	v := WordView{}
 	fwd, _ := v.Forward(sys)
-	tr := fwd.Tracked()
+	tr := fwd.TrackedInto(nil, nil)
 	redirect(tr)
-	out, err := v.IncrementalBackward(tr.Seal(), tr, sys)
+	out, err := v.IncrementalBackward(tr.SealAppend(nil), tr, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, name := range out.Seal() {
+	for _, name := range out.SealAppend(nil) {
 		if name == "other.conf" {
 			found = true
 		}
@@ -199,13 +199,13 @@ func checkFrozenFold(t *testing.T, sys *confnode.Set, mutate func(*confnode.Set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracked := fwd.Tracked()
+	tracked := fwd.TrackedInto(nil, nil)
 	mutate(tracked)
-	out, err := WordView{}.IncrementalBackwardInto(nil, tracked.Seal(), tracked, base)
+	out, err := WordView{}.IncrementalBackwardInto(nil, tracked.SealAppend(nil), tracked, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := out.Seal()
+	dirty := out.SealAppend(nil)
 	if !out.Equal(want) {
 		t.Errorf("fold onto the round trip diverges from Backward:\nfast:\n%sreference:\n%s", out.Dump(), want.Dump())
 	}

@@ -44,14 +44,15 @@ type View interface {
 	Backward(mutated, sys *confnode.Set) (*confnode.Set, error)
 }
 
-// Incremental is an optional View extension used by the engine's fast
-// injection path. IncrementalBackward is Backward restricted to the files
-// a scenario dirtied: implementations build the result as sys.Tracked()
-// and fold only the dirty view files onto it, so untouched files share the
-// baseline trees and the returned (tracked) set reports exactly the system
-// files the back-transform rewrote. The engine serializes those and reuses
-// cached baseline bytes for the rest; views that do not implement
-// Incremental simply fall back to the full Backward.
+// Incremental extends a View with the back-transform of the engine's
+// injection pipeline. IncrementalBackward is Backward restricted to the
+// files a scenario dirtied: implementations build the result as
+// sys.TrackedInto(nil, nil) and fold only the dirty view files onto it,
+// so untouched files share the baseline trees and the returned (tracked)
+// set reports exactly the system files the back-transform rewrote. The
+// engine serializes those and reuses cached baseline bytes for the rest.
+// It runs through IncrementalInto; a campaign whose view lacks that
+// fails at start.
 //
 // Contract notes:
 //   - dirty lists the mutated view files in set order; mutated is sealed
@@ -67,7 +68,8 @@ type View interface {
 //   - The result may adopt mutated's dirty trees without cloning; callers
 //     must not reuse mutated afterwards.
 //   - Errors must match what Backward would return for the same mutation,
-//     so the fast and reference paths stay record-for-record identical.
+//     so the engine and the tests' reference pipeline stay record-for-
+//     record identical.
 //   - A view that embeds an Incremental implementation but overrides
 //     Backward MUST also override (or shadow) IncrementalBackward:
 //     inheriting one without the other desynchronizes the two paths.
@@ -76,9 +78,10 @@ type Incremental interface {
 	IncrementalBackward(dirty []string, mutated, sys *confnode.Set) (*confnode.Set, error)
 }
 
-// IncrementalInto is an optional refinement of Incremental for views whose
-// incremental back-transform can rebuild a caller-owned tracked wrapper
-// instead of allocating one per experiment. dst is the wrapper to reuse
+// IncrementalInto refines Incremental for views whose incremental
+// back-transform can rebuild a caller-owned tracked wrapper instead of
+// allocating one per experiment. The engine requires it of every
+// campaign's view. dst is the wrapper to reuse
 // (nil allocates a fresh one, making the call equivalent to
 // IncrementalBackward); it must not be in use — the engine threads one per
 // worker through consecutive experiments, the same ownership discipline as

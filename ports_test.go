@@ -41,7 +41,13 @@ func (g noopGenerator) GenerateStream(s *confnode.Set) scenario.Source {
 }
 func (g noopGenerator) GenerateShard(s *confnode.Set, k, n int) scenario.Source {
 	scens, _ := g.Generate(s)
-	return scenario.FromSlice(scens).Shard(k, n)
+	return scenario.Source(func(yield func(scenario.Scenario, error) bool) {
+		for _, sc := range scens {
+			if !yield(sc, nil) {
+				return
+			}
+		}
+	}).Shard(k, n)
 }
 
 func (noopGenerator) Name() string    { return "noop" }

@@ -16,32 +16,9 @@ type RunOption = core.RunOption
 // scenario order as in the paper.
 func WithParallelism(n int) RunOption { return core.WithParallelism(n) }
 
-// WithObserver streams every record to fn as experiments complete. Calls
-// are serialized and arrive in scenario order — under parallelism the
-// reassembly stage invokes fn as each record flushes into the
-// deterministic, generator-ordered profile.
-func WithObserver(fn func(Record)) RunOption { return core.WithObserver(fn) }
-
-// WithKeepGoing makes infrastructure errors non-fatal: the scenario is
-// recorded as not-applicable and the campaign continues.
-func WithKeepGoing(keep bool) RunOption { return core.WithKeepGoing(keep) }
-
 // WithBaselineCheck verifies the unmutated configuration starts the SUT
 // and passes all functional tests before any injection.
 func WithBaselineCheck() RunOption { return core.WithBaselineCheck() }
-
-// Deadlines configures the phase watchdog (see WithDeadlines).
-type Deadlines = core.Deadlines
-
-// WithDeadlines arms the phase watchdog: every SUT phase of every
-// experiment — start, each functional test, stop — is bounded by
-// Deadlines.Phase, and a whole experiment's SUT time by
-// Deadlines.Experiment. A phase exceeding its deadline is abandoned, the
-// experiment records the InfrastructureError outcome with the phase and
-// elapsed time in its detail, the worker's instance is quarantined (next
-// start is cold), and the campaign continues. The zero value disables
-// the watchdog entirely.
-func WithDeadlines(d Deadlines) RunOption { return core.WithDeadlines(d) }
 
 // Runner executes campaigns of one generator against one target family,
 // sequentially or in parallel. The zero value is not usable; construct it
@@ -108,23 +85,6 @@ func (r *Runner) Run(ctx context.Context, opts ...RunOption) (*Profile, error) {
 		err = cerr
 	}
 	return prof, err
-}
-
-// RunStream executes the campaign with the faultload pulled lazily from
-// the generator and every record flushed to sink in scenario order as it
-// completes — no scenario slice, no in-memory profile, so campaign size is
-// bounded by the stream rather than by RAM. It returns the number of
-// records flushed; see Campaign.RunStream for the full contract.
-func (r *Runner) RunStream(ctx context.Context, sink Sink, opts ...RunOption) (int, error) {
-	c, coreOpts, cleanup, err := r.campaign(opts)
-	if err != nil {
-		return 0, err
-	}
-	n, err := c.RunStream(ctx, sink, coreOpts...)
-	if cerr := cleanup(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return n, err
 }
 
 // campaign builds the runner's campaign as a suite cell — primary target,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"conferr/internal/core"
 	"conferr/internal/profile"
 )
 
@@ -132,7 +133,7 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 	prof, err := r.Run(ctx,
 		WithParallelism(4),
-		WithObserver(func(profile.Record) {
+		core.WithObserver(func(profile.Record) {
 			seen++
 			if seen == 5 {
 				cancel()

@@ -3,6 +3,8 @@ package conferr
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -105,10 +107,7 @@ func TestRunMatrixStreamsJSONL(t *testing.T) {
 		}
 	}
 
-	profs, err := ReadProfilesJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := splitJSONL(t, &buf)
 	if len(profs) != 4 {
 		t.Fatalf("JSONL split into %d profiles, want 4", len(profs))
 	}
@@ -298,3 +297,47 @@ func TestTallySinkMatchesProfileOnStream(t *testing.T) {
 }
 
 var _ Sink = (*profile.JSONLSink)(nil)
+
+// RunStream executes the campaign with the faultload pulled lazily from
+// the generator and every record flushed to sink in scenario order as it
+// completes — no scenario slice, no in-memory profile, so campaign size is
+// bounded by the stream rather than by RAM. It returns the number of
+// records flushed; see Campaign.RunStream for the full contract.
+func (r *Runner) RunStream(ctx context.Context, sink Sink, opts ...RunOption) (int, error) {
+	c, coreOpts, cleanup, err := r.campaign(opts)
+	if err != nil {
+		return 0, err
+	}
+	n, err := c.RunStream(ctx, sink, coreOpts...)
+	if cerr := cleanup(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return n, err
+}
+
+// splitJSONL splits a JSONL stream into one profile per campaign, in
+// order of first appearance. Each campaign's lines must arrive in
+// sequence order, as an ordered sink writes them.
+func splitJSONL(t *testing.T, r io.Reader) []*Profile {
+	t.Helper()
+	var out []*Profile
+	byKey := map[string]*Profile{}
+	err := profile.ScanJSONL(r, func(e JSONLEntry) error {
+		key := e.System + "/" + e.Generator
+		p := byKey[key]
+		if p == nil {
+			p = &Profile{System: e.System, Generator: e.Generator}
+			byKey[key] = p
+			out = append(out, p)
+		}
+		if e.Seq != len(p.Records) {
+			return fmt.Errorf("%s: seq %d at position %d", key, e.Seq, len(p.Records))
+		}
+		p.Add(e.Record)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
