@@ -64,11 +64,7 @@ func cmdDist(ctx context.Context, args []string) error {
 	}
 	// Build the cell every worker will build: a bad name or setting fails
 	// here, not as N identical worker errors later.
-	sc, err := conferr.DistCampaign(spec)
-	if err != nil {
-		return err
-	}
-	if err := sc.Cleanup(); err != nil {
+	if _, err := conferr.DistCampaign(spec); err != nil {
 		return err
 	}
 

@@ -166,7 +166,7 @@ func cellFlags(fs *flag.FlagSet, spec *dist.CampaignSpec) {
 	fs.IntVar(&spec.Rounds, "rounds", 0, "replay the faultload N times with round-prefixed IDs (scale harness)")
 	fs.IntVar(&spec.Sample, "sample", 0, "reservoir-sample N scenarios (0 = off)")
 	fs.IntVar(&spec.Limit, "limit", 0, "cap the faultload, lazily (0 = off)")
-	fs.StringVar(&spec.Lifecycle, "lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm pooled instances) or validate (parse-only)")
+	fs.StringVar(&spec.Lifecycle, "lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm instances) or validate (parse-only)")
 	fs.BoolVar(&spec.Memnet, "memnet", false, "serve SUTs over the in-process transport instead of kernel loopback TCP")
 	fs.BoolVar(&spec.NoDuration, "no-duration", false, "zero duration_ns in records, making equivalent runs byte-comparable")
 	fs.DurationVar(&spec.ExperimentTimeout, "experiment-timeout", 0, "watchdog deadline per experiment; expiry records an infrastructure error and the campaign continues (0 = off)")
@@ -432,7 +432,7 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	records := fs.Bool("records", false, "print the full resilience profile")
 	jsonOut := fs.String("json", "", "write the profile as JSON to this file")
 	port := fs.Int("port", 23901, "primary target port; the faultload embeds it, so a fixed port keeps campaigns reproducible across invocations (0 = allocate)")
-	lifecycleS := fs.String("lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm pooled instances) or validate (parse-only)")
+	lifecycleS := fs.String("lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm instances) or validate (parse-only)")
 	workers := workersFlag(fs)
 	diag := addDiagFlags(fs)
 	if err := parseFlags(fs, args); err != nil {

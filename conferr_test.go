@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"conferr/internal/core"
 	"conferr/internal/plugins/semantic"
 	"conferr/internal/plugins/structural"
 )
@@ -293,27 +292,6 @@ func TestSemanticExtendedClasses(t *testing.T) {
 	// MX/NS target checks), i.e. found.
 	if got := res.Cells[semantic.ClassAddressInCNAME]["BIND"]; !strings.HasPrefix(got, Found) {
 		t.Errorf("address-as-cname on BIND = %q, want found", got)
-	}
-}
-
-// TestCampaignObserverIntegration checks the observer hook at the facade
-// level.
-func TestCampaignObserverIntegration(t *testing.T) {
-	tgt, err := DjbdnsTargetAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	c := &core.Campaign{
-		Target:    tgt.Target,
-		Generator: SemanticDNSGenerator(DjbdnsRecordView(), []string{semantic.ClassMXToCNAME}),
-	}
-	p, err := c.RunContext(context.Background(), core.WithObserver(func(Record) { n++ }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(p.Records) || n == 0 {
-		t.Errorf("observer calls = %d, records = %d", n, len(p.Records))
 	}
 }
 

@@ -118,7 +118,7 @@ func wedgeFactory(wedgeKey string, ctrs *LifecycleCounters) TargetFactory {
 }
 
 // TestDeadlinesThroughPooledPortMappedWorkers runs the phase watchdog
-// over the facade's pooled workers, each at the primary's port on a
+// over the facade's reload workers, each at the primary's port on a
 // loopback host of its own: the wedged reload alone
 // becomes an InfrastructureError, its instance is quarantined, and every
 // other record — startup rejections and probe failures naming the port

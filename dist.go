@@ -51,7 +51,6 @@ func runDistShard(ctx context.Context, req dist.ShardRequest, emit func(seq int,
 	if err != nil {
 		return dist.ShardResult{}, err
 	}
-	defer sc.Cleanup()
 
 	var (
 		sum profile.Summary

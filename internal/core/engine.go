@@ -122,7 +122,7 @@ type Target struct {
 }
 
 // adapter returns the SUT adapter for sys: sys itself when it already is
-// a *sutpool.Instance, otherwise a pool-less cold Instance around it.
+// a *sutpool.Instance, otherwise a cold Instance around it.
 func adapter(sys suts.System) *sutpool.Instance {
 	if inst, ok := sys.(*sutpool.Instance); ok {
 		return inst

@@ -147,22 +147,6 @@ func TestRunTypoCampaign(t *testing.T) {
 	}
 }
 
-func TestRunObserver(t *testing.T) {
-	sys := &fakeSystem{}
-	var seen int
-	c := &Campaign{
-		Target:    target(sys),
-		Generator: &typo.Plugin{Models: []template.Mutator{typo.Omission{}}},
-	}
-	prof, err := c.RunContext(context.Background(), WithObserver(func(profile.Record) { seen++ }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(prof.Records) {
-		t.Errorf("observer saw %d, profile has %d", seen, len(prof.Records))
-	}
-}
-
 // delGen deletes directives on the struct view.
 type delGen struct{}
 

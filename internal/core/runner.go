@@ -21,7 +21,6 @@ type TargetFactory func() (*Target, error)
 // RunShard.
 type runConfig struct {
 	parallelism int
-	observer    func(profile.Record)
 	keepGoing   bool
 	baseline    bool
 	factory     TargetFactory
@@ -42,15 +41,6 @@ func WithParallelism(n int) RunOption {
 		}
 		cfg.parallelism = n
 	}
-}
-
-// WithObserver streams every record to fn as experiments complete.
-// Calls are serialized (fn
-// needs no locking) and arrive in scenario order: under parallelism the
-// reassembly stage invokes fn as each record is flushed to its slot in the
-// deterministic, generator-ordered profile.
-func WithObserver(fn func(profile.Record)) RunOption {
-	return func(cfg *runConfig) { cfg.observer = fn }
 }
 
 // WithKeepGoing controls behaviour on infrastructure errors (not SUT
@@ -78,9 +68,10 @@ func WithBaselineCheck() RunOption {
 // the one worker runs on the primary target.
 //
 // A worker drives its SUT through a *sutpool.Instance: the target's
-// System when it already is one (a facade pool lease, carrying the
-// lifecycle mode and the worker's loopback host), otherwise a pool-less cold
-// Instance around it.
+// System when it already is one (the facade's worker targets, carrying
+// the lifecycle mode and the worker's loopback host), otherwise a cold
+// Instance around it. The engine releases every worker's instance when
+// the run ends.
 func WithTargetFactory(f TargetFactory) RunOption {
 	return func(cfg *runConfig) { cfg.factory = f }
 }

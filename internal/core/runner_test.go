@@ -73,30 +73,48 @@ func TestRunContextParallelRequiresFactory(t *testing.T) {
 	}
 }
 
-func TestRunContextObserverSerialized(t *testing.T) {
-	var mu sync.Mutex
-	inCall := false
-	calls := 0
-	obs := func(profile.Record) {
-		mu.Lock()
-		if inCall {
-			mu.Unlock()
-			t.Error("observer reentered concurrently")
-			return
-		}
-		inCall = true
-		calls++
-		inCall = false
-		mu.Unlock()
+// recordingSink keeps the ID of every record written to it and fails the
+// test on a concurrent Write. It is not a profile.ShardableSink, so a
+// parallel run reaches it through the reassembly ring. When cancelAt > 0
+// it calls cancel once that many records are written.
+type recordingSink struct {
+	t        *testing.T
+	mu       sync.Mutex
+	inWrite  bool
+	ids      []string
+	cancelAt int
+	cancel   context.CancelFunc
+}
+
+func (s *recordingSink) Write(rec profile.Record) error {
+	s.mu.Lock()
+	if s.inWrite {
+		s.mu.Unlock()
+		s.t.Error("sink written concurrently")
+		return nil
 	}
+	s.inWrite = true
+	s.mu.Unlock()
+	s.ids = append(s.ids, rec.ScenarioID)
+	if len(s.ids) == s.cancelAt {
+		s.cancel()
+	}
+	s.mu.Lock()
+	s.inWrite = false
+	s.mu.Unlock()
+	return nil
+}
+
+func TestRunStreamSinkSerialized(t *testing.T) {
+	sink := &recordingSink{t: t}
 	c := &Campaign{Target: target(&fakeSystem{}), Generator: &typo.Plugin{}}
-	prof, err := c.RunContext(context.Background(),
-		WithParallelism(4), WithTargetFactory(parFactory), WithObserver(obs))
+	n, err := c.RunStream(context.Background(), sink,
+		WithParallelism(4), WithTargetFactory(parFactory))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != len(prof.Records) {
-		t.Errorf("observer saw %d records, profile has %d", calls, len(prof.Records))
+	if n == 0 || n != len(sink.ids) {
+		t.Errorf("sink saw %d records, run reported %d", len(sink.ids), n)
 	}
 }
 
@@ -116,30 +134,21 @@ func TestRunContextCancelBeforeStart(t *testing.T) {
 func TestRunContextCancelMidRun(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		seen := 0
-		obs := func(profile.Record) {
-			seen++
-			if seen == 3 {
-				cancel()
-			}
-		}
+		sink := &recordingSink{t: t, cancelAt: 3, cancel: cancel}
 		c := &Campaign{Target: target(&fakeSystem{}), Generator: &typo.Plugin{}}
-		opts := []RunOption{WithObserver(obs)}
+		var opts []RunOption
 		if workers > 1 {
 			opts = append(opts, WithParallelism(workers), WithTargetFactory(parFactory))
 		}
-		prof, err := c.RunContext(ctx, opts...)
+		n, err := c.RunStream(ctx, sink, opts...)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		fullProf, err := (&Campaign{Target: target(&fakeSystem{}), Generator: &typo.Plugin{}}).RunContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(prof.Records) >= len(fullProf.Records) {
-			t.Errorf("workers=%d: cancellation did not cut the run short (%d records)",
-				workers, len(prof.Records))
+		// The flush front stops at the record whose Write cancelled.
+		if n != 3 || len(sink.ids) != 3 {
+			t.Errorf("workers=%d: cancellation at record 3 left %d records (%d written)",
+				workers, n, len(sink.ids))
 		}
 	}
 }

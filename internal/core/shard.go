@@ -129,7 +129,7 @@ func runWorkers(ctx context.Context, targets []*Target, fl *faultload, feed shar
 			n := 0
 			// Worker-loop panic boundary: runOneSafe contains experiment
 			// panics, so a panic here comes from the feed (a generator
-			// bug), the sink or the observer. The run stops, so no other
+			// bug) or the sink. The run stops, so no other
 			// worker waits on a sequence this one will never deposit.
 			defer func() {
 				if v := recover(); v != nil {
@@ -225,9 +225,8 @@ type shardRing struct {
 	stopped   bool
 	stopFlush bool
 	// flushing marks one worker as the active drainer: it writes the sink
-	// and calls the observer with the mutex RELEASED, so the other workers
-	// keep injecting while records flush. batch is its scratch, and only
-	// it writes flushed.
+	// with the mutex RELEASED, so the other workers keep injecting while
+	// records flush. batch is its scratch, and only it writes flushed.
 	flushing bool
 	batch    []profile.Record
 	flushed  int
@@ -235,7 +234,6 @@ type shardRing struct {
 
 	ctx       context.Context
 	sink      profile.Sink
-	observer  func(profile.Record)
 	keepGoing bool
 }
 
@@ -248,7 +246,6 @@ func newShardRing(ctx context.Context, cfg runConfig, sink profile.Sink, window 
 		stopSeq:   math.MaxInt,
 		ctx:       ctx,
 		sink:      sink,
-		observer:  cfg.observer,
 		keepGoing: cfg.keepGoing,
 	}
 	r.space.L = &r.mu
@@ -306,14 +303,13 @@ const maxFlushBatch = 64
 
 // drainLocked flushes ready slots to the sink in exact sequence order.
 // Called with r.mu held and r.flushing set; it RELEASES the mutex around
-// the sink writes and observer calls — the workers keep being admitted,
-// injecting and depositing while I/O runs — and reacquires it to collect
-// the next batch. Order is safe because the flushing flag admits exactly
-// one drainer at a time. Nothing at or past the fence flushes: a record
+// the sink writes — the workers keep being admitted, injecting and
+// depositing while I/O runs — and reacquires it to collect the next
+// batch. Order is safe because the flushing flag admits exactly one
+// drainer at a time. Nothing at or past the fence flushes: a record
 // admitted before an abort lowered the fence is dropped, so the profile
-// ends exactly at the failure. A panic in the sink or the observer leaves
-// the mutex released and flushing set; the worker loop then stops the
-// ring.
+// ends exactly at the failure. A panic in the sink leaves the mutex
+// released and flushing set; the worker loop then stops the ring.
 func (r *shardRing) drainLocked() {
 	for r.next < r.stopSeq && r.filled[r.next%r.window] {
 		start := r.next
@@ -344,9 +340,6 @@ func (r *shardRing) drainLocked() {
 				break
 			}
 			r.flushed++
-			if r.observer != nil {
-				r.observer(rec)
-			}
 			// A caller-side cancellation stops the flush front at the
 			// cancellation point — the contract is a profile cut short
 			// there, not whatever happened to finish. Internal aborts
@@ -466,7 +459,7 @@ func (b *bypass) stop(err error) {
 
 // workerTargets builds one target per worker, up front, so a failing
 // factory aborts before any experiment starts; the targets already built
-// are released, so a pooled lease is not lost. Without a factory the one
+// are released, so no warm SUT or loopback host is left behind. Without a factory the one
 // worker runs on primary (see WithTargetFactory). Each target is the
 // engine's private copy, carrying the worker's SUT adapter and, with
 // deadlines armed, its watchdog.
@@ -494,8 +487,8 @@ func workerTargets(cfg runConfig, primary *Target, workers int) ([]*Target, erro
 	return targets, nil
 }
 
-// releaseTargets hands every worker's instance back (to its pool, or to
-// a real shutdown when it is warm) once a run's workers have exited.
+// releaseTargets releases every worker's instance (shutting a warm SUT
+// down and freeing its loopback host) once a run's workers have exited.
 func releaseTargets(targets []*Target) {
 	for _, t := range targets {
 		if t.wd != nil {
@@ -509,16 +502,15 @@ func releaseTargets(targets []*Target) {
 // runSharded runs the faultload over cfg.parallelism workers, each
 // pulling from feed. Records reach the sink in exact sequence order
 // through the reassembly ring — unless the sink is order-insensitive
-// (profile.ShardableSink) and no observer needs ordered records, in which
-// case every worker folds straight into its own sub-sink and the workers
-// synchronize only on errors.
+// (profile.ShardableSink), in which case every worker folds straight
+// into its own sub-sink and the workers synchronize only on errors.
 func runSharded(ctx context.Context, cfg runConfig, primary *Target, fl *faultload, feed shardFeed, sink profile.Sink) (int, error) {
 	targets, err := workerTargets(cfg, primary, cfg.parallelism)
 	if err != nil {
 		return 0, err
 	}
 	defer releaseTargets(targets)
-	if ss, ok := sink.(profile.ShardableSink); ok && profile.CanShardSink(sink) && cfg.observer == nil {
+	if ss, ok := sink.(profile.ShardableSink); ok && profile.CanShardSink(sink) {
 		b := newBypass(ss, len(targets), cfg.keepGoing)
 		n := runWorkers(ctx, targets, fl, feed, b)
 		return n, b.result(ctx)

@@ -409,44 +409,39 @@ func (g sliceGen) Generate(*confnode.Set) ([]scenario.Scenario, error) {
 }
 
 // TestWorkerBuildFailureReleasesLeases: when the factory fails for one
-// worker, the leases it already handed to the others go back to their
-// pool instead of being lost to it — a pool reused across runs could
-// otherwise never return or shut those instances down.
+// worker, the instances it already built for the others are released,
+// freeing the loopback hosts they leased, instead of being lost.
 func TestWorkerBuildFailureReleasesLeases(t *testing.T) {
 	errBuild := errors.New("third build fails")
-	builds := 0
-	pool := sutpool.New(sutpool.Reload, nil, func(p *sutpool.Pool) (*sutpool.Instance, error) {
-		builds++
-		if builds == 3 {
+	var hosts []string
+	build := func() (*Target, error) {
+		if len(hosts) == 2 {
 			return nil, errBuild
 		}
-		inst := p.Instance(&wedgeReloadSystem{})
-		tgt := wedgeTarget(inst, nil)
-		inst.Payload = tgt
-		return inst, nil
-	})
-	defer pool.Close()
+		inst := sutpool.NewInstance(&wedgeReloadSystem{}, sutpool.Reload, nil)
+		host, err := inst.LeaseHost()
+		if err != nil {
+			return nil, err
+		}
+		hosts = append(hosts, host)
+		return wedgeTarget(inst, nil), nil
+	}
 	c := &Campaign{Target: wedgeTarget(&wedgeSystem{}, nil), Generator: sliceGen{wedgeScens(8)}}
-	_, err := c.RunContext(context.Background(),
-		WithParallelism(4),
-		WithTargetFactory(func() (*Target, error) {
-			inst, err := pool.Lease()
-			if err != nil {
-				return nil, err
-			}
-			return inst.Payload.(*Target), nil
-		}))
+	_, err := c.RunContext(context.Background(), WithParallelism(4), WithTargetFactory(build))
 	if !errors.Is(err, errBuild) {
 		t.Fatalf("err = %v, want the build error", err)
 	}
-	// The 2 leases taken before the failure are parked again: leasing
-	// them back builds nothing.
-	for range 2 {
-		if _, err := pool.Lease(); err != nil {
+	// The 2 hosts leased before the failure are free again: the next
+	// leases take them back, lowest first.
+	for _, want := range hosts {
+		inst := sutpool.NewInstance(&wedgeReloadSystem{}, sutpool.Reload, nil)
+		got, err := inst.LeaseHost()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if builds != 3 {
-		t.Errorf("%d builds, want 3: the leases taken before the failure were not returned", builds)
+		defer inst.Release()
+		if got != want {
+			t.Errorf("leased %s, want the freed %s", got, want)
+		}
 	}
 }

@@ -56,7 +56,7 @@ func (c *Campaign) RunShard(ctx context.Context, k, n, startSeq int, emit ShardE
 		return 0, err
 	}
 	defer releaseTargets(targets)
-	st := &shardEmit{emit: emit, startSeq: startSeq, observer: cfg.observer, keepGoing: cfg.keepGoing}
+	st := &shardEmit{emit: emit, startSeq: startSeq, keepGoing: cfg.keepGoing}
 	runWorkers(ctx, targets, fl, func(_, _ int, e func(int, scenario.Scenario) bool) (int, error) {
 		return feed(k, n, e)
 	}, st)
@@ -68,7 +68,6 @@ func (c *Campaign) RunShard(ctx context.Context, k, n, startSeq int, emit ShardE
 type shardEmit struct {
 	emit      ShardEmit
 	startSeq  int
-	observer  func(profile.Record)
 	keepGoing bool
 	total     int
 	runErrs
@@ -85,9 +84,6 @@ func (s *shardEmit) deposit(_, seq int, rec profile.Record, err error) (bool, bo
 	if eerr := s.emit(seq, rec); eerr != nil {
 		s.noteErr(seq, eerr)
 		return false, false
-	}
-	if s.observer != nil {
-		s.observer(rec)
 	}
 	if err != nil && !s.keepGoing {
 		s.noteErr(seq, fmt.Errorf("core: scenario %s: %w", rec.ScenarioID, err))

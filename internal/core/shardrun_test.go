@@ -60,12 +60,11 @@ func runShardUnion(t *testing.T, c *Campaign, n, startSeq int) map[int]profile.R
 // property the distributed coordinator's byte-identity rests on.
 func TestRunShardUnionMatchesRun(t *testing.T) {
 	ref := shardTestCampaign()
-	var want []profile.Record
-	if _, err := ref.RunContext(context.Background(), WithObserver(func(r profile.Record) {
-		want = append(want, r)
-	})); err != nil {
+	prof, err := ref.RunContext(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
+	want := prof.Records
 	if len(want) != benchfixture.Files*benchfixture.DirsPerFile {
 		t.Fatalf("reference run produced %d records", len(want))
 	}

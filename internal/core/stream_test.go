@@ -136,23 +136,26 @@ func firstDiffLine(a, b string) string {
 	return fmt.Sprintf("length differs: %d vs %d lines", len(al), len(bl))
 }
 
-// TestRunStreamObserverSeesScenarioOrder pins the strengthened observer
-// contract: records arrive in scenario order, not completion order.
-func TestRunStreamObserverSeesScenarioOrder(t *testing.T) {
-	var seen []string
+// TestRunStreamSinkSeesScenarioOrder: a sink that is not shardable gets
+// records in scenario order, not completion order, whatever the worker
+// count.
+func TestRunStreamSinkSeesScenarioOrder(t *testing.T) {
+	sink := &recordingSink{t: t}
 	c := &Campaign{Target: target(&fakeSystem{}), Generator: &typo.Plugin{}}
-	prof, err := c.RunContext(context.Background(),
-		WithParallelism(4), WithTargetFactory(parFactory),
-		WithObserver(func(r profile.Record) { seen = append(seen, r.ScenarioID) }))
+	if _, err := c.RunStream(context.Background(), sink,
+		WithParallelism(4), WithTargetFactory(parFactory)); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != len(prof.Records) {
-		t.Fatalf("observer saw %d records, profile has %d", len(seen), len(prof.Records))
+	if len(sink.ids) != len(prof.Records) {
+		t.Fatalf("sink saw %d records, profile has %d", len(sink.ids), len(prof.Records))
 	}
 	for i, r := range prof.Records {
-		if seen[i] != r.ScenarioID {
-			t.Fatalf("observer order diverged at %d: %s vs %s", i, seen[i], r.ScenarioID)
+		if sink.ids[i] != r.ScenarioID {
+			t.Fatalf("sink order diverged at %d: %s vs %s", i, sink.ids[i], r.ScenarioID)
 		}
 	}
 }

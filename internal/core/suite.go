@@ -30,8 +30,9 @@ type SuiteCampaign struct {
 	Sink profile.Sink
 	// Cleanup, when non-nil, runs after the campaign finishes — success,
 	// failure or cancellation alike — releasing per-campaign resources
-	// such as a pooled-SUT lifecycle's warm instances. Its error is
-	// reported only when the campaign itself succeeded.
+	// the engine does not own (worker SUTs are released by the engine
+	// itself). Its error is reported only when the campaign itself
+	// succeeded.
 	Cleanup func() error
 }
 

@@ -95,9 +95,8 @@ func (w *watchdog) start(files suts.Files) error {
 	return w.run("start", func() error { return w.inst.Start(f) })
 }
 
-// release hands the instance back under a deadline, so even the
-// end-of-run health gate of a wedged pooled instance cannot hang the
-// campaign teardown. It runs outside any experiment, so the experiment
+// release ends the instance's run under a deadline, so even the final
+// shutdown of a wedged warm instance cannot hang the campaign teardown. It runs outside any experiment, so the experiment
 // budget is re-armed rather than inherited from the last scenario.
 func (w *watchdog) release() error {
 	w.expStart = time.Now()

@@ -2,8 +2,7 @@
 // listeners connected by buffered duplex pipes (see pipe.go). It
 // implements the suts.Transport shape, so simulated SUTs can bind their
 // listeners and functional tests can dial them without touching the
-// kernel TCP stack — the in-memory transport of the pooled SUT
-// lifecycle.
+// kernel TCP stack — the in-memory transport of the SUT lifecycles.
 //
 // Listeners are keyed by port alone: the sim binds the port, not the
 // interface, so 127.0.0.1:80 and localhost:80 collide just as they do on

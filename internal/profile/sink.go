@@ -37,9 +37,8 @@ func (s *MemorySink) Write(r Record) error {
 // ShardableSink is a Sink whose writes are order-insensitive and can be
 // fanned out: ShardSink hands out the k-th of n independent sub-sinks,
 // each written by exactly one campaign worker with no locking and no
-// ordering. The sharded campaign runner detects this capability (when no
-// observer needs ordered records) and skips sequence reassembly entirely
-// — workers fold their own shard's records and the owner merges at read
+// ordering. The sharded campaign runner detects this capability and
+// skips sequence reassembly entirely — workers fold their own shard's records and the owner merges at read
 // time. Call ShardSink for every k before the run starts; reading the
 // merged totals is only valid after the run completes.
 type ShardableSink interface {

@@ -6,8 +6,8 @@ import (
 )
 
 // Counters tally lifecycle events across every instance wired to them —
-// typically one set per pool, shared by all workers. All fields are
-// atomics; the zero value is ready to use.
+// typically one set per run or matrix, shared by all workers. All fields
+// are atomics; the zero value is ready to use.
 type Counters struct {
 	// ColdStarts counts full Start calls on the underlying SUT (cold
 	// mode, fallbacks, and recovery restarts alike).
@@ -27,10 +27,6 @@ type Counters struct {
 	// for cold restart and its teardown deferred to whenever the stuck
 	// call returns.
 	Quarantines atomic.Int64
-	// Leases counts Pool.Lease calls; Reuses the subset served from the
-	// idle list rather than a fresh build.
-	Leases atomic.Int64
-	Reuses atomic.Int64
 }
 
 // Snapshot is a plain-integer copy of Counters, safe to compare, encode
@@ -42,8 +38,6 @@ type Snapshot struct {
 	Restarts       int64 `json:"restarts"`
 	HealthFailures int64 `json:"health_failures"`
 	Quarantines    int64 `json:"quarantines"`
-	Leases         int64 `json:"leases"`
-	Reuses         int64 `json:"reuses"`
 }
 
 // Snapshot returns the current values.
@@ -55,13 +49,11 @@ func (c *Counters) Snapshot() Snapshot {
 		Restarts:       c.Restarts.Load(),
 		HealthFailures: c.HealthFailures.Load(),
 		Quarantines:    c.Quarantines.Load(),
-		Leases:         c.Leases.Load(),
-		Reuses:         c.Reuses.Load(),
 	}
 }
 
 // String formats the snapshot for CLI and bench output.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("cold-starts=%d reloads=%d validates=%d restarts=%d health-failures=%d quarantines=%d leases=%d reuses=%d",
-		s.ColdStarts, s.Reloads, s.Validates, s.Restarts, s.HealthFailures, s.Quarantines, s.Leases, s.Reuses)
+	return fmt.Sprintf("cold-starts=%d reloads=%d validates=%d restarts=%d health-failures=%d quarantines=%d",
+		s.ColdStarts, s.Reloads, s.Validates, s.Restarts, s.HealthFailures, s.Quarantines)
 }

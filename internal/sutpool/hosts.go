@@ -76,10 +76,9 @@ func (k *block) free(n int) {
 }
 
 // LeaseHost leases the instance a loopback host of its own, unique on
-// the machine, for a worker SUT to serve on (see suts.HostSetter). The
-// pool frees it when it shuts the instance down for good: on Close, or
-// on a Release after Close. A Shutdown alone does not, since the
-// engine's watchdog shuts down an instance it keeps using.
+// the machine, for a worker SUT to serve on (see suts.HostSetter).
+// Release frees it. A Shutdown alone does not, since the engine's
+// watchdog shuts down an instance it keeps using.
 func (i *Instance) LeaseHost() (string, error) {
 	k, err := procBlock()
 	if err != nil {

@@ -39,77 +39,67 @@ func TestClaimedBlocksNeverOverlap(t *testing.T) {
 	}
 }
 
-// hostPool is a pool whose every built instance leases a host, recorded
-// in build order.
-func hostPool(t *testing.T, hosts *[]string) *Pool {
+// leasedInstance builds a reload-mode instance over a fresh fakeSUT
+// that leases a host, recorded in *hosts in lease order.
+func leasedInstance(t *testing.T, hosts *[]string) (*Instance, *fakeSUT) {
 	t.Helper()
-	return New(Cold, nil, func(p *Pool) (*Instance, error) {
-		inst := p.Instance(&fakeSUT{})
-		host, err := inst.LeaseHost()
-		if err != nil {
-			return nil, err
-		}
-		*hosts = append(*hosts, host)
-		return inst, nil
-	})
+	sys := &fakeSUT{}
+	inst := NewInstance(sys, Reload, nil)
+	host, err := inst.LeaseHost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	*hosts = append(*hosts, host)
+	return inst, sys
 }
 
-func TestLeasedHostFreedWhenPoolDiscards(t *testing.T) {
+// TestLeasedHostFreedOnRelease: Release ends an instance's run. It shuts
+// a warm SUT down, leaves a cold one (stopped after its last experiment)
+// alone, and frees the host either way, so the next leases take the
+// same lowest hosts. A bare Shutdown, which the watchdog uses on an
+// instance it keeps using, frees nothing.
+func TestLeasedHostFreedOnRelease(t *testing.T) {
 	var hosts []string
-	p := hostPool(t, &hosts)
-	a, err := p.Lease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Lease()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, asys := leasedInstance(t, &hosts)
+	b, bsys := leasedInstance(t, &hosts)
 	if hosts[0] == hosts[1] || hosts[0] == "127.0.0.1" {
 		t.Fatalf("hosts %v: want two distinct hosts off 127.0.0.1", hosts)
 	}
 
-	// The watchdog's Shutdown keeps the instance in use: its host stays
-	// leased.
-	if err := a.Shutdown(); err != nil {
+	// a ends its run warm, b cold.
+	if err := a.Start(someFiles); err != nil {
 		t.Fatal(err)
 	}
-	q := hostPool(t, &hosts)
-	c, err := q.Lease()
-	if err != nil {
+	_ = a.Stop()
+	if err := b.Start(someFiles); err != nil {
 		t.Fatal(err)
 	}
+	_ = b.Shutdown()
+
+	// b's Shutdown keeps its host leased.
+	c, _ := leasedInstance(t, &hosts)
 	if hosts[2] == hosts[0] || hosts[2] == hosts[1] {
 		t.Errorf("host %s leased again after a bare Shutdown", hosts[2])
 	}
 
-	// Released to a closed pool or closed in one, every host is free
-	// again: the next leases take the same lowest hosts.
-	if err := a.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(); err != nil {
-		t.Fatal(err)
-	}
-	first := slices.Clone(hosts)
-	hosts = hosts[:0]
-	r := hostPool(t, &hosts)
-	defer r.Close()
-	for range first {
-		if _, err := r.Lease(); err != nil {
+	for _, inst := range []*Instance{a, b, c} {
+		if err := inst.Release(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if asys.running {
+		t.Error("release left the warm instance running")
+	}
+	if _, stops, _, _ := bsys.counts(); stops != 1 {
+		t.Errorf("cold instance stopped %d times, want 1 — release must not stop it again", stops)
+	}
+	first := slices.Clone(hosts)
+	hosts = hosts[:0]
+	for range first {
+		inst, _ := leasedInstance(t, &hosts)
+		defer inst.Release()
+	}
 	if !slices.Equal(hosts, first) {
-		t.Errorf("after close, leases took %v, want the freed %v", hosts, first)
+		t.Errorf("after release, leases took %v, want the freed %v", hosts, first)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // engine's bytes verbatim and nothing else: the SUT is never told which
 // files an experiment changed. Stop keeps warm instances running. The
 // engine calls it directly — the System methods are for everything that
-// only needs a suts.System. An Instance is used by one campaign worker
-// at a time (the pool's lease discipline); it is not safe for concurrent
-// use.
+// only needs a suts.System. An Instance belongs to one campaign worker
+// for one run: the worker's target factory builds it, and the engine
+// releases it when the run ends. It is not safe for concurrent use.
 type Instance struct {
 	sys  suts.System
 	mode Mode
@@ -24,8 +24,8 @@ type Instance struct {
 
 	// warm is true while sys is running and the next Start may reload
 	// instead of cold-starting. Only ever true in Reload mode with a
-	// reload-capable SUT. Atomic not for concurrent lifecycle use (the
-	// lease discipline still forbids that) but because the engine's
+	// reload-capable SUT. Atomic not for concurrent lifecycle use (one
+	// worker owns the instance) but because the engine's
 	// phase watchdog may Quarantine the instance from the campaign
 	// goroutine while an abandoned, still-wedged phase call holds it.
 	warm atomic.Bool
@@ -33,13 +33,6 @@ type Instance struct {
 	// unlease frees the instance's loopback host (see LeaseHost); nil
 	// without one.
 	unlease func()
-
-	pool *Pool
-
-	// Payload carries whatever the pool's builder wants returned with
-	// the lease — typically the engine target wrapped around this
-	// instance.
-	Payload any
 }
 
 // NewInstance adapts sys to the given mode. A nil c gets a private
@@ -141,16 +134,6 @@ func (i *Instance) Shutdown() error {
 	return i.sys.Stop()
 }
 
-// discard shuts the instance down for good and frees its loopback host.
-func (i *Instance) discard() error {
-	err := i.Shutdown()
-	if i.unlease != nil {
-		i.unlease()
-		i.unlease = nil
-	}
-	return err
-}
-
 // Quarantine marks the instance so its next Start is a cold start
 // instead of a warm reload, without touching the underlying system. The
 // engine's phase watchdog calls it when a phase deadline expires: the
@@ -163,17 +146,18 @@ func (i *Instance) Quarantine() {
 	i.c.Quarantines.Add(1)
 }
 
-// Release returns the instance to its pool (health-checked; warm
-// instances stay warm for the next lease) or, for a pool-less instance,
-// shuts it down when it is warm. A cold pool-less instance has nothing
-// running: its SUT was stopped after every experiment. The engine calls
-// it on every worker's instance when a run ends.
+// Release ends the instance's run: it shuts a warm SUT down (a cold one
+// has nothing running, its SUT was stopped after its last experiment)
+// and frees the instance's loopback host. The engine calls it on every
+// worker's instance when a run ends.
 func (i *Instance) Release() error {
-	if i.pool != nil {
-		return i.pool.retire(i)
+	var err error
+	if i.warm.Load() {
+		err = i.Shutdown()
 	}
-	if !i.warm.Load() {
-		return nil
+	if i.unlease != nil {
+		i.unlease()
+		i.unlease = nil
 	}
-	return i.Shutdown()
+	return err
 }

@@ -269,199 +269,44 @@ func TestInstanceFallsBackToCold(t *testing.T) {
 	}
 }
 
-func TestPoolLeaseReuseAndClose(t *testing.T) {
-	var built []*fakeSUT
-	p := New(Reload, nil, func(p *Pool) (*Instance, error) {
-		sys := &fakeSUT{}
-		built = append(built, sys)
-		return p.Instance(sys), nil
-	})
-	inst, err := p.Lease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Start(someFiles); err != nil {
-		t.Fatal(err)
-	}
-	_ = inst.Stop()
-	if err := inst.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Size() != 1 || p.Idle() != 1 {
-		t.Fatalf("size=%d idle=%d, want 1/1", p.Size(), p.Idle())
-	}
-
-	// The second lease reuses the warm instance: its next Start reloads.
-	inst2, err := p.Lease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst2 != inst {
-		t.Fatal("second lease built a new instance instead of reusing")
-	}
-	if err := inst2.Start(someFiles); err != nil {
-		t.Fatal(err)
-	}
-	if starts, _, reloads, _ := built[0].counts(); starts != 1 || reloads != 1 {
-		t.Errorf("starts=%d reloads=%d, want 1/1 — reuse must stay warm across leases", starts, reloads)
-	}
-	_ = inst2.Stop()
-	if err := inst2.Release(); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := p.Counters().Snapshot()
-	if snap.Leases != 2 || snap.Reuses != 1 {
-		t.Errorf("counters %s, want leases=2 reuses=1", snap)
-	}
-
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if built[0].running {
-		t.Error("close left an idle instance running")
-	}
-	if _, err := p.Lease(); !errors.Is(err, ErrClosed) {
-		t.Errorf("lease on closed pool: err = %v, want ErrClosed", err)
-	}
-}
-
-func TestPoolQuarantinesDirtyLease(t *testing.T) {
+// TestInstanceStopQuarantinesUnhealthy: a warm instance is health-gated
+// after every experiment; one that fails the check is torn down there,
+// and the next experiment cold-starts instead of reloading.
+func TestInstanceStopQuarantinesUnhealthy(t *testing.T) {
 	sys := &fakeSUT{}
-	p := New(Reload, nil, func(p *Pool) (*Instance, error) {
-		return p.Instance(sys), nil
-	})
-	inst, _ := p.Lease()
+	c := &Counters{}
+	inst := NewInstance(sys, Reload, c)
 	if err := inst.Start(someFiles); err != nil {
 		t.Fatal(err)
 	}
 	_ = inst.Stop() // warm
 
-	// The instance goes bad while leased; returning it must quarantine.
-	sys.setHealthErr(errors.New("fake: wedged"))
-	if err := inst.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if !sys.running && sys.stops == 0 {
-		t.Fatal("quarantine did not stop the dirty instance")
-	}
-	if p.Idle() != 1 {
-		t.Fatalf("idle=%d, want 1 — quarantined instances are reused cold", p.Idle())
-	}
-	snap := p.Counters().Snapshot()
-	if snap.HealthFailures != 1 {
-		t.Errorf("counters %s, want health-failures=1", snap)
-	}
-
-	// Reuse after quarantine is a cold start, not a reload.
-	sys.setHealthErr(nil)
-	inst2, _ := p.Lease()
-	if err := inst2.Start(someFiles); err != nil {
-		t.Fatal(err)
-	}
-	if starts, _, reloads, _ := sys.counts(); starts != 2 || reloads != 0 {
-		t.Errorf("starts=%d reloads=%d, want 2/0 — post-quarantine start must be cold", starts, reloads)
-	}
-	_ = p.Close()
-}
-
-func TestPoolBuildError(t *testing.T) {
-	boom := errors.New("no more instances")
-	calls := 0
-	p := New(Cold, nil, func(p *Pool) (*Instance, error) {
-		calls++
-		return nil, boom
-	})
-	if _, err := p.Lease(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want build error through", err)
-	}
-	if p.Size() != 0 {
-		t.Errorf("size=%d, want 0 — failed build must not leak capacity", p.Size())
-	}
-	if _, err := p.Lease(); !errors.Is(err, boom) || calls != 2 {
-		t.Fatalf("second lease: err=%v calls=%d, want a fresh build attempt", err, calls)
-	}
-}
-
-// TestPoolReleaseAfterClose models a campaign cancelled mid-run: the
-// suite tears the pool down while workers still hold leases, and the
-// late releases must shut their instances down instead of parking them.
-func TestPoolReleaseAfterClose(t *testing.T) {
-	sys := &fakeSUT{}
-	p := New(Reload, nil, func(p *Pool) (*Instance, error) {
-		return p.Instance(sys), nil
-	})
-	inst, _ := p.Lease()
+	// The instance goes bad during the next experiment; its Stop must
+	// quarantine it.
 	if err := inst.Start(someFiles); err != nil {
 		t.Fatal(err)
 	}
-	_ = inst.Stop() // warm while leased
-	if err := p.Close(); err != nil {
+	sys.setHealthErr(errors.New("fake: wedged"))
+	if err := inst.Stop(); err != nil {
 		t.Fatal(err)
+	}
+	if _, stops, _, _ := sys.counts(); stops != 1 {
+		t.Fatalf("stops=%d, want 1 — quarantine must stop the unhealthy instance", stops)
+	}
+	if snap := c.Snapshot(); snap.HealthFailures != 1 {
+		t.Errorf("counters %s, want health-failures=1", snap)
+	}
+
+	// The experiment after the quarantine is a cold start, not a reload.
+	sys.setHealthErr(nil)
+	if err := inst.Start(someFiles); err != nil {
+		t.Fatal(err)
+	}
+	if starts, _, reloads, _ := sys.counts(); starts != 2 || reloads != 1 {
+		t.Errorf("starts=%d reloads=%d, want 2/1 — post-quarantine start must be cold", starts, reloads)
 	}
 	if err := inst.Release(); err != nil {
 		t.Fatal(err)
-	}
-	if sys.running {
-		t.Error("release after close left the instance running")
-	}
-	if p.Idle() != 0 {
-		t.Errorf("idle=%d, want 0 after close", p.Idle())
-	}
-}
-
-// TestPoolConcurrentLeases hammers Lease/Start/Stop/Release from many
-// goroutines; run with -race this is the pool's synchronization proof.
-func TestPoolConcurrentLeases(t *testing.T) {
-	p := New(Reload, nil, func(p *Pool) (*Instance, error) {
-		return p.Instance(&fakeSUT{}), nil
-	})
-	const goroutines = 8
-	const iterations = 50
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iterations; i++ {
-				inst, err := p.Lease()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := inst.Start(someFiles); err != nil {
-					errs <- err
-					return
-				}
-				if err := inst.Stop(); err != nil {
-					errs <- err
-					return
-				}
-				if err := inst.Release(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if p.Size() > goroutines {
-		t.Errorf("pool built %d instances for %d concurrent workers", p.Size(), goroutines)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap := p.Counters().Snapshot()
-	if want := int64(goroutines * iterations); snap.Leases != want {
-		t.Errorf("leases=%d, want %d", snap.Leases, want)
-	}
-	if snap.Reuses == 0 {
-		t.Error("no reuses across 400 leases — pool never recycled")
 	}
 }
 
@@ -508,14 +353,4 @@ func TestCountersSnapshotString(t *testing.T) {
 			t.Errorf("String() = %q, missing %q", str, want)
 		}
 	}
-}
-
-// Counters returns the pool's shared counters.
-func (p *Pool) Counters() *Counters { return p.c }
-
-// Idle returns how many instances are parked.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
 }

@@ -1,9 +1,10 @@
-// Package sutpool owns SUT instances across experiments instead of
-// cold-starting one per injection. It is the layer ROADMAP item 1 calls
-// for: BENCH_5's 1M-scenario nginx run spends >95% of its wall time
-// starting and tearing down simulated servers while the injection engine
-// itself sustains 165k exp/s, so campaigns are SUT-bound, not
-// engine-bound.
+// Package sutpool drives each campaign worker's SUT through a lifecycle,
+// so a worker can keep one SUT warm across experiments instead of
+// cold-starting one per injection: BENCH_5's 1M-scenario nginx run spent
+// >95% of its wall time starting and tearing down simulated servers
+// while the injection engine itself sustained 165k exp/s. The name is
+// historical; there is no pool. Each worker owns its instance for one
+// run, and the engine releases it when the run ends.
 //
 // The package has three pieces. Mode selects the lifecycle an experiment
 // drives: Cold (the paper's start/stop-per-experiment engine), Reload
@@ -13,8 +14,8 @@
 // SUT: it drives the selected mode, with cold-start fallback when the
 // capability is missing and quarantine-plus-restart when a reload
 // wedges, and holds the loopback host a kernel-TCP worker serves the
-// primary's port on (LeaseHost). Pool hands leased instances to campaign
-// workers and takes them back health-checked between runs.
+// primary's port on (LeaseHost). Counters tally what the instances of a
+// run did.
 package sutpool
 
 import "fmt"

@@ -10,7 +10,7 @@ import (
 )
 
 // This file pins the System contract for every SUT in the registry —
-// the invariants the engine and the pooled lifecycle lean on. Each
+// the invariants the engine and the SUT lifecycles lean on. Each
 // registered target must tolerate, on a single instance:
 //
 //   - Stop before any Start

@@ -453,7 +453,7 @@ func (s *Server) Close() {
 
 // serveConn answers requests on one connection until it closes. The
 // read, body and response buffers live for the connection — under the
-// pooled lifecycle that is the whole campaign, so the per-request
+// reload lifecycle that is the whole run, so the per-request
 // serving path allocates nothing.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {

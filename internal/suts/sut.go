@@ -58,8 +58,9 @@ type Addressable interface {
 
 // Reloader is an optional capability: a SUT that can swap its
 // configuration on a warm, already-running instance — the `nginx -s
-// reload` / SIGHUP idiom. The pooled lifecycle (internal/sutpool) uses it
-// to avoid one cold start/stop cycle per injection experiment.
+// reload` / SIGHUP idiom. The reload lifecycle (internal/sutpool) uses
+// it to keep each worker's instance warm instead of paying one cold
+// start/stop cycle per injection experiment.
 //
 // Reload follows the same error taxonomy as Start: a *StartupError means
 // the SUT itself rejected the new configuration, and its text must be
@@ -67,7 +68,8 @@ type Addressable interface {
 // resilience profile must not depend on the lifecycle mode. After a
 // rejected reload the instance keeps serving its previous configuration
 // and stays warm. Any other error means the reload wedged the instance;
-// the pool quarantines it and falls back to a cold restart.
+// the worker's sutpool.Instance quarantines it and falls back to a cold
+// restart.
 type Reloader interface {
 	// Reload applies a new configuration to the running system. Same
 	// Files sharing contract as System.Start.
@@ -110,9 +112,9 @@ type Validator interface {
 	Validate(files Files) error
 }
 
-// HealthChecker is an optional capability used by the pooled lifecycle
-// to decide whether a warm instance can be reused for the next
-// experiment or must be quarantined and cold-restarted.
+// HealthChecker is an optional capability used by the reload lifecycle
+// after every experiment to decide whether a warm instance can serve the
+// next one or must be quarantined and cold-restarted.
 type HealthChecker interface {
 	// Health returns nil when the running system is still serving.
 	Health() error

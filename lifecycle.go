@@ -2,29 +2,29 @@ package conferr
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"conferr/internal/core"
 	"conferr/internal/sutpool"
 	"conferr/internal/suts"
 )
 
-// This file wires the pooled SUT lifecycle (internal/sutpool) into the
-// facade: every campaign leases its worker SUTs from a per-campaign pool,
-// whichever lifecycle it runs. Cold campaigns start and stop the SUT
-// around every experiment, as in the paper; reload campaigns keep
-// instances warm and health-checked between experiments, quarantined and
-// cold-restarted when a reload wedges them; validate campaigns only
-// parse-check. Released instances go back to the pool, which the run's
-// cleanup closes.
+// This file wires the SUT lifecycle (internal/sutpool) into the facade:
+// every campaign worker owns one SUT instance for the run, whichever
+// lifecycle it runs. Cold campaigns start and stop the SUT around every
+// experiment, as in the paper; reload campaigns keep the instance warm
+// and health-checked between experiments, quarantined and cold-restarted
+// when a reload wedges it; validate campaigns only parse-check. The
+// engine releases every worker's instance when the run ends.
 //
-// The pool's sutpool.Instance is each worker's one SUT adapter: it sees
-// the real SUT, so reload capability detection works. Every worker is
-// built at the primary's port and runs on exactly the sequential run's
-// bytes: a worker whose SUT serves over memnet binds that port in its
-// private namespace, and a kernel-TCP worker binds it on a loopback host
-// of its own (suts.HostSetter), which its functional tests dial too.
-// Profiles stay byte-identical to single-worker cold runs either way.
-// Systems lacking the reload capability fall back to cold starts.
+// The sutpool.Instance is each worker's one SUT adapter: it sees the
+// real SUT, so reload capability detection works. Every worker is built
+// at the primary's port and runs on exactly the sequential run's bytes:
+// a worker whose SUT serves over memnet binds that port in its private
+// namespace, and a kernel-TCP worker binds it on a loopback host of its
+// own (suts.HostSetter), which its functional tests dial too. Profiles
+// stay byte-identical to single-worker cold runs either way. Systems
+// lacking the reload capability fall back to cold starts.
 
 // Lifecycle selects how worker SUTs are driven through experiments:
 // LifecycleCold (the paper's start/stop-per-experiment engine, the
@@ -45,34 +45,32 @@ const (
 func ParseLifecycle(s string) (Lifecycle, error) { return sutpool.ParseMode(s) }
 
 // LifecycleCounters tallies what the lifecycle machinery actually did —
-// cold starts, reloads, validates, quarantine restarts, health failures,
-// pool leases and reuses. Share one across runs (it is concurrency-safe)
-// and read it with Snapshot.
+// cold starts, reloads, validates, quarantine restarts and health
+// failures. Share one across runs (it is concurrency-safe) and read it
+// with Snapshot.
 type LifecycleCounters = sutpool.Counters
 
-// lifecycleFactory builds the run's worker pool and returns the core
-// per-worker factory leasing from it, plus the cleanup that closes the
-// pool, shutting down every idle instance and freeing its loopback host.
-// Each leased instance is a factory-built SUT adapted to the mode, with
-// the finished engine target — the instance as its System — carried as
-// the lease payload. Released instances return to the pool warm, so
-// consecutive campaigns over one pool skip even the first cold start.
+// lifecycleFactory returns the core per-worker factory of a run. Each
+// call builds a target with f at the primary's port, adapts its SUT to
+// the mode and counters, and makes the adapter the target's System; the
+// engine releases it when the run ends.
 //
 // A kernel-TCP system that reports a port but cannot move to a host of
 // its own runs on 127.0.0.1 itself, so only one worker can hold it.
 // Systems without a port (external processes, internal/proc) are built
 // at port 0 and left alone.
-func lifecycleFactory(f TargetFactory, primary *SystemTarget, mode Lifecycle, c *LifecycleCounters) (core.TargetFactory, func() error) {
+func lifecycleFactory(f TargetFactory, primary *SystemTarget, mode Lifecycle, c *LifecycleCounters) core.TargetFactory {
 	port := portOf(primary.System)
-	pool := sutpool.New(mode, c, func(p *sutpool.Pool) (*sutpool.Instance, error) {
+	var built atomic.Int32
+	return func() (*core.Target, error) {
 		st, err := f(port)
 		if err != nil {
 			return nil, err
 		}
-		inst := p.Instance(st.Target.System)
+		inst := sutpool.NewInstance(st.Target.System, mode, c)
 		if port != 0 && !onMemnet(st.System) {
 			hs, ok := st.System.(suts.HostSetter)
-			if !ok && p.Size() > 1 {
+			if !ok && built.Add(1) > 1 {
 				return nil, fmt.Errorf("conferr: %s serves port %d on 127.0.0.1 and cannot move to a loopback host of its own (no suts.HostSetter); run it with one worker", st.System.Name(), port)
 			}
 			if ok {
@@ -85,16 +83,8 @@ func lifecycleFactory(f TargetFactory, primary *SystemTarget, mode Lifecycle, c 
 		}
 		t := *st.Target
 		t.System = inst
-		inst.Payload = &t
-		return inst, nil
-	})
-	return func() (*core.Target, error) {
-		inst, err := pool.Lease()
-		if err != nil {
-			return nil, err
-		}
-		return inst.Payload.(*core.Target), nil
-	}, pool.Close
+		return &t, nil
+	}
 }
 
 // portOf is the port a simulator listens on, 0 for a system without one.

@@ -2,9 +2,15 @@ package conferr
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 
+	"conferr/internal/core"
+	"conferr/internal/formats"
+	"conferr/internal/formats/kv"
 	"conferr/internal/profile"
+	"conferr/internal/suts"
 )
 
 // Ports for this file, distinct from every other fixed port in the repo.
@@ -13,11 +19,12 @@ const (
 	lifecycleTestRedisPort    = 23941
 	lifecycleTestPostgresPort = 23942
 	lifecycleTestApachePort   = 23943
+	lifecycleTestOwnedPort    = 23945
 	lifecycleTestMatrixBase   = 23950 // matrix cells get base+i
 )
 
 // TestLifecycleReloadMatchesCold is the facade-level acceptance bar of
-// the pooled lifecycle: against the real reload-capable simulators, a
+// the reload lifecycle: against the real reload-capable simulators, a
 // warm-reload campaign must produce profiles byte-identical (scenario
 // IDs, classes, outcomes, details) to the cold engine at workers 1, 4
 // and 8 — while actually taking the reload path.
@@ -166,5 +173,107 @@ func TestLifecycleMatrix(t *testing.T) {
 	}
 	if snap := counters.Snapshot(); snap.Reloads == 0 {
 		t.Errorf("matrix reload mode never reloaded (%s)", snap)
+	}
+}
+
+// ownedSUT is a reload-capable kernel-TCP fake that moves to a loopback
+// host of its own and logs its hosts, starts and stops.
+type ownedSUT struct {
+	port int
+	log  *ownedLog
+
+	mu            sync.Mutex
+	starts, stops int
+}
+
+// ownedLog collects every ownedSUT a factory built and every host set.
+type ownedLog struct {
+	mu    sync.Mutex
+	suts  []*ownedSUT
+	hosts []string
+}
+
+func (s *ownedSUT) Name() string              { return "owned" }
+func (s *ownedSUT) DefaultPort() int          { return s.port }
+func (s *ownedSUT) DefaultConfig() suts.Files { return suts.Files{"o.conf": []byte("a = 1\n")} }
+func (s *ownedSUT) Reload(suts.Files) error   { return nil }
+
+func (s *ownedSUT) Start(suts.Files) error {
+	s.mu.Lock()
+	s.starts++
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *ownedSUT) Stop() error {
+	s.mu.Lock()
+	s.stops++
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *ownedSUT) SetHost(host string) {
+	s.log.mu.Lock()
+	s.log.hosts = append(s.log.hosts, host)
+	s.log.mu.Unlock()
+}
+
+// ownedRun is the log the registered "owned-for-test" target writes to.
+var (
+	ownedRun      *ownedLog
+	registerOwned sync.Once
+)
+
+// TestMatrixWorkersOwnTheirSUTs: a reload cell over kernel TCP at 4
+// workers leaves nothing to clean up when RunMatrix returns. Every
+// worker's warm SUT has been stopped exactly once, by the engine's
+// release, and a second identical run leases the same four loopback
+// hosts, so the first run freed them.
+func TestMatrixWorkersOwnTheirSUTs(t *testing.T) {
+	registerOwned.Do(func() {
+		RegisterTarget("owned-for-test", func(port int) (*SystemTarget, error) {
+			sys := &ownedSUT{port: port, log: ownedRun}
+			ownedRun.mu.Lock()
+			ownedRun.suts = append(ownedRun.suts, sys)
+			ownedRun.mu.Unlock()
+			return &SystemTarget{
+				Target: &core.Target{System: sys, Formats: map[string]formats.Format{"o.conf": kv.Format{}}},
+				System: sys,
+			}, nil
+		})
+		RegisterGenerator("noop-for-test", func(GeneratorOptions) (Generator, error) {
+			return noopGenerator{n: 16}, nil
+		})
+	})
+	run := func() []string {
+		ownedRun = &ownedLog{}
+		entries := []MatrixEntry{{System: "owned-for-test", Plugin: "noop-for-test", Port: lifecycleTestOwnedPort}}
+		counters := &LifecycleCounters{}
+		if _, err := RunMatrix(context.Background(), entries, MatrixOptions{
+			Workers: 4, Lifecycle: LifecycleReload, PoolCounters: counters,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if snap := counters.Snapshot(); snap.ColdStarts != 4 || snap.Reloads != 12 {
+			t.Errorf("counters %s, want 4 cold starts and 12 reloads", snap)
+		}
+		started := 0
+		for _, s := range ownedRun.suts {
+			if s.starts == 0 {
+				continue // the primary, which only generates the faultload
+			}
+			started++
+			if s.starts != 1 || s.stops != 1 {
+				t.Errorf("worker SUT started %d and stopped %d times, want 1 and 1", s.starts, s.stops)
+			}
+		}
+		if started != 4 || len(ownedRun.hosts) != 4 {
+			t.Fatalf("%d worker SUTs started on hosts %v, want 4 on 4 hosts", started, ownedRun.hosts)
+		}
+		return ownedRun.hosts
+	}
+	first := run()
+	if again := run(); !slices.Equal(again, first) {
+		t.Errorf("second run leased hosts %v, want the first run's freed %v", again, first)
 	}
 }

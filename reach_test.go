@@ -37,10 +37,6 @@ var reachAllowlist = map[string]string{
 	"conferr/internal/confnode.Set.Equal":        "shared test helper",
 	// Groups a faultload by class for the plugin packages' tests.
 	"conferr/internal/scenario.ByClass": "shared test helper",
-	// The hook root and engine tests use to act on a running campaign
-	// (count records, cancel after the n-th); the engine calls it in
-	// flush order.
-	"conferr/internal/core.WithObserver": "engine hook the tests drive",
 }
 
 // packageAllowlist names the internal packages that neither the root

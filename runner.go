@@ -39,15 +39,15 @@ type Runner struct {
 	Port int
 	// Lifecycle selects how worker SUTs are driven through experiments:
 	// LifecycleCold (default) starts and stops the SUT around every
-	// experiment; LifecycleReload keeps pooled instances warm and swaps
-	// configurations in place; LifecycleValidate only parse-checks them.
-	// Reload-mode profiles are byte-identical to cold ones; validate mode
-	// trades functional-test coverage for speed (see the README's "SUT
-	// lifecycle" section).
+	// experiment; LifecycleReload keeps each worker's instance warm and
+	// swaps configurations in place; LifecycleValidate only parse-checks
+	// them. Reload-mode profiles are byte-identical to cold ones;
+	// validate mode trades functional-test coverage for speed (see the
+	// README's "SUT lifecycle" section).
 	Lifecycle Lifecycle
 	// PoolCounters, when non-nil, tallies the lifecycle activity of this
-	// runner's campaigns (cold starts, reloads, validates, restarts, pool
-	// reuse). Safe to share across runners.
+	// runner's campaigns (cold starts, reloads, validates, restarts).
+	// Safe to share across runners.
 	PoolCounters *LifecycleCounters
 }
 
@@ -76,25 +76,9 @@ func NewRunnerFor(system, plugin string, opts GeneratorOptions) (*Runner, error)
 // ordered and deterministic for a fixed faultload whatever the worker
 // count.
 func (r *Runner) Run(ctx context.Context, opts ...RunOption) (*Profile, error) {
-	c, coreOpts, cleanup, err := r.campaign(opts)
+	sc, err := NewSuiteCampaignLifecycle(r.Generator.Name(), r.Factory, r.Port, r.Generator, r.Lifecycle, r.PoolCounters)
 	if err != nil {
 		return &profile.Profile{}, err
 	}
-	prof, err := c.RunContext(ctx, coreOpts...)
-	if cerr := cleanup(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return prof, err
-}
-
-// campaign builds the runner's campaign as a suite cell — primary target,
-// per-worker pool in the runner's lifecycle — and returns it with the
-// cell's options in front of the caller's. The returned cleanup closes
-// the worker pool and must run after the campaign.
-func (r *Runner) campaign(opts []RunOption) (*core.Campaign, []RunOption, func() error, error) {
-	sc, err := NewSuiteCampaignLifecycle(r.Generator.Name(), r.Factory, r.Port, r.Generator, r.Lifecycle, r.PoolCounters)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return sc.Campaign, append(sc.Options, opts...), sc.Cleanup, nil
+	return sc.Campaign.RunContext(ctx, append(sc.Options, opts...)...)
 }

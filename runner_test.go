@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
-
-	"conferr/internal/core"
-	"conferr/internal/profile"
 )
 
 // Ports used by this file; distinct from every other fixed port in the
@@ -125,20 +124,32 @@ func TestRunnerSummaryStableAcrossWorkerCounts(t *testing.T) {
 
 func TestRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	seen := 0
+	// Every worker's functional probes count into one tally; the 5th
+	// probe call cancels the run.
+	var probes atomic.Int32
+	factory := func(port int) (*SystemTarget, error) {
+		st, err := PostgresTargetAt(port)
+		if err != nil {
+			return nil, err
+		}
+		tests := slices.Clone(st.Target.Tests)
+		for i, tc := range tests {
+			tests[i].Run = func() error {
+				if probes.Add(1) == 5 {
+					cancel()
+				}
+				return tc.Run()
+			}
+		}
+		st.Target.Tests = tests
+		return st, nil
+	}
 	r := &Runner{
-		Factory:   PostgresTargetAt,
+		Factory:   factory,
 		Generator: TypoGenerator(TypoOptions{Seed: 1}),
 		Port:      runnerTestPostgresPort,
 	}
-	prof, err := r.Run(ctx,
-		WithParallelism(4),
-		core.WithObserver(func(profile.Record) {
-			seen++
-			if seen == 5 {
-				cancel()
-			}
-		}))
+	prof, err := r.Run(ctx, WithParallelism(4))
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -27,6 +27,12 @@
 # workers, cmp'd from the per-class table on (the banner names the
 # worker count).
 #
+# Every run's stdout is kept, and the `lifecycle=` tally line it prints
+# must show the lifecycle really ran: reloads > 0 on every reload run of
+# nginx, apache, postgres and redisd, validates > 0 on every validate
+# run. A reload cell that silently fell back to cold starts would still
+# produce the same bytes, so cmp alone cannot tell.
+#
 # Base ports 11516-11850 keep every typo'd port below the kernel's
 # ephemeral range, where a TIME_WAIT collision could change an outcome.
 set -euo pipefail
@@ -37,11 +43,22 @@ trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/conferr" ./cmd/conferr
 
+# ran NAME FIELD fails unless run NAME's lifecycle= line reports FIELD > 0.
+ran() {
+  local line n
+  line=$(grep '^lifecycle=' "$tmp/$1.out" || true)
+  n=$(sed -n "s/.* $2=\([0-9]*\).*/\1/p" <<<"$line")
+  if [ "${n:-0}" -le 0 ]; then
+    echo "lifecycle-smoke: $1 did not run its lifecycle: ${line:-no lifecycle= line}" >&2
+    exit 1
+  fi
+}
+
 run() {
   local name=$1
   shift
   "$tmp/conferr" matrix -systems nginx -plugins typo -limit 20000 -rounds 3 \
-    -no-duration -base-port 11516 -stream-out "$tmp/$name.jsonl" "$@" >/dev/null
+    -no-duration -base-port 11516 -stream-out "$tmp/$name.jsonl" "$@" >"$tmp/$name.out"
 }
 
 echo "== cold TCP reference (1 worker)"
@@ -59,17 +76,20 @@ for cfg in "cold-tcp-w4 -lifecycle cold -workers 4" \
   echo "== $1"
   run "$@"
   cmp "$tmp/cold-tcp-w1.jsonl" "$tmp/$1.jsonl"
+  case $1 in reload-*) ran "$1" reloads ;; esac
 done
 
 echo "== validate memnet (1 and 4 workers)"
 run validate-memnet-w1 -lifecycle validate -memnet -workers 1
 run validate-memnet-w4 -lifecycle validate -memnet -workers 4
 cmp "$tmp/validate-memnet-w1.jsonl" "$tmp/validate-memnet-w4.jsonl"
+ran validate-memnet-w1 validates
+ran validate-memnet-w4 validates
 
 cell() {
   local name=$1
   shift
-  "$tmp/conferr" matrix -no-duration -stream-out "$tmp/$name.jsonl" "$@" >/dev/null
+  "$tmp/conferr" matrix -no-duration -stream-out "$tmp/$name.jsonl" "$@" >"$tmp/$name.out"
 }
 
 for sp in apache:11516 postgres:11750 redisd:11800 bind:11600; do
@@ -80,6 +100,10 @@ for sp in apache:11516 postgres:11750 redisd:11800 bind:11600; do
   cell $sys-reload-memnet-w4 -systems $sys -plugins typo -base-port $port -lifecycle reload -memnet -workers 4
   cmp "$tmp/$sys-w1.jsonl" "$tmp/$sys-reload-tcp-w4.jsonl"
   cmp "$tmp/$sys-w1.jsonl" "$tmp/$sys-reload-memnet-w4.jsonl"
+  if [ "$sys" != bind ]; then
+    ran $sys-reload-tcp-w4 reloads
+    ran $sys-reload-memnet-w4 reloads
+  fi
 done
 
 echo "== mysql: kernel TCP (1 vs 8 workers)"
@@ -96,13 +120,14 @@ echo "== campaign: nginx cold (1 worker) vs reload (4 workers)"
 campaign() {
   local name=$1
   shift
-  "$tmp/conferr" campaign -system nginx -port 11850 -records "$@" |
-    sed -n '/^Per-class detection:/,$p' >"$tmp/$name.txt"
+  "$tmp/conferr" campaign -system nginx -port 11850 -records "$@" >"$tmp/$name.out"
+  sed -n '/^Per-class detection:/,$p' "$tmp/$name.out" >"$tmp/$name.txt"
   test -s "$tmp/$name.txt"
 }
 campaign campaign-w1 -workers 1
 campaign campaign-reload-w4 -workers 4 -lifecycle reload
 cmp "$tmp/campaign-w1.txt" "$tmp/campaign-reload-w4.txt"
+ran campaign-reload-w4 reloads
 
 md5() { md5sum <"$1" | cut -d' ' -f1; }
 summary="nginx $(wc -l <"$tmp/cold-tcp-w1.jsonl") records, md5 $(md5 "$tmp/cold-tcp-w1.jsonl")"

@@ -232,9 +232,8 @@ func TestCellRejectsNegativeSettings(t *testing.T) {
 	} {
 		spec := dist.CampaignSpec{System: "nginx", Plugin: "typo", Seed: 1}
 		tc.set(&spec)
-		sc, err := DistCampaign(spec)
+		_, err := DistCampaign(spec)
 		if err == nil {
-			sc.Cleanup()
 			t.Errorf("%s: negative value accepted", tc.field)
 			continue
 		}
@@ -244,11 +243,9 @@ func TestCellRejectsNegativeSettings(t *testing.T) {
 			}
 		}
 	}
-	sc, err := DistCampaign(dist.CampaignSpec{System: "nginx", Plugin: "typo", Seed: 1})
-	if err != nil {
+	if _, err := DistCampaign(dist.CampaignSpec{System: "nginx", Plugin: "typo", Seed: 1}); err != nil {
 		t.Fatalf("zero settings refused: %v", err)
 	}
-	sc.Cleanup()
 }
 
 // TestRunnerRejectsNegativeCounts: a Runner built from names refuses a
@@ -304,15 +301,11 @@ var _ Sink = (*profile.JSONLSink)(nil)
 // bounded by the stream rather than by RAM. It returns the number of
 // records flushed; see Campaign.RunStream for the full contract.
 func (r *Runner) RunStream(ctx context.Context, sink Sink, opts ...RunOption) (int, error) {
-	c, coreOpts, cleanup, err := r.campaign(opts)
+	sc, err := NewSuiteCampaignLifecycle(r.Generator.Name(), r.Factory, r.Port, r.Generator, r.Lifecycle, r.PoolCounters)
 	if err != nil {
 		return 0, err
 	}
-	n, err := c.RunStream(ctx, sink, coreOpts...)
-	if cerr := cleanup(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return n, err
+	return sc.Campaign.RunStream(ctx, sink, append(sc.Options, opts...)...)
 }
 
 // splitJSONL splits a JSONL stream into one profile per campaign, in

@@ -33,11 +33,12 @@ type (
 // instance at the primary's port, in a private memnet namespace or on a
 // kernel loopback host of its own — which is what lets several campaigns
 // of one system family run concurrently in a suite without colliding.
-// The cell's workers lease their SUTs from a per-cell pool in the given
-// lifecycle (cold starts, warm reloads or validate-only, falling back to
-// cold for incapable systems) that is closed when the cell finishes. A
-// non-nil counters aggregates lifecycle activity across cells. matrix
-// cells, Runner and the paper's experiments are all built here.
+// Each worker drives its SUT in the given lifecycle (cold starts, warm
+// reloads or validate-only, falling back to cold for incapable systems)
+// and the engine releases it when the run ends, so the cell needs no
+// cleanup. A non-nil counters aggregates lifecycle activity across
+// cells. matrix cells, Runner and the paper's experiments are all built
+// here.
 func NewSuiteCampaignLifecycle(name string, factory TargetFactory, port int, gen Generator, mode Lifecycle, counters *LifecycleCounters) (SuiteCampaign, error) {
 	if port < 0 || port > 65535 {
 		// A typo'd faultload against such a port would be one silent
@@ -48,15 +49,13 @@ func NewSuiteCampaignLifecycle(name string, factory TargetFactory, port int, gen
 	if err != nil {
 		return SuiteCampaign{}, fmt.Errorf("conferr: building %s primary target: %w", name, err)
 	}
-	workers, cleanup := lifecycleFactory(factory, primary, mode, counters)
 	return SuiteCampaign{
 		Name: name,
 		Campaign: &core.Campaign{
 			Target:    primary.Target,
 			Generator: gen,
 		},
-		Options: []core.RunOption{core.WithTargetFactory(workers)},
-		Cleanup: cleanup,
+		Options: []core.RunOption{core.WithTargetFactory(lifecycleFactory(factory, primary, mode, counters))},
 	}, nil
 }
 

@@ -44,8 +44,8 @@ func TestInMemoryTransportMatchesTCP(t *testing.T) {
 }
 
 // TestInMemoryTransportWithReload composes the two tentpole pieces:
-// warm-reload pooling over the in-process transport still matches the
-// cold TCP profile, and the pool actually reloads.
+// warm reloads over the in-process transport still match the cold TCP
+// profile, and the workers actually reload.
 func TestInMemoryTransportWithReload(t *testing.T) {
 	gen := func() Generator {
 		return TypoGenerator(TypoOptions{Seed: DefaultSeed, PerModel: 30})
