@@ -53,15 +53,13 @@ func leasedInstance(t *testing.T, hosts *[]string) (*Instance, *fakeSUT) {
 	return inst, sys
 }
 
-// TestLeasedHostFreedOnRelease: Release ends an instance's run. It shuts
-// a warm SUT down, leaves a cold one (stopped after its last experiment)
-// alone, and frees the host either way, so the next leases take the
-// same lowest hosts. A bare Shutdown, which the watchdog uses on an
-// instance it keeps using, frees nothing.
-func TestLeasedHostFreedOnRelease(t *testing.T) {
+// TestLeasedHostFreedWhenPoolDiscards: Release frees an instance's
+// host, so the next leases take the same lowest hosts. A bare Shutdown,
+// which the watchdog uses on an instance it keeps using, frees nothing.
+func TestLeasedHostFreedWhenPoolDiscards(t *testing.T) {
 	var hosts []string
-	a, asys := leasedInstance(t, &hosts)
-	b, bsys := leasedInstance(t, &hosts)
+	a, _ := leasedInstance(t, &hosts)
+	b, _ := leasedInstance(t, &hosts)
 	if hosts[0] == hosts[1] || hosts[0] == "127.0.0.1" {
 		t.Fatalf("hosts %v: want two distinct hosts off 127.0.0.1", hosts)
 	}
@@ -87,12 +85,6 @@ func TestLeasedHostFreedOnRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if asys.running {
-		t.Error("release left the warm instance running")
-	}
-	if _, stops, _, _ := bsys.counts(); stops != 1 {
-		t.Errorf("cold instance stopped %d times, want 1 — release must not stop it again", stops)
-	}
 	first := slices.Clone(hosts)
 	hosts = hosts[:0]
 	for range first {
@@ -101,5 +93,39 @@ func TestLeasedHostFreedOnRelease(t *testing.T) {
 	}
 	if !slices.Equal(hosts, first) {
 		t.Errorf("after release, leases took %v, want the freed %v", hosts, first)
+	}
+}
+
+// TestPoolReleaseAfterClose: Release ends an instance's run. It shuts a
+// warm SUT down and leaves a cold one (stopped after its last
+// experiment) alone; a second Release stops nothing.
+func TestPoolReleaseAfterClose(t *testing.T) {
+	var hosts []string
+	warm, wsys := leasedInstance(t, &hosts)
+	cold, csys := leasedInstance(t, &hosts)
+	if err := warm.Start(someFiles); err != nil {
+		t.Fatal(err)
+	}
+	_ = warm.Stop()
+	if err := cold.Start(someFiles); err != nil {
+		t.Fatal(err)
+	}
+	_ = cold.Shutdown()
+
+	for range 2 {
+		for _, inst := range []*Instance{warm, cold} {
+			if err := inst.Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if wsys.running {
+		t.Error("release left the warm instance running")
+	}
+	if _, stops, _, _ := wsys.counts(); stops != 1 {
+		t.Errorf("warm instance stopped %d times, want 1", stops)
+	}
+	if _, stops, _, _ := csys.counts(); stops != 1 {
+		t.Errorf("cold instance stopped %d times, want 1 — release must not stop it again", stops)
 	}
 }
