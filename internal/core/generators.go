@@ -25,6 +25,9 @@ type streamFunc struct {
 	// GenerateShard sound. Wrappers are shardable exactly when every
 	// generator they compose is.
 	shardable bool
+	// walk, when set, returns the same stream as src as a walk, or nil
+	// when the wrapped generator cannot walk (see GenerateWalk).
+	walk func(viewSet *confnode.Set) scenario.Walk
 }
 
 var _ ShardedGenerator = streamFunc{}
@@ -46,10 +49,40 @@ func (g streamFunc) GenerateStream(viewSet *confnode.Set) scenario.Source {
 }
 
 // GenerateShard implements ShardedGenerator: a fresh pull of the pure
-// pipeline, strided down to shard k of n. Only sound when Shardable()
+// pipeline, cut down to shard k of n. A pipeline that can walk builds
+// only the positions the shard owns; any other is strided, every
+// scenario rendered and n−1 of n discarded. Only sound when Shardable()
 // reports true — the runner checks through CanShard.
 func (g streamFunc) GenerateShard(viewSet *confnode.Set, k, n int) scenario.Source {
+	if w := g.GenerateWalk(viewSet); w != nil {
+		return w.Shard(k, n)
+	}
 	return g.src(viewSet).Shard(k, n)
+}
+
+// GenerateWalk implements walker: nil unless the wrapped pipeline walks.
+func (g streamFunc) GenerateWalk(viewSet *confnode.Set) scenario.Walk {
+	if g.walk == nil {
+		return nil
+	}
+	return g.walk(viewSet)
+}
+
+// walker is a generator whose faultload can also be walked by position
+// (scenario.Walk), so a shard renders only the scenarios it runs.
+// GenerateWalk enumerates exactly GenerateStream's positions, or returns
+// nil when the generator, as configured, cannot walk (a sampling typo
+// plugin, say).
+type walker interface {
+	GenerateWalk(viewSet *confnode.Set) scenario.Walk
+}
+
+// walkOf returns gen's faultload as a walk, or nil when gen cannot walk.
+func walkOf(gen Generator, viewSet *confnode.Set) scenario.Walk {
+	if w, ok := gen.(walker); ok {
+		return w.GenerateWalk(viewSet)
+	}
+	return nil
 }
 
 // Shardable reports whether every composed generator is shard-stable.
@@ -64,6 +97,12 @@ func LimitGenerator(gen Generator, n int) Generator {
 		shardable: CanShard(gen),
 		src: func(viewSet *confnode.Set) scenario.Source {
 			return StreamOf(gen, viewSet).Limit(n)
+		},
+		walk: func(viewSet *confnode.Set) scenario.Walk {
+			if w := walkOf(gen, viewSet); w != nil {
+				return w.Limit(n)
+			}
+			return nil
 		},
 	}
 }
@@ -96,14 +135,30 @@ func RepeatGenerator(gen Generator, rounds int) Generator {
 		shardable: CanShard(gen),
 		src: func(viewSet *confnode.Set) scenario.Source {
 			sources := make([]scenario.Source, rounds)
-			for r := 0; r < rounds; r++ {
-				prefix := fmt.Sprintf("r%03d/", r)
-				sources[r] = StreamOf(gen, viewSet).Map(func(sc scenario.Scenario) scenario.Scenario {
-					sc.ID = prefix + sc.ID
-					return sc
-				})
+			for r := range sources {
+				sources[r] = StreamOf(gen, viewSet).Map(roundPrefix(r))
 			}
 			return scenario.Concat(sources...)
 		},
+		walk: func(viewSet *confnode.Set) scenario.Walk {
+			w := walkOf(gen, viewSet)
+			if w == nil {
+				return nil
+			}
+			walks := make([]scenario.Walk, rounds)
+			for r := range walks {
+				walks[r] = w.Map(roundPrefix(r))
+			}
+			return scenario.ConcatWalks(walks...)
+		},
+	}
+}
+
+// roundPrefix prefixes a scenario's ID with round r: "r003/typo/...".
+func roundPrefix(r int) func(scenario.Scenario) scenario.Scenario {
+	prefix := fmt.Sprintf("r%03d/", r)
+	return func(sc scenario.Scenario) scenario.Scenario {
+		sc.ID = prefix + sc.ID
+		return sc
 	}
 }

@@ -38,8 +38,12 @@ type shardFeed func(k, n int, emit func(seq int, sc scenario.Scenario) bool) (st
 
 // genFeed shards a streaming generator: each worker derives its own
 // identical stream (ShardedGenerator's purity contract) and keeps stride
-// k. Scenarios are shape-validated as they stream past (checkScenario),
-// exactly like the unsharded streaming path.
+// k. A generator that walks (scenario.Walk) builds only stride k and
+// steps over the other positions, so a worker's generation costs
+// O(scenarios it runs) builds plus O(positions) skips; any other renders
+// the whole stream and filters it. Scenarios are shape-validated as they
+// stream past (checkScenario), exactly like the unsharded streaming
+// path.
 func genFeed(c *Campaign, fl *faultload, sg ShardedGenerator) shardFeed {
 	return func(k, n int, emit func(int, scenario.Scenario) bool) (int, error) {
 		j := 0

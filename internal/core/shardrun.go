@@ -36,9 +36,10 @@ type ShardEmit func(seq int, rec profile.Record) error
 // alike, i.e. how many sequences of the unsharded stream this shard owns
 // — which is what a coordinator sums across shards to gap-check the
 // merged profile. Generators that support sharded generation
-// (ShardedGenerator) derive the shard directly; any other generator is
-// strided from its full stream, so every registered plugin is reachable
-// from a worker daemon.
+// (ShardedGenerator) derive the shard directly (one that walks,
+// scenario.Walk, renders only the shard's scenarios and steps over the
+// rest); any other generator is strided from its full stream, so every
+// registered plugin is reachable from a worker daemon.
 func (c *Campaign) RunShard(ctx context.Context, k, n, startSeq int, emit ShardEmit, opts ...RunOption) (int, error) {
 	if n <= 0 || k < 0 || k >= n {
 		return 0, fmt.Errorf("core: invalid shard %d of %d", k, n)
@@ -101,10 +102,11 @@ func (s *shardEmit) stop(err error) {
 }
 
 // strideFeed adapts an opaque single-use stream to the shard feed
-// contract by walking the whole stream and keeping stride k — the
-// fallback for generators without native shard support. Generation cost
-// stays O(faultload) per shard, but injection (the dominant cost) is
-// still 1/n of it.
+// contract by pulling the whole stream and keeping stride k — the
+// fallback for generators without native shard support. Every scenario
+// is rendered on every shard, so generation costs O(faultload) builds
+// per shard (a shardable generator that walks, through genFeed, builds
+// only its own); injection, the dominant cost, is still 1/n of it.
 func strideFeed(src scenario.Source) shardFeed {
 	return func(k, n int, emit func(int, scenario.Scenario) bool) (int, error) {
 		seq := 0

@@ -8,6 +8,7 @@ package keyboard
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // Modifier is a set of modifier keys held while pressing a key.
@@ -48,17 +49,20 @@ func (k Key) Rune(mod Modifier) (rune, bool) {
 	return r, r != 0
 }
 
-// Layout is a keyboard layout: a set of keys with geometry.
+// Layout is a keyboard layout: a set of keys with geometry. It is
+// immutable once built, so one layout may serve any number of goroutines.
 type Layout struct {
 	name string
 	keys []Key
-	// index maps each producible rune to its key index and modifier.
+	// index maps each producible rune to its key index, its modifier and
+	// its neighbours, computed when the layout is built.
 	index map[rune]keyRef
 }
 
 type keyRef struct {
-	key int
-	mod Modifier
+	key       int
+	mod       Modifier
+	neighbors []rune
 }
 
 // neighborThreshold is the maximum center distance, in key units, for two
@@ -67,8 +71,9 @@ type keyRef struct {
 // keys a finger plausibly slips to.
 const neighborThreshold = 1.3
 
-// NewLayout builds a layout from a key list. Later keys win when two keys
-// claim the same rune (which does not occur in the built-in layouts).
+// NewLayout builds a layout from a key list and computes every producible
+// rune's neighbours. Later keys win when two keys claim the same rune
+// (which does not occur in the built-in layouts).
 func NewLayout(name string, keys []Key) *Layout {
 	l := &Layout{name: name, keys: keys, index: make(map[rune]keyRef)}
 	for i, k := range keys {
@@ -79,6 +84,10 @@ func NewLayout(name string, keys []Key) *Layout {
 			l.index[k.Shift] = keyRef{key: i, mod: ModShift}
 		}
 	}
+	for r, ref := range l.index {
+		ref.neighbors = l.neighbors(ref)
+		l.index[r] = ref
+	}
 	return l
 }
 
@@ -87,11 +96,15 @@ func NewLayout(name string, keys []Key) *Layout {
 // outcomes of a finger slip. Results are sorted by distance, nearest
 // first; ties are broken by rune value for determinism. The rune itself is
 // never included. The result is nil when the layout cannot produce r.
+//
+// The slice is the layout's own table, shared by every caller: callers
+// must not modify it.
 func (l *Layout) Neighbors(r rune) []rune {
-	ref, ok := l.index[r]
-	if !ok {
-		return nil
-	}
+	return l.index[r].neighbors
+}
+
+// neighbors computes the neighbours of the rune ref produces.
+func (l *Layout) neighbors(ref keyRef) []rune {
 	origin := l.keys[ref.key]
 	type cand struct {
 		r    rune
@@ -175,5 +188,8 @@ func SwissGerman() *Layout {
 	return NewLayout("swiss-german", keys)
 }
 
-// Default returns the layout used when none is specified: US-QWERTY.
-func Default() *Layout { return USQwerty() }
+// Default returns the layout used when none is specified: US-QWERTY,
+// built once and shared.
+func Default() *Layout { return defaultLayout() }
+
+var defaultLayout = sync.OnceValue(USQwerty)

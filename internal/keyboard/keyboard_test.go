@@ -1,6 +1,7 @@
 package keyboard
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -228,5 +229,62 @@ func TestPropertyNeighborsProper(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// neighborsByScan is Neighbors computed on each call, straight from the
+// key geometry: the reference the precomputed table must match.
+func neighborsByScan(l *Layout, r rune) []rune {
+	_, mod, ok := l.KeyFor(r)
+	if !ok {
+		return nil
+	}
+	ref := l.index[r]
+	origin := l.keys[ref.key]
+	type cand struct {
+		r    rune
+		dist float64
+	}
+	var cands []cand
+	for i, k := range l.keys {
+		if i == ref.key {
+			continue
+		}
+		if d := dist(origin, k); d <= neighborThreshold {
+			if nr, ok := k.Rune(mod); ok {
+				cands = append(cands, cand{nr, d})
+			}
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].dist != cands[j].dist {
+			return cands[i].dist < cands[j].dist
+		}
+		return cands[i].r < cands[j].r
+	})
+	out := make([]rune, len(cands))
+	for i, c := range cands {
+		out[i] = c.r
+	}
+	return out
+}
+
+// TestNeighborTableMatchesScan: the table NewLayout builds holds, for
+// every rune of both built-in layouts, exactly what a scan of the key
+// geometry computes, and a lookup allocates nothing.
+func TestNeighborTableMatchesScan(t *testing.T) {
+	for _, l := range []*Layout{USQwerty(), SwissGerman()} {
+		for _, r := range l.Runes() {
+			got, want := l.Neighbors(r), neighborsByScan(l, r)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: Neighbors(%q) = %q, want %q", l.Name(), r, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { l.Neighbors('g') }); allocs != 0 {
+			t.Errorf("%s: Neighbors allocates %.1f times, want 0", l.Name(), allocs)
+		}
+	}
+	if Default() != Default() {
+		t.Error("Default builds a new layout per call, want one shared layout")
 	}
 }

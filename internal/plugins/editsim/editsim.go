@@ -101,7 +101,7 @@ func (p *Plugin) GenerateStream(wordSet *confnode.Set) scenario.Source {
 			}
 			var variants []variant
 			for _, m := range models {
-				for _, v := range m.Variants(probe) {
+				for _, v := range template.Variants(m, probe) {
 					variants = append(variants, variant{model: m.Name(), v: v})
 				}
 			}

@@ -66,7 +66,7 @@ func TestNginxScenarioStringsMatchFmt(t *testing.T) {
 			words.Walk(func(file string, root *confnode.Node) {
 				for _, n := range expr.Select(root) {
 					ref := fmtRef(template.RefOf(file, n))
-					for _, v := range m.Variants(n) {
+					for _, v := range template.Variants(m, n) {
 						want = append(want, fmt.Sprintf("%s/%s/%d", class, ref, seq)+"\n"+
 							fmt.Sprintf("%s on %s", v.Description, describe(n)))
 						seq++

@@ -32,17 +32,44 @@ var _ template.Mutator = Omission{}
 // Name implements template.Mutator.
 func (Omission) Name() string { return "omission" }
 
-// Variants implements template.Mutator.
-func (Omission) Variants(n *confnode.Node) []template.Variant {
+// Enumerate implements template.Mutator: variant i omits rune i.
+func (Omission) Enumerate(n *confnode.Node) (int, func(int) template.Variant) {
 	runes := []rune(n.Value)
-	out := make([]template.Variant, 0, len(runes))
-	for i := range runes {
-		i := i
+	return len(runes), func(i int) template.Variant {
 		mutated := string(runes[:i]) + string(runes[i+1:])
-		out = append(out, template.Variant{
+		return template.Variant{
 			Description: fmt.Sprintf("omit %q at %d -> %q", runes[i], i, mutated),
 			Apply:       func(m *confnode.Node) { m.Value = mutated },
-		})
+		}
+	}
+}
+
+// slip is one keyboard slip while typing a token: the neighbour nb of the
+// rune at position at.
+type slip struct {
+	at int
+	nb rune
+}
+
+// slips lists a token's slips in order — each rune's keyboard neighbours,
+// nearest first — the variants of insertion and substitution. A stray
+// space splits the token; word identity is handled by the structural
+// model, so the space is no slip here.
+func slips(layout *keyboard.Layout, runes []rune) []slip {
+	if layout == nil {
+		layout = keyboard.Default()
+	}
+	count := 0
+	for _, r := range runes {
+		count += len(layout.Neighbors(r))
+	}
+	out := make([]slip, 0, count)
+	for i, r := range runes {
+		for _, nb := range layout.Neighbors(r) {
+			if nb != ' ' {
+				out = append(out, slip{at: i, nb: nb})
+			}
+		}
 	}
 	return out
 }
@@ -62,31 +89,19 @@ var _ template.Mutator = Insertion{}
 // Name implements template.Mutator.
 func (Insertion) Name() string { return "insertion" }
 
-// Variants implements template.Mutator.
-func (t Insertion) Variants(n *confnode.Node) []template.Variant {
-	layout := t.Layout
-	if layout == nil {
-		layout = keyboard.Default()
-	}
+// Enumerate implements template.Mutator: variant i inserts slip i before
+// the rune it slipped from.
+func (t Insertion) Enumerate(n *confnode.Node) (int, func(int) template.Variant) {
 	runes := []rune(n.Value)
-	var out []template.Variant
-	for i, r := range runes {
-		for _, nb := range layout.Neighbors(r) {
-			if nb == ' ' {
-				// A stray space splits the token; word identity is handled
-				// by the structural model, so skip it here.
-				continue
-			}
-			mutated := string(runes[:i]) + string(nb) + string(runes[i:])
-			out = append(out, template.Variant{
-				Description: fmt.Sprintf("insert %q before %d -> %q", nb, i, mutated),
-				Apply: func(m *confnode.Node) {
-					m.Value = mutated
-				},
-			})
+	edits := slips(t.Layout, runes)
+	return len(edits), func(i int) template.Variant {
+		e := edits[i]
+		mutated := string(runes[:e.at]) + string(e.nb) + string(runes[e.at:])
+		return template.Variant{
+			Description: fmt.Sprintf("insert %q before %d -> %q", e.nb, e.at, mutated),
+			Apply:       func(m *confnode.Node) { m.Value = mutated },
 		}
 	}
-	return out
 }
 
 // Substitution generates variants that replace one character with a
@@ -103,26 +118,28 @@ var _ template.Mutator = Substitution{}
 // Name implements template.Mutator.
 func (Substitution) Name() string { return "substitution" }
 
-// Variants implements template.Mutator.
-func (t Substitution) Variants(n *confnode.Node) []template.Variant {
-	layout := t.Layout
-	if layout == nil {
-		layout = keyboard.Default()
-	}
+// Enumerate implements template.Mutator: variant i replaces the rune of
+// slip i with its neighbour.
+func (t Substitution) Enumerate(n *confnode.Node) (int, func(int) template.Variant) {
 	runes := []rune(n.Value)
-	var out []template.Variant
-	for i, r := range runes {
-		for _, nb := range layout.Neighbors(r) {
-			if nb == ' ' {
-				continue
-			}
-			mutated := string(runes[:i]) + string(nb) + string(runes[i+1:])
-			out = append(out, template.Variant{
-				Description: fmt.Sprintf("substitute %q for %q at %d -> %q", nb, r, i, mutated),
-				Apply: func(m *confnode.Node) {
-					m.Value = mutated
-				},
-			})
+	edits := slips(t.Layout, runes)
+	return len(edits), func(i int) template.Variant {
+		e := edits[i]
+		mutated := string(runes[:e.at]) + string(e.nb) + string(runes[e.at+1:])
+		return template.Variant{
+			Description: fmt.Sprintf("substitute %q for %q at %d -> %q", e.nb, runes[e.at], e.at, mutated),
+			Apply:       func(m *confnode.Node) { m.Value = mutated },
+		}
+	}
+}
+
+// pairsWhere lists the positions i of the adjacent rune pairs
+// (runes[i], runes[i+1]) that ok accepts, in order.
+func pairsWhere(runes []rune, ok func(a, b rune) bool) []int {
+	out := make([]int, 0, max(len(runes)-1, 0))
+	for i := 0; i+1 < len(runes); i++ {
+		if ok(runes[i], runes[i+1]) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -139,26 +156,20 @@ var _ template.Mutator = CaseAlteration{}
 // Name implements template.Mutator.
 func (CaseAlteration) Name() string { return "case" }
 
-// Variants implements template.Mutator.
-func (CaseAlteration) Variants(n *confnode.Node) []template.Variant {
+// Enumerate implements template.Mutator: variant i toggles the i-th pair
+// whose toggle changes a rune. A changed rune always changes the
+// token's bytes, so no variant repeats the original.
+func (CaseAlteration) Enumerate(n *confnode.Node) (int, func(int) template.Variant) {
 	runes := []rune(n.Value)
-	var out []template.Variant
-	for i := 0; i+1 < len(runes); i++ {
-		a, b := toggleCase(runes[i]), toggleCase(runes[i+1])
-		if a == runes[i] && b == runes[i+1] {
-			continue
-		}
-		mutated := string(runes[:i]) + string(a) + string(b) + string(runes[i+2:])
-		if mutated == n.Value {
-			continue
-		}
-		i := i
-		out = append(out, template.Variant{
+	at := pairsWhere(runes, func(a, b rune) bool { return toggleCase(a) != a || toggleCase(b) != b })
+	return len(at), func(k int) template.Variant {
+		i := at[k]
+		mutated := string(runes[:i]) + string(toggleCase(runes[i])) + string(toggleCase(runes[i+1])) + string(runes[i+2:])
+		return template.Variant{
 			Description: fmt.Sprintf("swap case at %d -> %q", i, mutated),
 			Apply:       func(m *confnode.Node) { m.Value = mutated },
-		})
+		}
 	}
-	return out
 }
 
 func toggleCase(r rune) rune {
@@ -183,22 +194,19 @@ var _ template.Mutator = Transposition{}
 // Name implements template.Mutator.
 func (Transposition) Name() string { return "transposition" }
 
-// Variants implements template.Mutator.
-func (Transposition) Variants(n *confnode.Node) []template.Variant {
+// Enumerate implements template.Mutator: variant i swaps the i-th pair
+// of unequal runes.
+func (Transposition) Enumerate(n *confnode.Node) (int, func(int) template.Variant) {
 	runes := []rune(n.Value)
-	var out []template.Variant
-	for i := 0; i+1 < len(runes); i++ {
-		if runes[i] == runes[i+1] {
-			continue
-		}
+	at := pairsWhere(runes, func(a, b rune) bool { return a != b })
+	return len(at), func(k int) template.Variant {
+		i := at[k]
 		mutated := string(runes[:i]) + string(runes[i+1]) + string(runes[i]) + string(runes[i+2:])
-		i := i
-		out = append(out, template.Variant{
+		return template.Variant{
 			Description: fmt.Sprintf("transpose %d/%d -> %q", i, i+1, mutated),
 			Apply:       func(m *confnode.Node) { m.Value = mutated },
-		})
+		}
 	}
-	return out
 }
 
 // Plugin is the spelling-mistakes error generator. It composes the five
@@ -279,47 +287,62 @@ func (p *Plugin) Generate(wordSet *confnode.Set) ([]scenario.Scenario, error) {
 	return scenario.Collect(p.GenerateStream(wordSet))
 }
 
-// GenerateStream yields the faultload lazily: without sampling options the
-// submodels' (token × variant) fan-out is pulled one scenario at a time
-// and the full faultload never exists in memory. When PerModel or
-// PerDirective is set, sampling needs the candidate pools, so the stream
-// materializes internally — the draws stay identical to the historical
-// eager path (RandomSubset over each class in model order), keeping
-// published experiment faultloads stable.
+// GenerateStream yields the faultload lazily: without sampling options it
+// is GenerateWalk with every position built, so the submodels' (token ×
+// variant) fan-out is pulled one scenario at a time and the full
+// faultload never exists in memory. When PerModel or PerDirective is set,
+// sampling needs the candidate pools, so the stream materializes
+// internally — the draws stay identical to the historical eager path
+// (RandomSubset over each class in model order), keeping published
+// experiment faultloads stable.
 func (p *Plugin) GenerateStream(wordSet *confnode.Set) scenario.Source {
-	if p.PerModel > 0 || p.PerDirective > 0 {
-		return p.sampledStream(wordSet)
+	if w := p.GenerateWalk(wordSet); w != nil {
+		return w.Source()
 	}
-	models := p.models()
-	sources := make([]scenario.Source, len(models))
-	for i, m := range models {
-		sources[i] = p.modelStream(m, wordSet)
-	}
-	return scenario.Concat(sources...)
+	return p.sampledStream(wordSet)
 }
 
-// GenerateShard yields shard k of n of the faultload: the strided
-// sub-stream of GenerateStream, which — being a pure function of the seed
-// and the configuration — every worker re-derives identically and keeps
-// 1/n of. Union of all shards ≡ the unsharded stream, for any n.
+// GenerateShard yields shard k of n of the faultload. Being a pure
+// function of the seed and the configuration, the faultload is
+// re-derived identically by every worker: an unsampled plugin walks it
+// and builds only the positions shard k owns, a sampled one strides its
+// stream. Union of all shards ≡ the unsharded stream, for any n.
 func (p *Plugin) GenerateShard(wordSet *confnode.Set, k, n int) scenario.Source {
-	return p.GenerateStream(wordSet).Shard(k, n)
+	if w := p.GenerateWalk(wordSet); w != nil {
+		return w.Shard(k, n)
+	}
+	return p.sampledStream(wordSet).Shard(k, n)
 }
 
-// modelStream chains one submodel's streams across the target
-// expressions.
-func (p *Plugin) modelStream(m template.Mutator, wordSet *confnode.Set) scenario.Source {
+// GenerateWalk returns the faultload as a walk over the positions of
+// GenerateStream: the submodels in order, each over the target
+// expressions in order. A sampling plugin (PerModel, PerDirective)
+// cannot walk, since which scenarios survive depends on the whole pool;
+// it returns nil.
+func (p *Plugin) GenerateWalk(wordSet *confnode.Set) scenario.Walk {
+	if p.PerModel > 0 || p.PerDirective > 0 {
+		return nil
+	}
+	var walks []scenario.Walk
+	for _, m := range p.models() {
+		walks = append(walks, p.modelWalk(m, wordSet))
+	}
+	return scenario.ConcatWalks(walks...)
+}
+
+// modelWalk chains one submodel's walks across the target expressions.
+func (p *Plugin) modelWalk(m template.Mutator, wordSet *confnode.Set) scenario.Walk {
 	exprs := p.targetExprs()
-	sources := make([]scenario.Source, len(exprs))
+	walks := make([]scenario.Walk, len(exprs))
 	for i, expr := range exprs {
 		tpl := &template.ModifyTemplate{
 			Targets: expr,
 			Mutator: m,
 			Class:   "typo/" + m.Name(),
 		}
-		sources[i] = tpl.GenerateStream(wordSet)
+		walks[i] = tpl.Walk(wordSet)
 	}
-	return scenario.Concat(sources...)
+	return scenario.ConcatWalks(walks...)
 }
 
 // sampledStream is the bounded-faultload path: each submodel's candidate
@@ -332,11 +355,7 @@ func (p *Plugin) sampledStream(wordSet *confnode.Set) scenario.Source {
 		rng := rand.New(rand.NewSource(p.Seed))
 		var all []scenario.Scenario
 		for _, m := range p.models() {
-			classScens, err := scenario.Collect(p.modelStream(m, wordSet))
-			if err != nil {
-				yield(scenario.Scenario{}, fmt.Errorf("typo: %s: %w", m.Name(), err))
-				return
-			}
+			classScens, _ := scenario.Collect(p.modelWalk(m, wordSet).Source()) // a walk cannot fail
 			if p.PerModel > 0 {
 				classScens = scenario.RandomSubset(rng, classScens, p.PerModel)
 			}

@@ -23,7 +23,7 @@ func word(v string) *confnode.Node {
 func applyAll(t *testing.T, m template.Mutator, in string) []string {
 	t.Helper()
 	var out []string
-	for _, v := range m.Variants(word(in)) {
+	for _, v := range template.Variants(m, word(in)) {
 		n := word(in)
 		v.Apply(n)
 		out = append(out, n.Value)
@@ -291,7 +291,7 @@ func TestPropertyOmissionShortensByOne(t *testing.T) {
 		if !utf8.ValidString(s) {
 			return true
 		}
-		for _, v := range (Omission{}).Variants(word(s)) {
+		for _, v := range template.Variants(Omission{}, word(s)) {
 			n := word(s)
 			v.Apply(n)
 			if utf8.RuneCountInString(n.Value) != utf8.RuneCountInString(s)-1 {
@@ -310,7 +310,7 @@ func TestPropertyOmissionShortensByOne(t *testing.T) {
 // variant's index in the slice does not name its position.
 func transpositionAt(s string, pos int) (template.Variant, bool) {
 	prefix := fmt.Sprintf("transpose %d/", pos)
-	for _, v := range (Transposition{}).Variants(word(s)) {
+	for _, v := range template.Variants(Transposition{}, word(s)) {
 		if strings.HasPrefix(v.Description, prefix) {
 			return v, true
 		}
@@ -321,7 +321,7 @@ func transpositionAt(s string, pos int) (template.Variant, bool) {
 // transpositionInvolutes reports whether each transposition of s,
 // applied again at the same position to its own result, restores s.
 func transpositionInvolutes(s string) bool {
-	for _, v := range (Transposition{}).Variants(word(s)) {
+	for _, v := range template.Variants(Transposition{}, word(s)) {
 		var pos int
 		if _, err := fmt.Sscanf(v.Description, "transpose %d/", &pos); err != nil {
 			return false
@@ -365,7 +365,7 @@ func TestPropertyVariantsNeverEqualOriginal(t *testing.T) {
 			return true
 		}
 		for _, m := range models {
-			for _, v := range m.Variants(word(s)) {
+			for _, v := range template.Variants(m, word(s)) {
 				n := word(s)
 				v.Apply(n)
 				if n.Value == s {
@@ -385,7 +385,7 @@ func TestPropertyCasePreservesLength(t *testing.T) {
 		if !utf8.ValidString(s) {
 			return true
 		}
-		for _, v := range (CaseAlteration{}).Variants(word(s)) {
+		for _, v := range template.Variants(CaseAlteration{}, word(s)) {
 			n := word(s)
 			v.Apply(n)
 			if utf8.RuneCountInString(n.Value) != utf8.RuneCountInString(s) {

@@ -1,6 +1,7 @@
 package suts
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -97,10 +98,20 @@ type LoopbackTransport struct {
 // timeout.
 const dialTimeout = 5 * time.Second
 
+// tcpListen binds plain TCP listeners. Go listens with MPTCP by default
+// where the kernel enables it, and an MPTCP listen and close cost about
+// twice a plain one's, which a cold lifecycle pays on every experiment;
+// the simulators and their probes need nothing MPTCP offers.
+var tcpListen = func() *net.ListenConfig {
+	lc := &net.ListenConfig{}
+	lc.SetMultipathTCP(false)
+	return lc
+}()
+
 // Listen implements Transport.
 func (t LoopbackTransport) Listen(addr string) (net.Listener, error) {
 	at, moved := t.resolve(addr)
-	ln, err := net.Listen("tcp", at)
+	ln, err := tcpListen.Listen(context.Background(), "tcp", at)
 	return ln, logical(err, moved)
 }
 

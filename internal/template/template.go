@@ -396,8 +396,25 @@ type Variant struct {
 type Mutator interface {
 	// Name identifies the mutation submodel, e.g. "omission".
 	Name() string
-	// Variants enumerates the possible mutations of the node's content.
-	Variants(n *confnode.Node) []Variant
+	// Enumerate returns how many variants the node's content has and a
+	// function that renders variant i, 0 <= i < count. Counting is cheap;
+	// rendering (the mutated content, the description) is the cost, and
+	// callers pay it only for the variants they render.
+	Enumerate(n *confnode.Node) (count int, render func(i int) Variant)
+}
+
+// Variants renders every variant m enumerates for n, in order; nil when
+// there are none.
+func Variants(m Mutator, n *confnode.Node) []Variant {
+	count, render := m.Enumerate(n)
+	if count == 0 {
+		return nil
+	}
+	out := make([]Variant, count)
+	for i := range out {
+		out[i] = render(i)
+	}
+	return out
 }
 
 // ModifyTemplate is the abstract modify template (paper §3.3): it generates
@@ -421,26 +438,46 @@ func (t *ModifyTemplate) Generate(set *confnode.Set) ([]scenario.Scenario, error
 	return collectStream(t, set)
 }
 
-// GenerateStream implements Template. Variants are expanded one target
-// node at a time: at any moment only a single node's variant list is
-// resident, however large the (targets × variants) faultload grows.
+// GenerateStream implements Template: the walk with every position
+// built.
 func (t *ModifyTemplate) GenerateStream(set *confnode.Set) scenario.Source {
+	return t.Walk(set).Source()
+}
+
+// Walk enumerates the template's (target × variant) positions in stream
+// order. A target's ID prefix and description, and a variant's content,
+// description and Apply, are rendered only at the positions the walk
+// builds; a skipped position costs a counter step. Variants are
+// enumerated one target node at a time, so however large the faultload
+// grows, only one node's enumeration is resident.
+func (t *ModifyTemplate) Walk(set *confnode.Set) scenario.Walk {
 	class := t.Class
 	if class == "" {
 		class = t.Name()
 	}
-	return func(yield func(scenario.Scenario, error) bool) {
-		seq := 0
+	return func(pos int, decide func(int) scenario.Step, yield func(scenario.Scenario) bool) (int, bool) {
+		start := pos
 		for _, tn := range targets(set, t.Targets) {
+			count, render := t.Mutator.Enumerate(tn.node)
 			ref := tn.ref
 			// Everything but the sequence number and the variant is fixed
-			// per target, so it is rendered once, not per scenario.
-			idPrefix := class + "/" + ref.String() + "/"
-			on := " on " + describe(tn.node)
-			for _, v := range t.Mutator.Variants(tn.node) {
+			// per target: rendered at its first built position, if any.
+			var idPrefix, on string
+			for i := 0; i < count; i, pos = i+1, pos+1 {
+				switch decide(pos) {
+				case scenario.Skip:
+					continue
+				case scenario.Stop:
+					return pos, false
+				}
+				if idPrefix == "" {
+					idPrefix = class + "/" + ref.String() + "/"
+					on = " on " + describe(tn.node)
+				}
+				v := render(i)
 				apply := v.Apply
 				sc := scenario.Scenario{
-					ID:          idPrefix + strconv.Itoa(seq),
+					ID:          idPrefix + strconv.Itoa(pos-start),
 					Class:       class,
 					Description: v.Description + on,
 					Apply: func(s *confnode.Set) error {
@@ -452,12 +489,12 @@ func (t *ModifyTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 						return nil
 					},
 				}
-				if !yield(sc, nil) {
-					return
+				if !yield(sc) {
+					return pos + 1, false
 				}
-				seq++
 			}
 		}
+		return pos, true
 	}
 }
 

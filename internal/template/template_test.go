@@ -320,14 +320,16 @@ type upperMutator struct{}
 
 func (upperMutator) Name() string { return "upper" }
 
-func (upperMutator) Variants(n *confnode.Node) []Variant {
+func (upperMutator) Enumerate(n *confnode.Node) (int, func(int) Variant) {
 	if n.Value == "" {
-		return nil
+		return 0, nil
 	}
-	return []Variant{{
-		Description: "uppercase value",
-		Apply:       func(m *confnode.Node) { m.Value = strings.ToUpper(m.Value) },
-	}}
+	return 1, func(int) Variant {
+		return Variant{
+			Description: "uppercase value",
+			Apply:       func(m *confnode.Node) { m.Value = strings.ToUpper(m.Value) },
+		}
+	}
 }
 
 func TestModifyTemplate(t *testing.T) {
@@ -500,7 +502,7 @@ func TestScenarioStringsMatchFmt(t *testing.T) {
 		for _, tn := range tgts {
 			vs := []Variant{{}}
 			if m, ok := tpl.(*ModifyTemplate); ok {
-				vs = m.Mutator.Variants(tn.node)
+				vs = Variants(m.Mutator, tn.node)
 			}
 			for k := range vs {
 				if seq >= len(scens) {
