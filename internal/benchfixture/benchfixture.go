@@ -82,26 +82,24 @@ func (Gen) Generate(s *confnode.Set) ([]scenario.Scenario, error) {
 // GenerateStream yields the value-flip scenarios lazily, in Generate's
 // order; it satisfies core.StreamingGenerator structurally.
 func (Gen) GenerateStream(s *confnode.Set) scenario.Source {
-	return Gen{}.GenerateShard(s, 0, 1)
+	return Gen{}.GenerateWalk(s).Source()
 }
 
-// GenerateShard natively emits shard k of n — worker k enumerates only
-// every n-th directive, so sharded generation does no wasted work. It
-// satisfies core.ShardedGenerator structurally: the union of all shards,
-// interleaved by stride, is exactly the GenerateStream enumeration.
-func (Gen) GenerateShard(s *confnode.Set, k, n int) scenario.Source {
-	if n <= 1 {
-		k, n = 0, 1
-	}
-	return func(yield func(scenario.Scenario, error) bool) {
-		idx := 0
+// GenerateWalk returns the faultload as a walk over GenerateStream's
+// positions (scenario.Walk), one per directive: worker k of n builds only
+// every n-th directive's scenario and steps over the rest, so sharded
+// generation renders nothing it discards. The engine finds the method
+// structurally, as it finds GenerateStream.
+func (Gen) GenerateWalk(s *confnode.Set) scenario.Walk {
+	return func(pos int, decide func(int) scenario.Step, yield func(scenario.Scenario) bool) (int, bool) {
 		for _, name := range s.Names() {
-			for d := 0; d < s.Get(name).NumChildren(); d++ {
-				if idx%n != k {
-					idx++
+			for d := 0; d < s.Get(name).NumChildren(); d, pos = d+1, pos+1 {
+				switch decide(pos) {
+				case scenario.Skip:
 					continue
+				case scenario.Stop:
+					return pos, false
 				}
-				idx++
 				ref := template.Ref{File: name, Indices: []int{d}}
 				sc := scenario.Scenario{
 					ID:    fmt.Sprintf("synthetic/%s/%d", name, d),
@@ -115,10 +113,11 @@ func (Gen) GenerateShard(s *confnode.Set, k, n int) scenario.Source {
 						return nil
 					},
 				}
-				if !yield(sc, nil) {
-					return
+				if !yield(sc) {
+					return pos + 1, false
 				}
 			}
 		}
+		return pos, true
 	}
 }

@@ -28,10 +28,10 @@ func benchTarget() *Target {
 }
 
 // collectFaultload generates c's faultload as the engine does
-// (generateStream) and materializes its validated scenarios.
+// (openStream) and materializes its validated scenarios.
 func collectFaultload(tb testing.TB, c *Campaign) (*faultload, []scenario.Scenario) {
 	tb.Helper()
-	fl, src, err := c.generateStream()
+	fl, src, err := c.openStream()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -132,45 +132,33 @@ func BenchmarkInjectionPipeline(b *testing.B) {
 // synthetic faultload, at 1 and 8 workers, into a tally sink. Comparing
 // experiments/s with BenchmarkInjectionPipelineCampaign, which runs the
 // same faultload into an in-memory profile, isolates what keeping the
-// profile costs. The pull cases hide GenerateShard, so the workers share
-// one stream and take a lock per scenario: the path of every generator
-// without shard support.
+// profile costs.
 func BenchmarkStreamingDispatch(b *testing.B) {
-	sharded := func() Generator { return benchfixture.Gen{} }
-	pull := func() Generator {
-		g := benchfixture.Gen{}
-		return streamFunc{name: g.Name(), view: g.View(), src: g.GenerateStream}
-	}
-	for _, bc := range []struct {
-		name string
-		gen  func() Generator
-	}{{"", sharded}, {"pull/", pull}} {
-		for _, workers := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%sworkers=%d", bc.name, workers), func(b *testing.B) {
-				records := 0
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c := &Campaign{Target: benchTarget(), Generator: bc.gen()}
-					opts := []RunOption{WithParallelism(workers)}
-					if workers > 1 {
-						opts = append(opts,
-							WithTargetFactory(func() (*Target, error) { return benchTarget(), nil }))
-					}
-					tally := &profile.TallySink{}
-					n, err := c.RunStream(context.Background(), tally, opts...)
-					if err != nil {
-						b.Fatal(err)
-					}
-					records = n
+	for _, workers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			records := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := &Campaign{Target: benchTarget(), Generator: benchfixture.Gen{}}
+				opts := []RunOption{WithParallelism(workers)}
+				if workers > 1 {
+					opts = append(opts,
+						WithTargetFactory(func() (*Target, error) { return benchTarget(), nil }))
 				}
-				if want := benchfixture.Files * benchfixture.DirsPerFile; records != want {
-					b.Fatalf("streamed %d records, want %d", records, want)
+				tally := &profile.TallySink{}
+				n, err := c.RunStream(context.Background(), tally, opts...)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(float64(records*b.N)/sec, "experiments/s")
-				}
-			})
-		}
+				records = n
+			}
+			if want := benchfixture.Files * benchfixture.DirsPerFile; records != want {
+				b.Fatalf("streamed %d records, want %d", records, want)
+			}
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(records*b.N)/sec, "experiments/s")
+			}
+		})
 	}
 }
 

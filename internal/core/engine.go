@@ -28,6 +28,13 @@ import (
 // Generator is an error-generator plugin: it enumerates fault scenarios
 // over the plugin-specific view of the configuration and names the view it
 // requires (paper §4).
+//
+// A generator must be pure: every Generate (and GenerateStream) call over
+// the same view set enumerates the identical faultload, in the same
+// order, with any randomness derived afresh from a fixed seed inside the
+// call. The engine relies on it: each worker, in process or on a remote
+// dist worker, derives its own shard of the faultload by enumerating it
+// again (see shardOf).
 type Generator interface {
 	// Name identifies the plugin for the profile.
 	Name() string
@@ -41,45 +48,32 @@ type Generator interface {
 // StreamingGenerator is a Generator that can emit its faultload lazily,
 // one scenario at a time, instead of materializing it as a slice. The
 // stream must enumerate exactly the scenarios Generate would return, in
-// the same order: Collect(GenerateStream(set)) ≡ Generate(set). The
-// streaming campaign runner pulls from this stream, so a faultload's size
-// is bounded by patience, not by memory.
+// the same order: Collect(GenerateStream(set)) ≡ Generate(set). Like
+// Generate it is pure, so every call yields the identical stream. The
+// campaign engine pulls from this stream, so a faultload's size is
+// bounded by patience, not by memory.
 type StreamingGenerator interface {
 	Generator
 	// GenerateStream returns the generator's faultload as a pull stream.
-	// Like Generate, it may consume internal generator state (RNGs), so
-	// call exactly one of the two per campaign.
 	GenerateStream(viewSet *confnode.Set) scenario.Source
 }
 
-// ShardedGenerator is a StreamingGenerator whose faultload can be pulled
-// as n disjoint strided shards, independently and concurrently: shard k
-// of n yields exactly the scenarios GenerateStream would yield at
-// positions k, k+n, k+2n, … Implementations must be pure — repeated
-// GenerateStream/GenerateShard calls over the same view set enumerate the
-// identical stream, with any randomness derived afresh from a fixed seed
-// per call — so the union of all n shards, interleaved by stride, equals
-// the unsharded stream for every n. The campaign engine hands every
-// worker its own shard: generation fans out across the workers instead
-// of serializing behind one shared pull.
+// ShardedGenerator is a StreamingGenerator that yields shard k of n of its
+// faultload itself. The engine no longer reads it: every generator is
+// pure, so the engine derives each shard (shardOf). It stays declared only
+// because the benchmark's wrapper capability table (bench/wrap.go) names
+// it.
 type ShardedGenerator interface {
 	StreamingGenerator
 	// GenerateShard returns shard k of n of the faultload.
 	GenerateShard(viewSet *confnode.Set, k, n int) scenario.Source
 }
 
-// CanShard reports whether the generator supports sharded generation.
-// Wrapper generators (the combinators) implement GenerateShard
-// unconditionally but are only shard-stable when every generator they
-// wrap is; such types report the effective capability via a
-// Shardable() bool method, which takes precedence here.
-func CanShard(gen Generator) bool {
-	if s, ok := gen.(interface{ Shardable() bool }); ok {
-		return s.Shardable()
-	}
-	_, ok := gen.(ShardedGenerator)
-	return ok
-}
+// CanShard reports whether the engine can shard gen's faultload across
+// workers: always, since every generator is pure. The engine no longer
+// calls it; it stays only because the benchmark's wrapper tests
+// (bench/bench_test.go) name it.
+func CanShard(Generator) bool { return true }
 
 // StreamOf returns the generator's faultload as a stream: lazily when the
 // generator implements StreamingGenerator, otherwise by materializing
@@ -202,33 +196,6 @@ func (c *Campaign) generateBase() (*faultload, error) {
 		return nil, fmt.Errorf("core: baseline round trip (%s): %w", v.Name(), err)
 	}
 	return fl, nil
-}
-
-// generateStream is generateBase plus the faultload as one lazy pull
-// stream, each scenario shape-validated as it streams past (checkScenario).
-// It keeps no duplicate-ID set, which would grow with the faultload:
-// RunContext's sink keeps one.
-func (c *Campaign) generateStream() (*faultload, scenario.Source, error) {
-	fl, err := c.generateBase()
-	if err != nil {
-		return nil, nil, err
-	}
-	src := scenario.Source(func(yield func(scenario.Scenario, error) bool) {
-		i := 0
-		StreamOf(c.Generator, fl.viewSet)(func(sc scenario.Scenario, serr error) bool {
-			if serr != nil {
-				yield(sc, fmt.Errorf("core: generating scenarios: %w", serr))
-				return false
-			}
-			if verr := c.checkScenario(i, sc); verr != nil {
-				yield(scenario.Scenario{}, verr)
-				return false
-			}
-			i++
-			return yield(sc, nil)
-		})
-	})
-	return fl, src, nil
 }
 
 // checkScenario refuses the malformed scenario at sequence seq: an empty

@@ -354,11 +354,10 @@ func warmDigestTarget() *Target {
 func TestReloadLifecycleMatchesCold(t *testing.T) {
 	for label, gen := range map[string]Generator{
 		"typo-wordview": &typo.Plugin{},
-		// mixGen is pure, so it runs shard-stable here: worker k injects
-		// k, k+n, … whatever the scheduling, and the wedge scenarios land
-		// on warm instances at every worker count.
-		"mix-structview": streamFunc{name: "mix", view: view.StructView{}, shardable: true,
-			src: func(s *confnode.Set) scenario.Source { return StreamOf(mixGen{}, s) }},
+		// Worker k injects k, k+n, … of mixGen's faultload whatever the
+		// scheduling, so the wedge scenarios land on warm instances at
+		// every worker count.
+		"mix-structview": mixGen{},
 	} {
 		t.Run(label, func(t *testing.T) {
 			want, err := (&Campaign{Target: warmDigestTarget(), Generator: gen}).

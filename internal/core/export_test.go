@@ -19,11 +19,31 @@ type FastPath struct {
 // OpenFastPath generates c's faultload as the engine does and returns it
 // with the validated scenario stream.
 func OpenFastPath(c *Campaign) (*FastPath, scenario.Source, error) {
-	fl, src, err := c.generateStream()
+	fl, src, err := c.openStream()
 	if err != nil {
 		return nil, nil, err
 	}
 	return &FastPath{t: c.Target, fl: fl, scr: &scratch{}}, src, nil
+}
+
+// openStream generates c's base state and returns its faultload as a
+// one-worker run pulls it: genFeed's only shard, validated, as a stream.
+func (c *Campaign) openStream() (*faultload, scenario.Source, error) {
+	fl, err := c.generateBase()
+	if err != nil {
+		return nil, nil, err
+	}
+	feed := genFeed(c, fl)
+	return fl, func(yield func(scenario.Scenario, error) bool) {
+		more := true
+		_, err := feed(0, 1, func(_ int, sc scenario.Scenario) bool {
+			more = yield(sc, nil)
+			return more
+		})
+		if err != nil && more {
+			yield(scenario.Scenario{}, err)
+		}
+	}, nil
 }
 
 // RunFast runs one scenario through runOne on the path's own scratch.

@@ -20,17 +20,12 @@ type streamFunc struct {
 	name string
 	view view.View
 	src  func(viewSet *confnode.Set) scenario.Source
-	// shardable marks the wrapped pipeline as pure: every src call
-	// re-derives the identical stream, which is what makes the strided
-	// GenerateShard sound. Wrappers are shardable exactly when every
-	// generator they compose is.
-	shardable bool
 	// walk, when set, returns the same stream as src as a walk, or nil
 	// when the wrapped generator cannot walk (see GenerateWalk).
 	walk func(viewSet *confnode.Set) scenario.Walk
 }
 
-var _ ShardedGenerator = streamFunc{}
+var _ StreamingGenerator = streamFunc{}
 
 // Name implements Generator.
 func (g streamFunc) Name() string { return g.name }
@@ -46,18 +41,6 @@ func (g streamFunc) Generate(viewSet *confnode.Set) ([]scenario.Scenario, error)
 // GenerateStream implements StreamingGenerator.
 func (g streamFunc) GenerateStream(viewSet *confnode.Set) scenario.Source {
 	return g.src(viewSet)
-}
-
-// GenerateShard implements ShardedGenerator: a fresh pull of the pure
-// pipeline, cut down to shard k of n. A pipeline that can walk builds
-// only the positions the shard owns; any other is strided, every
-// scenario rendered and n−1 of n discarded. Only sound when Shardable()
-// reports true — the runner checks through CanShard.
-func (g streamFunc) GenerateShard(viewSet *confnode.Set, k, n int) scenario.Source {
-	if w := g.GenerateWalk(viewSet); w != nil {
-		return w.Shard(k, n)
-	}
-	return g.src(viewSet).Shard(k, n)
 }
 
 // GenerateWalk implements walker: nil unless the wrapped pipeline walks.
@@ -85,16 +68,24 @@ func walkOf(gen Generator, viewSet *confnode.Set) scenario.Walk {
 	return nil
 }
 
-// Shardable reports whether every composed generator is shard-stable.
-func (g streamFunc) Shardable() bool { return g.shardable }
+// shardOf returns shard k of n of gen's faultload, enumerated afresh —
+// sound because every generator is pure (see Generator). A generator
+// that walks builds only the positions the shard owns and steps over the
+// rest; any other is strided, every scenario rendered and n−1 of n
+// discarded.
+func shardOf(gen Generator, viewSet *confnode.Set, k, n int) scenario.Source {
+	if w := walkOf(gen, viewSet); w != nil {
+		return w.Shard(k, n)
+	}
+	return StreamOf(gen, viewSet).Shard(k, n)
+}
 
 // LimitGenerator caps gen's faultload at n scenarios. On the streaming
 // path the cap stops the pull: generation work past n never happens.
 func LimitGenerator(gen Generator, n int) Generator {
 	return streamFunc{
-		name:      gen.Name(),
-		view:      gen.View(),
-		shardable: CanShard(gen),
+		name: gen.Name(),
+		view: gen.View(),
 		src: func(viewSet *confnode.Set) scenario.Source {
 			return StreamOf(gen, viewSet).Limit(n)
 		},
@@ -112,9 +103,8 @@ func LimitGenerator(gen Generator, n int) Generator {
 // scenarios are ever resident.
 func SampleGenerator(gen Generator, seed int64, n int) Generator {
 	return streamFunc{
-		name:      gen.Name(),
-		view:      gen.View(),
-		shardable: CanShard(gen),
+		name: gen.Name(),
+		view: gen.View(),
 		src: func(viewSet *confnode.Set) scenario.Source {
 			return StreamOf(gen, viewSet).SampleN(seed, n)
 		},
@@ -125,14 +115,14 @@ func SampleGenerator(gen Generator, seed int64, n int) Generator {
 // scenario ID with its round ("r003/typo/...") so IDs stay campaign-unique
 // — the stress harness for driving the streaming runner far past what one
 // enumeration of a configuration yields. Each round pulls a fresh stream
-// from gen; the built-in generators are pure functions of their seed, so
-// every round repeats the identical enumeration — the property that also
-// makes a repeated faultload shard-stable across workers.
+// from gen, which, being pure, repeats the identical enumeration. A
+// negative rounds counts as zero: an empty faultload, as LimitGenerator
+// gives for n ≤ 0.
 func RepeatGenerator(gen Generator, rounds int) Generator {
+	rounds = max(rounds, 0)
 	return streamFunc{
-		name:      gen.Name(),
-		view:      gen.View(),
-		shardable: CanShard(gen),
+		name: gen.Name(),
+		view: gen.View(),
 		src: func(viewSet *confnode.Set) scenario.Source {
 			sources := make([]scenario.Source, rounds)
 			for r := range sources {

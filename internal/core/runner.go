@@ -7,7 +7,6 @@ import (
 	"runtime"
 
 	"conferr/internal/profile"
-	"conferr/internal/scenario"
 )
 
 // TargetFactory constructs a fresh, independent Target for one campaign
@@ -118,15 +117,12 @@ func (s *profileSink) Write(rec profile.Record) error {
 	return nil
 }
 
-// RunStream executes the campaign's faultload as a pull stream: scenarios
-// are drawn lazily from the generator (see StreamingGenerator) by the
-// workers themselves, and every record is flushed to the sink in scenario
-// order as soon as its predecessors have completed. A pure generator
-// (ShardedGenerator) is sharded, each worker deriving its own stride of
-// the stream; any other stream is generated once and shared, each worker
-// pulling the next scenario under a lock. Nothing grows with the
-// faultload — not a scenario slice, not a profile — so a campaign's size
-// is bounded by the stream, not by memory.
+// RunStream executes the campaign's faultload as a pull stream: every
+// worker derives its own shard of the pure faultload (see Generator) and
+// pulls its scenarios lazily, and every record is flushed to the sink in
+// scenario order as soon as its predecessors have completed. Nothing
+// grows with the faultload — not a scenario slice, not a profile — so a
+// campaign's size is bounded by the stream, not by memory.
 //
 // It returns the number of records flushed to the sink. The error contract
 // matches RunContext; a mid-stream generation error additionally arrives
@@ -136,25 +132,17 @@ func (c *Campaign) RunStream(ctx context.Context, sink profile.Sink, opts ...Run
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	stop := func() {}
-	fl, feed, err := c.openFeed(cfg, func(src scenario.Source) shardFeed {
-		var f shardFeed
-		f, stop = pullFeed(src)
-		return f
-	})
+	fl, feed, err := c.openFeed(cfg)
 	if err != nil {
 		return 0, err
 	}
-	defer stop()
 	return runSharded(ctx, cfg, c.Target, fl, feed, sink)
 }
 
 // openFeed generates the faultload's base state, runs the baseline check
-// and picks the feed by generator: genFeed for a shardable generator
-// (CanShard), opaque over the validated stream for any other — pullFeed
-// for RunContext and RunStream, strideFeed for RunShard.
-func (c *Campaign) openFeed(cfg runConfig, opaque func(scenario.Source) shardFeed) (*faultload, shardFeed, error) {
-	fl, src, err := c.generateStream()
+// and returns the feed every worker derives its shard from (genFeed).
+func (c *Campaign) openFeed(cfg runConfig) (*faultload, shardFeed, error) {
+	fl, err := c.generateBase()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,10 +151,7 @@ func (c *Campaign) openFeed(cfg runConfig, opaque func(scenario.Source) shardFee
 			return nil, nil, err
 		}
 	}
-	if sg, ok := c.Generator.(ShardedGenerator); ok && CanShard(c.Generator) {
-		return fl, genFeed(c, fl, sg), nil
-	}
-	return fl, opaque(src), nil
+	return fl, genFeed(c, fl), nil
 }
 
 // config folds the run options over the defaults.

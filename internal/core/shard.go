@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"iter"
 	"math"
 	"runtime/debug"
 	"sync"
@@ -15,17 +14,14 @@ import (
 
 // This file is the campaign engine: one worker loop, runWorkers, that
 // every run goes through. Each worker pulls (sequence, scenario) pairs
-// from a feed, injects them on its private target and hands the records
-// to a stage. The feed is chosen by generator (openFeed): a pure
-// generator's shard derived by each worker (genFeed), or, for any other
-// generator's stream, one shared pull (pullFeed, behind RunContext and
-// RunStream) or a per-shard stride (strideFeed, behind RunShard). The
-// faultload is never materialized. The stage is chosen by sink: the
-// ordered reassembly ring, in which records are parked until their
-// predecessors flush, drained cooperatively by whichever worker fills the
-// next gap; the order-insensitive bypass, in which each worker folds its
-// records into its own sub-sink (profile.ShardableSink); or RunShard's
-// emit (shardrun.go).
+// from the one feed, genFeed: every generator is pure, so each worker
+// derives its own shard of the faultload, and the faultload is never
+// materialized. The stage is chosen by sink: the ordered reassembly ring,
+// in which records are parked until their predecessors flush, drained
+// cooperatively by whichever worker fills the next gap; the
+// order-insensitive bypass, in which each worker folds its records into
+// its own sub-sink (profile.ShardableSink); or RunShard's emit
+// (shardrun.go).
 
 // shardFeed drives worker k of n over its part of the faultload: emit is
 // called with each scenario and its global sequence number, in increasing
@@ -36,19 +32,19 @@ import (
 // and agree with a one-worker run on where the stream broke.
 type shardFeed func(k, n int, emit func(seq int, sc scenario.Scenario) bool) (stopSeq int, err error)
 
-// genFeed shards a streaming generator: each worker derives its own
-// identical stream (ShardedGenerator's purity contract) and keeps stride
-// k. A generator that walks (scenario.Walk) builds only stride k and
-// steps over the other positions, so a worker's generation costs
-// O(scenarios it runs) builds plus O(positions) skips; any other renders
-// the whole stream and filters it. Scenarios are shape-validated as they
-// stream past (checkScenario), exactly like the unsharded streaming
-// path.
-func genFeed(c *Campaign, fl *faultload, sg ShardedGenerator) shardFeed {
+// genFeed shards the campaign's faultload: worker k of n derives shard k
+// afresh (shardOf), which Generator's purity contract makes the stride k
+// of the one stream every worker would enumerate. A generator that walks
+// (scenario.Walk) builds only stride k and steps over the other
+// positions, so a worker's generation costs O(scenarios it runs) builds
+// plus O(positions) skips; any other renders the whole stream and
+// filters it. Scenarios are shape-validated as they stream past
+// (checkScenario).
+func genFeed(c *Campaign, fl *faultload) shardFeed {
 	return func(k, n int, emit func(int, scenario.Scenario) bool) (int, error) {
 		j := 0
 		var gerr error
-		sg.GenerateShard(fl.viewSet, k, n)(func(sc scenario.Scenario, serr error) bool {
+		shardOf(c.Generator, fl.viewSet, k, n)(func(sc scenario.Scenario, serr error) bool {
 			if serr != nil {
 				gerr = fmt.Errorf("core: generating scenarios: %w", serr)
 				return false
@@ -65,41 +61,6 @@ func genFeed(c *Campaign, fl *faultload, sg ShardedGenerator) shardFeed {
 		})
 		return j*n + k, gerr
 	}
-}
-
-// pullFeed shares one opaque, single-use stream between all workers:
-// each pull holds a mutex, because a pulled iterator takes one caller at
-// a time, and numbers the scenario at pull time. The
-// stream is generated exactly once per run, which is what a generator
-// without GenerateShard needs — it may consume RNG state on every
-// GenerateStream call (see StreamingGenerator), so it cannot be derived
-// again per worker the way genFeed does. stop releases the stream; call
-// it after the workers exit.
-func pullFeed(src scenario.Source) (feed shardFeed, stop func()) {
-	next, stop := iter.Pull2(iter.Seq2[scenario.Scenario, error](src))
-	var mu sync.Mutex
-	seq := 0
-	pull := func() (int, scenario.Scenario, error, bool) {
-		mu.Lock()
-		defer mu.Unlock() // a generator panic surfaces from next
-		sc, err, ok := next()
-		seq++
-		return seq - 1, sc, err, ok
-	}
-	return func(_, _ int, emit func(int, scenario.Scenario) bool) (int, error) {
-		for {
-			s, sc, err, ok := pull()
-			if !ok {
-				return math.MaxInt, nil
-			}
-			if err != nil {
-				return s, err
-			}
-			if !emit(s, sc) {
-				return math.MaxInt, nil
-			}
-		}
-	}, stop
 }
 
 // stage is where the worker loop's records go: the ordered shardRing,

@@ -95,8 +95,8 @@ func TestTemplateStreamsShardStable(t *testing.T) {
 	}
 }
 
-// TestBenchfixtureShardParity pins the native sharded enumeration of the
-// benchmark generator against its own stream and slice forms.
+// TestBenchfixtureShardParity pins the benchmark generator's walked
+// shards against its own stream and slice forms.
 func TestBenchfixtureShardParity(t *testing.T) {
 	c := &Campaign{Target: benchTarget(), Generator: benchfixture.Gen{}}
 	fl, err := c.generateBase()
@@ -115,51 +115,60 @@ func TestBenchfixtureShardParity(t *testing.T) {
 	if strings.Join(streamed, ",") != strings.Join(want, ",") {
 		t.Fatal("GenerateStream diverges from Generate")
 	}
-	assertShardUnion(t, want, func(k, n int) scenario.Source {
-		return benchfixture.Gen{}.GenerateShard(fl.viewSet, k, n)
-	})
-	if !CanShard(benchfixture.Gen{}) {
-		t.Error("benchfixture.Gen should be shardable")
+	if walkOf(benchfixture.Gen{}, fl.viewSet) == nil {
+		t.Fatal("benchfixture.Gen should walk")
 	}
+	assertShardUnion(t, want, func(k, n int) scenario.Source {
+		return shardOf(benchfixture.Gen{}, fl.viewSet, k, n)
+	})
 }
 
-// TestCombinatorShardability: combinators are shardable exactly when
-// every wrapped generator is, and their shards union back to the whole.
+// TestCombinatorShardability: the combinators' shards, each derived
+// afresh as a worker derives its own, union back to the whole.
 func TestCombinatorShardability(t *testing.T) {
-	shardable := &typo.Plugin{}
-	if !CanShard(shardable) {
-		t.Fatal("typo plugin should be shardable")
-	}
-	opaque := mixGen{} // slice-only generator: not shardable
-	if CanShard(opaque) {
-		t.Fatal("mixGen should not be shardable")
-	}
-	if CanShard(LimitGenerator(opaque, 3)) {
-		t.Error("Limit over a non-shardable generator must not be shardable")
-	}
-	if !CanShard(LimitGenerator(shardable, 30)) {
-		t.Error("Limit over a shardable generator should be shardable")
-	}
-	c := &Campaign{Target: digestTarget(), Generator: shardable}
+	plugin := &typo.Plugin{}
+	c := &Campaign{Target: digestTarget(), Generator: plugin}
 	fl, err := c.generateBase()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, gen := range map[string]Generator{
-		"limit":  LimitGenerator(shardable, 30),
-		"sample": SampleGenerator(shardable, 7, 25),
-		"repeat": RepeatGenerator(shardable, 3),
+		"limit":  LimitGenerator(plugin, 30),
+		"sample": SampleGenerator(plugin, 7, 25),
+		"repeat": RepeatGenerator(plugin, 3),
 	} {
 		t.Run(name, func(t *testing.T) {
-			sg, ok := gen.(ShardedGenerator)
-			if !ok || !CanShard(gen) {
-				t.Fatalf("%s combinator should be shardable", name)
-			}
-			want := collectIDs(t, sg.GenerateStream(fl.viewSet))
+			want := collectIDs(t, StreamOf(gen, fl.viewSet))
 			assertShardUnion(t, want, func(k, n int) scenario.Source {
-				return sg.GenerateShard(fl.viewSet, k, n)
+				return shardOf(gen, fl.viewSet, k, n)
 			})
 		})
+	}
+}
+
+// TestRepeatNegativeRoundsIsEmpty: a negative round count is an empty
+// faultload, as a non-positive limit is, on the stream, the walk and a
+// whole run alike.
+func TestRepeatNegativeRoundsIsEmpty(t *testing.T) {
+	gen := RepeatGenerator(&typo.Plugin{}, -1)
+	c := &Campaign{Target: digestTarget(), Generator: gen}
+	fl, err := c.generateBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := collectIDs(t, StreamOf(gen, fl.viewSet)); len(ids) != 0 {
+		t.Errorf("stream yields %d scenarios, want 0", len(ids))
+	}
+	if ids := collectIDs(t, shardOf(gen, fl.viewSet, 1, 2)); len(ids) != 0 {
+		t.Errorf("shard 1 of 2 yields %d scenarios, want 0", len(ids))
+	}
+	for _, workers := range []int{1, 4} {
+		n, err := c.RunStream(context.Background(), &profile.TallySink{},
+			WithParallelism(workers),
+			WithTargetFactory(func() (*Target, error) { return digestTarget(), nil }))
+		if err != nil || n != 0 {
+			t.Errorf("workers=%d: %d records, err %v; want 0, nil", workers, n, err)
+		}
 	}
 }
 
@@ -174,8 +183,8 @@ func (d dropDuration) Write(r profile.Record) error {
 }
 
 // TestShardedStreamingProfilesByteIdentical is the PR's headline
-// equivalence contract: streaming a shardable faultload through the
-// sharded engine at workers 4 and 8 produces JSONL output byte-identical
+// equivalence contract: streaming a faultload through the sharded
+// engine at workers 4 and 8 produces JSONL output byte-identical
 // to the sequential engine's — same records, same order, same encoding —
 // and the streaming reader sees strictly increasing sequence numbers.
 // The typo faultload over the multi-codec digest target does not divide
@@ -246,8 +255,8 @@ func TestShardedTallyBypassMatchesOrderedRun(t *testing.T) {
 	}
 }
 
-// breakingGen is a shardable generator whose stream fails after good
-// scenarios — the fixture for mid-stream error semantics under sharding.
+// breakingGen is a generator whose stream fails after good scenarios —
+// the fixture for mid-stream error semantics under sharding.
 type breakingGen struct {
 	good int
 }
@@ -257,18 +266,9 @@ func (g breakingGen) View() view.View { return view.StructView{} }
 func (g breakingGen) Generate(s *confnode.Set) ([]scenario.Scenario, error) {
 	return scenario.Collect(g.GenerateStream(s))
 }
-func (g breakingGen) GenerateStream(s *confnode.Set) scenario.Source {
-	return g.GenerateShard(s, 0, 1)
-}
-func (g breakingGen) GenerateShard(s *confnode.Set, k, n int) scenario.Source {
-	if n <= 1 {
-		k, n = 0, 1
-	}
+func (g breakingGen) GenerateStream(*confnode.Set) scenario.Source {
 	return func(yield func(scenario.Scenario, error) bool) {
 		for i := 0; i < g.good; i++ {
-			if i%n != k {
-				continue
-			}
 			sc := scenario.Scenario{
 				ID:    fmt.Sprintf("ok/%04d", i),
 				Class: "ok",

@@ -35,11 +35,10 @@ type ShardEmit func(seq int, rec profile.Record) error
 // It returns the shard's total scenario count — skipped and executed
 // alike, i.e. how many sequences of the unsharded stream this shard owns
 // — which is what a coordinator sums across shards to gap-check the
-// merged profile. Generators that support sharded generation
-// (ShardedGenerator) derive the shard directly (one that walks,
-// scenario.Walk, renders only the shard's scenarios and steps over the
-// rest); any other generator is strided from its full stream, so every
-// registered plugin is reachable from a worker daemon.
+// merged profile. The shard is derived as an in-process worker derives
+// its own (genFeed): a generator that walks, scenario.Walk, renders only
+// the shard's scenarios and steps over the rest; any other is strided
+// from its full stream.
 func (c *Campaign) RunShard(ctx context.Context, k, n, startSeq int, emit ShardEmit, opts ...RunOption) (int, error) {
 	if n <= 0 || k < 0 || k >= n {
 		return 0, fmt.Errorf("core: invalid shard %d of %d", k, n)
@@ -48,7 +47,7 @@ func (c *Campaign) RunShard(ctx context.Context, k, n, startSeq int, emit ShardE
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	fl, feed, err := c.openFeed(cfg, strideFeed)
+	fl, feed, err := c.openFeed(cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -98,31 +97,5 @@ func (s *shardEmit) genErr(seq int, err error) { s.noteGenErr(seq, err) }
 func (s *shardEmit) stop(err error) {
 	if err != nil {
 		s.noteErr(math.MaxInt, err)
-	}
-}
-
-// strideFeed adapts an opaque single-use stream to the shard feed
-// contract by pulling the whole stream and keeping stride k — the
-// fallback for generators without native shard support. Every scenario
-// is rendered on every shard, so generation costs O(faultload) builds
-// per shard (a shardable generator that walks, through genFeed, builds
-// only its own); injection, the dominant cost, is still 1/n of it.
-func strideFeed(src scenario.Source) shardFeed {
-	return func(k, n int, emit func(int, scenario.Scenario) bool) (int, error) {
-		seq := 0
-		var gerr error
-		src(func(sc scenario.Scenario, serr error) bool {
-			if serr != nil {
-				gerr = serr
-				return false
-			}
-			s := seq
-			seq++
-			if s%n != k {
-				return true
-			}
-			return emit(s, sc)
-		})
-		return seq, gerr
 	}
 }

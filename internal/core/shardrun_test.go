@@ -18,8 +18,8 @@ func shardTestCampaign() *Campaign {
 	}
 }
 
-// sliceOnlyGen hides benchfixture.Gen's native shard support so RunShard
-// exercises the stride fallback.
+// sliceOnlyGen hides benchfixture.Gen's walk and stream, so RunShard
+// strides the faultload Generate materializes.
 type sliceOnlyGen struct{ g benchfixture.Gen }
 
 func (s sliceOnlyGen) Name() string    { return s.g.Name() }
@@ -72,9 +72,6 @@ func TestRunShardUnionMatchesRun(t *testing.T) {
 	for _, gen := range []Generator{benchfixture.Gen{}, sliceOnlyGen{}} {
 		c := shardTestCampaign()
 		c.Generator = gen
-		if _, native := gen.(ShardedGenerator); native != CanShard(gen) {
-			t.Fatalf("%T: CanShard disagrees with interface", gen)
-		}
 		got := runShardUnion(t, c, 3, 0)
 		if len(got) != len(want) {
 			t.Fatalf("%T: shards produced %d records, want %d", gen, len(got), len(want))

@@ -210,14 +210,12 @@ func TestRunStreamBoundedOnUnboundedSource(t *testing.T) {
 // already flushed.
 func TestRunStreamMidStreamGenerationError(t *testing.T) {
 	boom := errors.New("boom mid-stream")
-	src := scenario.Concat(
-		StreamOf(infiniteGen{}, nil).Limit(10),
-		scenario.Fail(boom),
-	)
 	gen := streamFunc{
 		name: "mid-err",
 		view: view.StructView{},
-		src:  func(*confnode.Set) scenario.Source { return src },
+		src: func(*confnode.Set) scenario.Source {
+			return scenario.Concat(StreamOf(infiniteGen{}, nil).Limit(10), scenario.Fail(boom))
+		},
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		prof := &profile.Profile{}
@@ -233,10 +231,6 @@ func TestRunStreamMidStreamGenerationError(t *testing.T) {
 		if n != 10 || len(prof.Records) != 10 {
 			t.Errorf("workers=%d: flushed %d records, want the 10 preceding the error", workers, n)
 		}
-		// The stream is single-use; rebuild it for the next worker count.
-		src = scenario.Concat(StreamOf(infiniteGen{}, nil).Limit(10), scenario.Fail(boom))
-		gen.src = func(*confnode.Set) scenario.Source { return src }
-		c.Generator = gen
 	}
 }
 

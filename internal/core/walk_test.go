@@ -107,7 +107,7 @@ func lenOf(n *confnode.Node) int {
 
 // TestShardWalkMatchesStride pins the walked shard to the filtered
 // stride it replaces: for every shard k of n, every scenario a repeated,
-// limited faultload's GenerateShard yields sits where the stride puts it
+// limited faultload's shard (shardOf) yields sits where the stride puts it
 // — position j*n+k of the unsharded stream, whose scenario is round
 // pos/m's copy of scenario pos%m of one enumeration of length m — and
 // equals it in ID, class, description and the bytes its Apply writes.
@@ -175,7 +175,7 @@ func TestShardWalkMatchesStride(t *testing.T) {
 					for n := 1; n <= 5; n++ {
 						for k := range n {
 							j := 0
-							gen.(ShardedGenerator).GenerateShard(set, k, n)(func(sc scenario.Scenario, err error) bool {
+							shardOf(gen, set, k, n)(func(sc scenario.Scenario, err error) bool {
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -206,17 +206,17 @@ func TestShardWalkMatchesStride(t *testing.T) {
 
 // shardedTypo is the nginx-reload workload's faultload: nginx's typo
 // faultload over 107 rounds, cut at 20,000 scenarios.
-func shardedTypo(tb testing.TB) (ShardedGenerator, *confnode.Set) {
+func shardedTypo(tb testing.TB) (Generator, *confnode.Set) {
 	gen := LimitGenerator(RepeatGenerator(&typo.Plugin{}, 107), 20000)
-	return gen.(ShardedGenerator), viewSetOf(tb, "nginx", gen)
+	return gen, viewSetOf(tb, "nginx", gen)
 }
 
 // walkAllShards pulls every shard of n in turn, as n workers together
 // do, and returns how many scenarios they yielded.
-func walkAllShards(gen ShardedGenerator, set *confnode.Set, n int) int {
+func walkAllShards(gen Generator, set *confnode.Set, n int) int {
 	count := 0
 	for k := range n {
-		gen.GenerateShard(set, k, n)(func(scenario.Scenario, error) bool {
+		shardOf(gen, set, k, n)(func(scenario.Scenario, error) bool {
 			count++
 			return true
 		})

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,11 +49,12 @@ func benchIDs(t *testing.T) []string {
 
 func benchFactory() (*Target, error) { return benchTarget(), nil }
 
-// panicShardGen is benchfixture.Gen at two workers whose shard 1 panics
-// when pulled for its fourth scenario. The shards meet at that pull:
-// shard 1 panics only once shard 0 has deposited its third record, and
-// shard 0 goes on only once shard 1 has panicked and the worker loop has
-// had time to recover, so exactly sequences 0 to 5 run before the stop.
+// panicShardGen is benchfixture.Gen at two workers whose walk panics
+// when it builds position 7, shard 1's fourth scenario. The shards meet
+// there: shard 1 panics only once shard 0, about to build position 6
+// (its own fourth), has deposited its third record, and shard 0 goes on
+// only once shard 1 has panicked and the worker loop has had time to
+// recover, so exactly sequences 0 to 5 run before the stop.
 type panicShardGen struct {
 	benchfixture.Gen
 	ready, panicked chan struct{}
@@ -66,23 +64,28 @@ func newPanicShardGen() panicShardGen {
 	return panicShardGen{ready: make(chan struct{}), panicked: make(chan struct{})}
 }
 
-func (g panicShardGen) GenerateShard(s *confnode.Set, k, n int) scenario.Source {
-	inner := g.Gen.GenerateShard(s, k, n)
-	return func(yield func(scenario.Scenario, error) bool) {
-		j := 0
-		inner(func(sc scenario.Scenario, err error) bool {
-			if j == 3 {
-				if k == 1 {
-					<-g.ready
-					close(g.panicked)
-					panic("shard 1 exploded")
-				}
+func (g panicShardGen) GenerateWalk(s *confnode.Set) scenario.Walk {
+	inner := g.Gen.GenerateWalk(s)
+	return func(start int, decide func(int) scenario.Step, yield func(scenario.Scenario) bool) (int, bool) {
+		built := -1
+		return inner(start, func(pos int) scenario.Step {
+			step := decide(pos)
+			if step == scenario.Build {
+				built = pos
+			}
+			return step
+		}, func(sc scenario.Scenario) bool {
+			switch built {
+			case 7:
+				<-g.ready
+				close(g.panicked)
+				panic("position 7 exploded")
+			case 6:
 				close(g.ready)
 				<-g.panicked
 				time.Sleep(50 * time.Millisecond)
 			}
-			j++
-			return yield(sc, err)
+			return yield(sc)
 		})
 	}
 }
@@ -130,9 +133,9 @@ func (s *panicSink) Write(r profile.Record) error {
 	return nil
 }
 
-// TestWorkerPanicStopsRun: a panic in the worker loop — from the
-// generator under the ordered ring, under the bypass or on the shared
-// pull stream, or from the sink — must end the run with a worker-panic
+// TestWorkerPanicStopsRun: a panic in the worker loop — from a walking
+// generator under the ordered ring or under the bypass, from a strided
+// stream, or from the sink — must end the run with a worker-panic
 // error and a gap-free prefix of the faultload, instead of leaving the
 // other workers waiting on a sequence the dead worker will never deposit.
 func TestWorkerPanicStopsRun(t *testing.T) {
@@ -189,8 +192,10 @@ func TestWorkerPanicStopsRun(t *testing.T) {
 			t.Errorf("wrote %d records, want the 6 run before the panic", n)
 		}
 	})
-	t.Run("generator/pull", func(t *testing.T) {
-		gen := streamFunc{name: "pull-panic", view: benchfixture.Gen{}.View(),
+	t.Run("generator/stride", func(t *testing.T) {
+		// No walk: both workers render the stream and panic at its 41st
+		// scenario.
+		gen := streamFunc{name: "stride-panic", view: benchfixture.Gen{}.View(),
 			src: func(s *confnode.Set) scenario.Source {
 				inner := benchfixture.Gen{}.GenerateStream(s)
 				return func(yield func(scenario.Scenario, error) bool) {
@@ -231,97 +236,13 @@ func TestWorkerPanicStopsRun(t *testing.T) {
 	})
 }
 
-// rngGen is a stream-only generator that is not pure: every
-// GenerateStream call draws from one long-lived RNG, so a second call
-// enumerates a different faultload. calls counts the GenerateStream
-// calls. Only an engine that generates the stream exactly once per run
-// gives the same profile at every worker count.
-type rngGen struct {
-	rng   *rand.Rand
-	calls *atomic.Int32
-}
-
-func newRNGGen() rngGen { return rngGen{rng: rand.New(rand.NewSource(7)), calls: new(atomic.Int32)} }
-
-func (rngGen) Name() string    { return "rng" }
-func (rngGen) View() view.View { return view.StructView{} }
-func (g rngGen) Generate(s *confnode.Set) ([]scenario.Scenario, error) {
-	return scenario.Collect(g.GenerateStream(s))
-}
-func (g rngGen) GenerateStream(*confnode.Set) scenario.Source {
-	g.calls.Add(1)
-	return func(yield func(scenario.Scenario, error) bool) {
-		for i := 0; i < 300; i++ {
-			d := g.rng.Intn(1000)
-			sc := scenario.Scenario{
-				ID:    fmt.Sprintf("rng/%03d/%d", i, d),
-				Class: fmt.Sprintf("c%d", d%3),
-				Apply: func(*confnode.Set) error {
-					if d%5 == 0 {
-						return fmt.Errorf("draw %d: %w", d, scenario.ErrNotApplicable)
-					}
-					return nil
-				},
-			}
-			if !yield(sc, nil) {
-				return
-			}
-		}
-	}
-}
-
-// rngSliceGen hides rngGen's stream: a Generate-only generator.
-type rngSliceGen struct{ g rngGen }
-
-func (s rngSliceGen) Name() string    { return s.g.Name() }
-func (s rngSliceGen) View() view.View { return s.g.View() }
-func (s rngSliceGen) Generate(set *confnode.Set) ([]scenario.Scenario, error) {
-	return s.g.Generate(set)
-}
-
-// TestPullFeedGeneratesOnce: a generator without GenerateShard — stream
-// or slice alike — is pulled from one shared stream, generated exactly
-// once per run, so its profile is byte-identical at every worker count.
-func TestPullFeedGeneratesOnce(t *testing.T) {
-	kinds := map[string]func(rngGen) Generator{
-		"stream": func(g rngGen) Generator { return g },
-		"slice":  func(g rngGen) Generator { return rngSliceGen{g} },
-	}
-	for kind, mk := range kinds {
-		run := func(workers int) []byte {
-			gen := newRNGGen()
-			var buf bytes.Buffer
-			c := &Campaign{Target: target(&fakeSystem{}), Generator: mk(gen)}
-			n, err := c.RunStream(context.Background(),
-				dropDuration{profile.NewJSONLSink(&buf, "fake", "rng")},
-				WithParallelism(workers), WithTargetFactory(parFactory))
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", kind, workers, err)
-			}
-			if n != 300 {
-				t.Errorf("%s workers=%d: %d records, want 300", kind, workers, n)
-			}
-			if calls := gen.calls.Load(); calls != 1 {
-				t.Errorf("%s workers=%d: generated %d times, want 1", kind, workers, calls)
-			}
-			return buf.Bytes()
-		}
-		want := run(1)
-		for _, workers := range []int{2, 4, 8} {
-			if got := run(workers); !bytes.Equal(got, want) {
-				t.Errorf("%s workers=%d: JSONL diverges from workers=1\n%s",
-					kind, workers, firstDiffLine(string(got), string(want)))
-			}
-		}
-	}
-}
-
-// TestPullFeedAbortFlushesPrefixThroughFailure: without keep-going, an
-// infrastructure error at sequence s on the shared pull stream yields
-// the exact profile prefix 0..s at every worker count.
-func TestPullFeedAbortFlushesPrefixThroughFailure(t *testing.T) {
+// TestStrideAbortFlushesPrefixThroughFailure: without keep-going, an
+// infrastructure error at sequence s of a generator that cannot walk,
+// strided across the workers, yields the exact profile prefix 0..s at
+// every worker count.
+func TestStrideAbortFlushesPrefixThroughFailure(t *testing.T) {
 	const s = 37
-	gen := streamFunc{name: "pull-abort", view: view.StructView{},
+	gen := streamFunc{name: "stride-abort", view: view.StructView{},
 		src: func(*confnode.Set) scenario.Source {
 			return func(yield func(scenario.Scenario, error) bool) {
 				for i := 0; i < 100; i++ {

@@ -134,12 +134,6 @@ func (p *Plugin) GenerateStream(wordSet *confnode.Set) scenario.Source {
 	}
 }
 
-// GenerateShard yields shard k of n of the faultload (strided sub-stream
-// of the pure GenerateStream).
-func (p *Plugin) GenerateShard(wordSet *confnode.Set, k, n int) scenario.Source {
-	return p.GenerateStream(wordSet).Shard(k, n)
-}
-
 // editScenario builds one scenario: apply the edit, then the typo variant.
 func (p *Plugin) editScenario(edit Edit, lineRef template.Ref, model string, seq int, v template.Variant) scenario.Scenario {
 	class := "editsim/" + model

@@ -39,9 +39,9 @@ func TestGenerateStreamParity(t *testing.T) {
 	}
 }
 
-// TestShardParity checks the ShardedGenerator contract over the seeded
-// shuffle: every shard re-derives the identical stream and keeps its
-// stride, so the union reproduces GenerateStream for any n.
+// TestShardParity checks purity over the seeded shuffle: every shard is
+// a fresh enumeration that must re-derive the identical stream and keep
+// its stride, so the union reproduces GenerateStream for any n.
 func TestShardParity(t *testing.T) {
 	p := &Plugin{
 		Edits: []Edit{
@@ -59,7 +59,7 @@ func TestShardParity(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8} {
 		total := 0
 		for k := 0; k < n; k++ {
-			s, err := scenario.Collect(p.GenerateShard(wordSet(), k, n))
+			s, err := scenario.Collect(p.GenerateStream(wordSet()).Shard(k, n))
 			if err != nil {
 				t.Fatal(err)
 			}

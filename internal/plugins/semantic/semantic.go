@@ -124,13 +124,6 @@ func (p *Plugin) GenerateStream(set *confnode.Set) scenario.Source {
 	}
 }
 
-// GenerateShard yields shard k of n of the semantic faultload: the
-// generator is deterministic (no randomness at all), so the strided
-// sub-stream of GenerateStream is shard-stable for any n.
-func (p *Plugin) GenerateShard(set *confnode.Set, k, n int) scenario.Source {
-	return p.GenerateStream(set).Shard(k, n)
-}
-
 var generators = map[string]func([]viewRecord) []scenario.Scenario{
 	ClassMissingPTR:      genMissingPTR,
 	ClassPTRToCNAME:      genPTRToCNAME,

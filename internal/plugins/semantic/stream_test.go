@@ -39,8 +39,9 @@ func TestGenerateStreamUnknownClass(t *testing.T) {
 	}
 }
 
-// TestShardParity checks the ShardedGenerator contract over the BIND
-// record view: union of strided shards == unsharded stream, any n.
+// TestShardParity checks purity over the BIND record view: each shard is
+// a fresh enumeration, and the union of strided shards == the unsharded
+// stream, any n.
 func TestShardParity(t *testing.T) {
 	set, v := bindViewSet(t)
 	p := &Plugin{RecordView: v}
@@ -51,7 +52,7 @@ func TestShardParity(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8} {
 		total := 0
 		for k := 0; k < n; k++ {
-			s, err := scenario.Collect(p.GenerateShard(set, k, n))
+			s, err := scenario.Collect(p.GenerateStream(set).Shard(k, n))
 			if err != nil {
 				t.Fatal(err)
 			}

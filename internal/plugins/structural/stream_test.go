@@ -67,9 +67,10 @@ func TestBorrowStreamParity(t *testing.T) {
 		})
 }
 
-// assertShardParity checks the ShardedGenerator contract: interleaving
-// GenerateShard(k,n) for all k by stride reproduces the unsharded stream,
-// for several n including counts that do not divide the faultload.
+// assertShardParity checks that the generator is pure: every shard is a
+// fresh enumeration cut to stride k, so interleaving shard(k,n) for all k
+// reproduces the unsharded stream only if each call enumerates the same
+// faultload, for several n including counts that do not divide it.
 func assertShardParity(t *testing.T, stream func() scenario.Source, shard func(k, n int) scenario.Source) {
 	t.Helper()
 	want, err := scenario.Collect(stream())
@@ -109,7 +110,7 @@ func TestPluginShardParity(t *testing.T) {
 	p := &Plugin{Sections: true, PerClass: 2, Seed: 5}
 	assertShardParity(t,
 		func() scenario.Source { return p.GenerateStream(set) },
-		func(k, n int) scenario.Source { return p.GenerateShard(set, k, n) })
+		func(k, n int) scenario.Source { return p.GenerateStream(set).Shard(k, n) })
 }
 
 func TestVariationsShardParity(t *testing.T) {
@@ -120,7 +121,7 @@ func TestVariationsShardParity(t *testing.T) {
 	// purity of the stream.
 	assertShardParity(t,
 		func() scenario.Source { return v.GenerateStream(set) },
-		func(k, n int) scenario.Source { return v.GenerateShard(set, k, n) })
+		func(k, n int) scenario.Source { return v.GenerateStream(set).Shard(k, n) })
 }
 
 func TestBorrowShardParity(t *testing.T) {
@@ -128,5 +129,5 @@ func TestBorrowShardParity(t *testing.T) {
 	b := &Borrow{Donor: iniSet(t), PerClass: 3, Seed: 5}
 	assertShardParity(t,
 		func() scenario.Source { return b.GenerateStream(set) },
-		func(k, n int) scenario.Source { return b.GenerateShard(set, k, n) })
+		func(k, n int) scenario.Source { return b.GenerateStream(set).Shard(k, n) })
 }

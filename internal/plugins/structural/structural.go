@@ -97,12 +97,6 @@ func (p *Plugin) stream(set *confnode.Set) scenario.Source {
 	return scenario.Concat(sources...)
 }
 
-// GenerateShard yields shard k of n: the strided sub-stream of the pure
-// GenerateStream. Union of all shards ≡ the unsharded stream, any n.
-func (p *Plugin) GenerateShard(set *confnode.Set, k, n int) scenario.Source {
-	return p.GenerateStream(set).Shard(k, n)
-}
-
 // templates lists the fault-class templates the plugin composes.
 func (p *Plugin) templates() []template.Template {
 	classes := []template.Template{
@@ -224,12 +218,6 @@ func (v *Variations) GenerateStream(set *confnode.Set) scenario.Source {
 			}
 		}
 	}
-}
-
-// GenerateShard yields shard k of n of the variations faultload (strided
-// sub-stream of the pure GenerateStream).
-func (v *Variations) GenerateShard(set *confnode.Set, k, n int) scenario.Source {
-	return v.GenerateStream(set).Shard(k, n)
 }
 
 // rewriters maps each variation class to its whole-configuration rewrite.
@@ -413,12 +401,6 @@ func (b *Borrow) GenerateStream(set *confnode.Set) scenario.Source {
 		}
 	}
 	return b.pairStream(set)
-}
-
-// GenerateShard yields shard k of n of the borrow faultload (strided
-// sub-stream of the pure GenerateStream).
-func (b *Borrow) GenerateShard(set *confnode.Set, k, n int) scenario.Source {
-	return b.GenerateStream(set).Shard(k, n)
 }
 
 // pairStream enumerates every (foreign directive, insertion point) pair.

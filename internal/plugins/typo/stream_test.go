@@ -65,9 +65,10 @@ func TestGenerateStreamLazyPull(t *testing.T) {
 	}
 }
 
-// assertShardParity checks the ShardedGenerator contract: interleaving
-// GenerateShard(k,n) for all k reproduces the unsharded stream, for
-// several n including counts that do not divide the faultload.
+// assertShardParity checks that the plugin is pure: every shard is a
+// fresh enumeration cut to stride k, so interleaving the shards for all k
+// reproduces the unsharded stream only if each call enumerates the same
+// faultload, for several n including counts that do not divide it.
 func assertShardParity(t *testing.T, p *Plugin) {
 	t.Helper()
 	want, err := scenario.Collect(p.GenerateStream(wordSet()))
@@ -80,7 +81,7 @@ func assertShardParity(t *testing.T, p *Plugin) {
 	for _, n := range []int{1, 2, 3, 8} {
 		total := 0
 		for k := 0; k < n; k++ {
-			s, err := scenario.Collect(p.GenerateShard(wordSet(), k, n))
+			s, err := scenario.Collect(p.GenerateStream(wordSet()).Shard(k, n))
 			if err != nil {
 				t.Fatalf("n=%d shard %d: %v", n, k, err)
 			}

@@ -302,18 +302,6 @@ func (p *Plugin) GenerateStream(wordSet *confnode.Set) scenario.Source {
 	return p.sampledStream(wordSet)
 }
 
-// GenerateShard yields shard k of n of the faultload. Being a pure
-// function of the seed and the configuration, the faultload is
-// re-derived identically by every worker: an unsampled plugin walks it
-// and builds only the positions shard k owns, a sampled one strides its
-// stream. Union of all shards ≡ the unsharded stream, for any n.
-func (p *Plugin) GenerateShard(wordSet *confnode.Set, k, n int) scenario.Source {
-	if w := p.GenerateWalk(wordSet); w != nil {
-		return w.Shard(k, n)
-	}
-	return p.sampledStream(wordSet).Shard(k, n)
-}
-
 // GenerateWalk returns the faultload as a walk over the positions of
 // GenerateStream: the submodels in order, each over the target
 // expressions in order. A sampling plugin (PerModel, PerDirective)

@@ -11,8 +11,11 @@ import (
 //
 // Contract: scenarios are yielded in generator order with a nil error; a
 // source that fails yields exactly one (zero Scenario, non-nil error) pair
-// as its final element and stops. Sources are single-use unless documented
-// otherwise — generators may consume internal RNG state while streaming.
+// as its final element and stops. A generator's source may be called any
+// number of times and enumerates the identical stream on every call:
+// generators are pure functions of their seed and configuration, so any
+// randomness is derived afresh inside each call. The stages below (Map,
+// Limit, Shard, …) keep that property of their upstream.
 //
 // Because a Source is pulled one scenario at a time, a faultload streamed
 // through it never exists as a slice: campaigns are bounded by the window

@@ -31,24 +31,10 @@ const (
 )
 
 // noopGenerator yields n scenarios that change nothing, so every worker
-// SUT is handed exactly the engine's cached baseline bytes. It is pure
-// and shardable, so worker k of n injects k, k+n, … and every worker
-// starts a SUT whatever the scheduling.
+// SUT is handed exactly the engine's cached baseline bytes. Worker k of n
+// injects k, k+n, …, so every worker starts a SUT whatever the
+// scheduling.
 type noopGenerator struct{ n int }
-
-func (g noopGenerator) GenerateStream(s *confnode.Set) scenario.Source {
-	return g.GenerateShard(s, 0, 1)
-}
-func (g noopGenerator) GenerateShard(s *confnode.Set, k, n int) scenario.Source {
-	scens, _ := g.Generate(s)
-	return scenario.Source(func(yield func(scenario.Scenario, error) bool) {
-		for _, sc := range scens {
-			if !yield(sc, nil) {
-				return
-			}
-		}
-	}).Shard(k, n)
-}
 
 func (noopGenerator) Name() string    { return "noop" }
 func (noopGenerator) View() view.View { return view.WordView{} }
