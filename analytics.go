@@ -20,8 +20,11 @@ type (
 	// CprofWriter appends cprof frames to a stream; its Sink method is
 	// the compact counterpart of NewJSONLSink.
 	CprofWriter = cprof.Writer
-	// CprofFile is a cprof writer bound to a file with flush/close
-	// lifecycle (the stack behind `matrix -stream-out foo.cprof`).
+	// CprofFile is a profile output file with a flush/sync/close
+	// lifecycle, the stack behind every CLI profile writer. CreateCprof
+	// makes a cprof one, whose W is its frame writer; the CLI opens any
+	// path through cprof.OpenPath, where a name not ending in .cprof
+	// gets JSONL and a nil W.
 	CprofFile = cprof.File
 )
 

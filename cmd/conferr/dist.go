@@ -5,15 +5,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 	"time"
 
 	"conferr"
 	"conferr/internal/dist"
 	"conferr/internal/profile"
-	"conferr/internal/profile/cprof"
 )
 
 // cmdDist runs one campaign distributed across sutd worker daemons: the
@@ -55,6 +52,11 @@ func cmdDist(ctx context.Context, args []string) error {
 	if spec.TallyOnly && *out != "" {
 		return errors.New("dist: -tally sends no records; drop -out or -tally")
 	}
+	if *out == "-" {
+		// The run's summary owns stdout, and a checkpointed output must be
+		// a file a resume can reconcile.
+		return errors.New("dist: -out - is not supported: name an output file")
+	}
 	cp := *checkpoint
 	if cp == "" && *out != "" {
 		cp = *out + ".ckpt"
@@ -83,30 +85,6 @@ func cmdDist(ctx context.Context, args []string) error {
 		StallTimeout:   *stall,
 		Retry:          dist.RetryPolicy{MaxAttempts: *retries},
 		SyncOutput:     *fsync,
-	}
-	if strings.HasSuffix(*out, ".cprof") {
-		// Compact output: the merger's rendered JSONL lines are re-parsed
-		// into cprof frames by a LineWriter. The factory reconciles the
-		// file against the checkpoint front by walking frames, and every
-		// checkpoint flushes the writer first, so each persisted front is
-		// a frame boundary; raising CheckpointEvery to one frame of
-		// records keeps frames full-size instead of checkpoint-size.
-		outPath := *out
-		coord.OutPath = ""
-		coord.CheckpointEvery = cprof.DefaultFrameRecords
-		coord.OutFactory = func(startSeq int) (io.Writer, func() error, func(bool) error, error) {
-			cf, err := cprof.OpenFileAt(outPath, startSeq)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			flush := cf.Flush
-			if *fsync {
-				// Checkpointed fronts must not outlive the records backing
-				// them: sync the frames to disk before the front is persisted.
-				flush = cf.Sync
-			}
-			return cf.W.LineWriter(), flush, cf.Close, nil
-		}
 	}
 	if !*quiet {
 		coord.Logf = func(format string, a ...any) {

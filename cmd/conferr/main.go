@@ -8,7 +8,7 @@
 //	conferr figure3 [-seed N] [-n N] [-workers N]
 //	                                        reproduce Figure 3 (MySQL vs Postgres)
 //	conferr campaign -system S -plugin P [-seed N] [-workers N] [-records]
-//	                                        run one custom campaign and summarize
+//	                 [-out FILE]            run one custom campaign and summarize
 //	                                        (-target is an alias for -system)
 //	conferr matrix [-systems a,b] [-plugins x,y] [-workers N] [-limit N]
 //	               [-rounds N] [-sample N] [-stream-out FILE] [-no-duration]
@@ -34,8 +34,8 @@
 package main
 
 import (
-	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,6 +52,7 @@ import (
 	"conferr"
 	"conferr/internal/dist"
 	"conferr/internal/profile"
+	"conferr/internal/profile/cprof"
 )
 
 func main() {
@@ -126,6 +127,7 @@ commands:
   table3    reproduce Table 3: resilience to semantic errors (BIND, djbdns)
   figure3   reproduce Figure 3: MySQL vs Postgres value-typo comparison
   campaign  run one campaign: -system <name> (alias -target) -plugin <name> [-workers N]
+            [-out FILE]
   matrix    run a target × generator suite: -systems a,b -plugins x,y [-workers N]
             [-limit N] [-rounds N] [-sample N] [-stream-out FILE] [-no-duration]
             [-lifecycle cold|reload|validate] [-memnet]
@@ -430,7 +432,7 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", conferr.DefaultSeed, "faultload seed")
 	perModel := fs.Int("per-model", 0, "typo scenarios per submodel (0 = all)")
 	records := fs.Bool("records", false, "print the full resilience profile")
-	jsonOut := fs.String("json", "", "write the profile as JSON to this file")
+	outPath := fs.String("out", "", "write the profile to this file for report and convert (.cprof = compact binary frames, else JSONL)")
 	port := fs.Int("port", 23901, "primary target port; the faultload embeds it, so a fixed port keeps campaigns reproducible across invocations (0 = allocate)")
 	lifecycleS := fs.String("lifecycle", "cold", "worker SUT lifecycle: cold, reload (warm instances) or validate (parse-only)")
 	workers := workersFlag(fs)
@@ -439,6 +441,9 @@ func cmdCampaign(ctx context.Context, args []string) error {
 		return err
 	}
 
+	if *outPath == "-" {
+		return errors.New("campaign: -out - is not supported: the summary owns stdout")
+	}
 	lifecycle, err := conferr.ParseLifecycle(*lifecycleS)
 	if err != nil {
 		return err
@@ -484,18 +489,32 @@ func cmdCampaign(ctx context.Context, args []string) error {
 		fmt.Println()
 		fmt.Print(prof.FormatRecords())
 	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
+	if *outPath != "" {
+		if err := writeProfile(*outPath, prof); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := prof.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Println("profile written to", *jsonOut)
+		fmt.Println("profile written to", *outPath)
 	}
 	return nil
+}
+
+// writeProfile writes an in-memory profile to path as one campaign's
+// record stream, in the format the path selects.
+func writeProfile(path string, prof *conferr.Profile) error {
+	out, err := cprof.OpenPath(path, 0)
+	if err != nil {
+		return err
+	}
+	sink := out.Sink(prof.System, prof.Generator)
+	for _, r := range prof.Records {
+		if err = sink.Write(r); err != nil {
+			break
+		}
+	}
+	if cerr := out.Close(err == nil); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // cmdMatrix runs a target × generator matrix as one streaming campaign
@@ -566,64 +585,25 @@ func cmdMatrix(ctx context.Context, args []string) error {
 		counters = &conferr.LifecycleCounters{}
 		mo.PoolCounters = counters
 	}
-	var finishOut func() error
 	// With `-stream-out -` the record stream owns stdout, so the summary
 	// table and notes move to stderr.
 	info := io.Writer(os.Stdout)
-	switch {
-	case *streamOut == "-":
+	if *streamOut == "-" {
 		info = os.Stderr
-		bw := bufio.NewWriterSize(os.Stdout, 1<<20)
-		lw := conferr.NewLockedWriter(bw)
-		mo.SinkFor = jsonlSinkFor(lw, spec.NoDuration)
-		finishOut = func() error {
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("flushing stdout: %w", err)
-			}
-			return nil
-		}
-	case strings.HasSuffix(*streamOut, ".cprof"):
-		// Extension-switched compact output: per-cell cprof sinks share
-		// one frame writer (internally serialized), and the sinks are
-		// shardable, so the engine's no-reassembly bypass stays on.
-		cf, err := conferr.CreateCprof(*streamOut)
-		if err != nil {
+	}
+	var out *cprof.File
+	if *streamOut != "" {
+		if out, err = cprof.OpenPath(*streamOut, 0); err != nil {
 			return err
 		}
 		mo.SinkFor = func(e conferr.MatrixEntry) conferr.Sink {
-			sink := conferr.Sink(cf.W.Sink(e.System, e.Plugin))
+			sink := out.Sink(e.System, e.Plugin)
 			if spec.NoDuration {
 				sink = conferr.StripDurations(sink)
 			}
 			return sink
 		}
-		finishOut = func() error {
-			// Close(true) cuts partial frames and writes the trailer
-			// index; a failure must fail the command — buffered records
-			// exist nowhere else.
-			if err := cf.Close(true); err != nil {
-				return fmt.Errorf("finishing %s: %w", *streamOut, err)
-			}
-			return nil
-		}
-	case *streamOut != "":
-		f, err := os.Create(*streamOut)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriterSize(f, 1<<20)
-		lw := conferr.NewLockedWriter(bw)
-		mo.SinkFor = jsonlSinkFor(lw, spec.NoDuration)
-		finishOut = func() error {
-			// A failed flush must fail the command: up to the buffer size
-			// of records exists nowhere but here.
-			if err := bw.Flush(); err != nil {
-				_ = f.Close()
-				return fmt.Errorf("flushing %s: %w", *streamOut, err)
-			}
-			return f.Close()
-		}
-	default:
+	} else {
 		// Without a stream destination the CLI prints only the summary
 		// table, yet the suite would dutifully accumulate every record in
 		// memory — on large matrices roughly 40% of wall clock went to the
@@ -635,13 +615,20 @@ func cmdMatrix(ctx context.Context, args []string) error {
 	res, err := conferr.RunMatrix(ctx, entries, mo)
 	if res != nil {
 		printMatrixResults(info, res)
+		for _, cr := range res.Results {
+			if cr.Err == nil && cr.Records == 0 {
+				fmt.Fprintf(os.Stderr, "conferr: cell %s is empty: its faultload has no scenarios\n", cr.Name)
+			}
+		}
 	}
 	if counters != nil {
 		fmt.Fprintf(info, "lifecycle=%s %s\n", lifecycle, counters.Snapshot())
 	}
-	if finishOut != nil {
-		if ferr := finishOut(); ferr != nil && err == nil {
-			err = ferr
+	if out != nil {
+		// A failed close must fail the command: buffered records exist
+		// nowhere else. A cprof output gets its trailer index.
+		if cerr := out.Close(true); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	if err != nil {
@@ -651,19 +638,6 @@ func cmdMatrix(ctx context.Context, args []string) error {
 		fmt.Fprintln(info, "records streamed to", *streamOut)
 	}
 	return nil
-}
-
-// jsonlSinkFor builds the per-cell sink factory for JSONL streaming:
-// every cell renders into the same locked writer, optionally with
-// durations stripped.
-func jsonlSinkFor(lw io.Writer, noDuration bool) func(conferr.MatrixEntry) conferr.Sink {
-	return func(e conferr.MatrixEntry) conferr.Sink {
-		sink := conferr.Sink(conferr.NewJSONLSink(lw, e.System, e.Plugin))
-		if noDuration {
-			sink = conferr.StripDurations(sink)
-		}
-		return sink
-	}
 }
 
 // printMatrixResults renders one row per suite cell.

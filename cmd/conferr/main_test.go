@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net"
 	"os"
@@ -264,8 +263,8 @@ func TestRunExperimentCommands(t *testing.T) {
 }
 
 func TestRunCampaignJSONOutput(t *testing.T) {
-	out := t.TempDir() + "/profile.json"
-	if got := runT("campaign", "-system", "bind", "-plugin", "semantic", "-json", out); got != 0 {
+	out := t.TempDir() + "/profile.jsonl"
+	if got := runT("campaign", "-system", "bind", "-plugin", "semantic", "-out", out); got != 0 {
 		t.Fatalf("exit = %d", got)
 	}
 	f, err := os.Open(out)
@@ -273,15 +272,53 @@ func TestRunCampaignJSONOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var prof struct {
-		System  string            `json:"system"`
-		Records []json.RawMessage `json:"records"`
-	}
-	if err := json.NewDecoder(f).Decode(&prof); err != nil {
+	n := 0
+	if err := profile.ScanJSONL(f, func(e profile.JSONLEntry) error {
+		if e.System != "bind-sim" || e.Generator != "semantic-dns" || e.Seq != n {
+			t.Errorf("entry %d = %s/%s seq %d", n, e.System, e.Generator, e.Seq)
+		}
+		n++
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if prof.System != "bind-sim" || len(prof.Records) == 0 {
-		t.Errorf("profile = %s with %d records", prof.System, len(prof.Records))
+	if n == 0 {
+		t.Error("profile has no records")
+	}
+}
+
+// TestCampaignOutReadBack: what `campaign -out` writes, in either
+// format, is a profile report and convert read, and both formats hold
+// the same records.
+func TestCampaignOutReadBack(t *testing.T) {
+	dir := t.TempDir()
+	var converted []string
+	for _, name := range []string{"p.jsonl", "p.cprof"} {
+		path := filepath.Join(dir, name)
+		if got := runT("campaign", "-system", "bind", "-plugin", "semantic", "-out", path); got != 0 {
+			t.Fatalf("campaign -out %s: exit = %d", name, got)
+		}
+		report := capture(t, func() {
+			if got := runT("report", path); got != 0 {
+				t.Errorf("report %s: exit = %d", name, got)
+			}
+		})
+		if !strings.Contains(report, "Outcome summary") {
+			t.Errorf("report %s printed no summary:\n%s", name, report)
+		}
+		back := path + ".back.jsonl"
+		if got := runT("convert", "-no-duration", path, back); got != 0 {
+			t.Fatalf("convert %s: exit = %d", name, got)
+		}
+		data, err := os.ReadFile(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		converted = append(converted, string(data))
+	}
+	if converted[0] == "" || converted[0] != converted[1] {
+		t.Fatalf("the JSONL and cprof profiles convert to different records (%d vs %d bytes)",
+			len(converted[0]), len(converted[1]))
 	}
 }
 

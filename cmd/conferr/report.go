@@ -1,15 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"conferr"
@@ -160,58 +157,27 @@ func cmdConvert(ctx context.Context, args []string) error {
 	if isC {
 		scan = func(fn func(profile.JSONLEntry) error) error { return cprof.ScanFileSeqOrdered(in, fn) }
 	}
-	strip := func(e profile.JSONLEntry) profile.JSONLEntry {
+	w, err := cprof.OpenPath(out, 0)
+	if err != nil {
+		return err
+	}
+	records := 0
+	err = scan(func(e profile.JSONLEntry) error {
+		records++
 		if *noDuration {
 			e.Record.Duration = 0
 		}
-		return e
+		return w.WriteEntry(e)
+	})
+	if cerr := w.Close(err == nil); err == nil {
+		err = cerr
 	}
-
-	records := 0
-	if strings.HasSuffix(out, ".cprof") {
-		cf, err := cprof.Create(out)
-		if err != nil {
-			return err
-		}
-		err = scan(func(e profile.JSONLEntry) error {
-			records++
-			return cf.W.WriteEntry(strip(e))
-		})
-		if cerr := cf.Close(err == nil); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		var w io.Writer = os.Stdout
-		if out != "-" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		bw := bufio.NewWriterSize(w, 1<<20)
-		var buf []byte
-		err = scan(func(e profile.JSONLEntry) error {
-			records++
-			e = strip(e)
-			buf = profile.AppendJSONLRecord(buf[:0], e.System, e.Generator, e.Seq, e.Record)
-			_, werr := bw.Write(buf)
-			return werr
-		})
-		if err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if out == "-" {
-			fmt.Fprintf(os.Stderr, "conferr: converted %d records from %s\n", records, in)
-			return nil
-		}
+	if err != nil {
+		return err
+	}
+	if out == "-" {
+		fmt.Fprintf(os.Stderr, "conferr: converted %d records from %s\n", records, in)
+		return nil
 	}
 	fmt.Printf("converted %d records: %s -> %s\n", records, in, out)
 	return nil

@@ -86,6 +86,21 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
+// TestTable2EmptyCellIsNotSupported: a Table 2 cell reads Yes only when
+// it ran variants and the system ignored them all; a cell with no
+// variants reads n/a.
+func TestTable2EmptyCellIsNotSupported(t *testing.T) {
+	for _, c := range []struct {
+		records, ignored int
+		want             string
+	}{{0, 0, SupportNA}, {10, 10, SupportYes}, {10, 9, SupportNo}} {
+		cr := CampaignResult{Records: c.records, Summary: Summary{Ignored: c.ignored}}
+		if got := table2Support(cr); got != c.want {
+			t.Errorf("%d records, %d ignored: %s, want %s", c.records, c.ignored, got, c.want)
+		}
+	}
+}
+
 // TestTable2Shape asserts the paper's Table 2 cells.
 func TestTable2Shape(t *testing.T) {
 	if testing.Short() {

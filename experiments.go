@@ -226,7 +226,8 @@ const (
 	SupportYes = "Yes"
 	// SupportNo means at least one variant was rejected.
 	SupportNo = "No"
-	// SupportNA means the variation class does not apply to the system.
+	// SupportNA means the variation class does not apply to the system,
+	// or yielded no variant configuration for it.
 	SupportNA = "n/a"
 )
 
@@ -289,14 +290,22 @@ func RunTable2Ctx(ctx context.Context, seed int64, perClass, workers int) (*Tabl
 		return nil, err
 	}
 	for i, cr := range results {
-		// Supported when the system accepted (ignored) every variant.
-		support := SupportNo
-		if cr.Records == cr.Summary.Ignored {
-			support = SupportYes
-		}
-		res.Support[cells[i].label][classes[i]] = support
+		res.Support[cells[i].label][classes[i]] = table2Support(cr)
 	}
 	return res, nil
+}
+
+// table2Support reads one Table 2 cell: supported when the system
+// accepted (ignored) every variant. A cell with no variants supports
+// nothing — it reads n/a, never a vacuous Yes.
+func table2Support(cr CampaignResult) string {
+	switch {
+	case cr.Records == 0:
+		return SupportNA
+	case cr.Records == cr.Summary.Ignored:
+		return SupportYes
+	}
+	return SupportNo
 }
 
 // SatisfiedPercent returns the share of applicable variation classes a

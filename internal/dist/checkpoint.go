@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -104,51 +103,4 @@ func (cp Checkpoint) matches(spec CampaignSpec, shards int) error {
 func (s CampaignSpec) resumeKey() CampaignSpec {
 	s.Lifecycle, s.Memnet, s.ExperimentTimeout, s.PhaseTimeout = "", false, 0, 0
 	return s
-}
-
-// reconcileOutput trims the output file to exactly front lines. A
-// coordinator killed between flushing records and writing the next
-// checkpoint leaves a few lines past the front; they are dropped and
-// re-fetched deterministically. Fewer lines than the front claims means
-// the file and checkpoint do not belong together.
-func reconcileOutput(path string, front int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) && front == 0 {
-			return nil
-		}
-		return fmt.Errorf("dist: reconciling output: %w", err)
-	}
-	br := bufio.NewReader(f)
-	var offset int64
-	lines := 0
-	for lines < front {
-		chunk, err := br.ReadSlice('\n')
-		offset += int64(len(chunk))
-		if err == nil {
-			lines++
-			continue
-		}
-		if err == bufio.ErrBufferFull {
-			// Long line: consume the rest of it.
-			for err == bufio.ErrBufferFull {
-				chunk, err = br.ReadSlice('\n')
-				offset += int64(len(chunk))
-			}
-			if err == nil {
-				lines++
-				continue
-			}
-		}
-		break
-	}
-	f.Close()
-	if lines < front {
-		return fmt.Errorf("dist: output %s has %d lines but checkpoint front is %d — wrong or corrupt output file",
-			filepath.Base(path), lines, front)
-	}
-	if err := os.Truncate(path, offset); err != nil {
-		return fmt.Errorf("dist: truncating output past the checkpoint front: %w", err)
-	}
-	return nil
 }

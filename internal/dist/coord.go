@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"conferr/internal/profile"
+	"conferr/internal/profile/cprof"
 )
 
 // Coordinator schedules the Shards shards of one campaign across worker
@@ -31,20 +31,13 @@ type Coordinator struct {
 	// Spec describes the campaign every worker re-derives its slice of,
 	// watchdog deadlines included; every shard request carries it as is.
 	Spec CampaignSpec
-	// Out, when non-nil, receives the merged record stream. Otherwise
-	// OutPath is created (or, on resume, reconciled and appended to).
+	// Out, when non-nil, receives the merged record stream, one JSONL
+	// line per Write. Otherwise a non-empty OutPath is opened with
+	// cprof.OpenPath, which picks the format from the name (compact
+	// frames for a .cprof name, else JSONL) and, on resume, reconciles
+	// the file to the checkpoint front before appending.
 	Out     io.Writer
 	OutPath string
-	// OutFactory, when non-nil, takes precedence over Out/OutPath and
-	// builds the output stack for a run resuming at startSeq: w receives
-	// the merged JSONL lines (one line per Write), flush makes flushed
-	// records durable before each checkpoint, and finish(complete) is
-	// called exactly once at the end — complete reports whether the
-	// campaign finished, letting format-aware outputs (cprof) finalize
-	// their index on success while leaving a resumable prefix on
-	// failure. The factory owns reconciling any existing file to
-	// startSeq records.
-	OutFactory func(startSeq int) (w io.Writer, flush func() error, finish func(complete bool) error, err error)
 	// CheckpointPath enables checkpointing ("" disables). Ignored in
 	// tally mode, where there is no record stream to checkpoint.
 	CheckpointPath string
@@ -60,12 +53,14 @@ type Coordinator struct {
 	// Retry shapes per-shard retries.
 	Retry RetryPolicy
 	// CheckpointEvery throttles checkpoint writes to one per this many
-	// flushed records (0 selects 64).
+	// flushed records (0 selects one cprof frame,
+	// cprof.DefaultFrameRecords). Each checkpoint flushes the output
+	// first, which cuts a cprof frame, so a frame-sized interval keeps
+	// frames full-size.
 	CheckpointEvery int
 	// SyncOutput fsyncs the OutPath file on every flush (each checkpoint
 	// and at the end), so a host crash cannot leave the checkpoint
-	// claiming lines the output lost. OutFactory-built outputs own their
-	// durability (cmd/conferr wires cprof's Sync for -fsync).
+	// claiming records the output lost.
 	SyncOutput bool
 	// Logf, when non-nil, receives scheduling diagnostics.
 	Logf func(format string, args ...any)
@@ -234,7 +229,7 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	}
 	cpEvery := c.CheckpointEvery
 	if cpEvery <= 0 {
-		cpEvery = 64
+		cpEvery = cprof.DefaultFrameRecords
 	}
 	tally := c.Spec.TallyOnly
 	cpPath := c.CheckpointPath
@@ -244,7 +239,7 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 
 	// Resume: the checkpointed flush front is the whole story — every
 	// shard is re-requested from it, and the output file is reconciled to
-	// exactly that many lines (a longer file is truncated; the dropped
+	// exactly that many records (a longer file is truncated; the dropped
 	// tail is re-fetched deterministically).
 	startSeq := 0
 	if c.Resume && cpPath != "" {
@@ -264,50 +259,23 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	}
 
 	var (
-		w      io.Writer
-		flush  func() error
-		finish func(complete bool) error
+		w     io.Writer = io.Discard
+		out   *cprof.File
+		flush func() error
 	)
 	switch {
 	case tally:
-	case c.OutFactory != nil:
-		var err error
-		w, flush, finish, err = c.OutFactory(startSeq)
-		if err != nil {
-			return Result{}, err
-		}
 	case c.Out != nil:
 		w = c.Out
 	case c.OutPath != "":
-		if startSeq > 0 {
-			if err := reconcileOutput(c.OutPath, startSeq); err != nil {
-				return Result{}, err
-			}
+		var err error
+		if out, err = cprof.OpenPath(c.OutPath, startSeq); err != nil {
+			return Result{}, err
 		}
-		mode := os.O_CREATE | os.O_WRONLY
-		if startSeq > 0 {
-			mode |= os.O_APPEND
-		} else {
-			mode |= os.O_TRUNC
-		}
-		f, err := os.OpenFile(c.OutPath, mode, 0o644)
-		if err != nil {
-			return Result{}, fmt.Errorf("dist: opening output: %w", err)
-		}
-		defer f.Close()
-		bw := bufio.NewWriter(f)
-		w = bw
-		flush = bw.Flush
+		w, flush = out, out.Flush
 		if c.SyncOutput {
-			flush = func() error {
-				if err := bw.Flush(); err != nil {
-					return err
-				}
-				return f.Sync()
-			}
+			flush = out.Sync
 		}
-	default:
-		w = io.Discard
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -387,8 +355,8 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 			runErr = err
 		}
 	}
-	if finish != nil {
-		if err := finish(runErr == nil); err != nil && runErr == nil {
+	if out != nil {
+		if err := out.Close(runErr == nil); err != nil && runErr == nil {
 			runErr = fmt.Errorf("dist: finishing output: %w", err)
 		}
 	}

@@ -597,18 +597,6 @@ func TestDistTallyMode(t *testing.T) {
 	}
 }
 
-// cprofOutFactory wires a coordinator's merged stream into a cprof
-// file, the way cmd/conferr does for `dist -out foo.cprof`.
-func cprofOutFactory(path string) func(int) (io.Writer, func() error, func(bool) error, error) {
-	return func(startSeq int) (io.Writer, func() error, func(bool) error, error) {
-		cf, err := cprof.OpenFileAt(path, startSeq)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return cf.W.LineWriter(), cf.Flush, cf.Close, nil
-	}
-}
-
 // TestDistCprofOutByteIdentity: a distributed campaign merged straight
 // into a cprof file converts back to JSONL byte-identical to the
 // single-process reference stream.
@@ -628,7 +616,7 @@ func TestDistCprofOutByteIdentity(t *testing.T) {
 		Workers:      []string{a1, a2},
 		Shards:       3,
 		Spec:         realSpec(seed, limit, port),
-		OutFactory:   cprofOutFactory(outPath),
+		OutPath:      outPath,
 		StallTimeout: 10 * time.Second,
 		Retry:        fastRetry,
 	}
@@ -687,7 +675,7 @@ func TestDistCprofResume(t *testing.T) {
 		Workers:         []string{addr},
 		Shards:          3,
 		Spec:            realSpec(seed, limit, port),
-		OutFactory:      cprofOutFactory(outPath),
+		OutPath:         outPath,
 		CheckpointPath:  cpPath,
 		CheckpointEvery: 1,
 		StallTimeout:    5 * time.Second,
@@ -706,7 +694,7 @@ func TestDistCprofResume(t *testing.T) {
 		Workers:        []string{addr2},
 		Shards:         3,
 		Spec:           realSpec(seed, limit, port),
-		OutFactory:     cprofOutFactory(outPath),
+		OutPath:        outPath,
 		CheckpointPath: cpPath,
 		Resume:         true,
 		StallTimeout:   5 * time.Second,

@@ -11,6 +11,7 @@ package typo
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -37,11 +38,22 @@ func (Omission) Enumerate(n *confnode.Node) (int, func(int) template.Variant) {
 	runes := []rune(n.Value)
 	return len(runes), func(i int) template.Variant {
 		mutated := string(runes[:i]) + string(runes[i+1:])
+		b := append(make([]byte, 0, 128), "omit "...)
+		b = strconv.AppendQuoteRune(b, runes[i])
+		b = strconv.AppendInt(append(b, " at "...), int64(i), 10)
 		return template.Variant{
-			Description: fmt.Sprintf("omit %q at %d -> %q", runes[i], i, mutated),
+			Description: describe(b, mutated),
 			Apply:       func(m *confnode.Node) { m.Value = mutated },
 		}
 	}
+}
+
+// describe finishes a variant's description: the edit rendered so far
+// in b, then " -> " and the quoted mutated token. strconv's quoting is
+// exactly what %q prints, so the bytes match an fmt rendering without
+// boxing every argument.
+func describe(b []byte, mutated string) string {
+	return string(strconv.AppendQuote(append(b, " -> "...), mutated))
 }
 
 // slip is one keyboard slip while typing a token: the neighbour nb of the
@@ -97,8 +109,11 @@ func (t Insertion) Enumerate(n *confnode.Node) (int, func(int) template.Variant)
 	return len(edits), func(i int) template.Variant {
 		e := edits[i]
 		mutated := string(runes[:e.at]) + string(e.nb) + string(runes[e.at:])
+		b := append(make([]byte, 0, 128), "insert "...)
+		b = strconv.AppendQuoteRune(b, e.nb)
+		b = strconv.AppendInt(append(b, " before "...), int64(e.at), 10)
 		return template.Variant{
-			Description: fmt.Sprintf("insert %q before %d -> %q", e.nb, e.at, mutated),
+			Description: describe(b, mutated),
 			Apply:       func(m *confnode.Node) { m.Value = mutated },
 		}
 	}
@@ -126,8 +141,12 @@ func (t Substitution) Enumerate(n *confnode.Node) (int, func(int) template.Varia
 	return len(edits), func(i int) template.Variant {
 		e := edits[i]
 		mutated := string(runes[:e.at]) + string(e.nb) + string(runes[e.at+1:])
+		b := append(make([]byte, 0, 128), "substitute "...)
+		b = strconv.AppendQuoteRune(b, e.nb)
+		b = strconv.AppendQuoteRune(append(b, " for "...), runes[e.at])
+		b = strconv.AppendInt(append(b, " at "...), int64(e.at), 10)
 		return template.Variant{
-			Description: fmt.Sprintf("substitute %q for %q at %d -> %q", e.nb, runes[e.at], e.at, mutated),
+			Description: describe(b, mutated),
 			Apply:       func(m *confnode.Node) { m.Value = mutated },
 		}
 	}
@@ -165,8 +184,9 @@ func (CaseAlteration) Enumerate(n *confnode.Node) (int, func(int) template.Varia
 	return len(at), func(k int) template.Variant {
 		i := at[k]
 		mutated := string(runes[:i]) + string(toggleCase(runes[i])) + string(toggleCase(runes[i+1])) + string(runes[i+2:])
+		b := strconv.AppendInt(append(make([]byte, 0, 128), "swap case at "...), int64(i), 10)
 		return template.Variant{
-			Description: fmt.Sprintf("swap case at %d -> %q", i, mutated),
+			Description: describe(b, mutated),
 			Apply:       func(m *confnode.Node) { m.Value = mutated },
 		}
 	}
@@ -202,8 +222,10 @@ func (Transposition) Enumerate(n *confnode.Node) (int, func(int) template.Varian
 	return len(at), func(k int) template.Variant {
 		i := at[k]
 		mutated := string(runes[:i]) + string(runes[i+1]) + string(runes[i]) + string(runes[i+2:])
+		b := strconv.AppendInt(append(make([]byte, 0, 128), "transpose "...), int64(i), 10)
+		b = strconv.AppendInt(append(b, '/'), int64(i+1), 10)
 		return template.Variant{
-			Description: fmt.Sprintf("transpose %d/%d -> %q", i, i+1, mutated),
+			Description: describe(b, mutated),
 			Apply:       func(m *confnode.Node) { m.Value = mutated },
 		}
 	}

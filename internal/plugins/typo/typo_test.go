@@ -451,3 +451,44 @@ func TestPerDirectiveSampling(t *testing.T) {
 		t.Errorf("zero-seed PerDirective sampling failed: %v", err)
 	}
 }
+
+// TestDescriptionsMatchFmt: each submodel's description renders the
+// bytes of its fmt verbs — %q quoting of quotes, backslashes, control
+// bytes, non-ASCII and invalid UTF-8 included.
+func TestDescriptionsMatchFmt(t *testing.T) {
+	for _, tok := range []string{"port", `a"b\c`, "Ünïcode", "日本\t语", "x\x01y", "a\xffB"} {
+		runes := []rune(tok)
+		mutated := func(v template.Variant) string {
+			n := word(tok)
+			v.Apply(n)
+			return n.Value
+		}
+		check := func(model string, vs []template.Variant, want func(i int, mutated string) string) {
+			t.Helper()
+			for i, v := range vs {
+				if w := want(i, mutated(v)); v.Description != w {
+					t.Errorf("%s of %q, variant %d: %q, want %q", model, tok, i, v.Description, w)
+				}
+			}
+		}
+		check("omission", template.Variants(Omission{}, word(tok)), func(i int, m string) string {
+			return fmt.Sprintf("omit %q at %d -> %q", runes[i], i, m)
+		})
+		edits := slips(nil, runes)
+		check("insertion", template.Variants(Insertion{}, word(tok)), func(i int, m string) string {
+			return fmt.Sprintf("insert %q before %d -> %q", edits[i].nb, edits[i].at, m)
+		})
+		check("substitution", template.Variants(Substitution{}, word(tok)), func(i int, m string) string {
+			e := edits[i]
+			return fmt.Sprintf("substitute %q for %q at %d -> %q", e.nb, runes[e.at], e.at, m)
+		})
+		cased := pairsWhere(runes, func(a, b rune) bool { return toggleCase(a) != a || toggleCase(b) != b })
+		check("case", template.Variants(CaseAlteration{}, word(tok)), func(k int, m string) string {
+			return fmt.Sprintf("swap case at %d -> %q", cased[k], m)
+		})
+		swapped := pairsWhere(runes, func(a, b rune) bool { return a != b })
+		check("transposition", template.Variants(Transposition{}, word(tok)), func(k int, m string) string {
+			return fmt.Sprintf("transpose %d/%d -> %q", swapped[k], swapped[k]+1, m)
+		})
+	}
+}

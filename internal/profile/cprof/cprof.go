@@ -152,17 +152,15 @@ type Writer struct {
 // NewWriter returns a Writer appending frames to w (typically a
 // *bufio.Writer over a file). The file magic is emitted with the first
 // frame; Close writes the frame index and trailer.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{Level: 1, FrameRecords: DefaultFrameRecords, w: w}
-}
+func NewWriter(w io.Writer) *Writer { return newWriterAt(w, 0, nil) }
 
 // newWriterAt returns a Writer resuming an existing stream: off bytes
-// (magic included) are already on disk and frames describes them. Used
-// by OpenFileAt after reconciling a checkpointed file.
+// (magic included, when off > 0) are already on disk and frames
+// describes them. Used by OpenPath after reconciling a checkpointed file.
 func newWriterAt(w io.Writer, off int64, frames []FrameInfo) *Writer {
 	return &Writer{
 		Level: 1, FrameRecords: DefaultFrameRecords,
-		w: w, off: off, wrote: true, frames: frames,
+		w: w, off: off, wrote: off > 0, frames: frames,
 	}
 }
 

@@ -333,10 +333,11 @@ func TestToJSONLMatchesDirectStream(t *testing.T) {
 	}), recs)
 }
 
-// TestOpenFileAtResume: a file cut mid-campaign (no trailer, torn last
-// frame) reopens at a checkpoint front landing on a frame boundary, the
-// torn tail is truncated, and appended records complete the campaign.
-func TestOpenFileAtResume(t *testing.T) {
+// TestOpenPathResume: a cprof file cut mid-campaign (no trailer, torn
+// last frame) reopens at a checkpoint front landing on a frame boundary,
+// the torn tail is truncated, and appended records complete the
+// campaign.
+func TestOpenPathResume(t *testing.T) {
 	recs := synthRecords(100)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "resume.cprof")
@@ -366,7 +367,7 @@ func TestOpenFileAtResume(t *testing.T) {
 	}
 
 	// Resume from front 64: the torn 64..79 frame is dropped and rewritten.
-	cf2, err := OpenFileAt(path, 64)
+	cf2, err := OpenPath(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +387,11 @@ func TestOpenFileAtResume(t *testing.T) {
 	checkEntries(t, got, recs)
 
 	// A front inside a frame must be rejected, not silently misaligned.
-	if _, err := OpenFileAt(path, 70); err == nil {
-		t.Fatal("OpenFileAt accepted a front inside a frame")
+	if _, err := OpenPath(path, 70); err == nil {
+		t.Fatal("OpenPath accepted a front inside a frame")
 	}
 	// Front 0 restarts from scratch.
-	cf3, err := OpenFileAt(path, 0)
+	cf3, err := OpenPath(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,6 +402,43 @@ func TestOpenFileAtResume(t *testing.T) {
 		return ScanFileSeqOrdered(path, fn)
 	}); len(got) != 0 {
 		t.Fatalf("front-0 reopen kept %d records", len(got))
+	}
+}
+
+// TestOpenPathResumeJSONL: a JSONL output resumes at a checkpoint front
+// by counting lines — a torn tail line is dropped, a front past the
+// file's lines is refused — and stdout cannot resume at all.
+func TestOpenPathResumeJSONL(t *testing.T) {
+	recs := synthRecords(10)
+	path := filepath.Join(t.TempDir(), "resume.jsonl")
+	var full []byte
+	for i, r := range recs {
+		full = profile.AppendJSONLRecord(full, "nginx", "typo", i, r)
+	}
+	cut := bytes.Index(full, []byte(`{"system":"nginx","generator":"typo","seq":5,`))
+	if err := os.WriteFile(path, full[:cut+7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenPath(path, 6); err == nil {
+		t.Fatal("OpenPath accepted a front past the file's lines")
+	}
+	out, err := OpenPath(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs[4:] {
+		if err := out.WriteEntry(profile.JSONLEntry{System: "nginx", Generator: "typo", Seq: 4 + i, Record: r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, full) {
+		t.Fatalf("resumed JSONL diverges:\n%s", got)
+	}
+	if _, err := OpenPath("-", 1); err == nil {
+		t.Fatal("OpenPath resumed stdout")
 	}
 }
 
@@ -453,27 +491,42 @@ func TestFoldFileParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestLineWriterRendersEntries: the merger-facing io.Writer parses one
-// rendered JSONL line per call, the contract SeqMerger provides.
-func TestLineWriterRendersEntries(t *testing.T) {
+// TestFileWriteTakesMergerLines: File.Write takes one rendered JSONL
+// line per call, the contract SeqMerger provides, in either format: a
+// JSONL output holds the lines verbatim, a cprof output the same entries.
+func TestFileWriteTakesMergerLines(t *testing.T) {
 	recs := synthRecords(30)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.FrameRecords = 8
-	lw := w.LineWriter()
-	var line []byte
-	for i, r := range recs {
-		line = profile.AppendJSONLRecord(line[:0], "nginx", "typo", i, r)
-		if _, err := lw.Write(line); err != nil {
+	dir := t.TempDir()
+	var want []byte
+	for _, name := range []string{"merged.jsonl", "merged.cprof"} {
+		path := filepath.Join(dir, name)
+		out, err := OpenPath(path, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if out.W != nil {
+			out.W.FrameRecords = 8
+		}
+		var line []byte
+		for i, r := range recs {
+			line = profile.AppendJSONLRecord(line[:0], "nginx", "typo", i, r)
+			want = append(want, line...)
+			if _, err := out.Write(line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := out.Close(true); err != nil {
+			t.Fatal(err)
+		}
+		checkEntries(t, collect(t, func(fn func(profile.JSONLEntry) error) error {
+			return ScanPath(path, fn)
+		}), recs)
+		if out.W == nil {
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+				t.Fatalf("%s: JSONL output is not the lines written", name)
+			}
+		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	checkEntries(t, collect(t, func(fn func(profile.JSONLEntry) error) error {
-		return Scan(bytes.NewReader(buf.Bytes()), fn)
-	}), recs)
 }
 
 // TestScanAutoSniffsFormat: content sniffing, not extensions, decides

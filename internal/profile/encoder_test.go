@@ -13,10 +13,17 @@ import (
 func refJSONLLine(t *testing.T, system, generator string, seq int, r Record) []byte {
 	t.Helper()
 	line, err := json.Marshal(jsonlRecord{
-		System:     system,
-		Generator:  generator,
-		Seq:        seq,
-		jsonRecord: toJSONRecord(r),
+		System:    system,
+		Generator: generator,
+		Seq:       seq,
+		jsonRecord: jsonRecord{
+			ScenarioID:  r.ScenarioID,
+			Class:       r.Class,
+			Description: r.Description,
+			Outcome:     r.Outcome.String(),
+			Detail:      r.Detail,
+			DurationNS:  r.Duration.Nanoseconds(),
+		},
 	})
 	if err != nil {
 		t.Fatalf("reference marshal: %v", err)

@@ -62,8 +62,8 @@ func (m *SeqMerger) Add(seq int, line []byte) error {
 		m.pending[seq] = append([]byte(nil), line...)
 		return nil
 	}
-	// One Write per line, as line-oriented writers (cprof.LineWriter)
-	// expect; the copy into m.line keeps the caller's slice untouched.
+	// One Write per line, as line-oriented writers (a cprof.File over a
+	// .cprof path) expect; the copy into m.line keeps the caller's slice untouched.
 	m.line = append(append(m.line[:0], line...), '\n')
 	out := m.line
 	for {

@@ -1,13 +1,9 @@
 package profile
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func sampleProfile() *Profile {
@@ -213,58 +209,6 @@ func TestPropertyBandSharesSumToOne(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// ReadJSON deserializes a profile written by WriteJSON.
-func ReadJSON(r io.Reader) (*Profile, error) {
-	var in jsonProfile
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("profile: decoding: %w", err)
-	}
-	p := &Profile{System: in.System, Generator: in.Generator}
-	for _, jr := range in.Records {
-		r, err := jr.record()
-		if err != nil {
-			return nil, err
-		}
-		p.Add(r)
-	}
-	return p, nil
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	p := sampleProfile()
-	p.Records[0].Detail = "complaint text"
-	p.Records[0].Duration = 1234 * time.Microsecond
-	var buf strings.Builder
-	if err := p.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.System != p.System || got.Generator != p.Generator {
-		t.Errorf("identity = %q/%q", got.System, got.Generator)
-	}
-	if len(got.Records) != len(p.Records) {
-		t.Fatalf("records = %d, want %d", len(got.Records), len(p.Records))
-	}
-	for i := range got.Records {
-		if got.Records[i] != p.Records[i] {
-			t.Errorf("record %d = %+v, want %+v", i, got.Records[i], p.Records[i])
-		}
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	bad := `{"system":"s","generator":"g","records":[{"scenario_id":"x","class":"c","outcome":"bogus"}]}`
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-		t.Error("unknown outcome accepted")
 	}
 }
 

@@ -191,7 +191,7 @@ func (d *stripDurationSink) ShardSink(k, n int) Sink {
 }
 
 // jsonlRecord is the schema of one JSONL profile line: the jsonRecord
-// fields (shared with Profile.WriteJSON) plus the campaign identity and
+// fields plus the campaign identity and
 // the record's sequence number, so a single file can carry interleaved
 // records of a whole campaign suite and still be split back into
 // per-campaign, scenario-ordered profiles.

@@ -213,15 +213,17 @@ func parseReal(raw string, def *gucDef) (float64, error) {
 	return f, nil
 }
 
-// parseBool accepts the 8.2 spellings: unique prefixes of true/false/
-// yes/no, and exact on/off/1/0 (case-insensitive).
+// parseBool accepts what PostgreSQL's parse_bool does (8.3 through 15,
+// case-insensitive): prefixes of true/false/yes/no, exact 1/0, and
+// prefixes of on/off at least two letters long — so "of" is off, while
+// "o" is ambiguous and rejected.
 func parseBool(raw string, def *gucDef) (bool, error) {
 	v := strings.ToLower(strings.TrimSpace(raw))
 	switch {
 	case v == "":
 	case strings.HasPrefix("true", v), strings.HasPrefix("yes", v), v == "on", v == "1":
 		return true, nil
-	case strings.HasPrefix("false", v), strings.HasPrefix("no", v), v == "off", v == "0":
+	case strings.HasPrefix("false", v), strings.HasPrefix("no", v), len(v) >= 2 && strings.HasPrefix("off", v), v == "0":
 		return false, nil
 	}
 	return false, fmt.Errorf("parameter \"%s\" requires a Boolean value", def.name)

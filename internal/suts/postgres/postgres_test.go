@@ -183,6 +183,25 @@ func TestBoolValidation(t *testing.T) {
 	}
 }
 
+// TestParseBoolMatchesPG15: the answers real PostgreSQL 15 gave for
+// `fsync = <v>` under `postgres -C`, accepted values with their meaning.
+func TestParseBoolMatchesPG15(t *testing.T) {
+	def := &gucDef{name: "fsync"}
+	for _, c := range []struct {
+		v    string
+		want bool
+	}{{"of", false}, {"OF", false}, {"y", true}, {"tru", true}, {"1", true}} {
+		if got, err := parseBool(c.v, def); err != nil || got != c.want {
+			t.Errorf("parseBool(%q) = %v, %v; want %v", c.v, got, err, c.want)
+		}
+	}
+	for _, v := range []string{"o", "0ff", "onn", "2"} {
+		if got, err := parseBool(v, def); err == nil {
+			t.Errorf("parseBool(%q) = %v, want an error", v, got)
+		}
+	}
+}
+
 func TestRealValidation(t *testing.T) {
 	s := newServer(t)
 	if err := startWith(t, s, "random_page_cost = 4.0\n"); err != nil {

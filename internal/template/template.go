@@ -167,16 +167,18 @@ func scenarioID(class string, ref Ref, seq int) string {
 	return class + "/" + ref.String() + "/" + strconv.Itoa(seq)
 }
 
-// describe renders a node succinctly for scenario descriptions.
-func describe(n *confnode.Node) string {
-	s := n.Kind.String()
+// describe renders prefix and then node n, succinctly, into one buffer
+// for scenario descriptions.
+func describe(prefix string, n *confnode.Node) string {
+	b := append(make([]byte, 0, 96), prefix...)
+	b = append(b, n.Kind.String()...)
 	if n.Name != "" {
-		s += " " + truncate(n.Name)
+		b = append(append(b, ' '), truncate(n.Name)...)
 	}
 	if n.Value != "" {
-		s += "=" + truncate(n.Value)
+		b = append(append(b, '='), truncate(n.Value)...)
 	}
-	return s
+	return string(b)
 }
 
 func truncate(s string) string {
@@ -218,7 +220,7 @@ func (t *DeleteTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 			sc := scenario.Scenario{
 				ID:          scenarioID(class, ref, i),
 				Class:       class,
-				Description: "delete " + describe(tn.node),
+				Description: describe("delete ", tn.node),
 				Apply: func(s *confnode.Set) error {
 					n, err := ref.Resolve(s)
 					if err != nil {
@@ -270,7 +272,7 @@ func (t *DuplicateTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 			sc := scenario.Scenario{
 				ID:          scenarioID(class, ref, i),
 				Class:       class,
-				Description: "duplicate " + describe(tn.node),
+				Description: describe("duplicate ", tn.node),
 				Apply: func(s *confnode.Set) error {
 					n, err := ref.Resolve(s)
 					if err != nil {
@@ -333,10 +335,9 @@ func (t *MoveTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 				}
 				tref, dref := tn.ref, dn.ref
 				sc := scenario.Scenario{
-					ID:    fmt.Sprintf("%s/%s->%s/%d", class, tref, dref, seq),
-					Class: class,
-					Description: fmt.Sprintf("move %s into %s",
-						describe(tn.node), describe(dn.node)),
+					ID:          fmt.Sprintf("%s/%s->%s/%d", class, tref, dref, seq),
+					Class:       class,
+					Description: describe("move ", tn.node) + describe(" into ", dn.node),
 					Apply: func(s *confnode.Set) error {
 						// Resolve the destination first: moving the target
 						// changes sibling indices, which would invalidate a
@@ -472,7 +473,7 @@ func (t *ModifyTemplate) Walk(set *confnode.Set) scenario.Walk {
 				}
 				if idPrefix == "" {
 					idPrefix = class + "/" + ref.String() + "/"
-					on = " on " + describe(tn.node)
+					on = describe(" on ", tn.node)
 				}
 				v := render(i)
 				apply := v.Apply

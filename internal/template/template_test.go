@@ -452,7 +452,7 @@ func TestApplyIsReplayable(t *testing.T) {
 func TestDescribeTruncatesLongValues(t *testing.T) {
 	long := strings.Repeat("x", 100)
 	n := confnode.NewValued(confnode.KindDirective, "d", long)
-	d := describe(n)
+	d := describe("", n)
 	if len(d) > 80 {
 		t.Errorf("describe too long: %d chars", len(d))
 	}
@@ -520,13 +520,13 @@ func TestScenarioStringsMatchFmt(t *testing.T) {
 		}
 	}
 	check("delete", &DeleteTemplate{Targets: expr}, func(i int, tn refNode, _ *Variant) (string, string) {
-		return fmt.Sprintf("%s/%s/%d", "delete", fmtRef(tn.ref), i), "delete " + describe(tn.node)
+		return fmt.Sprintf("%s/%s/%d", "delete", fmtRef(tn.ref), i), "delete " + describe("", tn.node)
 	})
 	check("duplicate", &DuplicateTemplate{Targets: expr, Class: "structural/dup"}, func(i int, tn refNode, _ *Variant) (string, string) {
-		return fmt.Sprintf("%s/%s/%d", "structural/dup", fmtRef(tn.ref), i), "duplicate " + describe(tn.node)
+		return fmt.Sprintf("%s/%s/%d", "structural/dup", fmtRef(tn.ref), i), "duplicate " + describe("", tn.node)
 	})
 	check("modify", &ModifyTemplate{Targets: expr, Mutator: upperMutator{}}, func(seq int, tn refNode, v *Variant) (string, string) {
 		return fmt.Sprintf("%s/%s/%d", "modify/upper", fmtRef(tn.ref), seq),
-			fmt.Sprintf("%s on %s", v.Description, describe(tn.node))
+			fmt.Sprintf("%s on %s", v.Description, describe("", tn.node))
 	})
 }

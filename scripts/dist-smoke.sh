@@ -7,10 +7,12 @@
 # single-process `conferr matrix -stream-out` reference of the same
 # cell. This is the end-to-end check behind the determinism guarantee:
 # scheduling, worker death, shard retry and the sequence merge must all
-# be invisible in the output. Two more legs: a campaign spec the workers
-# would reject (-limit -1) fails before any shard request is sent, and
+# be invisible in the output. More legs: a campaign spec the workers
+# would reject (-limit -1) fails before any shard request is sent;
 # watchdog deadlines that never fire cross the wire inside the campaign
-# spec without changing a byte.
+# spec without changing a byte; and a coordinator SIGKILLed once its
+# checkpoint is past sequence 0 resumes with -resume to the same bytes,
+# once with a JSONL and once with a .cprof output.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -89,3 +91,42 @@ echo "== distributed run with deadlines that never fire (surviving worker only)"
   -out "$tmp/dist-deadlines.jsonl"
 cmp "$tmp/ref.jsonl" "$tmp/dist-deadlines.jsonl"
 echo "dist-smoke OK: merged profile under -phase-timeout/-experiment-timeout byte-identical to the reference"
+
+# resume_leg OUT: SIGKILL the coordinator once its checkpoint is past
+# sequence 0, rerun it with -resume, and cmp the result (converted from
+# .cprof when OUT is one) against the reference. The leg fails if the
+# first run finishes before the kill lands.
+resume_leg() {
+  local out="$tmp/$1"
+  local args=(dist -workers 127.0.0.1:$W2 -shards 4 -system nginx -plugin typo
+    -seed $SEED -rounds $ROUNDS -limit $LIMIT -port $PORT -memnet -no-duration
+    -quiet -out "$out")
+  echo "== coordinator killed mid-run, then resumed (-out $1)"
+  "$tmp/conferr" "${args[@]}" >/dev/null &
+  local pid=$!
+  for _ in $(seq 3000); do
+    if grep -qs '"front":[1-9]' "$out.ckpt"; then break; fi
+    sleep 0.01
+  done
+  kill -9 "$pid" 2>/dev/null || true
+  local status=0
+  wait "$pid" || status=$?
+  if [ "$status" -ne 137 ]; then
+    echo "the coordinator was not killed mid-run (exit $status)"; exit 1
+  fi
+  grep -o '"front":[0-9]*' "$out.ckpt"
+  "$tmp/conferr" "${args[@]}" -resume >"$tmp/resume.out"
+  cat "$tmp/resume.out"
+  if ! grep -Eq '^resumed from sequence [1-9][0-9]* ' "$tmp/resume.out"; then
+    echo "the rerun did not resume from a checkpoint past sequence 0"; exit 1
+  fi
+  local got="$out"
+  if [[ "$out" == *.cprof ]]; then
+    got="$out.jsonl"
+    "$tmp/conferr" convert "$out" "$got" >/dev/null
+  fi
+  cmp "$tmp/ref.jsonl" "$got"
+  echo "dist-smoke OK: resumed -out $1 byte-identical to the reference"
+}
+resume_leg resume.jsonl
+resume_leg resume.cprof
