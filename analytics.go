@@ -23,8 +23,9 @@ type (
 	// CprofFile is a profile output file with a flush/sync/close
 	// lifecycle, the stack behind every CLI profile writer. CreateCprof
 	// makes a cprof one, whose W is its frame writer; the CLI opens any
-	// path through cprof.OpenPath, where a name not ending in .cprof
-	// gets JSONL and a nil W.
+	// path through cprof.OpenPath (or cprof.ResumePath), where a name
+	// not ending in .cprof gets JSONL and a nil W. Close(false) writes
+	// every record so far, unfinished frames cut short, and no trailer.
 	CprofFile = cprof.File
 )
 

@@ -18,8 +18,8 @@ import (
 // function of seed and shard, so no scenario crosses the wire), retries
 // failed or stalled shards on surviving workers, and merges the streams
 // into a profile byte-identical to a single-process run. A killed
-// coordinator resumes from its checkpoint, completing only the missing
-// sequence range.
+// coordinator resumes from the records its -out holds, completing only
+// the missing sequence range.
 func cmdDist(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("dist", flag.ExitOnError)
 	workersCSV := fs.String("workers", "", "comma-separated worker endpoints (host:port,... — start each with `sutd -serve host:port`)")
@@ -34,12 +34,11 @@ func cmdDist(ctx context.Context, args []string) error {
 	fs.BoolVar(&spec.KeepGoing, "keep-going", false, "per experiment: record infrastructure errors and contained panics instead of failing the shard")
 	fs.BoolVar(&spec.TallyOnly, "tally", false, "summary-only mode: workers send one tally each, no record stream")
 	out := fs.String("out", "", "merged profile path (.cprof = compact binary frames, else JSONL)")
-	checkpoint := fs.String("checkpoint", "", "checkpoint file enabling resume (default <out>.ckpt when -out is set)")
-	resume := fs.Bool("resume", false, "resume from the checkpoint, completing only the missing sequence range")
+	resume := fs.Bool("resume", false, "resume -out from the records it holds, completing only the missing sequence range")
 	stall := fs.Duration("stall-timeout", 15*time.Second, "reassign a shard when its worker sends no frame for this long")
 	dialTO := fs.Duration("dial-timeout", 5*time.Second, "worker connection timeout")
 	retries := fs.Int("retries", 5, "per-shard attempt cap (dial failures retire the endpoint instead)")
-	fsync := fs.Bool("fsync", false, "fsync the merged output at every checkpoint flush so -resume survives host crashes, not just process kills")
+	fsync := fs.Bool("fsync", false, "fsync the merged output at every flush (one per 4,096 records) so -resume survives host crashes, not just process kills")
 	quiet := fs.Bool("quiet", false, "suppress scheduling diagnostics")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -49,20 +48,10 @@ func cmdDist(ctx context.Context, args []string) error {
 	if len(endpoints) == 0 {
 		return errors.New("dist: -workers host:port,... is required")
 	}
-	if spec.TallyOnly && *out != "" {
-		return errors.New("dist: -tally sends no records; drop -out or -tally")
-	}
 	if *out == "-" {
-		// The run's summary owns stdout, and a checkpointed output must be
-		// a file a resume can reconcile.
+		// The run's summary owns stdout, and a resumable output must be a
+		// file.
 		return errors.New("dist: -out - is not supported: name an output file")
-	}
-	cp := *checkpoint
-	if cp == "" && *out != "" {
-		cp = *out + ".ckpt"
-	}
-	if *resume && (cp == "" || spec.TallyOnly) {
-		return errors.New("dist: -resume needs a checkpoint: pass -out or -checkpoint, and drop -tally (a tally run keeps none)")
 	}
 	// Build the cell every worker will build: a bad name or setting fails
 	// here, not as N identical worker errors later.
@@ -75,16 +64,15 @@ func cmdDist(ctx context.Context, args []string) error {
 		nshards = len(endpoints)
 	}
 	coord := &dist.Coordinator{
-		Workers:        endpoints,
-		Shards:         nshards,
-		Spec:           spec,
-		OutPath:        *out,
-		CheckpointPath: cp,
-		Resume:         *resume,
-		DialTimeout:    *dialTO,
-		StallTimeout:   *stall,
-		Retry:          dist.RetryPolicy{MaxAttempts: *retries},
-		SyncOutput:     *fsync,
+		Workers:      endpoints,
+		Shards:       nshards,
+		Spec:         spec,
+		OutPath:      *out,
+		Resume:       *resume,
+		DialTimeout:  *dialTO,
+		StallTimeout: *stall,
+		Retry:        dist.RetryPolicy{MaxAttempts: *retries},
+		SyncOutput:   *fsync,
 	}
 	if !*quiet {
 		coord.Logf = func(format string, a ...any) {

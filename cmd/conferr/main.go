@@ -467,10 +467,21 @@ func cmdCampaign(ctx context.Context, args []string) error {
 		counters = &conferr.LifecycleCounters{}
 		runner.PoolCounters = counters
 	}
+	// Open the output before the run, so an unwritable path fails before
+	// any experiment does.
+	var out *cprof.File
+	if *outPath != "" {
+		if out, err = cprof.OpenPath(*outPath); err != nil {
+			return err
+		}
+	}
 	prof, err := runner.Run(ctx,
 		conferr.WithParallelism(*workers),
 		conferr.WithBaselineCheck())
 	if err != nil {
+		if out != nil {
+			out.Close(false)
+		}
 		return err
 	}
 	if counters != nil {
@@ -489,8 +500,8 @@ func cmdCampaign(ctx context.Context, args []string) error {
 		fmt.Println()
 		fmt.Print(prof.FormatRecords())
 	}
-	if *outPath != "" {
-		if err := writeProfile(*outPath, prof); err != nil {
+	if out != nil {
+		if err := writeProfile(out, prof); err != nil {
 			return err
 		}
 		fmt.Println("profile written to", *outPath)
@@ -498,13 +509,10 @@ func cmdCampaign(ctx context.Context, args []string) error {
 	return nil
 }
 
-// writeProfile writes an in-memory profile to path as one campaign's
-// record stream, in the format the path selects.
-func writeProfile(path string, prof *conferr.Profile) error {
-	out, err := cprof.OpenPath(path, 0)
-	if err != nil {
-		return err
-	}
+// writeProfile writes an in-memory profile to out as one campaign's
+// record stream and closes it.
+func writeProfile(out *cprof.File, prof *conferr.Profile) error {
+	var err error
 	sink := out.Sink(prof.System, prof.Generator)
 	for _, r := range prof.Records {
 		if err = sink.Write(r); err != nil {
@@ -593,7 +601,7 @@ func cmdMatrix(ctx context.Context, args []string) error {
 	}
 	var out *cprof.File
 	if *streamOut != "" {
-		if out, err = cprof.OpenPath(*streamOut, 0); err != nil {
+		if out, err = cprof.OpenPath(*streamOut); err != nil {
 			return err
 		}
 		mo.SinkFor = func(e conferr.MatrixEntry) conferr.Sink {

@@ -287,6 +287,24 @@ func TestRunCampaignJSONOutput(t *testing.T) {
 	}
 }
 
+// TestCampaignOutUnwritableFailsFirst: `campaign -out` opens its output
+// before the run, so an unwritable path fails before any experiment and
+// prints no summary, with an error that names the path and no format
+// prefix.
+func TestCampaignOutUnwritableFailsFirst(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "x.jsonl")
+	var err error
+	stdout := capture(t, func() {
+		err = cmdCampaign(context.Background(), []string{"-system", "bind", "-plugin", "semantic", "-out", path})
+	})
+	if err == nil || !strings.Contains(err.Error(), path) || strings.Contains(err.Error(), "cprof:") {
+		t.Fatalf("err = %v, want the open error naming %s without a cprof: prefix", err, path)
+	}
+	if stdout != "" {
+		t.Fatalf("the failed campaign printed:\n%s", stdout)
+	}
+}
+
 // TestCampaignOutReadBack: what `campaign -out` writes, in either
 // format, is a profile report and convert read, and both formats hold
 // the same records.
@@ -481,9 +499,10 @@ func TestRunMatrixCprofConvertReport(t *testing.T) {
 }
 
 // TestDistResumeNeedsCheckpoint: `dist -resume` with nothing to resume
-// from — no checkpoint path, or a tally run, which keeps no checkpoint —
-// is refused before any worker is dialed, instead of silently running
-// the whole campaign fresh.
+// from — no -out, which is the run's checkpoint, whether or not it is a
+// tally run — is refused before any worker is dialed, instead of
+// silently running the whole campaign fresh; so is a tally run given an
+// -out it would never write.
 func TestDistResumeNeedsCheckpoint(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -501,14 +520,18 @@ func TestDistResumeNeedsCheckpoint(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	base := []string{"-workers", ln.Addr().String(), "-system", "nginx", "-limit", "5", "-retries", "1", "-quiet", "-resume"}
-	for _, extra := range [][]string{
-		nil,
-		{"-tally", "-checkpoint", filepath.Join(t.TempDir(), "run.ckpt")},
+	base := []string{"-workers", ln.Addr().String(), "-system", "nginx", "-limit", "5", "-retries", "1", "-quiet"}
+	for _, c := range []struct {
+		extra []string
+		want  string
+	}{
+		{[]string{"-resume"}, "resume needs an output file"},
+		{[]string{"-resume", "-tally"}, "resume needs an output file"},
+		{[]string{"-tally", "-out", filepath.Join(t.TempDir(), "x.jsonl")}, "tally run sends no records"},
 	} {
-		err := cmdDist(context.Background(), append(base, extra...))
-		if err == nil || !strings.Contains(err.Error(), "-resume needs a checkpoint") {
-			t.Errorf("dist %v: err = %v, want a -resume refusal", extra, err)
+		err := cmdDist(context.Background(), append(base, c.extra...))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("dist %v: err = %v, want %q", c.extra, err, c.want)
 		}
 	}
 	if n := accepted.Load(); n != 0 {

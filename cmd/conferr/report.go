@@ -157,7 +157,7 @@ func cmdConvert(ctx context.Context, args []string) error {
 	if isC {
 		scan = func(fn func(profile.JSONLEntry) error) error { return cprof.ScanFileSeqOrdered(in, fn) }
 	}
-	w, err := cprof.OpenPath(out, 0)
+	w, err := cprof.OpenPath(out)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 
 	"conferr/internal/profile"
@@ -82,11 +81,9 @@ func WithTargetFactory(f TargetFactory) RunOption {
 // the parallelism, the profile lists records in scenario order and is
 // deterministic for a fixed faultload.
 //
-// Keeping every record lets RunContext refuse a ScenarioID that repeats an
-// earlier one, which would collide in per-scenario reporting (Compare,
-// FormatRecords sorting) and in JSONL dedup or resume. The refusal comes
-// when the duplicate's record flushes, with the profile of every record
-// before it.
+// Its sink, profile.MemorySink, refuses a ScenarioID that repeats an
+// earlier one. The refusal comes when the duplicate's record flushes,
+// with the profile of every record before it.
 //
 // On cancellation, RunContext returns ctx.Err() together with the profile
 // of every experiment that completed and flushed in order. On an
@@ -95,26 +92,8 @@ func WithTargetFactory(f TargetFactory) RunOption {
 // earliest failing scenario is returned.
 func (c *Campaign) RunContext(ctx context.Context, opts ...RunOption) (*profile.Profile, error) {
 	prof := &profile.Profile{System: c.Target.System.Name(), Generator: c.Generator.Name()}
-	_, err := c.RunStream(ctx, &profileSink{prof: prof, seen: map[string]struct{}{}}, opts...)
+	_, err := c.RunStream(ctx, &profile.MemorySink{Profile: prof}, opts...)
 	return prof, err
-}
-
-// profileSink is RunContext's sink: it appends every record to the profile
-// and refuses a repeated ScenarioID. Records arrive gap-free in sequence
-// order, so the profile's length is the duplicate's position.
-type profileSink struct {
-	prof *profile.Profile
-	seen map[string]struct{}
-}
-
-func (s *profileSink) Write(rec profile.Record) error {
-	if _, dup := s.seen[rec.ScenarioID]; dup {
-		return fmt.Errorf("core: plugin %s emitted duplicate ScenarioID %q (scenario #%d)",
-			s.prof.Generator, rec.ScenarioID, len(s.prof.Records))
-	}
-	s.seen[rec.ScenarioID] = struct{}{}
-	s.prof.Add(rec)
-	return nil
 }
 
 // RunStream executes the campaign's faultload as a pull stream: every

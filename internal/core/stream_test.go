@@ -42,6 +42,32 @@ func TestGenerateRejectsDuplicateScenarioIDs(t *testing.T) {
 	}
 }
 
+// TestSuiteInMemoryCellRejectsDuplicateScenarioIDs: a suite cell kept in
+// memory refuses a repeated ScenarioID exactly as RunContext does, and
+// its profile keeps the records before the duplicate.
+func TestSuiteInMemoryCellRejectsDuplicateScenarioIDs(t *testing.T) {
+	scens := []scenario.Scenario{
+		{ID: "dup/0", Class: "c", Apply: func(*confnode.Set) error { return nil }},
+		{ID: "ok/1", Class: "c", Apply: func(*confnode.Set) error { return nil }},
+		{ID: "dup/0", Class: "c", Apply: func(*confnode.Set) error { return nil }},
+	}
+	suite := &Suite{Workers: 1, Campaigns: []SuiteCampaign{{
+		Name:     "fake/bad",
+		Campaign: &Campaign{Target: target(&fakeSystem{}), Generator: badGen{scens: scens}},
+	}}}
+	res, err := suite.Run(context.Background())
+	if err == nil {
+		t.Fatal("suite with a duplicating cell succeeded")
+	}
+	cr := res.Results[0]
+	if cr.Err == nil || cr.Err.Error() != `core: plugin bad emitted duplicate ScenarioID "dup/0" (scenario #2)` {
+		t.Fatalf("cell err = %v, want duplicate-ScenarioID rejection naming dup/0 at #2", cr.Err)
+	}
+	if cr.Profile == nil || len(cr.Profile.Records) != 2 {
+		t.Fatalf("cell profile = %+v, want the 2 records before the duplicate", cr.Profile)
+	}
+}
+
 // TestBaselineMissingFormatError is the regression test for the nil-format
 // panic: a Target whose Formats map lost an entry after parse must fail
 // with an error naming the file, not a nil-interface dereference.

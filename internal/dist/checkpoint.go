@@ -7,15 +7,14 @@ import (
 	"path/filepath"
 )
 
-// Checkpoint is the tiny resume state of a distributed campaign: the
-// campaign's whole spec and shard count (so a resume never splices two
-// different runs together) and the merge's flush front. Everything else
-// is re-derivable — a resumed coordinator re-requests every shard from
-// Front and workers regenerate without re-injecting the prefix.
+// Checkpoint is the resume sidecar of a distributed campaign
+// (<OutPath>.ckpt): the campaign's whole spec, so a resume never splices
+// two different runs together. It holds no progress — the merged output
+// is its own record of that: its intact prefix of records 0, 1, 2, … is
+// the resume front, and a resumed coordinator re-requests every shard
+// from there while workers regenerate without re-injecting the prefix.
 type Checkpoint struct {
-	Spec   CampaignSpec `json:"campaign"`
-	Shards int          `json:"shards"`
-	Front  int          `json:"front"`
+	Spec CampaignSpec `json:"campaign"`
 }
 
 // writeCheckpoint persists cp crash-safely: the bytes are fsynced to a
@@ -75,7 +74,7 @@ func loadCheckpoint(path string) (Checkpoint, error) {
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return Checkpoint{}, fmt.Errorf("dist: decoding checkpoint %s: %w", filepath.Base(path), err)
 	}
-	if cp.Front < 0 || cp.Shards <= 0 || cp.Spec.System == "" {
+	if cp.Spec.System == "" {
 		// An empty spec is also what a checkpoint written before the
 		// spec was stored decodes to: refuse it rather than guess.
 		return Checkpoint{}, fmt.Errorf("dist: checkpoint %s is malformed", filepath.Base(path))
@@ -84,14 +83,12 @@ func loadCheckpoint(path string) (Checkpoint, error) {
 }
 
 // matches rejects resuming one campaign's checkpoint into a different
-// campaign — a spec differing in more than resumeKey drops, or a
-// different shard layout — which would splice two unrelated streams.
-func (cp Checkpoint) matches(spec CampaignSpec, shards int) error {
+// campaign — a spec differing in more than resumeKey drops — which would
+// splice two unrelated streams. The shard count may differ: every shard
+// is a stride of one pure stream, so any layout resumes the same bytes.
+func (cp Checkpoint) matches(spec CampaignSpec) error {
 	if cp.Spec.resumeKey() != spec.resumeKey() {
 		return fmt.Errorf("dist: checkpoint is for campaign %+v, not %+v", cp.Spec, spec)
-	}
-	if cp.Shards != shards {
-		return fmt.Errorf("dist: checkpoint has %d shards, campaign has %d", cp.Shards, shards)
 	}
 	return nil
 }

@@ -15,7 +15,7 @@ import (
 func TestWriteCheckpointAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	good := Checkpoint{Spec: CampaignSpec{System: "nginx", Plugin: "typo", Seed: 7}, Shards: 3, Front: 41}
+	good := Checkpoint{Spec: CampaignSpec{System: "nginx", Plugin: "typo", Seed: 7}}
 	if err := writeCheckpoint(path, good); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestWriteCheckpointAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := good
-	bad.Front = 99
+	bad.Spec.Seed = 99
 	if err := writeCheckpoint(path, bad); err == nil {
 		t.Fatal("checkpoint write through a squatting temp path succeeded")
 	}
@@ -85,17 +85,17 @@ func TestShardRequestProtocolValidation(t *testing.T) {
 
 // FuzzLoadCheckpoint feeds arbitrary bytes to loadCheckpoint: it must
 // never panic, and any checkpoint it accepts must survive a
-// writeCheckpoint/loadCheckpoint round trip unchanged.
+// writeCheckpoint/loadCheckpoint round trip unchanged. The shards and
+// front fields older sidecars carried are ignored.
 func FuzzLoadCheckpoint(f *testing.F) {
-	f.Add([]byte(`{"campaign":{"system":"nginx","plugin":"typo","seed":7},"shards":3,"front":41}` + "\n"))
+	f.Add([]byte(`{"campaign":{"system":"nginx","plugin":"typo","seed":7}}` + "\n"))
 	f.Add([]byte(`{"campaign":{"system":"nginx","plugin":"typo","seed":12,"rounds":107,"limit":20000,"port":11516,` +
-		`"lifecycle":"reload","memnet":true,"no_duration":true,"experiment_timeout":60000000000,"phase_timeout":30000000000},` +
-		`"shards":4,"front":0}`))
+		`"lifecycle":"reload","memnet":true,"no_duration":true,"experiment_timeout":60000000000,"phase_timeout":30000000000}}`))
 	f.Add([]byte(`{"campaign":{"system":"nginx","plugin":"typo","se`))
-	f.Add([]byte(`{"campaign":{"system":"né😀"},"shards":1,"front":0,"extra":[1,2]}`))
-	f.Add([]byte("{\"campaign\":{\"system\":\"bad\xff\"},\"shards\":1,\"front\":0}"))
+	f.Add([]byte(`{"campaign":{"system":"né😀"},"extra":[1,2]}`))
+	f.Add([]byte("{\"campaign\":{\"system\":\"bad\xff\"}}"))
 	f.Add([]byte(`{"campaign":{"system":"nginx"},"shards":0,"front":-1}`))
-	f.Add([]byte(`{"campaign":{},"shards":1,"front":0}`))
+	f.Add([]byte(`{"campaign":{}}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -17,11 +17,13 @@ import (
 // Coordinator schedules the Shards shards of one campaign across worker
 // daemons, retries failed or stalled shards with capped exponential
 // backoff, and merges the shard streams into one deterministic,
-// gap-checked profile. Records are flushed in exact sequence order, so
+// gap-checked profile. Records are written in exact sequence order, so
 // the output is byte-identical to a single-process run of the same
-// campaign, and the merge's flush front — one sequence number — is a
-// complete checkpoint: a resumed coordinator re-requests every shard
-// from that front and workers skip the prefix without re-injecting it.
+// campaign, and the output is its own checkpoint: the records it holds
+// intact are a gap-free prefix, and a resumed coordinator re-requests
+// every shard from that prefix's end while workers skip the prefix
+// without re-injecting it. A sidecar, <OutPath>.ckpt, holds only the
+// spec, so a resume cannot continue a different campaign's output.
 type Coordinator struct {
 	// Workers are the worker daemon endpoints (host:port).
 	Workers []string
@@ -32,17 +34,17 @@ type Coordinator struct {
 	// watchdog deadlines included; every shard request carries it as is.
 	Spec CampaignSpec
 	// Out, when non-nil, receives the merged record stream, one JSONL
-	// line per Write. Otherwise a non-empty OutPath is opened with
-	// cprof.OpenPath, which picks the format from the name (compact
-	// frames for a .cprof name, else JSONL) and, on resume, reconciles
-	// the file to the checkpoint front before appending.
+	// line per Write; such a run cannot be resumed. Otherwise a non-empty
+	// OutPath names the merged profile, in the format its name picks
+	// (compact frames for a .cprof name, else JSONL), and the sidecar
+	// <OutPath>.ckpt is written beside it at start and removed on
+	// success. A tally run takes no OutPath.
 	Out     io.Writer
 	OutPath string
-	// CheckpointPath enables checkpointing ("" disables). Ignored in
-	// tally mode, where there is no record stream to checkpoint.
-	CheckpointPath string
-	// Resume loads the checkpoint and completes only the missing
-	// sequence range. A missing checkpoint file degrades to a fresh run.
+	// Resume continues the OutPath a failed or killed run left: after
+	// the sidecar's spec is checked against Spec, the output keeps its
+	// intact prefix (cprof.ResumePath) and only the sequences past it
+	// are run. A missing sidecar degrades to a fresh run.
 	Resume bool
 	// DialTimeout bounds connection establishment (0 selects 5s).
 	DialTimeout time.Duration
@@ -52,15 +54,10 @@ type Coordinator struct {
 	StallTimeout time.Duration
 	// Retry shapes per-shard retries.
 	Retry RetryPolicy
-	// CheckpointEvery throttles checkpoint writes to one per this many
-	// flushed records (0 selects one cprof frame,
-	// cprof.DefaultFrameRecords). Each checkpoint flushes the output
-	// first, which cuts a cprof frame, so a frame-sized interval keeps
-	// frames full-size.
-	CheckpointEvery int
-	// SyncOutput fsyncs the OutPath file on every flush (each checkpoint
-	// and at the end), so a host crash cannot leave the checkpoint
-	// claiming records the output lost.
+	// SyncOutput fsyncs the OutPath file on every flush (one per
+	// cprof.DefaultFrameRecords merged records) and as it closes, after
+	// its last frame and trailer, so a host crash loses at most the
+	// records since the last flush.
 	SyncOutput bool
 	// Logf, when non-nil, receives scheduling diagnostics.
 	Logf func(format string, args ...any)
@@ -91,22 +88,19 @@ func (c *Coordinator) logf(format string, args ...any) {
 // coordState is the shared mutable half of a run: the merger, the tally,
 // completion bookkeeping, and the failure latch.
 type coordState struct {
-	mu         sync.Mutex
-	merger     *profile.SeqMerger
-	flush      func() error
-	summary    profile.Summary
-	shardDone  map[int]bool
-	total      int // sum of done-frame Records across shards
-	retries    int
-	live       int // endpoints not yet retired
-	err        error
-	doneCh     chan struct{}
-	cancel     context.CancelFunc
-	cpPath     string
-	cpEvery    int
-	cpTemplate Checkpoint
-	cpLast     int // front at last checkpoint write
-	logf       func(string, ...any)
+	mu        sync.Mutex
+	merger    *profile.SeqMerger
+	flush     func() error
+	flushed   int // merge front at the last flush
+	summary   profile.Summary
+	shardDone map[int]bool
+	total     int // sum of done-frame Records across shards
+	retries   int
+	live      int // endpoints not yet retired
+	err       error
+	doneCh    chan struct{}
+	cancel    context.CancelFunc
+	logf      func(string, ...any)
 }
 
 func (st *coordState) fail(err error) {
@@ -123,8 +117,8 @@ func (st *coordState) failLocked(err error) {
 	}
 }
 
-// addRec feeds one record frame to the merger, checkpointing when the
-// flush front has advanced enough.
+// addRec feeds one record frame to the merger, flushing the output once
+// a frame's worth of records has merged since the last flush.
 func (st *coordState) addRec(seq int, line []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -137,28 +131,14 @@ func (st *coordState) addRec(seq int, line []byte) error {
 		st.failLocked(err)
 		return err
 	}
-	if st.cpPath != "" && st.merger.Front()-st.cpLast >= st.cpEvery {
-		st.checkpointLocked()
-	}
-	return nil
-}
-
-// checkpointLocked persists the current flush front. The output is
-// flushed first so the checkpoint never claims lines the file lacks.
-func (st *coordState) checkpointLocked() {
-	if st.flush != nil {
+	if st.flush != nil && st.merger.Front()-st.flushed >= cprof.DefaultFrameRecords {
 		if err := st.flush(); err != nil {
 			st.failLocked(err)
-			return
+			return err
 		}
+		st.flushed = st.merger.Front()
 	}
-	cp := st.cpTemplate
-	cp.Front = st.merger.Front()
-	if err := writeCheckpoint(st.cpPath, cp); err != nil {
-		st.logf("dist: checkpoint: %v", err)
-		return
-	}
-	st.cpLast = cp.Front
+	return nil
 }
 
 // finishShard records one shard's completion; returns true when it was
@@ -227,83 +207,57 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	if stallTO <= 0 {
 		stallTO = 15 * time.Second
 	}
-	cpEvery := c.CheckpointEvery
-	if cpEvery <= 0 {
-		cpEvery = cprof.DefaultFrameRecords
-	}
 	tally := c.Spec.TallyOnly
-	cpPath := c.CheckpointPath
-	if tally {
-		cpPath = "" // no record stream, nothing to checkpoint
+	if tally && c.OutPath != "" {
+		return Result{}, errors.New("dist: a tally run sends no records: it takes no output")
 	}
-
-	// Resume: the checkpointed flush front is the whole story — every
-	// shard is re-requested from it, and the output file is reconciled to
-	// exactly that many records (a longer file is truncated; the dropped
-	// tail is re-fetched deterministically).
-	startSeq := 0
-	if c.Resume && cpPath != "" {
-		cp, err := loadCheckpoint(cpPath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			c.logf("dist: no checkpoint at %s, starting fresh", cpPath)
-		case err != nil:
-			return Result{}, err
-		default:
-			if err := cp.matches(c.Spec, shards); err != nil {
-				return Result{}, err
-			}
-			startSeq = cp.Front
-			c.logf("dist: resuming from sequence %d", startSeq)
-		}
+	if c.Resume && c.OutPath == "" {
+		return Result{}, errors.New("dist: resume needs an output file: the merged profile is what a run resumes from")
 	}
 
 	var (
-		w     io.Writer = io.Discard
-		out   *cprof.File
-		flush func() error
+		w        io.Writer = io.Discard
+		out      *cprof.File
+		flush    func() error
+		closeOut func(complete bool) error
+		cpPath   string
+		startSeq int
 	)
 	switch {
 	case tally:
 	case c.Out != nil:
 		w = c.Out
 	case c.OutPath != "":
+		cpPath = c.OutPath + ".ckpt"
 		var err error
-		if out, err = cprof.OpenPath(c.OutPath, startSeq); err != nil {
+		if out, startSeq, err = c.openOutput(cpPath); err != nil {
 			return Result{}, err
 		}
-		w, flush = out, out.Flush
+		// Written after the output is opened: a fresh run has truncated
+		// whatever another campaign left there before its spec lands.
+		if err := writeCheckpoint(cpPath, Checkpoint{Spec: c.Spec}); err != nil {
+			out.Close(false)
+			return Result{}, err
+		}
+		w, flush, closeOut = out, out.Flush, out.Close
 		if c.SyncOutput {
-			flush = out.Sync
+			flush, closeOut = out.Sync, out.SyncClose
 		}
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	st := &coordState{
-		flush:      flush,
-		shardDone:  make(map[int]bool, shards),
-		live:       len(c.Workers),
-		doneCh:     make(chan struct{}),
-		cancel:     cancel,
-		cpPath:     cpPath,
-		cpEvery:    cpEvery,
-		cpTemplate: Checkpoint{Spec: c.Spec, Shards: shards},
-		cpLast:     startSeq,
-		logf:       c.logf,
+		flush:     flush,
+		flushed:   startSeq,
+		shardDone: make(map[int]bool, shards),
+		live:      len(c.Workers),
+		doneCh:    make(chan struct{}),
+		cancel:    cancel,
+		logf:      c.logf,
 	}
 	if !tally {
 		st.merger = profile.NewSeqMerger(w, startSeq)
-	}
-	if cpPath != "" {
-		// Seed the checkpoint immediately: a coordinator killed before any
-		// record flushes still leaves a resumable (front = startSeq) file,
-		// and identity mismatches surface on the next resume, not silently.
-		cp := st.cpTemplate
-		cp.Front = startSeq
-		if err := writeCheckpoint(cpPath, cp); err != nil {
-			return Result{}, err
-		}
 	}
 
 	// Retries restart from the same resume front as the original attempt,
@@ -341,11 +295,6 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	merger := st.merger
 	st.mu.Unlock()
 
-	if flush != nil {
-		if err := flush(); err != nil && runErr == nil {
-			runErr = fmt.Errorf("dist: flushing output: %w", err)
-		}
-	}
 	res := Result{Records: total, Summary: summary, Retries: retries, StartSeq: startSeq}
 	if merger != nil {
 		res.Duplicates = merger.Duplicates()
@@ -356,13 +305,13 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 		}
 	}
 	if out != nil {
-		if err := out.Close(runErr == nil); err != nil && runErr == nil {
+		if err := closeOut(runErr == nil); err != nil && runErr == nil {
 			runErr = fmt.Errorf("dist: finishing output: %w", err)
 		}
 	}
 	if runErr != nil {
-		// Leave the checkpoint behind: the run is resumable from the
-		// flush front it recorded.
+		// Leave the sidecar behind: the output is resumable from the
+		// records it holds.
 		return res, runErr
 	}
 	if cpPath != "" {
@@ -371,6 +320,33 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// openOutput opens OutPath for a run: truncated when fresh, or, on
+// resume, at the end of the records it holds intact, which are then the
+// run's start sequence. A resume first checks the sidecar at cpPath
+// against Spec; a missing one makes the run fresh.
+func (c *Coordinator) openOutput(cpPath string) (*cprof.File, int, error) {
+	if c.Resume {
+		cp, err := loadCheckpoint(cpPath)
+		switch {
+		case errors.Is(err, os.ErrNotExist):
+			c.logf("dist: no checkpoint at %s, starting fresh", cpPath)
+		case err != nil:
+			return nil, 0, err
+		default:
+			if err := cp.matches(c.Spec); err != nil {
+				return nil, 0, err
+			}
+			out, front, err := cprof.ResumePath(c.OutPath)
+			if err == nil {
+				c.logf("dist: resuming from sequence %d", front)
+			}
+			return out, front, err
+		}
+	}
+	out, err := cprof.OpenPath(c.OutPath)
+	return out, 0, err
 }
 
 // serveEndpoint is one worker endpoint's scheduling loop: pull a shard,

@@ -40,7 +40,14 @@ func startServer(t *testing.T, runner dist.ShardRunner) (*dist.Server, string) {
 	return srv, ln.Addr().String()
 }
 
-func stubLine(seq int) []byte { return []byte(fmt.Sprintf(`{"seq":%d}`, seq)) }
+// stubLine renders the stub faultload's record seq as a profile line
+// (newline trimmed), so a resumed JSONL output can parse it back.
+func stubLine(seq int) []byte {
+	line := profile.AppendJSONLRecord(nil, "stub", "stub", seq, profile.Record{
+		ScenarioID: fmt.Sprint("stub#", seq), Outcome: profile.DetectedByTest,
+	})
+	return line[:len(line)-1]
+}
 
 // stubShard emits the shard's slice of a synthetic faultload whose size
 // rides in Campaign.Limit, honoring the StartSeq skip contract.
@@ -328,54 +335,70 @@ func TestDistWorkerDeathReassigned(t *testing.T) {
 	}
 }
 
-// TestDistResumeFromCheckpoint: a failed run leaves a checkpoint; the
-// resumed run re-requests every shard from the flush front, completes
-// exactly the missing sequence range, and removes the checkpoint.
+// cursedShard wraps runner so that shard 1 fails every attempt once it
+// reaches sequence from: the run fails with the merge front parked there.
+func cursedShard(runner dist.ShardRunner, from int) dist.ShardRunner {
+	return dist.ShardRunnerFunc(func(ctx context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
+		if req.Shard != 1 {
+			return runner.RunShard(ctx, req, emit)
+		}
+		return runner.RunShard(ctx, req, func(seq int, line []byte) error {
+			if seq >= from {
+				return fmt.Errorf("shard 1 is cursed from sequence %d", from)
+			}
+			return emit(seq, line)
+		})
+	})
+}
+
+// failFast gives a cursed shard two attempts, well under a second.
+var failFast = dist.RetryPolicy{MaxAttempts: 2, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 5 * time.Millisecond}
+
+// failRun runs spec to failure on a worker whose shard 1 is cursed from
+// sequence from, leaving outPath and its sidecar behind.
+func failRun(t *testing.T, runner dist.ShardRunner, from, shards int, spec dist.CampaignSpec, outPath string) {
+	t.Helper()
+	_, addr := startServer(t, cursedShard(runner, from))
+	coord := &dist.Coordinator{
+		Workers: []string{addr}, Shards: shards, Spec: spec, OutPath: outPath,
+		StallTimeout: 5 * time.Second, Retry: failFast,
+	}
+	if _, err := coord.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "cursed") {
+		t.Fatalf("run with a cursed shard: err = %v, want the curse", err)
+	}
+	if _, err := os.Stat(outPath + ".ckpt"); err != nil {
+		t.Fatalf("failed run left no sidecar: %v", err)
+	}
+}
+
+// TestDistResumeFromCheckpoint: a failed run leaves its output and the
+// sidecar holding only its spec; the resumed run keeps the records the
+// output holds intact, re-requests every shard from the end of them,
+// completes exactly the missing sequence range, and removes the sidecar.
 func TestDistResumeFromCheckpoint(t *testing.T) {
 	const total = 20
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "merged.jsonl")
+	outPath := filepath.Join(t.TempDir(), "merged.jsonl")
 	cpPath := outPath + ".ckpt"
 	spec := dist.CampaignSpec{System: "stub", Plugin: "stub", Seed: 3, Limit: total}
 
-	// Run 1: shard 0 completes, shard 1 always fails — the run dies with
-	// the flush front parked right behind shard 1's first sequence.
-	broken := dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
-		if req.Shard == 1 {
-			return dist.ShardResult{}, errors.New("shard 1 is cursed")
-		}
-		return stubShard(req, emit)
-	})
-	_, addr := startServer(t, broken)
-	coord := &dist.Coordinator{
-		Workers:         []string{addr},
-		Shards:          2,
-		Spec:            spec,
-		OutPath:         outPath,
-		CheckpointPath:  cpPath,
-		StallTimeout:    5 * time.Second,
-		Retry:           dist.RetryPolicy{MaxAttempts: 2, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 5 * time.Millisecond},
-		CheckpointEvery: 1,
-	}
-	if _, err := coord.Run(context.Background()); err == nil {
-		t.Fatal("run with a cursed shard succeeded")
+	// Run 1: shard 1 always fails — the run dies with the merge front
+	// parked right behind shard 1's first sequence, so the output holds
+	// seq 0 alone.
+	failRun(t, healthyRunner(), 0, 2, spec, outPath)
+	if got, _ := os.ReadFile(outPath); !bytes.Equal(got, wantStream(1)) {
+		t.Fatalf("failed run's output = %q, want seq 0 alone", got)
 	}
 	cpData, err := os.ReadFile(cpPath)
 	if err != nil {
-		t.Fatalf("failed run left no checkpoint: %v", err)
-	}
-	var cp struct {
-		Front int `json:"front"`
-	}
-	if err := json.Unmarshal(cpData, &cp); err != nil {
 		t.Fatal(err)
 	}
-	if cp.Front != 1 {
-		t.Fatalf("checkpoint front = %d, want 1 (only seq 0 was flushable)", cp.Front)
+	if want := `{"campaign":{"system":"stub","plugin":"stub","seed":3,"limit":20}}` + "\n"; string(cpData) != want {
+		t.Fatalf("sidecar = %s, want %s", cpData, want)
 	}
 
-	// Simulate records flushed past the checkpoint before the kill: the
-	// resume must truncate them and re-fetch deterministically.
+	// A line that is not record 1 (a foreign or stale tail) ends the
+	// intact prefix: the resume truncates it and re-fetches
+	// deterministically.
 	f, err := os.OpenFile(outPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +409,7 @@ func TestDistResumeFromCheckpoint(t *testing.T) {
 	f.Close()
 
 	// Run 2: healthy workers, resumed. Every shard request must carry the
-	// checkpointed front as its start sequence.
+	// output's record count as its start sequence.
 	var mu sync.Mutex
 	var startSeqs []int
 	observed := dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
@@ -397,14 +420,13 @@ func TestDistResumeFromCheckpoint(t *testing.T) {
 	})
 	_, addr2 := startServer(t, observed)
 	coord2 := &dist.Coordinator{
-		Workers:        []string{addr2},
-		Shards:         2,
-		Spec:           spec,
-		OutPath:        outPath,
-		CheckpointPath: cpPath,
-		Resume:         true,
-		StallTimeout:   5 * time.Second,
-		Retry:          fastRetry,
+		Workers:      []string{addr2},
+		Shards:       2,
+		Spec:         spec,
+		OutPath:      outPath,
+		Resume:       true,
+		StallTimeout: 5 * time.Second,
+		Retry:        fastRetry,
 	}
 	res, err := coord2.Run(context.Background())
 	if err != nil {
@@ -438,34 +460,56 @@ func TestDistResumeFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestDistResumeRefusesDifferentSpec: a checkpoint resumes only the
+// TestDistResumeJSONLCorruptLine: a JSONL output whose line 7 is damaged
+// mid-file resumes from sequence 7 — the lines after the damage are
+// dropped with it — and the result is byte-identical to an
+// uninterrupted run.
+func TestDistResumeJSONLCorruptLine(t *testing.T) {
+	const total = 20
+	outPath := filepath.Join(t.TempDir(), "merged.jsonl")
+	spec := dist.CampaignSpec{System: "stub", Plugin: "stub", Seed: 3, Limit: total}
+	failRun(t, healthyRunner(), 0, 2, spec, outPath)
+
+	want := wantStream(total)
+	damaged := bytes.Replace(want, stubLine(7), stubLine(7)[:40], 1)
+	if err := os.WriteFile(outPath, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, healthyRunner())
+	coord := &dist.Coordinator{
+		Workers: []string{addr}, Shards: 2, Spec: spec, OutPath: outPath, Resume: true,
+		StallTimeout: 5 * time.Second, Retry: fastRetry,
+	}
+	res, err := coord.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StartSeq != 7 {
+		t.Fatalf("resume started from %d, want 7 (the damaged line)", res.StartSeq)
+	}
+	if got, _ := os.ReadFile(outPath); !bytes.Equal(got, want) {
+		t.Fatalf("resumed output diverges:\n%s", got)
+	}
+}
+
+// TestDistResumeRefusesDifferentSpec: a sidecar resumes only the
 // campaign that wrote it. A different Port is refused with both specs in
-// the error, and so is a checkpoint that predates stored specs; neither
-// refusal touches the output. A different Lifecycle and Memnet, which
-// are byte-invisible, resume to the same bytes.
+// the error, and so is a sidecar that predates stored specs; neither
+// refusal touches the output. A different Lifecycle, Memnet, deadlines
+// and shard count resume to the same bytes.
 func TestDistResumeRefusesDifferentSpec(t *testing.T) {
 	const total = 20
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "merged.jsonl")
+	outPath := filepath.Join(t.TempDir(), "merged.jsonl")
 	cpPath := outPath + ".ckpt"
 	spec := dist.CampaignSpec{System: "stub", Plugin: "stub", Seed: 3, Limit: total, Port: 1000}
-	run := func(addr string, spec dist.CampaignSpec, resume bool) (dist.Result, error) {
+	run := func(addr string, spec dist.CampaignSpec, shards int) (dist.Result, error) {
 		c := &dist.Coordinator{
-			Workers: []string{addr}, Shards: 2, Spec: spec,
-			OutPath: outPath, CheckpointPath: cpPath, Resume: resume,
-			StallTimeout: 5 * time.Second, Retry: fastRetry, CheckpointEvery: 1,
+			Workers: []string{addr}, Shards: shards, Spec: spec, OutPath: outPath, Resume: true,
+			StallTimeout: 5 * time.Second, Retry: fastRetry,
 		}
 		return c.Run(context.Background())
 	}
-	_, cursed := startServer(t, dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
-		if req.Shard == 1 {
-			return dist.ShardResult{}, errors.New("shard 1 is cursed")
-		}
-		return stubShard(req, emit)
-	}))
-	if _, err := run(cursed, spec, false); err == nil {
-		t.Fatal("run with a cursed shard succeeded")
-	}
+	failRun(t, healthyRunner(), 0, 2, spec, outPath)
 	out, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
@@ -474,9 +518,7 @@ func TestDistResumeRefusesDifferentSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, healthy := startServer(t, dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
-		return stubShard(req, emit)
-	}))
+	_, healthy := startServer(t, healthyRunner())
 	untouched := func(what string) {
 		t.Helper()
 		if got, _ := os.ReadFile(outPath); !bytes.Equal(got, out) {
@@ -486,7 +528,7 @@ func TestDistResumeRefusesDifferentSpec(t *testing.T) {
 
 	moved := spec
 	moved.Port = 2000
-	_, err = run(healthy, moved, true)
+	_, err = run(healthy, moved, 2)
 	if err == nil || !strings.Contains(err.Error(), "Port:1000") || !strings.Contains(err.Error(), "Port:2000") {
 		t.Fatalf("resume under a different Port: err = %v, want a refusal naming both specs", err)
 	}
@@ -496,25 +538,23 @@ func TestDistResumeRefusesDifferentSpec(t *testing.T) {
 	if err := os.WriteFile(cpPath, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(healthy, spec, true); err == nil || !strings.Contains(err.Error(), "malformed") {
+	if _, err := run(healthy, spec, 2); err == nil || !strings.Contains(err.Error(), "malformed") {
 		t.Fatalf("resume from a checkpoint without a spec: err = %v, want a refusal", err)
 	}
 	untouched("refused resume from a checkpoint without a spec")
 
-	// Without deadlines the checkpoint is byte-for-byte what a build from
-	// before the deadlines moved into the spec wrote, so those resume too.
-	if want := `{"campaign":{"system":"stub","plugin":"stub","seed":3,"limit":20,"port":1000},"shards":2,"front":1}` + "\n"; string(cp) != want {
-		t.Fatalf("checkpoint = %s, want %s", cp, want)
-	}
-	if err := os.WriteFile(cpPath, cp, 0o644); err != nil {
+	// A sidecar from before it lost its progress fields still resumes:
+	// they are ignored, and the output says where to resume.
+	legacy := bytes.Replace(cp, []byte("}}\n"), []byte(`},"shards":2,"front":1}`+"\n"), 1)
+	if err := os.WriteFile(cpPath, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	relived := spec
 	relived.Lifecycle, relived.Memnet = "reload", true
 	relived.ExperimentTimeout, relived.PhaseTimeout = time.Hour, time.Minute
-	res, err := run(healthy, relived, true)
+	res, err := run(healthy, relived, 3)
 	if err != nil {
-		t.Fatalf("resume under a different Lifecycle and deadlines: %v", err)
+		t.Fatalf("resume under a different Lifecycle, deadlines and shard count: %v", err)
 	}
 	if res.StartSeq != 1 {
 		t.Fatalf("resume started from %d, want 1", res.StartSeq)
@@ -597,9 +637,44 @@ func TestDistTallyMode(t *testing.T) {
 	}
 }
 
+// referenceCprof runs the campaign single-process through the matrix
+// path at one worker into a cprof file — the bytes a distributed run
+// merged to .cprof must equal — and returns the file's bytes.
+func referenceCprof(t *testing.T, seed int64, limit, port int) []byte {
+	t.Helper()
+	entries, skipped, err := conferr.MatrixEntries([]string{"nginx"}, []string{"typo"}, conferr.GeneratorOptions{Seed: seed})
+	if err != nil || len(skipped) > 0 || len(entries) != 1 {
+		t.Fatalf("matrix entries: %v (skipped %v)", err, skipped)
+	}
+	entries[0].Port = port
+	path := filepath.Join(t.TempDir(), "ref.cprof")
+	cf, err := conferr.CreateCprof(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo := conferr.MatrixOptions{
+		Workers: 1, Rounds: 1, Limit: limit, InMemory: true,
+		SinkFor: func(e conferr.MatrixEntry) conferr.Sink {
+			return conferr.StripDurations(cf.Sink(e.System, e.Plugin))
+		},
+	}
+	if _, err := conferr.RunMatrix(context.Background(), entries, mo); err != nil {
+		t.Fatal(err)
+	}
+	if err := cf.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestDistCprofOutByteIdentity: a distributed campaign merged straight
-// into a cprof file converts back to JSONL byte-identical to the
-// single-process reference stream.
+// into a cprof file is byte-identical to the single-process matrix run's
+// cprof file — frames, index and trailer — and converts back to the
+// JSONL reference stream.
 func TestDistCprofOutByteIdentity(t *testing.T) {
 	const (
 		seed  = int64(13)
@@ -627,6 +702,9 @@ func TestDistCprofOutByteIdentity(t *testing.T) {
 	if res.Records != limit {
 		t.Fatalf("records = %d, want %d", res.Records, limit)
 	}
+	if got, _ := os.ReadFile(outPath); !bytes.Equal(got, referenceCprof(t, seed, limit, port)) {
+		t.Fatal("cprof merge differs from the single-process cprof file")
+	}
 	var got bytes.Buffer
 	if err := cprof.ToJSONL(outPath, &got); err != nil {
 		t.Fatal(err)
@@ -634,90 +712,53 @@ func TestDistCprofOutByteIdentity(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), ref) {
 		t.Fatalf("cprof merge diverges from single-process reference:\n got %d bytes\nwant %d bytes", got.Len(), len(ref))
 	}
-	// The finished file must carry its trailer index.
+}
+
+// TestDistCprofResume: a run over 4 shards that fails mid-campaign past
+// the first frame leaves a trailerless cprof file holding every merged
+// record: one full frame and the unfinished one, cut short. The run
+// resumed over 2 shards, fsyncing its output, keeps the full frame,
+// writes the rest again, and the result is byte-identical to the
+// single-process cprof file.
+func TestDistCprofResume(t *testing.T) {
+	const (
+		seed  = int64(17)
+		limit = 6000
+		port  = 25904
+	)
+	outPath := filepath.Join(t.TempDir(), "resume.cprof")
+	spec := realSpec(seed, limit, port)
+	spec.Lifecycle = "reload"
+	real := conferr.NewDistRunner()
+
+	failRun(t, real, 5000, 4, spec, outPath)
 	f, err := os.Open(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	st, _ := f.Stat()
-	if _, fromIndex, err := cprof.ReadIndex(f, st.Size()); err != nil || !fromIndex {
-		t.Fatalf("finished cprof file lacks a trailer index (fromIndex=%v err=%v)", fromIndex, err)
+	frames, fromIndex, err := cprof.ReadIndex(f, st.Size())
+	f.Close()
+	if err != nil || fromIndex || len(frames) != 2 || frames[0].Count != cprof.DefaultFrameRecords || frames[1].LastSeq != 5000 {
+		t.Fatalf("failed run's output: frames %+v (fromIndex=%v, err=%v), want records 0..5000 in a full frame and a short one, and no trailer", frames, fromIndex, err)
 	}
-}
 
-// TestDistCprofResume: a run that dies mid-campaign leaves a trailerless
-// cprof prefix and a checkpoint; the resumed run reconciles the file by
-// walking frames, truncates past the front, completes the missing range,
-// and the final file still converts byte-identical to the reference.
-func TestDistCprofResume(t *testing.T) {
-	const (
-		seed  = int64(17)
-		limit = 30
-		port  = 25904
-	)
-	ref := referenceStream(t, seed, limit, port)
-	dir := t.TempDir()
-	outPath := filepath.Join(dir, "resume.cprof")
-	cpPath := outPath + ".ckpt"
-	real := conferr.NewDistRunner()
-
-	// Run 1: shard 1 always fails, so the flush front parks behind its
-	// first sequence while other shards' records keep checkpointing.
-	broken := dist.ShardRunnerFunc(func(ctx context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
-		if req.Shard == 1 {
-			return dist.ShardResult{}, errors.New("shard 1 is cursed")
-		}
-		return real.RunShard(ctx, req, emit)
-	})
-	_, addr := startServer(t, broken)
+	_, addr := startServer(t, real)
 	coord := &dist.Coordinator{
-		Workers:         []string{addr},
-		Shards:          3,
-		Spec:            realSpec(seed, limit, port),
-		OutPath:         outPath,
-		CheckpointPath:  cpPath,
-		CheckpointEvery: 1,
-		StallTimeout:    5 * time.Second,
-		Retry:           dist.RetryPolicy{MaxAttempts: 2, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+		Workers: []string{addr}, Shards: 2, Spec: spec, OutPath: outPath, Resume: true,
+		StallTimeout: 10 * time.Second, Retry: fastRetry, SyncOutput: true,
 	}
-	if _, err := coord.Run(context.Background()); err == nil {
-		t.Fatal("run with a cursed shard succeeded")
-	}
-	if _, err := os.Stat(cpPath); err != nil {
-		t.Fatalf("failed run left no checkpoint: %v", err)
-	}
-
-	// Run 2: healthy worker, resumed from the checkpoint.
-	_, addr2 := startServer(t, real)
-	coord2 := &dist.Coordinator{
-		Workers:        []string{addr2},
-		Shards:         3,
-		Spec:           realSpec(seed, limit, port),
-		OutPath:        outPath,
-		CheckpointPath: cpPath,
-		Resume:         true,
-		StallTimeout:   5 * time.Second,
-		Retry:          fastRetry,
-	}
-	res, err := coord2.Run(context.Background())
+	res, err := coord.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StartSeq == 0 {
-		t.Fatal("resume did not start from the checkpoint front")
+	if res.StartSeq != cprof.DefaultFrameRecords || res.Records != limit {
+		t.Fatalf("resume: start %d, records %d, want %d and %d", res.StartSeq, res.Records, cprof.DefaultFrameRecords, limit)
 	}
-	if res.Records != limit {
-		t.Fatalf("records = %d, want %d", res.Records, limit)
+	if got, _ := os.ReadFile(outPath); !bytes.Equal(got, referenceCprof(t, seed, limit, port)) {
+		t.Fatal("resumed cprof merge differs from the single-process cprof file")
 	}
-	var got bytes.Buffer
-	if err := cprof.ToJSONL(outPath, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), ref) {
-		t.Fatalf("resumed cprof merge diverges from reference:\n got %d bytes\nwant %d bytes", got.Len(), len(ref))
-	}
-	if _, err := os.Stat(cpPath); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(outPath + ".ckpt"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("checkpoint not removed after success: %v", err)
 	}
 }

@@ -7,9 +7,10 @@
 // shards across workers, retries failed or stalled shards on other
 // workers with capped exponential backoff, and merges the shard streams
 // into one deterministic, gap-checked profile that is byte-identical to
-// a single-process run of the same campaign. Checkpoint/resume is nearly
-// free: the merged stream's flush front is one sequence number, and a
-// resumed coordinator re-requests each shard from that front.
+// a single-process run of the same campaign. Resume is nearly free: the
+// merged output is a gap-free prefix of the stream, and a resumed
+// coordinator re-requests each shard from where the output's intact
+// records end.
 package dist
 
 import (

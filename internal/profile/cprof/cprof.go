@@ -122,10 +122,9 @@ type FrameInfo struct {
 // output file; any number of sinks (one per campaign, plus their shard
 // sub-sinks) attach to it and their frames interleave at frame
 // granularity. Frame writes are serialized internally, so sinks may
-// flush from concurrent campaign workers; Flush and Close, however,
-// must not race with in-flight sink writes — call them after the runs
-// feeding the sinks have completed (or, for Flush, from the same
-// goroutine that owns all writes, as the dist merger does).
+// flush from concurrent campaign workers; Close, however, must not race
+// with in-flight sink writes — call it after the runs feeding the sinks
+// have completed.
 type Writer struct {
 	// Level is the flate compression level for subsequent frames.
 	// Defaults to flate.BestSpeed (1): the payload is already delta- and
@@ -156,7 +155,7 @@ func NewWriter(w io.Writer) *Writer { return newWriterAt(w, 0, nil) }
 
 // newWriterAt returns a Writer resuming an existing stream: off bytes
 // (magic included, when off > 0) are already on disk and frames
-// describes them. Used by OpenPath after reconciling a checkpointed file.
+// describes them. Used by ResumePath after keeping a file's intact prefix.
 func newWriterAt(w io.Writer, off int64, frames []FrameInfo) *Writer {
 	return &Writer{
 		Level: 1, FrameRecords: DefaultFrameRecords,
@@ -176,13 +175,10 @@ func (w *Writer) Sink(system, generator string) *Sink {
 	return s
 }
 
-// Flush cuts every attached sink's partially filled frame and writes it
-// out. This is the durability point for checkpointing writers (the dist
-// merger flushes before each checkpoint, so the checkpoint never claims
-// records the file lacks); mid-stream flushes trade a little
-// compression for that durability. It does not flush any wrapping
-// bufio.Writer — that is the caller's layer.
-func (w *Writer) Flush() error {
+// flushSinks cuts every attached sink's partially filled frame and
+// writes it out, as Close does before the index and an incomplete
+// File.Close does instead of it.
+func (w *Writer) flushSinks() error {
 	w.mu.Lock()
 	sinks := append([]*Sink(nil), w.sinks...)
 	w.mu.Unlock()
@@ -200,7 +196,7 @@ func (w *Writer) Flush() error {
 // trailer. It does not close the underlying writer. The Writer is done
 // after Close; further writes fail.
 func (w *Writer) Close() error {
-	if err := w.Flush(); err != nil {
+	if err := w.flushSinks(); err != nil {
 		return err
 	}
 	w.mu.Lock()

@@ -2,7 +2,9 @@ package cprof
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -333,81 +335,120 @@ func TestToJSONLMatchesDirectStream(t *testing.T) {
 	}), recs)
 }
 
-// TestOpenPathResume: a cprof file cut mid-campaign (no trailer, torn
-// last frame) reopens at a checkpoint front landing on a frame boundary,
-// the torn tail is truncated, and appended records complete the
-// campaign.
+// TestOpenPathResume: ResumePath keeps a cprof file's full frames that
+// run contiguous from sequence 0 and truncates the rest — the short
+// frame Close(false) cut, a torn frame, a finished campaign's last frame
+// and its trailer index, a frame out of sequence — and appended records
+// complete the campaign to the bytes of an uninterrupted run.
 func TestOpenPathResume(t *testing.T) {
-	recs := synthRecords(100)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "resume.cprof")
-
-	// First run: 64 records flushed as one frame, then a torn tail —
-	// simulate a crash by writing a second partial frame and chopping it.
-	cf, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf.W.FrameRecords = 64
-	s := cf.W.Sink("nginx", "typo")
-	for _, r := range recs[:80] {
-		if err := s.Write(r); err != nil {
+	const F = DefaultFrameRecords
+	recs := synthRecords(2*F + 2)
+	path := filepath.Join(t.TempDir(), "resume.cprof")
+	frames := func() []FrameInfo {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := cf.Close(false); err != nil { // flush frames, no trailer
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume from front 64: the torn 64..79 frame is dropped and rewritten.
-	cf2, err := OpenPath(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf2.W.FrameRecords = 64
-	s2 := cf2.W.Sink("nginx", "typo")
-	for i, r := range recs[64:] {
-		if err := s2.writeSeq(64+i, r); err != nil {
+		defer f.Close()
+		st, _ := f.Stat()
+		fi, _, err := ReadIndex(f, st.Size())
+		if err != nil {
 			t.Fatal(err)
 		}
+		return fi
 	}
-	if err := cf2.Close(true); err != nil {
+	write := func(cf *File, from int, recs []profile.Record) {
+		t.Helper()
+		s := cf.W.Sink("nginx", "typo")
+		for i, r := range recs {
+			if err := s.writeSeq(from+i, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cf, err := OpenPath(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	write(cf, 0, recs)
+	if err := cf.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	finished, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(want int) {
+		t.Helper()
+		cf, front, err := ResumePath(path)
+		if err != nil || front != want {
+			t.Fatalf("ResumePath: front %d, err %v; want %d", front, err, want)
+		}
+		write(cf, front, recs[front:])
+		if err := cf.Close(true); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, finished) {
+			t.Fatalf("resumed from %d, the file differs from an uninterrupted run's", front)
+		}
+	}
+
+	// A finished file resumes before its short last frame.
+	resume(2 * F)
+
+	// An interrupted run closed incomplete keeps every record, the last
+	// two in a short frame, which a resume writes again.
+	cf, err = OpenPath(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(cf, 0, recs)
+	if err := cf.Close(false); err != nil {
+		t.Fatal(err)
+	}
+	fi := frames()
+	if len(fi) != 3 || fi[1].LastSeq != 2*F-1 || fi[2].Count != 2 {
+		t.Fatalf("Close(false) left frames %+v, want two full frames and one of 2 records", fi)
 	}
 	got := collect(t, func(fn func(profile.JSONLEntry) error) error {
 		return ScanFileSeqOrdered(path, fn)
 	})
 	checkEntries(t, got, recs)
+	resume(2 * F)
 
-	// A front inside a frame must be rejected, not silently misaligned.
-	if _, err := OpenPath(path, 70); err == nil {
-		t.Fatal("OpenPath accepted a front inside a frame")
+	// A crash tore the second frame: the resume keeps the first.
+	if err := os.WriteFile(path, finished[:fi[1].Off+fi[1].Len-5], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Front 0 restarts from scratch.
-	cf3, err := OpenPath(path, 0)
+	resume(F)
+
+	// Frames that do not start at sequence 0 are no prefix at all.
+	cf4, err := OpenPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cf3.Close(true); err != nil {
+	write(cf4, 5, recs[5:6])
+	if err := cf4.Close(true); err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, func(fn func(profile.JSONLEntry) error) error {
-		return ScanFileSeqOrdered(path, fn)
-	}); len(got) != 0 {
-		t.Fatalf("front-0 reopen kept %d records", len(got))
+	cf5, front, err := ResumePath(path)
+	if err != nil || front != 0 {
+		t.Fatalf("ResumePath over a file starting at sequence 5: front %d, err %v; want 0", front, err)
+	}
+	if err := cf5.Close(false); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); !bytes.Equal(data, fileMagic) {
+		t.Fatalf("out-of-sequence file resumed to %q, want the magic alone", data)
 	}
 }
 
-// TestOpenPathResumeJSONL: a JSONL output resumes at a checkpoint front
-// by counting lines — a torn tail line is dropped, a front past the
-// file's lines is refused — and stdout cannot resume at all.
+// TestOpenPathResumeJSONL: ResumePath keeps a JSONL output's leading
+// lines while each is a whole record numbered by its line index — a torn
+// tail line, a damaged line mid-file or an overlong one ends the prefix,
+// and every line after it goes too — a missing file resumes from
+// nothing, and stdout cannot resume at all.
 func TestOpenPathResumeJSONL(t *testing.T) {
 	recs := synthRecords(10)
 	path := filepath.Join(t.TempDir(), "resume.jsonl")
@@ -415,31 +456,76 @@ func TestOpenPathResumeJSONL(t *testing.T) {
 	for i, r := range recs {
 		full = profile.AppendJSONLRecord(full, "nginx", "typo", i, r)
 	}
-	cut := bytes.Index(full, []byte(`{"system":"nginx","generator":"typo","seq":5,`))
-	if err := os.WriteFile(path, full[:cut+7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenPath(path, 6); err == nil {
-		t.Fatal("OpenPath accepted a front past the file's lines")
-	}
-	out, err := OpenPath(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range recs[4:] {
-		if err := out.WriteEntry(profile.JSONLEntry{System: "nginx", Generator: "typo", Seq: 4 + i, Record: r}); err != nil {
+	resume := func(data []byte, want int) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		out, front, err := ResumePath(path)
+		if err != nil || front != want {
+			t.Fatalf("ResumePath: front %d, err %v; want %d", front, err, want)
+		}
+		for i, r := range recs[front:] {
+			if err := out.WriteEntry(profile.JSONLEntry{System: "nginx", Generator: "typo", Seq: front + i, Record: r}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := out.Close(true); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, full) {
+			t.Fatalf("resumed JSONL diverges:\n%s", got)
+		}
+	}
+	line := func(seq int) []byte {
+		return bytes.SplitAfter(full, []byte{'\n'})[seq]
+	}
+	cut := bytes.Index(full, line(5))
+	resume(full[:cut+7], 5)
+	resume(bytes.Replace(full, line(3), []byte("{\"seq\":3,\"ou\n"), 1), 3)
+	resume(bytes.Replace(full, line(6), line(8), 1), 6)
+	resume(full[:len(full)-1], 9)
+	// A newline-less tail past the 16 MiB line bound is corrupt, not a
+	// record: the prefix ends before it and no more of it is read. The
+	// tail here fails once 32 MiB of it are read, so reading it whole
+	// would surface that error.
+	tail := &endlessLine{left: 32 << 20}
+	if front, end, err := intactLines(io.MultiReader(bytes.NewReader(full[:cut]), tail)); err != nil || front != 5 || end != int64(cut) {
+		t.Fatalf("intactLines over an overlong tail: front %d, end %d, err %v; want 5, %d", front, end, err, cut)
+	}
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	out, front, err := ResumePath(path)
+	if err != nil || front != 0 {
+		t.Fatalf("ResumePath over a missing file: front %d, err %v; want 0", front, err)
 	}
 	if err := out.Close(true); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, full) {
-		t.Fatalf("resumed JSONL diverges:\n%s", got)
+	if st, err := os.Stat(path); err != nil || st.Size() != 0 {
+		t.Fatalf("ResumePath did not create an empty file: %v", err)
 	}
-	if _, err := OpenPath("-", 1); err == nil {
-		t.Fatal("OpenPath resumed stdout")
+	if _, _, err := ResumePath("-"); err == nil {
+		t.Fatal("ResumePath resumed stdout")
 	}
+}
+
+// endlessLine reads as one newline-free line that fails after left
+// bytes.
+type endlessLine struct{ left int }
+
+func (r *endlessLine) Read(p []byte) (int, error) {
+	if r.left <= 0 {
+		return 0, errors.New("read past the line bound")
+	}
+	n := min(len(p), r.left)
+	for i := range p[:n] {
+		p[i] = 'x'
+	}
+	r.left -= n
+	return n, nil
 }
 
 // TestFoldFileParallelMatchesSequential: the claim-counter fold over
@@ -500,7 +586,7 @@ func TestFileWriteTakesMergerLines(t *testing.T) {
 	var want []byte
 	for _, name := range []string{"merged.jsonl", "merged.cprof"} {
 		path := filepath.Join(dir, name)
-		out, err := OpenPath(path, 0)
+		out, err := OpenPath(path)
 		if err != nil {
 			t.Fatal(err)
 		}

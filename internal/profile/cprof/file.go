@@ -13,11 +13,12 @@ import (
 )
 
 // File is one profile output, in either format — the write-side
-// counterpart of ScanPath. OpenPath picks the format from the path, and
-// every profile writer (`matrix -stream-out`, `convert`, `campaign -out`
-// and the dist coordinator's `-out`) writes through a File, so that
-// choice is made in one place: a ".cprof" path gets compact frames, "-"
-// gets JSONL on stdout, and any other path gets canonical JSONL lines.
+// counterpart of ScanPath. OpenPath and ResumePath pick the format from
+// the path, and every profile writer (`matrix -stream-out`, `convert`,
+// `campaign -out` and the dist coordinator's `-out`) writes through a
+// File, so that choice is made in one place: a ".cprof" path gets
+// compact frames, "-" gets JSONL on stdout, and any other path gets
+// canonical JSONL lines.
 type File struct {
 	f    *os.File // nil for stdout
 	path string
@@ -53,121 +54,110 @@ func newFile(f *os.File, path string, compact bool, end int64, frames []FrameInf
 	return c
 }
 
-// OpenPath opens the profile output at path, resumed at checkpoint
-// front: the file keeps exactly its first front records and appends
-// after them. Everything past front — a torn tail, records flushed
-// after the last durable checkpoint, a stale cprof index — is truncated
-// away; fewer than front records means the file and the checkpoint do
-// not belong together. A cprof file is reconciled by walking its frames
-// (payload CRCs verified, no inflation), and front must land on a frame
-// boundary, which it does because a checkpointing writer flushes, and so
-// cuts a frame, before every checkpoint. A JSONL file is reconciled by
-// counting lines. front == 0 creates or truncates the file; "-" cannot
-// be resumed.
-func OpenPath(path string, front int) (*File, error) {
-	compact := strings.HasSuffix(path, ".cprof")
+// OpenPath creates (or truncates) the profile output at path; "-" is
+// JSONL on standard output.
+func OpenPath(path string) (*File, error) {
 	if path == "-" {
-		if front > 0 {
-			return nil, errors.New("cprof: standard output cannot resume at a checkpoint")
-		}
 		return newFile(nil, path, false, 0, nil), nil
 	}
-	if front == 0 {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, fmt.Errorf("cprof: %w", err)
-		}
-		return newFile(f, path, compact, 0, nil), nil
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := os.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("cprof: resuming output: %w", err)
+		return nil, err
 	}
+	return newFile(f, path, strings.HasSuffix(path, ".cprof"), 0, nil), nil
+}
+
+// ResumePath reopens the profile output at path (creating it if missing)
+// to append after the longest intact prefix of records 0, 1, 2, … it
+// holds, and returns that prefix's length: the sequence to resume from.
+// A cprof file keeps its CRC-verified frames while they run contiguous
+// from sequence 0 and each holds DefaultFrameRecords records (payloads
+// are not inflated): a shorter frame — the one Close(false) cut short,
+// or a finished campaign's last — is written again, so the resumed file
+// frames its records as an uninterrupted run does. A JSONL file keeps
+// its newline-terminated lines while each parses and carries its own
+// line index as seq. Everything after the prefix — a torn or corrupt
+// tail, a short frame and its successors, a trailer index — is
+// truncated away, for the resumed run to write again.
+func ResumePath(path string) (*File, int, error) {
+	if path == "-" {
+		return nil, 0, errors.New("standard output cannot be resumed")
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o666)
+	if err != nil {
+		return nil, 0, err
+	}
+	compact := strings.HasSuffix(path, ".cprof")
 	var (
+		front  int
 		end    int64
 		frames []FrameInfo
 	)
 	if compact {
-		frames, end, err = framesUpTo(f, path, front)
+		frames, front, end, err = intactFrames(f)
 	} else {
-		end, err = linesUpTo(f, path, front)
+		front, end, err = intactLines(f)
 	}
 	if err == nil {
-		if err = f.Truncate(end); err != nil {
-			err = fmt.Errorf("cprof: truncating output past the checkpoint front: %w", err)
-		}
+		err = f.Truncate(end)
 	}
 	if err == nil {
 		_, err = f.Seek(end, io.SeekStart)
 	}
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, 0, fmt.Errorf("resuming %s: %w", path, err)
 	}
-	return newFile(f, path, compact, end, frames), nil
+	return newFile(f, path, compact, end, frames), front, nil
 }
 
-// framesUpTo walks a cprof file's frames and returns the ones holding
-// its first front records, checked contiguous from sequence 0, and the
-// offset where they end.
-func framesUpTo(f *os.File, path string, front int) ([]FrameInfo, int64, error) {
+// intactFrames returns a cprof file's leading full frames that hold
+// records 0..front-1 in order, and the offset where they end. A file
+// shorter than the magic holds nothing yet.
+func intactFrames(f *os.File) (frames []FrameInfo, front int, end int64, err error) {
 	st, err := f.Stat()
 	if err != nil {
-		return nil, 0, fmt.Errorf("cprof: %w", err)
+		return nil, 0, 0, err
 	}
-	frames, _, err := walkFrames(f, st.Size())
+	if st.Size() < int64(len(fileMagic)) {
+		return nil, 0, 0, nil
+	}
+	all, _, err := walkFrames(f, st.Size())
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	var kept []FrameInfo
-	records := 0
-	end := int64(len(fileMagic))
-	for _, fi := range frames {
-		if records == front {
+	end = int64(len(fileMagic))
+	for _, fi := range all {
+		if fi.Count != DefaultFrameRecords || fi.FirstSeq != front || fi.LastSeq != front+fi.Count-1 {
 			break
 		}
-		if fi.FirstSeq != records || fi.LastSeq != records+fi.Count-1 {
-			return nil, 0, fmt.Errorf("cprof: %s: frame at %d covers sequences %d..%d where %d was expected — wrong or corrupt output file",
-				path, fi.Off, fi.FirstSeq, fi.LastSeq, records)
-		}
-		if records+fi.Count > front {
-			return nil, 0, fmt.Errorf("cprof: %s: checkpoint front %d lands inside the frame at %d (sequences %d..%d) — file and checkpoint do not belong together",
-				path, front, fi.Off, fi.FirstSeq, fi.LastSeq)
-		}
-		records += fi.Count
-		kept = append(kept, fi)
+		frames = append(frames, fi)
+		front += fi.Count
 		end = fi.Off + fi.Len
 	}
-	if records < front {
-		return nil, 0, fmt.Errorf("cprof: %s has %d contiguous records but checkpoint front is %d — wrong or corrupt output file",
-			path, records, front)
-	}
-	return kept, end, nil
+	return frames, front, end, nil
 }
 
-// linesUpTo returns the offset where a JSONL file's first front lines
-// end.
-func linesUpTo(f *os.File, path string, front int) (int64, error) {
-	br := bufio.NewReader(f)
-	var end int64
-	lines := 0
-	for lines < front {
-		chunk, err := br.ReadSlice('\n')
-		end += int64(len(chunk))
-		for err == bufio.ErrBufferFull {
-			chunk, err = br.ReadSlice('\n')
-			end += int64(len(chunk))
+// intactLines returns how many leading lines of a JSONL file are whole
+// records numbered by their line index, and the offset where they end.
+// A line too long to be a record ends the prefix like a damaged one.
+func intactLines(r io.Reader) (front int, end int64, err error) {
+	br := bufio.NewReaderSize(r, 256*1024)
+	var long []byte
+	for {
+		line, err := profile.ReadJSONLLine(br, &long)
+		if err == io.EOF || err == profile.ErrJSONLLineTooLong {
+			return front, end, nil
 		}
 		if err != nil {
-			break
+			return 0, 0, err
 		}
-		lines++
+		if e, perr := profile.ParseJSONLLine(line[:len(line)-1]); perr != nil || e.Seq != front {
+			return front, end, nil
+		}
+		front++
+		end += int64(len(line))
 	}
-	if lines < front {
-		return 0, fmt.Errorf("cprof: output %s has %d lines but checkpoint front is %d — wrong or corrupt output file",
-			path, lines, front)
-	}
-	return end, nil
 }
 
 // Sink returns a streaming sink writing one campaign's records into the
@@ -214,24 +204,18 @@ func (c *File) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Flush cuts every cprof sink's partial frame and pushes everything
-// through the buffer to the OS — the durability point before a
-// checkpoint.
+// Flush pushes the buffered bytes to the OS: every record a JSONL
+// output holds, and a cprof output's finished frames. It cuts no frame,
+// so a flushed cprof output keeps the frames an unflushed one would.
 func (c *File) Flush() error {
-	if c.W != nil {
-		if err := c.W.Flush(); err != nil {
-			return err
-		}
-	}
 	if err := c.bw.Flush(); err != nil {
-		return fmt.Errorf("cprof: flushing %s: %w", c.path, err)
+		return fmt.Errorf("flushing %s: %w", c.path, err)
 	}
 	return nil
 }
 
 // Sync flushes like Flush and then fsyncs the backing file, making every
-// flushed record durable against a host crash — the stronger durability
-// point `dist -fsync` checkpoints against.
+// flushed record durable against a host crash (`dist -fsync`).
 func (c *File) Sync() error {
 	if err := c.Flush(); err != nil {
 		return err
@@ -240,30 +224,38 @@ func (c *File) Sync() error {
 		return nil
 	}
 	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("cprof: syncing %s: %w", c.path, err)
+		return fmt.Errorf("syncing %s: %w", c.path, err)
 	}
 	return nil
 }
 
 // Close finishes the output. A cprof output closed with complete=true
-// gets its frame index and trailer first — a cleanly closed,
-// trailer-indexed file; with complete=false only buffered frames are
-// flushed, so the file stays a valid resumable prefix (scans
-// sequentially, index rebuilds from preambles) for a later OpenPath. A
-// JSONL output is flushed either way. Stdout is flushed, not closed.
-func (c *File) Close(complete bool) error {
+// gets its frame index and trailer after its sinks' last frames — a
+// cleanly closed, trailer-indexed file; with complete=false the sinks'
+// unfinished frames are cut short and written, so the file holds every
+// record written so far as a trailerless prefix that scans sequentially
+// (ResumePath writes a short frame again). A JSONL output is flushed
+// either way. Stdout is flushed, not closed.
+func (c *File) Close(complete bool) error { return c.close(complete, c.Flush) }
+
+// SyncClose finishes the output like Close and fsyncs it before the
+// file closes, so every record it holds — the last frame and the
+// trailer included — is durable against a host crash (`dist -fsync`).
+func (c *File) SyncClose(complete bool) error { return c.close(complete, c.Sync) }
+
+func (c *File) close(complete bool, flush func() error) error {
 	var err error
 	if c.W != nil && complete {
 		err = c.W.Close()
 	} else if c.W != nil {
-		err = c.W.Flush()
+		err = c.W.flushSinks()
 	}
-	if ferr := c.bw.Flush(); err == nil && ferr != nil {
-		err = fmt.Errorf("cprof: flushing %s: %w", c.path, ferr)
+	if ferr := flush(); err == nil {
+		err = ferr
 	}
 	if c.f != nil {
 		if cerr := c.f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("cprof: closing %s: %w", c.path, cerr)
+			err = fmt.Errorf("closing %s: %w", c.path, cerr)
 		}
 	}
 	return err

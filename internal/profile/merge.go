@@ -31,8 +31,8 @@ type SeqMerger struct {
 }
 
 // NewSeqMerger returns a merger flushing to w, with start the first
-// sequence number expected — non-zero when resuming a checkpointed
-// campaign whose output already holds lines 0..start-1. Lines are added
+// sequence number expected — non-zero when resuming a campaign whose
+// output already holds lines 0..start-1. Lines are added
 // without their trailing newline; the merger appends one per flush.
 func NewSeqMerger(w io.Writer, start int) *SeqMerger {
 	return &SeqMerger{w: w, next: start, pending: make(map[int][]byte)}
@@ -82,9 +82,8 @@ func (m *SeqMerger) Add(seq int, line []byte) error {
 }
 
 // Front returns the next sequence number the merger is waiting for; every
-// sequence below it has been flushed, in order. This single number is a
-// complete checkpoint of the merge: a resumed campaign re-fetches from
-// here and nothing else.
+// sequence below it has been flushed, in order, so the output holds
+// exactly records 0..Front()-1 once it is flushed.
 func (m *SeqMerger) Front() int { return m.next }
 
 // Duplicates returns how many re-delivered lines were dropped.

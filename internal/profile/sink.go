@@ -22,14 +22,27 @@ type Sink interface {
 }
 
 // MemorySink accumulates records into the wrapped Profile — the sink
-// behind the slice-returning campaign API.
+// behind the slice-returning campaign API and a suite cell kept in
+// memory. It refuses a ScenarioID that repeats an earlier one, which
+// would collide in per-scenario reporting (Compare, FormatRecords
+// sorting) and in JSONL dedup or resume. Records arrive gap-free in
+// sequence order, so the profile's length is the duplicate's position.
 type MemorySink struct {
 	// Profile receives every record.
 	Profile *Profile
+	seen    map[string]struct{}
 }
 
 // Write implements Sink.
 func (s *MemorySink) Write(r Record) error {
+	if s.seen == nil {
+		s.seen = make(map[string]struct{})
+	}
+	if _, dup := s.seen[r.ScenarioID]; dup {
+		return fmt.Errorf("core: plugin %s emitted duplicate ScenarioID %q (scenario #%d)",
+			s.Profile.Generator, r.ScenarioID, len(s.Profile.Records))
+	}
+	s.seen[r.ScenarioID] = struct{}{}
 	s.Profile.Add(r)
 	return nil
 }
@@ -397,6 +410,32 @@ func unmarshalJSONLLine(line []byte) (JSONLEntry, error) {
 // a record.
 const maxJSONLLine = 16 * 1024 * 1024
 
+// ErrJSONLLineTooLong is ReadJSONLLine's refusal of a line past the
+// 16 MiB bound: corrupt data, not a record.
+var ErrJSONLLineTooLong = fmt.Errorf("line exceeds %d bytes", maxJSONLLine)
+
+// ReadJSONLLine reads one profile line from br, newline included,
+// spilling a line longer than br's buffer into *spill (reused across
+// calls). At the end of input it returns the unterminated tail, if any,
+// with io.EOF; a line longer than 16 MiB fails with ErrJSONLLineTooLong
+// once that much of it is read, so corrupt input never grows the spill
+// past the bound.
+func ReadJSONLLine(br *bufio.Reader, spill *[]byte) ([]byte, error) {
+	chunk, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return chunk, err
+	}
+	*spill = append((*spill)[:0], chunk...)
+	for err == bufio.ErrBufferFull {
+		chunk, err = br.ReadSlice('\n')
+		*spill = append(*spill, chunk...)
+		if len(*spill) > maxJSONLLine {
+			return nil, ErrJSONLLineTooLong
+		}
+	}
+	return *spill, err
+}
+
 // ScanJSONL streams a JSON Lines profile (as written by JSONLSink) entry
 // by entry to fn, in file order, without materializing anything: memory
 // stays constant however many records the file holds — the reader-side
@@ -413,17 +452,9 @@ func ScanJSONL(r io.Reader, fn func(JSONLEntry) error) error {
 		long   []byte // spill for lines longer than the read buffer
 	)
 	for {
-		chunk, rerr := br.ReadSlice('\n')
-		if rerr == bufio.ErrBufferFull {
-			long = append(long[:0], chunk...)
-			for rerr == bufio.ErrBufferFull {
-				chunk, rerr = br.ReadSlice('\n')
-				long = append(long, chunk...)
-				if len(long) > maxJSONLLine {
-					return fmt.Errorf("profile: JSONL line %d (byte offset %d): line exceeds %d bytes", lineNo+1, off, maxJSONLLine)
-				}
-			}
-			chunk = long
+		chunk, rerr := ReadJSONLLine(br, &long)
+		if rerr == ErrJSONLLineTooLong {
+			return fmt.Errorf("profile: JSONL line %d (byte offset %d): %w", lineNo+1, off, rerr)
 		}
 		if len(chunk) > 0 {
 			lineNo++

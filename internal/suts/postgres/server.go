@@ -135,28 +135,20 @@ func (s *Server) check(files suts.Files) (checkedConfig, error) {
 }
 
 // Start implements suts.System.
-func (s *Server) Start(files suts.Files) error {
-	cc, err := s.check(files)
-	if err != nil {
-		return err
-	}
-	s.settings = cc.st
-	srv := sqlmini.NewServer(&sqlmini.Engine{})
-	srv.MaxConns = int(cc.st.maxConn)
-	if err := srv.Listen(s.Transport().Listen, cc.addr); err != nil {
-		return &suts.StartupError{System: s.Name(), Msg: err.Error()}
-	}
-	s.srv = srv
-	s.curAddr = cc.addr
-	return nil
-}
+func (s *Server) Start(files suts.Files) error { return s.configure(files) }
 
 // Reload implements suts.Reloader: the `pg_ctl reload` idiom, extended
 // with a full catalog reset so a warm experiment sees the same fresh
 // state a cold restart would. A configuration error is rejected with
 // Start's exact wording and the previous configuration keeps serving; an
 // address change binds the new socket before releasing the old one.
-func (s *Server) Reload(files suts.Files) error {
+func (s *Server) Reload(files suts.Files) error { return s.configure(files) }
+
+// configure drives the server to the given configuration from whatever
+// is currently bound: a fresh socket for a cold start or an address
+// change, only a catalog reset and new limits otherwise. On error the
+// previous state is untouched (nothing bound for a cold start).
+func (s *Server) configure(files suts.Files) error {
 	cc, err := s.check(files)
 	if err != nil {
 		return err

@@ -121,31 +121,20 @@ func (s *Server) check(files suts.Files) (config, error) {
 }
 
 // Start implements suts.System.
-func (s *Server) Start(files suts.Files) error {
-	cfg, err := s.check(files)
-	if err != nil {
-		return err
-	}
-	ln, err := s.listen(cfg.port)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.curPort = cfg.port
-	s.databases = cfg.databases
-	s.mu.Unlock()
-	s.resetData()
-	s.acceptOn(ln)
-	return nil
-}
+func (s *Server) Start(files suts.Files) error { return s.configure(files) }
 
 // Reload implements suts.Reloader: it applies a new configuration to the
 // running server. A configuration error is rejected with Start's exact
 // wording and the previous configuration keeps serving; a port change
 // binds the new port before releasing the old one. The dataset resets
 // exactly as a cold restart would, keeping profiles mode-independent.
-func (s *Server) Reload(files suts.Files) error {
+func (s *Server) Reload(files suts.Files) error { return s.configure(files) }
+
+// configure drives the server to the given configuration from whatever
+// is currently bound — a fresh listener for a cold start or a port
+// change, none otherwise — and resets the dataset. On error the
+// previous state is untouched (nothing bound for a cold start).
+func (s *Server) configure(files suts.Files) error {
 	cfg, err := s.check(files)
 	if err != nil {
 		return err
