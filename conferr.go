@@ -129,9 +129,9 @@ func TypoGenerator(opts TypoOptions) Generator {
 	}
 	switch {
 	case opts.NamesOnly:
-		p.Tokens = []string{view.TokenName}
+		p.Token = view.TokenName
 	case opts.ValuesOnly:
-		p.Tokens = []string{view.TokenValue}
+		p.Token = view.TokenValue
 	}
 	return p
 }

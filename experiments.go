@@ -8,7 +8,6 @@ import (
 
 	"conferr/internal/confnode"
 	"conferr/internal/core"
-	"conferr/internal/cpath"
 	"conferr/internal/plugins/semantic"
 	"conferr/internal/plugins/structural"
 	"conferr/internal/scenario"
@@ -64,10 +63,10 @@ func (deleteGen) View() view.View { return view.StructView{} }
 // Generate implements core.Generator.
 func (deleteGen) Generate(set *confnode.Set) ([]scenario.Scenario, error) {
 	tpl := &template.DeleteTemplate{
-		Targets: cpath.MustCompile("//directive"),
+		Targets: template.OfKind(confnode.KindDirective),
 		Class:   "delete/directive",
 	}
-	return tpl.Generate(set)
+	return scenario.Collect(tpl.GenerateStream(set))
 }
 
 // sampledGen caps another generator's faultload at n scenarios, drawn

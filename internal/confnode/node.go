@@ -68,24 +68,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// kindsByName is the precomputed reverse of kindNames: KindFromString sits
-// on cpath's expression-compile path, where a map lookup beats scanning
-// kindNames once per parsed step.
-var kindsByName = func() map[string]Kind {
-	m := make(map[string]Kind, len(kindNames))
-	for k, name := range kindNames {
-		m[name] = k
-	}
-	return m
-}()
-
-// KindFromString returns the Kind with the given lower-case name, or zero
-// and false when no kind has that name.
-func KindFromString(s string) (Kind, bool) {
-	k, ok := kindsByName[s]
-	return k, ok
-}
-
 // Node is one item in a configuration tree. The zero value is usable as an
 // anonymous node; use New to construct nodes with a kind and name.
 //

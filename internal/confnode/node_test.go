@@ -44,18 +44,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindFromString(t *testing.T) {
-	for k, name := range kindNames {
-		got, ok := KindFromString(name)
-		if !ok || got != k {
-			t.Errorf("KindFromString(%q) = %v, %v; want %v, true", name, got, ok, k)
-		}
-	}
-	if _, ok := KindFromString("nope"); ok {
-		t.Error("KindFromString(nope) succeeded, want failure")
-	}
-}
-
 func TestAppendSetsParent(t *testing.T) {
 	doc := sampleTree()
 	for _, sec := range doc.Children() {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"conferr/internal/confnode"
-	"conferr/internal/cpath"
 	"conferr/internal/formats"
 	"conferr/internal/formats/kv"
 	"conferr/internal/plugins/typo"
@@ -153,8 +152,8 @@ type delGen struct{}
 func (delGen) Name() string    { return "del" }
 func (delGen) View() view.View { return view.StructView{} }
 func (delGen) Generate(s *confnode.Set) ([]scenario.Scenario, error) {
-	tpl := &template.DeleteTemplate{Targets: cpath.MustCompile("//directive")}
-	return tpl.Generate(s)
+	tpl := &template.DeleteTemplate{Targets: template.OfKind(confnode.KindDirective)}
+	return scenario.Collect(tpl.GenerateStream(s))
 }
 
 func TestRunStructuralDeletion(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"conferr/internal/confnode"
-	"conferr/internal/cpath"
 	"conferr/internal/formats"
 	"conferr/internal/formats/apacheconf"
 	"conferr/internal/formats/ini"
@@ -114,8 +113,8 @@ func (mixGen) Generate(s *confnode.Set) ([]scenario.Scenario, error) {
 	add := func(id string, apply func(*confnode.Set) error) {
 		out = append(out, scenario.Scenario{ID: id, Class: "mix", Description: id, Apply: apply})
 	}
-	tpl := &template.DeleteTemplate{Targets: cpath.MustCompile("//directive")}
-	dels, err := tpl.Generate(s)
+	tpl := &template.DeleteTemplate{Targets: template.OfKind(confnode.KindDirective)}
+	dels, err := scenario.Collect(tpl.GenerateStream(s))
 	if err != nil {
 		return nil, err
 	}

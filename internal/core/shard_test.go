@@ -11,7 +11,6 @@ import (
 
 	"conferr/internal/benchfixture"
 	"conferr/internal/confnode"
-	"conferr/internal/cpath"
 	"conferr/internal/plugins/typo"
 	"conferr/internal/profile"
 	"conferr/internal/scenario"
@@ -74,14 +73,14 @@ func TestTemplateStreamsShardStable(t *testing.T) {
 	set.Put("t.conf", root)
 
 	templates := map[string]template.Template{
-		"delete":    &template.DeleteTemplate{Targets: cpath.MustCompile("//directive")},
-		"duplicate": &template.DuplicateTemplate{Targets: cpath.MustCompile("//directive")},
+		"delete":    &template.DeleteTemplate{Targets: template.OfKind(confnode.KindDirective)},
+		"duplicate": &template.DuplicateTemplate{Targets: template.OfKind(confnode.KindDirective)},
 		"move": &template.MoveTemplate{
-			Targets:      cpath.MustCompile("//directive"),
-			Destinations: cpath.MustCompile("//section"),
+			Targets:      template.OfKind(confnode.KindDirective),
+			Destinations: template.OfKind(confnode.KindSection),
 		},
 		"modify": &template.ModifyTemplate{
-			Targets: cpath.MustCompile("//directive"),
+			Targets: template.OfKind(confnode.KindDirective),
 			Mutator: typo.Omission{},
 		},
 	}

@@ -114,7 +114,7 @@ func lenOf(n *confnode.Node) int {
 // Faultloads that cannot walk (a sampled typo plugin, the structural
 // plugin) take the filtered stride and must match the same way.
 //
-// nginx's typo faultload and a Tokens-restricted one run rounds {1, 3,
+// nginx's typo faultload and a Token-restricted one run rounds {1, 3,
 // 7} × limits {0, 1, m−1, m, m+1, 2m+3, none} × n 1..5, every k. apache's
 // (m = 36k) runs the limits around its one round's end; the fallbacks,
 // which render every scenario on every shard, run rounds {1, 3}.
@@ -133,9 +133,9 @@ func TestShardWalkMatchesStride(t *testing.T) {
 		limits []limitAt
 	}{
 		{"nginx/typo", "nginx", &typo.Plugin{}, true, []int{1, 3, 7}, all},
-		{"nginx/typo-names", "nginx", &typo.Plugin{Tokens: []string{view.TokenName}}, true, []int{1, 3, 7}, all},
+		{"nginx/typo-names", "nginx", &typo.Plugin{Token: view.TokenName}, true, []int{1, 3, 7}, all},
 		{"apache/typo", "apache", &typo.Plugin{}, true, []int{1}, edges},
-		{"nginx/typo-sampled", "nginx", &typo.Plugin{Tokens: []string{view.TokenName}, PerDirective: 2, Seed: 7}, false, []int{1, 3}, all},
+		{"nginx/typo-sampled", "nginx", &typo.Plugin{Token: view.TokenName, PerDirective: 2, Seed: 7}, false, []int{1, 3}, all},
 		{"nginx/structural", "nginx", &structural.Plugin{Sections: true}, false, []int{1, 3}, all},
 	}
 	for _, c := range cases {

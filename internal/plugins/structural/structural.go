@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"conferr/internal/confnode"
-	"conferr/internal/cpath"
 	"conferr/internal/formats"
 	"conferr/internal/scenario"
 	"conferr/internal/template"
@@ -79,7 +78,7 @@ func (p *Plugin) stream(set *confnode.Set) scenario.Source {
 			// Sampling needs the class pool; the pool materializes when
 			// the class is reached, and the RNG draws stay in class order.
 			sources[i] = scenario.Source(func(yield func(scenario.Scenario, error) bool) {
-				scens, err := tpl.Generate(set)
+				scens, err := scenario.Collect(tpl.GenerateStream(set))
 				if err != nil {
 					yield(scenario.Scenario{}, wrap(err))
 					return
@@ -101,27 +100,27 @@ func (p *Plugin) stream(set *confnode.Set) scenario.Source {
 func (p *Plugin) templates() []template.Template {
 	classes := []template.Template{
 		&template.DeleteTemplate{
-			Targets: cpath.MustCompile("//directive"),
+			Targets: template.OfKind(confnode.KindDirective),
 			Class:   "structural/omit-directive",
 		},
 		&template.DuplicateTemplate{
-			Targets: cpath.MustCompile("//directive"),
+			Targets: template.OfKind(confnode.KindDirective),
 			Class:   "structural/duplicate-directive",
 		},
 		&template.MoveTemplate{
-			Targets:      cpath.MustCompile("//directive"),
-			Destinations: cpath.MustCompile("//section"),
+			Targets:      template.OfKind(confnode.KindDirective),
+			Destinations: template.OfKind(confnode.KindSection),
 			Class:        "structural/misplace-directive",
 		},
 	}
 	if p.Sections {
 		classes = append(classes,
 			&template.DeleteTemplate{
-				Targets: cpath.MustCompile("//section"),
+				Targets: template.OfKind(confnode.KindSection),
 				Class:   "structural/omit-section",
 			},
 			&template.DuplicateTemplate{
-				Targets: cpath.MustCompile("//section"),
+				Targets: template.OfKind(confnode.KindSection),
 				Class:   "structural/duplicate-section",
 			},
 		)

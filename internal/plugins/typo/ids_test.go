@@ -61,19 +61,21 @@ func TestNginxScenarioStringsMatchFmt(t *testing.T) {
 	var want []string
 	for _, m := range p.models() {
 		class := "typo/" + m.Name()
-		for _, expr := range p.targetExprs() {
-			seq := 0
-			words.Walk(func(file string, root *confnode.Node) {
-				for _, n := range expr.Select(root) {
-					ref := fmtRef(template.RefOf(file, n))
-					for _, v := range template.Variants(m, n) {
-						want = append(want, fmt.Sprintf("%s/%s/%d", class, ref, seq)+"\n"+
-							fmt.Sprintf("%s on %s", v.Description, describe(n)))
-						seq++
-					}
+		seq := 0
+		words.Walk(func(file string, root *confnode.Node) {
+			root.Walk(func(n *confnode.Node) bool {
+				if n.Kind != confnode.KindWord {
+					return true
 				}
+				ref := fmtRef(template.RefOf(file, n))
+				for _, v := range template.Variants(m, n) {
+					want = append(want, fmt.Sprintf("%s/%s/%d", class, ref, seq)+"\n"+
+						fmt.Sprintf("%s on %s", v.Description, describe(n)))
+					seq++
+				}
+				return true
 			})
-		}
+		})
 	}
 
 	k := 0

@@ -9,14 +9,12 @@
 package typo
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
 	"unicode"
 
 	"conferr/internal/confnode"
-	"conferr/internal/cpath"
 	"conferr/internal/keyboard"
 	"conferr/internal/scenario"
 	"conferr/internal/template"
@@ -239,9 +237,9 @@ type Plugin struct {
 	// Layout is the keyboard used by insertion and substitution; nil means
 	// keyboard.Default().
 	Layout *keyboard.Layout
-	// Tokens restricts injection to word tokens of these classes
-	// (view.TokenName, view.TokenValue). Empty means all tokens.
-	Tokens []string
+	// Token restricts injection to word tokens of this class
+	// (view.TokenName or view.TokenValue). Empty means all tokens.
+	Token string
 	// PerModel bounds the number of scenarios drawn from each submodel;
 	// 0 means keep all. Sampling uses Rng.
 	PerModel int
@@ -265,23 +263,16 @@ func (p *Plugin) View() view.View { return view.WordView{} }
 // Name identifies the plugin.
 func (p *Plugin) Name() string { return "typo" }
 
-// targetExpr builds the cpath expression selecting the word tokens to
-// mutate.
-func (p *Plugin) targetExprs() []*cpath.Expr {
-	if len(p.Tokens) == 0 {
-		return []*cpath.Expr{cpath.MustCompile("//word")}
+// isTarget reports whether n is a word token the plugin mutates.
+func (p *Plugin) isTarget(n *confnode.Node) bool {
+	if n.Kind != confnode.KindWord {
+		return false
 	}
-	out := make([]*cpath.Expr, 0, len(p.Tokens))
-	for _, tok := range p.Tokens {
-		expr, err := cpath.Compile(fmt.Sprintf("//word[@%s='%s']", view.TokenAttr, tok))
-		if err != nil {
-			// Token classes are package constants; a failure here is a
-			// programming error surfaced in tests.
-			panic(err)
-		}
-		out = append(out, expr)
+	if p.Token == "" {
+		return true
 	}
-	return out
+	tok, ok := n.Attr(view.TokenAttr)
+	return ok && tok == p.Token
 }
 
 // models returns the active submodels.
@@ -325,10 +316,9 @@ func (p *Plugin) GenerateStream(wordSet *confnode.Set) scenario.Source {
 }
 
 // GenerateWalk returns the faultload as a walk over the positions of
-// GenerateStream: the submodels in order, each over the target
-// expressions in order. A sampling plugin (PerModel, PerDirective)
-// cannot walk, since which scenarios survive depends on the whole pool;
-// it returns nil.
+// GenerateStream: the submodels in order, each over the target tokens.
+// A sampling plugin (PerModel, PerDirective) cannot walk, since which
+// scenarios survive depends on the whole pool; it returns nil.
 func (p *Plugin) GenerateWalk(wordSet *confnode.Set) scenario.Walk {
 	if p.PerModel > 0 || p.PerDirective > 0 {
 		return nil
@@ -340,19 +330,14 @@ func (p *Plugin) GenerateWalk(wordSet *confnode.Set) scenario.Walk {
 	return scenario.ConcatWalks(walks...)
 }
 
-// modelWalk chains one submodel's walks across the target expressions.
+// modelWalk is one submodel's walk over the target tokens.
 func (p *Plugin) modelWalk(m template.Mutator, wordSet *confnode.Set) scenario.Walk {
-	exprs := p.targetExprs()
-	walks := make([]scenario.Walk, len(exprs))
-	for i, expr := range exprs {
-		tpl := &template.ModifyTemplate{
-			Targets: expr,
-			Mutator: m,
-			Class:   "typo/" + m.Name(),
-		}
-		walks[i] = tpl.Walk(wordSet)
+	tpl := &template.ModifyTemplate{
+		Targets: p.isTarget,
+		Mutator: m,
+		Class:   "typo/" + m.Name(),
 	}
-	return scenario.ConcatWalks(walks...)
+	return tpl.Walk(wordSet)
 }
 
 // sampledStream is the bounded-faultload path: each submodel's candidate

@@ -211,7 +211,7 @@ func TestPluginGenerateAllModels(t *testing.T) {
 }
 
 func TestPluginTokenRestriction(t *testing.T) {
-	p := &Plugin{Tokens: []string{view.TokenName}}
+	p := &Plugin{Token: view.TokenName}
 	scens, err := p.Generate(wordSet())
 	if err != nil {
 		t.Fatal(err)

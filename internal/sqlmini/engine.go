@@ -1,5 +1,5 @@
 // Package sqlmini implements a miniature SQL database: an in-memory
-// engine supporting CREATE/DROP DATABASE, CREATE/DROP TABLE, INSERT and
+// engine supporting CREATE DATABASE, CREATE TABLE, USE, INSERT and
 // SELECT, plus a line-oriented client/server wire protocol over TCP.
 //
 // The MySQL and Postgres simulators serve this engine so that ConfErr's
@@ -10,7 +10,6 @@ package sqlmini
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -75,8 +74,6 @@ func (s *Session) Exec(stmt string) (*Result, error) {
 	switch strings.ToUpper(toks[0]) {
 	case "CREATE":
 		return s.execCreate(toks)
-	case "DROP":
-		return s.execDrop(toks)
 	case "USE":
 		if len(toks) != 2 {
 			return nil, errf("usage: USE <database>")
@@ -86,8 +83,6 @@ func (s *Session) Exec(stmt string) (*Result, error) {
 		return s.execInsert(toks)
 	case "SELECT":
 		return s.execSelect(toks)
-	case "SHOW":
-		return s.execShow(toks)
 	default:
 		return nil, errf("unknown statement %q", toks[0])
 	}
@@ -133,38 +128,6 @@ func (s *Session) execCreate(toks []string) (*Result, error) {
 		return &Result{}, nil
 	default:
 		return nil, errf("cannot CREATE %q", toks[1])
-	}
-}
-
-func (s *Session) execDrop(toks []string) (*Result, error) {
-	if len(toks) != 3 {
-		return nil, errf("usage: DROP DATABASE|TABLE <name>")
-	}
-	name := toks[2]
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	switch strings.ToUpper(toks[1]) {
-	case "DATABASE":
-		if _, ok := s.eng.dbs[name]; !ok {
-			return nil, errf("database %q does not exist", name)
-		}
-		delete(s.eng.dbs, name)
-		if s.db == name {
-			s.db = ""
-		}
-		return &Result{}, nil
-	case "TABLE":
-		db, err := s.currentLocked()
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := db.tables[name]; !ok {
-			return nil, errf("table %q does not exist", name)
-		}
-		delete(db.tables, name)
-		return &Result{}, nil
-	default:
-		return nil, errf("cannot DROP %q", toks[1])
 	}
 }
 
@@ -290,46 +253,6 @@ func (s *Session) execSelect(toks []string) (*Result, error) {
 	}
 	res.Affected = len(res.Rows)
 	return res, nil
-}
-
-func (s *Session) execShow(toks []string) (*Result, error) {
-	if len(toks) != 2 {
-		return nil, errf("usage: SHOW DATABASES|TABLES")
-	}
-	s.eng.mu.Lock()
-	defer s.eng.mu.Unlock()
-	switch strings.ToUpper(toks[1]) {
-	case "DATABASES":
-		var names []string
-		for n := range s.eng.dbs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		res := &Result{Columns: []string{"database"}}
-		for _, n := range names {
-			res.Rows = append(res.Rows, []string{n})
-		}
-		res.Affected = len(res.Rows)
-		return res, nil
-	case "TABLES":
-		db, err := s.currentLocked()
-		if err != nil {
-			return nil, err
-		}
-		var names []string
-		for n := range db.tables {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		res := &Result{Columns: []string{"table"}}
-		for _, n := range names {
-			res.Rows = append(res.Rows, []string{n})
-		}
-		res.Affected = len(res.Rows)
-		return res, nil
-	default:
-		return nil, errf("cannot SHOW %q", toks[1])
-	}
 }
 
 // currentLocked returns the session's selected database. Caller holds the

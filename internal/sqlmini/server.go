@@ -235,3 +235,32 @@ func (c *Client) Exec(stmt string) ([][]string, int, error) {
 		}
 	}
 }
+
+// RoundTrip is the paper's database diagnosis script (§5.1): it connects
+// to addr through dial, creates a database, then creates a table,
+// populates it, and queries it.
+func RoundTrip(dial func(addr string) (net.Conn, error), addr string) error {
+	c, err := Dial(dial, addr)
+	if err != nil {
+		return fmt.Errorf("connect: %w", err)
+	}
+	defer func() { _ = c.Close() }()
+	for _, stmt := range []string{
+		"CREATE DATABASE conferr_test",
+		"USE conferr_test",
+		"CREATE TABLE t (id, name)",
+		"INSERT INTO t VALUES (1, 'alpha')",
+	} {
+		if _, _, err := c.Exec(stmt); err != nil {
+			return fmt.Errorf("%s: %w", stmt, err)
+		}
+	}
+	rows, _, err := c.Exec("SELECT name FROM t WHERE id = 1")
+	if err != nil {
+		return fmt.Errorf("select: %w", err)
+	}
+	if len(rows) != 1 || rows[0][0] != "alpha" {
+		return fmt.Errorf("unexpected result %v", rows)
+	}
+	return nil
+}

@@ -404,29 +404,7 @@ func Tests(s *Server) []suts.Test {
 	return []suts.Test{{
 		Name: "db-roundtrip",
 		Run: func() error {
-			c, err := sqlmini.Dial(s.lo.Dial, fmt.Sprintf("127.0.0.1:%d", s.DefaultPort()))
-			if err != nil {
-				return fmt.Errorf("connect: %w", err)
-			}
-			defer func() { _ = c.Close() }()
-			for _, stmt := range []string{
-				"CREATE DATABASE conferr_test",
-				"USE conferr_test",
-				"CREATE TABLE t (id, name)",
-				"INSERT INTO t VALUES (1, 'alpha')",
-			} {
-				if _, _, err := c.Exec(stmt); err != nil {
-					return fmt.Errorf("%s: %w", stmt, err)
-				}
-			}
-			rows, _, err := c.Exec("SELECT name FROM t WHERE id = 1")
-			if err != nil {
-				return fmt.Errorf("select: %w", err)
-			}
-			if len(rows) != 1 || rows[0][0] != "alpha" {
-				return fmt.Errorf("unexpected result %v", rows)
-			}
-			return nil
+			return sqlmini.RoundTrip(s.lo.Dial, fmt.Sprintf("127.0.0.1:%d", s.DefaultPort()))
 		},
 	}}
 }

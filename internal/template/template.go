@@ -2,10 +2,14 @@
 //
 // A template describes a class of configuration-tree transformations —
 // deletion, duplication, move, or content modification of nodes — and is
-// parameterized with cpath expressions that select the nodes the
-// transformation targets. Instantiating a template against an initial
-// configuration set enumerates concrete fault scenarios, each of which can
-// later be replayed against a fresh clone of the configuration.
+// parameterized with predicates that select the nodes the transformation
+// targets. Instantiating a template against an initial configuration set
+// enumerates concrete fault scenarios, each of which can later be
+// replayed against a fresh clone of the configuration.
+//
+// A template's Targets predicate is asked about every node below each
+// file's root, file by file in Set.Walk order and in pre-order within a
+// file; the nodes it accepts are the template's targets, in that order.
 package template
 
 import (
@@ -14,7 +18,6 @@ import (
 	"strings"
 
 	"conferr/internal/confnode"
-	"conferr/internal/cpath"
 	"conferr/internal/scenario"
 )
 
@@ -22,21 +25,12 @@ import (
 type Template interface {
 	// Name identifies the template kind for scenario IDs and profiles.
 	Name() string
-	// Generate enumerates the scenarios this template yields for the given
-	// initial configuration.
-	Generate(set *confnode.Set) ([]scenario.Scenario, error)
-	// GenerateStream yields the same scenarios as Generate, in the same
-	// order, as a lazy pull stream: target selection walks the (small)
-	// configuration up front, but the per-target scenario fan-out — the
-	// part that grows with the faultload — happens one scenario at a time.
+	// GenerateStream enumerates the scenarios this template yields for
+	// the given initial configuration, as a lazy pull stream: target
+	// selection walks the (small) configuration up front, but the
+	// per-target scenario fan-out — the part that grows with the
+	// faultload — happens one scenario at a time.
 	GenerateStream(set *confnode.Set) scenario.Source
-}
-
-// collectStream implements the slice form of a template in terms of its
-// stream; every template's Generate delegates here so the two forms cannot
-// drift apart.
-func collectStream(t Template, set *confnode.Set) ([]scenario.Scenario, error) {
-	return scenario.Collect(t.GenerateStream(set))
 }
 
 // Ref is a stable reference to a node inside a configuration set: the
@@ -144,15 +138,23 @@ func ParseRef(s string) (Ref, error) {
 	return ref, nil
 }
 
-// targets evaluates expr over every file of the set and returns the refs of
-// all matched nodes together with the nodes themselves (from the original,
-// for descriptions).
-func targets(set *confnode.Set, expr *cpath.Expr) []refNode {
+// OfKind selects the nodes of kind k.
+func OfKind(k confnode.Kind) func(*confnode.Node) bool {
+	return func(n *confnode.Node) bool { return n.Kind == k }
+}
+
+// targets returns the refs of the nodes match selects, together with the
+// nodes themselves (from the original, for descriptions): file by file in
+// Set.Walk order, each file's nodes below its root in pre-order.
+func targets(set *confnode.Set, match func(*confnode.Node) bool) []refNode {
 	var out []refNode
 	set.Walk(func(file string, root *confnode.Node) {
-		for _, n := range expr.Select(root) {
-			out = append(out, refNode{ref: RefOf(file, n), node: n})
-		}
+		root.Walk(func(n *confnode.Node) bool {
+			if n != root && match(n) {
+				out = append(out, refNode{ref: RefOf(file, n), node: n})
+			}
+			return true
+		})
 	})
 	return out
 }
@@ -192,8 +194,8 @@ func truncate(s string) string {
 // node (and its subtree). It models omissions: forgotten directives or
 // whole sections (paper §2.2, §4.2).
 type DeleteTemplate struct {
-	// Targets selects the nodes to delete.
-	Targets *cpath.Expr
+	// Targets picks the nodes to delete.
+	Targets func(*confnode.Node) bool
 	// Class overrides the scenario class; defaults to "delete".
 	Class string
 }
@@ -202,11 +204,6 @@ var _ Template = (*DeleteTemplate)(nil)
 
 // Name implements Template.
 func (t *DeleteTemplate) Name() string { return "delete" }
-
-// Generate implements Template.
-func (t *DeleteTemplate) Generate(set *confnode.Set) ([]scenario.Scenario, error) {
-	return collectStream(t, set)
-}
 
 // GenerateStream implements Template.
 func (t *DeleteTemplate) GenerateStream(set *confnode.Set) scenario.Source {
@@ -244,8 +241,8 @@ func (t *DeleteTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 // a copy of the node immediately after the original. It models mistaken
 // repetition of directives, e.g. via copy-paste (paper §2.2).
 type DuplicateTemplate struct {
-	// Targets selects the nodes to duplicate.
-	Targets *cpath.Expr
+	// Targets picks the nodes to duplicate.
+	Targets func(*confnode.Node) bool
 	// Class overrides the scenario class; defaults to "duplicate".
 	Class string
 }
@@ -254,11 +251,6 @@ var _ Template = (*DuplicateTemplate)(nil)
 
 // Name implements Template.
 func (t *DuplicateTemplate) Name() string { return "duplicate" }
-
-// Generate implements Template.
-func (t *DuplicateTemplate) Generate(set *confnode.Set) ([]scenario.Scenario, error) {
-	return collectStream(t, set)
-}
 
 // GenerateStream implements Template.
 func (t *DuplicateTemplate) GenerateStream(set *confnode.Set) scenario.Source {
@@ -299,10 +291,10 @@ func (t *DuplicateTemplate) GenerateStream(set *confnode.Set) scenario.Source {
 // target, or lies inside the target's subtree are skipped. It models
 // misplacement of directives in the wrong section (paper §2.2, §4.2).
 type MoveTemplate struct {
-	// Targets selects the nodes to move.
-	Targets *cpath.Expr
-	// Destinations selects candidate new parents.
-	Destinations *cpath.Expr
+	// Targets picks the nodes to move.
+	Targets func(*confnode.Node) bool
+	// Destinations picks the candidate new parents, in the same order.
+	Destinations func(*confnode.Node) bool
 	// Class overrides the scenario class; defaults to "move".
 	Class string
 }
@@ -311,11 +303,6 @@ var _ Template = (*MoveTemplate)(nil)
 
 // Name implements Template.
 func (t *MoveTemplate) Name() string { return "move" }
-
-// Generate implements Template.
-func (t *MoveTemplate) Generate(set *confnode.Set) ([]scenario.Scenario, error) {
-	return collectStream(t, set)
-}
 
 // GenerateStream implements Template. The (target × destination) cross
 // product — quadratic in the configuration size — is enumerated lazily.
@@ -421,8 +408,8 @@ func Variants(m Mutator, n *confnode.Node) []Variant {
 // ModifyTemplate is the abstract modify template (paper §3.3): it generates
 // one scenario per (target node, mutator variant) pair.
 type ModifyTemplate struct {
-	// Targets selects the nodes whose content is modified.
-	Targets *cpath.Expr
+	// Targets picks the nodes whose content is modified.
+	Targets func(*confnode.Node) bool
 	// Mutator supplies the content variants.
 	Mutator Mutator
 	// Class overrides the scenario class; defaults to "modify/<mutator>".
@@ -433,11 +420,6 @@ var _ Template = (*ModifyTemplate)(nil)
 
 // Name implements Template.
 func (t *ModifyTemplate) Name() string { return "modify/" + t.Mutator.Name() }
-
-// Generate implements Template.
-func (t *ModifyTemplate) Generate(set *confnode.Set) ([]scenario.Scenario, error) {
-	return collectStream(t, set)
-}
 
 // GenerateStream implements Template: the walk with every position
 // built.
@@ -510,11 +492,6 @@ var _ Template = (*UnionTemplate)(nil)
 
 // Name implements Template.
 func (t *UnionTemplate) Name() string { return "union" }
-
-// Generate implements Template.
-func (t *UnionTemplate) Generate(set *confnode.Set) ([]scenario.Scenario, error) {
-	return collectStream(t, set)
-}
 
 // GenerateStream implements Template: the parts' streams are chained
 // lazily, in order.

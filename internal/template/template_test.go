@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"conferr/internal/confnode"
-	"conferr/internal/cpath"
 	"conferr/internal/scenario"
 )
 
@@ -33,6 +32,56 @@ func initialSet() *confnode.Set {
 	set.Put("my.cnf", doc)
 	set.Put("b.conf", b)
 	return set
+}
+
+// generate collects every scenario tpl yields for set.
+func generate(tpl Template, set *confnode.Set) ([]scenario.Scenario, error) {
+	return scenario.Collect(tpl.GenerateStream(set))
+}
+
+// named selects the nodes of kind k named name.
+func named(k confnode.Kind, name string) func(*confnode.Node) bool {
+	return func(n *confnode.Node) bool { return n.Kind == k && n.Name == name }
+}
+
+// topDirective selects the directives directly below a file's root.
+func topDirective(n *confnode.Node) bool {
+	return n.Kind == confnode.KindDirective && n.Parent().Parent() == nil
+}
+
+// TestTargetsWalk pins the order targets visits a set in: file by file in
+// Set.Walk order (not name order), each file's nodes in pre-order, the
+// file root never, and a match nested inside another match kept.
+func TestTargetsWalk(t *testing.T) {
+	z := confnode.New(confnode.KindSection, "z")
+	outer := confnode.New(confnode.KindSection, "outer")
+	inner := confnode.New(confnode.KindSection, "inner")
+	inner.Append(confnode.New(confnode.KindSection, "innermost"))
+	outer.Append(confnode.NewValued(confnode.KindDirective, "d", "1"), inner)
+	z.Append(outer, confnode.New(confnode.KindSection, "after"))
+	a := confnode.New(confnode.KindSection, "a")
+	a.Append(confnode.New(confnode.KindSection, "only"))
+	set := confnode.NewSet()
+	set.Put("z.conf", z)
+	set.Put("a.conf", a)
+
+	var got []string
+	for _, tn := range targets(set, OfKind(confnode.KindSection)) {
+		if n, err := tn.ref.Resolve(set); err != nil || n != tn.node {
+			t.Errorf("ref %v resolves to %v, %v; want %s", tn.ref, n, err, tn.node.Name)
+		}
+		got = append(got, tn.ref.String()+" "+tn.node.Name)
+	}
+	want := []string{
+		"z.conf#0 outer",
+		"z.conf#0.1 inner",
+		"z.conf#0.1.0 innermost",
+		"z.conf#1 after",
+		"a.conf#0 only",
+	}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("targets = %q, want %q", got, want)
+	}
 }
 
 func TestRefRoundTrip(t *testing.T) {
@@ -162,8 +211,8 @@ func TestResolveOwnedCopiesPath(t *testing.T) {
 
 func TestDeleteTemplate(t *testing.T) {
 	set := initialSet()
-	tpl := &DeleteTemplate{Targets: cpath.MustCompile("//directive")}
-	scens, err := tpl.Generate(set)
+	tpl := &DeleteTemplate{Targets: OfKind(confnode.KindDirective)}
+	scens, err := generate(tpl, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +241,8 @@ func TestDeleteTemplate(t *testing.T) {
 
 func TestDeleteTemplateCustomClass(t *testing.T) {
 	set := initialSet()
-	tpl := &DeleteTemplate{Targets: cpath.MustCompile("//section"), Class: "structural/omission"}
-	scens, _ := tpl.Generate(set)
+	tpl := &DeleteTemplate{Targets: OfKind(confnode.KindSection), Class: "structural/omission"}
+	scens, _ := generate(tpl, set)
 	if len(scens) != 2 {
 		t.Fatalf("got %d scenarios", len(scens))
 	}
@@ -204,8 +253,8 @@ func TestDeleteTemplateCustomClass(t *testing.T) {
 
 func TestDeleteRootNotApplicable(t *testing.T) {
 	set := initialSet()
-	tpl := &DeleteTemplate{Targets: cpath.MustCompile("/directive")}
-	scens, _ := tpl.Generate(set)
+	tpl := &DeleteTemplate{Targets: topDirective}
+	scens, _ := generate(tpl, set)
 	// b.conf's directive x — delete works.
 	if len(scens) != 1 {
 		t.Fatalf("got %d scenarios", len(scens))
@@ -220,8 +269,8 @@ func TestDeleteRootNotApplicable(t *testing.T) {
 
 func TestDuplicateTemplate(t *testing.T) {
 	set := initialSet()
-	tpl := &DuplicateTemplate{Targets: cpath.MustCompile("//directive[name='port']")}
-	scens, err := tpl.Generate(set)
+	tpl := &DuplicateTemplate{Targets: named(confnode.KindDirective, "port")}
+	scens, err := generate(tpl, set)
 	if err != nil || len(scens) != 1 {
 		t.Fatalf("scens=%d err=%v", len(scens), err)
 	}
@@ -244,10 +293,10 @@ func TestDuplicateTemplate(t *testing.T) {
 func TestMoveTemplate(t *testing.T) {
 	set := initialSet()
 	tpl := &MoveTemplate{
-		Targets:      cpath.MustCompile("//directive[name='port']"),
-		Destinations: cpath.MustCompile("//section"),
+		Targets:      named(confnode.KindDirective, "port"),
+		Destinations: OfKind(confnode.KindSection),
 	}
-	scens, err := tpl.Generate(set)
+	scens, err := generate(tpl, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +330,10 @@ func TestMoveTemplateExcludesSelfAndDescendants(t *testing.T) {
 	set.Put("a", doc)
 
 	tpl := &MoveTemplate{
-		Targets:      cpath.MustCompile("/section:outer"),
-		Destinations: cpath.MustCompile("//section"),
+		Targets:      named(confnode.KindSection, "outer"),
+		Destinations: OfKind(confnode.KindSection),
 	}
-	scens, err := tpl.Generate(set)
+	scens, err := generate(tpl, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +345,10 @@ func TestMoveTemplateExcludesSelfAndDescendants(t *testing.T) {
 func TestMoveCrossFile(t *testing.T) {
 	set := initialSet()
 	tpl := &MoveTemplate{
-		Targets:      cpath.MustCompile("//directive[name='x']"),
-		Destinations: cpath.MustCompile("//section:mysqld"),
+		Targets:      named(confnode.KindDirective, "x"),
+		Destinations: named(confnode.KindSection, "mysqld"),
 	}
-	scens, err := tpl.Generate(set)
+	scens, err := generate(tpl, set)
 	if err != nil || len(scens) != 1 {
 		t.Fatalf("scens=%d err=%v", len(scens), err)
 	}
@@ -335,10 +384,10 @@ func (upperMutator) Enumerate(n *confnode.Node) (int, func(int) Variant) {
 func TestModifyTemplate(t *testing.T) {
 	set := initialSet()
 	tpl := &ModifyTemplate{
-		Targets: cpath.MustCompile("//directive"),
+		Targets: OfKind(confnode.KindDirective),
 		Mutator: upperMutator{},
 	}
-	scens, err := tpl.Generate(set)
+	scens, err := generate(tpl, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +416,10 @@ func TestModifyTemplate(t *testing.T) {
 func TestUnionTemplate(t *testing.T) {
 	set := initialSet()
 	u := &UnionTemplate{Parts: []Template{
-		&DeleteTemplate{Targets: cpath.MustCompile("//section")},
-		&DuplicateTemplate{Targets: cpath.MustCompile("//section")},
+		&DeleteTemplate{Targets: OfKind(confnode.KindSection)},
+		&DuplicateTemplate{Targets: OfKind(confnode.KindSection)},
 	}}
-	scens, err := u.Generate(set)
+	scens, err := generate(u, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,16 +441,13 @@ func TestUnionTemplate(t *testing.T) {
 type errTemplate struct{}
 
 func (errTemplate) Name() string { return "boom" }
-func (errTemplate) Generate(*confnode.Set) ([]scenario.Scenario, error) {
-	return nil, fmt.Errorf("boom")
-}
 func (errTemplate) GenerateStream(*confnode.Set) scenario.Source {
 	return scenario.Fail(fmt.Errorf("boom"))
 }
 
 func TestUnionTemplatePropagatesError(t *testing.T) {
 	u := &UnionTemplate{Parts: []Template{errTemplate{}}}
-	if _, err := u.Generate(initialSet()); err == nil {
+	if _, err := generate(u, initialSet()); err == nil {
 		t.Error("expected error from failing part")
 	}
 }
@@ -409,11 +455,11 @@ func TestUnionTemplatePropagatesError(t *testing.T) {
 func TestScenarioIDsUnique(t *testing.T) {
 	set := initialSet()
 	u := &UnionTemplate{Parts: []Template{
-		&DeleteTemplate{Targets: cpath.MustCompile("//directive")},
-		&DuplicateTemplate{Targets: cpath.MustCompile("//directive")},
-		&ModifyTemplate{Targets: cpath.MustCompile("//directive"), Mutator: upperMutator{}},
+		&DeleteTemplate{Targets: OfKind(confnode.KindDirective)},
+		&DuplicateTemplate{Targets: OfKind(confnode.KindDirective)},
+		&ModifyTemplate{Targets: OfKind(confnode.KindDirective), Mutator: upperMutator{}},
 	}}
-	scens, err := u.Generate(set)
+	scens, err := generate(u, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +479,8 @@ func TestApplyIsReplayable(t *testing.T) {
 	// The same scenario applied to two fresh clones must produce equal
 	// results — the engine depends on replayability.
 	set := initialSet()
-	tpl := &DeleteTemplate{Targets: cpath.MustCompile("//directive")}
-	scens, _ := tpl.Generate(set)
+	tpl := &DeleteTemplate{Targets: OfKind(confnode.KindDirective)}
+	scens, _ := generate(tpl, set)
 	for _, s := range scens {
 		a, b := set.Clone(), set.Clone()
 		if err := s.Apply(a); err != nil {
@@ -490,11 +536,11 @@ func TestScenarioStringsMatchFmt(t *testing.T) {
 		t.Errorf("root ref = %q, want %q", got, "my.cnf#")
 	}
 
-	expr := cpath.MustCompile("//*")
+	expr := func(*confnode.Node) bool { return true }
 	tgts := targets(set, expr)
 	check := func(name string, tpl Template, want func(seq int, tn refNode, v *Variant) (string, string)) {
 		t.Helper()
-		scens, err := tpl.Generate(set)
+		scens, err := generate(tpl, set)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,13 @@
 package conferr
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"conferr/internal/confnode"
@@ -23,16 +27,78 @@ const purityTestPort = 25961
 // in process or on a remote dist worker, derives its own shard of the
 // faultload by enumerating it again.
 //
-// It covers every registered system × plugin pair under the default,
-// PerModel, PerDirective and PerClass options, Table 1's cells (directive
+// It covers every cell generatorCells builds.
+func TestGeneratorsArePure(t *testing.T) {
+	for _, c := range generatorCells(t) {
+		t.Run(c.name, func(t *testing.T) {
+			a := &cloneApplier{base: purityViewSet(t, c.system, c.gen)}
+			var first []fingerprint
+			enumerateFingerprints(t, c.gen, a, func(fp fingerprint) { first = append(first, fp) })
+			i := 0
+			enumerateFingerprints(t, c.gen, a, func(fp fingerprint) {
+				if i >= len(first) {
+					t.Fatalf("second enumeration runs past the first's %d scenarios", len(first))
+				}
+				if fp != first[i] {
+					t.Fatalf("position %d differs between enumerations:\n first %+v\nsecond %+v", i, first[i], fp)
+				}
+				i++
+			})
+			if i != len(first) {
+				t.Fatalf("second enumeration yields %d scenarios, the first %d", i, len(first))
+			}
+		})
+	}
+}
+
+// TestFaultloadDigests pins every faultload TestGeneratorsArePure
+// enumerates to testdata/faultload-digests.golden, one line per cell: its
+// name, its scenario count and the SHA-256 of its fingerprints in
+// order. A change that moves one scenario's ID, class, description or
+// written bytes, or reorders two, changes its cell's line. Regenerate the
+// golden only for an intended faultload change, by copying the "got"
+// block the failure prints, less its indentation, into the file.
+func TestFaultloadDigests(t *testing.T) {
+	var got strings.Builder
+	for _, c := range generatorCells(t) {
+		if strings.Contains(c.name, "-for-test") {
+			continue // registered by other tests of this package, when they ran first
+		}
+		a := &cloneApplier{base: purityViewSet(t, c.system, c.gen)}
+		h := sha256.New()
+		n := 0
+		enumerateFingerprints(t, c.gen, a, func(fp fingerprint) {
+			for _, f := range []string{fp.id, fp.class, fp.desc, fp.applied} {
+				fmt.Fprintf(h, "%d:%s", len(f), f)
+			}
+			n++
+		})
+		fmt.Fprintf(&got, "%s %d %x\n", c.name, n, h.Sum(nil))
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "faultload-digests.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("faultload digests differ from testdata/faultload-digests.golden\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// generatorCell is one faultload: a generator over a system's default
+// configuration.
+type generatorCell struct {
+	name, system string
+	gen          Generator
+}
+
+// generatorCells builds every generator the program builds: every
+// registered system × plugin pair under the default, PerModel,
+// PerDirective and PerClass options, Table 1's cells (directive
 // deletions, sampled or not, and capped typos), the edit benchmark's
 // generator and the borrow generator.
-func TestGeneratorsArePure(t *testing.T) {
-	type cell struct {
-		name, system string
-		gen          Generator
-	}
-	var cells []cell
+func generatorCells(t *testing.T) []generatorCell {
+	t.Helper()
+	var cells []generatorCell
 	for _, o := range []struct {
 		label string
 		opts  GeneratorOptions
@@ -55,15 +121,15 @@ func TestGeneratorsArePure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cells = append(cells, cell{o.label + "/" + e.System + "/" + e.Plugin, e.System, gen})
+			cells = append(cells, generatorCell{o.label + "/" + e.System + "/" + e.Plugin, e.System, gen})
 		}
 	}
 	for _, m := range table1Mixes {
 		for i, c := range m.cells(DefaultSeed) {
-			cells = append(cells, cell{fmt.Sprintf("table1/%s/%d-%s", c.system, i, c.gen.Name()), c.system, c.gen})
+			cells = append(cells, generatorCell{fmt.Sprintf("table1/%s/%d-%s", c.system, i, c.gen.Name()), c.system, c.gen})
 		}
 	}
-	cells = append(cells, cell{"edit-benchmark/postgres", "postgres", EditBenchmarkGenerator([]Edit{
+	cells = append(cells, generatorCell{"edit-benchmark/postgres", "postgres", EditBenchmarkGenerator([]Edit{
 		{Directive: "max_connections", NewValue: "200"},
 		{Directive: "shared_buffers", NewValue: "64MB"},
 	}, DefaultSeed, 5)})
@@ -75,39 +141,25 @@ func TestGeneratorsArePure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells = append(cells, cell{"borrow/mysql", "mysql", borrow})
+	cells = append(cells, generatorCell{"borrow/mysql", "mysql", borrow})
+	return cells
+}
 
-	for _, c := range cells {
-		t.Run(c.name, func(t *testing.T) {
-			a := &cloneApplier{base: purityViewSet(t, c.system, c.gen)}
-			type fingerprint struct{ id, class, desc, applied string }
-			var first []fingerprint
-			enumerate := func(visit func(i int, fp fingerprint)) int {
-				i := 0
-				core.StreamOf(c.gen, a.base)(func(sc scenario.Scenario, err error) bool {
-					if err != nil {
-						t.Fatal(err)
-					}
-					visit(i, fingerprint{sc.ID, sc.Class, sc.Description, a.apply(sc)})
-					i++
-					return true
-				})
-				return i
-			}
-			enumerate(func(_ int, fp fingerprint) { first = append(first, fp) })
-			n := enumerate(func(i int, fp fingerprint) {
-				if i >= len(first) {
-					t.Fatalf("second enumeration runs past the first's %d scenarios", len(first))
-				}
-				if fp != first[i] {
-					t.Fatalf("position %d differs between enumerations:\n first %+v\nsecond %+v", i, first[i], fp)
-				}
-			})
-			if n != len(first) {
-				t.Fatalf("second enumeration yields %d scenarios, the first %d", n, len(first))
-			}
-		})
-	}
+// fingerprint is what a scenario is: its ID, class and description, and
+// the nodes its Apply writes.
+type fingerprint struct{ id, class, desc, applied string }
+
+// enumerateFingerprints streams gen's faultload over a.base and visits
+// every scenario's fingerprint in order.
+func enumerateFingerprints(t *testing.T, gen Generator, a *cloneApplier, visit func(fingerprint)) {
+	t.Helper()
+	core.StreamOf(gen, a.base)(func(sc scenario.Scenario, err error) bool {
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(fingerprint{sc.ID, sc.Class, sc.Description, a.apply(sc)})
+		return true
+	})
 }
 
 // purityViewSet parses system's default configuration at purityTestPort

@@ -21,6 +21,8 @@
 #   - mysql (typo) over kernel TCP, whose faultload typos the port
 #     digits: 8 workers.
 #   - djbdns (semantic; typo yields no scenarios for it): 4 workers.
+#   - nginx and apache (structural: deleted, duplicated and moved
+#     directives and sections): reload memnet at 4 workers.
 #
 # Last, `conferr campaign -records` (the in-memory profile path, Runner
 # and Campaign.RunContext) on nginx/typo: 1 cold worker vs 4 reload
@@ -116,6 +118,15 @@ cell djbdns-w1 -systems djbdns -plugins semantic -base-port 11650 -workers 1
 cell djbdns-w4 -systems djbdns -plugins semantic -base-port 11650 -workers 4
 cmp "$tmp/djbdns-w1.jsonl" "$tmp/djbdns-w4.jsonl"
 
+for sp in nginx:11550 apache:11580; do
+  sys=${sp%:*} port=${sp#*:}
+  echo "== $sys: structural, cold TCP (1 worker) vs reload memnet (4 workers)"
+  cell $sys-structural-w1 -systems $sys -plugins structural -base-port $port -lifecycle cold -workers 1
+  cell $sys-structural-reload-memnet-w4 -systems $sys -plugins structural -base-port $port -lifecycle reload -memnet -workers 4
+  cmp "$tmp/$sys-structural-w1.jsonl" "$tmp/$sys-structural-reload-memnet-w4.jsonl"
+  ran $sys-structural-reload-memnet-w4 reloads
+done
+
 echo "== campaign: nginx cold (1 worker) vs reload (4 workers)"
 campaign() {
   local name=$1
@@ -131,7 +142,7 @@ ran campaign-reload-w4 reloads
 
 md5() { md5sum <"$1" | cut -d' ' -f1; }
 summary="nginx $(wc -l <"$tmp/cold-tcp-w1.jsonl") records, md5 $(md5 "$tmp/cold-tcp-w1.jsonl")"
-for sys in apache postgres redisd bind mysql djbdns; do
+for sys in apache postgres redisd bind mysql djbdns nginx-structural apache-structural; do
   summary+="; $sys $(wc -l <"$tmp/$sys-w1.jsonl") records, md5 $(md5 "$tmp/$sys-w1.jsonl")"
 done
 echo "lifecycle-smoke OK: $summary"
