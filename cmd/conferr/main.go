@@ -19,7 +19,7 @@
 //	                                        distribute one campaign across sutd
 //	                                        worker daemons, with retry/resume and
 //	                                        a byte-identical merged profile
-//	conferr report FILE [-diff A B] [-fail-regress PP] [-band-key K] [-workers N]
+//	conferr report FILE [-diff A B] [-fail-regress PP] [-band-key K]
 //	                                        stream a JSONL or cprof profile into
 //	                                        Table 1-3 / Figure 3 shapes, or diff
 //	                                        two campaigns as a regression gate

@@ -79,7 +79,6 @@ func TestNegativeNRefused(t *testing.T) {
 		{[]string{"editbench", "-n", "-2"}, "-n"},
 		{[]string{"compare", "-n", "-1"}, "-n"},
 		{[]string{"table3", "-workers", "-3"}, "-workers"},
-		{[]string{"report", "-workers", "-1", "x.jsonl"}, "-workers"},
 		{[]string{"dist", "-system", "nginx", "-shards", "-4"}, "-shards"},
 		{[]string{"dist", "-system", "nginx", "-retries", "-1"}, "-retries"},
 		{[]string{"dist", "-system", "nginx", "-stall-timeout", "-1s"}, "-stall-timeout"},

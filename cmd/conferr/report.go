@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"conferr"
@@ -25,7 +24,6 @@ func cmdReport(ctx context.Context, args []string) error {
 	diff := fs.Bool("diff", false, "compare two profiles: report -diff BEFORE AFTER")
 	failRegress := fs.Float64("fail-regress", 0, "with -diff: fail when any campaign or class detection rate drops by more than this many percentage points (0 = report only)")
 	bandKey := fs.String("band-key", "directive", "Figure 3 banding key: directive, class or none")
-	workers := fs.Int("workers", 0, "parallel frame-decode workers for indexed cprof files (0 = GOMAXPROCS; JSONL always scans sequentially)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -38,11 +36,11 @@ func cmdReport(ctx context.Context, args []string) error {
 		if fs.NArg() != 2 {
 			return errors.New("report -diff needs exactly two profile files: BEFORE AFTER")
 		}
-		before, err := loadStats(fs.Arg(0), key, *workers)
+		before, err := loadStats(fs.Arg(0), key)
 		if err != nil {
 			return err
 		}
-		after, err := loadStats(fs.Arg(1), key, *workers)
+		after, err := loadStats(fs.Arg(1), key)
 		if err != nil {
 			return err
 		}
@@ -59,7 +57,7 @@ func cmdReport(ctx context.Context, args []string) error {
 		return errors.New("report needs exactly one profile file (or - for stdin)")
 	}
 	start := time.Now()
-	stats, err := loadStats(fs.Arg(0), key, *workers)
+	stats, err := loadStats(fs.Arg(0), key)
 	if err != nil {
 		return err
 	}
@@ -86,36 +84,8 @@ func bandKeyFunc(name string) (func(profile.Record) string, error) {
 	}
 }
 
-// loadStats folds one profile file into a StreamStats. Indexed cprof
-// files decode their frames across workers goroutines and merge the
-// per-worker folds; JSONL (and stdin) streams sequentially.
-func loadStats(path string, key func(profile.Record) string, workers int) (*profile.StreamStats, error) {
-	if path != "-" {
-		isC, err := cprof.IsCprofPath(path)
-		if err != nil {
-			return nil, err
-		}
-		if isC && workers != 1 {
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			folds := make([]*profile.StreamStats, workers)
-			for i := range folds {
-				folds[i] = profile.NewStreamStats(key)
-			}
-			err := cprof.FoldFile(path, workers, func(w int, e profile.JSONLEntry) error {
-				return folds[w].Add(e)
-			})
-			if err != nil {
-				return nil, err
-			}
-			stats := folds[0]
-			for _, o := range folds[1:] {
-				stats.Merge(o)
-			}
-			return stats, nil
-		}
-	}
+// loadStats folds one profile file into a StreamStats.
+func loadStats(path string, key func(profile.Record) string) (*profile.StreamStats, error) {
 	stats := profile.NewStreamStats(key)
 	if err := cprof.ScanPath(path, stats.Add); err != nil {
 		return nil, err

@@ -14,8 +14,7 @@ import (
 // to the number of distinct campaigns, classes, and banding keys, never
 // to the record count, so a 100M-record fleet profile folds in one pass
 // without materializing a Profile. Add matches the scan callbacks'
-// shape; Merge combines independent folds, so parallel frame scans
-// aggregate into per-worker stats and merge at the end.
+// shape, and the scans call it on the caller's goroutine.
 type StreamStats struct {
 	// Key, when non-nil, groups injected records for the Figure 3
 	// banding (typically the directive a fault targeted). Nil disables
@@ -24,6 +23,7 @@ type StreamStats struct {
 
 	byName    map[string]*CampaignStats
 	campaigns []*CampaignStats
+	last      *CampaignStats // the previous record's campaign: runs of one campaign skip the map
 	records   int
 }
 
@@ -53,17 +53,20 @@ type bandCount struct{ detected, total int }
 
 // Add folds one entry.
 func (s *StreamStats) Add(e JSONLEntry) error {
-	key := e.System + "\x00" + e.Generator
-	c := s.byName[key]
-	if c == nil {
-		c = &CampaignStats{
-			System:    e.System,
-			Generator: e.Generator,
-			Summary:   Summary{System: e.System},
-			classes:   make(map[string]*Summary),
+	c := s.last
+	if c == nil || c.System != e.System || c.Generator != e.Generator {
+		key := e.System + "\x00" + e.Generator
+		if c = s.byName[key]; c == nil {
+			c = &CampaignStats{
+				System:    e.System,
+				Generator: e.Generator,
+				Summary:   Summary{System: e.System},
+				classes:   make(map[string]*Summary),
+			}
+			s.byName[key] = c
+			s.campaigns = append(s.campaigns, c)
 		}
-		s.byName[key] = c
-		s.campaigns = append(s.campaigns, c)
+		s.last = c
 	}
 	r := e.Record
 	s.records++
@@ -93,48 +96,6 @@ func (s *StreamStats) Add(e JSONLEntry) error {
 		}
 	}
 	return nil
-}
-
-// Merge folds o's totals into s — the join step of a parallel scan.
-func (s *StreamStats) Merge(o *StreamStats) {
-	s.records += o.records
-	for _, oc := range o.campaigns {
-		key := oc.System + "\x00" + oc.Generator
-		c := s.byName[key]
-		if c == nil {
-			c = &CampaignStats{
-				System:    oc.System,
-				Generator: oc.Generator,
-				Summary:   Summary{System: oc.System},
-				classes:   make(map[string]*Summary),
-			}
-			s.byName[key] = c
-			s.campaigns = append(s.campaigns, c)
-		}
-		c.Records += oc.Records
-		c.Summary.Merge(oc.Summary)
-		c.Duration += oc.Duration
-		for class, os := range oc.classes {
-			cs := c.classes[class]
-			if cs == nil {
-				cs = &Summary{System: class}
-				c.classes[class] = cs
-			}
-			cs.Merge(*os)
-		}
-		for k, og := range oc.groups {
-			if c.groups == nil {
-				c.groups = make(map[string]*bandCount)
-			}
-			g := c.groups[k]
-			if g == nil {
-				g = &bandCount{}
-				c.groups[k] = g
-			}
-			g.detected += og.detected
-			g.total += og.total
-		}
-	}
 }
 
 // Stats folds the profile's records through a StreamStats and returns

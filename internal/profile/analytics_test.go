@@ -66,38 +66,33 @@ func TestStreamStatsMatchesSummary(t *testing.T) {
 	}
 }
 
-// TestStreamStatsMergeEqualsSequential: splitting a stream across folds
-// and merging must equal one sequential fold — the parallel-scan
-// contract, including the banding groups.
-func TestStreamStatsMergeEqualsSequential(t *testing.T) {
-	key := func(r Record) string { return r.ScenarioID[:strings.LastIndex(r.ScenarioID, "/")] }
-	entries := analyticsEntries(200)
-	seq := NewStreamStats(key)
-	for _, e := range entries {
-		_ = seq.Add(e)
+// TestStreamStatsInterleavedCampaigns: records of campaigns that share a
+// system or a generator, interleaved in runs of every length, fold into
+// each campaign exactly what folding that campaign alone does.
+func TestStreamStatsInterleavedCampaigns(t *testing.T) {
+	names := [][2]string{{"nginx", "typo"}, {"nginx", "structural"}, {"apache", "typo"}}
+	mixed := NewStreamStats(nil)
+	alone := make([]*StreamStats, len(names))
+	for i := range alone {
+		alone[i] = NewStreamStats(nil)
 	}
-	parts := []*StreamStats{NewStreamStats(key), NewStreamStats(key), NewStreamStats(key)}
-	for i, e := range entries {
-		_ = parts[i%3].Add(e)
+	for i, e := range analyticsEntries(300) {
+		c := (i / (1 + i%4)) % len(names)
+		e.System, e.Generator = names[c][0], names[c][1]
+		_ = mixed.Add(e)
+		_ = alone[c].Add(e)
 	}
-	merged := parts[0]
-	merged.Merge(parts[1])
-	merged.Merge(parts[2])
-
-	if merged.TotalRecords() != seq.TotalRecords() {
-		t.Fatalf("records: merged %d, sequential %d", merged.TotalRecords(), seq.TotalRecords())
+	got := map[[2]string]*CampaignStats{}
+	for _, c := range mixed.Campaigns() {
+		got[[2]string{c.System, c.Generator}] = c
 	}
-	mc, sc := merged.Campaigns()[0], seq.Campaigns()[0]
-	if mc.Summary != sc.Summary || mc.Duration != sc.Duration || mc.Records != sc.Records {
-		t.Errorf("merged campaign %+v, sequential %+v", mc, sc)
+	if len(got) != len(names) {
+		t.Fatalf("campaigns = %d, want %d", len(got), len(names))
 	}
-	mb, sb := mc.Banding(), sc.Banding()
-	if mb.Directives != sb.Directives || len(mb.Share) != len(sb.Share) {
-		t.Errorf("merged banding %+v, sequential %+v", mb, sb)
-	}
-	for band, share := range sb.Share {
-		if mb.Share[band] != share {
-			t.Errorf("band %v: merged %v, sequential %v", band, mb.Share[band], share)
+	for i, a := range alone {
+		want, c := a.Campaigns()[0], got[names[i]]
+		if c == nil || c.Records != want.Records || c.Summary != want.Summary || c.Duration != want.Duration {
+			t.Errorf("campaign %v: %+v, folded alone %+v", names[i], c, want)
 		}
 	}
 }

@@ -231,33 +231,33 @@ func (c *countReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// decodeFrameAt reads and replays one indexed frame via pread — the
-// random-access decode behind ordered and parallel scans.
-func decodeFrameAt(ra io.ReaderAt, fi FrameInfo, dec *frameDecoder, fn func(profile.JSONLEntry) error) error {
+// decodeFrameAt reads one indexed frame via pread and appends its
+// records to dst; on an error, dst holds the records decoded before it.
+func decodeFrameAt(ra io.ReaderAt, fi FrameInfo, dec *frameDecoder, dst []profile.JSONLEntry) ([]profile.JSONLEntry, error) {
 	if fi.Len < 2 || fi.Len > maxFramePayload {
-		return fmt.Errorf("%w: indexed frame length %d at %d", errCorrupt, fi.Len, fi.Off)
+		return dst, fmt.Errorf("%w: indexed frame length %d at %d", errCorrupt, fi.Len, fi.Off)
 	}
 	buf := grow(dec.frame, int(fi.Len))
 	dec.frame = buf
 	if _, err := ra.ReadAt(buf, fi.Off); err != nil {
-		return fmt.Errorf("cprof: reading frame at %d: %w", fi.Off, err)
+		return dst, fmt.Errorf("cprof: reading frame at %d: %w", fi.Off, err)
 	}
 	if buf[0] != frameMarker {
-		return fmt.Errorf("%w: no frame marker at indexed offset %d", errCorrupt, fi.Off)
+		return dst, fmt.Errorf("%w: no frame marker at indexed offset %d", errCorrupt, fi.Off)
 	}
 	cr := &countReader{r: bytes.NewReader(buf[1:])}
 	pre, err := readPreamble(cr)
 	if err != nil {
-		return fmt.Errorf("cprof: frame at %d: %w", fi.Off, err)
+		return dst, fmt.Errorf("cprof: frame at %d: %w", fi.Off, err)
 	}
 	payloadOff := 1 + cr.n
 	if payloadOff+int64(pre.compLen) != fi.Len {
-		return fmt.Errorf("%w: frame at %d: index len %d vs preamble %d",
+		return dst, fmt.Errorf("%w: frame at %d: index len %d vs preamble %d",
 			errCorrupt, fi.Off, fi.Len, payloadOff+int64(pre.compLen))
 	}
 	dec.comp = buf[payloadOff:fi.Len]
-	if err := dec.decode(&pre, fn); err != nil {
-		return fmt.Errorf("cprof: frame at %d: %w", fi.Off, err)
+	if dst, err = dec.decode(&pre, dst); err != nil {
+		return dst, fmt.Errorf("cprof: frame at %d: %w", fi.Off, err)
 	}
-	return nil
+	return dst, nil
 }

@@ -1,10 +1,12 @@
 package cprof
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"conferr/internal/profile"
 )
@@ -18,6 +20,10 @@ import (
 // and holding at most the overlapping set (≈ the worker count) in
 // memory. This is the order that makes cprof→JSONL conversion
 // byte-identical to the ordered JSONL stream of the same campaign.
+//
+// Decoding fans out (see profile.Fan): GOMAXPROCS workers decode frames
+// ahead in the order the replay first needs them, and fn runs on the
+// caller's goroutine, in canonical order.
 func ScanSeqOrdered(ra io.ReaderAt, size int64, fn func(profile.JSONLEntry) error) error {
 	frames, _, err := ReadIndex(ra, size)
 	if err != nil {
@@ -33,9 +39,31 @@ func ScanSeqOrdered(ra io.ReaderAt, size int64, fn func(profile.JSONLEntry) erro
 		}
 		groups[k] = append(groups[k], fi)
 	}
-	dec := &frameDecoder{}
+	// plan lists every frame in the order the replay first needs it: a
+	// campaign in file order when its frames ascend without overlap, else
+	// in the order the k-way merge surfaces its undecoded frames.
+	plan := make([]FrameInfo, 0, len(frames))
 	for _, k := range order {
-		if err := scanCampaignOrdered(ra, groups[k], dec, fn); err != nil {
+		if fr := groups[k]; ascending(fr) {
+			plan = append(plan, fr...)
+		} else {
+			plan = append(plan, mergeOrder(fr)...)
+		}
+	}
+	next := 0
+	f := profile.NewFan(func(u *frameUnit) (bool, error) {
+		if next == len(plan) {
+			return false, nil
+		}
+		u.fi = plan[next]
+		next++
+		return true, nil
+	}, func(u *frameUnit, dst []profile.JSONLEntry) ([]profile.JSONLEntry, error) {
+		return decodeFrameAt(ra, u.fi, &u.dec, dst)
+	})
+	defer f.Close()
+	for _, k := range order {
+		if err := scanCampaignOrdered(f, groups[k], fn); err != nil {
 			return err
 		}
 	}
@@ -56,20 +84,39 @@ func ScanFileSeqOrdered(path string, fn func(profile.JSONLEntry) error) error {
 	return ScanSeqOrdered(f, st.Size(), fn)
 }
 
-// scanCampaignOrdered emits one campaign's frames in sequence order.
-func scanCampaignOrdered(ra io.ReaderAt, frames []FrameInfo, dec *frameDecoder, fn func(profile.JSONLEntry) error) error {
-	// Fast path: frames already ascending and non-overlapping (a single
-	// ordered sink — stream-out, dist merge) decode straight through.
-	ordered := true
+// ascending reports whether frames ascend by sequence without overlap,
+// as a single ordered sink (stream-out, dist merge) writes them.
+func ascending(frames []FrameInfo) bool {
 	for i := 1; i < len(frames); i++ {
 		if frames[i].FirstSeq <= frames[i-1].LastSeq {
-			ordered = false
-			break
+			return false
 		}
 	}
-	if ordered {
-		for _, fi := range frames {
-			if err := decodeFrameAt(ra, fi, dec, fn); err != nil {
+	return true
+}
+
+// mergeOrder is the order in which scanCampaignOrdered's k-way merge
+// decodes frames: by (FirstSeq, file order), the key an undecoded frame
+// holds in the heap, which never changes while it waits there.
+func mergeOrder(frames []FrameInfo) []FrameInfo {
+	sorted := slices.Clone(frames)
+	slices.SortStableFunc(sorted, func(a, b FrameInfo) int { return cmp.Compare(a.FirstSeq, b.FirstSeq) })
+	return sorted
+}
+
+// scanCampaignOrdered emits one campaign's frames in sequence order,
+// taking their decoded batches from f in the order ScanSeqOrdered
+// planned.
+func scanCampaignOrdered(f *profile.Fan[frameUnit], frames []FrameInfo, fn func(profile.JSONLEntry) error) error {
+	if ascending(frames) {
+		for range frames {
+			b, err := f.Next()
+			if b == nil {
+				return err
+			}
+			if err := b.Each(fn, func(u *frameUnit, err error) error {
+				return fmt.Errorf("cprof: frame at %d: %w", u.fi.Off, err)
+			}); err != nil {
 				return err
 			}
 		}
@@ -77,25 +124,28 @@ func scanCampaignOrdered(ra io.ReaderAt, frames []FrameInfo, dec *frameDecoder, 
 	}
 
 	// Shard-interleaved frames: lazy k-way merge. Frames enter the heap
-	// undecoded, keyed by their index FirstSeq; a frame is decoded the
-	// first time it surfaces at the heap top and stays resident only
-	// until its records drain.
+	// undecoded, keyed by their index FirstSeq; a frame takes its decoded
+	// batch the first time it surfaces at the heap top and stays resident
+	// only until its records drain, when its slice becomes the spare the
+	// next batch is swapped for.
 	h := make(frameHeap, 0, len(frames))
 	for i := range frames {
 		h = append(h, &frameCursor{fi: frames[i], seq: frames[i].FirstSeq, ord: i})
 	}
 	heap.Init(&h)
+	var spare []profile.JSONLEntry
 	for h.Len() > 0 {
 		cur := h[0]
-		if cur.entries == nil {
-			cur.entries = make([]profile.JSONLEntry, 0, cur.fi.Count)
-			err := decodeFrameAt(ra, cur.fi, dec, func(e profile.JSONLEntry) error {
-				cur.entries = append(cur.entries, e)
-				return nil
-			})
-			if err != nil {
+		if !cur.decoded {
+			b, err := f.Next()
+			if b == nil {
 				return err
 			}
+			if b.Err != nil {
+				return b.Err
+			}
+			cur.decoded = true
+			cur.entries, b.Entries, spare = b.Entries, spare, nil
 			if len(cur.entries) == 0 {
 				heap.Pop(&h)
 				continue
@@ -110,6 +160,7 @@ func scanCampaignOrdered(ra io.ReaderAt, frames []FrameInfo, dec *frameDecoder, 
 		}
 		cur.next++
 		if cur.next >= len(cur.entries) {
+			spare, cur.entries = cur.entries[:0], nil
 			heap.Pop(&h)
 			continue
 		}
@@ -125,6 +176,7 @@ type frameCursor struct {
 	fi      FrameInfo
 	seq     int // current sort key
 	ord     int // file order, the deterministic tie-break
+	decoded bool
 	entries []profile.JSONLEntry
 	next    int
 }

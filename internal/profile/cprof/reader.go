@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"sync/atomic"
 
 	"conferr/internal/profile"
 )
 
 // ScanAuto streams a profile of either format to fn: it sniffs the
 // cprof magic (not a file extension — pipes and misnamed files decode
-// by content) and dispatches to Scan or profile.ScanJSONL. The unified
-// entry point for everything that folds a record stream.
+// by content) and dispatches to Scan or profile.ScanJSONL, which decode
+// on GOMAXPROCS workers while fn runs on the caller's goroutine, in
+// file order. The unified entry point for everything that folds a
+// record stream.
 func ScanAuto(r io.Reader, fn func(profile.JSONLEntry) error) error {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -28,9 +28,10 @@ func ScanAuto(r io.Reader, fn func(profile.JSONLEntry) error) error {
 	return profile.ScanJSONL(br, fn)
 }
 
-// ScanPath is ScanAuto over a file path; "-" reads stdin. Records
-// arrive in file order — use ScanFileSeqOrdered when global sequence
-// order matters.
+// ScanPath is ScanAuto over a file path; "-" reads stdin. Decoding fans
+// out across GOMAXPROCS workers; fn runs on the caller's goroutine, and
+// records arrive in file order — use ScanFileSeqOrdered when global
+// sequence order matters.
 func ScanPath(path string, fn func(profile.JSONLEntry) error) error {
 	if path == "-" {
 		return ScanAuto(os.Stdin, fn)
@@ -60,74 +61,4 @@ func IsCprofPath(path string) (bool, error) {
 		return false, fmt.Errorf("profile: %w", err)
 	}
 	return bytes.Equal(head[:n], fileMagic), nil
-}
-
-// FoldFile decodes a cprof file's frames across workers goroutines —
-// the parallel scan the frame index exists for. Frames are claimed from
-// a shared counter; every record of a claimed frame is fed to fold with
-// the claiming worker's id (0..workers-1), so a caller folding into
-// per-worker accumulators needs no locking. Record order is preserved
-// within a frame and unspecified across frames; use it for
-// order-insensitive aggregation (the report path), not conversion.
-func FoldFile(path string, workers int, fold func(worker int, e profile.JSONLEntry) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("cprof: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("cprof: %w", err)
-	}
-	frames, _, err := ReadIndex(f, st.Size())
-	if err != nil {
-		return err
-	}
-	if workers <= 1 || len(frames) < 2 {
-		dec := &frameDecoder{}
-		for _, fi := range frames {
-			if err := decodeFrameAt(f, fi, dec, func(e profile.JSONLEntry) error {
-				return fold(0, e)
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > len(frames) {
-		workers = len(frames)
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			dec := &frameDecoder{}
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(frames) {
-					return
-				}
-				err := decodeFrameAt(f, frames[i], dec, func(e profile.JSONLEntry) error {
-					return fold(worker, e)
-				})
-				if err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"conferr/internal/profile"
@@ -32,12 +33,15 @@ type preamble struct {
 
 // Scan streams a cprof stream frame by frame to fn, in file order,
 // without materializing anything — the binary counterpart of
-// profile.ScanJSONL, with the same callback shape. File order equals
-// sequence order for files written by a single ordered sink (matrix
-// stream-out, dist merge); files written through the sharded bypass
-// interleave their shards' frames — use ScanFileSeqOrdered when global
-// sequence order matters. The scan stops cleanly at the index block, so
-// it works on a plain io.Reader (a pipe, stdin) with no seeking.
+// profile.ScanJSONL, with the same callback shape. Decoding fans out:
+// the caller's goroutine reads each frame's bytes, GOMAXPROCS workers
+// check and inflate them (see profile.Fan), and fn runs on the caller's
+// goroutine, in file order. File order equals sequence order for files
+// written by a single ordered sink (matrix stream-out, dist merge);
+// files written through the sharded bypass interleave their shards'
+// frames — use ScanFileSeqOrdered when global sequence order matters.
+// The scan stops cleanly at the index block, so it works on a plain
+// io.Reader (a pipe, stdin) with no seeking.
 func Scan(r io.Reader, fn func(profile.JSONLEntry) error) error {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -50,37 +54,54 @@ func Scan(r io.Reader, fn func(profile.JSONLEntry) error) error {
 	if !bytes.Equal(magic[:], fileMagic) {
 		return fmt.Errorf("cprof: bad magic %q", magic[:])
 	}
-	var dec frameDecoder
 	frameNo := 0
-	for {
+	cut := func(u *frameUnit) (bool, error) {
 		marker, err := br.ReadByte()
 		if err == io.EOF {
-			return nil
+			return false, nil
 		}
 		if err != nil {
-			return fmt.Errorf("cprof: reading frame marker: %w", err)
+			return false, fmt.Errorf("cprof: reading frame marker: %w", err)
 		}
 		switch marker {
 		case frameMarker:
 		case indexMarker:
 			// Frames precede the index; the sequential scan is complete.
-			return nil
+			return false, nil
 		default:
-			return fmt.Errorf("cprof: frame %d: unknown marker 0x%02x", frameNo, marker)
+			return false, fmt.Errorf("cprof: frame %d: unknown marker 0x%02x", frameNo, marker)
 		}
 		frameNo++
 		pre, err := readPreamble(br)
 		if err != nil {
-			return fmt.Errorf("cprof: frame %d: %w", frameNo, err)
+			return false, fmt.Errorf("cprof: frame %d: %w", frameNo, err)
 		}
-		dec.comp = grow(dec.comp, pre.compLen)
-		if _, err := io.ReadFull(br, dec.comp); err != nil {
-			return fmt.Errorf("cprof: frame %d: reading payload: %w", frameNo, err)
+		u.no, u.pre = frameNo, pre
+		u.dec.comp = grow(u.dec.comp, pre.compLen)
+		if _, err := io.ReadFull(br, u.dec.comp); err != nil {
+			return false, fmt.Errorf("cprof: frame %d: reading payload: %w", frameNo, err)
 		}
-		if err := dec.decode(&pre, fn); err != nil {
-			return fmt.Errorf("cprof: frame %d: %w", frameNo, err)
-		}
+		return true, nil
 	}
+	decode := func(u *frameUnit, dst []profile.JSONLEntry) ([]profile.JSONLEntry, error) {
+		dst, err := u.dec.decode(&u.pre, dst)
+		if err != nil {
+			err = fmt.Errorf("cprof: frame %d: %w", u.no, err)
+		}
+		return dst, err
+	}
+	return profile.FanEach(profile.NewFan(cut, decode), fn, func(u *frameUnit, err error) error {
+		return fmt.Errorf("cprof: frame %d: %w", u.no, err)
+	})
+}
+
+// frameUnit is one frame of a fan-out scan, with the decoder scratch
+// that is reused for every frame the unit carries.
+type frameUnit struct {
+	no  int       // Scan: the frame's 1-based number in the file
+	pre preamble  // Scan: its preamble; the payload is in dec.comp
+	fi  FrameInfo // indexed scans: where the frame lies
+	dec frameDecoder
 }
 
 // readPreamble decodes a frame preamble (the marker byte already
@@ -149,7 +170,7 @@ func grow(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// frameDecoder holds the reusable scratch of a sequential scan: the
+// frameDecoder holds the reusable scratch of a frame decode: the
 // compressed and inflated payload buffers, the per-frame dictionaries,
 // the scenario-ID front-coding buffer, and the flate stream.
 type frameDecoder struct {
@@ -164,30 +185,34 @@ type frameDecoder struct {
 	fr     io.ReadCloser
 }
 
-// decode checks, inflates, and replays one frame whose compressed
-// payload sits in d.comp, calling fn once per record.
-func (d *frameDecoder) decode(pre *preamble, fn func(profile.JSONLEntry) error) error {
+// decode checks, inflates, and appends to dst the records of one frame
+// whose compressed payload sits in d.comp. On an error, dst holds the
+// records decoded before it.
+func (d *frameDecoder) decode(pre *preamble, dst []profile.JSONLEntry) ([]profile.JSONLEntry, error) {
 	if got := crc32.Checksum(d.comp, crcTable); got != pre.crc {
-		return fmt.Errorf("%w: payload CRC mismatch (got %08x, want %08x)", errCorrupt, got, pre.crc)
+		return dst, fmt.Errorf("%w: payload CRC mismatch (got %08x, want %08x)", errCorrupt, got, pre.crc)
 	}
 	d.compRd.Reset(d.comp)
 	if d.fr == nil {
 		d.fr = flate.NewReader(&d.compRd)
 	} else if err := d.fr.(flate.Resetter).Reset(&d.compRd, nil); err != nil {
-		return fmt.Errorf("cprof: resetting flate: %w", err)
+		return dst, fmt.Errorf("cprof: resetting flate: %w", err)
 	}
 	d.raw = grow(d.raw, pre.rawLen)
 	if _, err := io.ReadFull(d.fr, d.raw); err != nil {
-		return fmt.Errorf("cprof: inflating payload: %w", err)
+		return dst, fmt.Errorf("cprof: inflating payload: %w", err)
 	}
 
+	// Every record takes at least a byte of payload, which bounds what
+	// a corrupt count can make this reserve.
+	dst = slices.Grow(dst, min(pre.count, len(d.raw)))
 	c := cursor{b: d.raw}
 	var err error
 	if d.classes, err = c.dict(d.classes[:0]); err != nil {
-		return fmt.Errorf("class dictionary: %w", err)
+		return dst, fmt.Errorf("class dictionary: %w", err)
 	}
 	if d.details, err = c.dict(d.details[:0]); err != nil {
-		return fmt.Errorf("detail dictionary: %w", err)
+		return dst, fmt.Errorf("detail dictionary: %w", err)
 	}
 	d.id = d.id[:0]
 	seq := pre.firstSeq
@@ -203,11 +228,11 @@ func (d *frameDecoder) decode(pre *preamble, fn func(profile.JSONLEntry) error) 
 		detailIdx := int(c.uvarint())
 		dur += c.varint()
 		if c.err != nil {
-			return fmt.Errorf("record %d: %w", i, c.err)
+			return dst, fmt.Errorf("record %d: %w", i, c.err)
 		}
 		if classIdx >= len(d.classes) || detailIdx >= len(d.details) ||
 			p > len(d.id) || outcome < profile.DetectedAtStartup || outcome > profile.InfrastructureError {
-			return fmt.Errorf("%w: record %d out of range (class=%d detail=%d prefix=%d outcome=%d)",
+			return dst, fmt.Errorf("%w: record %d out of range (class=%d detail=%d prefix=%d outcome=%d)",
 				errCorrupt, i, classIdx, detailIdx, p, outcome)
 		}
 		d.id = append(d.id[:p], suffix...)
@@ -220,11 +245,9 @@ func (d *frameDecoder) decode(pre *preamble, fn func(profile.JSONLEntry) error) 
 			Detail:      d.details[detailIdx],
 			Duration:    time.Duration(dur),
 		}
-		if err := fn(e); err != nil {
-			return err
-		}
+		dst = append(dst, e)
 	}
-	return nil
+	return dst, nil
 }
 
 // cursor walks a decoded payload with a sticky error, so row decoding

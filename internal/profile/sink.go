@@ -2,9 +2,11 @@ package profile
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -439,49 +441,118 @@ func ReadJSONLLine(br *bufio.Reader, spill *[]byte) ([]byte, error) {
 // ScanJSONL streams a JSON Lines profile (as written by JSONLSink) entry
 // by entry to fn, in file order, without materializing anything: memory
 // stays constant however many records the file holds — the reader-side
-// counterpart of the streaming campaign engine. A non-nil error from fn
-// stops the scan and is returned verbatim. Empty lines are skipped.
-// Parse errors name both the line number and the byte offset of the
-// offending line, so a bad record in a multi-GB profile is seek-able,
-// not just countable.
+// counterpart of the streaming campaign engine. Decoding fans out: the
+// input is cut into runs of whole lines that GOMAXPROCS workers parse
+// (see Fan), while fn runs on the caller's goroutine, in file order. A
+// non-nil error from fn stops the scan and is returned verbatim. Empty
+// lines are skipped. Parse errors name both the line number and the
+// byte offset of the offending line, so a bad record in a multi-GB
+// profile is seek-able, not just countable.
 func ScanJSONL(r io.Reader, fn func(JSONLEntry) error) error {
-	br := bufio.NewReaderSize(r, 64*1024)
-	var (
-		off    int64 // file offset of the line being read
-		lineNo int
-		long   []byte // spill for lines longer than the read buffer
-	)
+	c := &jsonlCutter{r: r, size: jsonlRunBytes}
+	return FanEach(NewFan(c.cut, decodeJSONLRun), fn, nil)
+}
+
+// jsonlRunBytes is the size ScanJSONL cuts its runs at: large enough
+// that handing a run to a worker costs little beside parsing it.
+var jsonlRunBytes = 256 << 10
+
+// jsonlRun is one unit of a JSONL scan: whole lines, the last one
+// unterminated only at the end of the input, the first of them line
+// number line at byte offset off.
+type jsonlRun struct {
+	buf  []byte
+	line int
+	off  int64
+}
+
+// jsonlCutter cuts a JSONL stream into runs of at least size bytes that
+// end at a newline. A line longer than a run gets a run of its own, up
+// to the 16 MiB line bound.
+type jsonlCutter struct {
+	r     io.Reader
+	size  int
+	carry []byte // the start of a line the previous run cut off
+	line  int    // lines cut so far
+	off   int64  // bytes cut so far
+	eof   bool
+	err   error // the read error that ended the input
+}
+
+func (c *jsonlCutter) cut(u *jsonlRun) (bool, error) {
+	if c.eof {
+		return false, c.err
+	}
+	buf := append(u.buf[:0], c.carry...)
+	scanned := 0 // buf[:scanned] holds no newline
 	for {
-		chunk, rerr := ReadJSONLLine(br, &long)
-		if rerr == ErrJSONLLineTooLong {
-			return fmt.Errorf("profile: JSONL line %d (byte offset %d): %w", lineNo+1, off, rerr)
-		}
-		if len(chunk) > 0 {
-			lineNo++
-			lineOff := off
-			off += int64(len(chunk))
-			line := chunk
-			if n := len(line); n > 0 && line[n-1] == '\n' {
-				line = line[:n-1]
+		if len(buf) >= c.size {
+			if bytes.IndexByte(buf[scanned:], '\n') >= 0 {
+				break
 			}
-			if n := len(line); n > 0 && line[n-1] == '\r' {
-				line = line[:n-1]
-			}
-			if len(line) > 0 {
-				e, perr := ParseJSONLLine(line)
-				if perr != nil {
-					return fmt.Errorf("profile: JSONL line %d (byte offset %d): %w", lineNo, lineOff, perr)
-				}
-				if err := fn(e); err != nil {
-					return err
-				}
+			scanned = len(buf)
+			if len(buf) > maxJSONLLine {
+				// buf is one line, unterminated so far.
+				return false, fmt.Errorf("profile: JSONL line %d (byte offset %d): %w", c.line+1, c.off, ErrJSONLLineTooLong)
 			}
 		}
-		if rerr == io.EOF {
-			return nil
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, max(c.size, len(buf)))
 		}
-		if rerr != nil {
-			return fmt.Errorf("profile: reading JSONL: %w", rerr)
+		n, err := c.r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			c.eof = true
+			if err != io.EOF {
+				c.err = fmt.Errorf("profile: reading JSONL: %w", err)
+			}
+			break
 		}
 	}
+	c.carry = c.carry[:0]
+	if !c.eof {
+		end := bytes.LastIndexByte(buf, '\n') + 1
+		c.carry = append(c.carry, buf[end:]...)
+		buf = buf[:end]
+	} else if len(buf) == 0 {
+		u.buf = buf
+		return false, c.err
+	}
+	u.buf, u.line, u.off = buf, c.line+1, c.off
+	c.line += bytes.Count(buf, []byte{'\n'})
+	c.off += int64(len(buf))
+	return true, nil
+}
+
+// decodeJSONLRun parses a run's lines into dst, stopping at the first
+// line that fails with the error ScanJSONL returns for it.
+func decodeJSONLRun(u *jsonlRun, dst []JSONLEntry) ([]JSONLEntry, error) {
+	b, lineNo, off := u.buf, u.line, u.off
+	for len(b) > 0 {
+		n := bytes.IndexByte(b, '\n') + 1
+		if n == 0 {
+			n = len(b)
+		}
+		if n > maxJSONLLine {
+			return dst, fmt.Errorf("profile: JSONL line %d (byte offset %d): %w", lineNo, off, ErrJSONLLineTooLong)
+		}
+		line := b[:n]
+		if k := len(line); k > 0 && line[k-1] == '\n' {
+			line = line[:k-1]
+		}
+		if k := len(line); k > 0 && line[k-1] == '\r' {
+			line = line[:k-1]
+		}
+		if len(line) > 0 {
+			e, err := ParseJSONLLine(line)
+			if err != nil {
+				return dst, fmt.Errorf("profile: JSONL line %d (byte offset %d): %w", lineNo, off, err)
+			}
+			dst = append(dst, e)
+		}
+		b = b[n:]
+		lineNo++
+		off += int64(n)
+	}
+	return dst, nil
 }

@@ -219,10 +219,24 @@ func (s *ownedSUT) SetHost(host string) {
 }
 
 // ownedRun is the log the registered "owned-for-test" target writes to.
-var (
-	ownedRun      *ownedLog
-	registerOwned sync.Once
-)
+var ownedRun = &ownedLog{}
+
+// ownedTargetAt is the "owned-for-test" target: an ownedSUT that logs
+// to ownedRun.
+func ownedTargetAt(port int) (*SystemTarget, error) {
+	sys := &ownedSUT{port: port, log: ownedRun}
+	ownedRun.mu.Lock()
+	ownedRun.suts = append(ownedRun.suts, sys)
+	ownedRun.mu.Unlock()
+	return &SystemTarget{
+		Target: &core.Target{System: sys, Formats: map[string]formats.Format{"o.conf": kv.Format{}}},
+		System: sys,
+	}, nil
+}
+
+// noopForTest is the "noop-for-test" generator: 16 scenarios that
+// change nothing.
+func noopForTest(GeneratorOptions) (Generator, error) { return noopGenerator{n: 16}, nil }
 
 // TestMatrixWorkersOwnTheirSUTs: a reload cell over kernel TCP at 4
 // workers leaves nothing to clean up when RunMatrix returns. Every
@@ -230,21 +244,8 @@ var (
 // release, and a second identical run leases the same four loopback
 // hosts, so the first run freed them.
 func TestMatrixWorkersOwnTheirSUTs(t *testing.T) {
-	registerOwned.Do(func() {
-		RegisterTarget("owned-for-test", func(port int) (*SystemTarget, error) {
-			sys := &ownedSUT{port: port, log: ownedRun}
-			ownedRun.mu.Lock()
-			ownedRun.suts = append(ownedRun.suts, sys)
-			ownedRun.mu.Unlock()
-			return &SystemTarget{
-				Target: &core.Target{System: sys, Formats: map[string]formats.Format{"o.conf": kv.Format{}}},
-				System: sys,
-			}, nil
-		})
-		RegisterGenerator("noop-for-test", func(GeneratorOptions) (Generator, error) {
-			return noopGenerator{n: 16}, nil
-		})
-	})
+	registerTargetForTest(t, "owned-for-test", ownedTargetAt)
+	registerGeneratorForTest(t, "noop-for-test", noopForTest)
 	run := func() []string {
 		ownedRun = &ownedLog{}
 		entries := []MatrixEntry{{System: "owned-for-test", Plugin: "noop-for-test", Port: lifecycleTestOwnedPort}}

@@ -37,6 +37,7 @@ func outcomes(tests []suts.Test) []string {
 // the smoke half of the contract, covering targets whose probes are not
 // HTTP at all.
 func TestProbeContractRegisteredTargets(t *testing.T) {
+	registerTestEntries(t)
 	for _, name := range RegisteredTargets() {
 		name := name
 		t.Run(name, func(t *testing.T) {

@@ -29,6 +29,7 @@ const purityTestPort = 25961
 //
 // It covers every cell generatorCells builds.
 func TestGeneratorsArePure(t *testing.T) {
+	registerTestEntries(t)
 	for _, c := range generatorCells(t) {
 		t.Run(c.name, func(t *testing.T) {
 			a := &cloneApplier{base: purityViewSet(t, c.system, c.gen)}
@@ -61,9 +62,6 @@ func TestGeneratorsArePure(t *testing.T) {
 func TestFaultloadDigests(t *testing.T) {
 	var got strings.Builder
 	for _, c := range generatorCells(t) {
-		if strings.Contains(c.name, "-for-test") {
-			continue // registered by other tests of this package, when they ran first
-		}
 		a := &cloneApplier{base: purityViewSet(t, c.system, c.gen)}
 		h := sha256.New()
 		n := 0

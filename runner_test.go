@@ -187,6 +187,37 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
+// registerTargetForTest registers f under name and unregisters it when
+// t ends, so no test's registration shows in another's registry.
+func registerTargetForTest(t testing.TB, name string, f TargetFactory) {
+	RegisterTarget(name, f)
+	t.Cleanup(func() {
+		registry.mu.Lock()
+		defer registry.mu.Unlock()
+		delete(registry.targets, name)
+	})
+}
+
+// registerGeneratorForTest is registerTargetForTest for a generator.
+func registerGeneratorForTest(t testing.TB, name string, f GeneratorFactory) {
+	RegisterGenerator(name, f)
+	t.Cleanup(func() {
+		registry.mu.Lock()
+		defer registry.mu.Unlock()
+		delete(registry.gens, name)
+	})
+}
+
+// registerTestEntries registers, until t ends, every target and
+// generator that tests of this package register: owned-for-test,
+// mysql-custom-for-test and noop-for-test. The tests that walk the whole
+// registry call it, so they cover these entries in any test order.
+func registerTestEntries(t testing.TB) {
+	registerTargetForTest(t, "owned-for-test", ownedTargetAt)
+	registerTargetForTest(t, "mysql-custom-for-test", MySQLStrictTargetAt)
+	registerGeneratorForTest(t, "noop-for-test", noopForTest)
+}
+
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -197,7 +228,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 func TestRegisterCustomTarget(t *testing.T) {
-	RegisterTarget("mysql-custom-for-test", MySQLStrictTargetAt)
+	registerTargetForTest(t, "mysql-custom-for-test", MySQLStrictTargetAt)
 	f, err := LookupTarget("mysql-custom-for-test")
 	if err != nil {
 		t.Fatal(err)

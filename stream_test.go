@@ -19,6 +19,7 @@ import (
 // must produce a record stream byte-identical to Runner.Run's in-memory
 // profile, at workers 1 and 4.
 func TestStreamingEquivalenceAllRegisteredTargets(t *testing.T) {
+	registerTestEntries(t)
 	for i, system := range RegisteredTargets() {
 		// A fixed primary port per subtest: the faultload typos the port
 		// digits, so reruns must embed identical ports to produce
