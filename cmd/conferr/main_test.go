@@ -422,6 +422,54 @@ func TestConvertRefusesSameFile(t *testing.T) {
 	}
 }
 
+// TestConvertStdinRefusesShardedCprof: stdin replays a cprof in file
+// order, which for one written through the sharded bypass is not
+// sequence order. convert fails at the first record that runs backwards
+// and names the remedy; the same file converts from its path, and an
+// ordered cprof converts from stdin to the same bytes.
+func TestConvertStdinRefusesShardedCprof(t *testing.T) {
+	dir := t.TempDir()
+	sharded := filepath.Join(dir, "x.cprof")
+	if got := runT("matrix", "-systems", "nginx", "-plugins", "typo", "-lifecycle", "reload", "-memnet",
+		"-workers", "2", "-limit", "3000", "-base-port", "24171", "-no-duration", "-stream-out", sharded); got != 0 {
+		t.Fatalf("matrix -stream-out .cprof: exit = %d", got)
+	}
+	fromPath := filepath.Join(dir, "a.jsonl")
+	ordered := filepath.Join(dir, "o.cprof")
+	for _, pair := range [][2]string{{sharded, fromPath}, {fromPath, ordered}} {
+		if got := runT("convert", pair[0], pair[1]); got != 0 {
+			t.Fatalf("convert %s %s: exit = %d", pair[0], pair[1], got)
+		}
+	}
+	fromStdin := func(in, out string) (int, string) {
+		f, err := os.Open(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		old := os.Stdin
+		os.Stdin = f
+		defer func() { os.Stdin = old }()
+		var code int
+		stderr := captureFile(t, &os.Stderr, func() { code = runT("convert", "-", out) })
+		return code, stderr
+	}
+	if code, stderr := fromStdin(sharded, filepath.Join(dir, "b.jsonl")); code == 0 || !strings.Contains(stderr, "pass its path, not stdin") {
+		t.Errorf("convert - < sharded cprof: exit %d, stderr %q; want a refusal naming the remedy", code, stderr)
+	}
+	viaStdin := filepath.Join(dir, "c.jsonl")
+	if code, stderr := fromStdin(ordered, viaStdin); code != 0 {
+		t.Fatalf("convert - < ordered cprof: exit %d, stderr %q", code, stderr)
+	}
+	want, err := os.ReadFile(fromPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(viaStdin); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("ordered cprof via stdin: %d bytes, from the sharded file's path %d (%v)", len(got), len(want), err)
+	}
+}
+
 // TestRunMatrixCprofConvertReport drives the compact pipeline end to
 // end: matrix streams a cell to .cprof and (second run) to .jsonl, the
 // two must agree byte-for-byte after conversion, and report/convert

@@ -97,9 +97,11 @@ func loadStats(path string, key func(profile.Record) string) (*profile.StreamSta
 // formats, losslessly in both directions. The input format is sniffed
 // by content; the output format follows the destination extension
 // (.cprof = compact frames, anything else = canonical JSONL, "-" =
-// JSONL on stdout). cprof inputs replay in canonical sequence order, so
+// JSONL on stdout). cprof files replay in canonical sequence order, so
 // cprof→JSONL of an ordered campaign is byte-identical to the stream
-// the campaign would have written directly.
+// the campaign would have written directly. Stdin is read in file
+// order, and a record whose sequence runs backwards fails the
+// conversion.
 func cmdConvert(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	noDuration := fs.Bool("no-duration", false, "zero the duration field during conversion, making equivalent runs byte-comparable")
@@ -131,8 +133,27 @@ func cmdConvert(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	// A campaign's sequence must not run backwards in the output. Read
+	// from stdin, a cprof replays in file order, which for one written
+	// through the sharded bypass is stride order, not sequence order.
+	// Records of one campaign come in runs, so the map is consulted only
+	// when the campaign changes.
+	type campaign struct{ system, generator string }
+	last := make(map[campaign]int)
+	var cur campaign
+	prev := 0
 	records := 0
 	err = scan(func(e profile.JSONLEntry) error {
+		if e.System != cur.system || e.Generator != cur.generator {
+			last[cur] = prev
+			cur = campaign{e.System, e.Generator}
+			prev = last[cur]
+		}
+		if e.Seq < prev {
+			return fmt.Errorf("convert: %s/%s seq %d follows seq %d: %s is not in sequence order (a sharded cprof is replayed in sequence order only from a file: pass its path, not stdin)",
+				e.System, e.Generator, e.Seq, prev, in)
+		}
+		prev = e.Seq
 		records++
 		if *noDuration {
 			e.Record.Duration = 0

@@ -88,6 +88,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 // coordState is the shared mutable half of a run: the merger, the tally,
 // completion bookkeeping, and the failure latch.
 type coordState struct {
+	open      recordOpening // immutable: what the campaign's lines open with
 	mu        sync.Mutex
 	merger    *profile.SeqMerger
 	flush     func() error
@@ -117,13 +118,13 @@ func (st *coordState) failLocked(err error) {
 	}
 }
 
-// addRec feeds one record frame to the merger, flushing the output once
+// addRec feeds one record line to the merger, flushing the output once
 // a frame's worth of records has merged since the last flush.
 func (st *coordState) addRec(seq int, line []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.merger == nil {
-		return fmt.Errorf("dist: record frame in tally mode (seq %d)", seq)
+		return fmt.Errorf("dist: record line in tally mode (seq %d)", seq)
 	}
 	if err := st.merger.Add(seq, line); err != nil {
 		// Merge errors (corruption, write failure) poison the whole run,
@@ -248,6 +249,7 @@ func (c *Coordinator) Run(ctx context.Context) (Result, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	st := &coordState{
+		open:      newRecordOpening(c.Spec),
 		flush:     flush,
 		flushed:   startSeq,
 		shardDone: make(map[int]bool, shards),
@@ -430,7 +432,7 @@ func (c *Coordinator) serveEndpoint(ctx context.Context, endpoint string, st *co
 }
 
 // attempt runs one shard on one endpoint: dial, send req for the task's
-// shard, and consume frames until done or failure. The second return
+// shard, and consume its lines until done or failure. The second return
 // reports a dial failure (endpoint's fault) as opposed to an
 // established-connection one (charged to the shard's attempt budget).
 func (c *Coordinator) attempt(ctx context.Context, endpoint string, st *coordState, task *shardTask, req ShardRequest, stallTO, dialTO time.Duration) (err error, dialErr bool) {
@@ -454,7 +456,8 @@ func (c *Coordinator) attempt(ctx context.Context, endpoint string, st *coordSta
 		if err := conn.SetReadDeadline(time.Now().Add(stallTO)); err != nil {
 			return err, false
 		}
-		if err := lr.nextFrame(&f); err != nil {
+		line, err := lr.line()
+		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return errors.New("dist: worker closed connection mid-shard"), false
 			}
@@ -463,11 +466,17 @@ func (c *Coordinator) attempt(ctx context.Context, endpoint string, st *coordSta
 			}
 			return err, false
 		}
-		switch f.Type {
-		case TypeRec:
-			if err := st.addRec(f.Seq, f.Rec); err != nil {
+		seq, rec, err := st.open.decodeFrame(line, &f)
+		if err != nil {
+			return err, false
+		}
+		if rec {
+			if err := st.addRec(seq, line); err != nil {
 				return err, false
 			}
+			continue
+		}
+		switch f.Type {
 		case TypeProgress:
 			// Liveness only; arrival already reset the stall deadline.
 		case TypeDone:

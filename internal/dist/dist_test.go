@@ -611,7 +611,7 @@ func TestCoordinatorValidatesBeforeDial(t *testing.T) {
 	}
 }
 
-// TestDistTallyMode: tally-only campaigns move no record frames, only
+// TestDistTallyMode: tally-only campaigns move no record lines, only
 // per-shard summaries.
 func TestDistTallyMode(t *testing.T) {
 	const total = 16
@@ -788,19 +788,36 @@ func (fc *frameConn) send(t *testing.T, line string) {
 	}
 }
 
-func (fc *frameConn) next(t *testing.T) (dist.Frame, error) {
+// recordLine is the Type next gives a record line, which carries none.
+const recordLine = "record"
+
+// wireMsg is one line a worker sent: a control frame, or a record line
+// (Type recordLine, Rec the line).
+type wireMsg struct {
+	dist.Frame
+	Rec []byte
+}
+
+func (fc *frameConn) next(t *testing.T) (wireMsg, error) {
 	t.Helper()
 	if !fc.sc.Scan() {
 		if err := fc.sc.Err(); err != nil {
-			return dist.Frame{}, err
+			return wireMsg{}, err
 		}
-		return dist.Frame{}, io.EOF
+		return wireMsg{}, io.EOF
 	}
-	var f dist.Frame
-	if err := json.Unmarshal(fc.sc.Bytes(), &f); err != nil {
-		t.Fatalf("undecodable frame %q: %v", fc.sc.Text(), err)
+	line := fc.sc.Bytes()
+	if !bytes.HasPrefix(line, []byte(`{"type":`)) {
+		if !json.Valid(line) {
+			t.Fatalf("record line %q is not JSON", line)
+		}
+		return wireMsg{Frame: dist.Frame{Type: recordLine}, Rec: bytes.Clone(line)}, nil
 	}
-	return f, nil
+	var m wireMsg
+	if err := json.Unmarshal(line, &m.Frame); err != nil {
+		t.Fatalf("undecodable frame %q: %v", line, err)
+	}
+	return m, nil
 }
 
 // TestDistProtocolVersionMismatchOverWire: a coordinator speaking the
@@ -858,7 +875,7 @@ func TestDistDrainSendsExplicitErrorFrame(t *testing.T) {
 			t.Fatalf("connection severed without a goodbye frame (after %d records): %v", recs, err)
 		}
 		switch f.Type {
-		case dist.TypeRec:
+		case recordLine:
 			recs++
 			if recs == 3 && !drained {
 				drained = true

@@ -3,11 +3,12 @@
 // accepts shard specifications over a line-delimited JSON TCP protocol,
 // re-derives its slice of the faultload locally — generation is a pure
 // function of (Seed, shard k of n), so no scenario ever crosses the wire
-// — and streams sequence-tagged records back. A Coordinator schedules
-// shards across workers, retries failed or stalled shards on other
-// workers with capped exponential backoff, and merges the shard streams
-// into one deterministic, gap-checked profile that is byte-identical to
-// a single-process run of the same campaign. Resume is nearly free: the
+// — and streams its records back as JSONL profile lines. A Coordinator
+// schedules shards across workers, retries failed or stalled shards on
+// other workers with capped exponential backoff, checks that every line
+// is a record of its campaign, and merges the shard streams into one
+// deterministic, gap-checked profile that is byte-identical to a
+// single-process run of the same campaign. Resume is nearly free: the
 // merged output is a gap-free prefix of the stream, and a resumed
 // coordinator re-requests each shard from where the output's intact
 // records end.
@@ -15,10 +16,10 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"conferr/internal/profile"
@@ -68,7 +69,7 @@ type CampaignSpec struct {
 	NoDuration bool `json:"no_duration,omitempty"`
 	// TallyOnly selects the summary sink mode: the worker folds its
 	// shard's records into an O(1) Summary and sends only that — no
-	// record frames — for campaigns whose output is a scorecard, not a
+	// record lines — for campaigns whose output is a scorecard, not a
 	// profile.
 	TallyOnly bool `json:"tally_only,omitempty"`
 	// ExperimentTimeout and PhaseTimeout (nanoseconds; 0 = off) arm the
@@ -83,8 +84,10 @@ type CampaignSpec struct {
 // coordinator and a worker from different builds fail fast with a clear
 // complaint instead of mis-merging streams. Version 2 moved the watchdog
 // deadlines into the campaign spec; a version 1 peer would silently run
-// without them.
-const ProtocolVersion = 2
+// without them. Version 3 sends each record as its bare JSONL profile
+// line instead of wrapping it in a "rec" frame that repeated its
+// sequence number, and progress frames carry no sequence.
+const ProtocolVersion = 3
 
 // ShardRequest is the single client→worker message: run shard Shard of
 // Shards of the campaign Campaign describes in full, skipping sequences
@@ -99,32 +102,25 @@ type ShardRequest struct {
 	StartSeq int          `json:"start_seq,omitempty"`
 }
 
-// Frame is one worker→coordinator message. Type selects the variant:
+// Frame is a worker→coordinator control message. A worker answers a
+// request with lines of two kinds: each record as its JSONL profile line,
+// byte-identical to what a single-process JSONL sink writes at that
+// sequence (the coordinator reads the sequence from the line itself),
+// and control frames, the encoding/json rendering of this struct, which
+// open with {"type":. Type selects the variant:
 //
-//   - "rec": one completed experiment; Seq is the record's global
-//     sequence number and Rec the fully rendered JSONL profile line
-//     (without trailing newline), byte-identical to what a
-//     single-process JSONL sink would emit at that sequence.
-//   - "progress": periodic heartbeat; Seq is the highest contiguous
-//     sequence the shard has completed (the worker runs its shard in
-//     order, so this is simply the last sequence done). Liveness signal:
-//     a coordinator that stops seeing frames declares the shard stalled.
+//   - "progress": periodic heartbeat, a liveness signal only: a
+//     coordinator that stops seeing lines declares the shard stalled.
 //   - "done": the shard finished; Records is the shard's total scenario
 //     count (skipped-by-StartSeq included) and Summary the outcome tally
 //     of the experiments this run executed.
 //   - "error": the shard failed; Err carries the complaint.
 //
-// Every frame is the encoding/json rendering of this struct, one per
-// line. Workers write rec frames with appendRecFrame, a fixed encoder
-// that emits those same bytes without reflection, and batch them: the
-// connection is flushed at every progress heartbeat, before the done or
-// error frame, and whenever the write buffer fills. The coordinator
-// decodes rec frames of that exact shape with decodeRecFrame, which
-// accepts only what json.Unmarshal accepts and yields the same Frame.
+// Workers batch record lines: the connection is flushed at every
+// progress heartbeat, before the done or error frame, and whenever the
+// write buffer fills.
 type Frame struct {
 	Type    string           `json:"type"`
-	Seq     int              `json:"seq,omitempty"`
-	Rec     json.RawMessage  `json:"rec,omitempty"`
 	Records int              `json:"records,omitempty"`
 	Summary *profile.Summary `json:"summary,omitempty"`
 	Err     string           `json:"err,omitempty"`
@@ -133,7 +129,6 @@ type Frame struct {
 // Frame and request type tags.
 const (
 	TypeRun      = "run"
-	TypeRec      = "rec"
 	TypeProgress = "progress"
 	TypeDone     = "done"
 	TypeError    = "error"
@@ -144,9 +139,9 @@ const (
 // the JSONL scanner's ceiling.
 const maxLine = 16 * 1024 * 1024
 
-// lineReader decodes line-delimited JSON messages: a worker reads its
-// request with next, a coordinator its frames with nextFrame, which takes
-// rec frames off the line without reflection.
+// lineReader splits a connection into lines: a worker decodes its
+// request with next, a coordinator classifies each line with
+// recordOpening.decodeFrame.
 type lineReader struct {
 	sc *bufio.Scanner
 }
@@ -154,12 +149,22 @@ type lineReader struct {
 func newLineReader(r io.Reader) *lineReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	sc.Split(wholeLines)
 	return &lineReader{sc: sc}
 }
 
+// wholeLines is bufio.ScanLines without a last, unterminated line: a
+// peer that dies mid-line has closed the connection, not sent a line.
+func wholeLines(data []byte, atEOF bool) (int, []byte, error) {
+	if bytes.IndexByte(data, '\n') < 0 {
+		return 0, nil, nil
+	}
+	return bufio.ScanLines(data, atEOF)
+}
+
 // line returns the next non-empty line. It aliases the scanner's buffer
-// and is valid until the next call. io.EOF reports a cleanly exhausted
-// stream.
+// and is valid until the next call. io.EOF reports the end of the
+// stream's whole lines.
 func (l *lineReader) line() ([]byte, error) {
 	for l.sc.Scan() {
 		if line := l.sc.Bytes(); len(line) > 0 {
@@ -185,116 +190,78 @@ func (l *lineReader) next(v any) error {
 	return nil
 }
 
-// nextFrame decodes the next non-empty line into f, overwriting every
-// field. Rec frames in appendRecFrame's shape take decodeRecFrame's
-// reflection-free path, and their f.Rec aliases the reader's buffer
-// until the next call; every other line goes through json.Unmarshal.
-func (l *lineReader) nextFrame(f *Frame) error {
-	line, err := l.line()
-	if err != nil {
-		return err
-	}
-	if decodeRecFrame(line, f) {
-		return nil
-	}
-	// Zero f first: json.Unmarshal merges into existing fields, and a
-	// RawMessage appends into its old backing array, which may be a
-	// previous line's buffer.
-	*f = Frame{}
-	if err := json.Unmarshal(line, f); err != nil {
-		return fmt.Errorf("dist: decoding message: %w", err)
-	}
-	return nil
+// controlPrefix opens every control frame: Frame's Type is its first
+// field.
+const controlPrefix = `{"type":`
+
+// recordOpening is what every record line of one campaign opens with,
+// {"system":S,"generator":P,"seq":, rendered by
+// profile.AppendJSONLOpening, the helper AppendJSONLRecord opens each
+// line with.
+type recordOpening struct {
+	open     []byte
+	campaign string // system/generator, for errors
 }
 
-// recFramePrefix opens every rec frame with a non-zero sequence number;
-// recFrameRec separates the sequence from the record.
-const (
-	recFramePrefix = `{"type":"rec","seq":`
-	recFrameRec    = `,"rec":`
-)
-
-// maxRecFrameOverhead bounds the bytes a rec frame adds around its
-// record line: prefix, a 20-byte int64, separator, '}' and '\n'.
-const maxRecFrameOverhead = len(recFramePrefix) + 20 + len(recFrameRec) + 2
-
-// appendRecFrame appends the rec frame for one record line, newline
-// included. The bytes equal json.Marshal(Frame{Type: TypeRec, Seq: seq,
-// Rec: line}) plus '\n' whenever line is compact, HTML-escaped JSON — as
-// every profile.AppendJSONLRecord line is — because json.Marshal copies
-// such a RawMessage verbatim. A zero seq is omitted, as omitempty does.
-func appendRecFrame(dst []byte, seq int, line []byte) []byte {
-	if seq == 0 {
-		dst = append(dst, `{"type":"rec","rec":`...)
-	} else {
-		dst = append(dst, recFramePrefix...)
-		dst = strconv.AppendInt(dst, int64(seq), 10)
-		dst = append(dst, recFrameRec...)
+func newRecordOpening(spec CampaignSpec) recordOpening {
+	return recordOpening{
+		open:     profile.AppendJSONLOpening(nil, spec.System, spec.Plugin),
+		campaign: spec.System + "/" + spec.Plugin,
 	}
-	dst = append(dst, line...)
-	return append(dst, '}', '\n')
 }
 
-// writeRecFrame encodes one rec frame straight into bw's free space,
-// flushing bw first when the frame might not fit.
-func writeRecFrame(bw *bufio.Writer, seq int, line []byte) error {
-	if bw.Available() < len(line)+maxRecFrameOverhead {
-		if err := flushFrames(bw); err != nil {
-			return err
+// decodeFrame classifies one line a worker sent. A control frame is
+// decoded into f, overwriting it, and rec is false. Any other line must
+// be a record of o's campaign: o.open, the sequence number as a
+// canonical decimal of at most 18 digits (so it cannot overflow), a
+// comma, and valid JSON throughout. Its sequence number is returned with
+// rec true; the line is checked, not copied. Everything else is an error
+// naming the campaign and quoting the line's first 64 bytes.
+func (o recordOpening) decodeFrame(line []byte, f *Frame) (seq int, rec bool, err error) {
+	if bytes.HasPrefix(line, []byte(controlPrefix)) {
+		// Zero f first: json.Unmarshal merges into what it holds.
+		*f = Frame{}
+		if err := json.Unmarshal(line, f); err != nil {
+			return 0, false, fmt.Errorf("dist: decoding message: %w", err)
 		}
+		return 0, false, nil
 	}
-	if _, err := bw.Write(appendRecFrame(bw.AvailableBuffer(), seq, line)); err != nil {
+	if !bytes.HasPrefix(line, o.open) {
+		return 0, false, o.foreign(line)
+	}
+	rest := line[len(o.open):]
+	i := 0
+	for ; i < len(rest) && i <= 18 && '0' <= rest[i] && rest[i] <= '9'; i++ {
+		seq = seq*10 + int(rest[i]-'0')
+	}
+	if i == 0 || i > 18 || (i > 1 && rest[0] == '0') || i == len(rest) || rest[i] != ',' || !json.Valid(line) {
+		return 0, false, o.foreign(line)
+	}
+	return seq, true, nil
+}
+
+func (o recordOpening) foreign(line []byte) error {
+	return fmt.Errorf("dist: worker sent a line that is no record of %s: %q", o.campaign, line[:min(len(line), 64)])
+}
+
+// writeRecord appends one record line and its newline to bw, which
+// writes to the connection whenever it fills.
+func writeRecord(bw *bufio.Writer, line []byte) error {
+	if _, err := bw.Write(line); err != nil {
+		return fmt.Errorf("dist: writing message: %w", err)
+	}
+	if err := bw.WriteByte('\n'); err != nil {
 		return fmt.Errorf("dist: writing message: %w", err)
 	}
 	return nil
 }
 
-// flushFrames writes bw's buffered frames to the connection.
+// flushFrames writes bw's buffered lines to the connection.
 func flushFrames(bw *bufio.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("dist: writing message: %w", err)
 	}
 	return nil
-}
-
-// decodeRecFrame decodes line into f without reflection when it is a rec
-// frame of exactly appendRecFrame's shape: the prefix, a canonical
-// positive decimal sequence of at most 18 digits (so it cannot
-// overflow), the separator, one valid JSON value without surrounding
-// whitespace, and the closing brace. Such a line is a valid JSON object
-// whose json.Unmarshal is exactly the Frame set here. Any other line —
-// seq 0, other frame types, extra keys or spacing — reports false and
-// leaves f untouched, for the caller to hand to json.Unmarshal. f.Rec
-// aliases line.
-func decodeRecFrame(line []byte, f *Frame) bool {
-	if len(line) < len(recFramePrefix) || string(line[:len(recFramePrefix)]) != recFramePrefix {
-		return false
-	}
-	rest := line[len(recFramePrefix):]
-	if len(rest) == 0 || rest[0] < '1' || rest[0] > '9' {
-		return false
-	}
-	seq, i := 0, 0
-	for ; i < len(rest) && i <= 18 && '0' <= rest[i] && rest[i] <= '9'; i++ {
-		seq = seq*10 + int(rest[i]-'0')
-	}
-	if i > 18 {
-		return false
-	}
-	rest = rest[i:]
-	if len(rest) < len(recFrameRec)+2 || string(rest[:len(recFrameRec)]) != recFrameRec || rest[len(rest)-1] != '}' {
-		return false
-	}
-	rec := rest[len(recFrameRec) : len(rest)-1]
-	if isJSONSpace(rec[0]) || isJSONSpace(rec[len(rec)-1]) || !json.Valid(rec) {
-		return false
-	}
-	*f = Frame{Type: TypeRec, Seq: seq, Rec: rec}
-	return true
-}
-
-func isJSONSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 // writeMsg encodes v as one JSON line. Callers serialize access to w.

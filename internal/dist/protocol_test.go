@@ -6,184 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"math"
 	"net"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"conferr"
 	"conferr/internal/dist"
 	"conferr/internal/profile"
 )
-
-// marshalFrame is the reflection encoding every frame had before rec
-// frames got a fixed encoder: the wire format ProtocolVersion 1 pins.
-func marshalFrame(t testing.TB, f dist.Frame) []byte {
-	t.Helper()
-	data, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(data, '\n')
-}
-
-// shardLines runs one shard of a real nginx/typo campaign and returns
-// its rendered record lines by sequence.
-func shardLines(t *testing.T, spec dist.CampaignSpec) map[int][]byte {
-	t.Helper()
-	req := dist.ShardRequest{Type: dist.TypeRun, Proto: dist.ProtocolVersion, Campaign: spec, Shard: 0, Shards: 1}
-	lines := make(map[int][]byte)
-	emit := func(seq int, line []byte) error {
-		lines[seq] = append([]byte(nil), line...)
-		return nil
-	}
-	if _, err := conferr.NewDistRunner().RunShard(context.Background(), req, emit); err != nil {
-		t.Fatal(err)
-	}
-	return lines
-}
-
-// TestRecFrameMatchesMarshal: the fixed rec frame encoder writes exactly
-// the bytes json.Marshal wrote for every record of a real shard, and
-// the fast decoder reads them back as json.Unmarshal does.
-func TestRecFrameMatchesMarshal(t *testing.T) {
-	lines := shardLines(t, realSpec(11, 2000, 25906))
-	if len(lines) != 2000 {
-		t.Fatalf("shard rendered %d lines, want 2000", len(lines))
-	}
-	check := func(seq int, line []byte) {
-		t.Helper()
-		want := marshalFrame(t, dist.Frame{Type: dist.TypeRec, Seq: seq, Rec: line})
-		got := dist.AppendRecFrame(nil, seq, line)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("seq %d: rec frame\n got %s\nwant %s", seq, got, want)
-		}
-		var ref, fast dist.Frame
-		if err := json.Unmarshal(got, &ref); err != nil {
-			t.Fatal(err)
-		}
-		// Seq 0 omits the key, and 19-digit seqs could overflow: both
-		// take json.Unmarshal's path.
-		if fits := seq > 0 && seq < 1e18; dist.DecodeRecFrame(got[:len(got)-1], &fast) != fits {
-			t.Fatalf("seq %d: fast decoder accepts = %v, want %v", seq, !fits, fits)
-		}
-		if fast.Type != "" && !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("seq %d: fast decode %+v, json.Unmarshal %+v", seq, fast, ref)
-		}
-	}
-	for seq, line := range lines {
-		check(seq, line)
-	}
-	for _, seq := range []int{0, 1, 9, 10, 123456789, math.MaxInt32, 1 << 40, 999999999999999999, math.MaxInt64} {
-		check(seq, lines[0])
-	}
-}
-
-// legacyServe is a worker speaking the wire as it was before rec frames
-// were batched: every frame reflection-encoded and written on its own.
-func legacyServe(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	runner := conferr.NewDistRunner()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				sc := bufio.NewScanner(conn)
-				var req dist.ShardRequest
-				if !sc.Scan() || json.Unmarshal(sc.Bytes(), &req) != nil {
-					return
-				}
-				write := func(f dist.Frame) error {
-					data, err := json.Marshal(f)
-					if err != nil {
-						return err
-					}
-					_, err = conn.Write(append(data, '\n'))
-					return err
-				}
-				res, err := runner.RunShard(context.Background(), req, func(seq int, line []byte) error {
-					return write(dist.Frame{Type: dist.TypeRec, Seq: seq, Rec: line})
-				})
-				if err != nil {
-					_ = write(dist.Frame{Type: dist.TypeError, Err: err.Error()})
-					return
-				}
-				sum := res.Summary
-				_ = write(dist.Frame{Type: dist.TypeDone, Records: res.Records, Summary: &sum})
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestDistLegacyWireInterop: a coordinator fed by workers that still
-// marshal and write every frame one by one merges byte-identical to the
-// single-process reference — the batched fixed encoder changed no byte
-// of ProtocolVersion 1.
-func TestDistLegacyWireInterop(t *testing.T) {
-	const (
-		seed  = int64(9)
-		limit = 600
-		port  = 25907
-	)
-	ref := referenceStream(t, seed, limit, port)
-	var out bytes.Buffer
-	coord := &dist.Coordinator{
-		Workers:      []string{legacyServe(t), legacyServe(t)},
-		Shards:       4,
-		Spec:         realSpec(seed, limit, port),
-		Out:          &out,
-		StallTimeout: 10 * time.Second,
-		Retry:        fastRetry,
-	}
-	res, err := coord.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Records != limit || res.Retries != 0 {
-		t.Fatalf("records = %d, retries = %d, want %d and 0", res.Records, res.Retries, limit)
-	}
-	if !bytes.Equal(out.Bytes(), ref) {
-		t.Fatalf("legacy-wire merge diverges from single-process reference:\n got %d bytes\nwant %d bytes", out.Len(), len(ref))
-	}
-}
-
-// TestRecFrameAllocs: one rec frame costs no allocation, encoded into a
-// warm write buffer and decoded by the fast path into a reused Frame.
-func TestRecFrameAllocs(t *testing.T) {
-	line := []byte(`{"seq":4242,"scenario":"typo/nginx/listen#3","outcome":"detected-at-startup","detail":"bad port <80>"}`)
-	bw := bufio.NewWriterSize(io.Discard, 64*1024)
-	frame := dist.AppendRecFrame(nil, 4242, line)
-	frame = frame[:len(frame)-1]
-	var f dist.Frame
-	round := func() {
-		if err := dist.WriteRecFrame(bw, 4242, line); err != nil {
-			t.Fatal(err)
-		}
-		if !dist.DecodeRecFrame(frame, &f) {
-			t.Fatal("fast decoder declined a rec frame")
-		}
-	}
-	round()
-	if allocs := testing.AllocsPerRun(2000, round); allocs != 0 {
-		t.Fatalf("one rec frame costs %.2f allocs, want 0", allocs)
-	}
-	if f.Seq != 4242 || !bytes.Equal(f.Rec, line) {
-		t.Fatalf("decoded %+v", f)
-	}
-}
 
 // serve hosts srv on a loopback port until the test ends.
 func serve(t *testing.T, srv *dist.Server) string {
@@ -223,9 +53,9 @@ func TestDistBatchedRecordsReachPeerWithinHeartbeats(t *testing.T) {
 			t.Fatalf("after %d records and %d heartbeats: %v", recs, beats, err)
 		}
 		switch f.Type {
-		case dist.TypeRec:
-			if f.Seq != recs || string(f.Rec) != string(stubLine(recs)) {
-				t.Fatalf("record frame %+v, want seq %d", f, recs)
+		case recordLine:
+			if string(f.Rec) != string(stubLine(recs)) {
+				t.Fatalf("record line %s, want seq %d", f.Rec, recs)
 			}
 			recs++
 		case dist.TypeProgress:
@@ -239,7 +69,7 @@ func TestDistBatchedRecordsReachPeerWithinHeartbeats(t *testing.T) {
 }
 
 // TestDistEmitFailsWhenPeerCloses: once the coordinator hangs up, the
-// runner's emit fails within one heartbeat, although record frames sit
+// runner's emit fails within one heartbeat, although record lines sit
 // in the worker's buffer and no write has failed yet.
 func TestDistEmitFailsWhenPeerCloses(t *testing.T) {
 	const hb = 200 * time.Millisecond
@@ -262,7 +92,7 @@ func TestDistEmitFailsWhenPeerCloses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Type == dist.TypeRec {
+		if f.Type == recordLine {
 			recs++
 		}
 	}
@@ -278,59 +108,86 @@ func TestDistEmitFailsWhenPeerCloses(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame: the fast rec frame decoder either declines a line or
-// decodes exactly the Frame json.Unmarshal does; it never accepts a line
-// json.Unmarshal rejects.
-func FuzzDecodeFrame(f *testing.F) {
-	rec := []byte(`{"seq":7,"system":"nginx","outcome":"ok","detail":"a <b> \"q\""}`)
-	sum := profile.Summary{Injected: 4, AtStartup: 1}
-	seeds := [][]byte{
-		dist.AppendRecFrame(nil, 7, rec),
-		dist.AppendRecFrame(nil, 0, rec),
-		dist.AppendRecFrame(nil, math.MaxInt32, rec),
-		dist.AppendRecFrame(nil, 999999999999999999, []byte(`{}`)),
-		marshalFrame(f, dist.Frame{Type: dist.TypeProgress, Seq: 12}),
-		marshalFrame(f, dist.Frame{Type: dist.TypeDone, Records: 40, Summary: &sum}),
-		marshalFrame(f, dist.Frame{Type: dist.TypeError, Err: "dist: worker draining"}),
-		[]byte(`{"type":"rec","seq":-1,"rec":{}}`),
-		[]byte(`{"type":"rec","seq":0,"rec":{}}`),
-		[]byte(`{"type":"rec","seq":007,"rec":{}}`),
-		[]byte(`{"type":"rec","seq":1234567890123456789,"rec":{}}`),
-		[]byte(`{"type":"rec","seq":99999999999999999999,"rec":{}}`),
-		[]byte(`{"type":"rec","seq":1e3,"rec":{}}`),
-		[]byte(`{"type":"rec","seq":5,"rec": {} }`),
-		[]byte(`{"type":"rec","seq":5,"rec":null}`),
-		[]byte(`{"type":"rec","seq":5,"rec":"x"}`),
-		[]byte(`{"type":"rec","seq":5,"rec":{},"rec":[1]}`),
-		[]byte(`{"type":"rec","seq":5,"rec":{"a":1},"type":"done"}`),
-		[]byte(`{"type":"rec","seq":5,"rec":}`),
-		[]byte(`{"type":"rec","seq":5,"rec":{"a":"\x01"}}`),
+// TestDistRefusesAnotherCampaignsRecords: a worker whose runner renders
+// bind/typo lines for an nginx/typo spec fails every attempt of its
+// shard with an error naming the campaign the lines should belong to,
+// and none of its lines reaches the output.
+func TestDistRefusesAnotherCampaignsRecords(t *testing.T) {
+	const total = 6
+	bindLine := func(seq int) []byte {
+		line := profile.AppendJSONLRecord(nil, "bind", "typo", seq, profile.Record{
+			ScenarioID: fmt.Sprint("typo#", seq), Outcome: profile.DetectedByTest,
+		})
+		return line[:len(line)-1]
 	}
-	for _, s := range seeds {
-		s = bytes.TrimSuffix(s, []byte("\n"))
-		f.Add(s)
-		for _, cut := range []int{1, len(s) / 2, len(s) - 1} {
-			f.Add(s[:cut]) // truncated frames
-		}
-	}
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var fast dist.Frame
-		ok := dist.DecodeRecFrame(line, &fast)
-		var ref dist.Frame
-		refErr := json.Unmarshal(line, &ref)
-		if !ok {
-			if !reflect.DeepEqual(fast, dist.Frame{}) {
-				t.Fatalf("declined %q but wrote %+v", line, fast)
+	wrong := dist.ShardRunnerFunc(func(_ context.Context, req dist.ShardRequest, emit func(int, []byte) error) (dist.ShardResult, error) {
+		for seq := req.Shard; seq < total; seq += req.Shards {
+			if err := emit(seq, bindLine(seq)); err != nil {
+				return dist.ShardResult{}, err
 			}
-			return
 		}
-		if refErr != nil {
-			t.Fatalf("fast decoder accepted %q, which json.Unmarshal rejects: %v", line, refErr)
-		}
-		if !reflect.DeepEqual(fast, ref) {
-			t.Fatalf("line %q: fast decode %+v, json.Unmarshal %+v", line, fast, ref)
-		}
+		return dist.ShardResult{Records: total}, nil
 	})
+	_, addr := startServer(t, wrong)
+	var out bytes.Buffer
+	coord := &dist.Coordinator{
+		Workers:      []string{addr},
+		Shards:       1,
+		Spec:         dist.CampaignSpec{System: "nginx", Plugin: "typo", Limit: total},
+		Out:          &out,
+		StallTimeout: 5 * time.Second,
+		Retry:        fastRetry,
+	}
+	_, err := coord.Run(context.Background())
+	if err == nil {
+		t.Fatalf("merged %d bytes of bind/typo records into an nginx/typo profile", out.Len())
+	}
+	want := fmt.Sprintf("dist: shard 0 failed after %d attempts: dist: worker sent a line that is no record of nginx/typo: %q",
+		fastRetry.MaxAttempts, bindLine(0)[:64])
+	if err.Error() != want {
+		t.Fatalf("err = %v\nwant %s", err, want)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("output holds %q", out.Bytes())
+	}
+}
+
+// TestDistLineCutByDeathIsAClosedConnection: a worker that dies in the
+// middle of a record line has closed the connection; the cut line is not
+// read as a line of some other campaign.
+func TestDistLineCutByDeathIsAClosedConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// Read the request first: closing with it unread could reset
+			// the connection instead.
+			if _, err := bufio.NewReader(conn).ReadBytes('\n'); err == nil {
+				_, _ = conn.Write(append(stubLine(0), '\n'))
+				_, _ = conn.Write(stubLine(1)[:40])
+			}
+			conn.Close()
+		}
+	}()
+	coord := &dist.Coordinator{
+		Workers:      []string{ln.Addr().String()},
+		Shards:       1,
+		Spec:         dist.CampaignSpec{System: "stub", Plugin: "stub", Limit: 2},
+		Out:          &bytes.Buffer{},
+		StallTimeout: 5 * time.Second,
+		Retry:        fastRetry,
+	}
+	_, err = coord.Run(context.Background())
+	if want := "dist: worker closed connection mid-shard"; err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("err = %v, want it to end in %q", err, want)
+	}
 }
 
 // FuzzShardRequestValidate: Validate never panics on any request a

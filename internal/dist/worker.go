@@ -29,7 +29,10 @@ type ShardResult struct {
 // facade's registry) builds the campaign and drives core.RunShard; tests
 // substitute deterministic fakes. emit receives each record's global
 // sequence number and its fully rendered JSONL line (no trailing
-// newline); emit is never called for sequences below req.StartSeq.
+// newline); emit is never called for sequences below req.StartSeq. The
+// line travels as is and carries the sequence itself, so it must be
+// profile.AppendJSONLRecord's rendering for the request's campaign: the
+// coordinator refuses a line of any other system or generator.
 type ShardRunner interface {
 	RunShard(ctx context.Context, req ShardRequest, emit func(seq int, line []byte) error) (ShardResult, error)
 }
@@ -44,7 +47,7 @@ func (f ShardRunnerFunc) RunShard(ctx context.Context, req ShardRequest, emit fu
 
 // Server is the campaign worker daemon: it accepts one shard request per
 // TCP connection, executes it through the configured runner, and streams
-// record frames (or a tally summary) back, with periodic progress
+// record lines (or a tally summary) back, with periodic progress
 // heartbeats so the coordinator can tell a long experiment from a dead
 // worker. Connections are independent — one daemon serves shards of
 // several campaigns, or several shards of one, concurrently.
@@ -58,40 +61,43 @@ type Server struct {
 	// internal/chaos), also usable for instrumentation.
 	WrapConn func(net.Conn) net.Conn
 	// DrainGrace bounds how long Drain lets a shard keep running before
-	// its context is cancelled (0 selects 2s). Shards that emit a frame
-	// during the grace period abort at that frame boundary instead.
+	// its context is cancelled (0 selects 2s). Shards that emit a record
+	// during the grace period abort at that record instead.
 	DrainGrace time.Duration
 	// Logf, when non-nil, receives serve-loop diagnostics.
 	Logf func(format string, args ...any)
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	cancels  map[net.Conn]context.CancelFunc
+	mu sync.Mutex
+	ln net.Listener
+	// conns holds every open connection, with its shard's cancel once
+	// the request is read (nil before).
+	conns    map[net.Conn]context.CancelFunc
 	closed   bool
 	draining atomic.Bool
 }
 
-// errDraining aborts in-flight shards at their next frame boundary when
-// the server is draining.
+// errDraining aborts in-flight shards at their next record when the
+// server is draining.
 var errDraining = errors.New("dist: worker draining")
 
 // Drain begins a graceful shutdown: the listener closes (new dials fail,
-// so coordinators reassign work elsewhere), in-flight shards finish the
-// frame they are on and then abort with an explicit error frame — the
-// coordinator retries the shard from its resume front instead of
-// diagnosing a severed connection — and shards that stay silent past
-// DrainGrace (generation phase, a long experiment) have their contexts
-// cancelled. Serve returns once every handler has said goodbye.
+// so coordinators reassign work elsewhere), in-flight shards abort at
+// their next record with an explicit error frame — the coordinator
+// retries the shard from its resume front instead of diagnosing a
+// severed connection — and shards that stay silent past DrainGrace
+// (generation phase, a long experiment) have their contexts cancelled.
+// Serve returns once every handler has said goodbye.
 func (s *Server) Drain() error {
 	if s.draining.Swap(true) {
 		return nil
 	}
 	s.mu.Lock()
 	ln := s.ln
-	cancels := make([]context.CancelFunc, 0, len(s.cancels))
-	for _, cancel := range s.cancels {
-		cancels = append(cancels, cancel)
+	var cancels []context.CancelFunc
+	for _, cancel := range s.conns {
+		if cancel != nil {
+			cancels = append(cancels, cancel)
+		}
 	}
 	s.mu.Unlock()
 	var err error
@@ -123,7 +129,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	s.ln = ln
 	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
+		s.conns = make(map[net.Conn]context.CancelFunc)
 	}
 	s.mu.Unlock()
 
@@ -186,8 +192,17 @@ func (s *Server) track(conn net.Conn) bool {
 	if s.closed {
 		return false
 	}
-	s.conns[conn] = struct{}{}
+	s.conns[conn] = nil
 	return true
+}
+
+// setCancel records the cancel of conn's shard, for Drain.
+func (s *Server) setCancel(conn net.Conn, cancel context.CancelFunc) {
+	s.mu.Lock()
+	if _, ok := s.conns[conn]; ok {
+		s.conns[conn] = cancel
+	}
+	s.mu.Unlock()
 }
 
 func (s *Server) untrack(conn net.Conn) {
@@ -218,8 +233,8 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 		conn.RemoteAddr(), req.Shard, req.Shards, req.Campaign.System, req.Campaign.Plugin, req.StartSeq)
 
 	// Writes to the connection interleave two producers — the runner's
-	// record frames and the heartbeat ticker — so they serialize on wmu.
-	// Record frames collect in bw; every other frame flushes it, so the
+	// record lines and the heartbeat ticker — so they serialize on wmu.
+	// Record lines collect in bw; every frame flushes it, so the
 	// heartbeat bounds how long a record waits, exactly as it bounds the
 	// coordinator's stall detection.
 	var wmu sync.Mutex
@@ -232,30 +247,15 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 		}
 		return flushFrames(bw)
 	}
-	sendRec := func(seq int, line []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return writeRecFrame(bw, seq, line)
-	}
 
 	// The shard aborts when the connection dies: a failed write or flush
 	// cancels runCtx, and so does the read-side watch below. Drain
 	// cancels it too, after its grace period.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	s.mu.Lock()
-	if s.cancels == nil {
-		s.cancels = make(map[net.Conn]context.CancelFunc)
-	}
-	s.cancels[conn] = cancel
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.cancels, conn)
-		s.mu.Unlock()
-	}()
+	s.setCancel(conn, cancel)
 
-	// Record frames reach the connection only at the next flush, so a
+	// Record lines reach the connection only at the next flush, so a
 	// failed write can lag a dead peer by a heartbeat or more. The read
 	// side watches instead: the coordinator sends nothing after its
 	// request, so any read result — EOF, a reset, stray bytes — means
@@ -274,8 +274,6 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 		<-watchDone
 	}()
 
-	var lastSeq, emitted int
-	var progressMu sync.Mutex
 	hb := s.Heartbeat
 	if hb <= 0 {
 		hb = time.Second
@@ -292,16 +290,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 			case <-hbDone:
 				return
 			case <-t.C:
-				progressMu.Lock()
-				seq, n := lastSeq, emitted
-				progressMu.Unlock()
-				if n == 0 {
-					// Nothing completed yet (long generation phase, or all
-					// sequences below StartSeq): heartbeat the start front so
-					// the coordinator still sees liveness.
-					seq = req.StartSeq
-				}
-				if err := send(Frame{Type: TypeProgress, Seq: seq}); err != nil {
+				if err := send(Frame{Type: TypeProgress}); err != nil {
 					cancel()
 					return
 				}
@@ -309,9 +298,10 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 		}
 	}()
 
-	emit := func(seq int, line []byte) error {
+	// The line carries its own sequence number, so emit's goes unused.
+	emit := func(_ int, line []byte) error {
 		if s.draining.Load() {
-			// Graceful drain: this frame is the shard's last. The runner
+			// Graceful drain: this record is the shard's last. The runner
 			// aborts, the handler sends an explicit error frame, and the
 			// coordinator reschedules from its resume front.
 			return errDraining
@@ -319,16 +309,16 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 		if err := runCtx.Err(); err != nil {
 			return err
 		}
-		if !req.Campaign.TallyOnly {
-			if err := sendRec(seq, line); err != nil {
-				cancel()
-				return err
-			}
+		if req.Campaign.TallyOnly {
+			return nil
 		}
-		progressMu.Lock()
-		lastSeq, emitted = seq, emitted+1
-		progressMu.Unlock()
-		return nil
+		wmu.Lock()
+		err := writeRecord(bw, line)
+		wmu.Unlock()
+		if err != nil {
+			cancel()
+		}
+		return err
 	}
 
 	res, err := s.runShard(runCtx, req, emit)
@@ -343,8 +333,8 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	_ = send(Frame{Type: TypeDone, Records: res.Records, Summary: &sum})
 }
 
-// frameBufSize is the worker's write buffer: about fifty typical rec
-// frames per write. On dist-loopback, 64 KiB was no faster and delayed
+// frameBufSize is the worker's write buffer: about fifty typical record
+// lines per write. On dist-loopback, 64 KiB was no faster and delayed
 // the first record by filling longer.
 const frameBufSize = 16 * 1024
 

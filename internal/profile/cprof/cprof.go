@@ -126,11 +126,6 @@ type FrameInfo struct {
 // with in-flight sink writes — call it after the runs feeding the sinks
 // have completed.
 type Writer struct {
-	// Level is the flate compression level for subsequent frames.
-	// Defaults to flate.BestSpeed (1): the payload is already delta- and
-	// dictionary-encoded, so higher levels buy a few percent of size for
-	// a multiple of the encode cost. Set before the first record lands.
-	Level int
 	// FrameRecords is the per-sink frame size in records (default
 	// DefaultFrameRecords). Set before the first record lands.
 	FrameRecords int
@@ -157,10 +152,7 @@ func NewWriter(w io.Writer) *Writer { return newWriterAt(w, 0, nil) }
 // (magic included, when off > 0) are already on disk and frames
 // describes them. Used by ResumePath after keeping a file's intact prefix.
 func newWriterAt(w io.Writer, off int64, frames []FrameInfo) *Writer {
-	return &Writer{
-		Level: 1, FrameRecords: DefaultFrameRecords,
-		w: w, off: off, wrote: off > 0, frames: frames,
-	}
+	return &Writer{FrameRecords: DefaultFrameRecords, w: w, off: off, wrote: off > 0, frames: frames}
 }
 
 // Sink returns a streaming profile sink writing the campaign's records
@@ -254,7 +246,7 @@ func (w *Writer) writeFrame(system, generator string, recs []profile.Record, seq
 	if err := w.ensureMagicLocked(); err != nil {
 		return err
 	}
-	head, comp, err := w.enc.encode(system, generator, recs, seqs, w.Level)
+	head, comp, err := w.enc.encode(system, generator, recs, seqs)
 	if err != nil {
 		w.err = err
 		return err

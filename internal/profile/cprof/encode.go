@@ -21,13 +21,12 @@ type frameEncoder struct {
 	class  dictBuilder
 	detail dictBuilder
 
-	fw      *flate.Writer
-	fwLevel int
+	fw *flate.Writer
 }
 
 // encode renders one frame and returns the preamble and compressed
 // payload (both valid until the next encode call).
-func (e *frameEncoder) encode(system, generator string, recs []profile.Record, seqs []int, level int) (head, comp []byte, err error) {
+func (e *frameEncoder) encode(system, generator string, recs []profile.Record, seqs []int) (head, comp []byte, err error) {
 	// Pass 1: dictionaries, in first-appearance order.
 	e.class.reset()
 	e.detail.reset()
@@ -61,13 +60,12 @@ func (e *frameEncoder) encode(system, generator string, recs []profile.Record, s
 	}
 	e.raw = raw
 
-	// Compress.
-	if e.fw == nil || e.fwLevel != level {
-		fw, err := flate.NewWriter(nil, level)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cprof: flate level %d: %w", level, err)
-		}
-		e.fw, e.fwLevel = fw, level
+	// Compress at flate.BestSpeed: the payload is already delta- and
+	// dictionary-encoded, so higher levels buy a few percent of size for
+	// a multiple of the encode cost.
+	if e.fw == nil {
+		// NewWriter fails only on an invalid level.
+		e.fw, _ = flate.NewWriter(nil, flate.BestSpeed)
 	}
 	cw := (*compBuf)(&e.comp)
 	e.comp = e.comp[:0]

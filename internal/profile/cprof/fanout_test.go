@@ -15,18 +15,6 @@ import (
 	"conferr/internal/profile"
 )
 
-// decodeEach decodes one frame and hands its records to fn, the way the
-// decoder replayed frames before decoding fanned out.
-func decodeEach(dec *frameDecoder, pre *preamble, fn func(profile.JSONLEntry) error) error {
-	batch, err := dec.decode(pre, nil)
-	for _, e := range batch {
-		if ferr := fn(e); ferr != nil {
-			return ferr
-		}
-	}
-	return err
-}
-
 // scanReference is Scan as one goroutine reading and decoding frame by
 // frame: the oracle the fan-out scan must match, entry for entry and
 // error for error.
@@ -68,7 +56,13 @@ func scanReference(r io.Reader, fn func(profile.JSONLEntry) error) error {
 		if _, err := io.ReadFull(br, dec.comp); err != nil {
 			return fmt.Errorf("cprof: frame %d: reading payload: %w", frameNo, err)
 		}
-		if err := decodeEach(&dec, &pre, fn); err != nil {
+		batch, err := dec.decode(&pre, nil)
+		for _, e := range batch {
+			if ferr := fn(e); ferr != nil {
+				return ferr
+			}
+		}
+		if err != nil {
 			return fmt.Errorf("cprof: frame %d: %w", frameNo, err)
 		}
 	}
@@ -96,7 +90,7 @@ func scanSeqOrderedReference(ra io.ReaderAt, size int64, fn func(profile.JSONLEn
 		batch, err := decodeFrameAt(ra, fi, dec, nil)
 		for _, e := range batch {
 			if ferr := fn(e); ferr != nil {
-				return fmt.Errorf("cprof: frame at %d: %w", fi.Off, ferr)
+				return ferr
 			}
 		}
 		return err
@@ -327,6 +321,50 @@ func TestScanStopsAtFnError(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
+		}
+	}
+}
+
+// TestFnErrorReadsTheSameInEveryFormat: one callback error comes back
+// verbatim from every reader of one campaign: ScanJSONL over its JSONL,
+// Scan and ScanSeqOrdered over an ordered cprof and over one written
+// through 4 shard sub-sinks (ScanSeqOrdered's k-way path).
+func TestFnErrorReadsTheSameInEveryFormat(t *testing.T) {
+	recs := synthRecords(1000)
+	ordered := writeCampaign(t, recs, 64)
+	var sharded bytes.Buffer
+	w := NewWriter(&sharded)
+	w.FrameRecords = 32
+	shardedCampaign(t, w, "nginx", recs, 4)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var jsonl []byte
+	if err := Scan(bytes.NewReader(ordered), func(e profile.JSONLEntry) error {
+		jsonl = profile.AppendJSONLRecord(jsonl, e.System, e.Generator, e.Seq, e.Record)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := errors.New("callback refused record 333")
+	fn := func(e profile.JSONLEntry) error {
+		if e.Seq == 333 {
+			return stop
+		}
+		return nil
+	}
+	for what, scan := range map[string]func() error{
+		"ScanJSONL":               func() error { return profile.ScanJSONL(bytes.NewReader(jsonl), fn) },
+		"Scan, ordered":           func() error { return Scan(bytes.NewReader(ordered), fn) },
+		"Scan, sharded":           func() error { return Scan(bytes.NewReader(sharded.Bytes()), fn) },
+		"ScanSeqOrdered, ordered": func() error { return ScanSeqOrdered(bytes.NewReader(ordered), int64(len(ordered)), fn) },
+		"ScanSeqOrdered, sharded": func() error {
+			return ScanSeqOrdered(bytes.NewReader(sharded.Bytes()), int64(sharded.Len()), fn)
+		},
+	} {
+		if err := scan(); err != stop {
+			t.Errorf("%s: error %v, want the callback's %q verbatim", what, err, stop)
 		}
 	}
 }

@@ -23,7 +23,8 @@ import (
 //
 // Decoding fans out (see profile.Fan): GOMAXPROCS workers decode frames
 // ahead in the order the replay first needs them, and fn runs on the
-// caller's goroutine, in canonical order.
+// caller's goroutine, in canonical order. A non-nil error from fn stops
+// the replay and is returned verbatim, whichever order the frames lie in.
 func ScanSeqOrdered(ra io.ReaderAt, size int64, fn func(profile.JSONLEntry) error) error {
 	frames, _, err := ReadIndex(ra, size)
 	if err != nil {
@@ -114,9 +115,7 @@ func scanCampaignOrdered(f *profile.Fan[frameUnit], frames []FrameInfo, fn func(
 			if b == nil {
 				return err
 			}
-			if err := b.Each(fn, func(u *frameUnit, err error) error {
-				return fmt.Errorf("cprof: frame at %d: %w", u.fi.Off, err)
-			}); err != nil {
+			if err := b.Each(fn); err != nil {
 				return err
 			}
 		}

@@ -36,10 +36,12 @@ type preamble struct {
 // profile.ScanJSONL, with the same callback shape. Decoding fans out:
 // the caller's goroutine reads each frame's bytes, GOMAXPROCS workers
 // check and inflate them (see profile.Fan), and fn runs on the caller's
-// goroutine, in file order. File order equals sequence order for files
-// written by a single ordered sink (matrix stream-out, dist merge);
-// files written through the sharded bypass interleave their shards'
-// frames — use ScanFileSeqOrdered when global sequence order matters.
+// goroutine, in file order. A non-nil error from fn stops the scan and
+// is returned verbatim, as by every profile reader. File order equals
+// sequence order for files written by a single ordered sink (matrix
+// stream-out, dist merge); files written through the sharded bypass
+// interleave their shards' frames — use ScanFileSeqOrdered when global
+// sequence order matters.
 // The scan stops cleanly at the index block, so it works on a plain
 // io.Reader (a pipe, stdin) with no seeking.
 func Scan(r io.Reader, fn func(profile.JSONLEntry) error) error {
@@ -90,9 +92,7 @@ func Scan(r io.Reader, fn func(profile.JSONLEntry) error) error {
 		}
 		return dst, err
 	}
-	return profile.FanEach(profile.NewFan(cut, decode), fn, func(u *frameUnit, err error) error {
-		return fmt.Errorf("cprof: frame %d: %w", u.no, err)
-	})
+	return profile.FanEach(profile.NewFan(cut, decode), fn)
 }
 
 // frameUnit is one frame of a fan-out scan, with the decoder scratch

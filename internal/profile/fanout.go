@@ -111,14 +111,10 @@ func (f *Fan[U]) Close() {
 }
 
 // Each hands b's entries to fn in order and then returns b's own error.
-// A non-nil error from fn stops it, passed through wrap (when non-nil)
-// with the batch's unit.
-func (b *Batch[U]) Each(fn func(JSONLEntry) error, wrap func(*U, error) error) error {
+// A non-nil error from fn stops it and is returned verbatim.
+func (b *Batch[U]) Each(fn func(JSONLEntry) error) error {
 	for i := range b.Entries {
 		if err := fn(b.Entries[i]); err != nil {
-			if wrap != nil {
-				err = wrap(&b.unit, err)
-			}
 			return err
 		}
 	}
@@ -127,14 +123,14 @@ func (b *Batch[U]) Each(fn func(JSONLEntry) error, wrap func(*U, error) error) e
 
 // FanEach runs every batch of f through fn in cut order (see Each) and
 // closes f.
-func FanEach[U any](f *Fan[U], fn func(JSONLEntry) error, wrap func(*U, error) error) error {
+func FanEach[U any](f *Fan[U], fn func(JSONLEntry) error) error {
 	defer f.Close()
 	for {
 		b, err := f.Next()
 		if b == nil {
 			return err
 		}
-		if err := b.Each(fn, wrap); err != nil {
+		if err := b.Each(fn); err != nil {
 			return err
 		}
 	}

@@ -256,11 +256,7 @@ func (s *JSONLSink) Write(r Record) error {
 // the encoder fuzz test pins down. ParseJSONLLine, under ScanJSONL,
 // decodes exactly this shape without reflection.
 func AppendJSONLRecord(buf []byte, system, generator string, seq int, r Record) []byte {
-	buf = append(buf, `{"system":`...)
-	buf = appendJSONString(buf, system)
-	buf = append(buf, `,"generator":`...)
-	buf = appendJSONString(buf, generator)
-	buf = append(buf, `,"seq":`...)
+	buf = AppendJSONLOpening(buf, system, generator)
 	buf = strconv.AppendInt(buf, int64(seq), 10)
 	buf = append(buf, `,"scenario_id":`...)
 	buf = appendJSONString(buf, r.ScenarioID)
@@ -282,6 +278,17 @@ func AppendJSONLRecord(buf []byte, system, generator string, seq int, r Record) 
 	}
 	buf = append(buf, '}', '\n')
 	return buf
+}
+
+// AppendJSONLOpening appends the bytes every JSONL profile line of one
+// campaign opens with, up to its sequence number:
+// {"system":S,"generator":P,"seq":
+func AppendJSONLOpening(buf []byte, system, generator string) []byte {
+	buf = append(buf, `{"system":`...)
+	buf = appendJSONString(buf, system)
+	buf = append(buf, `,"generator":`...)
+	buf = appendJSONString(buf, generator)
+	return append(buf, `,"seq":`...)
 }
 
 const jsonHex = "0123456789abcdef"
@@ -450,7 +457,7 @@ func ReadJSONLLine(br *bufio.Reader, spill *[]byte) ([]byte, error) {
 // profile is seek-able, not just countable.
 func ScanJSONL(r io.Reader, fn func(JSONLEntry) error) error {
 	c := &jsonlCutter{r: r, size: jsonlRunBytes}
-	return FanEach(NewFan(c.cut, decodeJSONLRun), fn, nil)
+	return FanEach(NewFan(c.cut, decodeJSONLRun), fn)
 }
 
 // jsonlRunBytes is the size ScanJSONL cuts its runs at: large enough
